@@ -10,6 +10,7 @@ coarse subsets span the full data bounds (no region drops out).
 import numpy as np
 
 from conftest import emit
+from repro import QueryRequest
 from repro.bench import format_table
 from repro.core.dataset import BATDataset
 from repro.viz import quality_progression
@@ -49,8 +50,8 @@ def test_fig13_coarse_levels_preserve_shape(benchmark, coal_dataset):
 
     def run():
         with BATDataset(paths[2]) as ds:
-            full, _ = ds.query(quality=1.0)
-            coarse, _ = ds.query(quality=0.2)
+            full, _ = ds.query(QueryRequest(quality=1.0))
+            coarse, _ = ds.query(QueryRequest(quality=0.2))
         return full.positions, coarse.positions
 
     full_pos, coarse_pos = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,7 +13,7 @@ Usage: python examples/coal_boiler_timeseries.py
 import shutil
 from pathlib import Path
 
-from repro import AttributeFilter, BATDataset, TwoPhaseWriter, machines
+from repro import AttributeFilter, BATDataset, QueryRequest, TwoPhaseWriter, machines
 from repro.baselines import build_aug_plan
 from repro.bench.report import format_table
 from repro.workloads import CoalBoiler
@@ -65,14 +65,14 @@ def main() -> None:
     with BATDataset(report.metadata_path) as ds:
         glo, ghi = ds.attr_ranges["temperature"]
         hot_cut = glo + 0.8 * (ghi - glo)
-        hot, stats = ds.query(filters=[AttributeFilter("temperature", hot_cut, ghi)])
+        hot, stats = ds.query(QueryRequest(filters=[AttributeFilter("temperature", hot_cut, ghi)]))
         print(f"  hottest 20% of the temperature range: {len(hot):,} particles "
               f"(tested {stats.points_tested:,} of {ds.total_particles:,})")
 
-        coarse, _ = ds.query(quality=0.2)
+        coarse, _ = ds.query(QueryRequest(quality=0.2))
         print(f"  coarse preview at quality 0.2: {len(coarse):,} particles, "
               f"mean height {coarse.positions[:, 2].mean():.2f} "
-              f"(full data: {ds.query()[0].positions[:, 2].mean():.2f})")
+              f"(full data: {ds.query().batch.positions[:, 2].mean():.2f})")
 
     print(f"\noutput in {OUT}/")
 

@@ -18,6 +18,7 @@ from repro import (
     BATDataset,
     Box,
     ParticleBatch,
+    QueryRequest,
     RankData,
     TwoPhaseReader,
     TwoPhaseWriter,
@@ -76,18 +77,18 @@ def main() -> None:
 
     # -- visualization reads ---------------------------------------------------
     with BATDataset(report.metadata_path) as ds:
-        coarse, _ = ds.query(quality=0.1)
+        coarse, _ = ds.query(QueryRequest(quality=0.1))
         print(f"\nprogressive: quality 0.1 -> {len(coarse):,} points "
               f"({len(coarse) / ds.total_particles:.1%} of the data)")
-        more, _ = ds.query(quality=0.5, prev_quality=0.1)
+        more, _ = ds.query(QueryRequest(quality=0.5, prev_quality=0.1))
         print(f"progressive: 0.1 -> 0.5 increment adds {len(more):,} points")
 
         region = Box((1.0, 1.0, 0.0), (2.0, 2.0, 1.0))
-        sub, stats = ds.query(box=region)
+        sub, stats = ds.query(QueryRequest(box=region))
         print(f"spatial query {region.lower}..{region.upper}: {len(sub):,} points, "
               f"tested only {stats.points_tested:,}")
 
-        hot, stats = ds.query(filters=[AttributeFilter("temperature", 360.0, 1000.0)])
+        hot, stats = ds.query(QueryRequest(filters=[AttributeFilter("temperature", 360.0, 1000.0)]))
         print(f"attribute filter T>360: {len(hot):,} points "
               f"(bitmap pruning skipped {stats.pruned_bitmap} subtrees)")
         assert (hot.attributes["temperature"] >= 360.0).all()

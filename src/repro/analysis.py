@@ -2,7 +2,7 @@
 
 The paper positions the layout for "spatial or attribute subset queries"
 driving analysis as well as visualization (§I, §V-A). These helpers run
-common analysis reductions *through the query engine's callback path*, so
+common analysis reductions *through the query callback path*, so
 they stream over matching particles chunk-by-chunk without materializing
 the full result — the access pattern an analysis tool sitting on top of
 the library would use.

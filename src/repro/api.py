@@ -3,7 +3,7 @@
 Every read path — :meth:`~repro.core.dataset.BATDataset.query`, the serve
 layer's request parsing, the ``repro query`` CLI — speaks one request
 shape. A :class:`QueryRequest` captures *what* to read (box, filters,
-quality window, columns, traversal engine, error policy) independently of
+quality window, columns, error policy) independently of
 *where* it runs, so the same request object can be replayed against a
 dataset, a time series, or the concurrent service and must produce
 byte-identical data.
@@ -16,17 +16,12 @@ Typical use::
     result = ds.query(repro.QueryRequest(quality=0.3, columns=("temp",)))
     print(len(result.batch), result.stats.files_opened)
 
-The pre-1.x keyword signatures (``ds.query(quality=0.3, box=...)``) keep
-working as thin shims that emit one :class:`DeprecationWarning` per call
-form and return the old ``(batch, stats)`` tuple; :class:`QueryResult`
-iterates as ``(batch, stats)`` too, so two-value unpacking works against
-either form.
+:class:`QueryResult` iterates as ``(batch, stats)``, so
+``batch, stats = ds.query(...)`` works too.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -57,37 +52,12 @@ ON_ERROR_POLICIES = ("raise", "degrade")
 #: correctness oracle)
 NEIGHBOR_ENGINES = ("tree", "brute")
 
-# one DeprecationWarning per distinct legacy call form, process-wide —
-# a loop over the old signature must not flood the user's terminal
-_warned_forms: set[str] = set()
-_warn_lock = threading.Lock()
-
-
-def warn_deprecated(form: str, replacement: str, *, stacklevel: int = 3) -> None:
-    """Emit one :class:`DeprecationWarning` per distinct ``form``."""
-    with _warn_lock:
-        if form in _warned_forms:
-            return
-        _warned_forms.add(form)
-    warnings.warn(
-        f"{form} is deprecated; {replacement}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _reset_deprecation_warnings() -> None:
-    """Forget which legacy forms already warned (test isolation hook)."""
-    with _warn_lock:
-        _warned_forms.clear()
-
-
 @dataclass(frozen=True)
 class Request:
     """Frozen base of every request family.
 
     Carries the fields the families share — ``filters``, ``columns``,
-    ``engine``, ``on_error`` — plus the common construction-time
+    ``on_error`` — plus the common construction-time
     machinery: sequence fields are frozen to tuples, the error policy is
     checked, and then the subclass's :meth:`_validate` hook runs. Every
     request is therefore hashable and comparable the moment it exists,
@@ -103,7 +73,6 @@ class Request:
 
     filters: tuple = ()
     columns: tuple[str, ...] | None = None
-    engine: str = "frontier"
     on_error: str = "raise"
 
     family: ClassVar[str] = "query"
@@ -359,7 +328,6 @@ def request_to_doc(req: Request) -> dict:
         "family": req.family,
         "filters": [[f.name, float(f.lo), float(f.hi)] for f in req.filters],
         "columns": list(req.columns) if req.columns is not None else None,
-        "engine": req.engine,
         "on_error": req.on_error,
     }
     if isinstance(req, QueryRequest):
@@ -381,6 +349,7 @@ def request_to_doc(req: Request) -> dict:
         )
         doc["k"] = None if req.k is None else int(req.k)
         doc["radius"] = None if req.radius is None else float(req.radius)
+        doc["engine"] = req.engine
     else:  # pragma: no cover - future families must extend this
         raise InvalidRequestError(
             f"cannot serialize request family {req.family!r}"
@@ -392,7 +361,9 @@ def request_from_doc(doc: dict) -> Request:
     """Rebuild a request from its :func:`request_to_doc` wire doc.
 
     Docs without a ``family`` tag predate the neighbor family and parse
-    as query requests.
+    as query requests. Stored query docs (the job queue persists them)
+    may still carry the ``"engine"`` key of the time a query request
+    could choose its traversal; it is ignored.
     """
     from .bat.query import AttributeFilter  # local: avoids an import cycle
 
@@ -412,7 +383,6 @@ def request_from_doc(doc: dict) -> Request:
             box=Box(tuple(box[0]), tuple(box[1])) if box is not None else None,
             quality=doc.get("quality", 1.0),
             prev_quality=doc.get("prev_quality", 0.0),
-            engine=doc.get("engine", "frontier"),
             **common,
         )
     if family == "neighbor":

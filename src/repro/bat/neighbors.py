@@ -186,7 +186,7 @@ def _treelet_slots(tv, leaf_box, keep_fn, stats: NeighborStats) -> np.ndarray:
     """Slots of every particle owned by treelet nodes passing ``keep_fn``.
 
     Level-by-level frontier walk with vectorized box splitting (the
-    :func:`~repro.bat.query._frontier_treelet` machinery at full
+    :class:`~repro.bat.query._TreeletWalk` machinery at full
     quality): every surviving node contributes its whole own range, and
     descent continues only below surviving splits. Returned ascending.
     """

@@ -1,11 +1,13 @@
 """Visualization reads on a BAT file (paper §V).
 
-Queries take a quality level, an optional bounding box, and a set of
+Queries take a quality window, an optional bounding box, and a set of
 attribute filters. Spatial pruning uses the k-d hierarchy (exact);
 attribute pruning uses the binned bitmaps (conservative — a final
-false-positive check is applied to every returned particle). Progressive
-reads pass the previously fetched quality so only the increment is
-processed.
+false-positive check is applied to every returned particle). The read is
+one traversal parameterised by ``(prev_quality, quality]``: a one-shot
+read is the window ``(0, q]``, a progressive refinement passes the
+quality already held, and a streamed read is a ladder of consecutive
+windows over one kept traversal.
 
 Quality ∈ [0, 1] maps to a maximum treelet depth through a log remap:
 the number of LOD particles doubles per level, so the remap
@@ -13,22 +15,32 @@ the number of LOD particles doubles per level, so the remap
 smoothly. A node at depth *d* is processed fully when ``d < floor(e)`` and
 fractionally (a prefix of its particles) when ``d == floor(e)``.
 
-Two traversal engines implement the same query semantics:
+**One core.** The shallow tree is walked level by level
+(:func:`_frontier_survivor_leaves`); every surviving treelet then gets a
+:class:`_TreeletWalk`, a stateful frontier walk that batches all nodes of
+one depth into numpy arrays. Pruning does not depend on quality, so each
+depth's survivors are computed once (:meth:`_TreeletWalk._extend`, the
+only prune/descend step) and a window only extends the descent when it
+reaches deeper than every window before it; it never descends below
+``floor(e)``, where no node can contribute. A window's surviving slot
+ranges are gathered and checked once per treelet (:func:`_gather`, the
+only gather), and a whole treelet asked for at full quality skips the
+walk altogether (:func:`_full_speed`). The two entry points differ only
+in what they do with the rows:
 
-- ``"frontier"`` (default) — an iterative walk that batches every node at
-  one depth into numpy arrays: box-overlap tests, bitmap dictionary
-  lookups, and the quality-depth cutoff are evaluated array-wise, and each
-  treelet's surviving particle ranges are gathered and emitted once. It
-  also stops descending below ``floor(e_new)``, where no node can
-  contribute particles.
-- ``"recursive"`` — the original per-node stack walk, kept as the
-  reference implementation; property tests pin the frontier engine's
-  output to it byte for byte.
+- :func:`query_file` asks for one window and concatenates (or hands each
+  treelet's rows to a callback); the walks are dropped as it goes.
+- :func:`stream_query_file` keeps the walks across the rungs of a quality
+  ladder and attaches per-row order keys ``(treelet_rank, slot)`` so the
+  increments can be merged back into the one-shot order.
 
-Both engines return identical batches and identical ``points_tested`` /
-``points_returned`` / ``treelets_visited`` counters; ``nodes_visited`` and
-the per-subtree prune counters can be lower for the frontier engine
-because of its depth cutoff.
+**One reference.** :func:`query_file_recursive` is the original per-node
+stack walk. Nothing in the read path calls it: the property tests pin the
+core's output to it byte for byte, and the reorganizer re-reads its
+rebuilt files through it before publishing. Both return identical batches
+and identical ``points_tested`` / ``points_returned`` /
+``treelets_visited`` counters; ``nodes_visited`` and the per-subtree prune
+counters can be lower for the core because of its depth cutoff.
 """
 
 from __future__ import annotations
@@ -47,18 +59,14 @@ from .format import LEAF_FLAG
 __all__ = [
     "AttributeFilter",
     "QueryStats",
-    "ENGINES",
     "quality_to_depth",
     "quality_for_depth",
     "default_quality_ladder",
     "query_file",
+    "query_file_recursive",
     "FileIncrement",
     "stream_query_file",
 ]
-
-#: available traversal engines, in preference order
-ENGINES = ("frontier", "recursive")
-
 
 @dataclass(frozen=True)
 class AttributeFilter:
@@ -196,6 +204,13 @@ class _QueryContext:
     #: False = column-projected read: positions are neither returned nor
     #: decoded (unless a box test still needs them)
     with_positions: bool = True
+    #: False when the root already proves the read empty (a filter no
+    #: stored value can match, a box off the file's bounds, quality 0)
+    live: bool = True
+    #: the box as ``(lower, upper)`` float64 arrays, for array-wise tests
+    qbounds: tuple[np.ndarray, np.ndarray] | None = None
+    #: per filter ``(attribute index, query bitmap)``, for array-wise tests
+    bitmap_tests: tuple[tuple[int, np.uint32], ...] = ()
 
     def select_attrs(self, attrs) -> dict:
         # key-based so unselected lazy (v4) columns never decode
@@ -222,39 +237,27 @@ class _QueryContext:
             self.chunks_attr.setdefault(name, []).append(np.asarray(arr))
 
 
-def query_file(
+def _prepare(
     bat: BATFile,
-    quality: float = 1.0,
-    prev_quality: float = 0.0,
-    box: Box | None = None,
-    filters: tuple[AttributeFilter, ...] | list[AttributeFilter] = (),
+    quality: float,
+    prev_quality: float,
+    box: Box | None,
+    filters,
+    attributes,
+    with_positions: bool,
     callback=None,
-    attributes: list[str] | None = None,
-    engine: str = "frontier",
-    with_positions: bool = True,
-) -> tuple[ParticleBatch | None, QueryStats]:
-    """Run one (progressive) visualization read against a BAT file.
+    stats: QueryStats | None = None,
+) -> _QueryContext:
+    """Validate one file read and derive what every traversal needs.
 
-    Returns ``(batch, stats)``; ``batch`` is ``None`` when a ``callback`` is
-    given (the paper's API invokes a user callback for each point; here the
-    callback receives chunked arrays for vectorization — the chunk
-    granularity is an engine detail, per node for ``"recursive"`` and per
-    treelet for ``"frontier"``).
-
-    ``attributes`` restricts which attribute arrays are materialized in the
-    result — the array-per-attribute storage model means unrequested
-    attributes are never touched (filter attributes are still read for the
-    false-positive check but only returned if requested).
-
-    ``with_positions=False`` projects positions away too: the result batch
-    carries ``positions=None`` plus a row count, and on column-encoded
-    (v4) files the position block is only decoded where a box test still
-    needs it. Callbacks then receive ``None`` as their positions argument.
+    The request prologue of all three entry points: unknown attribute
+    names raise ``KeyError`` here, each filter becomes a query bitmap
+    against the attribute's binning, and the quality window becomes
+    effective depths. ``stats`` may be a caller-owned counter object to
+    accumulate into.
     """
     if prev_quality > quality:
         raise InvalidRequestError("prev_quality must be <= quality")
-    if engine not in ENGINES:
-        raise InvalidRequestError(f"unknown traversal engine {engine!r} (choose from {ENGINES})")
     if attributes is not None:
         for name in attributes:
             bat.attr_index(name)  # raises KeyError for unknown names
@@ -268,42 +271,111 @@ def query_file(
         else:
             lo, hi = bat.attr_ranges[f.name]
             qbitmaps[f.name] = int(query_bitmap(f.lo, f.hi, lo, hi))
-
+    e_new = quality_to_depth(quality, bat.max_treelet_depth)
     ctx = _QueryContext(
         box=box,
         filters=filters,
         qbitmaps=qbitmaps,
         e_prev=quality_to_depth(prev_quality, bat.max_treelet_depth),
-        e_new=quality_to_depth(quality, bat.max_treelet_depth),
+        e_new=e_new,
         callback=callback,
         attributes=tuple(attributes) if attributes is not None else None,
         with_positions=bool(with_positions),
+        live=not (
+            e_new == 0.0
+            or any(q == 0 for q in qbitmaps.values())
+            or (box is not None and not bat.bounds.intersects(box))
+        ),
+        qbounds=(
+            (np.asarray(box.lower), np.asarray(box.upper)) if box is not None else None
+        ),
+        bitmap_tests=tuple(
+            (bat.attr_index(f.name), np.uint32(qbitmaps[f.name])) for f in filters
+        ),
     )
-    ctx.stats.files_opened = 1
+    if stats is not None:
+        ctx.stats = stats
+    ctx.stats.files_opened += 1
+    return ctx
 
-    empty_filter = any(q == 0 for q in qbitmaps.values())
-    root_prunes = box is not None and not bat.bounds.intersects(box)
-    if not (empty_filter or root_prunes or ctx.e_new == 0.0):
-        if engine == "recursive":
-            _traverse_shallow(bat, ctx)
-        else:
-            _frontier_shallow(bat, ctx)
 
-    if callback is not None:
+def _result(bat: BATFile, ctx: _QueryContext) -> tuple[ParticleBatch | None, QueryStats]:
+    """The ``(batch, stats)`` a one-shot read returns from what ``ctx`` collected."""
+    if ctx.callback is not None:
         return None, ctx.stats
     if ctx.stats.points_returned == 0:
         specs = bat.attribute_specs()
-        if attributes is not None:
-            specs = [sp for sp in specs if sp.name in attributes]
-        return ParticleBatch.empty(specs, with_positions=with_positions), ctx.stats
+        if ctx.attributes is not None:
+            specs = [sp for sp in specs if sp.name in ctx.attributes]
+        return ParticleBatch.empty(specs, with_positions=ctx.with_positions), ctx.stats
     attrs = {name: np.concatenate(parts) for name, parts in ctx.chunks_attr.items()}
-    if not with_positions:
+    if not ctx.with_positions:
         return ParticleBatch(None, attrs, count=ctx.stats.points_returned), ctx.stats
     positions = np.concatenate(ctx.chunks_pos, axis=0)
     return ParticleBatch(positions, attrs), ctx.stats
 
 
-# -- recursive engine (reference implementation) -----------------------------
+def query_file(
+    bat: BATFile,
+    quality: float = 1.0,
+    prev_quality: float = 0.0,
+    box: Box | None = None,
+    filters: tuple[AttributeFilter, ...] | list[AttributeFilter] = (),
+    callback=None,
+    attributes: list[str] | None = None,
+    with_positions: bool = True,
+) -> tuple[ParticleBatch | None, QueryStats]:
+    """Run one (progressive) visualization read against a BAT file.
+
+    Returns ``(batch, stats)``; ``batch`` is ``None`` when a ``callback`` is
+    given (the paper's API invokes a user callback for each point; here the
+    callback receives one chunk of arrays per treelet, for vectorization).
+
+    ``attributes`` restricts which attribute arrays are materialized in the
+    result — the array-per-attribute storage model means unrequested
+    attributes are never touched (filter attributes are still read for the
+    false-positive check but only returned if requested).
+
+    ``with_positions=False`` projects positions away too: the result batch
+    carries ``positions=None`` plus a row count, and on column-encoded
+    (v4) files the position block is only decoded where a box test still
+    needs it. Callbacks then receive ``None`` as their positions argument.
+    """
+    ctx = _prepare(
+        bat, quality, prev_quality, box, filters, attributes, with_positions, callback
+    )
+    if ctx.live:
+        window = _window_rows(bat, ctx, _walks(bat, ctx), ctx.e_prev, ctx.e_new)
+        for _rank, (pos, attrs, count, _sel, _mask) in window:
+            ctx.emit(pos, attrs, count)
+    return _result(bat, ctx)
+
+
+def query_file_recursive(
+    bat: BATFile,
+    quality: float = 1.0,
+    prev_quality: float = 0.0,
+    box: Box | None = None,
+    filters: tuple[AttributeFilter, ...] | list[AttributeFilter] = (),
+    callback=None,
+    attributes: list[str] | None = None,
+    with_positions: bool = True,
+) -> tuple[ParticleBatch | None, QueryStats]:
+    """:func:`query_file` by the per-node stack walk — the reference.
+
+    Same arguments, same bytes, one emitted chunk per node. Kept for the
+    tests that pin the frontier core to it and for the reorganizer's
+    pre-publish verification; no read path uses it.
+    """
+    ctx = _prepare(
+        bat, quality, prev_quality, box, filters, attributes, with_positions, callback
+    )
+    if ctx.live:
+        _traverse_shallow(bat, ctx)
+    return _result(bat, ctx)
+
+
+# -- recursive walk (reference implementation) -------------------------------
 
 
 def _bitmaps_prune(bat: BATFile, bitmap_ids, ctx: _QueryContext) -> bool:
@@ -338,13 +410,13 @@ def _traverse_shallow(bat: BATFile, ctx: _QueryContext) -> None:
             stack.extend(bat.children(idx))
 
 
-def _full_speed(tv, leaf_box: Box, ctx: _QueryContext) -> bool:
+def _full_speed(tv, leaf_box: Box, ctx: _QueryContext, e_lo: float, e_hi: float) -> bool:
     """Whole treelet requested at full quality: one contiguous emit."""
     return (
         (ctx.box is None or ctx.box.contains_box(leaf_box))
         and not ctx.filters
-        and ctx.e_prev == 0.0
-        and ctx.e_new >= tv.max_depth + 1
+        and e_lo == 0.0
+        and e_hi >= tv.max_depth + 1
     )
 
 
@@ -365,7 +437,7 @@ def _emit_full_treelet(tv, ctx: _QueryContext) -> None:
 
 def _traverse_treelet(bat: BATFile, leaf: int, leaf_box: Box, ctx: _QueryContext) -> None:
     tv = bat.treelet(leaf)
-    if _full_speed(tv, leaf_box, ctx):
+    if _full_speed(tv, leaf_box, ctx, ctx.e_prev, ctx.e_new):
         _emit_full_treelet(tv, ctx)
         return
 
@@ -431,32 +503,29 @@ def _emit_points(tv, lo_slot: int, hi_slot: int, ctx: _QueryContext) -> None:
         )
 
 
-# -- frontier engine (vectorized) --------------------------------------------
+# -- frontier core (vectorized) ------------------------------------------------
 
 
-def _frontier_keep(bat: BATFile, recs: np.ndarray, ctx: _QueryContext) -> np.ndarray:
-    """Survivor mask for one frontier of shallow records (spatial + bitmap).
+def _frontier_keep(
+    bat: BATFile, ctx: _QueryContext, lo: np.ndarray, hi: np.ndarray, bitmap_ids: np.ndarray
+) -> np.ndarray:
+    """Survivor mask for one frontier of nodes (spatial + bitmap).
 
-    Mirrors the recursive order of checks so the prune counters agree:
-    spatial pruning is counted first, bitmap pruning only among the
-    spatial survivors.
+    ``lo``/``hi`` are the nodes' ``(n, 3)`` box corners, ``bitmap_ids``
+    their ``(n, n_attrs)`` dictionary ids. Mirrors the recursive order of
+    checks so the prune counters agree: spatial pruning is counted first,
+    bitmap pruning only among the spatial survivors.
     """
-    n = len(recs)
+    n = len(lo)
     keep = np.ones(n, dtype=bool)
-    if ctx.box is not None:
-        bb = recs["bbox"]
-        lo, hi = bb[:, :3], bb[:, 3:]
-        qlo = np.asarray(ctx.box.lower)
-        qhi = np.asarray(ctx.box.upper)
+    if ctx.qbounds is not None:
+        qlo, qhi = ctx.qbounds
         keep = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
         ctx.stats.pruned_spatial += int(n - keep.sum())
-    if ctx.filters:
+    if ctx.bitmap_tests:
         ok = np.ones(n, dtype=bool)
-        ids = recs["bitmap_ids"]
-        for f in ctx.filters:
-            a = bat.attr_index(f.name)
-            bms = bat.bitmaps_many(ids[:, a])
-            ok &= (bms & np.uint32(ctx.qbitmaps[f.name])) != 0
+        for a, qbitmap in ctx.bitmap_tests:
+            ok &= (bat.bitmaps_many(bitmap_ids[:, a]) & qbitmap) != 0
         ctx.stats.pruned_bitmap += int((keep & ~ok).sum())
         keep &= ok
     return keep
@@ -470,7 +539,7 @@ def _frontier_survivor_leaves(bat: BATFile, ctx: _QueryContext) -> np.ndarray:
     holds all surviving nodes of one depth. Surviving leaves are collected
     and re-ordered by the stack-DFS visit rank — pruning removes subtrees
     but never reorders the rest, so traversing the returned leaves in
-    order matches the recursive engine's emission order exactly.
+    order matches the recursive walk's emission order exactly.
     """
     empty = np.empty(0, dtype=np.int64)
     root, root_is_leaf = bat.root()
@@ -480,13 +549,16 @@ def _frontier_survivor_leaves(bat: BATFile, ctx: _QueryContext) -> np.ndarray:
     while inner.size or leaves.size:
         if leaves.size:
             ctx.stats.nodes_visited += len(leaves)
-            keep = _frontier_keep(bat, bat.shallow_leaves[leaves], ctx)
+            recs = bat.shallow_leaves[leaves]
+            bb = recs["bbox"]
+            keep = _frontier_keep(bat, ctx, bb[:, :3], bb[:, 3:], recs["bitmap_ids"])
             if keep.any():
                 found.append(leaves[keep])
         if inner.size:
             ctx.stats.nodes_visited += len(inner)
             recs = bat.shallow_inner[inner]
-            keep = _frontier_keep(bat, recs, ctx)
+            bb = recs["bbox"]
+            keep = _frontier_keep(bat, ctx, bb[:, :3], bb[:, 3:], recs["bitmap_ids"])
             srecs = recs[keep]
             raw = np.concatenate([srecs["left"], srecs["right"]]).astype(np.uint32)
             is_leaf = (raw & LEAF_FLAG) != 0
@@ -501,100 +573,120 @@ def _frontier_survivor_leaves(bat: BATFile, ctx: _QueryContext) -> np.ndarray:
     return hits[np.argsort(rank[hits])]
 
 
-def _frontier_shallow(bat: BATFile, ctx: _QueryContext) -> None:
-    for leaf in _frontier_survivor_leaves(bat, ctx):
-        ctx.stats.treelets_visited += 1
-        _frontier_treelet(bat, int(leaf), bat.leaf_box(int(leaf)), ctx)
-
-
-def _frontier_treelet(bat: BATFile, leaf: int, leaf_box: Box, ctx: _QueryContext) -> None:
-    """Frontier walk of one treelet; surviving ranges gathered in one emit.
+class _TreeletWalk:
+    """Stateful frontier walk of one treelet, advanced one window at a time.
 
     Node boxes are carried alongside the frontier as (n, 3) float64 arrays
     and split vectorized; every node of a treelet level shares one depth,
-    so the quality fractions are scalars per level. Descent stops below
-    ``floor(e_new)`` — no deeper node can contribute particles.
+    so the quality fractions are scalars per level. Spatial and bitmap
+    pruning are quality-independent, so each depth's survivors are
+    computed once and kept; a window only extends the descent when its
+    effective depth reaches below every prior window's. Emission reads the
+    kept levels with the same monotone slot-range rounding as the
+    recursive walk — consecutive windows chain with no gap and no overlap.
     """
-    tv = bat.treelet(leaf)
-    if _full_speed(tv, leaf_box, ctx):
-        _emit_full_treelet(tv, ctx)
-        return
 
-    nodes = tv.nodes
-    fl_new = math.floor(ctx.e_new)
-    qlo = qhi = None
-    if ctx.box is not None:
-        qlo = np.asarray(ctx.box.lower)
-        qhi = np.asarray(ctx.box.upper)
-    ids = np.zeros(1, dtype=np.int64)
-    lo = np.asarray(leaf_box.lower, dtype=np.float64).reshape(1, 3)
-    hi = np.asarray(leaf_box.upper, dtype=np.float64).reshape(1, 3)
-    emit_ids: list[np.ndarray] = []
-    emit_lo: list[np.ndarray] = []
-    emit_hi: list[np.ndarray] = []
-    depth = 0
-    while ids.size:
-        ctx.stats.nodes_visited += len(ids)
-        recs = nodes[ids]
-        keep = np.ones(len(ids), dtype=bool)
-        if qlo is not None:
-            keep = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
-            ctx.stats.pruned_spatial += int(len(ids) - keep.sum())
-        if ctx.filters:
-            ok = np.ones(len(ids), dtype=bool)
-            for f in ctx.filters:
-                a = bat.attr_index(f.name)
-                bms = bat.bitmaps_many(recs["bitmap_ids"][:, a])
-                ok &= (bms & np.uint32(ctx.qbitmaps[f.name])) != 0
-            ctx.stats.pruned_bitmap += int((keep & ~ok).sum())
-            keep &= ok
+    __slots__ = ("tv", "_box", "_levels", "_lo", "_hi", "_done")
 
-        f0 = _depth_fraction(depth, ctx.e_prev)
-        f1 = _depth_fraction(depth, ctx.e_new)
-        if f1 > f0 and keep.any():
+    def __init__(self, bat: BATFile, leaf: int) -> None:
+        self.tv = bat.treelet(leaf)
+        self._box = bat.leaf_box(leaf)
+        #: per depth walked: (node ids, their records, survivor mask)
+        self._levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: box corners of the deepest level's nodes; split into the next
+        #: frontier only when a window reaches below that level
+        self._lo = self._hi = None
+        #: no level left to walk (leaves reached, or the treelet was
+        #: emitted whole)
+        self._done = False
+
+    def _extend(self, bat: BATFile, ctx: _QueryContext, upto: int) -> None:
+        """Walk down through depth ``upto``, pruning each new level once.
+
+        Descent stops there — no deeper node can contribute particles to
+        a window whose effective depth floors at ``upto``.
+        """
+        if self._done or len(self._levels) > upto:
+            return
+        nodes = self.tv.nodes
+        while len(self._levels) <= upto:
+            if not self._levels:
+                ids = np.zeros(1, dtype=np.int64)
+                lo = np.asarray(self._box.lower, dtype=np.float64).reshape(1, 3)
+                hi = np.asarray(self._box.upper, dtype=np.float64).reshape(1, 3)
+            else:
+                _, recs, keep = self._levels[-1]
+                desc = keep & (recs["axis"] >= 0)
+                if not desc.any():
+                    self._done = True
+                    return
+                drecs = recs[desc]
+                plo, phi = self._lo[desc], self._hi[desc]
+                ax = drecs["axis"].astype(np.int64)
+                sp = drecs["split"].astype(np.float64)
+                rows = np.arange(len(drecs))
+                lhi = phi.copy()
+                lhi[rows, ax] = sp
+                rlo = plo.copy()
+                rlo[rows, ax] = sp
+                ids = np.concatenate(
+                    [drecs["left"].astype(np.int64), drecs["right"].astype(np.int64)]
+                )
+                lo = np.concatenate([plo, rlo])
+                hi = np.concatenate([lhi, phi])
+            ctx.stats.nodes_visited += len(ids)
+            recs = nodes[ids]
+            keep = _frontier_keep(bat, ctx, lo, hi, recs["bitmap_ids"])
+            self._levels.append((ids, recs, keep))
+            self._lo, self._hi = lo, hi
+
+    def rows(self, bat: BATFile, ctx: _QueryContext, e_lo: float, e_hi: float):
+        """Rows this treelet adds between effective depths ``e_lo → e_hi``.
+
+        Returns :func:`_gather`'s tuple, or ``None`` when the window adds
+        nothing here.
+        """
+        tv = self.tv
+        if _full_speed(tv, self._box, ctx, e_lo, e_hi):
+            # No box test runs here, so under column projection the node
+            # records and the position block are never touched — a
+            # one-column read decodes just that column.
+            self._done = True
+            ctx.stats.nodes_visited += 1
+            pos = tv.positions if ctx.with_positions else None
+            n = tv.n_points
+            return pos, ctx.select_attrs(tv.attributes), n, slice(0, n), None
+        fl_hi = math.floor(e_hi)
+        self._extend(bat, ctx, fl_hi)
+        parts_ids: list[np.ndarray] = []
+        parts_lo: list[np.ndarray] = []
+        parts_hi: list[np.ndarray] = []
+        for d in range(math.floor(e_lo), min(fl_hi, len(self._levels) - 1) + 1):
+            ids, recs, keep = self._levels[d]
+            f0 = _depth_fraction(d, e_lo)
+            f1 = _depth_fraction(d, e_hi)
+            if f1 <= f0 or not keep.any():
+                continue
             beg = recs["begin"][keep].astype(np.int64)
             cnt = recs["count"][keep].astype(np.int64)
-            # Same rounding as the recursive engine: truncation of
+            # Same rounding as the recursive walk: truncation of
             # f*count + 0.5 (values are non-negative).
             lo_slot = beg + (f0 * cnt + 0.5).astype(np.int64)
             hi_slot = beg + (f1 * cnt + 0.5).astype(np.int64)
             nz = hi_slot > lo_slot
             if nz.any():
-                emit_ids.append(ids[keep][nz])
-                emit_lo.append(lo_slot[nz])
-                emit_hi.append(hi_slot[nz])
-
-        if depth + 1 > fl_new:
-            break
-        desc = keep & (recs["axis"] >= 0)
-        if not desc.any():
-            break
-        drecs = recs[desc]
-        plo, phi = lo[desc], hi[desc]
-        ax = drecs["axis"].astype(np.int64)
-        sp = drecs["split"].astype(np.float64)
-        rows = np.arange(len(drecs))
-        lhi = phi.copy()
-        lhi[rows, ax] = sp
-        rlo = plo.copy()
-        rlo[rows, ax] = sp
-        ids = np.concatenate(
-            [drecs["left"].astype(np.int64), drecs["right"].astype(np.int64)]
+                parts_ids.append(ids[keep][nz])
+                parts_lo.append(lo_slot[nz])
+                parts_hi.append(hi_slot[nz])
+        if not parts_ids:
+            return None
+        # Node ids are assigned in pre-order, which is exactly the
+        # recursive walk's emission order (and ascending slot order, by
+        # construction of the node-order particle layout).
+        order = np.argsort(np.concatenate(parts_ids))
+        return _gather(
+            tv, np.concatenate(parts_lo)[order], np.concatenate(parts_hi)[order], ctx
         )
-        lo = np.concatenate([plo, rlo])
-        hi = np.concatenate([lhi, phi])
-        depth += 1
-
-    if not emit_ids:
-        return
-    all_ids = np.concatenate(emit_ids)
-    all_lo = np.concatenate(emit_lo)
-    all_hi = np.concatenate(emit_hi)
-    # Node ids are assigned in pre-order, which is exactly the recursive
-    # engine's emission order (and ascending slot order, by construction
-    # of the node-order particle layout).
-    order = np.argsort(all_ids)
-    _emit_ranges(tv, all_lo[order], all_hi[order], ctx)
 
 
 def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -613,56 +705,15 @@ def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.cumsum(steps)
 
 
-def _gather_rows(tv, lo_slot: np.ndarray, hi_slot: np.ndarray, ctx: _QueryContext):
-    """Like :func:`_emit_ranges`, but return the rows with their slot keys.
-
-    Returns ``(positions | None, attrs, slots, count)``; ``slots`` carries
-    the node-order slot index of every returned row so a streamed read can
-    be reassembled into the direct emission order (ascending slot within a
-    treelet).
-    """
-    if (lo_slot[1:] == hi_slot[:-1]).all():
-        sel: slice | np.ndarray = slice(int(lo_slot[0]), int(hi_slot[-1]))
-        slots = np.arange(sel.start, sel.stop, dtype=np.int64)
-        n_sel = sel.stop - sel.start
-    else:
-        sel = _concat_ranges(lo_slot, hi_slot)
-        slots = sel
-        n_sel = len(sel)
-    ctx.stats.points_tested += n_sel
-    pos = None
-    if ctx.with_positions or ctx.box is not None:
-        pos = tv.positions[sel]
-    mask = None
-    if ctx.box is not None:
-        mask = ctx.box.contains_points(pos)
-    for f in ctx.filters:
-        vals = tv.attributes[f.name][sel]
-        fmask = (vals >= f.lo) & (vals <= f.hi)
-        mask = fmask if mask is None else (mask & fmask)
-    if not ctx.with_positions:
-        pos = None
-    names = [n for n in tv.attributes if ctx.attributes is None or n in ctx.attributes]
-    if mask is None:
-        attrs = {n: tv.attributes[n][sel] for n in names}
-        count = n_sel
-    else:
-        count = int(mask.sum())
-        if count == 0:
-            return None, {}, np.empty(0, dtype=np.int64), 0
-        attrs = {n: tv.attributes[n][sel][mask] for n in names}
-        pos = pos[mask] if pos is not None else None
-        slots = slots[mask]
-    ctx.stats.points_returned += count
-    return pos, attrs, slots, count
-
-
-def _emit_ranges(tv, lo_slot: np.ndarray, hi_slot: np.ndarray, ctx: _QueryContext) -> None:
-    """Gather the surviving slot ranges of one treelet and emit them once.
+def _gather(tv, lo_slot: np.ndarray, hi_slot: np.ndarray, ctx: _QueryContext):
+    """Gather the surviving slot ranges of one treelet and check every row.
 
     A single contiguous run (the common case for full-quality reads of a
     whole subtree) stays a zero-copy slice of the mapped file; fragmented
-    ranges gather through one fancy-index pass.
+    ranges gather through one fancy-index pass. Returns ``(positions |
+    None, attrs, count, sel, mask)`` — ``sel`` the slots tested (a slice
+    or an index array), ``mask`` which of them passed (``None`` = all) —
+    or ``None`` when no row passes.
     """
     if (lo_slot[1:] == hi_slot[:-1]).all():
         sel: slice | np.ndarray = slice(int(lo_slot[0]), int(hi_slot[-1]))
@@ -688,16 +739,36 @@ def _emit_ranges(tv, lo_slot: np.ndarray, hi_slot: np.ndarray, ctx: _QueryContex
     # requested set are never materialized
     names = [n for n in tv.attributes if ctx.attributes is None or n in ctx.attributes]
     if mask is None:
-        ctx.emit(pos, {n: tv.attributes[n][sel] for n in names}, count=n_sel)
-    elif mask.any():
-        ctx.emit(
-            pos[mask] if pos is not None else None,
-            {n: tv.attributes[n][sel][mask] for n in names},
-            count=int(mask.sum()),
-        )
+        return pos, {n: tv.attributes[n][sel] for n in names}, n_sel, sel, None
+    count = int(mask.sum())
+    if count == 0:
+        return None
+    if pos is not None:
+        pos = pos[mask]
+    return pos, {n: tv.attributes[n][sel][mask] for n in names}, count, sel, mask
 
 
-# -- streaming frontier engine ------------------------------------------------
+def _concat(parts: list[np.ndarray], dtype, shape=(0,)) -> np.ndarray:
+    """``np.concatenate`` that turns no parts into a typed empty array."""
+    return np.concatenate(parts) if parts else np.empty(shape, dtype=dtype)
+
+
+def _walks(bat: BATFile, ctx: _QueryContext):
+    """One :class:`_TreeletWalk` per surviving treelet, in emission order."""
+    for leaf in _frontier_survivor_leaves(bat, ctx):
+        ctx.stats.treelets_visited += 1
+        yield _TreeletWalk(bat, int(leaf))
+
+
+def _window_rows(bat: BATFile, ctx: _QueryContext, walks, e_lo: float, e_hi: float):
+    """``(treelet rank, rows)`` of every walk with rows in ``e_lo → e_hi``."""
+    for rank, walk in enumerate(walks):
+        rows = walk.rows(bat, ctx, e_lo, e_hi)
+        if rows is not None:
+            yield rank, rows
+
+
+# -- streamed reads -------------------------------------------------------------
 
 
 @dataclass
@@ -721,110 +792,6 @@ class FileIncrement:
     slots: np.ndarray
 
 
-class _TreeletStream:
-    """Stateful frontier walk of one treelet, advanced one rung at a time.
-
-    Spatial and bitmap pruning are quality-independent, so each depth's
-    survivors are computed once and cached; a rung only extends the
-    descent when its effective depth reaches below every prior rung's.
-    Per-rung emission then reads the cached ``(ids, begin, count)``
-    survivor arrays, with the same monotone slot-range rounding as the
-    one-shot engines — consecutive rungs chain with no gap and no overlap.
-    """
-
-    __slots__ = ("tv", "_sv", "_fr_ids", "_fr_lo", "_fr_hi")
-
-    def __init__(self, bat: BATFile, leaf: int, leaf_box: Box) -> None:
-        self.tv = bat.treelet(leaf)
-        #: per-depth survivors: (node ids, begin, count) int64 triples
-        self._sv: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._fr_ids = np.zeros(1, dtype=np.int64)
-        self._fr_lo = np.asarray(leaf_box.lower, dtype=np.float64).reshape(1, 3)
-        self._fr_hi = np.asarray(leaf_box.upper, dtype=np.float64).reshape(1, 3)
-
-    def _extend(self, bat: BATFile, ctx: _QueryContext, upto: int) -> None:
-        """Grow the cached survivor levels through depth ``upto``."""
-        nodes = self.tv.nodes
-        qlo = qhi = None
-        if ctx.box is not None:
-            qlo = np.asarray(ctx.box.lower)
-            qhi = np.asarray(ctx.box.upper)
-        while self._fr_ids.size and len(self._sv) <= upto:
-            ids, lo, hi = self._fr_ids, self._fr_lo, self._fr_hi
-            ctx.stats.nodes_visited += len(ids)
-            recs = nodes[ids]
-            keep = np.ones(len(ids), dtype=bool)
-            if qlo is not None:
-                keep = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
-                ctx.stats.pruned_spatial += int(len(ids) - keep.sum())
-            if ctx.filters:
-                ok = np.ones(len(ids), dtype=bool)
-                for f in ctx.filters:
-                    a = bat.attr_index(f.name)
-                    bms = bat.bitmaps_many(recs["bitmap_ids"][:, a])
-                    ok &= (bms & np.uint32(ctx.qbitmaps[f.name])) != 0
-                ctx.stats.pruned_bitmap += int((keep & ~ok).sum())
-                keep &= ok
-            srecs = recs[keep]
-            self._sv.append(
-                (
-                    ids[keep],
-                    srecs["begin"].astype(np.int64),
-                    srecs["count"].astype(np.int64),
-                )
-            )
-            desc = keep & (recs["axis"] >= 0)
-            if not desc.any():
-                self._fr_ids = np.empty(0, dtype=np.int64)
-                continue
-            drecs = recs[desc]
-            plo, phi = lo[desc], hi[desc]
-            ax = drecs["axis"].astype(np.int64)
-            sp = drecs["split"].astype(np.float64)
-            rows = np.arange(len(drecs))
-            lhi = phi.copy()
-            lhi[rows, ax] = sp
-            rlo = plo.copy()
-            rlo[rows, ax] = sp
-            self._fr_ids = np.concatenate(
-                [drecs["left"].astype(np.int64), drecs["right"].astype(np.int64)]
-            )
-            self._fr_lo = np.concatenate([plo, rlo])
-            self._fr_hi = np.concatenate([lhi, phi])
-
-    def rung(self, bat: BATFile, ctx: _QueryContext, e_lo: float, e_hi: float):
-        """Rows this treelet adds between effective depths ``e_lo → e_hi``."""
-        fl_hi = math.floor(e_hi)
-        self._extend(bat, ctx, fl_hi)
-        parts_ids: list[np.ndarray] = []
-        parts_lo: list[np.ndarray] = []
-        parts_hi: list[np.ndarray] = []
-        for d in range(math.floor(e_lo), min(fl_hi, len(self._sv) - 1) + 1):
-            ids, beg, cnt = self._sv[d]
-            if not ids.size:
-                continue
-            f0 = _depth_fraction(d, e_lo)
-            f1 = _depth_fraction(d, e_hi)
-            if f1 <= f0:
-                continue
-            lo_slot = beg + (f0 * cnt + 0.5).astype(np.int64)
-            hi_slot = beg + (f1 * cnt + 0.5).astype(np.int64)
-            nz = hi_slot > lo_slot
-            if nz.any():
-                parts_ids.append(ids[nz])
-                parts_lo.append(lo_slot[nz])
-                parts_hi.append(hi_slot[nz])
-        if not parts_ids:
-            return None, {}, np.empty(0, dtype=np.int64), 0
-        order = np.argsort(np.concatenate(parts_ids))
-        return _gather_rows(
-            self.tv,
-            np.concatenate(parts_lo)[order],
-            np.concatenate(parts_hi)[order],
-            ctx,
-        )
-
-
 def stream_query_file(
     bat: BATFile,
     ladder,
@@ -840,9 +807,9 @@ def stream_query_file(
     ``ladder`` is a non-descending sequence of qualities starting above
     ``prev_quality`` and ending at the target quality (see
     :func:`default_quality_ladder`). Exactly one :class:`FileIncrement` is
-    yielded per rung — possibly empty. Two invariants hold, both inherited
-    from the monotone slot-range rounding shared with the one-shot
-    engines:
+    yielded per rung — possibly empty. Each rung is one window of the
+    traversal :func:`query_file` runs once, over walks kept from rung to
+    rung, so two invariants hold:
 
     - *Reassembly*: the concatenation of all increments, stably sorted by
       ``(treelet_rank, slot)``, is byte-identical to
@@ -855,11 +822,11 @@ def stream_query_file(
 
     ``stats`` may pass a caller-owned :class:`QueryStats` to accumulate
     into (the dataset layer shares one across a stream's files); work
-    counters advance as rungs are consumed. After the final rung,
-    ``points_returned`` and the prune counters equal a direct one-shot
-    query's; ``points_tested``/``nodes_visited`` can be higher where the
-    one-shot engines take the whole-treelet fast path a rung-split read
-    cannot.
+    counters advance as rungs are consumed. A one-rung ladder does exactly
+    a direct query's work. After the final rung of a longer one,
+    ``points_returned`` and the prune counters equal the direct query's;
+    ``points_tested``/``nodes_visited`` can be higher where the direct
+    query takes the whole-treelet fast path a rung-split read cannot.
     """
     ladder = tuple(float(q) for q in ladder)
     if not ladder:
@@ -871,87 +838,49 @@ def stream_query_file(
                 "ladder must be non-descending within [prev_quality, 1]"
             )
         lo = q
-    if attributes is not None:
-        for name in attributes:
-            bat.attr_index(name)  # raises KeyError for unknown names
-    filters = tuple(filters)
-    qbitmaps: dict[str, int] = {}
-    for f in filters:
-        bat.attr_index(f.name)  # raises KeyError for unknown attributes
-        binning = bat.binnings.get(f.name)
-        if binning is not None:
-            qbitmaps[f.name] = int(binning.query(f.lo, f.hi))
-        else:
-            alo, ahi = bat.attr_ranges[f.name]
-            qbitmaps[f.name] = int(query_bitmap(f.lo, f.hi, alo, ahi))
-
-    ctx = _QueryContext(
-        box=box,
-        filters=filters,
-        qbitmaps=qbitmaps,
-        e_prev=quality_to_depth(prev_quality, bat.max_treelet_depth),
-        e_new=quality_to_depth(ladder[-1], bat.max_treelet_depth),
-        attributes=tuple(attributes) if attributes is not None else None,
-        with_positions=bool(with_positions),
+    ctx = _prepare(
+        bat, ladder[-1], prev_quality, box, filters, attributes, with_positions,
+        stats=stats,
     )
-    if stats is not None:
-        ctx.stats = stats
-    ctx.stats.files_opened += 1
-
-    empty_filter = any(q == 0 for q in qbitmaps.values())
-    root_prunes = box is not None and not bat.bounds.intersects(box)
-    streams: list[_TreeletStream] = []
-    if not (empty_filter or root_prunes or ctx.e_new == 0.0):
-        for leaf in _frontier_survivor_leaves(bat, ctx):
-            ctx.stats.treelets_visited += 1
-            streams.append(_TreeletStream(bat, int(leaf), bat.leaf_box(int(leaf))))
-
+    walks = list(_walks(bat, ctx)) if ctx.live else []
     specs = bat.attribute_specs()
     if attributes is not None:
         specs = [sp for sp in specs if sp.name in attributes]
     prev = prev_quality
     for q in ladder:
-        e_lo = quality_to_depth(prev, bat.max_treelet_depth)
-        e_hi = quality_to_depth(q, bat.max_treelet_depth)
         pos_parts: list[np.ndarray] = []
         slot_parts: list[np.ndarray] = []
         rank_parts: list[np.ndarray] = []
         attr_parts: dict[str, list[np.ndarray]] = {sp.name: [] for sp in specs}
         total = 0
-        if e_hi > e_lo:
-            for rank, ts in enumerate(streams):
-                pos, attrs, slots, count = ts.rung(bat, ctx, e_lo, e_hi)
-                if not count:
-                    continue
-                total += count
-                if pos is not None:
-                    pos_parts.append(pos)
-                for name, arr in attrs.items():
-                    attr_parts[name].append(arr)
-                slot_parts.append(slots)
-                rank_parts.append(np.full(count, rank, dtype=np.int64))
-        if total == 0:
-            yield FileIncrement(
-                quality=q,
-                prev_quality=prev,
-                positions=np.empty((0, 3), dtype=np.float32) if with_positions else None,
-                attributes={sp.name: np.empty(0, dtype=sp.dtype) for sp in specs},
-                count=0,
-                treelet_rank=np.empty(0, dtype=np.int64),
-                slots=np.empty(0, dtype=np.int64),
+        window = _window_rows(
+            bat, ctx, walks,
+            quality_to_depth(prev, bat.max_treelet_depth),
+            quality_to_depth(q, bat.max_treelet_depth),
+        )
+        for rank, (pos, attrs, count, sel, mask) in window:
+            total += count
+            if pos is not None:
+                pos_parts.append(pos)
+            for name, arr in attrs.items():
+                attr_parts[name].append(arr)
+            # the order keys: the node-order slot of every returned row
+            slots = (
+                np.arange(sel.start, sel.stop, dtype=np.int64)
+                if isinstance(sel, slice) else sel
             )
-        else:
-            yield FileIncrement(
-                quality=q,
-                prev_quality=prev,
-                positions=(
-                    np.concatenate(pos_parts, axis=0) if with_positions else None
-                ),
-                attributes={
-                    name: np.concatenate(parts) for name, parts in attr_parts.items()
-                },
-                count=total,
-                treelet_rank=np.concatenate(rank_parts),
-                slots=np.concatenate(slot_parts),
-            )
+            slot_parts.append(slots if mask is None else slots[mask])
+            rank_parts.append(np.full(count, rank, dtype=np.int64))
+        ctx.stats.points_returned += total
+        yield FileIncrement(
+            quality=q,
+            prev_quality=prev,
+            positions=_concat(pos_parts, np.float32, (0, 3)) if with_positions else None,
+            attributes={
+                sp.name: _concat(attr_parts[sp.name], sp.dtype) for sp in specs
+            },
+            count=total,
+            treelet_rank=_concat(rank_parts, np.int64),
+            slots=_concat(slot_parts, np.int64),
+        )
         prev = q

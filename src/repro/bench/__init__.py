@@ -18,7 +18,6 @@ from .harness import (
     dam_break_series,
     parallel_write_query_benchmark,
     progressive_read_benchmark,
-    read_path_benchmark,
     record_benchmark,
     timing_breakdown,
     two_phase_read_point,
@@ -29,7 +28,6 @@ from .report import format_series, format_table
 
 __all__ = [
     "parallel_write_query_benchmark",
-    "read_path_benchmark",
     "record_benchmark",
     "weak_scaling",
     "two_phase_write_point",

@@ -5,16 +5,12 @@ Usage::
     python -m repro.bench --record BENCH_ci.json
     python -m repro.bench --executors serial,process:4 --ranks 64 \
         --particles 50000 --record BENCH_pr1.json
-    python -m repro.bench --suite read --record BENCH_pr2.json
     python -m repro.bench --suite serve --capacity 2 --record BENCH_pr3.json
 
 ``--suite write`` (default) runs the real wall-clock multi-aggregator
 write+query benchmark once per executor, cross-checking that every
 executor produced byte-identical files and identical query answers.
-``--suite read`` runs the read-path benchmark: the same workload queried
-through each traversal engine (recursive reference vs vectorized
-frontier) behind the metadata query planner, cross-checking that every
-engine returns identical results. ``--suite serve`` replays concurrent
+``--suite serve`` replays concurrent
 zoom/pan/filter session traces through the admission-controlled query
 service at 2× capacity (by default), reporting throughput, p50/p99
 latency, queue depth, degradation activity, and cache hit rates, with a
@@ -51,7 +47,6 @@ from .harness import (
     fault_injection_benchmark,
     neighbors_benchmark,
     parallel_write_query_benchmark,
-    read_path_benchmark,
     record_benchmark,
     reorg_benchmark,
     serve_benchmark,
@@ -91,40 +86,6 @@ def _run_write(args) -> dict:
             f"query {r['query_seconds']:7.3f}s ({r['query_speedup_vs_serial']:4.2f}x)"
         )
     print("  all executors byte-identical: ok")
-    return payload
-
-
-def _run_read(args) -> dict:
-    def run(out_dir):
-        return read_path_benchmark(
-            out_dir,
-            nranks=args.ranks,
-            particles_per_rank=args.particles,
-            n_attributes=args.attributes,
-            target_size=args.target_kb * 1024,
-            repeats=args.repeats,
-        )
-
-    if args.out_dir is not None:
-        payload = run(args.out_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-            payload = run(tmp)
-
-    print(
-        f"read path: {args.ranks} ranks x {args.particles} particles, "
-        f"{payload['n_files']} files"
-    )
-    for r in payload["results"]:
-        print(f"  engine {r['engine']}")
-        for case, c in r["cases"].items():
-            speed = r["speedup_vs_recursive"][case]
-            print(
-                f"    {case:<22} {1e3 * c['seconds']:8.2f} ms ({speed:4.2f}x)  "
-                f"points {c['points']:>8}  pruned_files {c['pruned_files']:>3}  "
-                f"opened {c['files_opened']:>3}"
-            )
-    print("  all engines identical results: ok")
     return payload
 
 
@@ -468,11 +429,11 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--suite",
-        choices=("write", "parallel", "read", "serve", "stream", "shard",
+        choices=("write", "parallel", "serve", "stream", "shard",
                  "faults", "compress", "reorg", "neighbors"),
         default="write",
-        help="write (alias: parallel): multi-executor write+query; read: "
-             "planner + engine comparison; serve: concurrent service under "
+        help="write (alias: parallel): multi-executor write+query; "
+             "serve: concurrent service under "
              "load; stream: asyncio streaming herd, collapse on vs off; "
              "shard: N worker processes vs one, plus the job-queue "
              "crash-resume drill; faults: write under injected faults, "
@@ -492,9 +453,6 @@ def main(argv=None) -> int:
     p.add_argument("--attributes", type=int, default=4, help="attributes per particle")
     p.add_argument(
         "--target-kb", type=int, default=256, help="aggregation target size (KiB)"
-    )
-    p.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats, best-of (read suite)"
     )
     p.add_argument(
         "--capacity", type=int, default=2,
@@ -549,9 +507,7 @@ def main(argv=None) -> int:
         else:
             args.sessions = 12
 
-    if args.suite == "read":
-        payload = _run_read(args)
-    elif args.suite == "serve":
+    if args.suite == "serve":
         payload = _run_serve(args)
     elif args.suite == "stream":
         payload = _run_stream(args)

@@ -35,7 +35,6 @@ __all__ = [
     "dam_break_series",
     "progressive_read_benchmark",
     "parallel_write_query_benchmark",
-    "read_path_benchmark",
     "serve_benchmark",
     "shard_benchmark",
     "stream_benchmark",
@@ -323,115 +322,6 @@ def parallel_write_query_benchmark(
         "particles_per_rank": particles_per_rank,
         "n_attributes": n_attributes,
         "target_size": target_size,
-        "results": rows,
-    }
-
-
-def read_path_benchmark(
-    out_dir,
-    nranks: int = 32,
-    particles_per_rank: int = 20_000,
-    n_attributes: int = 4,
-    target_size: int = 256 * 1024,
-    machine: MachineSpec | None = None,
-    seed: int = 0,
-    repeats: int = 3,
-) -> dict:
-    """Real wall-clock read-path benchmark: planner + traversal engines.
-
-    Writes one materialized workload once, then runs a fixed query mix —
-    full read, box read, filtered read, a box+filter query selecting a
-    minority of files, and a progressive refinement — once per traversal
-    engine (``recursive`` is the pre-planner reference, ``frontier`` the
-    vectorized walk). Timings are best-of-``repeats``; every engine's
-    results are hashed and compared, so the benchmark fails loudly if an
-    engine is fast but wrong. Planner effectiveness is recorded through
-    the ``pruned_files`` / ``files_opened`` stats.
-    """
-    from ..bat.query import ENGINES, AttributeFilter
-    from ..machines import stampede2
-    from ..types import Box
-
-    machine = machine or stampede2()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data = uniform_rank_data(
-        nranks, particles_per_rank, n_attributes=n_attributes,
-        materialize=True, seed=seed,
-    )
-    writer = TwoPhaseWriter(
-        machine, target_size=target_size, agg_config=paper_agg_config(target_size)
-    )
-    report = writer.write(data, out_dir=out_dir, name="readbench")
-
-    filt = AttributeFilter("attr00", 0.25, 0.5)
-    cases = [
-        ("full", QueryRequest()),
-        ("box", QueryRequest(box=Box((0.1, 0.1, 0.1), (0.6, 0.6, 0.6)))),
-        ("filtered", QueryRequest(filters=(filt,))),
-        (
-            "box+filter-minority",
-            QueryRequest(box=Box((0.0, 0.0, 0.0), (0.25, 0.25, 0.25)), filters=(filt,)),
-        ),
-        ("progressive-0.3-0.7", QueryRequest(quality=0.7, prev_quality=0.3)),
-    ]
-
-    rows = []
-    reference: dict | None = None
-    for engine in ENGINES[::-1]:  # reference engine first
-        case_out = {}
-        digests = {}
-        for case_name, case_req in cases:
-            best = None
-            for _ in range(max(1, repeats)):
-                # fresh dataset per repeat: no warm file handles or plans
-                with BATDataset(report.metadata_path) as ds:
-                    t0 = time.perf_counter()
-                    batch, stats = ds.query(replace(case_req, engine=engine))
-                    dt = time.perf_counter() - t0
-                if best is None or dt < best[0]:
-                    best = (dt, batch, stats)
-            dt, batch, stats = best
-            h = hashlib.sha256(batch.positions.tobytes())
-            for name in sorted(batch.attributes):
-                h.update(batch.attributes[name].tobytes())
-            digests[case_name] = h.hexdigest()
-            case_out[case_name] = {
-                "seconds": dt,
-                "points": len(batch),
-                "pruned_files": stats.pruned_files,
-                "files_opened": stats.files_opened,
-                "nodes_visited": stats.nodes_visited,
-            }
-        if reference is None:
-            reference = digests
-        elif digests != reference:
-            raise AssertionError(f"engine {engine!r} returned different query results")
-        rows.append(
-            {
-                "engine": engine,
-                "cases": case_out,
-                # comparable to BENCH_pr1.json's serial query_seconds
-                "query_seconds_pr1_mix": sum(
-                    case_out[c]["seconds"] for c in ("full", "box", "filtered")
-                ),
-                "query_seconds_total": sum(c["seconds"] for c in case_out.values()),
-            }
-        )
-
-    ref = next(r for r in rows if r["engine"] == "recursive")
-    for r in rows:
-        r["speedup_vs_recursive"] = {
-            case: (ref["cases"][case]["seconds"] / c["seconds"]) if c["seconds"] else 0.0
-            for case, c in r["cases"].items()
-        }
-    return {
-        "benchmark": "read-path",
-        "nranks": nranks,
-        "particles_per_rank": particles_per_rank,
-        "n_attributes": n_attributes,
-        "target_size": target_size,
-        "n_files": report.n_files,
         "results": rows,
     }
 

@@ -12,7 +12,7 @@ distribution defeats equi-width bins (§VII). This module provides both:
 
 Both expose the same operations (bin assignment, bitmap construction,
 query-bitmap computation, remapping to a global equi-width reference), so
-the BAT builder and query engine are scheme-agnostic.
+the BAT builder and the query traversal are scheme-agnostic.
 """
 
 from __future__ import annotations

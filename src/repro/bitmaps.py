@@ -98,12 +98,15 @@ def query_bitmap(qlo: float, qhi: float, lo: float, hi: float) -> np.uint32:
         return FULL_BITMAP
     if qhi < lo or qlo > hi:
         return np.uint32(0)
-    first = int(np.clip(np.floor((qlo - lo) * BITMAP_BITS / span), 0, BITMAP_BITS - 1))
-    last = int(np.clip(np.floor((qhi - lo) * BITMAP_BITS / span), 0, BITMAP_BITS - 1))
-    count = last - first + 1
+    # The bounds go through the same function that binned the stored values
+    # (clamped into the range first, so ±inf never reaches the int cast):
+    # value_bins is monotone, so every value in [qlo, qhi] lands in
+    # [first, last] even when a bound sits exactly on a bin edge.
+    first, last = value_bins(np.array([max(qlo, lo), min(qhi, hi)]), lo, hi)
+    count = int(last - first) + 1
     if count >= BITMAP_BITS:
         return FULL_BITMAP
-    return np.uint32(((1 << count) - 1) << first)
+    return np.uint32(((1 << count) - 1) << int(first))
 
 
 def bitmap_bins(bitmap: int) -> list[int]:

@@ -24,7 +24,7 @@ import numpy as np
 from . import machines
 from .api import NEIGHBOR_ENGINES, NeighborRequest, QueryRequest, open_dataset
 from .bat.file import BATFile
-from .bat.query import ENGINES, AttributeFilter
+from .bat.query import AttributeFilter
 from .core.metadata import DatasetMetadata
 from .types import Box
 
@@ -110,7 +110,6 @@ def _cmd_query(args) -> int:
         box=args.box,
         filters=tuple(args.filter or ()),
         columns=tuple(args.columns.split(",")) if args.columns else None,
-        engine=args.engine or "frontier",
     )
     with open_dataset(args.metadata, executor=args.executor) as ds:
         batch, stats = ds.query(request)
@@ -137,7 +136,7 @@ def _cmd_neighbor_query(args) -> int:
         radius=args.radius,
         filters=tuple(args.filter or ()),
         columns=tuple(args.columns.split(",")) if args.columns else None,
-        engine=args.engine or "tree",
+        engine=args.engine,
     )
     with open_dataset(args.metadata, executor=args.executor) as ds:
         res = ds.neighbors(request)
@@ -482,11 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--executor", default=None,
                        help="execution backend: serial, thread[:N], process[:N] "
                             "(default: $REPRO_EXECUTOR or serial)")
-    query.add_argument("--engine",
-                       choices=tuple(ENGINES) + tuple(NEIGHBOR_ENGINES),
-                       default=None,
-                       help="traversal engine (box mode: frontier [default] or "
-                            "recursive; neighbor mode: tree [default] or brute)")
+    query.add_argument("--engine", choices=NEIGHBOR_ENGINES, default="tree",
+                       help="neighbor mode: tree (default) or brute, the "
+                            "exhaustive reference")
     query.set_defaults(func=_cmd_query)
 
     serve = sub.add_parser(

@@ -25,7 +25,6 @@ from ..api import (
     QueryRequest,
     QueryResult,
     StreamIncrement,
-    warn_deprecated,
 )
 from ..bat.file import BATFile
 from ..bat.filecache import BATFileCache
@@ -245,17 +244,23 @@ class BATDataset:
         """Leaf indices the planner keeps (kept for compatibility/tests)."""
         return [fp.leaf_index for fp in self.plan(box, tuple(filters)).files]
 
-    #: legacy positional order of :meth:`query` before :class:`QueryRequest`
-    _LEGACY_QUERY_ORDER = (
-        "quality", "prev_quality", "box", "filters", "callback",
-        "attributes", "engine", "plan", "on_error",
-    )
+    def _materialized_columns(self, req: QueryRequest) -> list[str]:
+        """The column names ``req`` materializes — for access telemetry."""
+        if req.columns is not None:
+            return list(req.columns)
+        return ["positions", *self.metadata.attr_dtypes]
 
-    def query(self, request=None, *args, plan=None, callback=None, **kwargs):
+    def query(
+        self,
+        request: QueryRequest | None = None,
+        *,
+        plan: QueryPlan | None = None,
+        callback=None,
+    ) -> QueryResult:
         """Run one (progressive) query across the whole data set.
 
-        The current form takes a :class:`~repro.api.QueryRequest` (or
-        nothing, for a full-quality read of everything) and returns a
+        Takes a :class:`~repro.api.QueryRequest` (or nothing, for a
+        full-quality read of everything) and returns a
         :class:`~repro.api.QueryResult`::
 
             result = ds.query(QueryRequest(quality=0.3, box=box))
@@ -266,61 +271,6 @@ class BATDataset:
         ``callback`` streams chunks instead of materializing a batch
         (``result.batch`` is then ``None``).
 
-        The pre-1.x keyword signature — ``query(quality=..., box=...,
-        filters=..., attributes=..., engine=..., on_error=...)`` — still
-        works as a shim: it emits one :class:`DeprecationWarning` per
-        call form and returns the old ``(batch, stats)`` tuple.
-        """
-        if args or kwargs or not isinstance(request, (QueryRequest, type(None))):
-            req, plan, callback = self._coerce_legacy_query(
-                request, args, kwargs, plan, callback
-            )
-            result = self._query_request(req, plan=plan, callback=callback)
-            return result.batch, result.stats
-        return self._query_request(
-            request if request is not None else QueryRequest(),
-            plan=plan, callback=callback,
-        )
-
-    def _coerce_legacy_query(self, request, args, kwargs, plan, callback):
-        """Map a pre-``QueryRequest`` call onto (request, plan, callback)."""
-        positional = () if request is None else (request, *args)
-        if len(positional) > len(self._LEGACY_QUERY_ORDER):
-            raise TypeError(
-                f"query() takes at most {len(self._LEGACY_QUERY_ORDER)} "
-                f"positional arguments ({len(positional)} given)"
-            )
-        legacy = dict(zip(self._LEGACY_QUERY_ORDER, positional))
-        for name, value in kwargs.items():
-            if name not in self._LEGACY_QUERY_ORDER:
-                raise TypeError(f"query() got an unexpected keyword argument {name!r}")
-            if name in legacy:
-                raise TypeError(f"query() got multiple values for argument {name!r}")
-            legacy[name] = value
-        warn_deprecated(
-            "BATDataset.query(" + ", ".join(sorted(legacy)) + ")",
-            "pass a repro.QueryRequest (returns a QueryResult)",
-            stacklevel=4,
-        )
-        plan = legacy.pop("plan", plan)
-        callback = legacy.pop("callback", callback)
-        if "attributes" in legacy:
-            # the legacy kwarg always returned positions alongside the
-            # selected attributes; the modern equivalent must opt back in
-            legacy["columns"] = (*legacy.pop("attributes"), "positions")
-        return QueryRequest(**legacy), plan, callback
-
-    def _materialized_columns(self, req: QueryRequest) -> list[str]:
-        """The column names ``req`` materializes — for access telemetry."""
-        if req.columns is not None:
-            return list(req.columns)
-        return ["positions", *self.metadata.attr_dtypes]
-
-    def _query_request(
-        self, req: QueryRequest, plan: QueryPlan | None = None, callback=None
-    ) -> QueryResult:
-        """Execute one :class:`QueryRequest` across every candidate leaf.
-
         Same semantics as :func:`repro.bat.query.query_file`, with the
         planner pruning which leaf files get touched at all. Candidate
         files fan out across the dataset's executor (callback queries
@@ -328,7 +278,7 @@ class BATDataset:
         stats are merged in file order, so every executor returns
         identical output.
 
-        ``req.on_error`` decides what a corrupt or missing leaf file
+        ``request.on_error`` decides what a corrupt or missing leaf file
         does: ``"raise"`` surfaces a clear
         :class:`~repro.errors.LeafUnavailableError` /
         :class:`~repro.errors.IntegrityError` naming the leaf and
@@ -338,6 +288,9 @@ class BATDataset:
         Only corruption and absence degrade — user errors (bad quality,
         unknown filter attribute) always raise.
         """
+        req = request if request is not None else QueryRequest()
+        if not isinstance(req, QueryRequest):
+            raise InvalidRequestError("query() takes a repro.QueryRequest")
         on_error = req.on_error
         box = req.box
         filters = req.filters
@@ -360,7 +313,6 @@ class BATDataset:
             prev_quality=req.prev_quality,
             filters=filters,
             attributes=attributes,
-            engine=req.engine,
             with_positions=with_positions,
         )
         newly_failed = 0
@@ -433,11 +385,11 @@ class BATDataset:
         gathered batch, returns a generator yielding one increment per
         quality rung of ``ladder`` (default:
         :func:`~repro.bat.query.default_quality_ladder` between the
-        request's ``prev_quality`` and ``quality``) as the frontier
-        engine materializes it. Files are traversed through stateful
-        per-treelet streams — pruning runs once, each rung only touches
-        the depth window it adds — and their handles are leased from the
-        file cache for the stream's lifetime.
+        request's ``prev_quality`` and ``quality``) as the traversal
+        materializes it. Each file's per-treelet walks are kept across
+        rungs — pruning runs once, each rung only touches the depth
+        window it adds — and the file handles are leased from the file
+        cache for the stream's lifetime.
 
         Invariants (property-tested):
 

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..api import QueryRequest, warn_deprecated
+from ..api import QueryRequest
 from ..atomic import atomic_write_bytes
 from ..machines import MachineSpec
 from ..types import Box
@@ -208,27 +208,13 @@ class TimeSeriesDataset:
             out[s] = ds.attr_ranges[name]
         return out
 
-    def query_over_time(self, request=None, steps=None, **query_kwargs):
+    def query_over_time(self, request: QueryRequest | None = None, steps=None):
         """Run the same query against several steps; yields (step, batch, stats).
 
         ``request`` is a :class:`~repro.api.QueryRequest` replayed against
-        every step. The old keyword form (``query_over_time(quality=0.3,
-        ...)``) still works as a deprecated shim.
+        every step (default: a full-quality read of everything); ``steps``
+        restricts which written steps are visited.
         """
-        if query_kwargs or not isinstance(request, (QueryRequest, type(None))):
-            warn_deprecated(
-                "TimeSeriesDataset.query_over_time(**kwargs)",
-                "pass a repro.QueryRequest",
-            )
-            if not isinstance(request, (QueryRequest, type(None))):
-                # old first positional was `steps`
-                steps, request = request, None
-            if request is None:
-                if "attributes" in query_kwargs:
-                    query_kwargs["columns"] = query_kwargs.pop("attributes")
-                request = QueryRequest(**query_kwargs)
-        elif request is None:
-            request = QueryRequest()
         for s in steps if steps is not None else self.steps:
             batch, stats = self.step(s).query(request)
             yield s, batch, stats

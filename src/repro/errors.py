@@ -101,7 +101,7 @@ class CodecError(ReproError, ValueError):
 
 
 class InvalidRequestError(ReproError, ValueError):
-    """A query request is malformed (bad quality range, unknown engine,
+    """A query request is malformed (bad quality range, unknown neighbor engine,
     unknown column, inverted filter bounds, ...).
 
     Subclasses :class:`ValueError` so existing callers that guarded query

@@ -47,7 +47,7 @@ import numpy as np
 
 from .bat.builder import BATBuildConfig, build_bat
 from .bat.file import BATFile
-from .bat.query import query_file
+from .bat.query import query_file, query_file_recursive
 from .bitmaps import remap_bitmap
 from .core.metadata import DatasetMetadata, LeafMetadata
 from .morton import encode_positions
@@ -534,7 +534,7 @@ def apply_reorg(
             rebuilt = []
             for name, _ in built_pieces:
                 with BATFile(directory / name) as f:
-                    b, _stats = query_file(f, quality=1.0, engine="recursive")
+                    b, _stats = query_file_recursive(f, quality=1.0)
                 rebuilt.append(b)
             got = _canonical_rows(ParticleBatch.concatenate(rebuilt))
             want = _canonical_rows(merged)

@@ -16,7 +16,7 @@ Followers need not match the leader exactly. A follower shares an entry
 when its result is a pure row/column transform of the leader's product:
 
 - **exact** — same ``(step, box, filters, prev_quality, quality,
-  columns, engine)``: increments are shared as-is;
+  columns)``: increments are shared as-is;
 - **column subset** — the leader materializes a superset of the
   follower's columns (or all of them): increments are projected. The
   file's attribute order is preserved by projection, so the bytes equal
@@ -24,7 +24,7 @@ when its result is a pure row/column transform of the leader's product:
 - **filter superset** — the follower adds filters on top of the
   leader's (and the leader materialized the filtered attributes): rows
   are masked by the extra predicates. Bitmap pruning is conservative and
-  the engines apply an exact false-positive check to every emitted row,
+  the traversal applies an exact false-positive check to every emitted row,
   so the surviving rows — and their order — are identical to a direct
   query with the full filter set;
 - **quality truncation** — the follower wants a lower quality that lands
@@ -74,7 +74,6 @@ class CollapseKey:
     prev_quality: float
     quality: float
     columns: tuple | None
-    engine: str
     #: manifest layout generation — a request planned against a
     #: reorganized layout must never join a leader started on the old
     #: one (row order follows the leaf set, so their streams differ)
@@ -216,9 +215,7 @@ def _filters_subset(sub: tuple, sup: tuple) -> bool:
 def _compatible(entry: InflightEntry, key: CollapseKey) -> FollowSpec | None:
     """The transform turning ``entry``'s stream into ``key``'s result, or None."""
     ek = entry.key
-    if (ek.step, ek.box, ek.prev_quality, ek.engine) != (
-        key.step, key.box, key.prev_quality, key.engine,
-    ):
+    if (ek.step, ek.box, ek.prev_quality) != (key.step, key.box, key.prev_quality):
         return None
     if key.quality == ek.quality:
         stop = None
@@ -245,7 +242,7 @@ class InflightTable:
 
     def __init__(self):
         self._lock = threading.Lock()
-        #: (step, box, prev_quality, engine) -> entries in flight
+        #: (family, step, box, prev_quality) -> entries in flight
         self._buckets: dict[tuple, list[InflightEntry]] = {}
         self.leaders = 0
         self.collapsed_hits = 0
@@ -263,7 +260,7 @@ class InflightTable:
         (who must later :meth:`release` the entry) and a
         :class:`FollowSpec` for a follower.
         """
-        bucket_key = (key.family, key.step, key.box, key.prev_quality, key.engine)
+        bucket_key = (key.family, key.step, key.box, key.prev_quality)
         with self._lock:
             for entry in self._buckets.get(bucket_key, ()):
                 if entry.key == key:
@@ -282,10 +279,8 @@ class InflightTable:
 
     def release(self, entry: InflightEntry) -> None:
         """Leader done (or dead): entry leaves the pre-completion table."""
-        bucket_key = (
-            entry.key.family, entry.key.step, entry.key.box,
-            entry.key.prev_quality, entry.key.engine,
-        )
+        key = entry.key
+        bucket_key = (key.family, key.step, key.box, key.prev_quality)
         with self._lock:
             bucket = self._buckets.get(bucket_key)
             if bucket is not None:

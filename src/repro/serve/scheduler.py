@@ -134,7 +134,7 @@ class Ticket:
 
 
 class RequestScheduler:
-    """Priority queue + bounded worker pool fronting the query engine."""
+    """Priority queue + bounded worker pool fronting the read path."""
 
     def __init__(self, config: SchedulerConfig | None = None, clock=time.perf_counter):
         self.config = config or SchedulerConfig()

@@ -62,7 +62,6 @@ from ..api import (
     QueryRequest,
     StreamIncrement,
     reassemble_stream,
-    warn_deprecated,
 )
 from ..bat.colcache import DEFAULT_COLUMN_CACHE_BYTES
 from ..bat.filecache import DEFAULT_CAPACITY, BATFileCache
@@ -412,39 +411,12 @@ class QueryService:
             return PRIORITY_INTERACTIVE
         return PRIORITY_BULK
 
-    @staticmethod
-    def _coerce_legacy_request(method: str, request, legacy: dict) -> QueryRequest:
-        """Map the pre-``QueryRequest`` call form onto a request object."""
-        warn_deprecated(
-            f"QueryService.{method}(" + ", ".join(sorted(
-                (["quality"] if request is not None else []) + sorted(legacy)
-            )) + ")",
-            "pass a repro.QueryRequest",
-            stacklevel=4,
-        )
-        if "quality" in legacy:
-            if request is not None:
-                raise TypeError(f"{method}() got multiple values for 'quality'")
-            request = legacy.pop("quality")
-        if request is None:
-            raise TypeError(f"{method}() missing a QueryRequest (or legacy quality)")
-        req = QueryRequest(
-            quality=request,
-            box=legacy.pop("box", None),
-            filters=tuple(legacy.pop("filters", ())),
-        )
-        if legacy:
-            name = next(iter(legacy))
-            raise TypeError(f"{method}() got an unexpected keyword argument {name!r}")
-        return req
-
     def submit(
         self,
         session_id: int,
-        request: QueryRequest | float | None = None,
+        request: QueryRequest | NeighborRequest,
         *,
         step: int | None = None,
-        **legacy,
     ) -> Ticket:
         """Admit one progressive request; the ticket resolves to a
         :class:`ServeResponse`. Raises
@@ -453,20 +425,14 @@ class QueryService:
 
         Takes a :class:`~repro.api.QueryRequest` or a
         :class:`~repro.api.NeighborRequest` (served one-shot at bulk
-        priority through the same caches and collapse table); the
-        pre-1.x form (``submit(sid, quality, box=..., filters=...)``)
-        still works as a deprecated shim.
+        priority through the same caches and collapse table).
         """
         if isinstance(request, NeighborRequest):
-            if legacy:
-                name = next(iter(legacy))
-                raise TypeError(f"submit() got an unexpected keyword argument {name!r}")
             return self._submit_neighbors(session_id, request, step)
         if not isinstance(request, QueryRequest):
-            request = self._coerce_legacy_request("submit", request, legacy)
-        elif legacy:
-            name = next(iter(legacy))
-            raise TypeError(f"submit() got an unexpected keyword argument {name!r}")
+            raise TypeError(
+                "submit() takes a repro.QueryRequest or repro.NeighborRequest"
+            )
         sess = self.session(session_id)
         step = sess.step if step is None else step
         span = RequestSpan(
@@ -491,20 +457,12 @@ class QueryService:
     def request(
         self,
         session_id: int,
-        request: QueryRequest | float | None = None,
+        request: QueryRequest | NeighborRequest,
         *,
         step: int | None = None,
         timeout: float | None = None,
-        **legacy,
     ) -> ServeResponse:
         """Synchronous :meth:`submit` — blocks until the response is ready."""
-        if isinstance(request, NeighborRequest):
-            pass
-        elif not isinstance(request, QueryRequest):
-            request = self._coerce_legacy_request("request", request, legacy)
-        elif legacy:
-            name = next(iter(legacy))
-            raise TypeError(f"request() got an unexpected keyword argument {name!r}")
         return self.submit(session_id, request, step=step).result(timeout)
 
     #: scheduler session id of stateless batch work (no ServeSession)
@@ -653,8 +611,7 @@ class QueryService:
             entry = spec = None
             if self.config.collapse:
                 ckey = CollapseKey(
-                    step, req, (), 0.0, 1.0, None, req.engine, gen,
-                    family="neighbor",
+                    step, req, (), 0.0, 1.0, None, gen, family="neighbor",
                 )
                 entry, spec = self.collapse.acquire(ckey, (1.0,))
             if spec is not None:
@@ -936,7 +893,7 @@ class QueryService:
         if self.config.collapse:
             ckey = CollapseKey(
                 step, req.box, req.filters, prev, effective, req.columns,
-                req.engine, ds.metadata.generation,
+                ds.metadata.generation,
             )
             entry, spec = self.collapse.acquire(ckey, ladder)
         if spec is not None:

@@ -1,18 +1,16 @@
 """Tests for the unified query API: open_dataset / QueryRequest / QueryResult.
 
 Covers the public-surface contract (every ``repro.__all__`` name imports
-and is documented), the deprecation shims (old keyword/positional query
-forms warn exactly once per form and return byte-identical results), and
-request validation.
+and is documented), request validation, the one call form (a request
+object — the pre-1.x keyword/positional forms are gone and fail loudly),
+and the request wire doc.
 """
-
-import warnings
 
 import pytest
 
 import repro
 from repro import QueryRequest, QueryResult, open_dataset
-from repro.api import _reset_deprecation_warnings
+from repro.api import request_from_doc, request_to_doc
 from repro.bat import AttributeFilter
 from repro.core import TwoPhaseWriter
 from repro.errors import InvalidRequestError, ReproError
@@ -30,13 +28,6 @@ def dataset(tmp_path_factory):
     report = writer.write(data, out_dir=out, name="vis")
     with open_dataset(report.metadata_path) as ds:
         yield ds
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    _reset_deprecation_warnings()
-    yield
-    _reset_deprecation_warnings()
 
 
 # -- public surface ---------------------------------------------------------
@@ -108,57 +99,21 @@ def test_result_unpacks_like_a_tuple(dataset):
     assert len(res) == len(batch)
 
 
-# -- deprecation shims ------------------------------------------------------
-
-
-def test_legacy_kwargs_warn_once_and_match(dataset):
-    box = Box((0.0, 0.0, 0.0), (2.0, 2.0, 1.0))
-    with pytest.warns(DeprecationWarning, match="QueryRequest"):
-        old_batch, old_stats = dataset.query(quality=0.5, box=box)
-    # same form again: silent
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        old2, _ = dataset.query(quality=0.5, box=box)
-    new = dataset.query(QueryRequest(quality=0.5, box=box))
-    assert old_batch.positions.tobytes() == new.batch.positions.tobytes()
-    assert old2.positions.tobytes() == new.batch.positions.tobytes()
-    for name in new.batch.attributes:
-        assert old_batch.attributes[name].tobytes() == new.batch.attributes[name].tobytes()
-    assert old_stats.points_returned == new.stats.points_returned
-
-
-def test_legacy_positional_quality_warns_and_matches(dataset):
-    with pytest.warns(DeprecationWarning):
-        old_batch, _ = dataset.query(0.5)
-    new = dataset.query(QueryRequest(quality=0.5))
-    assert old_batch.positions.tobytes() == new.batch.positions.tobytes()
-
-
-def test_legacy_attributes_kwarg_maps_to_columns(dataset):
-    with pytest.warns(DeprecationWarning):
-        old_batch, _ = dataset.query(attributes=["temp"])
-    new = dataset.query(QueryRequest(columns=("temp",)))
-    assert set(old_batch.attributes) == set(new.batch.attributes) == {"temp"}
-    assert old_batch.attributes["temp"].tobytes() == new.batch.attributes["temp"].tobytes()
-
-
-def test_distinct_legacy_forms_each_warn(dataset):
-    with pytest.warns(DeprecationWarning):
-        dataset.query(quality=0.5)
-    with pytest.warns(DeprecationWarning):
-        dataset.query(quality=0.5, filters=(AttributeFilter("temp", 0.0, 0.5),))
+# -- one call form ----------------------------------------------------------
 
 
 def test_unknown_legacy_kwarg_rejected(dataset):
     with pytest.raises(TypeError):
         dataset.query(qualtiy=0.5)  # typo must not be silently dropped
+    with pytest.raises(TypeError):
+        dataset.query(quality=0.5)  # nor the pre-1.x keyword form
+    with pytest.raises(InvalidRequestError, match="QueryRequest"):
+        dataset.query(0.5)  # nor a bare positional quality
 
 
 def test_bare_query_still_works_without_warning(dataset):
-    """`batch, stats = ds.query()` (no legacy kwargs) is the new form."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        batch, stats = dataset.query()
+    """`batch, stats = ds.query()` is a full-quality read of everything."""
+    batch, stats = dataset.query()
     assert len(batch) == dataset.total_particles
     assert stats.points_returned == len(batch)
 
@@ -170,23 +125,7 @@ def test_columns_selection_roundtrip(dataset):
     assert res.batch.attributes["mass"].tobytes() == full.batch.attributes["mass"].tobytes()
 
 
-# -- serve-layer shims ------------------------------------------------------
-
-
-def test_serve_legacy_request_warns_once_and_matches(dataset):
-    svc = QueryService(dataset.metadata_path, ServeConfig(capacity=1))
-    try:
-        sid = svc.open_session()
-        with pytest.warns(DeprecationWarning, match="QueryRequest"):
-            legacy = svc.request(sid, quality=0.4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            svc.request(sid, quality=0.4)
-        sid2 = svc.open_session()
-        new = svc.request(sid2, QueryRequest(quality=0.4))
-        assert legacy.batch.positions.tobytes() == new.batch.positions.tobytes()
-    finally:
-        svc.close()
+# -- serve layer --------------------------------------------------------------
 
 
 def test_serve_rejects_mixed_request_and_legacy_kwargs(dataset):
@@ -195,8 +134,27 @@ def test_serve_rejects_mixed_request_and_legacy_kwargs(dataset):
         sid = svc.open_session()
         with pytest.raises(TypeError):
             svc.request(sid, QueryRequest(quality=0.5), quality=0.5)
+        with pytest.raises(TypeError, match="QueryRequest"):
+            svc.request(sid, 0.5)
     finally:
         svc.close()
+
+
+# -- wire doc -----------------------------------------------------------------
+
+
+def test_stored_doc_with_engine_key_still_parses():
+    """The SQLite job queue persists request docs; docs written while a
+    query request could still choose its traversal carry an ``engine``
+    key, which must be ignored, not rejected."""
+    req = QueryRequest(quality=0.4, prev_quality=0.1, columns=("mass",))
+    doc = request_to_doc(req)
+    assert "engine" not in doc
+    for engine in ("frontier", "recursive"):
+        assert request_from_doc({**doc, "engine": engine}) == req
+    # pre-family docs (no "family" tag) carried it too
+    old = {k: v for k, v in doc.items() if k != "family"}
+    assert request_from_doc({**old, "engine": "frontier"}) == req
 
 
 # -- open_dataset -----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import QueryRequest
 from repro.bat import AttributeFilter, BATFile, build_bat
 from repro.bat.query import quality_to_depth, query_file
 from repro.types import Box, ParticleBatch
@@ -270,6 +271,6 @@ class TestAttributeSubsetReads:
             rd, out_dir=tmp_path, name="sub"
         )
         with BATDataset(rep.metadata_path) as ds:
-            res, _ = ds.query(attributes=["mass"])
+            res, _ = ds.query(QueryRequest(columns=("mass", "positions")))
             assert set(res.attributes) == {"mass"}
             assert len(res) == rd.total_particles

@@ -111,6 +111,33 @@ class TestQueryBitmap:
             vb = bitmap_of_values(np.array([mid]), lo, hi)
             assert int(q) & int(vb)
 
+    def test_bound_equal_to_a_value_on_a_bin_edge(self):
+        """Regression: the mask is derived with the arithmetic that binned
+        the values. ``(v - lo) * (32 / span)`` put 263.25 in bin 7 of
+        [251, 300] while ``(q - lo) * 32 / span`` started the mask of
+        [263.25, 289.5] at bin 8, dropping every row equal to the bound."""
+        lo, hi = 251.0, 300.0
+        assert value_bins(np.array([263.25]), lo, hi)[0] == 7
+        assert bitmap_bins(query_bitmap(263.25, 289.5, lo, hi))[0] == 7
+        grid = np.arange(lo, hi + 0.125, 0.25)
+        bins = value_bins(grid, lo, hi)
+        for v, b in zip(grid, bins):
+            assert int(query_bitmap(v, hi, lo, hi)) >> int(b) & 1, v
+            assert int(query_bitmap(lo, v, lo, hi)) >> int(b) & 1, v
+
+    @given(finite, finite, finite, st.booleans(), st.booleans())
+    def test_no_false_negative_with_a_value_as_bound(self, a, b, v, open_lo, open_hi):
+        """Any stored value inside [qlo, qhi] hits the mask — also when it
+        *is* a bound, and when the other bound is infinite or out of range."""
+        lo, hi = sorted((a, b))
+        v = min(max(v, lo), hi)
+        vb = int(bitmap_of_values(np.array([v]), lo, hi))
+        qlo = -np.inf if open_lo else v
+        qhi = np.inf if open_hi else v
+        assert int(query_bitmap(qlo, qhi, lo, hi)) & vb
+        assert int(query_bitmap(lo - 1.0, v, lo, hi)) & vb
+        assert int(query_bitmap(v, hi + 1.0, lo, hi)) & vb
+
 
 class TestRemapBitmap:
     def test_zero_stays_zero(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import QueryRequest
 from repro.bat import AttributeFilter
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
@@ -54,7 +55,7 @@ class TestQueries:
     def test_spatial_across_files(self, dataset):
         ds, allpos, _, _ = dataset
         box = Box((0.5, 0.5, 0.0), (2.5, 3.5, 1.0))
-        batch, _ = ds.query(box=box)
+        batch, _ = ds.query(QueryRequest(box=box))
         assert len(batch) == box.contains_points(allpos).sum()
         assert box.contains_points(batch.positions).all()
 
@@ -67,7 +68,7 @@ class TestQueries:
 
     def test_attribute_filter_global(self, dataset):
         ds, _, allmass, _ = dataset
-        batch, _ = ds.query(filters=[AttributeFilter("mass", 0.8, 1.0)])
+        batch, _ = ds.query(QueryRequest(filters=[AttributeFilter("mass", 0.8, 1.0)]))
         assert len(batch) == (allmass >= 0.8).sum()
         assert (batch.attributes["mass"] >= 0.8).all()
 
@@ -77,21 +78,21 @@ class TestQueries:
         # should prune every leaf without opening files
         hits = ds._candidate_leaves(None, (AttributeFilter("temp", 10_000.0, 20_000.0),))
         assert hits == []
-        batch, stats = ds.query(filters=[AttributeFilter("temp", 10_000.0, 20_000.0)])
+        batch, stats = ds.query(QueryRequest(filters=[AttributeFilter("temp", 10_000.0, 20_000.0)]))
         assert len(batch) == 0
 
     def test_progressive_partition(self, dataset):
         ds, allpos, _, _ = dataset
         total, prev = 0, 0.0
         for q in (0.25, 0.5, 0.75, 1.0):
-            batch, _ = ds.query(quality=q, prev_quality=prev)
+            batch, _ = ds.query(QueryRequest(quality=q, prev_quality=prev))
             total += len(batch)
             prev = q
         assert total == len(allpos)
 
     def test_coarse_query_spans_domain(self, dataset):
         ds, allpos, _, _ = dataset
-        batch, _ = ds.query(quality=0.1)
+        batch, _ = ds.query(QueryRequest(quality=0.1))
         assert 0 < len(batch) < len(allpos)
         ext = batch.positions.max(axis=0) - batch.positions.min(axis=0)
         full = allpos.max(axis=0) - allpos.min(axis=0)
@@ -107,18 +108,59 @@ class TestQueries:
     def test_combined_query(self, dataset):
         ds, allpos, allmass, _ = dataset
         box = Box((1.0, 1.0, 0.0), (3.0, 3.0, 1.0))
-        batch, _ = ds.query(box=box, filters=[AttributeFilter("mass", 0.0, 0.5)])
+        batch, _ = ds.query(QueryRequest(box=box, filters=[AttributeFilter("mass", 0.0, 0.5)]))
         mask = box.contains_points(allpos) & (allmass <= 0.5)
         assert len(batch) == mask.sum()
 
     def test_empty_result_keeps_specs(self, dataset):
         ds, _, _, _ = dataset
-        batch, _ = ds.query(box=Box((50, 50, 50), (51, 51, 51)))
+        batch, _ = ds.query(QueryRequest(box=Box((50, 50, 50), (51, 51, 51))))
         assert len(batch) == 0
         assert set(batch.attributes) == {"mass", "temp"}
 
     def test_context_manager(self, dataset, tmp_path):
         ds = dataset[0]
         with BATDataset(ds.metadata_path) as d2:
-            b, _ = d2.query(quality=0.2)
+            b, _ = d2.query(QueryRequest(quality=0.2))
             assert len(b) > 0
+
+
+class TestFilterBoundOnABinEdge:
+    """Regression: a filter bound equal to stored values that sit on a
+    bitmap-bin edge used to drop exactly those rows (5 of 161 935 in the
+    baseline's ``D_main``): the query mask and the stored bitmaps were
+    binned by two different float expressions."""
+
+    @pytest.fixture(scope="class")
+    def gridded(self, tmp_path_factory):
+        """``temp`` on a 0.25 K grid over exactly [251, 300] in every file."""
+        data = make_rank_data(nranks=4, seed=5, min_n=1500, max_n=2500)
+        rng = np.random.default_rng(5)
+        for b in data.batches:
+            temp = 251.0 + 0.25 * rng.integers(0, 197, len(b))
+            temp[:2] = 251.0, 300.0
+            b.attributes["temp"] = temp
+        out = tmp_path_factory.mktemp("edge")
+        report = TwoPhaseWriter(make_test_machine(), target_size=128 * 1024).write(
+            data, out_dir=out, name="edge"
+        )
+        alltemp = np.concatenate([b.attributes["temp"] for b in data.batches])
+        with BATDataset(report.metadata_path) as ds:
+            yield ds, alltemp
+
+    def test_bounds_on_data_values_lose_no_rows(self, gridded):
+        ds, alltemp = gridded
+        assert ds.n_files > 1
+        lost = {}
+        for lo in np.arange(251.0, 300.0, 0.25):
+            for width in (0.0, 0.25):  # a point query and one grid step
+                hi = min(lo + width, 300.0)
+                batch, _ = ds.query(
+                    QueryRequest(
+                        filters=[AttributeFilter("temp", lo, hi)], columns=("temp",)
+                    )
+                )
+                want = int(((alltemp >= lo) & (alltemp <= hi)).sum())
+                if len(batch) != want:
+                    lost[lo, hi] = want - len(batch)
+        assert not lost

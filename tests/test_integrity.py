@@ -16,6 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import QueryRequest
 from repro.atomic import atomic_write_bytes, publish_bytes
 from repro.bat import BATBuildConfig, build_bat, scrub_dataset, scrub_file
 from repro.bat.file import BATFile
@@ -327,14 +328,14 @@ class TestQuarantineAndDegradedReads:
             full, _ = ds.query()
             corrupt_leaf(out, ds.metadata, 1)
             ds.file_cache.close()  # force a re-open of the damaged file
-            part, stats = ds.query(on_error="degrade")
+            part, stats = ds.query(QueryRequest(on_error="degrade"))
             assert stats.quarantined_files == 1
             assert 0 < len(part) < len(full)
             assert list(ds.quarantined()) == [1]
             # subsequent plans exclude the leaf up front and still report it
             plan = ds.plan()
             assert plan.excluded_files == 1
-            again, stats2 = ds.query(on_error="degrade")
+            again, stats2 = ds.query(QueryRequest(on_error="degrade"))
             assert stats2.quarantined_files == 1
             assert len(again) == len(part)
 
@@ -342,7 +343,7 @@ class TestQuarantineAndDegradedReads:
         out, rep = written_dataset
         corrupt_leaf(out, BATDataset(rep.metadata_path).metadata, 1)
         with BATDataset(rep.metadata_path, executor="thread:4") as ds:
-            part, stats = ds.query(on_error="degrade")
+            part, stats = ds.query(QueryRequest(on_error="degrade"))
             assert stats.quarantined_files == 1
             assert len(part) > 0
 
@@ -354,7 +355,7 @@ class TestQuarantineAndDegradedReads:
             pristine = victim.read_bytes()
             corrupt_leaf(out, ds.metadata, 1)
             ds.file_cache.close()
-            ds.query(on_error="degrade")
+            ds.query(QueryRequest(on_error="degrade"))
             assert ds.quarantined()
             victim.write_bytes(pristine)  # "repair" the file
             ds.clear_quarantine()
@@ -366,23 +367,23 @@ class TestQuarantineAndDegradedReads:
         _, rep = written_dataset
         with BATDataset(rep.metadata_path) as ds:
             with pytest.raises(ValueError):
-                ds.query(quality=2.0, on_error="degrade")
+                ds.query(QueryRequest(quality=2.0, on_error="degrade"))
             with pytest.raises(KeyError):
                 ds.plan(filters=[AttributeFilter("nope", 0, 1)])
             with pytest.raises(ValueError, match="on_error"):
-                ds.query(on_error="ignore")
+                ds.query(QueryRequest(on_error="ignore"))
 
     def test_open_error_counter(self, written_dataset):
         out, rep = written_dataset
         with BATDataset(rep.metadata_path) as ds:
             corrupt_leaf(out, ds.metadata, 0)
-            ds.query(on_error="degrade")
+            ds.query(QueryRequest(on_error="degrade"))
             assert ds.file_cache.stats()["open_errors"] >= 0  # treelet flip opens fine
             (out / ds.metadata.leaves[2].file_name).unlink()
             # an already-cached mmap would still serve the unlinked file;
             # drop handles so the next query has to re-open it
             ds.file_cache.close()
-            ds.query(on_error="degrade")
+            ds.query(QueryRequest(on_error="degrade"))
             assert ds.file_cache.stats()["open_errors"] == 1
 
 
@@ -395,13 +396,13 @@ class TestServeIntegrity:
             corrupt_leaf(out, ds.metadata, 1)
         with QueryService(rep.metadata_path) as svc:
             sid = svc.open_session()
-            resp = svc.request(sid, quality=1.0)
+            resp = svc.request(sid, QueryRequest(quality=1.0))
             assert resp.partial
             assert resp.quarantined_files == 1
             assert 0 < len(resp) < n_full
             # a partial result must not be served from the result cache
             sid2 = svc.open_session()
-            resp2 = svc.request(sid2, quality=1.0)
+            resp2 = svc.request(sid2, QueryRequest(quality=1.0))
             assert not resp2.cache_hit
             assert resp2.partial
 
@@ -415,7 +416,7 @@ class TestServeIntegrity:
         _, rep = written_dataset
         with QueryService(rep.metadata_path) as svc:
             sid = svc.open_session()
-            resp = svc.request(sid, quality=0.5)
+            resp = svc.request(sid, QueryRequest(quality=0.5))
             assert not resp.partial and resp.quarantined_files == 0
             snap = svc.snapshot()
             assert snap["integrity"]["quarantined_leaves"] == 0

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import QueryRequest
 from repro.bat import AttributeFilter, BATFileCache
 from repro.bat.query import QueryStats, query_file
 from repro.core import TwoPhaseReader, TwoPhaseWriter
@@ -153,7 +154,7 @@ class TestByteIdenticalOutputs:
             ref = None
             for spec, (_, report) in per_spec.items():
                 with BATDataset(report.metadata_path, executor=spec) as ds:
-                    batch, stats = ds.query(quality=1.0, filters=[filt])
+                    batch, stats = ds.query(QueryRequest(quality=1.0, filters=[filt]))
                     ds.executor.close()
                 got = (batch.positions, batch.attributes["mass"])
                 if ref is None:
@@ -200,7 +201,7 @@ class TestDeterministicStats:
         collected = []
         for spec in EXECUTOR_SPECS:
             with BATDataset(report.metadata_path, executor=spec) as ds:
-                _, stats = ds.query(quality=0.5, box=Box((0, 0, 0), (2, 2, 1)))
+                _, stats = ds.query(QueryRequest(quality=0.5, box=Box((0, 0, 0), (2, 2, 1))))
                 ds.executor.close()
             collected.append(
                 (stats.points_tested, stats.pruned_spatial, stats.pruned_bitmap,
@@ -251,11 +252,11 @@ class TestFileCache:
         cache = BATFileCache(capacity=8)
         ds1 = BATDataset(r1.metadata_path, file_cache=cache)
         ds2 = BATDataset(r2.metadata_path, file_cache=cache)
-        ds1.query(quality=0.3)
-        ds2.query(quality=0.3)
+        ds1.query(QueryRequest(quality=0.3))
+        ds2.query(QueryRequest(quality=0.3))
         assert cache.misses > 0
         ds1.close()  # drops only ds1's handles
-        ds2.query(quality=0.5)  # ds2 still usable through the shared cache
+        ds2.query(QueryRequest(quality=0.5))  # ds2 still usable through the shared cache
         ds2.close()
         cache.close()
         assert len(cache) == 0

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import QueryRequest
 from repro.core import RankData, TwoPhaseReader, TwoPhaseWriter
 from repro.machines import testing_machine as make_test_machine
 from repro.types import Box, ParticleBatch
@@ -96,7 +97,7 @@ class TestPipelineConservation:
         with BATDataset(report.metadata_path) as ds:
             prev, total = 0.0, 0
             for q in (0.3, 0.6, 1.0):
-                batch, _ = ds.query(quality=q, prev_quality=prev)
+                batch, _ = ds.query(QueryRequest(quality=q, prev_quality=prev))
                 total += len(batch)
                 prev = q
             assert total == data.total_particles

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import QueryRequest
 from repro.bat import AttributeFilter
 from repro.bat.filecache import BATFileCache
 from repro.bat.query import QueryStats
@@ -69,7 +70,7 @@ class TestPlanQuery:
         # a narrow band prunes some files but never one holding a match
         filt = AttributeFilter("mass", 0.0, 0.05)
         plan = plan_query(dataset.metadata, filters=(filt,))
-        batch, _ = dataset.query(filters=(filt,))
+        batch, _ = dataset.query(QueryRequest(filters=(filt,)))
         allmass = np.concatenate([b.attributes["mass"] for b in data.batches])
         assert len(batch) == ((allmass >= filt.lo) & (allmass <= filt.hi)).sum()
 
@@ -90,7 +91,7 @@ class TestPlanQuery:
         box = Box(point, point)
         plan = plan_query(dataset.metadata, box=box)
         assert len(plan.files) + plan.pruned_files == dataset.n_files
-        batch, _ = dataset.query(box=box)
+        batch, _ = dataset.query(QueryRequest(box=box))
         full, _ = dataset.query()
         assert len(batch) == box.contains_points(full.positions).sum()
 
@@ -106,7 +107,7 @@ class TestPlanQuery:
         """No pruned file could have contributed: planned == unplanned."""
         box = Box((0.0, 0.0, 0.0), (1.0, 4.0, 1.0))
         filt = AttributeFilter("temp", 280.0, 310.0)
-        planned, _ = dataset.query(box=box, filters=(filt,))
+        planned, _ = dataset.query(QueryRequest(box=box, filters=(filt,)))
         parts = []
         for leaf in dataset.metadata.leaves:  # brute force: every file
             from repro.bat.query import query_file
@@ -131,8 +132,8 @@ class TestPlanCache:
         box = Box((0, 0, 0), (2, 2, 1))
         plan = dataset.plan(box)
         before = dataset._plan_cache.hits
-        dataset.query(quality=0.3, box=box)
-        dataset.query(quality=0.9, prev_quality=0.3, box=box)
+        dataset.query(QueryRequest(quality=0.3, box=box))
+        dataset.query(QueryRequest(quality=0.9, prev_quality=0.3, box=box))
         assert dataset._plan_cache.hits >= before + 2
         assert dataset.plan(box) is plan
 
@@ -147,7 +148,7 @@ class TestPlanCache:
     def test_mismatched_plan_rejected(self, dataset):
         plan = dataset.plan(Box((0, 0, 0), (1, 1, 1)))
         with pytest.raises(ValueError, match="plan"):
-            dataset.query(box=Box((0, 0, 0), (2, 2, 1)), plan=plan)
+            dataset.query(QueryRequest(box=Box((0, 0, 0), (2, 2, 1))), plan=plan)
 
 
 class TestCacheHygiene:
@@ -155,7 +156,7 @@ class TestCacheHygiene:
         report, _ = written
         with BATDataset(report.metadata_path) as ds:
             box = Box((0.0, 0.0, 0.0), (0.9, 0.9, 1.0))  # touches few files
-            _, stats = ds.query(box=box)
+            _, stats = ds.query(QueryRequest(box=box))
             assert stats.pruned_files > 0
             assert stats.files_opened == len(ds.plan(box).files)
             assert len(ds._cache) == stats.files_opened
@@ -164,7 +165,7 @@ class TestCacheHygiene:
         report, _ = written
         with BATDataset(report.metadata_path) as ds:
             box = Box((50.0, 50.0, 50.0), (51.0, 51.0, 51.0))  # outside domain
-            batch, stats = ds.query(box=box)
+            batch, stats = ds.query(QueryRequest(box=box))
             assert len(batch) == 0
             assert stats.pruned_files == ds.n_files
             assert stats.files_opened == 0
@@ -184,14 +185,14 @@ class TestCacheHygiene:
             (tmp_path / leaf["file"]).write_bytes(src.read_bytes())
         with BATDataset(legacy) as ds:
             assert ds.metadata.attribute_specs() is None
-            batch, _ = ds.query(box=Box((50.0,) * 3, (51.0,) * 3))
+            batch, _ = ds.query(QueryRequest(box=Box((50.0,) * 3, (51.0,) * 3)))
             assert sorted(batch.attributes) == ["mass", "temp"]
             assert len(ds._cache) == 0
 
     def test_all_pruned_filter_opens_no_handle(self, dataset):
         """An impossible filter must never touch the file-handle cache."""
         _, hi = dataset.attr_ranges["mass"]
-        batch, stats = dataset.query(filters=(AttributeFilter("mass", hi + 5.0, hi + 6.0),))
+        batch, stats = dataset.query(QueryRequest(filters=(AttributeFilter("mass", hi + 5.0, hi + 6.0),)))
         assert len(batch) == 0
         assert stats.files_opened == 0
         s = dataset.file_cache.stats()

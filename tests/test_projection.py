@@ -5,7 +5,7 @@ explicit selection that omits it returns a positions-free batch
 (``positions=None``, count-based length) and — on v4 files — never runs
 the position payload through its codec unless a box test needs it. These
 tests pin the semantics (values identical to a full read, attribute
-order preserved), the legacy-shim behavior, and the decode accounting
+order preserved), and the decode accounting
 that makes one-column reads actually cheap.
 """
 
@@ -57,15 +57,6 @@ class TestDatasetProjection:
         pos_only, _ = v4_dataset.query(QueryRequest(columns=("positions",)))
         assert pos_only.attributes == {}
         np.testing.assert_array_equal(pos_only.positions, full.positions)
-
-    def test_legacy_attributes_kwarg_still_returns_positions(self, v4_dataset):
-        from repro.api import _reset_deprecation_warnings
-
-        _reset_deprecation_warnings()  # another test may have burned the form
-        with pytest.warns(DeprecationWarning):
-            batch, _ = v4_dataset.query(attributes=["temp"])
-        assert batch.positions is not None
-        assert set(batch.attributes) == {"temp"}
 
     def test_box_query_under_projection_still_filters(self, v4_dataset):
         box = Box((0.25, 0.25, 0.0), (1.5, 2.0, 1.0))

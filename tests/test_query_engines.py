@@ -1,10 +1,13 @@
-"""Frontier vs recursive traversal: byte-identity on randomized workloads.
+"""The frontier core vs the recursive reference, and one-shot vs streamed.
 
-The vectorized frontier engine must be indistinguishable from the
-recursive reference — same bytes, same result-facing stats — for any
-combination of box, filters, and (progressive) quality levels. Hypothesis
-drives the combinations; the dataset-level tests add the query planner on
-top and check the progressive-read contract q1 → q2 == direct q2.
+The vectorized frontier core must be indistinguishable from the recursive
+reference (``query_file_recursive``, called directly) — same bytes, same
+result-facing stats — for any combination of box, filters, and
+(progressive) quality levels; and its two entry points must agree: a
+stream over any ascending ladder reassembles to the one-shot bytes, and a
+one-rung stream does exactly the one-shot work. Hypothesis drives the
+combinations; the dataset-level tests add the query planner on top and
+check the progressive-read contract q1 → q2 == direct q2.
 """
 
 import numpy as np
@@ -14,7 +17,13 @@ from hypothesis import strategies as st
 
 from repro.bat import AttributeFilter, BATFile, build_bat
 from repro.bat.builder import BATBuildConfig
-from repro.bat.query import ENGINES, query_file
+from repro import QueryRequest
+from repro.bat.query import (
+    QueryStats,
+    query_file,
+    query_file_recursive,
+    stream_query_file,
+)
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.machines import testing_machine as make_test_machine
@@ -89,9 +98,39 @@ def assert_same_result(r1, s1, r2, s2):
     assert s1.treelets_visited == s2.treelets_visited
 
 
+def recursive_query(ds, req):
+    """``ds.query(req)`` by the recursive reference walk, file by file.
+
+    Same plan, same file order, same per-file boxes as
+    :meth:`BATDataset.query`; only the traversal differs.
+    """
+    attributes, with_positions = None, True
+    if req.columns is not None:
+        attributes = [c for c in req.columns if c != "positions"]
+        with_positions = "positions" in req.columns
+    plan = ds.plan(req.box, req.filters)
+    stats = QueryStats(pruned_files=plan.pruned_files)
+    parts = []
+    for fp in plan.files:
+        batch, s = query_file_recursive(
+            ds.file(fp.leaf_index), quality=req.quality, prev_quality=req.prev_quality,
+            box=fp.box, filters=req.filters, attributes=attributes,
+            with_positions=with_positions,
+        )
+        stats.merge(s)
+        parts.append(batch)
+    if not parts:
+        specs = [
+            sp for sp in ds.attribute_specs()
+            if attributes is None or sp.name in attributes
+        ]
+        return ParticleBatch.empty(specs, with_positions=with_positions), stats
+    return ParticleBatch.concatenate(parts), stats
+
+
 def run_both(f, **kw):
-    r1, s1 = query_file(f, engine="recursive", **kw)
-    r2, s2 = query_file(f, engine="frontier", **kw)
+    r1, s1 = query_file_recursive(f, **kw)
+    r2, s2 = query_file(f, **kw)
     assert_same_result(r1, s1, r2, s2)
     return r2, s2
 
@@ -120,22 +159,135 @@ class TestEngineEquality:
 
     def test_callback_chunks_reassemble_identically(self, bat):
         box = Box((0.2, 0.1, 0.0), (0.9, 0.8, 0.7))
-        out = {}
-        for engine in ENGINES:
+        out = []
+        for read in (query_file, query_file_recursive):
             chunks = []
-            query_file(
+            read(
                 bat, quality=0.8, box=box,
                 filters=(AttributeFilter("density", 0.1, 0.7),),
-                callback=lambda p, a: chunks.append((p, a)), engine=engine,
+                callback=lambda p, a: chunks.append((p, a)),
             )
             pos = np.concatenate([p for p, _ in chunks]) if chunks else np.empty((0, 3))
             den = np.concatenate([a["density"] for _, a in chunks]) if chunks else np.empty(0)
-            out[engine] = (pos.tobytes(), den.tobytes())
-        assert out["frontier"] == out["recursive"]
+            out.append((pos.tobytes(), den.tobytes()))
+        assert out[0] == out[1]
 
     def test_unknown_engine_rejected(self, bat):
-        with pytest.raises(ValueError, match="engine"):
-            query_file(bat, engine="warp")
+        """There is no engine to choose: the reference is a function, not
+        an option of the read or a field of the request."""
+        with pytest.raises(TypeError, match="engine"):
+            query_file(bat, engine="recursive")
+        with pytest.raises(TypeError, match="engine"):
+            QueryRequest(engine="recursive")
+
+
+def column_sets():
+    """``(attributes, with_positions)`` projections of the two-attribute file."""
+    return st.sampled_from(
+        [(None, True), (["vel"], True), (["density"], False), ([], True)]
+    )
+
+
+def ladders(q0, q1):
+    """Ascending ladders from above ``q0`` ending exactly at ``q1``."""
+    inner = st.lists(st.floats(q0, q1), max_size=4).map(sorted)
+    return inner.map(lambda rungs: (*rungs, q1))
+
+
+def reassemble(incs):
+    """A file stream's increments merged by their ``(treelet_rank, slot)`` keys."""
+    order = np.lexsort(
+        (np.concatenate([i.slots for i in incs]),
+         np.concatenate([i.treelet_rank for i in incs]))
+    )
+    pos = None
+    if incs[0].positions is not None:
+        pos = np.concatenate([i.positions for i in incs])[order]
+    attrs = {
+        k: np.concatenate([i.attributes[k] for i in incs])[order]
+        for k in incs[0].attributes
+    }
+    return pos, attrs
+
+
+WORK_COUNTERS = (
+    "points_tested", "points_returned", "nodes_visited", "treelets_visited",
+    "pruned_spatial", "pruned_bitmap", "files_opened",
+)
+
+
+class TestOneShotEqualsStream:
+    """``query_file`` and ``stream_query_file`` are one traversal."""
+
+    @SETTINGS
+    @given(
+        box=boxes(), filters=filter_sets(), cols=column_sets(), data=st.data(),
+        qs=quality_pairs(),
+    )
+    def test_any_ladder_reassembles_to_one_shot_bytes(
+        self, bat, box, filters, cols, qs, data
+    ):
+        q0, q1 = qs
+        attributes, with_positions = cols
+        kw = dict(
+            prev_quality=q0, box=box, filters=filters, attributes=attributes,
+            with_positions=with_positions,
+        )
+        direct, _ = query_file(bat, quality=q1, **kw)
+        ladder = data.draw(ladders(q0, q1))
+        incs = list(stream_query_file(bat, ladder, **kw))
+        assert [i.quality for i in incs] == list(ladder)
+        pos, attrs = reassemble(incs)
+        if with_positions:
+            assert pos.tobytes() == direct.positions.tobytes()
+        else:
+            assert pos is None and direct.positions is None
+        assert list(attrs) == list(direct.attributes)
+        for name, arr in attrs.items():
+            assert arr.dtype == direct.attributes[name].dtype
+            assert arr.tobytes() == direct.attributes[name].tobytes()
+        assert sum(i.count for i in incs) == len(direct)
+
+    @SETTINGS
+    @given(box=boxes(), filters=filter_sets(), cols=column_sets(), qs=quality_pairs())
+    def test_one_rung_stream_does_the_one_shot_work(self, bat, box, filters, cols, qs):
+        q0, q1 = qs
+        attributes, with_positions = cols
+        kw = dict(
+            prev_quality=q0, box=box, filters=filters, attributes=attributes,
+            with_positions=with_positions,
+        )
+        _, dstats = query_file(bat, quality=q1, **kw)
+        sstats = QueryStats()
+        (inc,) = stream_query_file(bat, (q1,), stats=sstats, **kw)
+        for name in WORK_COUNTERS:
+            assert getattr(sstats, name) == getattr(dstats, name), name
+
+    def test_one_rung_full_quality_stream_takes_the_whole_treelet_path(self, bat):
+        """One node visit per contained treelet: no treelet is walked."""
+        stats = QueryStats()
+        (inc,) = stream_query_file(bat, (1.0,), stats=stats)
+        assert inc.count == N
+        n_shallow = bat.header.n_shallow_inner + bat.header.n_shallow_leaves
+        assert stats.treelets_visited == bat.n_treelets
+        assert stats.nodes_visited == n_shallow + bat.n_treelets
+        # the fast path emits each treelet as one contiguous slot run
+        starts = np.flatnonzero(np.diff(inc.treelet_rank, prepend=-1))
+        assert len(starts) == bat.n_treelets
+        assert (inc.slots[starts] == 0).all()
+
+    def test_multi_rung_counters(self, bat):
+        """Rungs split the work; they never add rows or prunes."""
+        box = Box((0.2, 0.1, 0.0), (0.9, 0.8, 0.7))
+        filters = (AttributeFilter("density", 0.1, 0.7),)
+        _, dstats = query_file(bat, quality=0.9, box=box, filters=filters)
+        stats = QueryStats()
+        incs = list(
+            stream_query_file(bat, (0.1, 0.4, 0.9), box=box, filters=filters, stats=stats)
+        )
+        assert len(incs) == 3
+        for name in WORK_COUNTERS:
+            assert getattr(stats, name) == getattr(dstats, name), name
 
 
 @pytest.fixture(scope="module")
@@ -180,12 +332,9 @@ class TestDatasetLevel:
     @given(box=dataset_boxes(), filters=dataset_filters(), qs=quality_pairs())
     def test_planned_query_matches_recursive(self, dataset, box, filters, qs):
         q0, q1 = qs
-        b1, s1 = dataset.query(
-            quality=q1, prev_quality=q0, box=box, filters=filters, engine="recursive"
-        )
-        b2, s2 = dataset.query(
-            quality=q1, prev_quality=q0, box=box, filters=filters, engine="frontier"
-        )
+        req = QueryRequest(quality=q1, prev_quality=q0, box=box, filters=filters)
+        b1, s1 = recursive_query(dataset, req)
+        b2, s2 = dataset.query(req)
         assert_same_result(b1, s1, b2, s2)
         assert s1.pruned_files == s2.pruned_files
 
@@ -194,9 +343,11 @@ class TestDatasetLevel:
     def test_progressive_equals_direct(self, dataset, box, filters, qs):
         """Satellite: q1 then the q1→q2 increment == a direct q2 query."""
         q1, q2 = qs
-        first, _ = dataset.query(quality=q1, box=box, filters=filters)
-        inc, _ = dataset.query(quality=q2, prev_quality=q1, box=box, filters=filters)
-        direct, _ = dataset.query(quality=q2, box=box, filters=filters)
+        first, _ = dataset.query(QueryRequest(quality=q1, box=box, filters=filters))
+        inc, _ = dataset.query(
+            QueryRequest(quality=q2, prev_quality=q1, box=box, filters=filters)
+        )
+        direct, _ = dataset.query(QueryRequest(quality=q2, box=box, filters=filters))
         assert len(first) + len(inc) == len(direct)
         combined = ParticleBatch.concatenate([first, inc]) if len(first) + len(inc) else first
         assert canonical(combined) == canonical(direct)

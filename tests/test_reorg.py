@@ -49,6 +49,7 @@ from repro.serve import (
 from repro.serve.metrics import AccessTelemetry, merge_telemetry
 from repro.types import Box, ParticleBatch
 from tests.test_pipeline import make_rank_data
+from tests.test_query_engines import recursive_query
 
 SETTINGS = settings(
     max_examples=8,
@@ -363,7 +364,7 @@ class TestApplyReorg:
         meta = write_dataset(tmp_path, nranks=16, seed=3)
         md = DatasetMetadata.load(meta)
         with BATDataset(meta) as ds:
-            before = ds.query(QueryRequest(quality=1.0, engine="recursive"))
+            before, _ = recursive_query(ds, QueryRequest(quality=1.0))
         old_files = [leaf.file_name for leaf in md.leaves]
         tele = synth_telemetry(md, hot_box(md))
 
@@ -383,8 +384,8 @@ class TestApplyReorg:
         for name in old_files:
             assert (meta.parent / name).exists()
         with BATDataset(meta) as ds:
-            after = ds.query(QueryRequest(quality=1.0, engine="recursive"))
-        assert canon(after.batch) == canon(before.batch)
+            after, _ = recursive_query(ds, QueryRequest(quality=1.0))
+        assert canon(after) == canon(before)
 
     def test_remove_old_unlinks_replaced_files(self, tmp_path):
         meta = write_dataset(tmp_path, nranks=16, seed=3)
@@ -453,26 +454,25 @@ class TestApplyReorg:
         self, tmp_path_factory, seed, frac, quality
     ):
         """Property: whichever generation a reader observes, its result
-        equals a direct recursive-engine query against that generation."""
+        equals the recursive reference walk of that generation."""
         out = tmp_path_factory.mktemp("reorg-prop")
         meta = write_dataset(out, nranks=9, seed=seed)
         md = DatasetMetadata.load(meta)
         box = hot_box(md, *frac)
         req = QueryRequest(box=box, quality=quality)
-        ref = QueryRequest(box=box, quality=quality, engine="recursive")
         with BATDataset(meta) as ds:
             g0 = ds.query(req)
-            g0_ref = ds.query(ref)
-        assert exact(g0.batch) == exact(g0_ref.batch)
+            g0_ref, _ = recursive_query(ds, req)
+        assert exact(g0.batch) == exact(g0_ref)
         reorganize(
             meta, synth_telemetry(md, box),
             config=ReorgConfig(min_queries=8, carve_min_points=1),
         )
         with BATDataset(meta) as ds:
             g1 = ds.query(req)
-            g1_ref = ds.query(ref)
+            g1_ref, _ = recursive_query(ds, req)
         # within the new generation: frontier == recursive, byte for byte
-        assert exact(g1.batch) == exact(g1_ref.batch)
+        assert exact(g1.batch) == exact(g1_ref)
         # across generations the full-quality multiset is invariant;
         # partial-quality samples legitimately follow the layout
         if quality == 1.0:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import QueryRequest
 from repro.bat import AttributeFilter
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
@@ -360,7 +361,7 @@ class TestQueryService:
             sid = svc.open_session()
             total = 0
             for q in (0.2, 0.5, 0.8, 1.0):
-                resp = svc.request(sid, q)
+                resp = svc.request(sid, QueryRequest(quality=q))
                 assert resp.served_quality == q
                 total += len(resp)
             assert total == data.total_particles
@@ -374,27 +375,22 @@ class TestQueryService:
         with QueryService(meta, serve_config()) as svc:
             sid = svc.open_session()
             for q in (0.3, 0.6, 1.0):
-                resp = svc.request(sid, q, box=box, filters=filt)
-                ref, _ = direct.query(
-                    quality=resp.served_quality,
-                    prev_quality=resp.prev_quality,
-                    box=box,
-                    filters=filt,
-                )
+                resp = svc.request(sid, QueryRequest(quality=q, box=box, filters=filt))
+                ref, _ = direct.query(QueryRequest(quality=resp.served_quality, prev_quality=resp.prev_quality, box=box, filters=filt))
                 assert batch_bytes(resp.batch) == batch_bytes(ref)
 
     def test_no_redundant_data_and_view_reset(self, written):
         _, meta = written
         with QueryService(meta, serve_config()) as svc:
             sid = svc.open_session()
-            first = svc.request(sid, 0.5)
+            first = svc.request(sid, QueryRequest(quality=0.5))
             assert len(first) > 0
-            again = svc.request(sid, 0.5)
+            again = svc.request(sid, QueryRequest(quality=0.5))
             assert len(again) == 0 and again.served_quality == 0.5
-            lower = svc.request(sid, 0.3)
+            lower = svc.request(sid, QueryRequest(quality=0.3))
             assert len(lower) == 0
             box = Box((0.0, 0.0, 0.0), (2.0, 2.0, 1.0))
-            moved = svc.request(sid, 0.4, box=box)
+            moved = svc.request(sid, QueryRequest(quality=0.4, box=box))
             assert len(moved) > 0  # progression restarted for the new view
             assert box.contains_points(moved.batch.positions).all()
 
@@ -403,8 +399,8 @@ class TestQueryService:
         with QueryService(meta, serve_config()) as svc:
             a = svc.open_session()
             b = svc.open_session()
-            ra = [svc.request(a, q) for q in (0.4, 0.8)]
-            rb = [svc.request(b, q) for q in (0.4, 0.8)]
+            ra = [svc.request(a, QueryRequest(quality=q)) for q in (0.4, 0.8)]
+            rb = [svc.request(b, QueryRequest(quality=q)) for q in (0.4, 0.8)]
             assert not any(r.cache_hit for r in ra)
             assert all(r.cache_hit for r in rb)
             for x, y in zip(ra, rb):
@@ -419,7 +415,7 @@ class TestQueryService:
             # distinct qualities dodge the result cache, so each session
             # reaches the planner — which must serve one shared plan
             for sid, q in zip(sids, (0.4, 0.6, 0.9)):
-                svc.request(sid, q, box=box)
+                svc.request(sid, QueryRequest(quality=q, box=box))
             plans = svc.snapshot()["caches"]["plans"]
             assert plans["misses"] == 1
             assert plans["hits"] >= 2
@@ -430,9 +426,9 @@ class TestQueryService:
             svc.degradation = ScriptedPolicy()
             sid = svc.open_session()
             svc.degradation.set_cap(0.4)
-            resp = svc.request(sid, 1.0)
+            resp = svc.request(sid, QueryRequest(quality=1.0))
             assert resp.degraded and resp.served_quality == pytest.approx(0.4)
-            ref, _ = direct.query(quality=resp.served_quality)
+            ref, _ = direct.query(QueryRequest(quality=resp.served_quality))
             assert batch_bytes(resp.batch) == batch_bytes(ref)
             assert svc.session(sid).downgrades == 1
 
@@ -441,9 +437,9 @@ class TestQueryService:
         with QueryService(meta, serve_config()) as svc:
             svc.degradation = ScriptedPolicy()
             sid = svc.open_session()
-            svc.request(sid, 0.6)
+            svc.request(sid, QueryRequest(quality=0.6))
             svc.degradation.set_cap(0.3)  # cap below what was delivered
-            resp = svc.request(sid, 1.0)
+            resp = svc.request(sid, QueryRequest(quality=1.0))
             assert len(resp) == 0
             assert resp.served_quality == 0.6  # nothing re-sent, nothing lost
 
@@ -468,11 +464,11 @@ class TestQueryService:
             increments = []
             for i, q in enumerate(qs):
                 svc.degradation.set_cap(caps[i % len(caps)])
-                resp = svc.request(sid, q, box=box)
+                resp = svc.request(sid, QueryRequest(quality=q, box=box))
                 if len(resp):
                     increments.append(resp.batch)
             svc.degradation.set_cap(1.0)  # load drained: full quality again
-            final = svc.request(sid, 1.0, box=box)
+            final = svc.request(sid, QueryRequest(quality=1.0, box=box))
             if len(final):
                 increments.append(final.batch)
             assert svc.session(sid).delivered_quality == 1.0
@@ -481,7 +477,7 @@ class TestQueryService:
                 if increments
                 else ParticleBatch.empty()
             )
-        ref, _ = direct.query(quality=1.0, box=box)
+        ref, _ = direct.query(QueryRequest(quality=1.0, box=box))
         assert canonical(combined) == canonical(ref)
 
     def test_concurrent_sessions_all_byte_identical(self, written, direct):
@@ -506,7 +502,7 @@ class TestQueryService:
                 sid = svc.open_session()
                 for q in (0.3, 0.7, 1.0):
                     try:
-                        resp = svc.request(sid, q, box=box, filters=filters)
+                        resp = svc.request(sid, QueryRequest(quality=q, box=box, filters=filters))
                     except AdmissionRejected:
                         continue
                     with lock:
@@ -525,9 +521,7 @@ class TestQueryService:
         for box, filters, prev_q, served_q, got in records:
             if served_q <= prev_q:
                 continue  # empty increments are trivially identical
-            ref, _ = direct.query(
-                quality=served_q, prev_quality=prev_q, box=box, filters=filters
-            )
+            ref, _ = direct.query(QueryRequest(quality=served_q, prev_quality=prev_q, box=box, filters=filters))
             assert got == batch_bytes(ref)
 
     def test_admission_rejection_recorded(self, written):
@@ -536,7 +530,7 @@ class TestQueryService:
         with QueryService(meta, cfg) as svc:
             sid = svc.open_session()
             with pytest.raises(AdmissionRejected):
-                svc.request(sid, 0.5)
+                svc.request(sid, QueryRequest(quality=0.5))
             snap = svc.snapshot()
             assert snap["requests"]["rejected"] == 1
             assert snap["scheduler"]["rejected_queue_full"] == 1
@@ -557,7 +551,7 @@ class TestQueryService:
                 for i in range(2)
             ]
             sids = [svc.open_session() for _ in range(4)]
-            tickets = [svc.submit(sid, 0.8) for sid in sids]
+            tickets = [svc.submit(sid, QueryRequest(quality=0.8)) for sid in sids]
             release.set()
             responses = [t.result(10.0) for t in tickets]
             for b in blockers:
@@ -567,7 +561,7 @@ class TestQueryService:
             # drain, then a lone request runs at load 0.5 <= release_at
             svc.scheduler.drain(10.0)
             calm = svc.open_session()
-            resp = svc.request(calm, 0.3)
+            resp = svc.request(calm, QueryRequest(quality=0.3))
             assert not resp.degraded
             assert svc.degradation.releases >= 1
             assert svc.degradation.cap == 1.0
@@ -576,8 +570,8 @@ class TestQueryService:
         _, meta = written
         with QueryService(meta, serve_config()) as svc:
             sid = svc.open_session()
-            svc.request(sid, 0.5)
-            svc.request(sid, 1.0)
+            svc.request(sid, QueryRequest(quality=0.5))
+            svc.request(sid, QueryRequest(quality=1.0))
             snap = svc.snapshot()
         assert snap["requests"]["completed"] == 2
         assert snap["latency_ms"]["p99"] >= snap["latency_ms"]["p50"] > 0
@@ -599,8 +593,8 @@ class TestQueryService:
             assert svc.steps == [0, 5]
             a = svc.open_session(step=0)
             b = svc.open_session(step=5)
-            r0 = svc.request(a, 1.0)
-            r1 = svc.request(b, 1.0)
+            r0 = svc.request(a, QueryRequest(quality=1.0))
+            r1 = svc.request(b, QueryRequest(quality=1.0))
             assert len(r0) == data0.total_particles
             assert len(r1) == data1.total_particles
             files = svc.snapshot()["caches"]["files"]

@@ -182,7 +182,7 @@ def _batch(n=8, names=("mass", "temp")):
 def _key(**kw):
     base = dict(
         step=0, box=None, filters=(), prev_quality=0.0, quality=1.0,
-        columns=None, engine="frontier",
+        columns=None,
     )
     base.update(kw)
     return CollapseKey(**base)
@@ -222,11 +222,10 @@ class TestInflightTable:
         assert spec is not None and spec.stop_quality == 0.5
         assert _compatible(entry, _key(quality=0.3)) is None  # not a rung
 
-    def test_incompatible_prev_box_engine(self):
+    def test_incompatible_prev_box(self):
         entry = InflightEntry(_key(), (1.0,))
         assert _compatible(entry, _key(prev_quality=0.5)) is None
         assert _compatible(entry, _key(box=BOX)) is None
-        assert _compatible(entry, _key(engine="treelet")) is None
 
     def test_narrow_leader_cannot_serve_wider_follower(self):
         entry = InflightEntry(_key(columns=("mass",)), (1.0,))

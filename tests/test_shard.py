@@ -172,7 +172,7 @@ class TestRequestDoc:
         [
             QueryRequest(quality=1.0),
             QueryRequest(quality=0.4, box=BOX, filters=FILT, prev_quality=0.1),
-            QueryRequest(quality=0.7, columns=("mass",), engine="bitmap"),
+            QueryRequest(quality=0.7, columns=("mass",)),
             QueryRequest(quality=0.2, on_error="degrade"),
         ],
     )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import QueryRequest
 from repro.core.timeseries import TimeSeriesDataset, TimeSeriesWriter
 from repro.machines import testing_machine as make_test_machine
 from repro.types import Box
@@ -112,7 +113,7 @@ class TestDataset:
         # count particles past the dam over time: must grow as water spreads
         past_dam = Box((2.0, 0.0, 0.0), tuple(dam.domain.upper))
         with TimeSeriesDataset(out) as ts:
-            counts = [len(b) for _, b, _ in ts.query_over_time(box=past_dam)]
+            counts = [len(b) for _, b, _ in ts.query_over_time(QueryRequest(box=past_dam))]
         assert counts[0] == 0  # initial column is behind the dam
         assert counts[-1] > counts[1] >= counts[0]
 
