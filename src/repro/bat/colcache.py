@@ -6,7 +6,11 @@ payload that survives here is never run through its codec again, so
 repeated plans and progressive refinements touching the same treelets pay
 the decode cost once. Entries are keyed ``(file_key, treelet_id,
 column_slot)`` — the slot is the treelet directory index (0 nodes, 1
-positions, 2+ attributes). ``file_key`` is the handle's inode-qualified
+positions, 2+ attributes), or -1
+(:data:`~repro.bat.file.WALK_TABLE_SLOT`) for the treelet's walk table,
+the flattened node records pruned reads test: derived rather than
+decoded, present for every file layout, and budgeted, evicted and
+invalidated like any column. ``file_key`` is the handle's inode-qualified
 :attr:`BATFile.cache_key`, not the bare path: after an atomic republish
 of a leaf, an old leased handle and the fresh reopened handle coexist for
 the same path, and their decoded columns must never mix. Entries hold

@@ -8,6 +8,7 @@ the first pages of the file.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import threading
@@ -38,7 +39,99 @@ from .format import (
     unpack_footer,
 )
 
-__all__ = ["BATFile", "TreeletView"]
+__all__ = ["BATFile", "TreeletView", "WALK_TABLE_SLOT", "build_walk_table"]
+
+#: :class:`~repro.bat.colcache.DecodedColumnCache` slot of a treelet's walk
+#: table; directory columns occupy slots ``0 .. n_attrs + 1``
+WALK_TABLE_SLOT = -1
+
+
+@functools.lru_cache(maxsize=None)
+def walk_table_dtype(n_attrs: int) -> np.dtype:
+    """One row per treelet node, indexed by node id (= pre-order).
+
+    Everything a pruned read needs from a node without following a link:
+    its box, depth, own slot range, parent row, and its bitmaps resolved
+    through the dictionary. ``nests`` is the treelet's verdict, the same
+    in every row: each node's box and bitmaps lie inside its parent's, so
+    testing every row against a query independently gives exactly the
+    nodes a top-down walk would keep.
+    """
+    return np.dtype(
+        [
+            ("lo", "<f8", (3,)),
+            ("hi", "<f8", (3,)),
+            ("begin", "<i8"),
+            ("count", "<i8"),
+            ("parent", "<i8"),
+            ("depth", "<i2"),
+            ("nests", "?"),
+            ("bitmaps", "<u4", (max(n_attrs, 1),)),
+        ]
+    )
+
+
+def build_walk_table(
+    nodes: np.ndarray, bbox: np.ndarray, dictionary: np.ndarray, levels: int
+) -> np.ndarray:
+    """Flatten one treelet's k-d nodes into a :func:`walk_table_dtype` array.
+
+    The only place node boxes are derived from the splits: one level-by-
+    level pass from the leaf's ``bbox`` through at most ``levels`` depths
+    (no read looks deeper). Rows no link reaches keep a NaN box, depth -1
+    and themselves as parent, so no test or depth window ever selects them.
+    """
+    n = len(nodes)
+    axis, split = nodes["axis"], nodes["split"]
+    children = np.stack([nodes["left"], nodes["right"]])
+    ar = np.arange(n)
+    ids = np.zeros(1, dtype=np.int64)
+    box = np.asarray(bbox, dtype=np.float64).reshape(1, 2, 3)  # [:, 0] lo, [:, 1] hi
+    level_ids, level_box, level_parent = [], [], [ids]
+    for _ in range(levels):
+        level_ids.append(ids)
+        level_box.append(box)
+        ax = axis[ids]
+        desc = ax >= 0
+        k = int(np.count_nonzero(desc))
+        if k < len(ids):
+            if k == 0:
+                break
+            ids, ax, box = ids[desc], ax[desc], box[desc]
+        sp = split[ids]
+        rows = ar[:k]
+        lhi = box.copy()
+        lhi[rows, 1, ax] = sp
+        rlo = box.copy()
+        rlo[rows, 0, ax] = sp
+        level_parent += (ids, ids)
+        ids = children[:, ids].ravel()
+        box = np.concatenate([lhi, rlo])
+    ids = np.concatenate(level_ids)
+    t_box = np.full((n, 2, 3), np.nan)
+    t_box[ids] = np.concatenate(level_box)
+    t_depth = np.full(n, -1, dtype=np.int16)
+    t_depth[ids] = np.repeat(ar[: len(level_ids)], [len(i) for i in level_ids])
+    t_parent = ar.copy()
+    # one entry for the root plus two per level below it (a pass that ran
+    # out of levels queued parents for a level it never recorded)
+    t_parent[ids] = np.concatenate(level_parent[: 2 * len(level_ids) - 1])
+    # an id outside the dictionary resolves to the all-ones bitmap: it can
+    # never prune, and every returned row is value-checked anyway
+    lut = np.append(dictionary, np.uint32(0xFFFFFFFF))
+    bitmaps = lut[np.minimum(nodes["bitmap_ids"].astype(np.int64), len(dictionary))]
+    p_box = t_box[t_parent]
+    table = np.empty(n, dtype=walk_table_dtype(bitmaps.shape[1]))
+    table["nests"] = bool(
+        (t_box[:, 0] >= p_box[:, 0]).all()
+        and (t_box[:, 1] <= p_box[:, 1]).all()
+        and not (bitmaps & ~bitmaps[t_parent]).any()
+    )
+    table["lo"], table["hi"], table["depth"], table["parent"] = (
+        t_box[:, 0], t_box[:, 1], t_depth, t_parent
+    )
+    table["begin"], table["count"], table["bitmaps"] = nodes["begin"], nodes["count"], bitmaps
+    return table
 
 
 class _LazyColumns(Mapping):
@@ -64,9 +157,10 @@ class _LazyColumns(Mapping):
     def __getitem__(self, name: str) -> np.ndarray:
         arr = self._cache.get(name)
         if arr is None:
-            idx = self._names.index(name) if name in self._names else -1
-            if idx < 0:
-                raise KeyError(name)
+            try:
+                idx = self._names.index(name)
+            except ValueError:
+                raise KeyError(name) from None
             # nodes and positions occupy directory slots 0 and 1
             arr = self._file._decode_treelet_column(
                 self._leaf, self._col_dir, self._starts, 2 + idx,
@@ -101,11 +195,15 @@ class TreeletView:
     plan (no box test, no filters) can emit a whole treelet without ever
     decoding its node records — or, under column projection, its position
     block. Accessing the property triggers (and memoizes) the decode.
+
+    ``walk_table`` is the flattened form of ``nodes`` that pruned reads
+    test (:func:`build_walk_table`), lazy for every layout and retained
+    exactly like a decoded column.
     """
 
     __slots__ = (
         "_nodes", "_positions", "attributes", "max_depth", "_n_points",
-        "_nodes_thunk", "_positions_thunk", "_memoize",
+        "_nodes_thunk", "_positions_thunk", "_memoize", "_table", "_table_thunk",
     )
 
     def __init__(
@@ -118,6 +216,7 @@ class TreeletView:
         nodes_thunk=None,
         positions_thunk=None,
         memoize: bool = True,
+        table_thunk=None,
     ):
         self._nodes = nodes
         self._positions = positions
@@ -129,6 +228,17 @@ class TreeletView:
         # views of a handle with a DecodedColumnCache attached do not
         # memoize: retention (and the byte budget) belongs to that tier
         self._memoize = bool(memoize)
+        self._table = None
+        self._table_thunk = table_thunk
+
+    @property
+    def walk_table(self) -> np.ndarray:  # structured walk_table_dtype
+        if self._table is not None:
+            return self._table
+        arr = self._table_thunk()
+        if self._memoize:
+            self._table = arr
+        return arr
 
     @property
     def nodes(self) -> np.ndarray:  # structured treelet_node_dtype
@@ -534,6 +644,29 @@ class BATFile:
             cache.put(self.cache_key, leaf, idx, arr)
         return arr
 
+    def _walk_table(self, leaf: int) -> np.ndarray:
+        """The walk table of one treelet, built on first use.
+
+        A resident of the decoded-column tier like any column (same key,
+        its own slot), so the byte budget bounds it and whatever retires
+        the handle's columns retires it; not codec work, so it never
+        counts toward ``decoded_bytes``.
+        """
+        cache = self.column_cache
+        if cache is not None:
+            table = cache.get(self.cache_key, leaf, WALK_TABLE_SLOT)
+            if table is not None:
+                return table
+        table = build_walk_table(
+            self._treelet_cache[leaf].nodes,
+            np.asarray(self.shallow_leaves[leaf]["bbox"], dtype=np.float64),
+            self.dictionary,
+            self.max_treelet_depth + 2,
+        )
+        if cache is not None:
+            cache.put(self.cache_key, leaf, WALK_TABLE_SLOT, table)
+        return table
+
     def treelet(self, leaf: int) -> TreeletView:
         """Map (or decompress/decode) the treelet of shallow leaf ``leaf``.
 
@@ -608,7 +741,9 @@ class BATFile:
             attrs[name] = np.frombuffer(buf, dtype=dt, count=n_pts, offset=cursor)
             cursor += n_pts * dt.itemsize
         view = TreeletView(
-            nodes=nodes, positions=positions, attributes=attrs, max_depth=int(th["max_depth"])
+            nodes=nodes, positions=positions, attributes=attrs, max_depth=int(th["max_depth"]),
+            memoize=self.column_cache is None,
+            table_thunk=lambda: self._walk_table(leaf),
         )
         self._treelet_cache[leaf] = view
         return view
@@ -667,6 +802,7 @@ class BATFile:
             nodes_thunk=nodes_thunk,
             positions_thunk=positions_thunk,
             memoize=self.column_cache is None,
+            table_thunk=lambda: self._walk_table(leaf),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -40,8 +40,7 @@ import numpy as np
 
 from ..types import ParticleBatch
 from .file import BATFile
-from .format import LEAF_FLAG
-from .query import _concat_ranges
+from .query import _concat_ranges, _survivor_leaves, _table_survivors
 
 __all__ = [
     "NeighborStats",
@@ -149,89 +148,19 @@ def _point_box_d2(lo, hi, c) -> float:
 # -- pruned candidate gathering ----------------------------------------------
 
 
-def _survivor_leaves(bat: BATFile, keep_fn, stats: NeighborStats) -> np.ndarray:
-    """Shallow leaves passing ``keep_fn(lo, hi)``, in visit-rank order."""
-    empty = np.empty(0, dtype=np.int64)
-    root, root_is_leaf = bat.root()
-    inner = empty if root_is_leaf else np.array([root], dtype=np.int64)
-    leaves = np.array([root], dtype=np.int64) if root_is_leaf else empty
-    found: list[np.ndarray] = []
-    while inner.size or leaves.size:
-        if leaves.size:
-            stats.nodes_visited += len(leaves)
-            bb = bat.shallow_leaves[leaves]["bbox"]
-            keep = keep_fn(bb[:, :3].astype(np.float64), bb[:, 3:].astype(np.float64))
-            if keep.any():
-                found.append(leaves[keep])
-        if inner.size:
-            stats.nodes_visited += len(inner)
-            recs = bat.shallow_inner[inner]
-            bb = recs["bbox"]
-            keep = keep_fn(bb[:, :3].astype(np.float64), bb[:, 3:].astype(np.float64))
-            srecs = recs[keep]
-            raw = np.concatenate([srecs["left"], srecs["right"]]).astype(np.uint32)
-            is_leaf = (raw & LEAF_FLAG) != 0
-            child = (raw & ~LEAF_FLAG).astype(np.int64)
-            inner, leaves = child[~is_leaf], child[is_leaf]
-        else:
-            inner = leaves = empty
-    if not found:
-        return empty
-    hits = np.concatenate(found)
-    rank = bat.shallow_leaf_visit_rank()
-    return hits[np.argsort(rank[hits])]
-
-
-def _treelet_slots(tv, leaf_box, keep_fn, stats: NeighborStats) -> np.ndarray:
+def _treelet_slots(tv, keep_fn, stats: NeighborStats) -> np.ndarray:
     """Slots of every particle owned by treelet nodes passing ``keep_fn``.
 
-    Level-by-level frontier walk with vectorized box splitting (the
-    :class:`~repro.bat.query._TreeletWalk` machinery at full
-    quality): every surviving node contributes its whole own range, and
-    descent continues only below surviving splits. Returned ascending.
+    One pass of ``keep_fn`` over the treelet's walk table (the
+    :class:`~repro.bat.query._TreeletWalk` prune at full quality): every
+    surviving node contributes its whole own range, in pre-order and
+    therefore ascending.
     """
-    nodes = tv.nodes
-    ids = np.zeros(1, dtype=np.int64)
-    lo = np.asarray(leaf_box.lower, dtype=np.float64).reshape(1, 3)
-    hi = np.asarray(leaf_box.upper, dtype=np.float64).reshape(1, 3)
-    out_lo: list[np.ndarray] = []
-    out_hi: list[np.ndarray] = []
-    out_ids: list[np.ndarray] = []
-    while ids.size:
-        stats.nodes_visited += len(ids)
-        recs = nodes[ids]
-        keep = keep_fn(lo, hi)
-        if keep.any():
-            beg = recs["begin"][keep].astype(np.int64)
-            cnt = recs["count"][keep].astype(np.int64)
-            nz = cnt > 0
-            if nz.any():
-                out_ids.append(ids[keep][nz])
-                out_lo.append(beg[nz])
-                out_hi.append((beg + cnt)[nz])
-        desc = keep & (recs["axis"] >= 0)
-        if not desc.any():
-            break
-        drecs = recs[desc]
-        plo, phi = lo[desc], hi[desc]
-        ax = drecs["axis"].astype(np.int64)
-        sp = drecs["split"].astype(np.float64)
-        rows = np.arange(len(drecs))
-        lhi = phi.copy()
-        lhi[rows, ax] = sp
-        rlo = plo.copy()
-        rlo[rows, ax] = sp
-        ids = np.concatenate(
-            [drecs["left"].astype(np.int64), drecs["right"].astype(np.int64)]
-        )
-        lo = np.concatenate([plo, rlo])
-        hi = np.concatenate([lhi, phi])
-    if not out_ids:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(np.concatenate(out_ids))
-    return _concat_ranges(
-        np.concatenate(out_lo)[order], np.concatenate(out_hi)[order]
-    )
+    table = tv.walk_table
+    alive, visited = _table_survivors(table, keep_fn(table["lo"], table["hi"]))
+    stats.nodes_visited += int(np.count_nonzero(visited))
+    beg = table["begin"][alive]
+    return _concat_ranges(beg, beg + table["count"][alive])
 
 
 def _filter_mask(tv, slots, filters) -> np.ndarray | None:
@@ -253,7 +182,7 @@ def _gather_pruned(bat: BATFile, leaf_index: int, keep_fn, filters, stats):
         leaf = int(leaf)
         stats.treelets_visited += 1
         tv = bat.treelet(leaf)
-        slots = _treelet_slots(tv, bat.leaf_box(leaf), keep_fn, stats)
+        slots = _treelet_slots(tv, keep_fn, stats)
         if not slots.size:
             continue
         stats.points_tested += len(slots)
@@ -313,7 +242,7 @@ def box_members(bat: BATFile, leaf_index: int, box, filters, stats):
     blo = np.asarray(box.lower, dtype=np.float64)
     bhi = np.asarray(box.upper, dtype=np.float64)
 
-    def overlaps(lo, hi):
+    def overlaps(lo, hi, _bitmap_ids=None):
         return np.all((lo <= bhi) & (hi >= blo) & (lo <= hi), axis=1)
 
     vrank = bat.shallow_leaf_visit_rank()
@@ -323,7 +252,7 @@ def box_members(bat: BATFile, leaf_index: int, box, filters, stats):
         leaf = int(leaf)
         stats.treelets_visited += 1
         tv = bat.treelet(leaf)
-        slots = _treelet_slots(tv, bat.leaf_box(leaf), overlaps, stats)
+        slots = _treelet_slots(tv, overlaps, stats)
         if not slots.size:
             continue
         stats.points_tested += len(slots)
@@ -485,7 +414,7 @@ def radius_neighbors(files, open_file, centers, radius, region, filters, stats):
     r2 = float(radius) * float(radius)
     r2s = r2 * (1.0 + PRUNE_SLACK)
 
-    def near(lo, hi):
+    def near(lo, hi, _bitmap_ids=None):
         return _boxes_box_d2(lo, hi, rlo, rhi) <= r2s
 
     pos_parts: list[np.ndarray] = []

@@ -16,17 +16,24 @@ smoothly. A node at depth *d* is processed fully when ``d < floor(e)`` and
 fractionally (a prefix of its particles) when ``d == floor(e)``.
 
 **One core.** The shallow tree is walked level by level
-(:func:`_frontier_survivor_leaves`); every surviving treelet then gets a
-:class:`_TreeletWalk`, a stateful frontier walk that batches all nodes of
-one depth into numpy arrays. Pruning does not depend on quality, so each
-depth's survivors are computed once (:meth:`_TreeletWalk._extend`, the
-only prune/descend step) and a window only extends the descent when it
-reaches deeper than every window before it; it never descends below
-``floor(e)``, where no node can contribute. A window's surviving slot
-ranges are gathered and checked once per treelet (:func:`_gather`, the
-only gather), and a whole treelet asked for at full quality skips the
-walk altogether (:func:`_full_speed`). The two entry points differ only
-in what they do with the rows:
+(:func:`_survivor_leaves`); every surviving treelet then gets a
+:class:`_TreeletWalk`. A treelet's nodes are not walked: its *walk table*
+(:attr:`~repro.bat.file.TreeletView.walk_table` — one row per node in
+pre-order with the node's box, depth, slot range, parent and resolved
+bitmaps, built once per treelet and held with the decoded columns) is
+tested against the query in one numpy pass (:func:`_node_tests`), and a
+node counts as visited when its parent passed (:func:`_table_survivors`;
+a treelet whose boxes or bitmaps do not nest has the result pushed down
+level by level instead). Pruning does not depend on quality, so the
+masks are computed on a walk's first window and kept. The depth cutoff
+lives in the window: it selects the kept rows with ``floor(e_lo) <= depth
+<= floor(e_hi)`` and counts visited nodes only down to ``floor(e_hi)``,
+below which no node can contribute — the counters are those of a
+top-down walk that stops there. A window's slot ranges come out in
+pre-order and are gathered and checked once per treelet (:func:`_gather`,
+the only gather), and a whole treelet asked for at full quality skips
+the table altogether (:func:`_full_speed`). The two entry points differ
+only in what they do with the rows:
 
 - :func:`query_file` asks for one window and concatenates (or hands each
   treelet's rows to a callback); the walks are dropped as it goes.
@@ -410,13 +417,15 @@ def _traverse_shallow(bat: BATFile, ctx: _QueryContext) -> None:
             stack.extend(bat.children(idx))
 
 
-def _full_speed(tv, leaf_box: Box, ctx: _QueryContext, e_lo: float, e_hi: float) -> bool:
+def _full_speed(
+    bat: BATFile, leaf: int, tv, ctx: _QueryContext, e_lo: float, e_hi: float
+) -> bool:
     """Whole treelet requested at full quality: one contiguous emit."""
     return (
-        (ctx.box is None or ctx.box.contains_box(leaf_box))
-        and not ctx.filters
+        not ctx.filters
         and e_lo == 0.0
         and e_hi >= tv.max_depth + 1
+        and (ctx.box is None or ctx.box.contains_box(bat.leaf_box(leaf)))
     )
 
 
@@ -437,7 +446,7 @@ def _emit_full_treelet(tv, ctx: _QueryContext) -> None:
 
 def _traverse_treelet(bat: BATFile, leaf: int, leaf_box: Box, ctx: _QueryContext) -> None:
     tv = bat.treelet(leaf)
-    if _full_speed(tv, leaf_box, ctx, ctx.e_prev, ctx.e_new):
+    if _full_speed(bat, leaf, tv, ctx, ctx.e_prev, ctx.e_new):
         _emit_full_treelet(tv, ctx)
         return
 
@@ -503,44 +512,51 @@ def _emit_points(tv, lo_slot: int, hi_slot: int, ctx: _QueryContext) -> None:
         )
 
 
-# -- frontier core (vectorized) ------------------------------------------------
+# -- flat core (vectorized) ----------------------------------------------------
 
 
-def _frontier_keep(
-    bat: BATFile, ctx: _QueryContext, lo: np.ndarray, hi: np.ndarray, bitmap_ids: np.ndarray
-) -> np.ndarray:
-    """Survivor mask for one frontier of nodes (spatial + bitmap).
+def _node_tests(ctx: _QueryContext, lo: np.ndarray, hi: np.ndarray, bitmaps):
+    """Test a batch of nodes against the query: ``(inside, keep)``.
 
-    ``lo``/``hi`` are the nodes' ``(n, 3)`` box corners, ``bitmap_ids``
-    their ``(n, n_attrs)`` dictionary ids. Mirrors the recursive order of
-    checks so the prune counters agree: spatial pruning is counted first,
-    bitmap pruning only among the spatial survivors.
+    ``lo``/``hi`` are the nodes' ``(n, 3)`` box corners, ``bitmaps`` their
+    ``(n, n_attrs)`` resolved bitmaps (unused without filters). ``inside``
+    marks the boxes that meet the query box (``None`` without one),
+    ``keep`` those that also pass every filter's bitmap.
     """
-    n = len(lo)
-    keep = np.ones(n, dtype=bool)
     if ctx.qbounds is not None:
         qlo, qhi = ctx.qbounds
-        keep = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
-        ctx.stats.pruned_spatial += int(n - keep.sum())
-    if ctx.bitmap_tests:
-        ok = np.ones(n, dtype=bool)
-        for a, qbitmap in ctx.bitmap_tests:
-            ok &= (bat.bitmaps_many(bitmap_ids[:, a]) & qbitmap) != 0
-        ctx.stats.pruned_bitmap += int((keep & ~ok).sum())
-        keep &= ok
-    return keep
+        inside = keep = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
+    else:
+        inside, keep = None, np.ones(len(lo), dtype=bool)
+    for a, qbitmap in ctx.bitmap_tests:
+        keep = keep & ((bitmaps[:, a] & qbitmap) != 0)
+    return inside, keep
 
 
-def _frontier_survivor_leaves(bat: BATFile, ctx: _QueryContext) -> np.ndarray:
-    """Surviving shallow leaves in stack-DFS visit order.
+def _count_prunes(stats: QueryStats, n: int, n_inside: int, n_kept: int) -> None:
+    """Count the pruned among ``n`` visited nodes in the recursive walk's
+    order of checks: spatially first, by bitmap only if the box passed."""
+    stats.pruned_spatial += n - n_inside
+    stats.pruned_bitmap += n_inside - n_kept
+
+
+def _survivor_leaves(bat: BATFile, keep_fn, stats) -> np.ndarray:
+    """Shallow leaves passing ``keep_fn(lo, hi, bitmap_ids)``, in visit order.
 
     Level-by-level walk of the shallow tree, one numpy pass per depth.
     Children sit exactly one level below their parents, so each frontier
     holds all surviving nodes of one depth. Surviving leaves are collected
     and re-ordered by the stack-DFS visit rank — pruning removes subtrees
     but never reorders the rest, so traversing the returned leaves in
-    order matches the recursive walk's emission order exactly.
+    order matches the recursive walk's emission order exactly. Every node
+    tested counts in ``stats.nodes_visited``.
     """
+
+    def keep_of(recs):
+        stats.nodes_visited += len(recs)
+        bb = recs["bbox"].astype(np.float64)
+        return keep_fn(bb[:, :3], bb[:, 3:], recs["bitmap_ids"])
+
     empty = np.empty(0, dtype=np.int64)
     root, root_is_leaf = bat.root()
     inner = empty if root_is_leaf else np.array([root], dtype=np.int64)
@@ -548,18 +564,12 @@ def _frontier_survivor_leaves(bat: BATFile, ctx: _QueryContext) -> np.ndarray:
     found: list[np.ndarray] = []
     while inner.size or leaves.size:
         if leaves.size:
-            ctx.stats.nodes_visited += len(leaves)
-            recs = bat.shallow_leaves[leaves]
-            bb = recs["bbox"]
-            keep = _frontier_keep(bat, ctx, bb[:, :3], bb[:, 3:], recs["bitmap_ids"])
+            keep = keep_of(bat.shallow_leaves[leaves])
             if keep.any():
                 found.append(leaves[keep])
         if inner.size:
-            ctx.stats.nodes_visited += len(inner)
             recs = bat.shallow_inner[inner]
-            bb = recs["bbox"]
-            keep = _frontier_keep(bat, ctx, bb[:, :3], bb[:, 3:], recs["bitmap_ids"])
-            srecs = recs[keep]
+            srecs = recs[keep_of(recs)]
             raw = np.concatenate([srecs["left"], srecs["right"]]).astype(np.uint32)
             is_leaf = (raw & LEAF_FLAG) != 0
             child = (raw & ~LEAF_FLAG).astype(np.int64)
@@ -573,72 +583,51 @@ def _frontier_survivor_leaves(bat: BATFile, ctx: _QueryContext) -> np.ndarray:
     return hits[np.argsort(rank[hits])]
 
 
-class _TreeletWalk:
-    """Stateful frontier walk of one treelet, advanced one window at a time.
+def _table_survivors(table: np.ndarray, keep: np.ndarray):
+    """``(alive, visited)`` of a walk table, from each row's own test result.
 
-    Node boxes are carried alongside the frontier as (n, 3) float64 arrays
-    and split vectorized; every node of a treelet level shares one depth,
-    so the quality fractions are scalars per level. Spatial and bitmap
-    pruning are quality-independent, so each depth's survivors are
-    computed once and kept; a window only extends the descent when its
-    effective depth reaches below every prior window's. Emission reads the
-    kept levels with the same monotone slot-range rounding as the
-    recursive walk — consecutive windows chain with no gap and no overlap.
+    A top-down walk visits a node when every ancestor passed and keeps it
+    when it passes too. Where boxes and bitmaps nest (``table["nests"]``,
+    every file the builder writes) a failing parent implies failing
+    children, so ``keep`` already is that set; otherwise it is pushed down
+    the table one level at a time.
+    """
+    parent = table["parent"]
+    if not table["nests"][0]:
+        keep = keep.copy()
+        depth = table["depth"]
+        for d in range(1, int(depth.max()) + 1):
+            rows = np.flatnonzero(depth == d)
+            keep[rows] &= keep[parent[rows]]
+    visited = keep[parent]
+    visited[0] = True
+    return keep, visited
+
+
+class _TreeletWalk:
+    """One treelet's pruned read, advanced one quality window at a time.
+
+    Pruning does not depend on quality, so the first window tests the
+    whole walk table at once and later windows reuse the masks. What a
+    window still decides is depth: it counts the visited nodes of the
+    depths no earlier window reached (the recursive walk's counters under
+    the depth cutoff — no node below ``floor(e_hi)`` is ever counted), and
+    emits the kept nodes of the depths it covers, with the same monotone
+    slot-range rounding as the recursive walk — consecutive windows chain
+    with no gap and no overlap.
     """
 
-    __slots__ = ("tv", "_box", "_levels", "_lo", "_hi", "_done")
+    __slots__ = ("tv", "_leaf", "_alive", "_visited", "_inside", "_reached", "_spent")
 
     def __init__(self, bat: BATFile, leaf: int) -> None:
         self.tv = bat.treelet(leaf)
-        self._box = bat.leaf_box(leaf)
-        #: per depth walked: (node ids, their records, survivor mask)
-        self._levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        #: box corners of the deepest level's nodes; split into the next
-        #: frontier only when a window reaches below that level
-        self._lo = self._hi = None
-        #: no level left to walk (leaves reached, or the treelet was
-        #: emitted whole)
-        self._done = False
-
-    def _extend(self, bat: BATFile, ctx: _QueryContext, upto: int) -> None:
-        """Walk down through depth ``upto``, pruning each new level once.
-
-        Descent stops there — no deeper node can contribute particles to
-        a window whose effective depth floors at ``upto``.
-        """
-        if self._done or len(self._levels) > upto:
-            return
-        nodes = self.tv.nodes
-        while len(self._levels) <= upto:
-            if not self._levels:
-                ids = np.zeros(1, dtype=np.int64)
-                lo = np.asarray(self._box.lower, dtype=np.float64).reshape(1, 3)
-                hi = np.asarray(self._box.upper, dtype=np.float64).reshape(1, 3)
-            else:
-                _, recs, keep = self._levels[-1]
-                desc = keep & (recs["axis"] >= 0)
-                if not desc.any():
-                    self._done = True
-                    return
-                drecs = recs[desc]
-                plo, phi = self._lo[desc], self._hi[desc]
-                ax = drecs["axis"].astype(np.int64)
-                sp = drecs["split"].astype(np.float64)
-                rows = np.arange(len(drecs))
-                lhi = phi.copy()
-                lhi[rows, ax] = sp
-                rlo = plo.copy()
-                rlo[rows, ax] = sp
-                ids = np.concatenate(
-                    [drecs["left"].astype(np.int64), drecs["right"].astype(np.int64)]
-                )
-                lo = np.concatenate([plo, rlo])
-                hi = np.concatenate([lhi, phi])
-            ctx.stats.nodes_visited += len(ids)
-            recs = nodes[ids]
-            keep = _frontier_keep(bat, ctx, lo, hi, recs["bitmap_ids"])
-            self._levels.append((ids, recs, keep))
-            self._lo, self._hi = lo, hi
+        self._leaf = leaf
+        #: kept / visited / box-passing rows of the walk table (first window)
+        self._alive = self._visited = self._inside = None
+        #: deepest depth whose visited nodes are counted already
+        self._reached = -1
+        #: the treelet was emitted whole: no later window adds anything
+        self._spent = False
 
     def rows(self, bat: BATFile, ctx: _QueryContext, e_lo: float, e_hi: float):
         """Rows this treelet adds between effective depths ``e_lo → e_hi``.
@@ -646,47 +635,56 @@ class _TreeletWalk:
         Returns :func:`_gather`'s tuple, or ``None`` when the window adds
         nothing here.
         """
+        if self._spent:
+            return None
         tv = self.tv
-        if _full_speed(tv, self._box, ctx, e_lo, e_hi):
+        if _full_speed(bat, self._leaf, tv, ctx, e_lo, e_hi):
             # No box test runs here, so under column projection the node
             # records and the position block are never touched — a
             # one-column read decodes just that column.
-            self._done = True
+            self._spent = True
             ctx.stats.nodes_visited += 1
             pos = tv.positions if ctx.with_positions else None
             n = tv.n_points
             return pos, ctx.select_attrs(tv.attributes), n, slice(0, n), None
-        fl_hi = math.floor(e_hi)
-        self._extend(bat, ctx, fl_hi)
-        parts_ids: list[np.ndarray] = []
-        parts_lo: list[np.ndarray] = []
-        parts_hi: list[np.ndarray] = []
-        for d in range(math.floor(e_lo), min(fl_hi, len(self._levels) - 1) + 1):
-            ids, recs, keep = self._levels[d]
-            f0 = _depth_fraction(d, e_lo)
-            f1 = _depth_fraction(d, e_hi)
-            if f1 <= f0 or not keep.any():
-                continue
-            beg = recs["begin"][keep].astype(np.int64)
-            cnt = recs["count"][keep].astype(np.int64)
-            # Same rounding as the recursive walk: truncation of
-            # f*count + 0.5 (values are non-negative).
-            lo_slot = beg + (f0 * cnt + 0.5).astype(np.int64)
-            hi_slot = beg + (f1 * cnt + 0.5).astype(np.int64)
-            nz = hi_slot > lo_slot
-            if nz.any():
-                parts_ids.append(ids[keep][nz])
-                parts_lo.append(lo_slot[nz])
-                parts_hi.append(hi_slot[nz])
-        if not parts_ids:
+        table = tv.walk_table
+        depth = table["depth"]
+        if self._alive is None:
+            self._inside, keep = _node_tests(ctx, table["lo"], table["hi"], table["bitmaps"])
+            self._alive, self._visited = _table_survivors(table, keep)
+        fl_lo, fl_hi = math.floor(e_lo), math.floor(e_hi)
+        upto = depth <= fl_hi
+        if fl_hi > self._reached:
+            new = upto & (depth > self._reached)
+            seen = self._visited & new
+            n = int(np.count_nonzero(seen))
+            ctx.stats.nodes_visited += n
+            _count_prunes(
+                ctx.stats,
+                n,
+                n if self._inside is None else int(np.count_nonzero(seen & self._inside)),
+                int(np.count_nonzero(self._alive & new)),
+            )
+            self._reached = fl_hi
+        sel = np.flatnonzero(self._alive & upto & (depth >= fl_lo))
+        if not sel.size:
             return None
-        # Node ids are assigned in pre-order, which is exactly the
-        # recursive walk's emission order (and ascending slot order, by
-        # construction of the node-order particle layout).
-        order = np.argsort(np.concatenate(parts_ids))
-        return _gather(
-            tv, np.concatenate(parts_lo)[order], np.concatenate(parts_hi)[order], ctx
-        )
+        d = depth[sel]
+        beg = table["begin"][sel]
+        cnt = table["count"][sel]
+        # Same rounding as the recursive walk: truncation of f*count + 0.5
+        # (values are non-negative), f = clip(e - depth, 0, 1).
+        lo_slot = beg + (np.clip(e_lo - d, 0.0, 1.0) * cnt + 0.5).astype(np.int64)
+        hi_slot = beg + (np.clip(e_hi - d, 0.0, 1.0) * cnt + 0.5).astype(np.int64)
+        nz = hi_slot > lo_slot
+        if not nz.all():
+            lo_slot, hi_slot = lo_slot[nz], hi_slot[nz]
+            if not lo_slot.size:
+                return None
+        # Rows are node ids, assigned in pre-order: exactly the recursive
+        # walk's emission order (and ascending slot order, by construction
+        # of the node-order particle layout).
+        return _gather(tv, lo_slot, hi_slot, ctx)
 
 
 def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -729,23 +727,30 @@ def _gather(tv, lo_slot: np.ndarray, hi_slot: np.ndarray, ctx: _QueryContext):
     mask = None
     if ctx.box is not None:
         mask = ctx.box.contains_points(pos)
+    # each column is fetched and gathered once: a filter column that is
+    # also returned reuses the values its filter tested
+    cols: dict[str, np.ndarray] = {}
     for f in ctx.filters:
-        vals = tv.attributes[f.name][sel]
+        vals = cols.get(f.name)
+        if vals is None:
+            vals = cols[f.name] = tv.attributes[f.name][sel]
         fmask = (vals >= f.lo) & (vals <= f.hi)
         mask = fmask if mask is None else (mask & fmask)
     if not ctx.with_positions:
         pos = None
-    # selection is by key so lazily decoded (v4) columns outside the
-    # requested set are never materialized
-    names = [n for n in tv.attributes if ctx.attributes is None or n in ctx.attributes]
-    if mask is None:
-        return pos, {n: tv.attributes[n][sel] for n in names}, n_sel, sel, None
-    count = int(mask.sum())
+    count = n_sel if mask is None else int(mask.sum())
     if count == 0:
         return None
-    if pos is not None:
+    # selection is by key so lazily decoded (v4) columns outside the
+    # requested set are never materialized
+    attrs = {}
+    for n in tv.attributes:
+        if ctx.attributes is None or n in ctx.attributes:
+            vals = cols[n] if n in cols else tv.attributes[n][sel]
+            attrs[n] = vals if mask is None else vals[mask]
+    if pos is not None and mask is not None:
         pos = pos[mask]
-    return pos, {n: tv.attributes[n][sel][mask] for n in names}, count, sel, mask
+    return pos, attrs, count, sel, mask
 
 
 def _concat(parts: list[np.ndarray], dtype, shape=(0,)) -> np.ndarray:
@@ -755,7 +760,20 @@ def _concat(parts: list[np.ndarray], dtype, shape=(0,)) -> np.ndarray:
 
 def _walks(bat: BATFile, ctx: _QueryContext):
     """One :class:`_TreeletWalk` per surviving treelet, in emission order."""
-    for leaf in _frontier_survivor_leaves(bat, ctx):
+
+    def keep_fn(lo, hi, bitmap_ids):
+        bitmaps = bat.bitmaps_many(bitmap_ids) if ctx.bitmap_tests else None
+        inside, keep = _node_tests(ctx, lo, hi, bitmaps)
+        n = len(keep)
+        _count_prunes(
+            ctx.stats,
+            n,
+            n if inside is None else int(np.count_nonzero(inside)),
+            int(np.count_nonzero(keep)),
+        )
+        return keep
+
+    for leaf in _survivor_leaves(bat, keep_fn, ctx.stats):
         ctx.stats.treelets_visited += 1
         yield _TreeletWalk(bat, int(leaf))
 

@@ -137,3 +137,8 @@ def testing_machine(
         tree_build_coeff=2e-7,
         query_scan_rate=100e6,
     )
+
+
+# pytest collects module-level ``test*`` callables of every test module that
+# imports this one by name; it is a factory, not a test
+testing_machine.__test__ = False

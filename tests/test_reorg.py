@@ -166,6 +166,38 @@ class TestStaleFileCache:
                 after.batch.attributes[attr],
             ).all()
 
+    def test_walk_tables_not_reused_across_replacement(self, tmp_path):
+        """A replaced leaf's walk table dies with its handle's columns."""
+        from repro.bat.file import WALK_TABLE_SLOT
+
+        meta = write_dataset(tmp_path, codecs="auto")
+        with BATDataset(meta) as ds:
+            colcache = ds.file_cache.column_cache
+
+            def tables_of(key):
+                return [k for k in colcache._entries if k[0] == key and k[2] == WALK_TABLE_SLOT]
+
+            # below full quality inside a box: every treelet is walked
+            req = QueryRequest(box=hot_box(ds.metadata, 0.1, 0.9), quality=0.6)
+            ds.query(req)
+            path = ds.directory / ds.metadata.leaves[0].file_name
+            old_key = ds.file_cache.peek(path).cache_key
+            assert tables_of(old_key)
+            # same particles, another tree shape: the old table's rows would
+            # address the wrong nodes and slots of the new file
+            with BATFile(path) as f:
+                batch, _ = query_file(f, quality=1.0)
+            tmp = path.with_suffix(".replacement")
+            build_bat(batch, BATBuildConfig(lod_per_node=4, max_leaf_points=32)).write(tmp)
+            os.replace(tmp, path)
+            after = ds.query(req)
+            new_key = ds.file_cache.peek(path).cache_key
+            assert new_key != old_key
+            assert not tables_of(old_key) and tables_of(new_key)
+            want, want_stats = recursive_query(ds, req)
+            assert exact(after.batch) == exact(want)
+            assert after.stats.points_tested == want_stats.points_tested
+
     def test_peek_discards_stale_handle(self, tmp_path):
         meta = write_dataset(tmp_path)
         with BATDataset(meta) as ds:

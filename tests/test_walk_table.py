@@ -1,0 +1,361 @@
+"""Walk tables: the flat prune of a treelet vs a plain top-down walk.
+
+A :class:`~repro.bat.file.TreeletView`'s walk table lets the read core
+test every node of a treelet in one numpy pass. That equals a top-down
+walk only where child boxes and bitmaps nest inside their parents', so
+the tests here cover the other side: a hand-tampered treelet that does
+not nest, the core's node counters against a level walk written out in
+plain Python, and the table's life as a resident of the decoded-column
+tier (tight budgets, cache-less handles).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.bat.file as bat_file
+from repro.bat import AttributeFilter, BATFile, build_bat
+from repro.bat.builder import BATBuildConfig
+from repro.bat.filecache import BATFileCache
+from repro.bat.format import treelet_header_dtype, treelet_node_dtype
+from repro.bat.query import (
+    QueryStats,
+    quality_to_depth,
+    query_file,
+    query_file_recursive,
+    stream_query_file,
+)
+from repro.types import Box, ParticleBatch
+from tests.test_colcache import _digest
+from tests.test_query_engines import (
+    assert_same_result,
+    boxes,
+    filter_sets,
+    ladders,
+    quality_pairs,
+)
+
+N = 12_000
+
+SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.fixture(scope="module")
+def batch():
+    rng = np.random.default_rng(5)
+    pos = rng.random((N, 3)).astype(np.float32)
+    return ParticleBatch(pos, {"density": rng.random(N), "vel": rng.normal(0, 5, N)})
+
+
+@pytest.fixture(scope="module")
+def image(batch):
+    """A v2 image: raw node records, no checksum to trip over an edit."""
+    return build_bat(batch, BATBuildConfig(checksums=False)).data
+
+
+@pytest.fixture(scope="module")
+def bat(image):
+    with BATFile.from_bytes(image) as f:
+        yield f
+
+
+@pytest.fixture(scope="module")
+def v4_image(batch):
+    return build_bat(batch, BATBuildConfig(codecs="auto")).data
+
+
+def tampered(image: bytes, leaf: int, edit) -> BATFile:
+    """Reopen ``image`` after ``edit(nodes)`` rewrote one treelet's records."""
+    buf = bytearray(image)
+    with BATFile.from_bytes(image) as f:
+        off = int(f.shallow_leaves[leaf]["treelet_offset"]) + treelet_header_dtype().itemsize
+        n_nodes = len(f.treelet(leaf).nodes)
+        node_dt = treelet_node_dtype(f.header.n_attrs)
+    edit(np.frombuffer(buf, dtype=node_dt, count=n_nodes, offset=off))
+    return BATFile.from_bytes(bytes(buf))
+
+
+def assert_reads_like_the_recursive_walk(f, **kw):
+    r1, s1 = query_file_recursive(f, **kw)
+    r2, s2 = query_file(f, **kw)
+    assert_same_result(r1, s1, r2, s2)
+    return s2
+
+
+class TestTreeletsThatDoNotNest:
+    """(a) files come from disk: the flat test must not assume nesting."""
+
+    def test_builder_output_nests(self, bat):
+        assert all(bat.treelet(t).walk_table["nests"][0] for t in range(bat.n_treelets))
+
+    def test_split_outside_the_parent_box(self, image, bat):
+        table = bat.treelet(0).walk_table
+        leaf_hi = table["hi"][0]
+        # an inner node whose box stops short of the leaf box along its own
+        # split axis: pushing its split past its box makes its left child
+        # reach where the node itself does not
+        nodes = bat.treelet(0).nodes
+        victim = next(
+            i for i in range(1, len(nodes))
+            if nodes[i]["axis"] >= 0
+            and table["hi"][i][nodes[i]["axis"]] < leaf_hi[nodes[i]["axis"]] - 0.05
+        )
+        ax = int(nodes[victim]["axis"])
+        edge = float(table["hi"][victim][ax])
+
+        def edit(recs):
+            recs[victim]["split"] = edge + 0.04
+
+        with tampered(image, 0, edit) as f:
+            assert not f.treelet(0).walk_table["nests"][0]
+            # a box the left child's widened box meets and the victim's misses
+            lo, hi = table["lo"][victim].copy(), table["hi"][victim].copy()
+            lo[ax], hi[ax] = edge + 0.01, edge + 0.03
+            probe = Box(tuple(lo), tuple(hi))
+            for box in (probe, Box((0.1,) * 3, (0.8,) * 3), None):
+                for q in (0.3, 1.0):
+                    assert_reads_like_the_recursive_walk(f, quality=q, box=box)
+            # the probe is the case a nesting-blind flat test gets wrong
+            left = int(nodes[victim]["left"])
+            wt = f.treelet(0).walk_table
+            qlo, qhi = np.asarray(probe.lower), np.asarray(probe.upper)
+            meets = np.all((wt["lo"] <= qhi) & (wt["hi"] >= qlo), axis=1)
+            assert meets[left] and not meets[victim]
+
+    def test_child_bitmap_outside_the_parent_bitmap(self, image, bat):
+        nodes = bat.treelet(0).nodes
+        victim = next(i for i in range(1, len(nodes)) if nodes[i]["axis"] >= 0)
+
+        def edit(recs):
+            recs[victim]["bitmap_ids"][0] = 0  # id 0 is the empty bitmap
+
+        with tampered(image, 0, edit) as f:
+            assert not f.treelet(0).walk_table["nests"][0]
+            filt = (AttributeFilter("density", 0.2, 0.9),)
+            s = assert_reads_like_the_recursive_walk(f, quality=1.0, filters=filt)
+            clean = query_file(bat, quality=1.0, filters=filt)[1]
+            # the victim's subtree is gone for the walk and the table alike
+            assert s.points_tested < clean.points_tested
+            assert_reads_like_the_recursive_walk(
+                f, quality=0.6, box=Box((0.0,) * 3, (0.7,) * 3), filters=filt
+            )
+
+    def test_bitmap_id_outside_the_dictionary_never_prunes(self, image, bat):
+        def edit(recs):
+            recs[1]["bitmap_ids"][0] = 0xFFFF
+
+        assert len(bat.dictionary) < 0xFFFF
+        with tampered(image, 0, edit) as f:
+            filt = (AttributeFilter("density", 0.2, 0.9),)
+            got, _ = query_file(f, quality=1.0, filters=filt)
+            want, _ = query_file(bat, quality=1.0, filters=filt)
+            assert got.positions.tobytes() == want.positions.tobytes()
+
+
+# -- (b) node counters vs a level walk written out from tv.nodes -------------------
+
+
+def _query_bitmaps(bat, filters):
+    """Per filtered attribute, its query bitmap (a later filter on the same
+    attribute replaces an earlier one's, as in the read prologue)."""
+    return {
+        bat.attr_index(f.name): int(bat.binnings[f.name].query(f.lo, f.hi)) for f in filters
+    }
+
+
+def _outcome(bat, box, qbitmaps, node_box, bitmap_ids):
+    if box is not None and not node_box.intersects(box):
+        return "spatial"
+    if any(bat.bitmap(int(bitmap_ids[a])) & q == 0 for a, q in qbitmaps.items()):
+        return "bitmap"
+    return "kept"
+
+
+def _shallow_walk(bat, box, qbitmaps):
+    """``(outcomes of every shallow node visited, surviving leaves)``."""
+    outcomes, leaves = [], []
+    stack = [bat.root()]
+    while stack:
+        idx, is_leaf = stack.pop()
+        rec = (bat.shallow_leaves if is_leaf else bat.shallow_inner)[idx]
+        node_box = bat.leaf_box(idx) if is_leaf else bat.inner_box(idx)
+        outcomes.append(_outcome(bat, box, qbitmaps, node_box, rec["bitmap_ids"]))
+        if outcomes[-1] == "kept":
+            if is_leaf:
+                leaves.append(idx)
+            else:
+                stack.extend(bat.children(idx))
+    return outcomes, leaves
+
+
+def _treelet_walk(bat, leaf, box, qbitmaps):
+    """``(depth, outcome)`` of every node a top-down walk of the treelet visits."""
+    nodes = bat.treelet(leaf).nodes
+    visited = []
+    stack = [(0, bat.leaf_box(leaf), 0)]
+    while stack:
+        nid, node_box, depth = stack.pop()
+        rec = nodes[nid]
+        outcome = _outcome(bat, box, qbitmaps, node_box, rec["bitmap_ids"])
+        visited.append((depth, outcome))
+        if outcome == "kept" and rec["axis"] >= 0:
+            left, right = node_box.split(int(rec["axis"]), float(rec["split"]))
+            stack.append((int(rec["right"]), right, depth + 1))
+            stack.append((int(rec["left"]), left, depth + 1))
+    return visited
+
+
+class _LevelWalkCounter:
+    """The node counters a rung-by-rung read must show, from plain walks.
+
+    Pruning is quality independent, so each treelet is walked once in
+    full; a window then counts the visited nodes no deeper than the
+    deepest ``floor(e_hi)`` so far. A treelet emitted whole counts as one
+    more node and is never looked at again.
+    """
+
+    def __init__(self, bat, box, filters, quality):
+        self.bat, self.box, self.filters = bat, box, tuple(filters)
+        qbitmaps = _query_bitmaps(bat, filters)
+        # the read prologue proves some requests empty without any walk
+        self.live = not (
+            quality_to_depth(quality, bat.max_treelet_depth) == 0.0
+            or 0 in qbitmaps.values()
+            or (box is not None and not bat.bounds.intersects(box))
+        )
+        self.shallow, leaves = _shallow_walk(bat, box, qbitmaps) if self.live else ([], [])
+        self.treelets = {t: _treelet_walk(bat, t, box, qbitmaps) for t in leaves}
+        self.whole: set[int] = set()
+        self.reach = -1
+
+    def window(self, e_lo, e_hi):
+        for t in self.treelets:
+            if (
+                t not in self.whole and not self.filters and e_lo == 0.0
+                and e_hi >= self.bat.treelet(t).max_depth + 1
+                and (self.box is None or self.box.contains_box(self.bat.leaf_box(t)))
+            ):
+                self.whole.add(t)
+                # what earlier windows counted stays counted; the whole
+                # emit adds one node and nothing is counted afterwards
+                counted = [(-1, o) for d, o in self.treelets[t] if d <= self.reach]
+                self.treelets[t] = [*counted, (-1, "kept")]
+        self.reach = max(self.reach, math.floor(e_hi))
+
+    def counters(self):
+        seen = list(self.shallow)
+        for visited in self.treelets.values():
+            seen += [outcome for depth, outcome in visited if depth <= self.reach]
+        return (len(seen), seen.count("spatial"), seen.count("bitmap"))
+
+
+def _core_counters(stats):
+    return (stats.nodes_visited, stats.pruned_spatial, stats.pruned_bitmap)
+
+
+class TestNodeCounters:
+    @SETTINGS
+    @given(box=boxes(), filters=filter_sets(), qs=quality_pairs())
+    def test_one_shot_window(self, bat, box, filters, qs):
+        q0, q1 = qs
+        _, stats = query_file(bat, quality=q1, prev_quality=q0, box=box, filters=filters)
+        want = _LevelWalkCounter(bat, box, filters, q1)
+        if want.live:
+            depth = bat.max_treelet_depth
+            want.window(quality_to_depth(q0, depth), quality_to_depth(q1, depth))
+        assert _core_counters(stats) == want.counters()
+
+    @SETTINGS
+    @given(box=boxes(), filters=filter_sets(), data=st.data())
+    def test_every_rung_of_a_ladder(self, bat, box, filters, data):
+        q0, q1 = data.draw(quality_pairs())
+        ladder = data.draw(ladders(q0, q1))
+        stats = QueryStats()
+        want = _LevelWalkCounter(bat, box, filters, ladder[-1])
+        depth = bat.max_treelet_depth
+        for inc in stream_query_file(bat, ladder, q0, box=box, filters=filters, stats=stats):
+            if want.live:
+                want.window(
+                    quality_to_depth(inc.prev_quality, depth),
+                    quality_to_depth(inc.quality, depth),
+                )
+            assert _core_counters(stats) == want.counters()
+
+
+# -- (c), (e) the table as a resident of the decoded-column tier ----------------------
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    calls = []
+    build = bat_file.build_walk_table
+
+    def counting(nodes, *args):
+        calls.append(len(nodes))
+        return build(nodes, *args)
+
+    monkeypatch.setattr(bat_file, "build_walk_table", counting)
+    return calls
+
+
+WALKED = dict(quality=0.7, box=Box((0.05,) * 3, (0.9,) * 3))
+
+
+class TestTableRetention:
+    def test_budget_too_small_for_tables_and_columns(self, v4_image, tmp_path, count_builds):
+        path = tmp_path / "a.bat"
+        path.write_bytes(v4_image)
+        with BATFile(path) as plain:
+            want, _ = query_file(plain, **WALKED)
+            n_treelets = plain.n_treelets
+            table_bytes = plain.treelet(0).walk_table.nbytes
+        del count_builds[:]
+        # room for a few columns or tables at a time, never for all of them
+        budget = 6 * table_bytes
+        with BATFileCache(capacity=4, column_cache_bytes=budget) as cache:
+            f = cache.get(path)
+            for _ in range(3):
+                got, _ = query_file(f, **WALKED)
+                assert _digest(got) == _digest(want)
+                assert cache.column_cache.nbytes <= budget
+            assert cache.column_cache.stats()["evictions"] > 0
+            # evicted tables are rebuilt, never kept on the view on the side
+            assert len(count_builds) > n_treelets
+            assert all(f.treelet(t)._table is None for t in range(n_treelets))
+
+    def test_tables_are_charged_to_the_budget(self, v4_image, tmp_path):
+        path = tmp_path / "a.bat"
+        path.write_bytes(v4_image)
+        with BATFileCache(capacity=4) as cache:
+            f = cache.get(path)
+            query_file(f, **WALKED)
+            tables = [
+                arr for key, arr in cache.column_cache._entries.items()
+                if key[2] == bat_file.WALK_TABLE_SLOT
+            ]
+            assert len(tables) == f.n_treelets
+            assert cache.column_cache.nbytes >= sum(t.nbytes for t in tables)
+            decoded = f.decoded_bytes
+            query_file(f, **WALKED)
+            assert f.decoded_bytes == decoded  # a table is not codec work
+
+    @pytest.mark.parametrize("which", ["image", "v4_image"])
+    def test_cacheless_handle_builds_each_table_once(self, which, request, tmp_path, count_builds):
+        path = tmp_path / "a.bat"
+        path.write_bytes(request.getfixturevalue(which))
+        with BATFile(path) as f:
+            first, _ = query_file(f, **WALKED)
+            built = len(count_builds)
+            assert built == f.n_treelets
+            for _ in range(2):
+                again, _ = query_file(f, quality=1.0, prev_quality=0.7, box=WALKED["box"])
+                list(stream_query_file(f, (0.2, 0.7), box=WALKED["box"]))
+            assert len(count_builds) == built
+            assert _digest(query_file(f, **WALKED)[0]) == _digest(first)
