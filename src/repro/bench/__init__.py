@@ -4,7 +4,9 @@
 breakdowns, progressive reads); :mod:`repro.bench.report` renders them as
 the rows/series the paper reports. The pytest-benchmark targets under
 ``benchmarks/`` are thin wrappers over these functions — see DESIGN.md §4
-for the experiment index.
+for the experiment index. Nothing here measures this implementation's own
+speed: that is the one fixed baseline, ``BENCHMARK.json`` +
+``benchmarks/baseline/`` (see its README.md).
 """
 
 from .calibration import (
@@ -16,9 +18,7 @@ from .calibration import (
 from .harness import (
     coal_boiler_series,
     dam_break_series,
-    parallel_write_query_benchmark,
     progressive_read_benchmark,
-    record_benchmark,
     timing_breakdown,
     two_phase_read_point,
     two_phase_write_point,
@@ -27,8 +27,6 @@ from .harness import (
 from .report import format_series, format_table
 
 __all__ = [
-    "parallel_write_query_benchmark",
-    "record_benchmark",
     "weak_scaling",
     "two_phase_write_point",
     "two_phase_read_point",

@@ -346,34 +346,13 @@ def _cmd_bench(args) -> int:
 
     machine = args.machine
     ranks = [int(r) for r in args.ranks.split(",")]
-    if args.experiment == "weak-scaling":
-        pts = weak_scaling(machine, ranks)
-        print(format_series(pts, "nranks", "write_bandwidth",
-                            title=f"write bandwidth (GB/s) on virtual {machine.name}"))
-        print()
-        print(format_series(pts, "nranks", "read_bandwidth",
-                            title=f"read bandwidth (GB/s) on virtual {machine.name}"))
-        return 0
-    if args.experiment == "parallel-smoke":
-        import tempfile
-
-        from .bench import parallel_write_query_benchmark, record_benchmark
-
-        executors = [s.strip() for s in args.executors.split(",") if s.strip()]
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-            payload = parallel_write_query_benchmark(
-                tmp, executors=executors, nranks=min(ranks), machine=machine
-            )
-        for r in payload["results"]:
-            print(f"  {r['executor']:<12} write {r['write_seconds']:7.3f}s "
-                  f"({r['write_speedup_vs_serial']:4.2f}x)   "
-                  f"query {r['query_seconds']:7.3f}s "
-                  f"({r['query_speedup_vs_serial']:4.2f}x)")
-        if args.record:
-            record_benchmark(args.record, payload)
-            print(f"recorded {args.record}")
-        return 0
-    raise AssertionError  # argparse restricts choices
+    pts = weak_scaling(machine, ranks)
+    print(format_series(pts, "nranks", "write_bandwidth",
+                        title=f"write bandwidth (GB/s) on virtual {machine.name}"))
+    print()
+    print(format_series(pts, "nranks", "read_bandwidth",
+                        title=f"read bandwidth (GB/s) on virtual {machine.name}"))
+    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -573,13 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.set_defaults(func=_cmd_jobs)
 
     bench = sub.add_parser("bench", help="run a benchmark experiment")
-    bench.add_argument("experiment", choices=["weak-scaling", "parallel-smoke"])
+    bench.add_argument("experiment", choices=["weak-scaling"])
     bench.add_argument("--machine", type=_machine, default=machines.stampede2())
     bench.add_argument("--ranks", default="96,384,1536,6144")
-    bench.add_argument("--executors", default="serial,thread,process",
-                       help="executor specs for parallel-smoke (comma separated)")
-    bench.add_argument("--record", default=None,
-                       help="write a BENCH_<tag>.json data point (parallel-smoke)")
     bench.set_defaults(func=_cmd_bench)
 
     validate = sub.add_parser("validate", help="check a .bat file or dataset for damage")

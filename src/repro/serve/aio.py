@@ -24,7 +24,7 @@ import asyncio
 import time
 
 from ..api import QueryRequest
-from .loadgen import LoadReport, TraceOp, _digest  # noqa: F401 (TraceOp re-export)
+from .loadgen import LoadReport, TraceOp  # noqa: F401 (TraceOp re-export)
 from .scheduler import AdmissionRejected
 from .service import QueryService, ServeConfig, ServeResponse
 from .streaming import DONE, EMPTY
@@ -232,7 +232,7 @@ async def _drive_session(
                             tuple(op.filters),
                             resp.prev_quality,
                             resp.served_quality,
-                            _digest(resp.batch),
+                            resp.batch.digest(),
                         )
                     )
         finally:

@@ -22,7 +22,7 @@ it again. Completion is **idempotent and exactly-once in the log**: the
 ``completions`` table has one row per task (primary-keyed), a second
 acknowledgement only bumps its ``duplicates`` counter — so "every query
 answered exactly once in the completion log" is a table invariant, not a
-scheduling hope. Results are digests (sha256 over the response bytes),
+scheduling hope. Results are digests (:meth:`ParticleBatch.digest`),
 and because batch execution bypasses load degradation, a re-executed
 task reproduces the identical digest — re-delivery is observable but
 harmless.
@@ -48,7 +48,6 @@ import numpy as np
 
 from ..api import QueryRequest
 from ..types import Box
-from .loadgen import _digest
 from .shard import request_from_doc, request_to_doc
 
 __all__ = ["JobConfig", "JobStore", "JobRunner", "make_sweep"]
@@ -417,7 +416,7 @@ class JobRunner:
                     )
                     continue
                 self.store.complete(
-                    self.job_id, idx, self.worker, _digest(resp.batch),
+                    self.job_id, idx, self.worker, resp.batch.digest(),
                     len(resp), now=self._clock(),
                 )
         return self.store.counts(self.job_id)

@@ -162,15 +162,6 @@ def make_hot_traces(
     return [views[i * n_views // n_sessions] for i in range(n_sessions)]
 
 
-def _digest(batch) -> str:
-    import hashlib
-
-    h = hashlib.sha256(batch.positions.tobytes())
-    for name in sorted(batch.attributes):
-        h.update(batch.attributes[name].tobytes())
-    return h.hexdigest()
-
-
 def run_load(
     service: QueryService,
     traces: list[list[TraceOp]],
@@ -253,7 +244,7 @@ def run_load(
                                     tuple(op.filters),
                                     resp.prev_quality,
                                     resp.served_quality,
-                                    _digest(resp.batch),
+                                    resp.batch.digest(),
                                 )
                             )
             finally:
@@ -334,7 +325,7 @@ def _run_load_open(
                         tuple(op.filters),
                         resp.prev_quality,
                         resp.served_quality,
-                        _digest(resp.batch),
+                        resp.batch.digest(),
                     )
                 )
         completions.release()
@@ -387,7 +378,7 @@ def verify_identity_samples(dataset, samples) -> int:
                 quality=served_q, prev_quality=prev_q, box=box, filters=filters
             )
         )
-        if _digest(batch) != digest:
+        if batch.digest() != digest:
             raise AssertionError(
                 f"served response diverged from direct query at step={step} "
                 f"box={box} filters={filters} q={prev_q}->{served_q}"

@@ -8,6 +8,7 @@ data each simulation rank hands to the I/O layer.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,6 +200,20 @@ class ParticleBatch:
         if self.positions is None:
             return Box.empty()
         return Box.of_points(self.positions)
+
+    def digest(self) -> str:
+        """Order-sensitive sha256 of the payload: positions (when present),
+        then each attribute column in name order.
+
+        Stored in the durable job log and compared by the load generators,
+        so the hex output for a given batch must never change.
+        """
+        h = hashlib.sha256()
+        if self.positions is not None:
+            h.update(self.positions.tobytes())
+        for name in sorted(self.attributes):
+            h.update(self.attributes[name].tobytes())
+        return h.hexdigest()
 
     def attribute_specs(self) -> list[AttributeSpec]:
         return [AttributeSpec(name, arr.dtype) for name, arr in self.attributes.items()]

@@ -8,6 +8,7 @@ exactly once and byte-identical digests.
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import QueryRequest
@@ -25,8 +26,7 @@ from repro.serve import (
     ShardedQueryService,
     make_sweep,
 )
-from repro.serve.loadgen import _digest
-from repro.types import Box
+from repro.types import Box, ParticleBatch
 from tests.test_pipeline import make_rank_data
 
 
@@ -211,9 +211,37 @@ class TestJobRunner:
             assert counts["dead"] == 0 and counts["duplicate_acks"] == 0
             for idx, digest, points, dups in store.completions("sweep"):
                 batch, _ = direct.query(sweep[idx])
-                assert _digest(batch) == digest
+                assert batch.digest() == digest
                 assert points == len(batch)
                 assert dups == 0
+
+    def test_projected_task_completes(self, tmp_path, service, direct):
+        """Regression: a task that projects positions away used to raise
+        AttributeError out of the runner and strand its lease."""
+        attr = sorted(direct.metadata.attr_dtypes)[0]
+        reqs = [QueryRequest(quality=1.0, columns=(attr,)), REQS[0]]
+        with JobStore(tmp_path / "q.db") as store:
+            store.submit("proj", reqs)
+            counts = JobRunner(store, service, "proj").run()
+            assert counts["done"] == 2 and counts["leased"] == 0
+            for idx, digest, points, _dups in store.completions("proj"):
+                batch, _ = direct.query(reqs[idx])
+                assert (batch.positions is None) == (idx == 0)
+                assert batch.digest() == digest
+                assert points == len(batch)
+
+    def test_digest_is_pinned(self):
+        """The hex digest is stored in the durable job log: it must not
+        change for batches that carry positions."""
+        batch = ParticleBatch(
+            np.arange(12, dtype=np.float32).reshape(4, 3),
+            {"b": np.arange(4, dtype=np.float64), "a": np.arange(4, dtype=np.int64)},
+        )
+        assert batch.digest() == (
+            "e55a46ab1837937cddb5df028ef7e879dad6fec66bbeaf1f83f1ef5d4809ccef"
+        )
+        projected = ParticleBatch(None, dict(batch.attributes), count=4)
+        assert projected.digest() != batch.digest()
 
     def test_resume_after_hard_kill(self, tmp_path, service, direct):
         """Kill the runner mid-sweep (leases left in hand), restart, resume."""
@@ -236,7 +264,7 @@ class TestJobRunner:
             assert counts["completions"] == 8  # exactly once in the log
             for idx, digest, _points, _dups in store.completions("sweep"):
                 batch, _ = direct.query(sweep[idx])
-                assert _digest(batch) == digest
+                assert batch.digest() == digest
 
     def test_redelivery_is_idempotent(self, tmp_path, service, direct):
         """Re-executing an already-done task only bumps the dup counter."""
@@ -246,7 +274,7 @@ class TestJobRunner:
             JobRunner(store, service, "sweep").run()
             # simulate the redelivered twin of task 0 acknowledging late
             resp = service.execute(sweep[0])
-            assert not store.complete("sweep", 0, "late", _digest(resp.batch),
+            assert not store.complete("sweep", 0, "late", resp.batch.digest(),
                                       len(resp))
             c = store.counts("sweep")
             assert c["completions"] == 3 and c["duplicate_acks"] == 1
@@ -325,4 +353,4 @@ class TestWorkerCrashMidJob:
                 assert sum(c.restarts for c in svc._shards) >= 1
                 for idx, digest, _pts, _dups in store.completions("sweep"):
                     batch, _ = direct.query(sweep[idx])
-                    assert _digest(batch) == digest
+                    assert batch.digest() == digest

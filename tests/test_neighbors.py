@@ -199,10 +199,22 @@ class TestByteIdentity:
             tuple(v + eps for v in mid.lower),
             tuple(v - eps for v in mid.upper),
         )
-        tree, _ = both_engines(dataset, center_box=slab, radius=0.15)
+        radius = 0.15
+        tree, brute = both_engines(dataset, center_box=slab, radius=radius)
         assert tree.stats.ghost_files_opened >= 1
         assert tree.stats.pruned_files >= 1
         assert tree.center_keys is not None
+        # brute == the naive halo-full-read plan: every leaf the
+        # radius-expanded slab touches, read in full
+        halo = Box(
+            tuple(v - radius for v in slab.lower),
+            tuple(v + radius for v in slab.upper),
+        )
+        naive_points = sum(
+            l.count for l in dataset.metadata.leaves if l.bounds.intersects(halo)
+        )
+        assert tree.stats.files_opened <= brute.stats.files_opened
+        assert 0 < tree.stats.ghost_points < naive_points
 
     def test_empty_neighborhood(self, dataset):
         tree, _ = both_engines(

@@ -584,6 +584,55 @@ class TestServiceReload:
             fresh = svc.execute(req)
             assert canon(fresh.batch) == canon(baseline.batch)
 
+    def test_replayed_hot_trace_costs_less_after_reorg(self, tmp_path):
+        """Reorganizing from a service's *own* telemetry makes the identical
+        trace open fewer files and decode fewer bytes (counters only)."""
+        meta = write_dataset(tmp_path, nranks=16, seed=3, codecs="auto")
+        md = DatasetMetadata.load(meta)
+        attr = sorted(md.attr_dtypes)[0]
+        # one shared view plus two zoom-ins nested inside it: the
+        # recurring-exact-box pattern the telemetry's box census recognizes
+        views = [
+            hot_box(md, 0.30, 0.58), hot_box(md, 0.34, 0.52), hot_box(md, 0.38, 0.50)
+        ]
+        trace = [
+            QueryRequest(box=box, quality=1.0, columns=("positions", attr))
+            for _ in range(6)
+            for box in views
+        ]
+        # 1-entry result cache, column cache off: every hot view reaches
+        # the I/O layer and pays the decode work its layout induces
+        config = serve_config(
+            capacity=1, result_cache_entries=1, collapse=False, column_cache_bytes=0
+        )
+
+        def replay():
+            with QueryService(meta, config) as svc:
+                generation = svc.generation(0)
+                responses = [svc.execute(req) for req in trace]
+                tele = svc.telemetry.snapshot()
+                opens = svc.telemetry.files_opened(0)
+            # sampled responses equal a direct query on the generation
+            # this phase observed
+            with BATDataset(meta) as ds:
+                assert ds.metadata.generation == generation
+                for req, resp in list(zip(trace, responses))[::4]:
+                    assert exact(resp.batch) == exact(ds.query(req).batch)
+            decoded = sum(
+                leaf["decoded_bytes"] for leaf in tele["steps"]["0"]["leaves"].values()
+            )
+            return generation, tele, opens, decoded
+
+        gen0, tele, opens0, decoded0 = replay()
+        report = reorganize(
+            meta, tele, step=0, config=ReorgConfig(min_queries=8, min_box_queries=4)
+        )
+        assert report.changed
+        gen1, _, opens1, decoded1 = replay()
+        assert (gen0, gen1) == (0, 1)
+        assert 0 < opens1 < opens0
+        assert 0 < decoded1 < decoded0
+
     def test_daemon_below_evidence_is_a_no_op(self, tmp_path):
         meta = write_dataset(tmp_path)
         with QueryService(meta, serve_config()) as svc:
