@@ -190,10 +190,6 @@ def _cmd_serve(args) -> int:
         verify_identity_samples,
     )
 
-    if args.shards and args.stream:
-        print("error: --stream is a single-process feature; drop --shards",
-              file=sys.stderr)
-        return 2
     config = ServeConfig(
         capacity=args.capacity,
         max_queued=args.max_queued,

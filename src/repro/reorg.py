@@ -641,8 +641,8 @@ class ReorgDaemon:
     """Background loop: poll serve telemetry, rewrite, reload the service.
 
     Works against either a :class:`~repro.serve.service.QueryService` or a
-    :class:`~repro.serve.shard.ShardedQueryService`; both expose
-    ``reload_step`` and per-step manifests. Each tick runs one
+    :class:`~repro.serve.shard.ShardedQueryService` (``telemetry_snapshot``,
+    ``manifest_path``, ``reload_step``). Each tick runs one
     :func:`reorganize` pass per step and, when the layout changed, tells
     the service to swap in the new generation.
     """
@@ -662,21 +662,15 @@ class ReorgDaemon:
         self._thread: threading.Thread | None = None
         self.reports: list[ReorgReport] = []
 
-    def _telemetry(self) -> dict:
-        svc = self.service
-        if hasattr(svc, "telemetry_snapshot"):  # sharded router
-            return svc.telemetry_snapshot()
-        return svc.telemetry.snapshot()
-
     def run_once(self) -> list[ReorgReport]:
         """One reorganization pass over every step; returns its reports."""
-        telemetry = self._telemetry()
+        telemetry = self.service.telemetry_snapshot()
         steps = self._steps if self._steps is not None else self.service.steps
         out = []
         for step in steps:
-            manifest = self.service._step_manifests[step]
             report = reorganize(
-                manifest, telemetry, step=step, config=self.config
+                self.service.manifest_path(step), telemetry,
+                step=step, config=self.config,
             )
             if report.changed:
                 self.service.reload_step(step)

@@ -16,6 +16,13 @@ ties them together; the viz-layer
 :class:`~repro.viz.server.ProgressiveStreamServer` is a thin wrapper over
 it, and :mod:`repro.serve.aio` fronts it with a single asyncio event
 loop for thousands of concurrent progressive sessions.
+
+There is one serve core: :class:`~repro.serve.shard.ShardedQueryService`
+is the same class with its per-step backend swapped — each window is
+scattered to worker processes owning the leaves
+(:mod:`~repro.serve.hashing`) and their keyed increments merged — so all
+of the above runs unchanged over shards. :mod:`~repro.serve.jobs` is a
+durable batch queue over either one's stateless ``execute``.
 """
 
 from .aio import AsyncQueryService, AsyncStream, run_load_async
@@ -53,6 +60,7 @@ from .shard import (
     ShardCrashed,
     ShardedQueryService,
     ShardUnavailable,
+    StaleGeneration,
     request_from_doc,
     request_to_doc,
 )
@@ -88,6 +96,7 @@ __all__ = [
     "ShardCrashed",
     "ShardUnavailable",
     "ShardedQueryService",
+    "StaleGeneration",
     "StreamHandle",
     "StreamOutbox",
     "Ticket",

@@ -31,9 +31,9 @@ Failures retry with exponential backoff (``not_before`` gates
 re-leasing); a task that keeps failing lands in the ``dead`` state with
 its last error preserved, and the sweep completes around it.
 
-Runners feed the router's stateless :meth:`ShardedQueryService.execute`
-(or :meth:`QueryService.execute`), which runs at bulk priority under the
-shared admission budget — a sweep cannot starve interactive sessions.
+Runners feed the stateless :meth:`QueryService.execute` (the sharded
+router inherits it), which runs at bulk priority under the shared
+admission budget — a sweep cannot starve interactive sessions.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api import QueryRequest
+from ..api import QueryRequest, request_from_doc, request_to_doc
 from ..types import Box
-from .shard import request_from_doc, request_to_doc
 
 __all__ = ["JobConfig", "JobStore", "JobRunner", "make_sweep"]
 

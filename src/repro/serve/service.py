@@ -27,7 +27,10 @@ session family owned its own. A request travels::
 Two execution modes share that path. :meth:`QueryService.submit` /
 :meth:`~QueryService.request` are the one-shot mode: the worker runs
 :meth:`~repro.core.dataset.BATDataset.query` exactly as before and the
-response carries one batch. :meth:`QueryService.stream` is the
+response carries one batch (:meth:`QueryService.execute` is the same
+window executor without a session: the stateless batch-job path, behind
+a gate that caps batch work at ``BATCH_SHARE`` of the scheduler's
+slots). :meth:`QueryService.stream` is the
 progressive mode: the worker walks the quality ladder via
 :meth:`~repro.core.dataset.BATDataset.stream`, pushing each rung's
 increment through a bounded per-session outbox as it materializes; a
@@ -39,6 +42,16 @@ decode: concurrent requests whose plans touch overlapping work — same
 view, or a derived column-subset / filter-superset / rung-truncation of
 it — share one decode, with the leader publishing increments and
 followers adapting them per-request (see :mod:`repro.serve.collapse`).
+
+**One core, two step backends.** Everything above reaches a timestep
+through one narrow surface — ``metadata.generation``, ``plan``,
+``query``, ``stream``, ``neighbors``, ``attribute_specs``,
+``plan_cache``, ``quarantined``, ``close`` — of whatever
+:meth:`QueryService._open_step` built: here a
+:class:`~repro.core.dataset.BATDataset` (it *is* that surface, unwrapped),
+in :class:`~repro.serve.shard.ShardedQueryService` a scatter/gather
+object over worker processes. Where the leaf files live changes who
+opens them, not what a request means.
 
 Every response is byte-identical to a direct
 :meth:`~repro.core.dataset.BATDataset.query` at the same effective
@@ -53,6 +66,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -96,6 +110,23 @@ __all__ = [
     "QueryService",
     "resolve_step_manifests",
 ]
+
+
+#: share of the scheduler's slots :meth:`QueryService.execute` may hold
+BATCH_SHARE = 0.5
+
+#: stands in for the session lock on session-less (batch) windows
+_UNLOCKED = nullcontext()
+
+
+def empty_batch(ds, columns) -> ParticleBatch:
+    """The schema-stable empty result of one step for a column selection."""
+    specs = ds.attribute_specs()
+    if columns is not None:
+        specs = [sp for sp in specs if sp.name in columns]
+    return ParticleBatch.empty(
+        specs, with_positions=columns is None or "positions" in columns
+    )
 
 
 def resolve_step_manifests(source) -> dict[int, Path]:
@@ -238,11 +269,10 @@ class QueryService:
             self.config.max_open_files,
             column_cache_bytes=self.config.column_cache_bytes,
         )
-        self._datasets: dict[int, BATDataset] = {}
+        #: one backend per opened step: whatever :meth:`_open_step` built
+        self._datasets: dict = {}
         self._dataset_lock = threading.Lock()
-        source = Path(source)
-        self._step_manifests = resolve_step_manifests(source)
-        self._directory = next(iter(self._step_manifests.values())).parent
+        self._step_manifests = resolve_step_manifests(Path(source))
         self.scheduler = RequestScheduler(
             SchedulerConfig(
                 capacity=self.config.capacity,
@@ -262,6 +292,12 @@ class QueryService:
         self._sessions: dict[int, ServeSession] = {}
         self._session_lock = threading.Lock()
         self._next_session = 0
+        # the shared admission budget: stateless batch work may hold at
+        # most this many scheduler slots, interactive traffic the rest
+        self._batch_gate = threading.BoundedSemaphore(min(
+            max(1, round(self.config.capacity * BATCH_SHARE)),
+            self.config.max_session_queue,
+        ))
         #: outboxes of streams admitted but not yet finished; close()
         #: must resolve every one of them before tearing down datasets
         self._live_outboxes: set[StreamOutbox] = set()
@@ -292,9 +328,7 @@ class QueryService:
                 outboxes = list(self._live_outboxes)
             for outbox in outboxes:
                 outbox.abandon()
-            self.scheduler.close(wait=False)
-        else:
-            self.scheduler.close(wait=True)
+        self.scheduler.close(wait=not cancel)
         # safety net: a ticket cancelled before its worker ran never
         # reaches the fn's finally-finish; resolve its consumer here
         with self._outbox_lock:
@@ -321,21 +355,30 @@ class QueryService:
     def steps(self) -> list[int]:
         return sorted(self._step_manifests)
 
-    def dataset(self, step: int = 0) -> BATDataset:
-        """The (lazily opened) dataset behind one step; shared handles."""
+    def manifest_path(self, step: int = 0) -> Path:
+        """The ``*.meta.json`` this service reads one step's layout from."""
+        manifest = self._step_manifests.get(step)
+        if manifest is None:
+            raise KeyError(f"no step {step}; have {self.steps}")
+        return manifest
+
+    def _open_step(self, step: int, manifest: Path):
+        """Build the backend that answers one step (the module docstring
+        lists the surface it must have); the sharded router's override."""
+        ds = BATDataset(
+            manifest, executor=self.config.executor, file_cache=self._file_cache
+        )
+        ds.telemetry = self.telemetry.bind(step)
+        return ds
+
+    def dataset(self, step: int = 0):
+        """The (lazily opened) backend of one step; shared handles."""
         with self._dataset_lock:
             ds = self._datasets.get(step)
             if ds is None:
-                manifest = self._step_manifests.get(step)
-                if manifest is None:
-                    raise KeyError(f"no step {step}; have {self.steps}")
-                ds = BATDataset(
-                    manifest,
-                    executor=self.config.executor,
-                    file_cache=self._file_cache,
+                ds = self._datasets[step] = self._open_step(
+                    step, self.manifest_path(step)
                 )
-                ds.telemetry = self.telemetry.bind(step)
-                self._datasets[step] = ds
             return ds
 
     def generation(self, step: int = 0) -> int:
@@ -365,10 +408,7 @@ class QueryService:
 
     def maybe_reload(self, step: int = 0) -> bool:
         """Reload one step iff its on-disk manifest generation moved."""
-        manifest = self._step_manifests.get(step)
-        if manifest is None:
-            raise KeyError(f"no step {step}; have {self.steps}")
-        on_disk = DatasetMetadata.load(manifest).generation
+        on_disk = DatasetMetadata.load(self.manifest_path(step)).generation
         if on_disk == self.dataset(step).metadata.generation:
             return False
         self.reload_step(step)
@@ -377,8 +417,7 @@ class QueryService:
     # -- sessions ----------------------------------------------------------------
 
     def open_session(self, step: int = 0) -> int:
-        if step not in self._step_manifests:
-            raise KeyError(f"no step {step}; have {self.steps}")
+        self.manifest_path(step)  # KeyError for a step this source lacks
         with self._session_lock:
             sid = self._next_session
             self._next_session += 1
@@ -411,6 +450,20 @@ class QueryService:
             return PRIORITY_INTERACTIVE
         return PRIORITY_BULK
 
+    def _admit(self, fn, span: RequestSpan, session_id: int, priority: int) -> Ticket:
+        """Queue ``fn`` on the scheduler — the one admission point; a
+        rejection is recorded on the metrics surface, then re-raised."""
+        span.priority = priority
+        try:
+            ticket = self.scheduler.submit(fn, session_id=session_id, priority=priority)
+        except Exception as exc:
+            span.rejected = True
+            span.queue_depth = getattr(exc, "queue_depth", 0)
+            self.metrics.record(span)
+            raise
+        span.seq = ticket.seq
+        return ticket
+
     def submit(
         self,
         session_id: int,
@@ -438,21 +491,10 @@ class QueryService:
         span = RequestSpan(
             session_id=session_id, seq=0, requested_quality=request.quality,
         )
-        priority = self._priority(sess, request, step)
-        span.priority = priority
-
-        def fn(ticket):
-            return self._execute(ticket, sess, span, request, step)
-
-        try:
-            ticket = self.scheduler.submit(fn, session_id=session_id, priority=priority)
-        except Exception as exc:
-            span.rejected = True
-            span.queue_depth = getattr(exc, "queue_depth", 0)
-            self.metrics.record(span)
-            raise
-        span.seq = ticket.seq
-        return ticket
+        return self._admit(
+            lambda ticket: self._execute(ticket, sess, span, request, step),
+            span, session_id, self._priority(sess, request, step),
+        )
 
     def request(
         self,
@@ -478,84 +520,29 @@ class QueryService:
         the at-least-once redelivery of :mod:`repro.serve.jobs` — always
         reproduces the identical bytes and completion digest. Shares the
         result cache and scheduler with interactive traffic but never
-        outranks it.
+        outranks it, and blocks while the batch gate's
+        ``capacity * BATCH_SHARE`` slots are all taken: a sweep throttles
+        itself, interactive sessions do not queue behind it.
 
         Also takes a :class:`~repro.api.NeighborRequest` — neighbor
         queries are one-shot by nature, so the stateless path serves
         them for both batch jobs and sessionless clients.
         """
-        if isinstance(request, NeighborRequest):
-            return self._submit_neighbors(
-                self.BATCH_SESSION, request, step
-            ).result(timeout)
-        if not isinstance(request, QueryRequest):
-            raise TypeError("execute() takes a repro.QueryRequest")
-        span = RequestSpan(
-            session_id=self.BATCH_SESSION, seq=0,
-            requested_quality=request.quality,
-            prev_quality=request.prev_quality,
-        )
-        span.priority = PRIORITY_BULK
-
-        def fn(ticket):
-            return self._execute_stateless(ticket, span, request, step)
-
-        try:
-            ticket = self.scheduler.submit(
-                fn, session_id=self.BATCH_SESSION, priority=PRIORITY_BULK
-            )
-        except Exception as exc:
-            span.rejected = True
-            span.queue_depth = getattr(exc, "queue_depth", 0)
-            self.metrics.record(span)
-            raise
-        span.seq = ticket.seq
-        return ticket.result(timeout)
-
-    def _execute_stateless(self, ticket, span, req: QueryRequest, step: int):
-        t_start = self._clock()
-        span.wait_seconds = ticket.wait_seconds
-        sched = self.scheduler
-        span.queue_depth = sched.queue_depth + sched.in_flight
-        ds = self.dataset(step)
-        prev, effective = req.prev_quality, req.quality
-        key = result_key(
-            step, req.box, req.filters, prev, effective, req.columns,
-            generation=ds.metadata.generation,
-        )
-        batch = self.results.get(key)
-        cache_hit = batch is not None
-        if not cache_hit:
-            t0 = self._clock()
-            plan = ds.plan(req.box, req.filters)
-            span.plan_seconds = self._clock() - t0
-            exec_req = replace(req, on_error="degrade")
-            t0 = self._clock()
-            batch, qstats = ds.query(exec_req, plan=plan)
-            span.traverse_seconds = self._clock() - t0
-            span.quarantined_files = qstats.quarantined_files
-            span.partial = qstats.quarantined_files > 0
-            if not span.partial:
-                self.results.put(key, batch)
-        span.increments = 1
-        span.served_quality = effective
-        span.cache_hit = cache_hit
-        span.points = len(batch)
-        span.nbytes = batch.nbytes
-        span.total_seconds = span.wait_seconds + (self._clock() - t_start)
-        self.metrics.record(span)
-        return ServeResponse(
-            batch=batch,
-            requested_quality=req.quality,
-            served_quality=effective,
-            prev_quality=prev,
-            degraded=False,
-            cache_hit=cache_hit,
-            span=span,
-            partial=span.partial,
-            quarantined_files=span.quarantined_files,
-            increments=span.increments,
-        )
+        with self._batch_gate:
+            if isinstance(request, NeighborRequest):
+                ticket = self._submit_neighbors(self.BATCH_SESSION, request, step)
+            elif isinstance(request, QueryRequest):
+                span = RequestSpan(
+                    session_id=self.BATCH_SESSION, seq=0,
+                    requested_quality=request.quality,
+                )
+                ticket = self._admit(
+                    lambda t: self._execute(t, None, span, request, step),
+                    span, self.BATCH_SESSION, PRIORITY_BULK,
+                )
+            else:
+                raise TypeError("execute() takes a repro.QueryRequest")
+            return ticket.result(timeout)
 
     def _submit_neighbors(self, session_id: int, request: NeighborRequest, step) -> Ticket:
         """Admit one neighbor query (bulk priority, one-shot)."""
@@ -568,22 +555,10 @@ class QueryService:
         span = RequestSpan(
             session_id=session_id, seq=0, requested_quality=1.0, prev_quality=0.0,
         )
-        span.priority = PRIORITY_BULK
-
-        def fn(ticket):
-            return self._execute_neighbor(ticket, sess, span, request, step)
-
-        try:
-            ticket = self.scheduler.submit(
-                fn, session_id=session_id, priority=PRIORITY_BULK
-            )
-        except Exception as exc:
-            span.rejected = True
-            span.queue_depth = getattr(exc, "queue_depth", 0)
-            self.metrics.record(span)
-            raise
-        span.seq = ticket.seq
-        return ticket
+        return self._admit(
+            lambda ticket: self._execute_neighbor(ticket, sess, span, request, step),
+            span, session_id, PRIORITY_BULK,
+        )
 
     def _execute_neighbor(
         self, ticket, sess, span, req: NeighborRequest, step: int
@@ -706,8 +681,6 @@ class QueryService:
             session_id=session_id, seq=0, requested_quality=request.quality,
         )
         span.streamed = True
-        priority = self._priority(sess, request, step)
-        span.priority = priority
         outbox = StreamOutbox(self.config.stream_outbox, on_event=on_event)
         with self._outbox_lock:
             if self._closed:
@@ -727,15 +700,13 @@ class QueryService:
                 outbox.finish(error)
 
         try:
-            ticket = self.scheduler.submit(fn, session_id=session_id, priority=priority)
-        except Exception as exc:
+            ticket = self._admit(
+                fn, span, session_id, self._priority(sess, request, step)
+            )
+        except Exception:
             with self._outbox_lock:
                 self._live_outboxes.discard(outbox)
-            span.rejected = True
-            span.queue_depth = getattr(exc, "queue_depth", 0)
-            self.metrics.record(span)
             raise
-        span.seq = ticket.seq
         # resolves the outbox even when the ticket is cancelled before
         # its worker ever runs (close(cancel=True) with a deep queue);
         # finish() is first-call-wins, so this never masks a real error
@@ -754,47 +725,50 @@ class QueryService:
 
     # -- the worker-side hot path ----------------------------------------------
 
-    def _empty_batch(self, ds: BATDataset, columns) -> ParticleBatch:
-        specs = ds.attribute_specs()
-        if columns is not None:
-            specs = [sp for sp in specs if sp.name in columns]
-        return ParticleBatch.empty(specs)
-
     def _execute(
-        self, ticket, sess: ServeSession, span, req: QueryRequest, step,
+        self, ticket, sess: ServeSession | None, span, req: QueryRequest, step,
         outbox: StreamOutbox | None = None, ladder: tuple | None = None,
     ):
+        """Serve one window — the only window executor.
+
+        With a session the window is ``(delivered, degraded ceiling]`` of
+        its held view; ``sess=None`` is the stateless batch case: exactly
+        the request's own window, never degraded.
+        """
         t_start = self._clock()
         span.wait_seconds = ticket.wait_seconds
         sched = self.scheduler
         quality = req.quality
         box, filters, columns = req.box, req.filters, req.columns
         streamed = outbox is not None
-        with sess.lock:
+        with sess.lock if sess is not None else _UNLOCKED:
             span.queue_depth = sched.queue_depth + sched.in_flight
-            # a view change restarts the progression before degradation
-            # is even consulted — the old increments are for another view
-            if not sess.matches(step, box, filters, columns):
-                sess.step = step
-                sess.box = box
-                sess.filters = filters
-                sess.columns = columns
-                sess.delivered_quality = 0.0
-            prev = sess.delivered_quality
-            span.prev_quality = prev
+            if sess is None:
+                prev, effective = req.prev_quality, quality
+            else:
+                # a view change restarts the progression before degradation
+                # is even consulted — the old increments are for another view
+                if not sess.matches(step, box, filters, columns):
+                    sess.step = step
+                    sess.box = box
+                    sess.filters = filters
+                    sess.columns = columns
+                    sess.delivered_quality = 0.0
+                prev = sess.delivered_quality
 
-            self.degradation.observe(sched.load_factor())
-            effective, degraded = self.degradation.apply(quality)
-            span.degraded = degraded
-            if degraded:
-                sess.downgrades += 1
+                self.degradation.observe(sched.load_factor())
+                effective, degraded = self.degradation.apply(quality)
+                span.degraded = degraded
+                if degraded:
+                    sess.downgrades += 1
+            span.prev_quality = prev
 
             ds = self.dataset(step)
             shed = False
             if effective <= prev:
                 # nothing new to send at this ceiling (already-delivered
                 # data is never re-sent, degraded or not)
-                batch = self._empty_batch(ds, columns)
+                batch = empty_batch(ds, columns)
                 served = prev
                 cache_hit = False
             else:
@@ -817,7 +791,7 @@ class QueryService:
                             )
                         else:
                             shed = True
-                            batch = self._empty_batch(ds, columns)
+                            batch = empty_batch(ds, columns)
                             served = prev
                     else:
                         span.increments = 1
@@ -830,7 +804,7 @@ class QueryService:
                         outbox, ladder, t_start,
                     )
                     if batch is None:
-                        batch = self._empty_batch(ds, columns)
+                        batch = empty_batch(ds, columns)
                     t0 = self._clock()
                     if not span.partial and served > prev:
                         # partial results must not be served to later
@@ -845,11 +819,12 @@ class QueryService:
                             batch,
                         )
                     span.gather_seconds = self._clock() - t0
-            if served > prev:
-                sess.delivered_quality = served
             span.shed = shed
-            sess.requests += 1
-            sess.bytes_sent += batch.nbytes
+            if sess is not None:
+                if served > prev:
+                    sess.delivered_quality = served
+                sess.requests += 1
+                sess.bytes_sent += batch.nbytes
         span.served_quality = served
         span.cache_hit = cache_hit
         span.points = len(batch)
@@ -1031,6 +1006,11 @@ class QueryService:
         return incs, shed, abandoned
 
     # -- metrics ----------------------------------------------------------------
+
+    def telemetry_snapshot(self) -> dict:
+        """Per-(step, leaf) open/decode/point tallies of everything this
+        service read — what :func:`repro.reorg.plan_reorg` consumes."""
+        return self.telemetry.snapshot()
 
     def snapshot(self) -> dict:
         """The full JSON metrics surface: requests, scheduler, caches."""

@@ -1,4 +1,4 @@
-"""Sharded serve tier: a router front end over N shard worker processes.
+"""Sharded serve tier: the serve core over N shard worker processes.
 
 One :class:`QueryService` process tops out at one GIL, one page cache
 working set, and one failure domain. :class:`ShardedQueryService` splits
@@ -6,25 +6,30 @@ the dataset across worker **processes**: leaf files are partitioned by
 the consistent-hash ring of :mod:`repro.serve.hashing` (keyed on
 ``(dataset, step, leaf region)``), and every shard owns its own
 BATFileCache, DecodedColumnCache, PlanCache, quarantine set, and decode
-threads for exactly the leaves it was dealt. The router keeps the parts
-a fleet must share exactly once — sessions, admission control, the
-degradation policy, the result cache, the batch-admission gate — and
-plans each query against the manifest alone (it never opens a leaf
-file), scattering the window to the shards whose leaves the plan
-touches::
+threads for exactly the leaves it was dealt.
 
-    request ── admission ──▶ router scheduler (capacity workers)
-        │                        │ session lock, degradation,
-        │                        │ ResultCache
+It is not a second service: it *is* :class:`QueryService` — sessions,
+admission, degradation, result cache, collapse, streaming outboxes,
+batch gate, asyncio front end, one copy — with the per-step backend
+replaced. Where the core holds a :class:`~repro.core.dataset.BATDataset`
+the router holds a :class:`_ShardedStep`, which plans against the
+manifest alone (the router never opens a leaf file) and answers
+``query`` / ``stream`` by scattering the window to the shards whose
+leaves the plan touches::
+
+    request ── QueryService core (admission, session, degradation,
+        │                          ResultCache, collapse, outbox)
+        │                        │ step.plan / step.query / step.stream
         │                        ▼
-        │                  plan (manifest only) ─▶ owners = ring lookup
-        │                        │ scatter (pipe RPC, pickle)
-        │              ┌─────────┼─────────┐
+        │        _ShardedStep: plan (manifest only) ─▶ owners (ring)
+        │                        │ scatter per window / per ladder rung
+        │              ┌─────────┼─────────┐           (pipe RPC, pickle)
         │         shard 0    shard 1  ...  shard k     (processes)
         │          restricted plan → ds.stream → keyed increment
         │              └─────────┼─────────┘
         │                        ▼ gather
-        └──────◀── reassemble_stream (order-key merge) + cache put
+        └──────◀── order-key merge: reassemble_stream (one-shot) or
+                   merge_keyed (one globally keyed increment per rung)
 
 **Byte-identity across the scatter.** A shard executes the query with
 the full plan *filtered to its owned leaves* — never via planner
@@ -32,48 +37,57 @@ exclusion, which would count the other shards' files as quarantined and
 mark every response partial. Order keys from :meth:`BATDataset.stream`
 carry a plan-local file rank in column 0; since every plan lists files
 ascending by leaf index, each worker rewrites that column to the
-**global leaf index** before replying, and the router's
-:func:`~repro.api.reassemble_stream` lexsort then reproduces exactly
-the single-process delivery order. Sharded responses are property-tested
-byte-identical to :class:`QueryService` responses, including boxes
-spanning shard boundaries.
+**global leaf index** before replying, and the router's lexsort then
+reproduces exactly the single-process delivery order. A streamed
+request is the same scatter once per ladder rung (a rung of a
+multi-rung stream equals the one-rung stream of its ``(prev, q]``
+window, rows and keys alike — the one call workers serve). Responses
+are property-tested byte-identical to :class:`QueryService`'s in every
+mode the core has, including boxes spanning shard boundaries; only
+neighbor requests are refused (:meth:`_ShardedStep.neighbors`).
+
+**One generation per request.** A step object is immutable: a reload
+replaces it, so a request plans, scatters and keys its caches against
+the generation it fetched. Every scatter doc carries that generation; a
+worker that is behind reloads the manifest before answering, one that
+is ahead refuses with :class:`StaleGeneration`, which fails the request
+— a merged batch never mixes two layouts and is never cached under the
+wrong one.
 
 **Crash containment.** Each shard client owns the worker process, a
 receiver thread, and a pending-reply table. A worker death (EOF on the
 pipe) fails the in-flight replies with :class:`ShardCrashed`; the caller
 respawns the worker — fresh caches, ownership recomputed from the
-manifest — and retries once. The batch-job tier (:mod:`repro.serve.jobs`)
-layers at-least-once redelivery on top for sweeps.
-
-**Shared admission budget.** Interactive sessions use the router
-scheduler's full capacity at their usual priorities; stateless batch
-work (:meth:`ShardedQueryService.execute`, used by the job runner) must
-first acquire a bounded batch gate sized ``capacity * batch_share`` and
-runs at ``PRIORITY_BULK``, so a 10k-query sweep saturates at most its
-share of the workers and interactive requests always jump the queue.
+manifest — and retries once. The batch-job tier
+(:mod:`repro.serve.jobs`) layers at-least-once redelivery on top.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import threading
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from ..api import NeighborRequest, QueryRequest, StreamIncrement, reassemble_stream
-from ..api import request_from_doc as api_request_from_doc
-from ..api import request_to_doc as api_request_to_doc
+from ..api import (
+    QueryResult,
+    StreamIncrement,
+    merge_keyed,
+    reassemble_stream,
+    request_from_doc,
+    request_to_doc,
+)
+from ..bat.file import BATFile
 from ..bat.filecache import BATFileCache
+from ..bat.query import QueryStats
 from ..core.metadata import DatasetMetadata
 from ..core.planner import PlanCache
 from ..errors import InvalidRequestError, ReproError
 from ..types import ParticleBatch
-from .cache import ResultCache, result_key
-from .degrade import DegradationPolicy
-from .hashing import DEFAULT_REPLICAS, HashRing, assign_leaves
+from .hashing import HashRing, assign_leaves
 from .metrics import (
     AccessTelemetry,
     RequestSpan,
@@ -81,21 +95,20 @@ from .metrics import (
     json_sanitize,
     merge_telemetry,
 )
-from .scheduler import (
-    PRIORITY_BULK,
-    RequestScheduler,
-    SchedulerConfig,
-)
-from .service import ServeConfig, ServeResponse, ServeSession, resolve_step_manifests
+from .service import QueryService, ServeConfig, empty_batch, resolve_step_manifests
 
 __all__ = [
     "ShardCrashed",
     "ShardUnavailable",
+    "StaleGeneration",
     "ShardedQueryService",
     "request_to_doc",
     "request_from_doc",
     "shard_worker_main",
 ]
+
+#: how long the router waits on one worker reply before giving the shard up
+RPC_TIMEOUT = 120.0
 
 
 class ShardCrashed(ReproError, RuntimeError):
@@ -106,18 +119,17 @@ class ShardUnavailable(ReproError, RuntimeError):
     """A shard stayed unreachable even after a respawn retry."""
 
 
-# -- request wire form ---------------------------------------------------------
-#
-# Requests cross two boundaries that want plain data: the worker
-# pipe (picklable, but a stable doc decouples worker versions from
-# router internals) and the SQLite job store (strict JSON). The
-# family-tagged codec lives beside the request types in
-# :mod:`repro.api`; these names stay importable here for callers of the
-# original shard-local pair (docs without a family tag parse as query
-# requests, so PR-8-era stores stay readable).
+class StaleGeneration(ReproError, RuntimeError):
+    """A worker serves a different layout generation than the request was
+    planned against, even after reloading the step's manifest."""
 
-request_to_doc = api_request_to_doc
-request_from_doc = api_request_from_doc
+
+#: the reply payload of a window that touches no leaf of the shard asked
+_NO_ROWS = {
+    "count": 0, "positions": None, "attributes": {},
+    "order": np.empty((0, 3), dtype=np.int64),
+    "partial": False, "quarantined_files": 0,
+}
 
 
 # -- worker process ------------------------------------------------------------
@@ -133,23 +145,30 @@ class _ShardWorker:
         self.shard_id = shard_id
         self.n_shards = n_shards
         self.options = options
-        self.ring = HashRing(n_shards, options.get("replicas", DEFAULT_REPLICAS))
+        self.ring = HashRing(n_shards)
         self._manifests = resolve_step_manifests(source)
         self._file_cache = BATFileCache(
             options.get("max_open_files", 64),
             column_cache_bytes=options.get("column_cache_bytes", 0),
         )
-        self._datasets: dict[int, object] = {}
-        self._owned: dict[int, frozenset] = {}
+        #: step -> (dataset, frozenset of owned leaf indices), one layout
+        #: generation per entry — fetched together, replaced together
+        self._datasets: dict[int, tuple] = {}
         self._lock = threading.Lock()
         self.metrics = ServeMetrics()
         self.telemetry = AccessTelemetry()
         self._started = time.perf_counter()
 
-    def dataset(self, step: int):
+    def dataset(self, step: int, generation: int = 0) -> tuple:
+        """``(dataset, owned leaves)`` of one step, opened lazily — and
+        reopened from the on-disk manifest first when the open one is
+        older than ``generation``."""
         with self._lock:
-            ds = self._datasets.get(step)
-            if ds is None:
+            entry = self._datasets.get(step)
+            if entry is not None and entry[0].metadata.generation < generation:
+                self._datasets.pop(step)[0].close()
+                entry = None
+            if entry is None:
                 manifest = self._manifests.get(step)
                 if manifest is None:
                     raise KeyError(f"no step {step}; have {sorted(self._manifests)}")
@@ -160,11 +179,10 @@ class _ShardWorker:
                 )
                 ds.telemetry = self.telemetry.bind(step)
                 owners = assign_leaves(ds.metadata, manifest.name, step, self.ring)
-                self._owned[step] = frozenset(
+                entry = self._datasets[step] = (ds, frozenset(
                     i for i, owner in enumerate(owners) if owner == self.shard_id
-                )
-                self._datasets[step] = ds
-            return ds
+                ))
+            return entry
 
     def reload(self, doc: dict) -> dict:
         """Drop one step's dataset and reload its on-disk manifest.
@@ -176,17 +194,14 @@ class _ShardWorker:
         """
         step = int(doc["step"])
         with self._lock:
-            ds = self._datasets.pop(step, None)
-            self._owned.pop(step, None)
-        if ds is not None:
-            ds.close()
-        ds = self.dataset(step)
-        with self._lock:
-            owned = len(self._owned[step])
+            entry = self._datasets.pop(step, None)
+        if entry is not None:
+            entry[0].close()
+        ds, owned = self.dataset(step)
         return {
             "shard": self.shard_id,
             "generation": ds.metadata.generation,
-            "owned_leaves": owned,
+            "owned_leaves": len(owned),
         }
 
     def execute(self, doc: dict) -> dict:
@@ -201,22 +216,26 @@ class _ShardWorker:
         t0 = time.perf_counter()
         step = int(doc["step"])
         req = request_from_doc(doc["request"])
-        ds = self.dataset(step)
+        # a worker the router's ``reload`` has not reached yet catches up
+        # here; it never answers from a layout older than the request's
+        ds, owned = self.dataset(step, doc["generation"])
+        if ds.metadata.generation != doc["generation"]:
+            raise StaleGeneration(
+                f"step {step}: request planned on generation "
+                f"{doc['generation']}, shard {self.shard_id} serves "
+                f"{ds.metadata.generation}"
+            )
         full_plan = ds.plan(req.box, req.filters)
-        owned = self._owned[step]
         files = tuple(fp for fp in full_plan.files if fp.leaf_index in owned)
         span = RequestSpan(
             session_id=self.shard_id, seq=0, requested_quality=req.quality,
             prev_quality=req.prev_quality,
         )
         if not files:
-            payload = {
-                "count": 0, "positions": None, "attributes": {},
-                "order": np.empty((0, 3), dtype=np.int64),
-                "partial": full_plan.excluded_files > 0,
-                "quarantined_files": full_plan.excluded_files,
-                "points_tested": 0, "files": 0,
-            }
+            payload = dict(
+                _NO_ROWS, partial=full_plan.excluded_files > 0,
+                quarantined_files=full_plan.excluded_files,
+            )
             span.total_seconds = time.perf_counter() - t0
             self.metrics.record(span)
             return payload
@@ -254,25 +273,21 @@ class _ShardWorker:
             "order": order,
             "partial": span.partial,
             "quarantined_files": stats.quarantined_files,
-            "points_tested": stats.points_tested,
-            "files": len(plan.files),
         }
 
     def snapshot(self) -> dict:
         """This shard's strictly-JSON metrics slice (shipped over IPC)."""
         with self._lock:
-            plans = {
-                "hits": sum(ds.plan_cache.hits for ds in self._datasets.values()),
-                "misses": sum(ds.plan_cache.misses for ds in self._datasets.values()),
-            }
-            quarantined = sum(
-                len(ds.quarantined()) for ds in self._datasets.values()
-            )
-            owned = {step: len(v) for step, v in self._owned.items()}
-            generations = {
-                str(step): ds.metadata.generation
-                for step, ds in self._datasets.items()
-            }
+            datasets = {step: ds for step, (ds, _) in self._datasets.items()}
+            owned = {step: len(v) for step, (_, v) in self._datasets.items()}
+        plans = {
+            "hits": sum(ds.plan_cache.hits for ds in datasets.values()),
+            "misses": sum(ds.plan_cache.misses for ds in datasets.values()),
+        }
+        quarantined = sum(len(ds.quarantined()) for ds in datasets.values())
+        generations = {
+            str(step): ds.metadata.generation for step, ds in datasets.items()
+        }
         file_stats = self._file_cache.stats()
         doc = self.metrics.snapshot()
         doc["shard"] = self.shard_id
@@ -290,7 +305,7 @@ class _ShardWorker:
 
     def close(self) -> None:
         with self._lock:
-            for ds in self._datasets.values():
+            for ds, _ in self._datasets.values():
                 ds.close()
             self._datasets.clear()
         self._file_cache.close()
@@ -327,9 +342,9 @@ def shard_worker_main(conn, source: str, shard_id: int, n_shards: int,
             elif kind == "ping":
                 reply(req_id, {"shard": shard_id})
             else:
-                reply(req_id, f"unknown message kind {kind!r}", ok=False)
+                reply(req_id, ("ValueError", f"unknown message kind {kind!r}"), ok=False)
         except BaseException as exc:  # noqa: BLE001 - reported to the router
-            reply(req_id, f"{type(exc).__name__}: {exc}", ok=False)
+            reply(req_id, (type(exc).__name__, str(exc)), ok=False)
 
     pool = ThreadPoolExecutor(
         max_workers=max(1, int(options.get("capacity", 2)))
@@ -385,13 +400,10 @@ class _ShardClient:
         self.process = None
         self._conn = None
         self.restarts = -1  # first spawn is not a restart
-        self._spawn_locked()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _spawn_locked(self) -> None:
         with self._lock:
             self._spawn()
+
+    # -- lifecycle ---------------------------------------------------------
 
     def _spawn(self) -> None:
         parent, child = self._ctx.Pipe()
@@ -408,10 +420,11 @@ class _ShardClient:
         self._conn = parent
         self._alive = True
         self.restarts += 1
-        threading.Thread(
+        self._rx = threading.Thread(
             target=self._receive, args=(parent,),
             name=f"repro-shard-rx-{self.shard_id}", daemon=True,
-        ).start()
+        )
+        self._rx.start()
 
     def _receive(self, conn) -> None:
         while True:
@@ -426,7 +439,7 @@ class _ShardClient:
             if kind == "ok":
                 reply.value = payload
             else:
-                reply.error = str(payload)
+                reply.error = payload  # (exception type name, message)
             reply.event.set()
         # worker gone: fail whatever was still in flight on this pipe
         with self._lock:
@@ -440,7 +453,7 @@ class _ShardClient:
 
     def close(self, timeout: float = 5.0) -> None:
         with self._lock:
-            conn, proc = self._conn, self.process
+            conn, proc, rx = self._conn, self.process, self._rx
             self._alive = False
         if conn is not None:
             try:
@@ -453,6 +466,7 @@ class _ShardClient:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout)
+            rx.join(timeout)  # the worker's exit is the receiver's EOF
         if conn is not None:
             try:
                 conn.close()
@@ -482,10 +496,9 @@ class _ShardClient:
             reply.event.set()
         return reply
 
-    def call(self, kind: str, doc=None, timeout: float | None = None):
+    def call(self, kind: str, doc=None, timeout: float | None = RPC_TIMEOUT):
         """Blocking RPC with one transparent respawn-and-retry on crash."""
-        reply = self.finish(self._start(kind, doc), timeout, retry=(kind, doc))
-        return reply
+        return self.finish(self._start(kind, doc), timeout, retry=(kind, doc))
 
     def finish(self, reply: _Reply, timeout: float | None, retry=None):
         """Wait for one started RPC; optionally retry once after a crash."""
@@ -508,24 +521,139 @@ class _ShardClient:
                 )
             reply = fresh
         if reply.error is not None:
-            raise ShardUnavailable(
-                f"shard {self.shard_id} failed: {reply.error}"
-            )
+            name, message = reply.error
+            failure = StaleGeneration if name == "StaleGeneration" else ShardUnavailable
+            raise failure(f"shard {self.shard_id} failed: {name}: {message}")
         return reply.value
 
 
-class ShardedQueryService:
-    """Router facade: the :class:`QueryService` surface over N processes.
+class _ShardedStep:
+    """One step as the serve core reaches it, answered by scatter/gather.
 
-    Duck-compatible with :class:`QueryService` for the session API the
-    load generator drives (``open_session`` / ``submit`` / ``request`` /
-    ``close_session`` / ``snapshot``), plus the stateless
-    :meth:`execute` the batch-job runner uses. Streaming delivery stays
-    a single-process feature; the sharded tier serves one-shot windows.
+    The slice of :class:`~repro.core.dataset.BATDataset` that
+    :class:`QueryService` calls (see ``QueryService._open_step``), over
+    the manifest alone: planning happens here, decoding in the workers
+    that own the planned leaves. Immutable — a reload builds a new one —
+    so a request that fetched this object plans, scatters and keys its
+    caches against one generation's metadata and ownership throughout.
     """
 
-    #: scheduler session id of stateless batch work
-    BATCH_SESSION = -1
+    def __init__(self, router: "ShardedQueryService", step: int, manifest):
+        self.metadata = DatasetMetadata.load(manifest)
+        self.plan_cache = PlanCache()
+        #: per-leaf shard assignment (deterministic; workers agree)
+        self.owners = assign_leaves(self.metadata, manifest.name, step, router.ring)
+        self._router = router
+        self._step = step
+        self._manifest = manifest
+
+    def plan(self, box=None, filters=()):
+        return self.plan_cache.get_or_build(self.metadata, box, tuple(filters))
+
+    def attribute_specs(self) -> list:
+        specs = self.metadata.attribute_specs()
+        if specs is None:  # pre-attr_dtypes manifest: one transient open
+            first = self.metadata.leaves[0]
+            with BATFile(self._manifest.parent / first.file_name) as f:
+                specs = f.attribute_specs()
+        return specs
+
+    def quarantined(self) -> dict:
+        return {}  # quarantine sets live with the workers that open files
+
+    def close(self) -> None:
+        self.plan_cache.clear()
+
+    def neighbors(self, request):
+        raise InvalidRequestError(
+            "the sharded tier does not serve NeighborRequest yet: neighbor "
+            "lists cross shard ownership boundaries (ghost exchange spans "
+            "leaf files owned by different workers); use QueryService or "
+            "BATDataset.neighbors"
+        )
+
+    def _scatter(self, req, plan):
+        """Send one ``(prev_quality, quality]`` window to every shard that
+        owns a planned leaf; gather ``(keyed increments, quarantined)``."""
+        needed = sorted({self.owners[fp.leaf_index] for fp in plan.files})
+        self._router._count_fanout(len(needed))
+        doc = {
+            "step": self._step,
+            "generation": self.metadata.generation,
+            "request": request_to_doc(req),
+        }
+        clients = [self._router._shards[s] for s in needed]
+        started = [(c, c._start("query", doc)) for c in clients]
+        payloads = [
+            c.finish(reply, RPC_TIMEOUT, retry=("query", doc))
+            for c, reply in started
+        ] or [_NO_ROWS]  # the plan kept no file: nobody to ask
+        incs = [
+            StreamIncrement(
+                quality=req.quality,
+                prev_quality=req.prev_quality,
+                batch=ParticleBatch(
+                    payload["positions"], payload["attributes"],
+                    count=payload["count"],
+                ),
+                order=payload["order"],
+                partial=payload["partial"],
+            )
+            for payload in payloads
+        ]
+        return incs, sum(payload["quarantined_files"] for payload in payloads)
+
+    def _typed(self, batch, columns):
+        """``batch``, or the manifest's empty schema when every shard
+        answered with an untyped empty one — empty responses stay
+        schema-stable."""
+        if not len(batch) and not batch.attributes:
+            return empty_batch(self, columns)
+        return batch
+
+    def query(self, request, plan) -> QueryResult:
+        """One window, one scatter; byte-identical to the single-process
+        decode of the same window (order-key merge)."""
+        incs, quarantined = self._scatter(request, plan)
+        return QueryResult(
+            batch=self._typed(reassemble_stream(incs).batch, request.columns),
+            stats=QueryStats(quarantined_files=quarantined),
+        )
+
+    def stream(self, request, ladder, plan):
+        """One scatter per ladder rung, one globally keyed increment each.
+
+        A rung of a multi-rung :meth:`BATDataset.stream` equals the
+        one-rung stream of that rung's ``(prev, q]`` window, rows and
+        order keys alike — which is the call workers serve — so the
+        rungs reassemble exactly as a single-process stream does.
+        """
+        stats = QueryStats()
+        partial = False
+        prev = request.prev_quality
+        for q in ladder:
+            # per view a shard's count only grows, so the latest rung's
+            # total is the stream's cumulative one
+            incs, stats.quarantined_files = self._scatter(
+                replace(request, quality=q, prev_quality=prev), plan
+            )
+            inc = merge_keyed(incs)
+            partial = partial or inc.partial
+            yield replace(
+                inc, batch=self._typed(inc.batch, request.columns),
+                stats=stats, partial=partial,
+            )
+            prev = q
+
+
+class ShardedQueryService(QueryService):
+    """:class:`QueryService` whose steps are answered by N worker processes.
+
+    Sessions, admission, degradation, the result cache, collapse,
+    streaming and the metrics surface are the base class's, unchanged;
+    this class supplies the step backend (:class:`_ShardedStep`), owns
+    the worker processes, and adds the ``shards`` block to the snapshot.
+    """
 
     def __init__(
         self,
@@ -533,49 +661,13 @@ class ShardedQueryService:
         config: ServeConfig | None = None,
         *,
         n_shards: int = 2,
-        replicas: int = DEFAULT_REPLICAS,
-        batch_share: float = 0.5,
-        rpc_timeout: float = 120.0,
-        mp_context: str = "spawn",
         clock=time.perf_counter,
     ):
-        import multiprocessing
-
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.config = config or ServeConfig()
-        self._clock = clock
+        super().__init__(source, config, clock=clock)
         self.n_shards = int(n_shards)
-        self.ring = HashRing(self.n_shards, replicas)
-        self._rpc_timeout = rpc_timeout
-        source = Path(source)
-        self._step_manifests = resolve_step_manifests(source)
-        self._metadata: dict[int, DatasetMetadata] = {}
-        self._plan_caches: dict[int, PlanCache] = {}
-        self._owners: dict[int, tuple] = {}
-        self._meta_lock = threading.Lock()
-        self.scheduler = RequestScheduler(
-            SchedulerConfig(
-                capacity=self.config.capacity,
-                max_queued=self.config.max_queued,
-                max_session_queue=self.config.max_session_queue,
-            ),
-            clock=clock,
-        )
-        self.degradation = DegradationPolicy(self.config.degradation)
-        self.results = ResultCache(
-            capacity=self.config.result_cache_entries, ttl=self.config.result_ttl
-        )
-        self.metrics = ServeMetrics(clock=clock, window=self.config.metrics_window)
-        self._sessions: dict[int, ServeSession] = {}
-        self._session_lock = threading.Lock()
-        self._next_session = 0
-        # the shared admission budget: stateless batch work may hold at
-        # most this many scheduler slots, interactive traffic the rest
-        batch_slots = max(1, int(round(self.config.capacity * batch_share)))
-        self._batch_gate = threading.BoundedSemaphore(
-            min(batch_slots, self.config.max_session_queue)
-        )
+        self.ring = HashRing(self.n_shards)
         self._fanout_lock = threading.Lock()
         self.fanout_single = 0
         self.fanout_multi = 0
@@ -585,399 +677,79 @@ class ShardedQueryService:
             "max_open_files": self.config.max_open_files,
             "column_cache_bytes": self.config.column_cache_bytes,
             "executor": self.config.executor,
-            "replicas": replicas,
         }
-        ctx = multiprocessing.get_context(mp_context)
+        # spawn, not fork: the router already runs scheduler threads
+        ctx = multiprocessing.get_context("spawn")
         self._shards = [
             _ShardClient(i, str(source), self.n_shards, options, ctx)
             for i in range(self.n_shards)
         ]
-        self._closed = False
+
+    def _count_fanout(self, n_shards: int) -> None:
+        with self._fanout_lock:
+            if n_shards > 1:
+                self.fanout_multi += 1
+            else:
+                self.fanout_single += 1
+            self.fanout_shards += n_shards
 
     # -- lifecycle ---------------------------------------------------------
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.scheduler.close(wait=True)
+    def close(self, *, cancel: bool = False) -> None:
+        """The base shutdown — streams resolved, then step objects closed
+        — and only then the workers those streams were scattering to."""
+        super().close(cancel=cancel)
         for client in self._shards:
             client.close()
-        self.results.clear()
-
-    def __enter__(self) -> "ShardedQueryService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def steps(self) -> list[int]:
-        return sorted(self._step_manifests)
+    def _open_step(self, step: int, manifest) -> _ShardedStep:
+        return _ShardedStep(self, step, manifest)
 
     def metadata(self, step: int = 0) -> DatasetMetadata:
-        with self._meta_lock:
-            meta = self._metadata.get(step)
-            if meta is None:
-                manifest = self._step_manifests.get(step)
-                if manifest is None:
-                    raise KeyError(f"no step {step}; have {self.steps}")
-                meta = DatasetMetadata.load(manifest)
-                self._metadata[step] = meta
-                self._plan_caches[step] = PlanCache()
-                self._owners[step] = assign_leaves(
-                    meta, manifest.name, step, self.ring
-                )
-            return meta
+        return self.dataset(step).metadata
 
     def owners(self, step: int = 0) -> tuple:
         """Per-leaf shard assignment (deterministic; workers agree)."""
-        self.metadata(step)
-        return self._owners[step]
-
-    def generation(self, step: int = 0) -> int:
-        """The layout generation the router currently serves for a step."""
-        return self.metadata(step).generation
-
-    def reload_step(self, step: int = 0) -> int:
-        """Re-read the step's manifest and fan invalidation out to workers.
-
-        The sharded half of a reorganization republish: the router drops
-        its cached metadata/plan cache/ownership for the step and evicts
-        the step's result entries, then broadcasts a ``reload`` RPC so
-        every worker closes its dataset (dropping file-handle and
-        decoded-column entries) and reloads the new manifest with freshly
-        computed leaf ownership. A worker that crashes and respawns later
-        reads the new manifest from disk anyway — the broadcast just makes
-        the live ones agree *now*. Returns the new generation.
-        """
-        with self._meta_lock:
-            self._metadata.pop(step, None)
-            self._plan_caches.pop(step, None)
-            self._owners.pop(step, None)
-        self.results.invalidate_step(step)
-        meta = self.metadata(step)
-        for client in self._shards:
-            client.call("reload", {"step": step}, timeout=self._rpc_timeout)
-        return meta.generation
+        return self.dataset(step).owners
 
     @property
     def bounds(self):
         return self.metadata(self.steps[0]).bounds
 
-    # -- sessions ----------------------------------------------------------
+    def reload_step(self, step: int = 0) -> int:
+        """Re-read the step's manifest and fan invalidation out to workers.
 
-    def open_session(self, step: int = 0) -> int:
-        if step not in self._step_manifests:
-            raise KeyError(f"no step {step}; have {self.steps}")
-        with self._session_lock:
-            sid = self._next_session
-            self._next_session += 1
-            self._sessions[sid] = ServeSession(session_id=sid, step=step)
-            return sid
-
-    def close_session(self, session_id: int) -> ServeSession:
-        with self._session_lock:
-            return self._sessions.pop(session_id)
-
-    def session(self, session_id: int) -> ServeSession:
-        with self._session_lock:
-            return self._sessions[session_id]
-
-    @property
-    def n_sessions(self) -> int:
-        with self._session_lock:
-            return len(self._sessions)
+        The base reload swaps in a fresh step object (new metadata, plan
+        cache and ownership) and evicts the step's result entries; the
+        broadcast then has every worker close its dataset (dropping
+        file-handle and decoded-column entries) and reopen the new
+        manifest *now*. It is an eager courtesy, not the consistency
+        mechanism: scatter docs carry the generation, so a worker the
+        broadcast has not reached reloads before it answers, and one
+        that crashes and respawns reads the new manifest from disk.
+        """
+        generation = super().reload_step(step)
+        for client in self._shards:
+            client.call("reload", {"step": step})
+        return generation
 
     # -- requests ----------------------------------------------------------
 
-    def _priority(self, sess: ServeSession, req: QueryRequest, step) -> int:
-        from .service import QueryService
-
-        return QueryService._priority(self, sess, req, step)
-
-    def submit(self, session_id: int, request: QueryRequest, *,
-               step: int | None = None):
-        """Admit one progressive request; mirrors :meth:`QueryService.submit`."""
-        if isinstance(request, NeighborRequest):
-            raise InvalidRequestError(
-                "the sharded tier does not serve NeighborRequest yet: neighbor "
-                "lists cross shard ownership boundaries (ghost exchange spans "
-                "leaf files owned by different workers); use QueryService or "
-                "BATDataset.neighbors"
-            )
-        if not isinstance(request, QueryRequest):
-            raise TypeError("submit() takes a repro.QueryRequest")
-        sess = self.session(session_id)
-        step = sess.step if step is None else step
-        span = RequestSpan(
-            session_id=session_id, seq=0, requested_quality=request.quality,
-        )
-        priority = self._priority(sess, request, step)
-        span.priority = priority
-
-        def fn(ticket):
-            return self._execute_session(ticket, sess, span, request, step)
-
-        try:
-            ticket = self.scheduler.submit(fn, session_id=session_id, priority=priority)
-        except Exception as exc:
-            span.rejected = True
-            span.queue_depth = getattr(exc, "queue_depth", 0)
-            self.metrics.record(span)
-            raise
-        span.seq = ticket.seq
-        return ticket
-
-    def request(self, session_id: int, request: QueryRequest, *,
-                step: int | None = None, timeout: float | None = None):
-        return self.submit(session_id, request, step=step).result(timeout)
-
-    def execute(self, request: QueryRequest, step: int = 0,
-                timeout: float | None = None) -> ServeResponse:
-        """Stateless one-shot window at ``PRIORITY_BULK`` under the batch gate.
-
-        The batch-job path: no session, no degradation (sweep results
-        must be deterministic for idempotent completion digests), the
-        window is exactly the request's ``(prev_quality, quality]``.
-        Blocks while the batch share of the scheduler is fully occupied —
-        sweeps throttle, interactive sessions do not.
-        """
-        if isinstance(request, NeighborRequest):
-            raise InvalidRequestError(
-                "the sharded tier does not serve NeighborRequest yet: neighbor "
-                "lists cross shard ownership boundaries (ghost exchange spans "
-                "leaf files owned by different workers); use QueryService or "
-                "BATDataset.neighbors"
-            )
-        if not isinstance(request, QueryRequest):
-            raise TypeError("execute() takes a repro.QueryRequest")
-        self._batch_gate.acquire()
-        try:
-            span = RequestSpan(
-                session_id=self.BATCH_SESSION, seq=0,
-                requested_quality=request.quality,
-                prev_quality=request.prev_quality,
-            )
-            span.priority = PRIORITY_BULK
-
-            def fn(ticket):
-                return self._execute_stateless(ticket, span, request, step)
-
-            ticket = self.scheduler.submit(
-                fn, session_id=self.BATCH_SESSION, priority=PRIORITY_BULK
-            )
-            span.seq = ticket.seq
-            return ticket.result(timeout)
-        finally:
-            self._batch_gate.release()
-
-    # -- execution (router scheduler workers) ------------------------------
-
-    def _plan(self, step: int, box, filters):
-        meta = self.metadata(step)
-        return self._plan_caches[step].get_or_build(meta, box, tuple(filters))
-
-    def _empty_batch(self, step: int, columns) -> ParticleBatch:
-        specs = self.metadata(step).attribute_specs()
-        if specs is None:  # pre-attr_dtypes manifest: one transient open
-            from ..bat.file import BATFile
-
-            meta = self.metadata(step)
-            first = meta.leaves[0]
-            with BATFile(self._step_manifests[step].parent / first.file_name) as f:
-                specs = f.attribute_specs()
-        if columns is not None:
-            specs = [sp for sp in specs if sp.name in columns]
-        return ParticleBatch.empty(specs)
-
-    def _scatter_window(self, span, req: QueryRequest, step: int,
-                        prev: float, effective: float):
-        """Scatter the (prev, effective] window; gather and merge in order.
-
-        Returns ``(batch, partial)``. The batch is byte-identical to the
-        single-process decode of the same window (order-key merge).
-        """
-        t0 = self._clock()
-        plan = self._plan(step, req.box, req.filters)
-        span.plan_seconds = self._clock() - t0
-        owners = self._owners[step]
-        needed = sorted({owners[fp.leaf_index] for fp in plan.files})
-        with self._fanout_lock:
-            if len(needed) > 1:
-                self.fanout_multi += 1
-            else:
-                self.fanout_single += 1
-            self.fanout_shards += len(needed)
-        if not needed:
-            span.increments = 1
-            return self._empty_batch(step, req.columns), False
-        exec_req = replace(
-            req, quality=effective, prev_quality=prev, on_error="degrade"
-        )
-        doc = {"step": step, "request": request_to_doc(exec_req)}
-        t0 = self._clock()
-        clients = [self._shards[s] for s in needed]
-        started = [(c, c._start("query", doc)) for c in clients]
-        payloads = [
-            c.finish(reply, self._rpc_timeout, retry=("query", doc))
-            for c, reply in started
-        ]
-        span.traverse_seconds = self._clock() - t0
-        incs = []
-        partial = False
-        quarantined = 0
-        for payload in payloads:
-            partial = partial or payload["partial"]
-            quarantined += payload["quarantined_files"]
-            incs.append(StreamIncrement(
-                quality=effective,
-                prev_quality=prev,
-                batch=ParticleBatch(
-                    payload["positions"], payload["attributes"],
-                    count=payload["count"],
-                ),
-                order=payload["order"],
-            ))
-        span.partial = partial
-        span.quarantined_files = quarantined
-        span.increments = 1
-        batch = reassemble_stream(incs).batch
-        if not len(batch) and not batch.attributes:
-            # every shard answered empty with an untyped batch; retype
-            # from the manifest so empty responses stay schema-stable
-            batch = self._empty_batch(step, req.columns)
-        return batch, partial
-
-    def _execute_stateless(self, ticket, span, req: QueryRequest, step: int):
-        t_start = self._clock()
-        span.wait_seconds = ticket.wait_seconds
-        span.queue_depth = self.scheduler.queue_depth + self.scheduler.in_flight
-        prev, effective = req.prev_quality, req.quality
-        key = result_key(
-            step, req.box, req.filters, prev, effective, req.columns,
-            generation=self.generation(step),
-        )
-        batch = self.results.get(key)
-        cache_hit = batch is not None
-        if cache_hit:
-            partial = False
-        else:
-            batch, partial = self._scatter_window(span, req, step, prev, effective)
-            if not partial:
-                t0 = self._clock()
-                self.results.put(key, batch)
-                span.gather_seconds = self._clock() - t0
-        span.served_quality = effective
-        span.cache_hit = cache_hit
-        span.points = len(batch)
-        span.nbytes = batch.nbytes
-        span.total_seconds = span.wait_seconds + (self._clock() - t_start)
-        self.metrics.record(span)
-        return ServeResponse(
-            batch=batch,
-            requested_quality=req.quality,
-            served_quality=effective,
-            prev_quality=prev,
-            degraded=False,
-            cache_hit=cache_hit,
-            span=span,
-            partial=partial,
-            quarantined_files=span.quarantined_files,
-            increments=span.increments,
-        )
-
-    def _execute_session(self, ticket, sess: ServeSession, span,
-                         req: QueryRequest, step: int):
-        """Session-stateful window: mirrors :meth:`QueryService._execute`.
-
-        Same view-change reset, same monotone ``delivered_quality``, same
-        degradation and caching decisions — so a sharded session's
-        response sequence is byte-identical to a single-process one.
-        """
-        t_start = self._clock()
-        span.wait_seconds = ticket.wait_seconds
-        sched = self.scheduler
-        quality = req.quality
-        box, filters, columns = req.box, req.filters, req.columns
-        with sess.lock:
-            span.queue_depth = sched.queue_depth + sched.in_flight
-            if not sess.matches(step, box, filters, columns):
-                sess.step = step
-                sess.box = box
-                sess.filters = filters
-                sess.columns = columns
-                sess.delivered_quality = 0.0
-            prev = sess.delivered_quality
-            span.prev_quality = prev
-
-            self.degradation.observe(sched.load_factor())
-            effective, degraded = self.degradation.apply(quality)
-            span.degraded = degraded
-            if degraded:
-                sess.downgrades += 1
-
-            if effective <= prev:
-                batch = self._empty_batch(step, columns)
-                served = prev
-                cache_hit = False
-            else:
-                key = result_key(
-                    step, box, filters, prev, effective, columns,
-                    generation=self.generation(step),
-                )
-                batch = self.results.get(key)
-                cache_hit = batch is not None
-                if cache_hit:
-                    served = effective
-                    span.increments = 1
-                else:
-                    batch, partial = self._scatter_window(
-                        span, req, step, prev, effective
-                    )
-                    served = effective
-                    if not partial:
-                        t0 = self._clock()
-                        self.results.put(key, batch)
-                        span.gather_seconds = self._clock() - t0
-            if served > prev:
-                sess.delivered_quality = served
-            sess.requests += 1
-            sess.bytes_sent += batch.nbytes
-        span.served_quality = served
-        span.cache_hit = cache_hit
-        span.points = len(batch)
-        span.nbytes = batch.nbytes
-        span.total_seconds = span.wait_seconds + (self._clock() - t_start)
-        self.metrics.record(span)
-        return ServeResponse(
-            batch=batch,
-            requested_quality=quality,
-            served_quality=served,
-            prev_quality=span.prev_quality,
-            degraded=span.degraded,
-            cache_hit=cache_hit,
-            span=span,
-            partial=span.partial,
-            quarantined_files=span.quarantined_files,
-            increments=span.increments,
-        )
+    def _submit_neighbors(self, session_id: int, request, step):
+        """Refuse at admission — the step backend's pointed error — rather
+        than on a scheduler worker behind a ticket."""
+        self.dataset(self.steps[0] if step is None else step).neighbors(request)
 
     # -- metrics -----------------------------------------------------------
 
     def snapshot(self, include_workers: bool = True) -> dict:
-        """The aggregated JSON metrics surface: router plus every shard."""
-        doc = self.metrics.snapshot()
-        doc["scheduler"] = self.scheduler.stats()
-        doc["degradation"] = self.degradation.stats()
-        with self._meta_lock:
-            plans = {
-                "hits": sum(pc.hits for pc in self._plan_caches.values()),
-                "misses": sum(pc.misses for pc in self._plan_caches.values()),
-            }
-        doc["caches"] = {"results": self.results.stats(), "plans": plans}
+        """The base surface plus a ``shards`` block: fan-out counters and,
+        with ``include_workers``, every worker's own slice (its file,
+        decoded-column and plan tiers, latencies, quarantine) and their
+        merged access telemetry in place of the router's empty one."""
+        doc = super().snapshot()
         with self._fanout_lock:
             scattered = self.fanout_single + self.fanout_multi
             doc["shards"] = {
@@ -993,36 +765,21 @@ class ShardedQueryService:
             workers = []
             for client in self._shards:
                 try:
-                    workers.append(client.call("snapshot", timeout=self._rpc_timeout))
+                    workers.append(client.call("snapshot"))
                 except (ShardCrashed, ShardUnavailable) as exc:
                     workers.append({"shard": client.shard_id, "error": str(exc)})
             doc["shards"]["workers"] = workers
-        doc["sessions"] = self.n_sessions
-        doc["steps"] = len(self._step_manifests)
-        with self._meta_lock:
-            doc["generations"] = {
-                str(step): meta.generation
-                for step, meta in self._metadata.items()
-            }
-        return json_sanitize(doc)
+            doc["telemetry"] = merge_telemetry(w.get("telemetry") for w in workers)
+        return doc
 
     def telemetry_snapshot(self) -> dict:
         """Per-(step, leaf) access tallies merged across every worker.
 
         The traversal happens in the shard processes, so the authoritative
-        open/decode/point counts live there; this gathers each worker's
-        :class:`~repro.serve.metrics.AccessTelemetry` snapshot and sums
-        them into one document the reorg planner consumes exactly like a
-        single-process service's ``snapshot()["telemetry"]``.
+        open/decode/point counts live there, not in the router's own
+        (empty) :class:`~repro.serve.metrics.AccessTelemetry`.
         """
-        docs = []
-        for client in self._shards:
-            try:
-                worker = client.call("snapshot", timeout=self._rpc_timeout)
-            except (ShardCrashed, ShardUnavailable):
-                continue
-            docs.append(worker.get("telemetry"))
-        return merge_telemetry(docs)
+        return self.snapshot()["telemetry"]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -146,12 +146,20 @@ class TestServeSharded:
         assert "byte-verified" in out
         assert "fanout mean" in out
 
-    def test_shards_and_stream_conflict(self, written, capsys):
+    def test_shards_and_stream_combine(self, written, capsys):
+        import re
+
         _, rep = written
         assert main(
-            ["serve", rep.metadata_path, "--shards", "2", "--stream"]
-        ) == 2
-        assert "single-process" in capsys.readouterr().err
+            [
+                "serve", rep.metadata_path, "--shards", "2", "--stream",
+                "--capacity", "2", "--sessions", "4", "--ops", "3", "--seed", "4",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "asyncio streams, 2 shard processes" in out
+        assert int(re.search(r"(\d+) responses byte-verified", out).group(1)) > 0
+        assert "streaming:" in out and "fanout mean" in out
 
 
 class TestJobs:

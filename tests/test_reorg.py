@@ -669,6 +669,55 @@ class TestShardedReload:
             assert exact(r1.batch) == exact(direct.batch)
             assert canon(r1.batch) == canon(r0.batch)
 
+    def test_window_scattered_mid_broadcast_never_mixes_layouts(
+        self, tmp_path, monkeypatch
+    ):
+        """The router has swapped to the new manifest but one worker has
+        not had its ``reload`` yet: the scatter doc's generation makes
+        that worker catch up before it answers, so the merged response is
+        the new generation's bytes — never rows of superseded leaves."""
+        meta = write_dataset(tmp_path, nranks=16, seed=3)
+        md = DatasetMetadata.load(meta)
+        req = QueryRequest(quality=1.0)  # spans every leaf, hence both shards
+        with ShardedQueryService(meta, serve_config(), n_shards=2) as svc:
+            svc.execute(req)  # both workers hold generation 0
+            reorganize(meta, synth_telemetry(md, hot_box(md)),
+                       config=ReorgConfig(min_queries=8, carve_min_points=1))
+            late = svc._shards[1]
+            call = late.call
+            monkeypatch.setattr(
+                late, "call",
+                lambda kind, *a, **kw: None if kind == "reload" else call(kind, *a, **kw),
+            )
+            assert svc.reload_step(0) == 1
+            assert late.call("snapshot")["generations"]["0"] == 0  # withheld
+            got = svc.execute(req)
+            with QueryService(meta, serve_config()) as single:
+                want = single.execute(req)
+            assert not got.partial
+            assert exact(got.batch) == exact(want.batch)
+            assert late.call("snapshot")["generations"]["0"] == 1
+
+    def test_worker_ahead_of_the_router_fails_the_request(self, tmp_path):
+        """A worker already on a newer layout than the request was planned
+        against refuses it with a typed error; nothing is merged or cached."""
+        from repro.serve import StaleGeneration
+
+        meta = write_dataset(tmp_path, nranks=16, seed=3)
+        md = DatasetMetadata.load(meta)
+        req = QueryRequest(quality=1.0)
+        with ShardedQueryService(meta, serve_config(), n_shards=2) as svc:
+            assert svc.generation(0) == 0
+            reorganize(meta, synth_telemetry(md, hot_box(md)),
+                       config=ReorgConfig(min_queries=8, carve_min_points=1))
+            svc._shards[0].call("reload", {"step": 0})  # one worker moves on
+            with pytest.raises(StaleGeneration):
+                svc.execute(req)
+            assert svc.snapshot(include_workers=False)["caches"]["results"]["entries"] == 0
+            svc.reload_step(0)
+            with BATDataset(meta) as ds:
+                assert exact(svc.execute(req).batch) == exact(ds.query(req).batch)
+
     def test_respawned_worker_reads_new_manifest(self, tmp_path):
         meta = write_dataset(tmp_path, nranks=16, seed=3)
         md = DatasetMetadata.load(meta)

@@ -9,7 +9,10 @@ including boxes that span shard boundaries and progressive sessions
 whose windows differ from request to request.
 """
 
+import asyncio
 import json
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +20,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import QueryRequest
+from repro import QueryRequest, reassemble_stream
 from repro.bat import AttributeFilter
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.core.metadata import DatasetMetadata
 from repro.machines import testing_machine
 from repro.serve import (
+    AsyncQueryService,
     DegradationConfig,
     HashRing,
     QueryService,
@@ -72,6 +76,13 @@ def direct(written):
 def sharded(written):
     """One shared 2-shard service; spawning processes is the slow part."""
     svc = ShardedQueryService(written, serve_config(), n_shards=2)
+    yield svc
+    svc.close()
+
+
+@pytest.fixture(scope="module")
+def sharded3(written):
+    svc = ShardedQueryService(written, serve_config(), n_shards=3)
     yield svc
     svc.close()
 
@@ -289,6 +300,167 @@ class TestShardedIdentity:
             sharded.close_session(sid)
         assert canon(got.batch) == canon(expected)
 
+    @pytest.mark.parametrize("tier", ["sharded", "sharded3"])
+    @SETTINGS
+    @given(
+        lo=st.tuples(*[st.floats(0.0, 6.0) for _ in range(3)]),
+        span=st.tuples(*[st.floats(0.3, 4.0) for _ in range(3)]),
+        held=st.sampled_from([0.0, 0.3, 0.6]),
+        quality=st.sampled_from([0.25, 0.5, 0.8, 1.0]),
+        use_filter=st.booleans(),
+        columns=st.sampled_from([None, ("mass",), ("positions", "temp")]),
+        ladder=st.sampled_from([None, (0.1, 0.35, 0.6, 0.9)]),
+    )
+    def test_random_streams_byte_identical(
+        self, request, single, tier, lo, span, held, quality, use_filter,
+        columns, ladder,
+    ):
+        """Streaming is the core's, so it holds over shards: the delivered
+        increments reassemble to exactly what a single-process session
+        holding the same window gets in one shot."""
+        svc = request.getfixturevalue(tier)
+        view = dict(
+            box=Box(lo, tuple(v + s for v, s in zip(lo, span))),
+            filters=FILT if use_filter else (), columns=columns,
+        )
+        s1, s2 = single.open_session(), svc.open_session()
+        try:
+            if held:  # both sessions already hold (0, held] of the view
+                single.request(s1, QueryRequest(quality=held, **view))
+                svc.request(s2, QueryRequest(quality=held, **view))
+            want = single.request(s1, QueryRequest(quality=quality, **view))
+            handle = svc.stream(
+                s2, QueryRequest(quality=quality, **view), ladder=ladder
+            )
+            incs = list(handle)
+            got = handle.result(60.0)
+        finally:
+            single.close_session(s1)
+            svc.close_session(s2)
+        assert (got.prev_quality, got.served_quality) == (
+            want.prev_quality, want.served_quality
+        )
+        assert not got.partial and not got.shed
+        assert canon(got.batch) == canon(want.batch)
+        if incs:
+            assert canon(reassemble_stream(incs).batch) == canon(want.batch)
+        else:  # nothing above what the session held
+            assert quality <= held and len(want.batch) == 0
+
+    def test_shed_stream_caches_its_window_and_converges(self, written, direct):
+        cfg = serve_config(stream_outbox=1, stream_grace=0.05)
+        req = QueryRequest(quality=1.0, box=BOX)
+        with ShardedQueryService(written, cfg, n_shards=2) as svc:
+            sid = svc.open_session()
+            handle = svc.stream(sid, req)
+            resp = handle.result(30.0)  # a stalled consumer: nothing drained
+            incs = list(handle)
+            assert resp.shed and 0.0 < resp.served_quality < 1.0
+            covered = replace(req, quality=resp.served_quality)
+            assert (
+                canon(reassemble_stream(incs).batch)
+                == canon(resp.batch)
+                == canon(direct.query(covered).batch)
+            )
+            # cached under the (0, served] window it actually covered
+            other = svc.open_session()
+            again = svc.request(other, covered)
+            assert again.cache_hit and canon(again.batch) == canon(resp.batch)
+            # the session refines from there to the full-quality bytes
+            rest = svc.request(sid, req)
+            assert (rest.prev_quality, rest.served_quality) == (
+                resp.served_quality, 1.0
+            )
+            window = replace(req, prev_quality=resp.served_quality)
+            assert canon(rest.batch) == canon(direct.query(window).batch)
+
+    def test_concurrent_identical_views_cost_one_scatter(
+        self, sharded, direct, monkeypatch
+    ):
+        # a box no other test uses, so the result cache cannot absorb it
+        req = QueryRequest(quality=1.0, box=Box((0.2, 0.2, 0.0), (3.7, 3.7, 0.9)))
+        step = sharded.dataset(0)
+        scatter = step._scatter
+
+        def held(*args):
+            # park the leader in its scatter until the other session joined
+            deadline = time.monotonic() + 30.0
+            while (
+                sharded.collapse.stats()["subscribers"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            return scatter(*args)
+
+        monkeypatch.setattr(step, "_scatter", held)
+
+        def counters():
+            snap = sharded.snapshot(include_workers=False)
+            return (
+                snap["shards"]["fanout_single"] + snap["shards"]["fanout_multi"],
+                snap["caches"]["collapse"]["collapsed_hits"],
+            )
+
+        before = counters()
+        sids = [sharded.open_session(), sharded.open_session()]
+        try:
+            tickets = [sharded.submit(sid, req) for sid in sids]
+            a, b = (t.result(60.0) for t in tickets)
+        finally:
+            for sid in sids:
+                sharded.close_session(sid)
+        after = counters()
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+        assert sorted([a.collapsed, b.collapsed]) == [False, True]
+        assert canon(a.batch) == canon(b.batch) == canon(direct.query(req).batch)
+
+    def test_async_front_end_streams_over_shards(self, sharded, direct):
+        req = QueryRequest(quality=0.9, box=BOX, filters=FILT)
+
+        async def main():
+            asvc = AsyncQueryService(service=sharded)
+            sid = asvc.open_session()
+            try:
+                stream = asvc.stream(sid, req)
+                incs = [inc async for inc in stream]
+                resp = await stream.result()
+            finally:
+                asvc.close_session(sid)
+            await asvc.aclose()
+            return incs, resp
+
+        incs, resp = asyncio.run(main())
+        assert resp.increments == len(incs) >= 1
+        assert (
+            canon(reassemble_stream(incs).batch)
+            == canon(resp.batch)
+            == canon(direct.query(req).batch)
+        )
+        # aclose() of a wrapper leaves the shared service serving
+        assert len(sharded.execute(QueryRequest(quality=0.1, box=BOX)).batch) > 0
+
+    def test_worker_killed_between_rungs_respawns_byte_identical(
+        self, written, direct
+    ):
+        req = QueryRequest(quality=1.0, box=BOX)
+        with ShardedQueryService(
+            written, serve_config(stream_outbox=1), n_shards=2
+        ) as svc:
+            sid = svc.open_session()
+            delivered = iter(svc.stream(sid, req, ladder=(0.2, 0.4, 0.6, 0.8)))
+            incs = [next(delivered)]
+            # an outbox of one parks the producer at most a rung ahead of
+            # the consumer: the later rungs have yet to be scattered
+            svc._shards[0].process.kill()
+            svc._shards[0].process.join(5.0)
+            incs.extend(delivered)
+            assert [inc.quality for inc in incs] == [0.2, 0.4, 0.6, 0.8, 1.0]
+            assert not any(inc.partial for inc in incs)
+            assert canon(reassemble_stream(incs).batch) == canon(
+                direct.query(req).batch
+            )
+            assert sum(c.restarts for c in svc._shards) == 1
+
     def test_cross_shard_boxes_actually_fan_out(self, sharded):
         before = sharded.fanout_multi
         sid = sharded.open_session()
@@ -333,15 +505,13 @@ class TestBatchExecute:
         )
         assert len(window.batch) == len(full) - len(low)
 
-    def test_batch_gate_bounded_by_share(self, written):
-        svc = ShardedQueryService(
-            written, serve_config(capacity=4), n_shards=2, batch_share=0.5
-        )
-        try:
-            gate = svc._batch_gate
-            assert gate._initial_value == 2  # capacity 4 * share 0.5
-        finally:
-            svc.close()
+    def test_batch_gate_bounded_by_share(self, written, sharded):
+        from repro.serve.service import BATCH_SHARE
+
+        # one gate, in the core's execute(): both services size it alike
+        assert sharded._batch_gate._initial_value == 1  # capacity 2 * share
+        with QueryService(written, serve_config(capacity=4)) as svc:
+            assert svc._batch_gate._initial_value == 4 * BATCH_SHARE == 2
 
     def test_type_errors(self, sharded):
         with pytest.raises(TypeError):
