@@ -6,6 +6,14 @@ bitmaps) that the aggregator later sends to rank 0 for the top-level
 metadata (§III-D). The build is the two-step scheme from the paper: a
 bottom-up shallow radix tree over merged Morton subprefixes, then an
 independent treelet per shallow leaf.
+
+The treelets of a file are built, and everything after them computed, as
+one *forest*: ``bat.treelet.build_forest`` returns every treelet's nodes
+in one set of arrays (treelet-major, ids and slots treelet-local, exactly
+what the node records store), and ``build_bat`` derives bitmaps,
+dictionary ids, boxes, quantization and codec segments from those arrays
+in whole-file passes. No per-treelet object exists; the only per-treelet
+loop left assembles the page-aligned blobs.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .format import (
     treelet_header_dtype,
     treelet_node_dtype,
 )
-from .treelet import Treelet, build_treelet, propagate_bitmaps_bottom_up
+from .treelet import build_forest, propagate_bitmaps_bottom_up
 
 __all__ = ["BATBuildConfig", "BuiltBAT", "build_bat"]
 
@@ -240,28 +248,31 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     n = len(batch)
     if n == 0:
         raise ValueError("cannot build a BAT over zero particles")
+    # the attribute table is the file's only record of a name: one that does
+    # not fit would read back as a different (or another column's) name
+    name_bytes = attr_table_dtype()["name"].itemsize
+    for name in batch.attributes:
+        raw = name.encode()
+        if len(raw) > name_bytes or b"\0" in raw:
+            raise ValueError(
+                f"attribute name {name!r} does not fit the file's attribute table: "
+                f"at most {name_bytes} UTF-8 bytes and no NUL, got {len(raw)}"
+            )
 
     bounds = batch.bounds
     subprefix_bits = config.resolve_subprefix_bits(n)
     codes = encode_positions(batch.positions, bounds, bits=config.morton_bits)
     sort_order = np.argsort(codes, kind="stable")
-    uniq, starts = shallow_tree_leaves(codes[sort_order], subprefix_bits, config.morton_bits)
+    uniq, pt_starts = shallow_tree_leaves(codes[sort_order], subprefix_bits, config.morton_bits)
     radix = build_radix_tree(uniq, subprefix_bits)
     n_leaves = len(uniq)
 
-    # Independent treelet builds per shallow leaf (parallel in the paper).
-    treelets: list[Treelet] = []
-    order_parts: list[np.ndarray] = []
-    for k in range(n_leaves):
-        seg = sort_order[starts[k] : starts[k + 1]]
-        t = build_treelet(
-            batch.positions[seg],
-            lod_per_node=config.lod_per_node,
-            max_leaf_points=config.max_leaf_points,
-        )
-        treelets.append(t)
-        order_parts.append(seg[t.order])
-    global_order = np.concatenate(order_parts)
+    # One independent treelet per shallow leaf (parallel in the paper),
+    # built together: one pass per depth over the whole file's forest.
+    forest, node_starts = build_forest(
+        batch.positions[sort_order], pt_starts, config.lod_per_node, config.max_leaf_points
+    )
+    global_order = sort_order[forest.order]
 
     positions_no = batch.positions[global_order]
     attr_names = list(batch.attributes.keys())
@@ -287,28 +298,21 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     dictionary.add(0)
     bm_cols = max(n_attrs, 1)
 
-    n_nodes_per = np.array([t.n_nodes for t in treelets], dtype=np.int64)
-    node_starts = np.concatenate([[0], np.cumsum(n_nodes_per)])
+    n_nodes_per = np.diff(node_starts)
     total_nodes = int(node_starts[-1])
-    pts_per = np.array([t.n_points for t in treelets], dtype=np.int64)
-    pt_starts = np.concatenate([[0], np.cumsum(pts_per)])
+    pts_per = np.diff(pt_starts)
 
     leaf_boxes = np.zeros((n_leaves, 6), dtype=np.float32)
     leaf_boxes[:, :3] = np.minimum.reduceat(positions_no, pt_starts[:-1], axis=0)
     leaf_boxes[:, 3:] = np.maximum.reduceat(positions_no, pt_starts[:-1], axis=0)
 
-    forest_axis = np.concatenate([t.axis for t in treelets])
-    forest_depth = np.concatenate([t.depth for t in treelets])
-    forest_count = np.concatenate([t.count for t in treelets]).astype(np.int64)
-    forest_left = np.concatenate(
-        [np.where(t.axis >= 0, t.left + node_starts[k], -1) for k, t in enumerate(treelets)]
-    )
-    forest_right = np.concatenate(
-        [np.where(t.axis >= 0, t.right + node_starts[k], -1) for k, t in enumerate(treelets)]
-    )
+    # the forest's child links are treelet-local (what the file stores);
+    # rebased they address the stacked node arrays (a leaf's -1 lands on a
+    # meaningless id nothing reads: only inner nodes follow their links)
+    node_base = np.repeat(node_starts[:-1], n_nodes_per)
     # own-slot slices are contiguous/ascending/tiling within each treelet,
     # so the global slot->node map is one repeat
-    owner = np.repeat(np.arange(total_nodes, dtype=np.int64), forest_count)
+    owner = np.repeat(np.arange(total_nodes, dtype=np.int64), forest.count)
 
     node_bitmaps = np.zeros((total_nodes, bm_cols), dtype=np.uint32)
     for a, name in enumerate(attr_names):
@@ -316,7 +320,7 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
             attrs_no[name], owner, total_nodes
         )
     propagate_bitmaps_bottom_up(
-        forest_axis, forest_depth, forest_left, forest_right, node_bitmaps
+        forest.axis, forest.depth, forest.left + node_base, forest.right + node_base, node_bitmaps
     )
     # each treelet's root is its local node 0
     leaf_root_bitmaps = node_bitmaps[node_starts[:-1], :].copy()
@@ -326,26 +330,22 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     # file bytes — are independent of the vectorization.
     treelet_bitmap_ids = np.zeros((total_nodes, bm_cols), dtype=np.uint16)
     if n_attrs:
-        ordered = np.concatenate(
-            [
-                node_bitmaps[node_starts[k] : node_starts[k + 1], :n_attrs].T.ravel()
-                for k in range(n_leaves)
-            ]
+        # where node g's attribute a sits in that order: after the earlier
+        # treelets' blocks and a rows of its own treelet's block
+        local = np.arange(total_nodes) - node_base
+        at = (node_base * n_attrs + local)[:, None] + np.multiply.outer(
+            np.repeat(n_nodes_per, n_nodes_per), np.arange(n_attrs)
         )
-        ordered_ids = dictionary.add_many(ordered)
-        cur = 0
-        for k in range(n_leaves):
-            nk = int(n_nodes_per[k])
-            chunk = ordered_ids[cur : cur + nk * n_attrs].reshape(n_attrs, nk).T
-            treelet_bitmap_ids[node_starts[k] : node_starts[k + 1], :n_attrs] = chunk
-            cur += nk * n_attrs
+        ordered = np.empty(total_nodes * n_attrs, dtype=np.uint32)
+        ordered[at] = node_bitmaps[:, :n_attrs]
+        treelet_bitmap_ids[:, :n_attrs] = dictionary.add_many(ordered)[at]
 
     inner_bm, inner_box = _shallow_bitmaps_and_boxes(radix, leaf_root_bitmaps, leaf_boxes)
 
     # ---- serialize -------------------------------------------------------
     atab = np.zeros(n_attrs, dtype=attr_table_dtype())
     for a, name in enumerate(attr_names):
-        atab[a]["name"] = name.encode()[:40]
+        atab[a]["name"] = name.encode()
         atab[a]["dtype"] = batch.attributes[name].dtype.str.encode()
         atab[a]["lo"], atab[a]["hi"] = attr_ranges[name]
 
@@ -402,14 +402,8 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     # blob is a contiguous slice), and all quantization math in one
     # vectorized pass; the remaining loop only assembles bytes.
     all_nodes = np.zeros(total_nodes, dtype=node_dt)
-    all_nodes["axis"] = forest_axis
-    all_nodes["depth"] = forest_depth
-    all_nodes["split"] = np.concatenate([t.split for t in treelets])
-    all_nodes["left"] = np.concatenate([t.left for t in treelets])
-    all_nodes["right"] = np.concatenate([t.right for t in treelets])
-    all_nodes["begin"] = np.concatenate([t.begin for t in treelets])
-    all_nodes["count"] = forest_count
-    all_nodes["subtree_end"] = np.concatenate([t.subtree_end for t in treelets])
+    for name in ("axis", "depth", "split", "left", "right", "begin", "count", "subtree_end"):
+        all_nodes[name] = getattr(forest, name)
     if n_attrs:
         all_nodes["bitmap_ids"] = treelet_bitmap_ids[:, :n_attrs]
 
@@ -459,12 +453,11 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     blobs: list[bytes] = []
     offsets: list[int] = []
     cursor = treelets_offset
-    max_depth = 0
+    max_depths = np.maximum.reduceat(forest.depth, node_starts[:-1])
     payload_raw_total = 0
     payload_enc_total = 0
-    for k, t in enumerate(treelets):
+    for k in range(n_leaves):
         nodes = all_nodes[node_starts[k] : node_starts[k + 1]]
-        max_depth = max(max_depth, t.max_depth)
         seg = slice(int(pt_starts[k]), int(pt_starts[k + 1]))
 
         if quantized_all is not None:
@@ -473,9 +466,9 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
             pos_arr = positions_no[seg]
 
         th = np.zeros(1, dtype=thead_dt)
-        th[0]["n_nodes"] = t.n_nodes
-        th[0]["n_points"] = t.n_points
-        th[0]["max_depth"] = t.max_depth
+        th[0]["n_nodes"] = n_nodes_per[k]
+        th[0]["n_points"] = pts_per[k]
+        th[0]["max_depth"] = max_depths[k]
 
         if use_codecs:
             columns = [("nodes", nodes), ("positions", pos_arr)]
@@ -527,7 +520,7 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
         n_shallow_inner=radix.n_inner,
         n_shallow_leaves=n_leaves,
         dict_entries=len(dictionary),
-        max_treelet_depth=max_depth,
+        max_treelet_depth=int(max_depths.max()),
         bounds=bounds.as_array(),
         attr_table_offset=attr_table_offset,
         shallow_inner_offset=shallow_inner_offset,

@@ -25,6 +25,7 @@ from .bitmaps import (
     bitmap_bins,
     bitmap_of_values,
     bitmaps_by_group,
+    or_bins_by_group,
     query_bitmap,
     remap_bitmap,
     value_bins,
@@ -130,19 +131,7 @@ class EquiDepthBinning:
         return np.uint32(np.bitwise_or.reduce(np.uint32(1) << bins.astype(np.uint32)))
 
     def group_bitmaps(self, values, group_ids, n_groups) -> np.ndarray:
-        values = np.asarray(values)
-        group_ids = np.asarray(group_ids, dtype=np.int64)
-        out = np.zeros(n_groups, dtype=np.uint32)
-        if values.size == 0:
-            return out
-        bins = self.bins(values)
-        keys = np.unique(group_ids * BITMAP_BITS + bins)
-        np.bitwise_or.at(
-            out,
-            (keys // BITMAP_BITS).astype(np.int64),
-            np.uint32(1) << (keys % BITMAP_BITS).astype(np.uint32),
-        )
-        return out
+        return or_bins_by_group(self.bins(values), group_ids, n_groups)
 
     def query(self, qlo: float, qhi: float) -> np.uint32:
         if qhi < qlo or qhi < self.lo or qlo > self.hi:

@@ -21,6 +21,7 @@ __all__ = [
     "FULL_BITMAP",
     "value_bins",
     "bitmap_of_values",
+    "or_bins_by_group",
     "bitmaps_by_group",
     "query_bitmap",
     "remap_bitmap",
@@ -57,31 +58,26 @@ def bitmap_of_values(values: np.ndarray, lo: float, hi: float) -> np.uint32:
     return np.uint32(bits)
 
 
+def or_bins_by_group(bins: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per-group bitmaps from per-value bin indices, in one pass.
+
+    ``group_ids`` assigns each value to a group in ``[0, n_groups)``, in any
+    order; the result is a uint32 array of length ``n_groups`` (zero for
+    empty groups). This is the hot path of BAT construction — one call
+    covers every node of a file — so it neither loops over groups nor
+    sorts: membership goes into a ``(group, bin)`` presence table by one
+    assignment, and each row packs into its 32 bits.
+    """
+    present = np.zeros((n_groups, BITMAP_BITS), dtype=bool)
+    present[group_ids, bins] = True
+    return np.packbits(present, axis=1, bitorder="little").view("<u4").ravel()
+
+
 def bitmaps_by_group(
     values: np.ndarray, group_ids: np.ndarray, n_groups: int, lo: float, hi: float
 ) -> np.ndarray:
-    """Per-group bitmaps computed in one vectorized pass.
-
-    ``group_ids`` assigns each value to a group in ``[0, n_groups)``; the
-    result is a uint32 array of length ``n_groups`` (zero for empty groups).
-    This is the hot path of BAT leaf construction, so it avoids a Python
-    loop over leaves by OR-reducing per (group, bin) pairs.
-    """
-    values = np.asarray(values)
-    group_ids = np.asarray(group_ids, dtype=np.int64)
-    out = np.zeros(n_groups, dtype=np.uint32)
-    if values.size == 0:
-        return out
-    bins = value_bins(values, lo, hi)
-    # Unique (group, bin) pairs; OR the corresponding one-hot bits per group.
-    keys = group_ids * BITMAP_BITS + bins
-    uniq = np.unique(keys)
-    np.bitwise_or.at(
-        out,
-        (uniq // BITMAP_BITS).astype(np.int64),
-        (np.uint32(1) << (uniq % BITMAP_BITS).astype(np.uint32)),
-    )
-    return out
+    """Per-group equi-width bitmaps relative to ``[lo, hi]``."""
+    return or_bins_by_group(value_bins(values, lo, hi), group_ids, n_groups)
 
 
 def query_bitmap(qlo: float, qhi: float, lo: float, hi: float) -> np.uint32:

@@ -35,12 +35,13 @@ class Box:
     @staticmethod
     def of_points(points: np.ndarray) -> "Box":
         """Tight bounds of an ``(N, 3)`` array; empty box for ``N == 0``."""
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        pts = np.asarray(points).reshape(-1, 3)
         if len(pts) == 0:
             return Box.empty()
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        return Box(tuple(lo.tolist()), tuple(hi.tolist()))
+        # one contiguous row per coordinate: numpy reduces a C-ordered
+        # (n, 3) array along its long axis without SIMD, ~20x slower
+        cols = np.ascontiguousarray(pts.T, dtype=np.float64)
+        return Box(tuple(cols.min(axis=1).tolist()), tuple(cols.max(axis=1).tolist()))
 
     @property
     def is_empty(self) -> bool:

@@ -72,6 +72,32 @@ class TestBuildBAT:
         built = build_bat(ParticleBatch(pos, {"v": np.arange(500, dtype=np.float64)}))
         assert built.n_treelets == 1
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "temperature_of_the_gas_phase_in_kelvin_at_cell_centre",  # 53 bytes
+            "é" * 21,  # 21 characters, 42 bytes
+            "rho\0",  # the table strips trailing NULs: would read back as "rho"
+        ],
+        ids=["53-bytes", "21-chars-42-bytes", "trailing-nul"],
+    )
+    def test_attribute_name_that_does_not_fit_the_table_is_rejected(self, name):
+        """The S40 attribute table used to store ``name.encode()[:40]`` while
+        the manifest kept the full name: filters and projections on it then
+        raised KeyError at read time, and two names sharing a 40-byte prefix
+        collided in the file."""
+        b = ParticleBatch(np.zeros((4, 3), dtype=np.float32), {name: np.arange(4.0)})
+        with pytest.raises(ValueError, match="40") as err:
+            build_bat(b)
+        assert repr(name) in str(err.value)
+
+    def test_attribute_name_of_exactly_40_bytes_round_trips(self):
+        name = "n" * 40
+        b = ParticleBatch(np.zeros((4, 3), dtype=np.float32), {name: np.arange(4.0)})
+        with build_bat(b).open() as f:
+            assert f.attr_names == [name]
+            assert f.attr_index(name) == 0
+
     def test_explicit_subprefix(self, batch):
         built = build_bat(batch, BATBuildConfig(subprefix_bits=6))
         assert built.n_treelets <= 64

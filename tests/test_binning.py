@@ -130,6 +130,47 @@ class TestEquiDepth:
         assert (bins >= 0).all() and (bins < BITMAP_BITS).all()
 
 
+class TestGroupBitmaps:
+    """Both schemes fill their per-node bitmaps through the one grouped
+    kernel (``bitmaps.or_bins_by_group``); each must equal its own per-group
+    ``bitmap`` loop whatever the order of the group ids."""
+
+    @staticmethod
+    def _binnings(vals):
+        return [
+            EquiWidthBinning(float(np.nanmin(vals)), float(np.nanmax(vals))),
+            EquiDepthBinning.fit(vals[~np.isnan(vals)]),
+        ]
+
+    def test_unsorted_ids_that_skip_groups(self):
+        rng = np.random.default_rng(3)
+        vals = np.exp(rng.normal(0, 2, 4000))
+        gids = rng.choice(np.array([0, 3, 4, 17, 63, 64, 99]), 4000)
+        for b in self._binnings(vals):
+            grouped = b.group_bitmaps(vals, gids, 101)
+            assert grouped.dtype == np.uint32 and grouped.shape == (101,)
+            for g in range(101):
+                assert grouped[g] == b.bitmap(vals[gids == g]), (type(b).__name__, g)
+
+    def test_no_groups_and_no_values(self):
+        for b in self._binnings(np.arange(40.0)):
+            none = b.group_bitmaps(np.array([]), np.array([], dtype=np.int64), 0)
+            assert none.shape == (0,) and none.dtype == np.uint32
+            assert (b.group_bitmaps(np.array([]), np.array([], dtype=np.int64), 3) == 0).all()
+
+    def test_nan_lands_where_the_scheme_bins_it(self):
+        vals = np.concatenate([np.arange(100.0), [np.nan, np.nan]])
+        gids = np.concatenate([np.arange(100) % 4, [1, 5]])
+        with np.errstate(invalid="ignore"):
+            for b in self._binnings(vals):
+                grouped = b.group_bitmaps(vals, gids, 6)
+                for g in range(6):
+                    assert grouped[g] == b.bitmap(vals[gids == g])
+                # a group holding only NaN sets exactly the NaN bin
+                assert grouped[5] == np.uint32(1) << int(b.bins(np.array([np.nan]))[0])
+            assert EquiWidthBinning(0.0, 99.0).bins(np.array([np.nan]))[0] == 0
+
+
 class TestMakeBinning:
     def test_roundtrip_equiwidth(self):
         b = make_binning(BINNING_EQUIWIDTH, 1.0, 5.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmaps import (
@@ -12,6 +12,7 @@ from repro.bitmaps import (
     bitmap_bins,
     bitmap_of_values,
     bitmaps_by_group,
+    or_bins_by_group,
     query_bitmap,
     remap_bitmap,
     value_bins,
@@ -73,6 +74,38 @@ class TestBitmapsByGroup:
 
     def test_no_values(self):
         assert (bitmaps_by_group(np.array([]), np.array([], dtype=int), 3, 0, 1) == 0).all()
+
+    def test_no_groups(self):
+        out = bitmaps_by_group(np.array([]), np.array([], dtype=int), 0, 0.0, 1.0)
+        assert out.shape == (0,) and out.dtype == np.uint32
+
+    def test_kernel_takes_ids_in_any_order_and_skipping_groups(self):
+        bins = np.array([31, 0, 4, 31, 4, 17])
+        gids = np.array([9, 2, 9, 2, 9, 0])  # unsorted; groups 1, 3-8 and 10 stay empty
+        out = or_bins_by_group(bins, gids, 11)
+        assert out.dtype == np.uint32 and out.shape == (11,)
+        expected = np.zeros(11, dtype=np.uint32)
+        expected[[0, 2, 9]] = [1 << 17, (1 << 31) | 1, (1 << 31) | (1 << 4)]
+        np.testing.assert_array_equal(out, expected)
+
+    def test_nan_lands_in_bin_zero(self):
+        with np.errstate(invalid="ignore"):
+            out = bitmaps_by_group(np.array([np.nan, 0.99]), np.array([1, 0]), 2, 0.0, 1.0)
+            assert out[1] == bitmap_of_values(np.array([np.nan]), 0.0, 1.0) == 1
+        assert out[0] == np.uint32(1) << 31
+
+    @given(
+        st.lists(st.tuples(finite, st.integers(0, 39)), max_size=300),
+        st.sampled_from([(0.0, 1.0), (-1e6, 1e6), (3.0, 3.0)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_group_loop(self, rows, value_range):
+        lo, hi = value_range
+        vals = np.array([v for v, _ in rows], dtype=np.float64)
+        gids = np.array([g for _, g in rows], dtype=np.int64)
+        grouped = bitmaps_by_group(vals, gids, 40, lo, hi)
+        for g in range(40):
+            assert grouped[g] == bitmap_of_values(vals[gids == g], lo, hi)
 
 
 class TestQueryBitmap:

@@ -108,6 +108,19 @@ class TestWritePipeline:
         meta = DatasetMetadata.load(tmp_path / "aug0.meta.json")
         assert meta.total_particles == data.total_particles
 
+    def test_overlong_attribute_name_publishes_nothing(self, machine, tmp_path):
+        """A name the leaf files cannot hold fails the write before any leaf
+        or the manifest lands (it used to write cleanly, truncated, and fail
+        filtered reads with KeyError)."""
+        name = "temperature_of_the_gas_phase_in_kelvin_at_cell_centre"
+        data = make_rank_data(4)
+        batches = [ParticleBatch(b.positions, {name: b.attributes["temp"]}) for b in data.batches]
+        data = RankData(bounds=data.bounds, counts=data.counts, batches=batches)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="temperature_of_the_gas_phase"):
+            TwoPhaseWriter(machine, target_size=64 * 1024).write(data, out_dir=out, name="t")
+        assert list(out.iterdir()) == []
+
     def test_unknown_strategy(self, machine):
         with pytest.raises(ValueError, match="strategy"):
             TwoPhaseWriter(machine, strategy="bogus").write(make_rank_data(4))

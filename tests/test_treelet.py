@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bat.treelet import Treelet, build_treelet, treelet_node_bitmaps
+from repro.bat.treelet import build_treelet, treelet_node_bitmaps
 from repro.bitmaps import bitmap_of_values
 
 
