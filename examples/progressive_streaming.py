@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import AttributeFilter, Box, TwoPhaseWriter, machines
-from repro.viz import ProgressiveStreamServer, lod_radius
+from repro import AttributeFilter, Box, QueryRequest, TwoPhaseWriter, machines
+from repro.serve import DegradationConfig, QueryService, ServeConfig
+from repro.viz import lod_radius
 from repro.workloads import CoalBoiler
 
 OUT = Path(__file__).parent / "stream_out"
@@ -31,13 +32,18 @@ def main() -> None:
     total = data.total_particles
     print(f"serving {total:,} particles from {report.n_files} BAT files\n")
 
-    with ProgressiveStreamServer(report.metadata_path) as server:
+    # an in-process viewer wants deterministic full-quality increments:
+    # no load degradation, and cached results never expire
+    config = ServeConfig(
+        capacity=2, degradation=DegradationConfig(enabled=False), result_ttl=None
+    )
+    with QueryService(report.metadata_path, config) as server:
         # -- client A: progressive full-view loading ----------------------------
         a = server.open_session()
         print("client A loads the full view progressively:")
         have = 0
         for q in (0.1, 0.3, 0.6, 1.0):
-            inc = server.request(a, q)
+            inc = server.request(a, QueryRequest(quality=q)).batch
             have += len(inc)
             print(f"  quality {q:.1f}: +{len(inc):6,} points "
                   f"(have {have / total:6.1%}, LOD radius x{lod_radius(1.0, max(have / total, 1e-9)):.2f})")
@@ -50,18 +56,19 @@ def main() -> None:
         upper_half = Box(
             (lo[0], lo[1], (lo[2] + hi[2]) / 2), tuple(hi.tolist())
         )
-        glo, ghi = server.dataset.attr_ranges["temperature"]
+        glo, ghi = server.dataset().attr_ranges["temperature"]
         cool = AttributeFilter("temperature", glo, glo + 0.5 * (ghi - glo))
         print("\nclient B explores the upper half, cooler particles only:")
         for q in (0.25, 1.0):
-            inc = server.request(b, q, box=upper_half, filters=[cool])
+            view = QueryRequest(quality=q, box=upper_half, filters=(cool,))
+            inc = server.request(b, view).batch
             print(f"  quality {q:.2f}: +{len(inc):,} points")
             if len(inc):
                 assert upper_half.contains_points(inc.positions).all()
                 assert (inc.attributes["temperature"] <= cool.hi).all()
 
         # asking again at the same quality costs nothing
-        again = server.request(b, 1.0, box=upper_half, filters=[cool])
+        again = server.request(b, view).batch
         print(f"  repeated request: +{len(again)} points (nothing re-sent)")
 
         sa, sb = server.session(a), server.session(b)

@@ -68,8 +68,8 @@ class Request:
     field — never deep inside a traversal.
 
     ``family`` is the wire-format discriminator used by
-    :func:`request_to_doc` / :func:`request_from_doc` and by the serve
-    tier's cache and collapse keys.
+    :func:`request_to_doc` / :func:`request_from_doc`; the serve tier's
+    cache and collapse keys hold the request object itself.
     """
 
     filters: tuple = ()
@@ -153,7 +153,7 @@ class NeighborRequest(Request):
     (distance 0 sorts first). Per-center neighbor lists are ordered by
     ``(distance, leaf, treelet, slot)`` — the global particle order-key
     breaks distance ties, which makes results reproducible across
-    executors, engines, and shard layouts (see docs/API.md).
+    engines and shard layouts (see docs/API.md).
     """
 
     center_box: Box | None = None
@@ -496,18 +496,16 @@ def reassemble_stream(increments) -> QueryResult:
     )
 
 
-def open_dataset(path, *, executor=None, file_cache=None, plan_cache=None):
+def open_dataset(path, *, file_cache=None, plan_cache=None):
     """Open one written timestep for querying.
 
     The front door of the read API: returns a
     :class:`~repro.core.dataset.BATDataset` (usable as a context manager)
     whose :meth:`~repro.core.dataset.BATDataset.query` accepts a
-    :class:`QueryRequest`. ``executor``, ``file_cache``, and
-    ``plan_cache`` tune resource sharing exactly as the
+    :class:`QueryRequest`. ``file_cache`` and ``plan_cache`` tune
+    resource sharing exactly as the
     :class:`~repro.core.dataset.BATDataset` constructor does.
     """
     from .core.dataset import BATDataset
 
-    return BATDataset(
-        path, executor=executor, file_cache=file_cache, plan_cache=plan_cache
-    )
+    return BATDataset(path, file_cache=file_cache, plan_cache=plan_cache)

@@ -42,6 +42,7 @@ from .format import (
     VERSION,
     Header,
     attr_table_dtype,
+    check_attr_names,
     column_dir_dtype,
     footer_size,
     pack_binning_section,
@@ -248,16 +249,7 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     n = len(batch)
     if n == 0:
         raise ValueError("cannot build a BAT over zero particles")
-    # the attribute table is the file's only record of a name: one that does
-    # not fit would read back as a different (or another column's) name
-    name_bytes = attr_table_dtype()["name"].itemsize
-    for name in batch.attributes:
-        raw = name.encode()
-        if len(raw) > name_bytes or b"\0" in raw:
-            raise ValueError(
-                f"attribute name {name!r} does not fit the file's attribute table: "
-                f"at most {name_bytes} UTF-8 bytes and no NUL, got {len(raw)}"
-            )
+    check_attr_names(batch.attributes, attr_table_dtype()["name"].itemsize)
 
     bounds = batch.bounds
     subprefix_bits = config.resolve_subprefix_bits(n)

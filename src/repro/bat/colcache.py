@@ -24,7 +24,7 @@ the byte budget an actual bound on decoded memory.
 The budget is in *decoded* bytes (``arr.nbytes``), not encoded bytes:
 that is what the cache actually pins in memory. Eviction is strict LRU.
 All operations take one re-entrant lock so the serve layer's scheduler
-workers and the thread executor can share a single instance.
+workers can share a single instance.
 """
 
 from __future__ import annotations

@@ -69,6 +69,7 @@ __all__ = [
     "pack_footer",
     "unpack_footer",
     "attr_table_dtype",
+    "check_attr_names",
     "shallow_inner_dtype",
     "shallow_leaf_dtype",
     "treelet_node_dtype",
@@ -254,6 +255,22 @@ def attr_table_dtype() -> np.dtype:
     return np.dtype(
         [("name", "S40"), ("dtype", "S8"), ("lo", "<f8"), ("hi", "<f8")]
     )
+
+
+def check_attr_names(names, name_bytes: int) -> None:
+    """Reject names a NUL-padded ``name_bytes``-wide table field cannot hold.
+
+    The attribute table is a leaf file's only record of a name: one that
+    does not fit would read back as a different (or another column's)
+    name. Shared by every layout that stores names this way.
+    """
+    for name in names:
+        raw = name.encode()
+        if len(raw) > name_bytes or b"\0" in raw:
+            raise ValueError(
+                f"attribute name {name!r} does not fit the file's attribute table: "
+                f"at most {name_bytes} UTF-8 bytes and no NUL, got {len(raw)}"
+            )
 
 
 def shallow_inner_dtype(n_attrs: int) -> np.dtype:

@@ -24,8 +24,8 @@ the particle's global order-key (leaf-file index, treelet visit rank,
 node-order slot — the same key scheme the streaming read path uses).
 Distances are computed in one shared helper (:func:`dist2`, float64,
 fixed operation order), keys are unique per particle, so the sort is a
-total order and both engines — and any executor or shard layout —
-produce the same selection. The box-level pruning bounds carry a tiny
+total order and both engines — and any shard layout — produce the
+same selection. The box-level pruning bounds carry a tiny
 relative slack so a float rounding at the prune boundary can only admit
 an extra node (harmless), never drop a true neighbor.
 """

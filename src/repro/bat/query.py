@@ -123,20 +123,6 @@ class QueryStats:
         self.quarantined_files += other.quarantined_files
         self.decoded_bytes += other.decoded_bytes
 
-    @staticmethod
-    def merge_ordered(indexed) -> "QueryStats":
-        """Merge ``(file_index, stats)`` pairs in file-index order.
-
-        Parallel dataset queries complete out of order; sorting before
-        merging pins the merge sequence (and therefore any consumer that
-        observes intermediate totals) to the file order, byte-for-byte
-        identical to a serial run.
-        """
-        total = QueryStats()
-        for _, s in sorted(indexed, key=lambda pair: pair[0]):
-            total.merge(s)
-        return total
-
 
 def quality_to_depth(quality: float, max_depth: int) -> float:
     """Log-remapped effective depth ``e`` ∈ [0, max_depth+1] (see module doc)."""

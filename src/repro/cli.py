@@ -111,7 +111,7 @@ def _cmd_query(args) -> int:
         filters=tuple(args.filter or ()),
         columns=tuple(args.columns.split(",")) if args.columns else None,
     )
-    with open_dataset(args.metadata, executor=args.executor) as ds:
+    with open_dataset(args.metadata) as ds:
         batch, stats = ds.query(request)
         print(f"matched {len(batch):,} of {ds.total_particles:,} particles "
               f"(tested {stats.points_tested:,}, "
@@ -138,7 +138,7 @@ def _cmd_neighbor_query(args) -> int:
         columns=tuple(args.columns.split(",")) if args.columns else None,
         engine=args.engine,
     )
-    with open_dataset(args.metadata, executor=args.executor) as ds:
+    with open_dataset(args.metadata) as ds:
         res = ds.neighbors(request)
         s = res.stats
         mode = f"k={args.knn}" if args.knn is not None else f"radius={args.radius:g}"
@@ -193,7 +193,6 @@ def _cmd_serve(args) -> int:
     config = ServeConfig(
         capacity=args.capacity,
         max_queued=args.max_queued,
-        executor=args.executor,
         collapse=not args.no_collapse,
         degradation=DegradationConfig(enabled=not args.no_degradation),
     )
@@ -453,9 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--stats", action="store_true",
                        help="print per-attribute statistics of the result")
     query.add_argument("--output", help="write the result to an .npz file")
-    query.add_argument("--executor", default=None,
-                       help="execution backend: serial, thread[:N], process[:N] "
-                            "(default: $REPRO_EXECUTOR or serial)")
     query.add_argument("--engine", choices=NEIGHBOR_ENGINES, default="tree",
                        help="neighbor mode: tree (default) or brute, the "
                             "exhaustive reference")
@@ -494,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="open-loop interarrival RNG seed")
     serve.add_argument("--no-degradation", action="store_true",
                        help="disable adaptive quality degradation under load")
-    serve.add_argument("--executor", default=None,
-                       help="per-query fan-out backend (see repro.parallel)")
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="serve through N shard worker processes "
                             "(consistent-hash partitioned; 0 = in-process)")

@@ -13,7 +13,6 @@ faulted into the file-handle cache.
 from __future__ import annotations
 
 import threading
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,61 +42,51 @@ from ..bat.query import (
     stream_query_file,
 )
 from ..errors import IntegrityError, InvalidRequestError, LeafUnavailableError
-from ..parallel import get_executor
 from ..types import Box, ParticleBatch
 from .metadata import DatasetMetadata
 from .planner import NeighborQueryPlan, PlanCache, QueryPlan
 
-__all__ = ["BATDataset"]
+__all__ = ["BATDataset", "empty_batch"]
+
+#: what a corrupt or missing leaf file raises, at open or mid-traversal
+_LEAF_ERRORS = (FileNotFoundError, IntegrityError)
 
 
-def _query_leaf(directory: str, kwargs: dict, item):
-    """Run one file's query in an executor worker.
+def _split_columns(columns) -> tuple[list[str] | None, bool]:
+    """``(attributes, with_positions)`` of a request's ``columns``.
 
-    ``item`` is ``(leaf_index, file_name, box)`` — the box comes from the
-    file's plan entry (``None`` when the query box contains the whole
-    leaf). Workers open their own handle (mmaps don't cross process
-    boundaries and per-task handles keep threads independent); the serial
-    path uses the dataset's LRU cache instead.
-
-    Returns ``(leaf_index, batch, stats, error)`` where ``error`` is
-    ``None`` on success or a picklable ``(kind, message)`` pair (``kind``
-    in ``"missing"``/``"corrupt"``) — exceptions with keyword-only
-    constructors don't round-trip through process pools, and the dataset
-    decides whether to quarantine or raise, not the worker.
+    ``columns`` may name the pseudo-column "positions"; anything else is
+    an attribute. Omitting it from an explicit selection projects
+    positions away entirely (the batch carries a count instead).
     """
-    leaf_index, file_name, box = item
-    try:
-        f = BATFile(Path(directory) / file_name)
-    except FileNotFoundError as exc:
-        return leaf_index, None, None, ("missing", str(exc))
-    except IntegrityError as exc:
-        return leaf_index, None, None, ("corrupt", str(exc))
-    try:
-        batch, stats = query_file(f, box=box, **kwargs)
-        # the per-task handle opened at 0, so its counter is this query's
-        stats.decoded_bytes = f.decoded_bytes
-    except IntegrityError as exc:
-        return leaf_index, None, None, ("corrupt", str(exc))
-    finally:
-        f.close()
-    return leaf_index, batch, stats, None
+    if columns is None:
+        return None, True
+    return [c for c in columns if c != "positions"], "positions" in columns
+
+
+def empty_batch(ds, columns) -> ParticleBatch:
+    """The schema-stable empty result of one step for a column selection
+    (``ds``: anything with :meth:`BATDataset.attribute_specs`)."""
+    attributes, with_positions = _split_columns(columns)
+    specs = ds.attribute_specs()
+    if attributes is not None:
+        specs = [sp for sp in specs if sp.name in attributes]
+    return ParticleBatch.empty(specs, with_positions=with_positions)
 
 
 class BATDataset:
     """Read-side facade over one written timestep.
 
-    ``executor`` selects the execution layer for multi-file queries (a
-    spec string like ``"process:4"``, an :class:`~repro.parallel.Executor`
-    instance, or ``None`` for the serial default); ``file_cache`` bounds
-    how many leaf files stay open between queries and may be shared with
-    other datasets (e.g. across the steps of a time series).
+    ``file_cache`` bounds how many leaf files stay open between queries
+    and may be shared with other datasets (e.g. across the steps of a
+    time series). A read is one reader walking the planned leaf files in
+    order through that cache; docs/PERFORMANCE.md has the measurements
+    behind not fanning it out.
     """
 
     def __init__(
         self,
         metadata_path,
-        executor=None,
         file_cache: BATFileCache | None = None,
         plan_cache: PlanCache | None = None,
     ):
@@ -109,7 +98,6 @@ class BATDataset:
                 "only reads 'bat' files (see repro.layouts for the reader)"
             )
         self.directory = self.metadata_path.parent
-        self.executor = get_executor(executor)
         self._cache = file_cache if file_cache is not None else BATFileCache()
         self._owns_cache = file_cache is None
         # the serve layer injects a plan cache it also reads stats from;
@@ -236,13 +224,18 @@ class BATDataset:
         Quarantined leaves are excluded; the plan's ``excluded_files``
         counts relevant files the query will not see.
         """
-        return self._plan_cache.get_or_build(
-            self.metadata, box, tuple(filters), exclude=self._exclude()
-        )
+        return self._plan(None, self._plan_cache.get_or_build, box=box, filters=filters)
 
-    def _candidate_leaves(self, box, filters) -> list[int]:
-        """Leaf indices the planner keeps (kept for compatibility/tests)."""
-        return [fp.leaf_index for fp in self.plan(box, tuple(filters)).files]
+    def _plan(self, plan, build, **shape):
+        """The memoized plan for ``shape`` — or the caller's ``plan`` (e.g.
+        a streaming session's), checked to have been built for it."""
+        if plan is None:
+            return build(self.metadata, exclude=self._exclude(), **shape)
+        if any(getattr(plan, name) != value for name, value in shape.items()):
+            raise InvalidRequestError(
+                f"plan was built for a different {'/'.join(shape)} shape"
+            )
+        return plan
 
     def _materialized_columns(self, req: QueryRequest) -> list[str]:
         """The column names ``req`` materializes — for access telemetry."""
@@ -272,11 +265,10 @@ class BATDataset:
         (``result.batch`` is then ``None``).
 
         Same semantics as :func:`repro.bat.query.query_file`, with the
-        planner pruning which leaf files get touched at all. Candidate
-        files fan out across the dataset's executor (callback queries
-        stay serial so the callback observes file order); results and
-        stats are merged in file order, so every executor returns
-        identical output.
+        planner pruning which leaf files get touched at all. The kept
+        files are read in plan (= leaf index) order through the shared
+        handle cache, so results, stats and callback chunks follow file
+        order.
 
         ``request.on_error`` decides what a corrupt or missing leaf file
         does: ``"raise"`` surfaces a clear
@@ -291,91 +283,47 @@ class BATDataset:
         req = request if request is not None else QueryRequest()
         if not isinstance(req, QueryRequest):
             raise InvalidRequestError("query() takes a repro.QueryRequest")
-        on_error = req.on_error
-        box = req.box
-        filters = req.filters
-        # ``columns`` may name the pseudo-column "positions"; anything else
-        # is an attribute. Omitting it from an explicit selection projects
-        # positions away entirely (the batch carries a count instead).
-        attributes = None
-        with_positions = True
-        if req.columns is not None:
-            attributes = [c for c in req.columns if c != "positions"]
-            with_positions = "positions" in req.columns
-        if plan is None:
-            plan = self.plan(box, filters)
-        elif plan.box != box or plan.filters != filters:
-            raise InvalidRequestError(
-                "plan was built for a different box/filters shape"
-            )
-        kwargs = dict(
-            quality=req.quality,
-            prev_quality=req.prev_quality,
-            filters=filters,
-            attributes=attributes,
-            with_positions=with_positions,
+        attributes, with_positions = _split_columns(req.columns)
+        plan = self._plan(
+            plan, self._plan_cache.get_or_build, box=req.box, filters=req.filters
         )
-        newly_failed = 0
-        indexed_stats: list[tuple[int, QueryStats]] = []
+        stats = QueryStats(
+            pruned_files=plan.pruned_files, quarantined_files=plan.excluded_files
+        )
+        leaf_stats: list[tuple[int, QueryStats]] = []
         parts = []
-        if callback is None and self.executor.kind != "serial" and len(plan.files) > 1:
-            if self.executor.kind == "thread":
-                # threads share the dataset's LRU handle cache (it is
-                # thread-safe): no per-task reopen, no re-running the
-                # whole-file section CRCs a fresh BATFile pays on open
-                task_fn = partial(self._query_leaf_shared, kwargs)
-            else:
-                # processes can't share mmaps; workers open their own handle
-                task_fn = partial(_query_leaf, str(self.directory), kwargs)
-            tasks = self.executor.map(
-                task_fn,
-                [(fp.leaf_index, fp.file_name, fp.box) for fp in plan.files],
-            )
-            for i, res, s, err in sorted(tasks, key=lambda t: t[0]):
-                if err is not None:
-                    self._leaf_failed(i, err[0], err[1], on_error)
-                    newly_failed += 1
-                    continue
-                indexed_stats.append((i, s))
-                if res is not None and len(res):
-                    parts.append(res)
-        else:
-            for fp in plan.files:
-                try:
-                    f = self.file(fp.leaf_index)
-                    decoded_before = f.decoded_bytes
-                    res, s = query_file(f, box=fp.box, callback=callback, **kwargs)
-                except FileNotFoundError as exc:
-                    self._leaf_failed(fp.leaf_index, "missing", str(exc), on_error)
-                    newly_failed += 1
-                    continue
-                except IntegrityError as exc:
-                    self._leaf_failed(fp.leaf_index, "corrupt", str(exc), on_error)
-                    newly_failed += 1
-                    continue
-                s.decoded_bytes = f.decoded_bytes - decoded_before
-                indexed_stats.append((fp.leaf_index, s))
-                if res is not None and len(res):
-                    parts.append(res)
-        stats = QueryStats.merge_ordered(indexed_stats)
-        stats.pruned_files += plan.pruned_files
-        stats.quarantined_files += plan.excluded_files + newly_failed
+        for fp in plan.files:
+            try:
+                f = self.file(fp.leaf_index)
+                decoded_before = f.decoded_bytes
+                res, s = query_file(
+                    f,
+                    quality=req.quality,
+                    prev_quality=req.prev_quality,
+                    box=fp.box,
+                    filters=req.filters,
+                    callback=callback,
+                    attributes=attributes,
+                    with_positions=with_positions,
+                )
+            except _LEAF_ERRORS as exc:
+                self._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
+                continue
+            s.decoded_bytes = f.decoded_bytes - decoded_before
+            stats.merge(s)
+            leaf_stats.append((fp.leaf_index, s))
+            if res is not None and len(res):
+                parts.append(res)
         if self.telemetry is not None:
-            self.telemetry.view(box, filters, self._materialized_columns(req))
-            for i, s in indexed_stats:
+            self.telemetry.view(req.box, req.filters, self._materialized_columns(req))
+            for i, s in leaf_stats:
                 self.telemetry.leaf(
                     i, points=s.points_returned, decoded_bytes=s.decoded_bytes
                 )
         if callback is not None:
             return QueryResult(batch=None, stats=stats)
         if not parts:
-            specs = self.attribute_specs()
-            if attributes is not None:
-                specs = [sp for sp in specs if sp.name in attributes]
-            return QueryResult(
-                batch=ParticleBatch.empty(specs, with_positions=with_positions),
-                stats=stats,
-            )
+            return QueryResult(batch=empty_batch(self, req.columns), stats=stats)
         return QueryResult(batch=ParticleBatch.concatenate(parts), stats=stats)
 
     def stream(self, request=None, ladder=None, plan=None):
@@ -422,18 +370,10 @@ class BATDataset:
                     "ladder must be non-descending within [prev_quality, 1]"
                 )
             lo = q
-        attributes = None
-        with_positions = True
-        if req.columns is not None:
-            attributes = [c for c in req.columns if c != "positions"]
-            with_positions = "positions" in req.columns
-        if plan is None:
-            plan = self.plan(req.box, req.filters)
-        elif plan.box != req.box or plan.filters != req.filters:
-            raise InvalidRequestError(
-                "plan was built for a different box/filters shape"
-            )
-        return self._stream_rungs(req, ladder, plan, attributes, with_positions)
+        plan = self._plan(
+            plan, self._plan_cache.get_or_build, box=req.box, filters=req.filters
+        )
+        return self._stream_rungs(req, ladder, plan)
 
     def neighbors(
         self, request: NeighborRequest, plan: NeighborQueryPlan | None = None
@@ -450,8 +390,8 @@ class BATDataset:
         files dynamically once every center's k-th-neighbor bound falls
         short of their bounds. Per-center lists are ordered by
         ``(distance, leaf, treelet, slot)`` — deterministic across
-        engines, executors, and shard layouts; ``engine="brute"`` is the
-        exhaustive byte-identical reference.
+        engines and shard layouts; ``engine="brute"`` is the exhaustive
+        byte-identical reference.
 
         ``request.on_error`` matches :meth:`query`: ``"degrade"``
         quarantines corrupt/missing leaves and returns the partial
@@ -460,12 +400,7 @@ class BATDataset:
         if not isinstance(request, NeighborRequest):
             raise InvalidRequestError("neighbors() takes a repro.NeighborRequest")
         stats = NeighborStats()
-        on_error = request.on_error
-        attributes = None
-        with_positions = True
-        if request.columns is not None:
-            attributes = [c for c in request.columns if c != "positions"]
-            with_positions = "positions" in request.columns
+        attributes, with_positions = _split_columns(request.columns)
         specs = self.attribute_specs()
         known = {sp.name for sp in specs}
         for f in request.filters:
@@ -491,15 +426,9 @@ class BATDataset:
                 return None
             try:
                 f = self.file(leaf_index)
-            except FileNotFoundError as exc:
-                self._leaf_failed(leaf_index, "missing", str(exc), on_error)
+            except _LEAF_ERRORS as exc:
+                self._leaf_failed(leaf_index, exc, request.on_error, stats)
                 failed.add(leaf_index)
-                stats.quarantined_files += 1
-                return None
-            except IntegrityError as exc:
-                self._leaf_failed(leaf_index, "corrupt", str(exc), on_error)
-                failed.add(leaf_index)
-                stats.quarantined_files += 1
                 return None
             opened[leaf_index] = (f, f.decoded_bytes)
             stats.files_opened += 1
@@ -515,10 +444,7 @@ class BATDataset:
         if request.points is not None:
             centers = np.asarray(request.points, dtype=np.float64).reshape(-1, 3)
         else:
-            cplan = self._plan_cache.get_or_build(
-                self.metadata, request.center_box, request.filters,
-                exclude=self._exclude(),
-            )
+            cplan = self.plan(request.center_box, request.filters)
             pos_parts, key_parts = [], []
             for fp in cplan.files:
                 f = open_leaf(fp.leaf_index)
@@ -540,18 +466,10 @@ class BATDataset:
 
         # -- plan + engines -------------------------------------------------
         region = request.region
-        if plan is None:
-            plan = self._plan_cache.get_or_build_neighbor(
-                self.metadata, region, request.radius, request.filters,
-                exclude=self._exclude(),
-            )
-        elif (
-            plan.region != region or plan.radius != request.radius
-            or plan.filters != request.filters
-        ):
-            raise InvalidRequestError(
-                "plan was built for a different region/radius/filters shape"
-            )
+        plan = self._plan(
+            plan, self._plan_cache.get_or_build_neighbor,
+            region=region, radius=request.radius, filters=request.filters,
+        )
         stats.pruned_files += plan.pruned_files
         stats.quarantined_files += plan.excluded_files
 
@@ -633,7 +551,8 @@ class BATDataset:
             stats=stats,
         )
 
-    def _stream_rungs(self, req, ladder, plan, attributes, with_positions):
+    def _stream_rungs(self, req, ladder, plan):
+        attributes, with_positions = _split_columns(req.columns)
         stats = QueryStats()
         stats.pruned_files += plan.pruned_files
         stats.quarantined_files += plan.excluded_files
@@ -650,14 +569,8 @@ class BATDataset:
                 try:
                     f = self.file(fp.leaf_index)
                     leaf_handles[fp.leaf_index] = (f, f.decoded_bytes)
-                except FileNotFoundError as exc:
-                    self._leaf_failed(fp.leaf_index, "missing", str(exc), req.on_error)
-                    stats.quarantined_files += 1
-                    partial = True
-                    continue
-                except IntegrityError as exc:
-                    self._leaf_failed(fp.leaf_index, "corrupt", str(exc), req.on_error)
-                    stats.quarantined_files += 1
+                except _LEAF_ERRORS as exc:
+                    self._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
                     partial = True
                     continue
                 gens.append(
@@ -678,8 +591,7 @@ class BATDataset:
                 )
             try:
                 yield from self._stream_ladder(
-                    req, ladder, gens, stats, partial, attributes,
-                    with_positions, leaf_points,
+                    req, ladder, gens, stats, partial, leaf_points
                 )
             finally:
                 # record what the stream actually touched, even when the
@@ -695,11 +607,7 @@ class BATDataset:
                             decoded_bytes=max(f.decoded_bytes - decoded_before, 0),
                         )
 
-    def _stream_ladder(
-        self, req, ladder, gens, stats, partial, attributes,
-        with_positions, leaf_points,
-    ):
-        specs = None
+    def _stream_ladder(self, req, ladder, gens, stats, partial, leaf_points):
         prev = req.prev_quality
         for q in ladder:
             parts: list[ParticleBatch] = []
@@ -708,15 +616,8 @@ class BATDataset:
             for slot, (file_rank, leaf_index, gen) in enumerate(gens):
                 try:
                     inc = next(gen)
-                except FileNotFoundError as exc:
-                    self._leaf_failed(leaf_index, "missing", str(exc), req.on_error)
-                    stats.quarantined_files += 1
-                    partial = True
-                    dead.append(slot)
-                    continue
-                except IntegrityError as exc:
-                    self._leaf_failed(leaf_index, "corrupt", str(exc), req.on_error)
-                    stats.quarantined_files += 1
+                except _LEAF_ERRORS as exc:
+                    self._leaf_failed(leaf_index, exc, req.on_error, stats)
                     partial = True
                     dead.append(slot)
                     continue
@@ -744,11 +645,7 @@ class BATDataset:
                     np.concatenate(orders, axis=0) if len(orders) > 1 else orders[0]
                 )
             else:
-                if specs is None:
-                    specs = self.attribute_specs()
-                    if attributes is not None:
-                        specs = [sp for sp in specs if sp.name in attributes]
-                batch = ParticleBatch.empty(specs, with_positions=with_positions)
+                batch = empty_batch(self, req.columns)
                 order = np.empty((0, 3), dtype=np.int64)
             yield StreamIncrement(
                 quality=q,
@@ -760,50 +657,28 @@ class BATDataset:
             )
             prev = q
 
-    def _query_leaf_shared(self, kwargs: dict, item):
-        """Thread-executor work unit: query one leaf via the shared cache.
+    def _leaf_failed(self, leaf_index: int, exc: Exception, on_error: str, stats) -> None:
+        """One leaf file turned out corrupt or missing mid-query.
 
-        Mirrors :func:`_query_leaf`'s return contract but reuses (and
-        populates) the dataset's handle cache instead of opening a
-        throwaway ``BATFile`` per task.
+        ``"degrade"`` quarantines it (future plans exclude it up front)
+        and counts it in ``stats.quarantined_files``; ``"raise"``
+        surfaces a clear error naming the leaf and dataset.
         """
-        leaf_index, file_name, box = item
-        try:
-            f = self._cache.get(self.directory / file_name)
-            # decode accounting is a per-handle counter shared by all
-            # threads; the delta is approximate under concurrent queries
-            # of the same leaf, but the sum across a quiet service is exact
-            decoded_before = f.decoded_bytes
-            batch, stats = query_file(f, box=box, **kwargs)
-        except FileNotFoundError as exc:
-            return leaf_index, None, None, ("missing", str(exc))
-        except IntegrityError as exc:
-            return leaf_index, None, None, ("corrupt", str(exc))
-        stats.decoded_bytes = max(f.decoded_bytes - decoded_before, 0)
-        return leaf_index, batch, stats, None
-
-    def _leaf_failed(self, leaf_index: int, kind: str, message: str,
-                     on_error: str) -> None:
-        """One leaf file turned out corrupt/missing mid-query.
-
-        ``"degrade"`` quarantines it (future plans exclude it up front);
-        ``"raise"`` surfaces a clear error naming the leaf and dataset.
-        """
+        if on_error == "degrade":
+            self.quarantine_leaf(leaf_index, str(exc))
+            stats.quarantined_files += 1
+            return
         leaf = self.metadata.leaves[leaf_index]
         path = str(self.directory / leaf.file_name)
-        if on_error == "degrade":
-            self.quarantine_leaf(leaf_index, message)
-            return
         context = (
             f"leaf file {leaf.file_name!r} (leaf {leaf_index}) of dataset "
             f"{self.metadata_path.name!r}"
         )
-        if kind == "missing":
+        if isinstance(exc, FileNotFoundError):
             raise LeafUnavailableError(
-                f"{context} is missing: {message}",
-                leaf_index=leaf_index, path=path,
+                f"{context} is missing: {exc}", leaf_index=leaf_index, path=path,
             )
-        raise IntegrityError(f"{context} is corrupt: {message}", path=path)
+        raise IntegrityError(f"{context} is corrupt: {exc}", path=path)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

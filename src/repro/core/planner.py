@@ -315,12 +315,8 @@ class PlanCache:
         with self._lock:
             return len(self._plans)
 
-    def get_or_build(
-        self, metadata: DatasetMetadata, box: Box | None, filters,
-        exclude=frozenset(),
-    ) -> QueryPlan:
-        exclude = frozenset(exclude)
-        key = (metadata.generation, box, tuple(filters), exclude)
+    def _memo(self, key: tuple, build):
+        """The plan stored under ``key``, building it (unlocked) on a miss."""
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -328,13 +324,23 @@ class PlanCache:
                 self._plans.move_to_end(key)
                 return plan
             self.misses += 1
-        plan = plan_query(metadata, box, tuple(filters), exclude=exclude)
+        plan = build()
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)
             while len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)
         return plan
+
+    def get_or_build(
+        self, metadata: DatasetMetadata, box: Box | None, filters,
+        exclude=frozenset(),
+    ) -> QueryPlan:
+        filters, exclude = tuple(filters), frozenset(exclude)
+        return self._memo(
+            (metadata.generation, box, filters, exclude),
+            lambda: plan_query(metadata, box, filters, exclude=exclude),
+        )
 
     def get_or_build_neighbor(
         self, metadata: DatasetMetadata, region: Box, radius: float | None,
@@ -346,27 +352,13 @@ class PlanCache:
         plans; generation and quarantine set key it for the same reasons
         as :meth:`get_or_build`.
         """
-        exclude = frozenset(exclude)
-        key = (
-            metadata.generation, "neighbor", region, radius,
-            tuple(filters), exclude,
+        filters, exclude = tuple(filters), frozenset(exclude)
+        return self._memo(
+            (metadata.generation, "neighbor", region, radius, filters, exclude),
+            lambda: plan_neighbor_query(
+                metadata, region, radius, filters, exclude=exclude
+            ),
         )
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                self._plans.move_to_end(key)
-                return plan
-            self.misses += 1
-        plan = plan_neighbor_query(
-            metadata, region, radius, tuple(filters), exclude=exclude
-        )
-        with self._lock:
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-        return plan
 
     def stats(self) -> dict:
         """Counter snapshot for the serve metrics surface."""

@@ -136,18 +136,15 @@ class TimeSeriesDataset:
 
     All steps share one bounded LRU cache of open leaf-file handles, so
     scrubbing back and forth through a long series re-uses mmaps without
-    ever holding more than ``max_open_files`` descriptors. ``executor``
-    is forwarded to each step's :class:`BATDataset` (see
-    :mod:`repro.parallel`).
+    ever holding more than ``max_open_files`` descriptors.
     """
 
-    def __init__(self, directory, executor=None, max_open_files: int | None = None):
+    def __init__(self, directory, max_open_files: int | None = None):
         from ..bat.filecache import DEFAULT_CAPACITY, BATFileCache
 
         self.directory = Path(directory)
         self.records = {r.step: r for r in _load_catalog(self.directory / CATALOG_NAME)}
         self._open: dict[int, BATDataset] = {}
-        self._executor = executor
         self._cache = BATFileCache(max_open_files or DEFAULT_CAPACITY)
 
     # -- lifecycle -----------------------------------------------------------
@@ -180,9 +177,7 @@ class TimeSeriesDataset:
         if ds is None:
             rec = self.records[step]
             ds = BATDataset(
-                self.directory / rec.metadata_file,
-                executor=self._executor,
-                file_cache=self._cache,
+                self.directory / rec.metadata_file, file_cache=self._cache
             )
             self._open[step] = ds
         return ds

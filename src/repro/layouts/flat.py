@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..atomic import atomic_write_bytes
+from ..bat.format import check_attr_names
 from ..binning import EquiWidthBinning
 from ..bitmaps import bitmap_of_values
 from ..morton import MAX_BITS, encode_positions
@@ -31,7 +32,8 @@ __all__ = ["BuiltFlat", "build_flat", "FlatFile"]
 
 _MAGIC = b"FLT1"
 _HEADER_FMT = "<4sI Q I 6d"
-_ATTR_FMT = "<40s8s2d"
+_NAME_BYTES = 40
+_ATTR_FMT = f"<{_NAME_BYTES}s8s2d"
 
 
 @dataclass
@@ -64,6 +66,7 @@ def build_flat(batch: ParticleBatch, config=None) -> BuiltFlat:
     n = len(batch)
     if n == 0:
         raise ValueError("cannot build a flat layout over zero particles")
+    check_attr_names(batch.attributes, _NAME_BYTES)
     bounds = batch.bounds
     order = np.argsort(encode_positions(batch.positions, bounds, bits=MAX_BITS))
     positions = np.ascontiguousarray(batch.positions[order])
@@ -81,7 +84,7 @@ def build_flat(batch: ParticleBatch, config=None) -> BuiltFlat:
     )
     atab = b"".join(
         struct.pack(
-            _ATTR_FMT, k.encode()[:40], attrs[k].dtype.str.encode(), *attr_ranges[k]
+            _ATTR_FMT, k.encode(), attrs[k].dtype.str.encode(), *attr_ranges[k]
         )
         for k in names
     )

@@ -1,10 +1,13 @@
-"""Pluggable execution layer for the I/O hot paths.
+"""Pluggable execution layer for the write pipeline and the restart reader.
 
 The paper's two-phase pipeline keeps every aggregator busy concurrently
 (§IV–V); this module supplies the process-local analogue so the
-reproduction's hot paths — per-aggregator BAT builds/writes, per-file
-restart reads, and per-file dataset queries — actually overlap instead of
-running in one Python thread.
+reproduction's two fan-out paths — per-aggregator BAT builds/writes and
+per-file restart reads — actually overlap instead of running in one
+Python thread. Visualization reads (:mod:`repro.core.dataset`, the serve
+tier) do not use it: one reader walks the planned leaf files, and every
+pool measured lost to that loop (docs/PERFORMANCE.md, "Why dataset
+queries do not fan out").
 
 Three executors share one tiny contract (:meth:`Executor.map` preserves
 input order; results are deterministic regardless of completion order):
@@ -17,12 +20,13 @@ input order; results are deterministic regardless of completion order):
 
 Executors are selected by *spec string* — ``"serial"``, ``"thread"``,
 ``"process"``, optionally suffixed with a worker count (``"thread:8"``,
-``"process:4"``) — via config parameters, the CLI ``--executor`` flag, or
-the ``REPRO_EXECUTOR`` environment variable. Everything downstream accepts
-either a spec string or an :class:`Executor` instance, so a pool can be
-built once and shared across many writes/queries — including across
-threads: lazy pool construction and shutdown are lock-protected, so the
-serve layer's scheduler workers can all fan out through one executor.
+``"process:4"``) — via the ``executor=`` parameter of
+:class:`~repro.core.writer.TwoPhaseWriter` /
+:class:`~repro.core.reader.TwoPhaseReader` or the ``REPRO_EXECUTOR``
+environment variable. Both accept either a spec string or an
+:class:`Executor` instance, so a pool can be built once and shared across
+many writes/restart reads — including across threads: lazy pool
+construction and shutdown are lock-protected.
 
 Parallel output is required to be *bit-identical* to serial output: tasks
 are pure functions of their inputs and the merge points re-impose input

@@ -12,10 +12,8 @@ per-rung delivery with bounded-outbox backpressure
 (:mod:`~repro.serve.streaming`), a windowed JSON metrics surface
 (:mod:`~repro.serve.metrics`), and a deterministic load generator
 (:mod:`~repro.serve.loadgen`). :class:`~repro.serve.service.QueryService`
-ties them together; the viz-layer
-:class:`~repro.viz.server.ProgressiveStreamServer` is a thin wrapper over
-it, and :mod:`repro.serve.aio` fronts it with a single asyncio event
-loop for thousands of concurrent progressive sessions.
+ties them together, and :mod:`repro.serve.aio` fronts it with a single
+asyncio event loop for thousands of concurrent progressive sessions.
 
 There is one serve core: :class:`~repro.serve.shard.ShardedQueryService`
 is the same class with its per-step backend swapped — each window is
@@ -26,8 +24,8 @@ durable batch queue over either one's stateless ``execute``.
 """
 
 from .aio import AsyncQueryService, AsyncStream, run_load_async
-from .cache import ResultCache, result_key
-from .collapse import CollapseAbandoned, CollapseKey, FollowSpec, InflightTable
+from .cache import ResultCache
+from .collapse import CollapseAbandoned, FollowSpec, InflightTable
 from .degrade import DegradationConfig, DegradationPolicy
 from .hashing import HashRing, assign_leaves, region_key
 from .jobs import JobConfig, JobRunner, JobStore, make_sweep
@@ -71,7 +69,6 @@ __all__ = [
     "AsyncQueryService",
     "AsyncStream",
     "CollapseAbandoned",
-    "CollapseKey",
     "DegradationConfig",
     "DegradationPolicy",
     "FollowSpec",

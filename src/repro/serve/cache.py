@@ -3,12 +3,11 @@
 The serving cache hierarchy has three layers, cheapest miss first:
 
 - **result cache** (this module) — whole :class:`~repro.types.ParticleBatch`
-  responses keyed by ``(step, box, filters, prev_quality, quality,
-  columns)``. A hit
-  skips planning and traversal entirely. Entries expire after ``ttl``
-  seconds (time-series data may be rewritten in place by a restarted
-  simulation) and the least-recently-used entry is evicted past
-  ``capacity``.
+  (or :class:`~repro.api.NeighborResult`) responses keyed by ``(step,
+  generation, window)``. A hit skips planning and traversal entirely.
+  Entries expire after ``ttl`` seconds (time-series data may be
+  rewritten in place by a restarted simulation) and the
+  least-recently-used entry is evicted past ``capacity``.
 - **plan cache** (:class:`~repro.core.planner.PlanCache`) — per-file skip
   lists keyed by ``(box, filters)``; quality-independent.
 - **file-handle cache** (:class:`~repro.bat.filecache.BATFileCache`) —
@@ -20,6 +19,21 @@ every later identical request is served from memory — byte-identical by
 construction, since the cached object *is* the batch a direct dataset
 query returned. Batches are treated as immutable once cached; callers
 must not write to a served batch's arrays.
+
+**The key.** ``window`` is the frozen request the serve core hands the
+step backend: the client's :class:`~repro.api.QueryRequest` with
+``quality`` / ``prev_quality`` replaced by the effective window it is
+served at (the increment ``0.3 → 0.7`` and the direct ``0 → 0.7`` read
+are different byte streams) and ``on_error`` normalised, or a
+:class:`~repro.api.NeighborRequest` with ``on_error`` normalised. Every
+field of the request is therefore part of the identity by construction —
+the same traversal with fewer columns is a different payload — and the
+request's class keeps the families apart. ``generation`` is the
+manifest's layout generation: an online reorganization republish changes
+row order (results follow file/treelet order), so responses cached
+against the old layout must never satisfy requests planned against the
+new one. ``step`` stays first so :meth:`ResultCache.invalidate_step`
+finds it.
 """
 
 from __future__ import annotations
@@ -30,41 +44,7 @@ from collections import OrderedDict
 
 from ..types import ParticleBatch
 
-__all__ = ["ResultCache", "neighbor_result_key", "result_key"]
-
-
-def result_key(
-    step, box, filters, prev_quality: float, quality: float, columns=None,
-    generation: int = 0,
-) -> tuple:
-    """The full identity of one progressive-increment response.
-
-    ``prev_quality`` is part of the key: the increment ``0.3 → 0.7`` and
-    the direct ``0 → 0.7`` read are different byte streams. ``columns``
-    (the request's materialized-attribute selection, ``None`` for all) is
-    part of the key too — the same traversal with fewer columns is a
-    different payload. ``generation`` is the manifest's layout generation:
-    an online reorganization republish changes row order (results follow
-    file/treelet order), so responses cached against the old layout must
-    never satisfy requests planned against the new one.
-    """
-    return (
-        step, generation, box, tuple(filters), float(prev_quality),
-        float(quality), None if columns is None else tuple(columns),
-    )
-
-
-def neighbor_result_key(step, request, generation: int = 0) -> tuple:
-    """Cache identity of one neighbor-query response.
-
-    The frozen :class:`~repro.api.NeighborRequest` *is* the identity —
-    centers, k/radius, filters, columns, and engine are all hashed
-    construction-time fields. ``step`` stays first so
-    :meth:`ResultCache.invalidate_step` drops neighbor entries alongside
-    query entries; the ``"neighbor"`` tag keeps the two families from
-    ever colliding.
-    """
-    return (step, generation, "neighbor", request)
+__all__ = ["ResultCache"]
 
 
 class ResultCache:

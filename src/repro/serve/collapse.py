@@ -12,11 +12,17 @@ increment into its table entry as it materializes; every later request
 whose work overlaps joins as a **follower** and consumes the leader's
 increments instead of decoding anything itself.
 
+An entry is keyed like a result-cache entry, ``(step, generation,
+window)`` with ``window`` the frozen request the leader executes (see
+:mod:`repro.serve.cache`), so a request planned against a reorganized
+layout never joins a leader started on the old one (row order follows
+the leaf set, so their streams differ).
+
 Followers need not match the leader exactly. A follower shares an entry
 when its result is a pure row/column transform of the leader's product:
 
-- **exact** — same ``(step, box, filters, prev_quality, quality,
-  columns)``: increments are shared as-is;
+- **exact** — the same key: increments are shared as-is. This is the
+  only join a :class:`~repro.api.NeighborRequest` makes;
 - **column subset** — the leader materializes a superset of the
   follower's columns (or all of them): increments are projected. The
   file's attribute order is preserved by projection, so the bytes equal
@@ -32,6 +38,13 @@ when its result is a pure row/column transform of the leader's product:
   consuming at that rung. Rung slot-ranges chain exactly, so a prefix of
   the stream *is* the direct result at the rung's quality.
 
+The three derived joins are between two
+:class:`~repro.api.QueryRequest` windows of one step and generation that
+agree on every field *other than* ``filters``, ``columns`` and
+``quality`` (:func:`_compatible` compares the rest field by field off
+the dataclass, so a field added to the request can only ever make joins
+rarer).
+
 A leader that fails, sheds under backpressure, or goes partial
 (quarantined leaf) abandons its followers — they fall back to executing
 their own query, never reusing a result that is not provably
@@ -45,14 +58,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from ..api import StreamIncrement
+from ..api import QueryRequest, StreamIncrement
 from ..types import ParticleBatch
 
 __all__ = [
     "CollapseAbandoned",
-    "CollapseKey",
     "FollowSpec",
     "InflightEntry",
     "InflightTable",
@@ -62,26 +74,6 @@ __all__ = [
 
 class CollapseAbandoned(Exception):
     """The leader failed, shed, or went partial; follower must fall back."""
-
-
-@dataclass(frozen=True)
-class CollapseKey:
-    """Identity of one unit of in-flight decode work."""
-
-    step: int
-    box: object
-    filters: tuple
-    prev_quality: float
-    quality: float
-    columns: tuple | None
-    #: manifest layout generation — a request planned against a
-    #: reorganized layout must never join a leader started on the old
-    #: one (row order follows the leaf set, so their streams differ)
-    generation: int = 0
-    #: request family ("query" or "neighbor") — families never share a
-    #: decode; neighbor entries carry the frozen request as ``box`` and
-    #: join on exact match only
-    family: str = "query"
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,8 @@ class InflightEntry:
         "_cond", "_increments", "_done", "_dead",
     )
 
-    def __init__(self, key: CollapseKey, ladder: tuple):
+    def __init__(self, key: tuple, ladder: tuple):
+        #: ``(step, generation, window)``
         self.key = key
         self.ladder = ladder
         #: followers that joined this entry (leader not counted)
@@ -207,43 +200,50 @@ class InflightEntry:
                 self._cond.wait(remaining)
 
 
+#: the request fields a follower may differ from its leader in, and the
+#: rest — whatever fields the request grows — in which it may not
+_DERIVED = ("filters", "columns", "quality")
+_SHARED = tuple(f.name for f in fields(QueryRequest) if f.name not in _DERIVED)
 
-def _filters_subset(sub: tuple, sup: tuple) -> bool:
-    return all(f in sup for f in sub)
 
-
-def _compatible(entry: InflightEntry, key: CollapseKey) -> FollowSpec | None:
+def _compatible(entry: InflightEntry, key: tuple) -> FollowSpec | None:
     """The transform turning ``entry``'s stream into ``key``'s result, or None."""
-    ek = entry.key
-    if (ek.step, ek.box, ek.prev_quality) != (key.step, key.box, key.prev_quality):
+    lead, want = entry.key[2], key[2]
+    if (
+        entry.key[:2] != key[:2]
+        or type(lead) is not QueryRequest
+        or type(want) is not QueryRequest
+        or any(getattr(lead, name) != getattr(want, name) for name in _SHARED)
+    ):
         return None
-    if key.quality == ek.quality:
+    if want.quality == lead.quality:
         stop = None
-    elif key.quality in entry.ladder:
-        stop = key.quality
+    elif want.quality in entry.ladder:
+        stop = want.quality
     else:
         return None
-    if not _filters_subset(ek.filters, key.filters):
+    if any(f not in want.filters for f in lead.filters):
         return None
-    extra = tuple(f for f in key.filters if f not in ek.filters)
-    columns = None if key.columns == ek.columns else key.columns
-    if ek.columns is not None:
-        # the leader only materialized ek.columns: the follower's columns
+    extra = tuple(f for f in want.filters if f not in lead.filters)
+    columns = None if want.columns == lead.columns else want.columns
+    if lead.columns is not None:
+        # the leader only materialized lead.columns: the follower's columns
         # and its extra filter attributes must all be in that set
-        if key.columns is None or not set(key.columns) <= set(ek.columns):
+        if want.columns is None or not set(want.columns) <= set(lead.columns):
             return None
-        if any(f.name not in ek.columns for f in extra):
+        if any(f.name not in lead.columns for f in extra):
             return None
     return FollowSpec(extra_filters=extra, columns=columns, stop_quality=stop)
 
 
 class InflightTable:
-    """Registry of in-flight leaders, keyed for exact and derived joins."""
+    """Registry of in-flight leaders, scanned for exact and derived joins."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        #: (family, step, box, prev_quality) -> entries in flight
-        self._buckets: dict[tuple, list[InflightEntry]] = {}
+        #: entries in flight — one per executing leader, so never more
+        #: than the scheduler has workers
+        self._entries: list[InflightEntry] = []
         self.leaders = 0
         self.collapsed_hits = 0
         self.derived_hits = 0
@@ -253,16 +253,16 @@ class InflightTable:
         self.saved_points = 0
         self.saved_bytes = 0
 
-    def acquire(self, key: CollapseKey, ladder: tuple):
+    def acquire(self, key: tuple, ladder: tuple):
         """Join an overlapping in-flight request or become the leader.
 
-        Returns ``(entry, spec)``: ``spec`` is ``None`` for a leader
-        (who must later :meth:`release` the entry) and a
-        :class:`FollowSpec` for a follower.
+        ``key`` is ``(step, generation, window)``. Returns ``(entry,
+        spec)``: ``spec`` is ``None`` for a leader (who must later
+        :meth:`release` the entry) and a :class:`FollowSpec` for a
+        follower.
         """
-        bucket_key = (key.family, key.step, key.box, key.prev_quality)
         with self._lock:
-            for entry in self._buckets.get(bucket_key, ()):
+            for entry in self._entries:
                 if entry.key == key:
                     entry.subscribers += 1
                     self.collapsed_hits += 1
@@ -273,23 +273,17 @@ class InflightTable:
                     self.derived_hits += 1
                     return entry, spec
             entry = InflightEntry(key, ladder)
-            self._buckets.setdefault(bucket_key, []).append(entry)
+            self._entries.append(entry)
             self.leaders += 1
             return entry, None
 
     def release(self, entry: InflightEntry) -> None:
         """Leader done (or dead): entry leaves the pre-completion table."""
-        key = entry.key
-        bucket_key = (key.family, key.step, key.box, key.prev_quality)
         with self._lock:
-            bucket = self._buckets.get(bucket_key)
-            if bucket is not None:
-                try:
-                    bucket.remove(entry)
-                except ValueError:
-                    pass
-                if not bucket:
-                    del self._buckets[bucket_key]
+            try:
+                self._entries.remove(entry)
+            except ValueError:
+                pass
 
     def record_fallback(self) -> None:
         with self._lock:
@@ -303,10 +297,8 @@ class InflightTable:
 
     def stats(self) -> dict:
         with self._lock:
-            entries = sum(len(b) for b in self._buckets.values())
-            subscribers = sum(
-                e.subscribers for b in self._buckets.values() for e in b
-            )
+            entries = len(self._entries)
+            subscribers = sum(e.subscribers for e in self._entries)
             hits = self.collapsed_hits + self.derived_hits
             total = self.leaders + hits
             return {

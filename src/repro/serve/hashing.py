@@ -9,13 +9,13 @@ path and the shard count), so there is no ownership table to ship,
 version, or repair after a worker restart.
 
 A classic consistent-hash ring does that: each shard contributes
-``replicas`` virtual points at ``sha1("shard:replica")``, a leaf hashes
+:data:`VNODES` virtual points at ``sha1("shard-<s>:<vnode>")``, a leaf hashes
 its region key — ``dataset / step / leaf bounding box`` — onto the ring,
 and the first shard point clockwise owns it. Keying on the *region*
 rather than the leaf index keeps ownership stable across rewrites that
 renumber leaves but preserve geometry, and gives spatially meaningful
 placement diagnostics (a shard owns boxes, not arbitrary ints). With
-replicas in the dozens the assignment is balanced to a few percent, and
+virtual nodes in the dozens the assignment is balanced to a few percent, and
 changing the shard count moves only ~1/N of the leaves — the property
 that makes elastic resizing cheap later.
 """
@@ -27,7 +27,9 @@ import hashlib
 
 __all__ = ["HashRing", "region_key", "assign_leaves"]
 
-DEFAULT_REPLICAS = 64
+#: virtual ring points per shard. A constant, not a parameter: router and
+#: workers must agree on it, and it fixes every leaf's owner
+VNODES = 64
 
 
 def _hash64(key: str) -> int:
@@ -48,19 +50,16 @@ def region_key(dataset: str, step: int, bounds) -> str:
 
 
 class HashRing:
-    """``n_shards`` shards, each as ``replicas`` virtual ring points."""
+    """``n_shards`` shards, each as :data:`VNODES` virtual ring points."""
 
-    def __init__(self, n_shards: int, replicas: int = DEFAULT_REPLICAS):
+    def __init__(self, n_shards: int):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.n_shards = int(n_shards)
-        self.replicas = int(replicas)
         points = []
         for shard in range(self.n_shards):
-            for rep in range(self.replicas):
-                points.append((_hash64(f"shard-{shard}:{rep}"), shard))
+            for vnode in range(VNODES):
+                points.append((_hash64(f"shard-{shard}:{vnode}"), shard))
         points.sort()
         self._hashes = [h for h, _ in points]
         self._owners = [s for _, s in points]
@@ -74,13 +73,13 @@ class HashRing:
         return self._owners[i]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"HashRing(n_shards={self.n_shards}, replicas={self.replicas})"
+        return f"HashRing(n_shards={self.n_shards})"
 
 
 def assign_leaves(metadata, dataset: str, step: int, ring: HashRing) -> tuple:
     """Per-leaf shard owners, positionally aligned with ``metadata.leaves``.
 
-    Deterministic given (manifest, shard count, replicas): the router and
+    Deterministic given (manifest, shard count): the router and
     every worker call this independently and must agree, which the shard
     test suite asserts directly.
     """

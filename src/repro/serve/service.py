@@ -2,9 +2,7 @@
 
 :class:`QueryService` multiplexes many client sessions over one set of
 shared resources — one file-handle cache, one plan cache per timestep,
-one result cache, one in-flight collapse table, one executor — where
-previously every :class:`~repro.viz.server.ProgressiveStreamServer`
-session family owned its own. A request travels::
+one result cache, one in-flight collapse table. A request travels::
 
     request() ── admission ──▶ RequestScheduler (priority queue,
         │ rejected past bounds      capacity worker threads)
@@ -53,6 +51,13 @@ in :class:`~repro.serve.shard.ShardedQueryService` a scatter/gather
 object over worker processes. Where the leaf files live changes who
 opens them, not what a request means.
 
+**One identity.** The worker builds the effective window once —
+``window = replace(request, quality=effective, prev_quality=prev,
+on_error="degrade")`` — and ``(step, generation, window)`` is the
+result-cache key, the collapse key, and ``window`` the request handed to
+the step backend. Requests are frozen dataclasses, so a field added to
+one enters every tier's identity by construction.
+
 Every response is byte-identical to a direct
 :meth:`~repro.core.dataset.BATDataset.query` at the same effective
 ``(prev_quality, quality)`` — the scheduler, the caches, the collapse
@@ -80,11 +85,11 @@ from ..api import (
 from ..bat.colcache import DEFAULT_COLUMN_CACHE_BYTES
 from ..bat.filecache import DEFAULT_CAPACITY, BATFileCache
 from ..bat.query import default_quality_ladder
-from ..core.dataset import BATDataset
+from ..core.dataset import BATDataset, empty_batch
 from ..core.metadata import DatasetMetadata
-from ..types import Box, ParticleBatch
-from .cache import ResultCache, neighbor_result_key, result_key
-from .collapse import _DONE, CollapseAbandoned, CollapseKey, InflightTable, adapt_increment
+from ..types import ParticleBatch
+from .cache import ResultCache
+from .collapse import _DONE, CollapseAbandoned, InflightTable, adapt_increment
 from .degrade import DegradationConfig, DegradationPolicy
 from .metrics import (
     DEFAULT_METRICS_WINDOW,
@@ -117,16 +122,6 @@ BATCH_SHARE = 0.5
 
 #: stands in for the session lock on session-less (batch) windows
 _UNLOCKED = nullcontext()
-
-
-def empty_batch(ds, columns) -> ParticleBatch:
-    """The schema-stable empty result of one step for a column selection."""
-    specs = ds.attribute_specs()
-    if columns is not None:
-        specs = [sp for sp in specs if sp.name in columns]
-    return ParticleBatch.empty(
-        specs, with_positions=columns is None or "positions" in columns
-    )
 
 
 def resolve_step_manifests(source) -> dict[int, Path]:
@@ -173,10 +168,6 @@ class ServeConfig:
     result_ttl: float | None = 30.0
     #: degradation policy knobs (see :mod:`repro.serve.degrade`)
     degradation: DegradationConfig = field(default_factory=DegradationConfig)
-    #: executor spec for per-file fan-out inside one query (see
-    #: :mod:`repro.parallel`); serial by default — the scheduler already
-    #: provides cross-request concurrency
-    executor: str | None = None
     #: bound on simultaneously open leaf files, shared by all sessions
     max_open_files: int = DEFAULT_CAPACITY
     #: byte budget of the decoded-column LRU shared by every open file
@@ -205,9 +196,9 @@ class ServeSession:
 
     session_id: int
     step: int = 0
-    box: Box | None = None
-    filters: tuple = ()
-    columns: tuple | None = None
+    #: the view being refined: the last request at the unit window (see
+    #: :func:`_unit_view`); a request for any other restarts from zero
+    view: QueryRequest | None = None
     delivered_quality: float = 0.0
     bytes_sent: int = 0
     requests: int = 0
@@ -215,13 +206,11 @@ class ServeSession:
     #: serializes this session's requests across scheduler workers
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def matches(self, step, box, filters, columns=None) -> bool:
-        return (
-            self.step == step
-            and self.box == box
-            and self.filters == tuple(filters)
-            and self.columns == columns
-        )
+
+def _unit_view(request: QueryRequest) -> QueryRequest:
+    """``request`` at the unit window — what it reads, whatever slice of
+    the progression and error policy it was asked with."""
+    return replace(request, quality=1.0, prev_quality=0.0, on_error="degrade")
 
 
 @dataclass
@@ -365,9 +354,7 @@ class QueryService:
     def _open_step(self, step: int, manifest: Path):
         """Build the backend that answers one step (the module docstring
         lists the surface it must have); the sharded router's override."""
-        ds = BATDataset(
-            manifest, executor=self.config.executor, file_cache=self._file_cache
-        )
+        ds = BATDataset(manifest, file_cache=self._file_cache)
         ds.telemetry = self.telemetry.bind(step)
         return ds
 
@@ -439,14 +426,11 @@ class QueryService:
 
     # -- requests ----------------------------------------------------------------
 
-    def _priority(self, sess: ServeSession, req: QueryRequest, step) -> int:
+    def _priority(self, sess: ServeSession, req: QueryRequest, view, step) -> int:
         """Refinements of a held view and cheap first paints go first."""
         if req.quality <= self.config.interactive_quality:
             return PRIORITY_INTERACTIVE
-        if (
-            sess.matches(step, req.box, req.filters, req.columns)
-            and sess.delivered_quality > 0.0
-        ):
+        if (sess.step, sess.view) == (step, view) and sess.delivered_quality > 0.0:
             return PRIORITY_INTERACTIVE
         return PRIORITY_BULK
 
@@ -491,9 +475,10 @@ class QueryService:
         span = RequestSpan(
             session_id=session_id, seq=0, requested_quality=request.quality,
         )
+        view = _unit_view(request)
         return self._admit(
-            lambda ticket: self._execute(ticket, sess, span, request, step),
-            span, session_id, self._priority(sess, request, step),
+            lambda ticket: self._execute(ticket, sess, span, request, step, view),
+            span, session_id, self._priority(sess, request, view, step),
         )
 
     def request(
@@ -537,7 +522,7 @@ class QueryService:
                     requested_quality=request.quality,
                 )
                 ticket = self._admit(
-                    lambda t: self._execute(t, None, span, request, step),
+                    lambda t: self._execute(t, None, span, request, step, None),
                     span, self.BATCH_SESSION, PRIORITY_BULK,
                 )
             else:
@@ -568,27 +553,23 @@ class QueryService:
         Neighbor results are one-shot (no quality ladder), so the
         collapse entry publishes exactly one increment whose ``batch``
         is the whole :class:`~repro.api.NeighborResult`; joins are
-        exact-match only (the frozen request rides in the key's ``box``
-        slot). Partial results — a quarantined leaf — are never cached
-        and never shared, exactly like the query family.
+        exact-match only. Partial results — a quarantined leaf — are
+        never cached and never shared, exactly like the query family.
         """
         t_start = self._clock()
         span.wait_seconds = ticket.wait_seconds
         sched = self.scheduler
         span.queue_depth = sched.queue_depth + sched.in_flight
         ds = self.dataset(step)
-        gen = ds.metadata.generation
-        key = neighbor_result_key(step, req, generation=gen)
+        window = replace(req, on_error="degrade")
+        key = (step, ds.metadata.generation, window)
         result = self.results.get(key)
         cache_hit = result is not None
         collapsed = False
         if not cache_hit:
             entry = spec = None
             if self.config.collapse:
-                ckey = CollapseKey(
-                    step, req, (), 0.0, 1.0, None, gen, family="neighbor",
-                )
-                entry, spec = self.collapse.acquire(ckey, (1.0,))
+                entry, spec = self.collapse.acquire(key, (1.0,))
             if spec is not None:
                 incs, _, abandoned = self._follow(entry, spec, span, None, t_start)
                 if abandoned:
@@ -600,8 +581,7 @@ class QueryService:
                 leading = entry is not None and spec is None
                 try:
                     t0 = self._clock()
-                    exec_req = replace(req, on_error="degrade")
-                    result = ds.neighbors(exec_req)
+                    result = ds.neighbors(window)
                     span.traverse_seconds = self._clock() - t0
                     span.quarantined_files = result.stats.quarantined_files
                     span.partial = result.stats.quarantined_files > 0
@@ -681,6 +661,7 @@ class QueryService:
             session_id=session_id, seq=0, requested_quality=request.quality,
         )
         span.streamed = True
+        view = _unit_view(request)
         outbox = StreamOutbox(self.config.stream_outbox, on_event=on_event)
         with self._outbox_lock:
             if self._closed:
@@ -691,7 +672,8 @@ class QueryService:
             error = None
             try:
                 return self._execute(
-                    ticket, sess, span, request, step, outbox=outbox, ladder=ladder
+                    ticket, sess, span, request, step, view,
+                    outbox=outbox, ladder=ladder,
                 )
             except BaseException as exc:
                 error = exc
@@ -701,7 +683,7 @@ class QueryService:
 
         try:
             ticket = self._admit(
-                fn, span, session_id, self._priority(sess, request, step)
+                fn, span, session_id, self._priority(sess, request, view, step)
             )
         except Exception:
             with self._outbox_lock:
@@ -727,19 +709,21 @@ class QueryService:
 
     def _execute(
         self, ticket, sess: ServeSession | None, span, req: QueryRequest, step,
+        view: QueryRequest | None,
         outbox: StreamOutbox | None = None, ladder: tuple | None = None,
     ):
         """Serve one window — the only window executor.
 
         With a session the window is ``(delivered, degraded ceiling]`` of
-        its held view; ``sess=None`` is the stateless batch case: exactly
-        the request's own window, never degraded.
+        its held view (``view``: the request's :func:`_unit_view`);
+        ``sess=None`` is the stateless batch case: exactly the request's
+        own window, never degraded.
         """
         t_start = self._clock()
         span.wait_seconds = ticket.wait_seconds
         sched = self.scheduler
         quality = req.quality
-        box, filters, columns = req.box, req.filters, req.columns
+        columns = req.columns
         streamed = outbox is not None
         with sess.lock if sess is not None else _UNLOCKED:
             span.queue_depth = sched.queue_depth + sched.in_flight
@@ -748,11 +732,9 @@ class QueryService:
             else:
                 # a view change restarts the progression before degradation
                 # is even consulted — the old increments are for another view
-                if not sess.matches(step, box, filters, columns):
+                if (sess.step, sess.view) != (step, view):
                     sess.step = step
-                    sess.box = box
-                    sess.filters = filters
-                    sess.columns = columns
+                    sess.view = view
                     sess.delivered_quality = 0.0
                 prev = sess.delivered_quality
 
@@ -772,10 +754,10 @@ class QueryService:
                 served = prev
                 cache_hit = False
             else:
-                key = result_key(
-                    step, box, filters, prev, effective, columns,
-                    generation=ds.metadata.generation,
+                window = replace(
+                    req, quality=effective, prev_quality=prev, on_error="degrade"
                 )
+                key = (step, ds.metadata.generation, window)
                 batch = self.results.get(key)
                 cache_hit = batch is not None
                 if cache_hit:
@@ -797,11 +779,10 @@ class QueryService:
                         span.increments = 1
                 else:
                     t0 = self._clock()
-                    plan = ds.plan(box, filters)
+                    plan = ds.plan(req.box, req.filters)
                     span.plan_seconds = self._clock() - t0
                     batch, served, shed = self._execute_miss(
-                        span, req, step, ds, plan, prev, effective,
-                        outbox, ladder, t_start,
+                        span, key, ds, plan, outbox, ladder, t_start
                     )
                     if batch is None:
                         batch = empty_batch(ds, columns)
@@ -811,13 +792,9 @@ class QueryService:
                         # requests from the cache as if they were
                         # complete; shed results are cached at the
                         # (prev, served) window they actually cover
-                        self.results.put(
-                            result_key(
-                                step, box, filters, prev, served, columns,
-                                generation=ds.metadata.generation,
-                            ),
-                            batch,
-                        )
+                        if served != effective:
+                            key = (*key[:2], replace(window, quality=served))
+                        self.results.put(key, batch)
                     span.gather_seconds = self._clock() - t0
             span.shed = shed
             if sess is not None:
@@ -846,13 +823,13 @@ class QueryService:
             increments=span.increments,
         )
 
-    def _execute_miss(
-        self, span, req, step, ds, plan, prev, effective, outbox, ladder, t_start
-    ):
-        """Decode the (prev, effective] window: collapse, follow, or lead.
+    def _execute_miss(self, span, key, ds, plan, outbox, ladder, t_start):
+        """Decode the window of ``key``: collapse, follow, or lead.
 
         Returns ``(batch_or_None, served_quality, shed)``.
         """
+        window = key[2]
+        prev, effective = window.prev_quality, window.quality
         if outbox is not None:
             if ladder is None:
                 ladder = default_quality_ladder(
@@ -866,11 +843,7 @@ class QueryService:
             ladder = (effective,)
         entry = spec = None
         if self.config.collapse:
-            ckey = CollapseKey(
-                step, req.box, req.filters, prev, effective, req.columns,
-                ds.metadata.generation,
-            )
-            entry, spec = self.collapse.acquire(ckey, ladder)
+            entry, spec = self.collapse.acquire(key, ladder)
         if spec is not None:
             incs, shed, abandoned = self._follow(entry, spec, span, outbox, t_start)
             if not abandoned:
@@ -892,23 +865,20 @@ class QueryService:
                 return reassemble_stream(kept).batch, fb_prev, False
             fb_ladder = tuple(q for q in ladder if fb_prev < q < effective) + (effective,)
             return self._lead(
-                None, span, req, ds, plan, fb_prev, effective, fb_ladder,
-                outbox, t_start, carried=kept,
+                None, span, replace(window, prev_quality=fb_prev), ds, plan,
+                fb_ladder, outbox, t_start, carried=kept,
             )
         try:
-            return self._lead(
-                entry, span, req, ds, plan, prev, effective, ladder, outbox, t_start
-            )
+            return self._lead(entry, span, window, ds, plan, ladder, outbox, t_start)
         finally:
             if entry is not None:
                 self.collapse.release(entry)
 
     def _lead(
-        self, entry, span, req, ds, plan, prev, effective, ladder, outbox,
-        t_start, carried=(),
+        self, entry, span, window, ds, plan, ladder, outbox, t_start, carried=()
     ):
-        """Execute the decode (as collapse leader when ``entry`` is set)."""
-        exec_req = replace(req, quality=effective, prev_quality=prev, on_error="degrade")
+        """Execute ``window`` (as collapse leader when ``entry`` is set)."""
+        prev, effective = window.prev_quality, window.quality
         t0 = self._clock()
         if outbox is None:
             # one-shot mode: the pre-streaming sync path, published to
@@ -916,7 +886,7 @@ class QueryService:
             # Corrupt/missing leaves degrade the response instead of
             # failing the request: the dataset quarantines them and
             # returns what the surviving files hold
-            batch, qstats = ds.query(exec_req, plan=plan)
+            batch, qstats = ds.query(window, plan=plan)
             span.traverse_seconds = self._clock() - t0
             span.quarantined_files = qstats.quarantined_files
             span.partial = qstats.quarantined_files > 0
@@ -930,7 +900,7 @@ class QueryService:
             return batch, effective, False
         incs = list(carried)
         shed = False
-        gen = ds.stream(exec_req, ladder=ladder, plan=plan)
+        gen = ds.stream(window, ladder=ladder, plan=plan)
         try:
             for inc in gen:
                 if entry is not None:

@@ -172,11 +172,7 @@ class _ShardWorker:
                 manifest = self._manifests.get(step)
                 if manifest is None:
                     raise KeyError(f"no step {step}; have {sorted(self._manifests)}")
-                ds = self._BATDataset(
-                    manifest,
-                    executor=self.options.get("executor"),
-                    file_cache=self._file_cache,
-                )
+                ds = self._BATDataset(manifest, file_cache=self._file_cache)
                 ds.telemetry = self.telemetry.bind(step)
                 owners = assign_leaves(ds.metadata, manifest.name, step, self.ring)
                 entry = self._datasets[step] = (ds, frozenset(
@@ -676,7 +672,6 @@ class ShardedQueryService(QueryService):
             "capacity": max(1, self.config.capacity),
             "max_open_files": self.config.max_open_files,
             "column_cache_bytes": self.config.column_cache_bytes,
-            "executor": self.config.executor,
         }
         # spawn, not fork: the router already runs scheduler threads
         ctx = multiprocessing.get_context("spawn")

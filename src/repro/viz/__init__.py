@@ -1,22 +1,21 @@
-"""Visualization utilities: LOD presentation and progressive streaming.
+"""Visualization utilities: LOD presentation and density rendering.
 
 The BAT layout "does not impose a specific visual representation" (§VI-B);
 :mod:`repro.viz.lod` provides the paper's example policy — coarser quality
 levels rendered with inflated particle radii to preserve overall shape —
-and :mod:`repro.viz.server` reproduces the Fig 4 prototype: a server that
-progressively streams increments of a BAT data set to clients with spatial
-and attribute filtering.
+and :mod:`repro.viz.render` projects a batch to a density image. The
+Fig 4 prototype — a server progressively streaming increments of a BAT
+data set to clients with spatial and attribute filtering — is
+:class:`repro.serve.QueryService` itself; ``examples/progressive_streaming.py``
+drives it the way the paper's web viewer does.
 """
 
 from .lod import lod_radius, quality_progression
 from .render import ascii_render, density_projection, projection_similarity
-from .server import ProgressiveStreamServer, StreamSession
 
 __all__ = [
     "lod_radius",
     "quality_progression",
-    "ProgressiveStreamServer",
-    "StreamSession",
     "density_projection",
     "ascii_render",
     "projection_similarity",

@@ -32,6 +32,18 @@ class TestParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "x.json", "--filter", "temp"])
 
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    def test_reads_take_no_executor(self, command, capsys):
+        """A read is one reader; pools belong to the write pipeline."""
+        with pytest.raises(SystemExit) as err:
+            main([command, "x.meta.json", "--executor", "thread:2"])
+        assert err.value.code == 2
+        assert "--executor" in capsys.readouterr().err  # "unrecognized arguments"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        assert "--executor" not in capsys.readouterr().out
+
     def test_bad_machine(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "weak-scaling", "--machine", "frontier"])

@@ -1,13 +1,17 @@
 """Tests for whole-dataset visualization reads (BATDataset)."""
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
-from repro import QueryRequest
+from repro import QueryRequest, open_dataset
 from repro.bat import AttributeFilter
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.machines import testing_machine as make_test_machine
+from repro.serve import QueryService, ServeConfig
 from repro.types import Box
 from tests.test_pipeline import make_rank_data
 
@@ -63,8 +67,7 @@ class TestQueries:
         ds, _, _, _ = dataset
         # a tiny corner box should touch few leaf files
         box = Box((0.0, 0.0, 0.0), (0.3, 0.3, 0.3))
-        candidates = ds._candidate_leaves(box, ())
-        assert len(candidates) < ds.n_files
+        assert len(ds.plan(box).files) < ds.n_files
 
     def test_attribute_filter_global(self, dataset):
         ds, _, allmass, _ = dataset
@@ -76,8 +79,8 @@ class TestQueries:
         ds, _, _, alltemp = dataset
         # temperatures are ~N(300, 30); a far-out range matches nothing and
         # should prune every leaf without opening files
-        hits = ds._candidate_leaves(None, (AttributeFilter("temp", 10_000.0, 20_000.0),))
-        assert hits == []
+        plan = ds.plan(None, (AttributeFilter("temp", 10_000.0, 20_000.0),))
+        assert plan.files == ()
         batch, stats = ds.query(QueryRequest(filters=[AttributeFilter("temp", 10_000.0, 20_000.0)]))
         assert len(batch) == 0
 
@@ -123,6 +126,37 @@ class TestQueries:
         with BATDataset(ds.metadata_path) as d2:
             b, _ = d2.query(QueryRequest(quality=0.2))
             assert len(b) > 0
+
+
+class TestResourcesReturnToBaseline:
+    """A read is one reader walking the leaf files it planned: it starts no
+    thread and no process, so there is nothing for ``close()`` to leak.
+    ``$REPRO_EXECUTOR`` selects a pool for the write pipeline and the
+    restart reader only (it used to make every dataset build a pool that
+    ``close()`` never shut down)."""
+
+    @staticmethod
+    def _live():
+        return threading.active_count(), len(multiprocessing.active_children())
+
+    def test_open_dataset(self, dataset, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread:3")
+        before = self._live()
+        with open_dataset(dataset[0].metadata_path) as ds:
+            batch, stats = ds.query(QueryRequest(quality=0.5))
+            assert stats.files_opened > 1 and len(batch) > 0
+            assert self._live() == before
+        assert self._live() == before
+
+    def test_query_service(self, dataset, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "process:2")
+        before = self._live()
+        svc = QueryService(dataset[0].metadata_path, ServeConfig(capacity=3))
+        sid = svc.open_session()
+        assert len(svc.request(sid, QueryRequest(quality=0.5))) > 0
+        assert len(svc.execute(QueryRequest())) == dataset[0].total_particles
+        svc.close()
+        assert self._live() == before
 
 
 class TestFilterBoundOnABinEdge:

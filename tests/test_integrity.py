@@ -339,14 +339,6 @@ class TestQuarantineAndDegradedReads:
             assert stats2.quarantined_files == 1
             assert len(again) == len(part)
 
-    def test_degrade_with_parallel_executor(self, written_dataset):
-        out, rep = written_dataset
-        corrupt_leaf(out, BATDataset(rep.metadata_path).metadata, 1)
-        with BATDataset(rep.metadata_path, executor="thread:4") as ds:
-            part, stats = ds.query(QueryRequest(on_error="degrade"))
-            assert stats.quarantined_files == 1
-            assert len(part) > 0
-
     def test_clear_quarantine_retries_the_leaf(self, written_dataset):
         out, rep = written_dataset
         with BATDataset(rep.metadata_path) as ds:

@@ -45,6 +45,31 @@ class TestFlatLayout:
         with pytest.raises(ValueError):
             build_flat(ParticleBatch.empty())
 
+    LONG = "temperature_of_the_gas_phase_in_kelvin_at_cell_centre"  # 53 bytes
+
+    @pytest.mark.parametrize(
+        "names",
+        [(LONG,), (LONG, LONG[:-6] + "face"), ("rho\0",)],
+        ids=["53-bytes", "shared-40-byte-prefix", "trailing-nul"],
+    )
+    def test_attribute_name_that_does_not_fit_the_table_is_rejected(self, names):
+        """The 40-byte name field used to store ``name.encode()[:40]``: two
+        names sharing that prefix read back as one attribute, and a column's
+        data was silently lost."""
+        b = ParticleBatch(
+            np.zeros((4, 3), dtype=np.float32), {n: np.arange(4.0) for n in names}
+        )
+        with pytest.raises(ValueError, match="40") as err:
+            build_flat(b)
+        assert repr(names[0]) in str(err.value)
+
+    def test_attribute_name_of_exactly_40_bytes_round_trips(self):
+        name = "n" * 40
+        b = ParticleBatch(np.zeros((4, 3), dtype=np.float32), {name: np.arange(4.0)})
+        f = FlatFile.from_bytes(build_flat(b).data)
+        assert f.attr_names == [name]
+        assert np.array_equal(f.query_box().attributes[name], np.arange(4.0))
+
     def test_roundtrip(self, batch, tmp_path):
         built = build_flat(batch)
         assert built.n_points == len(batch)
@@ -118,6 +143,19 @@ class TestPipelineWithFlatLayout:
         reader = TwoPhaseReader(m)
         rrep = reader.read(rep.metadata, np.roll(data.bounds, -1, axis=0), data_dir=tmp_path)
         assert sum(len(b) for b in rrep.batches) == data.total_particles
+
+    def test_overlong_attribute_name_publishes_nothing(self, tmp_path):
+        name = TestFlatLayout.LONG
+        data = make_rank_data(4)
+        data.batches = [
+            ParticleBatch(b.positions, {name: b.attributes["temp"]})
+            for b in data.batches
+        ]
+        out = tmp_path / "out"
+        writer = TwoPhaseWriter(make_test_machine(), target_size=64 * 1024, layout="flat")
+        with pytest.raises(ValueError, match="temperature_of_the_gas_phase"):
+            writer.write(data, out_dir=out, name="t")
+        assert list(out.iterdir()) == []
 
     def test_metadata_roundtrip_keeps_layout(self, tmp_path):
         from repro.core import DatasetMetadata

@@ -9,6 +9,7 @@ ties (broken by the global particle order-key, never by float luck).
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,14 +361,13 @@ class TestServeIntegration:
         assert len(resp) == len(resp.neighbors)
 
     def test_result_cache_hit_on_repeat(self, served):
-        from repro.serve.cache import neighbor_result_key
-
         svc, ds = served
         req = NeighborRequest(points=((1.5, 1.5, 0.5),), k=12)
         first = svc.execute(req)
-        key = neighbor_result_key(0, req, svc.generation(0))
+        key = (0, svc.generation(0), replace(req, on_error="degrade"))
         assert svc.results.get(key) is not None
         again = svc.execute(req)
+        assert again.cache_hit
         assert_identical(first.neighbors, again.neighbors)
         assert_identical(first.neighbors, ds.neighbors(req))
 

@@ -1,9 +1,10 @@
 """Tests for the pluggable execution layer (repro.parallel).
 
 The load-bearing property: every executor is an implementation detail of
-*how fast* the pipeline runs, never of *what* it produces. Serial, thread,
-and process backends must emit byte-identical BAT files and identical
-query results on randomized workloads.
+*how fast* the write pipeline and the restart reader run, never of *what*
+they produce. Serial, thread, and process backends must emit
+byte-identical BAT files and identical restart reads on randomized
+workloads.
 """
 
 import hashlib
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro import QueryRequest
-from repro.bat import AttributeFilter, BATFileCache
-from repro.bat.query import QueryStats, query_file
+from repro.bat import BATFileCache
+from repro.bat.query import query_file
 from repro.core import TwoPhaseReader, TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.machines import testing_machine as make_test_machine
@@ -148,22 +149,6 @@ class TestByteIdenticalOutputs:
                 else:
                     np.testing.assert_array_equal(got, ref, err_msg=spec)
 
-    def test_dataset_query_identical(self, written):
-        filt = AttributeFilter("mass", 0.2, 0.7)
-        for _, per_spec in written:
-            ref = None
-            for spec, (_, report) in per_spec.items():
-                with BATDataset(report.metadata_path, executor=spec) as ds:
-                    batch, stats = ds.query(QueryRequest(quality=1.0, filters=[filt]))
-                    ds.executor.close()
-                got = (batch.positions, batch.attributes["mass"])
-                if ref is None:
-                    ref = got
-                    assert stats.points_tested > 0
-                else:
-                    np.testing.assert_array_equal(got[0], ref[0], err_msg=spec)
-                    np.testing.assert_array_equal(got[1], ref[1], err_msg=spec)
-
     def test_reader_parallel_matches_serial(self, written):
         machine = make_test_machine()
         for data, per_spec in written:
@@ -176,39 +161,6 @@ class TestByteIdenticalOutputs:
             assert serial.batches is not None
             for got, want in zip(threaded.batches, serial.batches):
                 np.testing.assert_array_equal(got.positions, want.positions)
-
-
-class TestDeterministicStats:
-    def test_merge_ordered_sorts_by_index(self):
-        def stats(tested, pruned):
-            s = QueryStats()
-            s.points_tested = tested
-            s.pruned_spatial = pruned
-            s.treelets_visited = 1
-            return s
-
-        shuffled = [(2, stats(30, 3)), (0, stats(10, 1)), (1, stats(20, 2))]
-        merged = QueryStats.merge_ordered(shuffled)
-        in_order = QueryStats.merge_ordered(sorted(shuffled, key=lambda p: p[0]))
-        assert merged.points_tested == in_order.points_tested == 60
-        assert merged.pruned_spatial == 6
-        assert merged.treelets_visited == 3
-
-    def test_dataset_stats_identical_across_executors(self, random_workloads, tmp_path):
-        data = random_workloads[0]
-        writer = TwoPhaseWriter(make_test_machine(), target_size=64 * 1024)
-        report = writer.write(data, out_dir=tmp_path, name="det")
-        collected = []
-        for spec in EXECUTOR_SPECS:
-            with BATDataset(report.metadata_path, executor=spec) as ds:
-                _, stats = ds.query(QueryRequest(quality=0.5, box=Box((0, 0, 0), (2, 2, 1))))
-                ds.executor.close()
-            collected.append(
-                (stats.points_tested, stats.pruned_spatial, stats.pruned_bitmap,
-                 stats.nodes_visited, stats.treelets_visited)
-            )
-        assert collected[1] == collected[0]
-        assert collected[2] == collected[0]
 
 
 class TestFileCache:

@@ -1,5 +1,6 @@
 """Tests for the metadata query planner, plan cache, and cache hygiene."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -285,12 +286,11 @@ class TestStats:
         assert a.pruned_files == 5
         assert a.files_opened == 5
 
-    def test_merge_ordered_includes_new_fields(self):
-        total = QueryStats.merge_ordered(
-            [(1, QueryStats(files_opened=1)), (0, QueryStats(pruned_files=2))]
-        )
-        assert total.files_opened == 1
-        assert total.pruned_files == 2
+    def test_merge_covers_every_field(self):
+        names = [f.name for f in dataclasses.fields(QueryStats)]
+        total = QueryStats(**{n: 1 for n in names})
+        total.merge(QueryStats(**{n: i + 2 for i, n in enumerate(names)}))
+        assert total == QueryStats(**{n: i + 3 for i, n in enumerate(names)})
 
     def test_attr_dtypes_round_trip(self, written):
         report, data = written

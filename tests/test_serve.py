@@ -12,6 +12,7 @@ The load-bearing properties:
   the bounds.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import QueryRequest
+from repro import NeighborRequest, QueryRequest
 from repro.bat import AttributeFilter
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
@@ -29,6 +30,7 @@ from repro.serve import (
     AdmissionRejected,
     DegradationConfig,
     DegradationPolicy,
+    InflightTable,
     QueryService,
     RequestScheduler,
     ResultCache,
@@ -37,7 +39,6 @@ from repro.serve import (
     ServeConfig,
     make_traces,
     percentile,
-    result_key,
     run_load,
     verify_identity_samples,
 )
@@ -258,6 +259,14 @@ class TestDegradationPolicy:
 # result cache
 
 
+def window_key(quality=1.0, prev_quality=0.0, step=0, generation=0, **fields):
+    """A result-cache / collapse key as the serve core builds it."""
+    window = QueryRequest(
+        quality=quality, prev_quality=prev_quality, on_error="degrade", **fields
+    )
+    return (step, generation, window)
+
+
 class TestResultCache:
     def _batch(self, n=3):
         rng = np.random.default_rng(n)
@@ -265,20 +274,20 @@ class TestResultCache:
 
     def test_hit_returns_same_object(self):
         cache = ResultCache(capacity=4, ttl=None)
-        key = result_key(0, None, (), 0.0, 1.0)
+        key = window_key()
         b = self._batch()
         cache.put(key, b)
         assert cache.get(key) is b
         assert cache.stats()["hits"] == 1
 
     def test_prev_quality_in_key(self):
-        k1 = result_key(0, None, (), 0.0, 0.7)
-        k2 = result_key(0, None, (), 0.3, 0.7)
+        k1 = window_key(0.7)
+        k2 = window_key(0.7, prev_quality=0.3)
         assert k1 != k2
 
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2, ttl=None)
-        ks = [result_key(0, None, (), 0.0, q) for q in (0.1, 0.2, 0.3)]
+        ks = [window_key(q) for q in (0.1, 0.2, 0.3)]
         for k in ks:
             cache.put(k, self._batch())
         assert cache.get(ks[0]) is None  # evicted
@@ -287,7 +296,7 @@ class TestResultCache:
 
     def test_get_refreshes_lru(self):
         cache = ResultCache(capacity=2, ttl=None)
-        a, b, c = (result_key(0, None, (), 0.0, q) for q in (0.1, 0.2, 0.3))
+        a, b, c = (window_key(q) for q in (0.1, 0.2, 0.3))
         cache.put(a, self._batch())
         cache.put(b, self._batch())
         cache.get(a)  # refresh a so b is the LRU victim
@@ -298,7 +307,7 @@ class TestResultCache:
     def test_ttl_expiry_with_fake_clock(self):
         now = [0.0]
         cache = ResultCache(capacity=4, ttl=10.0, clock=lambda: now[0])
-        key = result_key(0, None, (), 0.0, 1.0)
+        key = window_key()
         cache.put(key, self._batch())
         now[0] = 9.0
         assert cache.get(key) is not None
@@ -610,6 +619,104 @@ class TestQueryService:
 
 # ---------------------------------------------------------------------------
 # load generator
+
+
+# ---------------------------------------------------------------------------
+# identity: the frozen request *is* the key of every tier
+
+VIEW = Box((0.2, 0.2, 0.0), (2.2, 2.2, 1.0))
+MASS = AttributeFilter("mass", 0.2, 0.9)
+
+#: one request per family with every field it can carry set ...
+BASE = {
+    QueryRequest: QueryRequest(
+        box=VIEW, filters=(MASS,), columns=("positions", "mass", "temp"),
+        quality=0.8, prev_quality=0.2,
+    ),
+    NeighborRequest: NeighborRequest(
+        center_box=VIEW, radius=0.25, filters=(MASS,),
+        columns=("positions", "mass", "temp"),
+    ),
+}
+#: ... and, per field, what to replace to get a second valid value of it.
+#: The three a collapse follower may differ in are chosen joinable: a
+#: filter superset, a column subset, a rung of the leader's ladder.
+OTHER = {
+    "box": dict(box=Box((0.0, 0.0, 0.0), (2.0, 2.0, 1.0))),
+    "filters": dict(filters=(MASS, AttributeFilter("temp", 280.0, 330.0))),
+    "columns": dict(columns=("positions", "mass")),
+    "quality": dict(quality=0.5),
+    "prev_quality": dict(prev_quality=0.1),
+    "center_box": dict(center_box=Box((0.0, 0.0, 0.0), (2.0, 2.0, 1.0))),
+    "points": dict(points=((1.5, 1.5, 0.5),), center_box=None),
+    "k": dict(k=5, radius=None),
+    "radius": dict(radius=0.2),
+    "engine": dict(engine="brute"),
+}
+LADDER = (0.5, 0.8)
+DERIVED = {(QueryRequest, name) for name in ("filters", "columns", "quality")}
+
+#: driven from the dataclasses: a field added to a request is a new case
+#: here (and fails until OTHER holds a second value for it)
+FIELDS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in BASE for f in dataclasses.fields(cls) if f.name != "on_error"
+]
+
+
+def changed(cls, name):
+    assert name in OTHER, f"{cls.__name__}.{name}: add a second valid value to OTHER"
+    other = dataclasses.replace(BASE[cls], **OTHER[name])
+    assert getattr(other, name) != getattr(BASE[cls], name)
+    return other
+
+
+class TestRequestIdentity:
+    @pytest.mark.parametrize("cls, name", FIELDS)
+    def test_changed_field_misses_the_result_cache(self, written, cls, name):
+        with QueryService(written[1], serve_config()) as svc:
+            assert not svc.execute(BASE[cls]).cache_hit
+            assert svc.execute(BASE[cls]).cache_hit
+            assert not svc.execute(changed(cls, name)).cache_hit
+            assert svc.results.stats()["entries"] == 2
+
+    @pytest.mark.parametrize("cls, name", FIELDS)
+    def test_changed_field_never_joins_exactly(self, cls, name):
+        """... and joins at all only as one of the documented derivations."""
+        table = InflightTable()
+        leader, _ = table.acquire((0, 0, BASE[cls]), LADDER)
+        entry, spec = table.acquire((0, 0, changed(cls, name)), LADDER)
+        assert table.collapsed_hits == 0
+        if (cls, name) in DERIVED:
+            assert entry is leader and not (spec.is_identity and spec.stop_quality is None)
+        else:
+            assert entry is not leader and spec is None
+
+    @pytest.mark.parametrize("where", [(1, 0), (0, 1)], ids=["step", "generation"])
+    @pytest.mark.parametrize("cls", BASE, ids=lambda cls: cls.__name__)
+    def test_another_step_or_generation_is_another_identity(self, cls, where):
+        cache = ResultCache(capacity=4, ttl=None)
+        cache.put((0, 0, BASE[cls]), ParticleBatch(np.zeros((1, 3))))
+        assert cache.get((0, 0, BASE[cls])) is not None
+        assert cache.get((*where, BASE[cls])) is None
+        table = InflightTable()
+        leader, _ = table.acquire((0, 0, BASE[cls]), LADDER)
+        for name in [n for c, n in DERIVED if c is cls] + [None]:
+            request = BASE[cls] if name is None else changed(cls, name)
+            entry, spec = table.acquire((*where, request), LADDER)
+            assert entry is not leader and spec is None
+            table.release(entry)  # or the next request may join *it*
+
+    @pytest.mark.parametrize("cls", BASE, ids=lambda cls: cls.__name__)
+    def test_on_error_is_policy_not_identity(self, written, cls):
+        """What to do about a bad leaf is decided by the service (it always
+        degrades and reports ``partial``), so the two spellings of one
+        read share an entry; a neighbor request used to be keyed raw."""
+        with QueryService(written[1], serve_config()) as svc:
+            first = svc.execute(dataclasses.replace(BASE[cls], on_error="raise"))
+            again = svc.execute(dataclasses.replace(BASE[cls], on_error="degrade"))
+            assert not first.cache_hit and again.cache_hit
+            assert svc.results.stats()["entries"] == 1
 
 
 class TestLoadGenerator:

@@ -26,7 +26,6 @@ from repro.machines import testing_machine
 from repro.serve import (
     AsyncQueryService,
     CollapseAbandoned,
-    CollapseKey,
     InflightTable,
     QueryService,
     ServeConfig,
@@ -179,13 +178,9 @@ def _batch(n=8, names=("mass", "temp")):
     return ParticleBatch(pos, {nm: rng.random(n) for nm in names})
 
 
-def _key(**kw):
-    base = dict(
-        step=0, box=None, filters=(), prev_quality=0.0, quality=1.0,
-        columns=None,
-    )
-    base.update(kw)
-    return CollapseKey(**base)
+def _key(step=0, generation=0, **fields):
+    """A collapse key as the serve core builds it: (step, generation, window)."""
+    return (step, generation, QueryRequest(on_error="degrade", **fields))
 
 
 class TestInflightTable:
@@ -226,6 +221,20 @@ class TestInflightTable:
         entry = InflightEntry(_key(), (1.0,))
         assert _compatible(entry, _key(prev_quality=0.5)) is None
         assert _compatible(entry, _key(box=BOX)) is None
+
+    def test_different_generation_or_step_never_joins(self):
+        """Row order follows the leaf set: neither an exact nor a derived
+        follower may consume a stream decoded from another layout."""
+        table = InflightTable()
+        entry, _ = table.acquire(_key(), (0.5, 1.0))
+        for other in (dict(generation=1), dict(step=1)):
+            assert _compatible(entry, _key(**other)) is None
+            assert _compatible(entry, _key(columns=("mass",), **other)) is None
+            assert _compatible(entry, _key(filters=FILT, **other)) is None
+            assert _compatible(entry, _key(quality=0.5, **other)) is None
+            e2, spec = table.acquire(_key(**other), (0.5, 1.0))
+            assert e2 is not entry and spec is None
+        assert table.stats()["leaders"] == 3
 
     def test_narrow_leader_cannot_serve_wider_follower(self):
         entry = InflightEntry(_key(columns=("mass",)), (1.0,))
