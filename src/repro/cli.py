@@ -186,7 +186,6 @@ def _cmd_serve(args) -> int:
         make_traces,
         resolve_step_manifests,
         run_load,
-        run_load_async,
         verify_identity_samples,
     )
 
@@ -215,20 +214,20 @@ def _cmd_serve(args) -> int:
                     args.sessions, ds.bounds, ds.attr_ranges,
                     ops_per_session=args.ops, seed=args.seed,
                 )
-            if args.stream:
-                # asyncio front end: every session is a coroutine consuming
-                # streamed increments over one event loop
-                load = run_load_async(service, traces, step=step)
-            else:
-                load = run_load(
-                    service, traces, concurrency=concurrency, step=step,
-                    arrival=args.arrival, rate_hz=args.rate_hz,
-                    arrival_seed=args.arrival_seed,
-                )
+            load = run_load(
+                service, traces, concurrency, stream=args.stream,
+                arrival=args.arrival, rate_hz=args.rate_hz,
+                arrival_seed=args.arrival_seed, step=step,
+            )
             checked = verify_identity_samples(ds, load.identity_samples)
         snapshot = service.snapshot()
     lat = snapshot["latency_ms"]
-    mode = "asyncio streams" if args.stream else f"{concurrency} clients"
+    if args.arrival == "open":
+        mode = f"open loop at {args.rate_hz:g} Hz"
+    else:
+        mode = f"{concurrency} clients"
+    if args.stream:
+        mode += ", streamed"
     if args.shards:
         mode += f", {args.shards} shard processes"
     print(
@@ -236,7 +235,8 @@ def _cmd_serve(args) -> int:
         f"({mode}, capacity {args.capacity}): "
         f"{load.throughput_rps:.1f} req/s, p50 {lat['p50']:.2f} ms, "
         f"p99 {lat['p99']:.2f} ms, {load.rejected} rejected, "
-        f"{load.degraded} degraded, {checked} responses byte-verified"
+        f"{snapshot['requests']['degraded']} degraded, "
+        f"{checked} responses byte-verified"
     )
     if args.stream:
         streaming = snapshot["streaming"]
@@ -465,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--capacity", type=int, default=4,
                        help="concurrent in-flight query limit (worker threads)")
     serve.add_argument("--concurrency", type=int, default=None,
-                       help="load-generator client threads (default 2x capacity)")
+                       help="closed-loop clients, one-shot or streamed "
+                            "(default 2x capacity)")
     serve.add_argument("--sessions", type=int, default=12,
                        help="session traces to replay")
     serve.add_argument("--ops", type=int, default=6,
@@ -474,8 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission bound on the global queue")
     serve.add_argument("--seed", type=int, default=0, help="trace generator seed")
     serve.add_argument("--stream", action="store_true",
-                       help="drive sessions through the asyncio streaming front "
-                            "end (one event loop, per-rung increments)")
+                       help="stream each response as per-rung increments "
+                            "(time-to-first-increment); runs --concurrency "
+                            "clients like one-shot mode (it used to start "
+                            "every session at once: pass --concurrency = "
+                            "--sessions for that)")
     serve.add_argument("--hot-views", type=int, default=0, metavar="N",
                        help="pile sessions onto N shared views (exercises "
                             "request collapsing; 0 = independent traces)")
@@ -483,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable in-flight request collapsing")
     serve.add_argument("--arrival", choices=("closed", "open"), default="closed",
                        help="closed: each client waits for its response; open: "
-                            "Poisson arrivals at --rate-hz (thread mode only)")
+                            "Poisson arrivals at --rate-hz")
     serve.add_argument("--rate-hz", type=float, default=200.0,
                        help="open-loop aggregate arrival rate")
     serve.add_argument("--arrival-seed", type=int, default=0,

@@ -352,8 +352,11 @@ class BATDataset:
         from then on are flagged ``partial`` (rows the dead leaf already
         delivered stay in earlier increments, so a partial stream — like
         a partial one-shot result — is not byte-comparable and must not
-        be cached). Streams execute serially across files: the serve
-        tier's parallelism is across sessions, not within one stream.
+        be cached). A plan that already excludes quarantined leaves
+        flags every increment ``partial`` from the first rung, as
+        :meth:`query` reports it. Streams execute serially across files:
+        the serve tier's parallelism is across sessions, not within one
+        stream.
         """
         req = request if request is not None else QueryRequest()
         if not isinstance(req, QueryRequest):
@@ -556,7 +559,7 @@ class BATDataset:
         stats = QueryStats()
         stats.pruned_files += plan.pruned_files
         stats.quarantined_files += plan.excluded_files
-        partial = False
+        partial = plan.excluded_files > 0
         # per-leaf telemetry gathered over the stream's whole life: the
         # handle and its decode counter at stream start, points delivered
         leaf_handles: dict[int, tuple] = {}

@@ -9,11 +9,14 @@ shared TTL+LRU result cache above the plan cache
 (:mod:`~repro.serve.cache`), pre-completion request collapsing of
 overlapping in-flight decodes (:mod:`~repro.serve.collapse`), streamed
 per-rung delivery with bounded-outbox backpressure
-(:mod:`~repro.serve.streaming`), a windowed JSON metrics surface
-(:mod:`~repro.serve.metrics`), and a deterministic load generator
-(:mod:`~repro.serve.loadgen`). :class:`~repro.serve.service.QueryService`
+(:mod:`~repro.serve.streaming`), and a windowed JSON metrics surface
+(:mod:`~repro.serve.metrics`). :class:`~repro.serve.service.QueryService`
 ties them together, and :mod:`repro.serve.aio` fronts it with a single
-asyncio event loop for thousands of concurrent progressive sessions.
+asyncio event loop for thousands of concurrent progressive sessions. The
+deterministic load generator (:mod:`~repro.serve.loadgen`) replays
+session traces through that front end: one replay function for closed
+and open arrivals, one-shot and streamed, byte-verifying a sample of what
+it was served.
 
 There is one serve core: :class:`~repro.serve.shard.ShardedQueryService`
 is the same class with its per-step backend swapped — each window is
@@ -23,7 +26,7 @@ of the above runs unchanged over shards. :mod:`~repro.serve.jobs` is a
 durable batch queue over either one's stateless ``execute``.
 """
 
-from .aio import AsyncQueryService, AsyncStream, run_load_async
+from .aio import AsyncQueryService, AsyncStream
 from .cache import ResultCache
 from .collapse import CollapseAbandoned, FollowSpec, InflightTable
 from .degrade import DegradationConfig, DegradationPolicy
@@ -31,7 +34,6 @@ from .hashing import HashRing, assign_leaves, region_key
 from .jobs import JobConfig, JobRunner, JobStore, make_sweep
 from .loadgen import (
     LoadReport,
-    TraceOp,
     make_hot_traces,
     make_traces,
     run_load,
@@ -97,7 +99,6 @@ __all__ = [
     "StreamHandle",
     "StreamOutbox",
     "Ticket",
-    "TraceOp",
     "assign_leaves",
     "json_sanitize",
     "make_hot_traces",
@@ -109,6 +110,5 @@ __all__ = [
     "request_to_doc",
     "resolve_step_manifests",
     "run_load",
-    "run_load_async",
     "verify_identity_samples",
 ]

@@ -1,9 +1,9 @@
 """Asyncio front end: many progressive sessions on one event loop.
 
-The thread-per-client model of :mod:`repro.serve.loadgen` tops out at
-hundreds of clients; a visualization deployment wants thousands of idle
-viewers each holding a progressive session open. This module multiplexes
-them over a single event loop without adding any I/O threads of its own:
+A thread per client tops out at hundreds of clients; a visualization
+deployment wants thousands of idle viewers each holding a progressive
+session open. This module multiplexes them over a single event loop
+without adding any I/O threads of its own:
 admission (:meth:`QueryService.stream`) is non-blocking, execution stays
 on the service's existing worker pool, and delivery rides the
 :class:`~repro.serve.streaming.StreamOutbox`'s ``on_event`` hook — the
@@ -15,21 +15,19 @@ sheds at a rung boundary, and the session refines later.
 
 ``await service.request(...)`` resolves on a ticket done-callback, so a
 pending request costs one waiting Future, not a parked thread — the
-asyncio front end's whole reason to exist.
+asyncio front end's whole reason to exist. :func:`repro.serve.run_load`
+drives every load model through this class.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 from ..api import QueryRequest
-from .loadgen import LoadReport, TraceOp  # noqa: F401 (TraceOp re-export)
-from .scheduler import AdmissionRejected
 from .service import QueryService, ServeConfig, ServeResponse
 from .streaming import DONE, EMPTY
 
-__all__ = ["AsyncQueryService", "AsyncStream", "run_load_async"]
+__all__ = ["AsyncQueryService", "AsyncStream"]
 
 
 class AsyncStream:
@@ -172,111 +170,3 @@ class AsyncQueryService:
 
     async def __aexit__(self, *exc) -> None:
         await self.aclose()
-
-
-async def _drive_session(
-    aservice: AsyncQueryService,
-    trace: list[TraceOp],
-    step: int,
-    report: LoadReport,
-    sample_base: int,
-    identity_sample_every: int,
-    sem: asyncio.Semaphore | None,
-) -> None:
-    if sem is not None:
-        await sem.acquire()
-    try:
-        sid = aservice.open_session(step)
-        try:
-            for op_index, op in enumerate(trace):
-                req = QueryRequest(quality=op.quality, box=op.box, filters=op.filters)
-                t0 = time.perf_counter()
-                try:
-                    stream = aservice.stream(sid, req)
-                except AdmissionRejected:
-                    report.requests += 1
-                    report.rejected += 1
-                    continue
-                first = None
-                async for _inc in stream:
-                    if first is None:
-                        first = time.perf_counter() - t0
-                resp = await stream.result()
-                dt = time.perf_counter() - t0
-                # single event loop: no lock needed between sessions
-                report.requests += 1
-                report.latencies.append(dt)
-                if first is not None:
-                    report.ttfi.append(first)
-                report.points += len(resp)
-                report.nbytes += resp.batch.nbytes
-                report.increments += resp.increments
-                if resp.degraded:
-                    report.degraded += 1
-                if resp.cache_hit:
-                    report.cache_hits += 1
-                if resp.collapsed:
-                    report.collapsed += 1
-                if resp.shed:
-                    report.shed += 1
-                sample_slot = sample_base * 131 + op_index
-                if (
-                    sample_slot % identity_sample_every == 0
-                    and len(resp)
-                    and not resp.partial
-                ):
-                    report.identity_samples.append(
-                        (
-                            step,
-                            op.box,
-                            tuple(op.filters),
-                            resp.prev_quality,
-                            resp.served_quality,
-                            resp.batch.digest(),
-                        )
-                    )
-        finally:
-            aservice.close_session(sid)
-    finally:
-        if sem is not None:
-            sem.release()
-
-
-def run_load_async(
-    service: QueryService,
-    traces: list[list[TraceOp]],
-    identity_sample_every: int = 7,
-    step: int = 0,
-    max_concurrent_sessions: int | None = None,
-) -> LoadReport:
-    """Replay ``traces`` as concurrent asyncio sessions on one loop.
-
-    The streaming analogue of :func:`repro.serve.loadgen.run_load`:
-    every trace becomes one coroutine holding a progressive session and
-    consuming streamed increments; all of them multiplex over the
-    service's worker pool through a single event loop. The report's
-    ``ttfi`` list records time-to-first-increment per request — the
-    latency a progressive viewer actually perceives.
-    """
-
-    async def main() -> LoadReport:
-        report = LoadReport()
-        aservice = AsyncQueryService(service=service)
-        sem = (
-            asyncio.Semaphore(max_concurrent_sessions)
-            if max_concurrent_sessions
-            else None
-        )
-        t_start = time.perf_counter()
-        await asyncio.gather(
-            *(
-                _drive_session(
-                    aservice, trace, step, report, i, identity_sample_every, sem
-                )
-                for i, trace in enumerate(traces)
-            )
-        )
-        report.elapsed_seconds = time.perf_counter() - t_start
-        return report
-
-    return asyncio.run(main())

@@ -51,6 +51,9 @@ from ..types import Box
 
 __all__ = ["JobConfig", "JobStore", "JobRunner", "make_sweep"]
 
+#: idle poll interval while other runners hold the remaining leases
+POLL_SECONDS = 0.05
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
     job_id   TEXT PRIMARY KEY,
@@ -98,8 +101,6 @@ class JobConfig:
     backoff: float = 0.25
     #: tasks leased per store round-trip
     batch_size: int = 8
-    #: idle poll interval while other runners hold the remaining leases
-    poll_seconds: float = 0.05
 
 
 class JobStore:
@@ -382,7 +383,7 @@ class JobRunner:
                     break
                 # other runners hold the remaining leases, or backoff
                 # gates are still in the future — wait, then re-check
-                time.sleep(cfg.poll_seconds)
+                time.sleep(POLL_SECONDS)
                 continue
             for idx, doc, _attempts in leased:
                 if self._stop.is_set() or (

@@ -4,68 +4,61 @@ Models the paper's visualization clients (§V-B): each simulated client
 opens a session and walks a deterministic trace of *zoom* (progressive
 quality ramp into a shrinking box), *pan* (box translation, which resets
 the progression), and *filter* (attribute range toggles) operations.
-Traces are generated from a seed, so two runs at the same settings issue
-the identical request stream — only scheduling differs.
+Traces are lists of :class:`~repro.api.QueryRequest` generated from a
+seed, so two runs at the same settings send the identical request
+stream — only scheduling differs.
 
-``run_load`` drives one :class:`~repro.serve.service.QueryService` with
-``concurrency`` client threads and returns a :class:`LoadReport` carrying
-per-request latencies (p50/p99), throughput, rejection counts, and a
-sample of served responses with their exact ``(step, box, filters,
-prev_quality, quality)`` coordinates — the bench suite replays those
-coordinates against a direct :class:`~repro.core.dataset.BATDataset` and
-asserts byte identity, so "fast under load" can never drift from
-"correct".
+``run_load`` is the one replay function: every request is a coroutine
+on one event loop over :class:`~repro.serve.aio.AsyncQueryService`,
+under a closed or open load model, one-shot or streamed. Its
+:class:`LoadReport` holds what only a client can observe — latencies,
+time-to-first-increment, rejections — and a sample of served responses
+as ``(step, window, digest)``, ``window`` being the frozen request at the
+coordinates it was served at. :func:`verify_identity_samples` replays
+those windows against a direct :class:`~repro.core.dataset.BATDataset`
+and asserts byte identity, so "fast under load" can never drift from
+"correct". What the service counts itself (degraded, cache hits,
+collapsed, shed, increments, bytes) is on its ``snapshot()``.
 """
 
 from __future__ import annotations
 
-import threading
+import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..api import QueryRequest
 from ..bat.query import AttributeFilter
 from ..types import Box
+from .aio import AsyncQueryService
 from .scheduler import AdmissionRejected
 from .service import QueryService
 
-__all__ = ["TraceOp", "LoadReport", "make_traces", "make_hot_traces", "run_load"]
-
-
-@dataclass(frozen=True)
-class TraceOp:
-    """One client request: reach ``quality`` for the given view."""
-
-    quality: float
-    box: Box | None = None
-    filters: tuple[AttributeFilter, ...] = ()
+__all__ = [
+    "LoadReport",
+    "make_traces",
+    "make_hot_traces",
+    "run_load",
+    "verify_identity_samples",
+]
 
 
 @dataclass
 class LoadReport:
-    """Everything one load run observed, ready for the bench payload."""
+    """What the clients of one load run observed."""
 
     requests: int = 0
     rejected: int = 0
-    degraded: int = 0
-    cache_hits: int = 0
-    #: responses served off an overlapping in-flight decode
-    collapsed: int = 0
-    #: streamed responses cut short at a rung boundary by backpressure
-    shed: int = 0
-    #: increments delivered across all requests
-    increments: int = 0
-    points: int = 0
-    nbytes: int = 0
     elapsed_seconds: float = 0.0
     #: request latency; under open-loop arrivals, measured from the
     #: *scheduled* arrival time (coordinated-omission-free)
     latencies: list[float] = field(default_factory=list)
-    #: time-to-first-increment per streamed request
+    #: time-to-first-increment per streamed request (its latency when
+    #: the stream delivered nothing new)
     ttfi: list[float] = field(default_factory=list)
-    #: (step, box, filters, prev_quality, served_quality, digest) samples
+    #: (step, window, digest) samples of complete, non-empty responses
     identity_samples: list[tuple] = field(default_factory=list)
 
     @property
@@ -73,7 +66,7 @@ class LoadReport:
         return self.requests / self.elapsed_seconds if self.elapsed_seconds else 0.0
 
 
-def _zoom_trace(rng, bounds: Box, steps: int) -> list[TraceOp]:
+def _zoom_trace(rng, bounds: Box, steps: int) -> list[QueryRequest]:
     """Progressively refine into a shrinking box around one focus point."""
     lo = np.asarray(bounds.lower)
     hi = np.asarray(bounds.upper)
@@ -83,11 +76,11 @@ def _zoom_trace(rng, bounds: Box, steps: int) -> list[TraceOp]:
     for i, q in enumerate(qualities):
         half = (hi - lo) * (0.5 - 0.35 * i / max(steps - 1, 1)) / 2.0
         box = Box(tuple((focus - half).tolist()), tuple((focus + half).tolist()))
-        ops.append(TraceOp(quality=float(q), box=box))
+        ops.append(QueryRequest(quality=float(q), box=box))
     return ops
 
 
-def _pan_trace(rng, bounds: Box, steps: int) -> list[TraceOp]:
+def _pan_trace(rng, bounds: Box, steps: int) -> list[QueryRequest]:
     """Slide a window across the domain; every move resets progression."""
     lo = np.asarray(bounds.lower)
     hi = np.asarray(bounds.upper)
@@ -98,14 +91,14 @@ def _pan_trace(rng, bounds: Box, steps: int) -> list[TraceOp]:
     for i in range(steps):
         corner = np.clip(start + i * step_vec, lo, hi - size)
         box = Box(tuple(corner.tolist()), tuple((corner + size).tolist()))
-        ops.append(TraceOp(quality=0.6, box=box))
+        ops.append(QueryRequest(quality=0.6, box=box))
     return ops
 
 
-def _filter_trace(rng, attr_ranges: dict, steps: int) -> list[TraceOp]:
+def _filter_trace(rng, attr_ranges: dict, steps: int) -> list[QueryRequest]:
     """Toggle attribute ranges at moderate quality, then go full."""
     if not attr_ranges:
-        return [TraceOp(quality=q) for q in np.linspace(0.3, 1.0, steps)]
+        return [QueryRequest(quality=float(q)) for q in np.linspace(0.3, 1.0, steps)]
     name = sorted(attr_ranges)[int(rng.integers(len(attr_ranges)))]
     glo, ghi = attr_ranges[name]
     ops = []
@@ -113,7 +106,7 @@ def _filter_trace(rng, attr_ranges: dict, steps: int) -> list[TraceOp]:
         width = 0.25 + 0.5 * rng.random()
         start = glo + rng.random() * (1.0 - width) * (ghi - glo)
         filt = AttributeFilter(name, float(start), float(start + width * (ghi - glo)))
-        ops.append(TraceOp(quality=0.5 if i % 2 else 1.0, filters=(filt,)))
+        ops.append(QueryRequest(quality=0.5 if i % 2 else 1.0, filters=(filt,)))
     return ops
 
 
@@ -123,7 +116,7 @@ def make_traces(
     attr_ranges: dict | None = None,
     ops_per_session: int = 6,
     seed: int = 0,
-) -> list[list[TraceOp]]:
+) -> list[list[QueryRequest]]:
     """Deterministic per-session request traces, mixing the three patterns."""
     rng = np.random.default_rng(seed)
     traces = []
@@ -145,7 +138,7 @@ def make_hot_traces(
     n_views: int = 4,
     ops_per_session: int = 6,
     seed: int = 0,
-) -> list[list[TraceOp]]:
+) -> list[list[QueryRequest]]:
     """Traces where many sessions walk a shared set of hot views.
 
     A realistic thundering herd: viewers pile onto the same handful of
@@ -164,204 +157,124 @@ def make_hot_traces(
 
 def run_load(
     service: QueryService,
-    traces: list[list[TraceOp]],
+    traces: list[list[QueryRequest]],
     concurrency: int,
-    identity_sample_every: int = 7,
-    step: int = 0,
+    *,
+    stream: bool = False,
     arrival: str = "closed",
     rate_hz: float = 200.0,
     arrival_seed: int = 0,
+    identity_sample_every: int = 7,
+    step: int = 0,
 ) -> LoadReport:
-    """Replay ``traces`` with ``concurrency`` client threads.
+    """Replay ``traces`` against ``service``, all of it on one event loop.
 
-    Sessions are dealt round-robin to clients; each client walks its
-    sessions sequentially (one outstanding request at a time, like a real
-    viewer awaiting its increment). Rejected requests are counted and the
-    client moves on — the retry policy lives with clients, not here.
+    ``arrival`` picks the load model. ``"closed"``: sessions are dealt
+    round-robin to ``concurrency`` client coroutines; each walks its
+    sessions in turn with one outstanding request, like a viewer awaiting
+    its increment. That under-reports latency when the service stalls
+    (coordinated omission: a stalled client stops generating the load
+    that would have queued), so ``"open"`` instead interleaves the
+    sessions' requests round-robin, draws seeded Poisson interarrivals at
+    ``rate_hz`` and starts each request at its scheduled instant whether
+    or not earlier ones completed; latency is measured from that instant,
+    so a stall shows up in every latency it delayed. The service's
+    per-session lock keeps each session's progression ordered; open mode
+    has no client bound.
 
-    ``arrival`` picks the load model. The default ``"closed"`` loop above
-    waits for each response before issuing the next request, which
-    under-reports latency when the service stalls (coordinated omission:
-    a stalled client stops generating the load that would have queued).
-    ``arrival="open"`` instead draws seeded Poisson interarrivals at
-    ``rate_hz`` and submits on that schedule regardless of completions;
-    latency is then measured from each request's *scheduled* arrival to
-    its completion, so a stall shows up in every latency it delayed.
-    ``concurrency`` is ignored in open mode (one dispatcher, completions
-    observed via ticket callbacks).
+    ``stream`` picks the delivery: an awaited one-shot response, or a
+    drained stream whose time-to-first-increment lands in
+    ``report.ttfi``. Rejected requests are counted and the client moves
+    on — the retry policy lives with clients, not here.
     """
     if arrival not in ("closed", "open"):
         raise ValueError(f"arrival must be 'closed' or 'open', got {arrival!r}")
-    if arrival == "open":
-        return _run_load_open(
-            service, traces, rate_hz, arrival_seed, identity_sample_every, step
-        )
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    lanes: list[list[list[TraceOp]]] = [[] for _ in range(concurrency)]
-    for i, trace in enumerate(traces):
-        lanes[i % concurrency].append(trace)
-
-    report = LoadReport()
-    lock = threading.Lock()
-
-    def client(lane: list[list[TraceOp]], lane_index: int) -> None:
-        for trace_index, trace in enumerate(lane):
-            sid = service.open_session(step)
-            try:
-                for op_index, op in enumerate(trace):
-                    t0 = time.perf_counter()
-                    try:
-                        resp = service.request(
-                            sid,
-                            QueryRequest(
-                                quality=op.quality, box=op.box, filters=op.filters
-                            ),
-                        )
-                    except AdmissionRejected:
-                        with lock:
-                            report.requests += 1
-                            report.rejected += 1
-                        continue
-                    dt = time.perf_counter() - t0
-                    with lock:
-                        report.requests += 1
-                        report.latencies.append(dt)
-                        report.points += len(resp)
-                        report.nbytes += resp.batch.nbytes
-                        if resp.degraded:
-                            report.degraded += 1
-                        if resp.cache_hit:
-                            report.cache_hits += 1
-                        sample_slot = (
-                            lane_index * 131 + trace_index * 17 + op_index
-                        )
-                        if sample_slot % identity_sample_every == 0 and len(resp):
-                            report.identity_samples.append(
-                                (
-                                    step,
-                                    op.box,
-                                    tuple(op.filters),
-                                    resp.prev_quality,
-                                    resp.served_quality,
-                                    resp.batch.digest(),
-                                )
-                            )
-            finally:
-                service.close_session(sid)
-
-    threads = [
-        threading.Thread(target=client, args=(lane, i), name=f"loadgen-{i}")
-        for i, lane in enumerate(lanes)
-    ]
-    t_start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    report.elapsed_seconds = time.perf_counter() - t_start
-    return report
-
-
-def _run_load_open(
-    service: QueryService,
-    traces: list[list[TraceOp]],
-    rate_hz: float,
-    arrival_seed: int,
-    identity_sample_every: int,
-    step: int,
-) -> LoadReport:
-    """Open-loop arrivals: deterministic Poisson schedule, pipelined submits.
-
-    Requests are interleaved round-robin across sessions (so concurrent
-    arrivals mix views) and submitted at their scheduled instants whether
-    or not earlier ones completed; the per-session lock inside the
-    service keeps each session's progression ordered. Latency uses the
-    ticket's ``finished_at`` stamp against the scheduled arrival — both
-    on the service's clock only when it is the default
-    ``time.perf_counter``, which is what the bench suite uses.
-    """
     if rate_hz <= 0:
         raise ValueError("rate_hz must be > 0")
-    rng = np.random.default_rng(arrival_seed)
-    sids = [service.open_session(step) for _ in traces]
-    flat: list[tuple[int, int, TraceOp]] = []
-    max_ops = max((len(t) for t in traces), default=0)
-    for op_index in range(max_ops):
-        for s_index, trace in enumerate(traces):
-            if op_index < len(trace):
-                flat.append((s_index, op_index, trace[op_index]))
-    arrivals = np.cumsum(rng.exponential(1.0 / rate_hz, size=len(flat)))
-
     report = LoadReport()
-    lock = threading.Lock()
-    completions = threading.Semaphore(0)
+    aservice = AsyncQueryService(service=service)
 
-    def on_done(ticket, scheduled: float, op: TraceOp, slot: int) -> None:
+    async def one(sid, s_index, op_index, t0) -> None:
+        """Send one trace request and time it from ``t0``; single event
+        loop, so the report needs no lock."""
+        request = traces[s_index][op_index]
+        report.requests += 1
+        first = None
         try:
-            resp = ticket.result(0)
-        except BaseException:
-            completions.release()
+            if stream:
+                # the context closes the stream if this task dies mid-way,
+                # so its worker sheds instead of waiting on a full outbox
+                async with aservice.stream(sid, request) as handle:
+                    async for _inc in handle:
+                        if first is None:
+                            first = time.perf_counter() - t0
+                    resp = await handle.result()
+            else:
+                resp = await aservice.request(sid, request)
+        except AdmissionRejected:
+            report.rejected += 1
             return
-        latency = max(ticket.finished_at - scheduled, 0.0)
-        with lock:
-            report.latencies.append(latency)
-            report.points += len(resp)
-            report.nbytes += resp.batch.nbytes
-            report.increments += resp.increments
-            if resp.degraded:
-                report.degraded += 1
-            if resp.cache_hit:
-                report.cache_hits += 1
-            if resp.collapsed:
-                report.collapsed += 1
-            if resp.shed:
-                report.shed += 1
-            if slot % identity_sample_every == 0 and len(resp) and not resp.partial:
-                report.identity_samples.append(
-                    (
-                        step,
-                        op.box,
-                        tuple(op.filters),
-                        resp.prev_quality,
-                        resp.served_quality,
-                        resp.batch.digest(),
-                    )
-                )
-        completions.release()
-
-    issued = 0
-    t0 = time.perf_counter()
-    try:
-        for i, ((s_index, op_index, op), t_arr) in enumerate(zip(flat, arrivals)):
-            now = time.perf_counter() - t0
-            if t_arr > now:
-                time.sleep(t_arr - now)
-            scheduled = t0 + t_arr
-            with lock:
-                report.requests += 1
-            try:
-                ticket = service.submit(
-                    sids[s_index],
-                    QueryRequest(quality=op.quality, box=op.box, filters=op.filters),
-                )
-            except AdmissionRejected:
-                with lock:
-                    report.rejected += 1
-                continue
-            issued += 1
-            slot = s_index * 131 + op_index * 17
-            ticket.add_done_callback(
-                lambda t, scheduled=scheduled, op=op, slot=slot: on_done(
-                    t, scheduled, op, slot
-                )
+        latency = time.perf_counter() - t0
+        report.latencies.append(latency)
+        if stream:
+            report.ttfi.append(latency if first is None else first)
+        # a partial response is served but is not what a direct query of
+        # the whole dataset returns: it is never sampled
+        slot = s_index * 131 + op_index * 17
+        if slot % identity_sample_every == 0 and len(resp) and not resp.partial:
+            window = replace(
+                request, prev_quality=resp.prev_quality, quality=resp.served_quality
             )
-    finally:
-        for _ in range(issued):
-            completions.acquire()
-        for sid in sids:
-            service.close_session(sid)
-    report.elapsed_seconds = time.perf_counter() - t0
+            report.identity_samples.append((step, window, resp.batch.digest()))
+
+    async def client(s_indices) -> None:
+        for s_index in s_indices:
+            sid = aservice.open_session(step)
+            try:
+                for op_index in range(len(traces[s_index])):
+                    await one(sid, s_index, op_index, time.perf_counter())
+            finally:
+                aservice.close_session(sid)
+
+    async def open_loop(t_start) -> None:
+        rng = np.random.default_rng(arrival_seed)
+        max_ops = max((len(t) for t in traces), default=0)
+        flat = [
+            (s_index, op_index)
+            for op_index in range(max_ops)
+            for s_index, trace in enumerate(traces)
+            if op_index < len(trace)
+        ]
+        arrivals = np.cumsum(rng.exponential(1.0 / rate_hz, size=len(flat)))
+        sids = [aservice.open_session(step) for _ in traces]
+        tasks = []
+        try:
+            for (s_index, op_index), t_arr in zip(flat, arrivals):
+                scheduled = t_start + t_arr
+                delay = scheduled - time.perf_counter()
+                if delay > 0:
+                    await asyncio.sleep(delay)
+                tasks.append(asyncio.create_task(
+                    one(sids[s_index], s_index, op_index, scheduled)
+                ))
+            await asyncio.gather(*tasks)
+        finally:
+            for sid in sids:
+                aservice.close_session(sid)
+
+    async def main() -> None:
+        t_start = time.perf_counter()
+        if arrival == "open":
+            await open_loop(t_start)
+        else:
+            await asyncio.gather(*(
+                client(range(i, len(traces), concurrency)) for i in range(concurrency)
+            ))
+        report.elapsed_seconds = time.perf_counter() - t_start
+
+    asyncio.run(main())
     return report
 
 
@@ -372,15 +285,11 @@ def verify_identity_samples(dataset, samples) -> int:
     scheduler, the degradation policy, and the result cache entirely —
     whatever those layers did, the bytes must match.
     """
-    for step, box, filters, prev_q, served_q, digest in samples:
-        batch, _ = dataset.query(
-            QueryRequest(
-                quality=served_q, prev_quality=prev_q, box=box, filters=filters
-            )
-        )
+    for step, window, digest in samples:
+        batch, _ = dataset.query(window)
         if batch.digest() != digest:
             raise AssertionError(
-                f"served response diverged from direct query at step={step} "
-                f"box={box} filters={filters} q={prev_q}->{served_q}"
+                f"served response diverged from direct query at step={step}: "
+                f"{window}"
             )
     return len(samples)

@@ -91,13 +91,7 @@ from ..types import ParticleBatch
 from .cache import ResultCache
 from .collapse import _DONE, CollapseAbandoned, InflightTable, adapt_increment
 from .degrade import DegradationConfig, DegradationPolicy
-from .metrics import (
-    DEFAULT_METRICS_WINDOW,
-    AccessTelemetry,
-    RequestSpan,
-    ServeMetrics,
-    json_sanitize,
-)
+from .metrics import AccessTelemetry, RequestSpan, ServeMetrics, json_sanitize
 from .scheduler import (
     PRIORITY_BULK,
     PRIORITY_INTERACTIVE,
@@ -119,6 +113,20 @@ __all__ = [
 
 #: share of the scheduler's slots :meth:`QueryService.execute` may hold
 BATCH_SHARE = 0.5
+
+#: outstanding requests allowed per session
+MAX_SESSION_QUEUE = 8
+
+#: requests at or below this quality count as interactive first paints
+INTERACTIVE_QUALITY = 0.35
+
+#: how long a collapse follower waits on its leader before falling back
+#: to its own query (the leader always runs on a live worker)
+COLLAPSE_TIMEOUT = 30.0
+
+#: quality-ladder resolution for streamed requests (2**levels rungs
+#: across the full quality range; see ``default_quality_ladder``)
+STREAM_LEVELS = 8
 
 #: stands in for the session lock on session-less (batch) windows
 _UNLOCKED = nullcontext()
@@ -153,16 +161,13 @@ def resolve_step_manifests(source) -> dict[int, Path]:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """All tuning knobs of the service in one place."""
+    """The service's tuning knobs; values no caller tunes are the module
+    constants above."""
 
     #: maximum concurrently executing queries (scheduler worker threads)
     capacity: int = 4
     #: global queue bound; submissions past it are rejected
     max_queued: int = 64
-    #: outstanding requests allowed per session
-    max_session_queue: int = 8
-    #: requests at or below this quality count as interactive first paints
-    interactive_quality: float = 0.35
     #: result-cache entry bound and TTL (seconds; None disables expiry)
     result_cache_entries: int = 256
     result_ttl: float | None = 30.0
@@ -175,19 +180,11 @@ class ServeConfig:
     column_cache_bytes: int = DEFAULT_COLUMN_CACHE_BYTES
     #: collapse concurrent overlapping requests onto one in-flight decode
     collapse: bool = True
-    #: how long a follower waits on its leader before falling back to its
-    #: own query (None = forever; the leader always runs on a live worker)
-    collapse_timeout: float | None = 30.0
     #: increments buffered per streamed request before its worker blocks
     stream_outbox: int = 8
     #: how long a streamed worker waits on a full outbox before shedding
     #: the remaining rungs (None = never shed on backpressure)
     stream_grace: float | None = 2.0
-    #: quality-ladder resolution for streamed requests (2**levels rungs
-    #: across the full quality range; see ``default_quality_ladder``)
-    stream_levels: int = 8
-    #: ring-buffer size for latency/TTFI percentile samples
-    metrics_window: int = DEFAULT_METRICS_WINDOW
 
 
 @dataclass
@@ -266,7 +263,7 @@ class QueryService:
             SchedulerConfig(
                 capacity=self.config.capacity,
                 max_queued=self.config.max_queued,
-                max_session_queue=self.config.max_session_queue,
+                max_session_queue=MAX_SESSION_QUEUE,
             ),
             clock=clock,
         )
@@ -275,7 +272,7 @@ class QueryService:
             capacity=self.config.result_cache_entries, ttl=self.config.result_ttl
         )
         self.collapse = InflightTable()
-        self.metrics = ServeMetrics(clock=clock, window=self.config.metrics_window)
+        self.metrics = ServeMetrics(clock=clock)
         #: per-(step, leaf) access tallies — the reorganizer's evidence
         self.telemetry = AccessTelemetry()
         self._sessions: dict[int, ServeSession] = {}
@@ -285,7 +282,7 @@ class QueryService:
         # most this many scheduler slots, interactive traffic the rest
         self._batch_gate = threading.BoundedSemaphore(min(
             max(1, round(self.config.capacity * BATCH_SHARE)),
-            self.config.max_session_queue,
+            MAX_SESSION_QUEUE,
         ))
         #: outboxes of streams admitted but not yet finished; close()
         #: must resolve every one of them before tearing down datasets
@@ -428,7 +425,7 @@ class QueryService:
 
     def _priority(self, sess: ServeSession, req: QueryRequest, view, step) -> int:
         """Refinements of a held view and cheap first paints go first."""
-        if req.quality <= self.config.interactive_quality:
+        if req.quality <= INTERACTIVE_QUALITY:
             return PRIORITY_INTERACTIVE
         if (sess.step, sess.view) == (step, view) and sess.delivered_quality > 0.0:
             return PRIORITY_INTERACTIVE
@@ -832,9 +829,7 @@ class QueryService:
         prev, effective = window.prev_quality, window.quality
         if outbox is not None:
             if ladder is None:
-                ladder = default_quality_ladder(
-                    effective, prev, levels=self.config.stream_levels
-                )
+                ladder = default_quality_ladder(effective, prev, levels=STREAM_LEVELS)
             else:
                 # degradation may have lowered the target below the
                 # caller's ladder; keep the rungs inside the window
@@ -952,7 +947,7 @@ class QueryService:
         i = 0
         while True:
             try:
-                inc = entry.fetch(i, self.config.collapse_timeout, clock=self._clock)
+                inc = entry.fetch(i, COLLAPSE_TIMEOUT, clock=self._clock)
             except CollapseAbandoned:
                 abandoned = True
                 break

@@ -136,6 +136,37 @@ class TestServe:
         }
 
 
+@pytest.fixture(scope="module")
+def damaged(tmp_path_factory):
+    """A written dataset with one leaf file deleted."""
+    out = tmp_path_factory.mktemp("cli_damaged")
+    rep = TwoPhaseWriter(make_test_machine(), target_size=128 * 1024).write(
+        make_rank_data(nranks=9, seed=21), out_dir=out, name="dmg"
+    )
+    sorted(out.glob("*.bat"))[0].unlink()
+    return rep.metadata_path
+
+
+class TestServeDamaged:
+    @pytest.mark.parametrize(
+        "mode",
+        [[], ["--arrival", "open"], ["--stream"], ["--stream", "--arrival", "open"]],
+        ids=["closed", "open", "stream", "stream-open"],
+    )
+    def test_every_mode_serves_around_a_missing_leaf(self, damaged, mode, capsys):
+        """Partial responses are served, never sampled for byte identity."""
+        assert main(
+            [
+                "serve", damaged, "--no-degradation",
+                "--capacity", "2", "--sessions", "6", "--ops", "3", *mode,
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "served 18 requests from 6 sessions" in out
+        assert "byte-verified" in out
+        assert ("open loop" in out) == ("open" in mode)
+
+
 class TestBench:
     def test_weak_scaling_smoke(self, capsys):
         assert main(["bench", "weak-scaling", "--machine", "testing_machine", "--ranks", "8,16"]) == 0
@@ -169,7 +200,7 @@ class TestServeSharded:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "asyncio streams, 2 shard processes" in out
+        assert "4 clients, streamed, 2 shard processes" in out
         assert int(re.search(r"(\d+) responses byte-verified", out).group(1)) > 0
         assert "streaming:" in out and "fanout mean" in out
 

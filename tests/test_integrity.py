@@ -339,6 +339,19 @@ class TestQuarantineAndDegradedReads:
             assert stats2.quarantined_files == 1
             assert len(again) == len(part)
 
+    def test_stream_past_a_quarantined_leaf_is_partial(self, written_dataset):
+        """A plan that already excludes a quarantined leaf flags every
+        increment ``partial``, as the one-shot query reports it."""
+        _, rep = written_dataset
+        with BATDataset(rep.metadata_path) as ds:
+            ds.quarantine_leaf(1, "damaged")
+            req = QueryRequest(quality=1.0, on_error="degrade")
+            _, stats = ds.query(req)
+            assert stats.quarantined_files > 0
+            incs = list(ds.stream(req))
+            assert len(incs) > 1
+            assert all(inc.partial for inc in incs)
+
     def test_clear_quarantine_retries_the_leaf(self, written_dataset):
         out, rep = written_dataset
         with BATDataset(rep.metadata_path) as ds:

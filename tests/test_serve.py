@@ -724,6 +724,7 @@ class TestLoadGenerator:
         t1 = make_traces(6, direct.bounds, direct.attr_ranges, seed=3)
         t2 = make_traces(6, direct.bounds, direct.attr_ranges, seed=3)
         assert t1 == t2
+        assert all(isinstance(r, QueryRequest) for ops in t1 for r in ops)
         assert len(t1) == 6
         kinds = {len(ops) for ops in t1}
         assert kinds  # every trace has operations

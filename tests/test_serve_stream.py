@@ -34,11 +34,10 @@ from repro.serve import (
     make_hot_traces,
     make_traces,
     run_load,
-    run_load_async,
     verify_identity_samples,
 )
 from repro.serve.collapse import _DONE, adapt_increment, _compatible, FollowSpec, InflightEntry
-from repro.serve.metrics import RequestSpan
+from repro.serve.metrics import DEFAULT_METRICS_WINDOW, RequestSpan
 from repro.serve.scheduler import RequestScheduler, SchedulerConfig
 from repro.serve.streaming import DONE, EMPTY
 from repro.types import Box, ParticleBatch
@@ -383,6 +382,25 @@ class TestServiceStreaming:
             resp = handle.result(30.0)
             assert resp.cache_hit and len(incs) == 1 and incs[0].order is None
 
+    def test_stream_missing_a_leaf_is_partial_and_never_cached(self, tmp_path):
+        """The first stream finds the missing leaf and quarantines it; the
+        second plans around it — and must still say it is incomplete."""
+        rep = TwoPhaseWriter(testing_machine(), target_size=128 * 1024).write(
+            make_rank_data(nranks=9, seed=21), out_dir=tmp_path, name="dmg"
+        )
+        sorted(tmp_path.glob("*.bat"))[0].unlink()
+        with QueryService(rep.metadata_path, serve_config()) as svc:
+            for _ in range(2):
+                handle = svc.stream(svc.open_session(), QueryRequest(quality=1.0))
+                list(handle)
+                resp = handle.result(30.0)
+                assert resp.partial and resp.quarantined_files == 1
+            assert svc.results.stats()["entries"] == 0
+            again = svc.request(
+                svc.open_session(), QueryRequest(quality=1.0), timeout=60.0
+            )
+            assert again.partial and not again.cache_hit
+
     def test_snapshot_has_collapse_and_streaming_surfaces(self, written):
         with QueryService(written, serve_config()) as svc:
             sid = svc.open_session()
@@ -396,7 +414,7 @@ class TestServiceStreaming:
             assert snap["streaming"]["streamed"] == 1
             assert snap["streaming"]["increments"] >= 1
             assert snap["streaming"]["ttfi_ms"]["p50"] > 0
-            assert snap["latency_ms"]["window"] == svc.config.metrics_window
+            assert snap["latency_ms"]["window"] == DEFAULT_METRICS_WINDOW
 
 
 class TestServiceCollapse:
@@ -562,15 +580,18 @@ class TestAsyncService:
         ref = direct.query(QueryRequest(quality=resp.served_quality))
         assert canon(reassemble_stream(incs).batch) == canon(ref.batch)
 
-    def test_run_load_async_hot_views_collapse_and_verify(self, written, direct):
+    def test_run_load_streamed_hot_views_collapse_and_verify(self, written, direct):
         cfg = serve_config(capacity=4, max_queued=256)
         with QueryService(written, cfg) as svc:
             traces = make_hot_traces(
                 12, direct.bounds, n_views=2, ops_per_session=4, seed=7
             )
-            report = run_load_async(svc, traces, identity_sample_every=3)
+            report = run_load(
+                svc, traces, concurrency=12, stream=True, identity_sample_every=3
+            )
             assert report.requests == 12 * 4
-            assert report.increments > report.requests - report.rejected
+            increments = svc.snapshot()["streaming"]["increments"]
+            assert increments > report.requests - report.rejected
             assert verify_identity_samples(direct, report.identity_samples) > 0
 
 
@@ -615,37 +636,68 @@ class TestMetricsWindow:
 # open-loop load
 
 
+def check_load(report, direct, requests, stream):
+    """``run_load``'s accounting holds, and its samples are non-empty,
+    complete (a partial response is never sampled) and byte-verified."""
+    assert report.requests == requests
+    assert report.latencies
+    assert len(report.latencies) + report.rejected == report.requests
+    assert (len(report.ttfi) == len(report.latencies)) == stream
+    assert report.identity_samples
+    assert verify_identity_samples(direct, report.identity_samples) == len(
+        report.identity_samples
+    )
+
+
+class TestOneReplayFunction:
+    @pytest.mark.parametrize("stream", [False, True], ids=["oneshot", "stream"])
+    @pytest.mark.parametrize("arrival", ["closed", "open"])
+    def test_every_load_model_and_delivery(self, written, direct, arrival, stream):
+        with QueryService(written, serve_config(max_queued=256)) as svc:
+            traces = make_traces(
+                6, direct.bounds, direct.attr_ranges, ops_per_session=3, seed=5
+            )
+            report = run_load(
+                svc, traces, concurrency=3, stream=stream, arrival=arrival,
+                rate_hz=400.0, identity_sample_every=2,
+            )
+            check_load(report, direct, 18, stream)
+            assert svc.snapshot()["streaming"]["streamed"] == (18 if stream else 0)
+
+
 class TestOpenLoopLoad:
     def test_open_loop_deterministic_and_verified(self, written, direct):
         from repro.serve import DegradationConfig
 
-        reports = []
-        for _ in range(2):
-            # degradation is load-dependent by design; determinism across
-            # runs only holds with it off
-            cfg = serve_config(
-                capacity=2, max_queued=256,
-                degradation=DegradationConfig(enabled=False),
-            )
-            with QueryService(written, cfg) as svc:
-                traces = make_traces(
-                    6, direct.bounds,
-                    direct.attr_ranges, ops_per_session=3, seed=3,
+        for stream in (False, True):
+            reports = []
+            for _ in range(2):
+                # degradation is load-dependent by design; determinism
+                # across runs only holds with it off
+                cfg = serve_config(
+                    capacity=2, max_queued=256,
+                    degradation=DegradationConfig(enabled=False),
                 )
-                reports.append(
-                    run_load(
-                        svc, traces, concurrency=1, arrival="open",
-                        rate_hz=400.0, arrival_seed=11, identity_sample_every=3,
+                with QueryService(written, cfg) as svc:
+                    traces = make_traces(
+                        6, direct.bounds,
+                        direct.attr_ranges, ops_per_session=3, seed=3,
                     )
-                )
-        a, b = reports
-        assert a.requests == b.requests == 18
-        # the schedule and the served bytes are seed-deterministic even
-        # though actual timings differ run to run
-        assert sorted(s[-1] for s in a.identity_samples) == sorted(
-            s[-1] for s in b.identity_samples
-        )
-        assert verify_identity_samples(direct, a.identity_samples) > 0
+                    reports.append(
+                        run_load(
+                            svc, traces, concurrency=1, stream=stream,
+                            arrival="open", rate_hz=400.0, arrival_seed=11,
+                            identity_sample_every=3,
+                        )
+                    )
+            a, b = reports
+            assert a.requests == b.requests == 18
+            # the schedule and the served bytes are seed-deterministic
+            # even though actual timings differ run to run
+            assert sorted(s[-1] for s in a.identity_samples) == sorted(
+                s[-1] for s in b.identity_samples
+            )
+            assert verify_identity_samples(direct, a.identity_samples) > 0
 
     def test_bad_arrival_mode_rejected(self, written):
         with QueryService(written, serve_config()) as svc:

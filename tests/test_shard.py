@@ -619,3 +619,16 @@ class TestLoadgenCompat:
             assert report.requests == 18
             assert report.identity_samples
             verify_identity_samples(direct, report.identity_samples)
+
+    def test_open_streamed_load_over_shards(self, sharded, direct):
+        from repro.serve import make_traces, run_load
+        from tests.test_serve_stream import check_load
+
+        traces = make_traces(
+            4, direct.bounds, direct.attr_ranges, ops_per_session=3, seed=6
+        )
+        report = run_load(
+            sharded, traces, concurrency=2, stream=True, arrival="open",
+            rate_hz=400.0, identity_sample_every=2,
+        )
+        check_load(report, direct, 12, stream=True)
