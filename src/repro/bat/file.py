@@ -71,6 +71,23 @@ def walk_table_dtype(n_attrs: int) -> np.dtype:
     )
 
 
+def _resolve_bitmaps(bitmap_ids: np.ndarray, dictionary: np.ndarray) -> np.ndarray:
+    """Dictionary ids to bitmaps. An id outside the dictionary resolves to
+    the all-ones bitmap: it can never prune, and every returned row is
+    value-checked anyway."""
+    lut = np.append(dictionary, np.uint32(0xFFFFFFFF))
+    return lut[np.minimum(bitmap_ids.astype(np.int64), len(dictionary))]
+
+
+def _nests(lo, hi, bitmaps, parent) -> bool:
+    """Every row's box and bitmaps lie inside its parent row's."""
+    return bool(
+        (lo >= lo[parent]).all()
+        and (hi <= hi[parent]).all()
+        and not (bitmaps & ~bitmaps[parent]).any()
+    )
+
+
 def build_walk_table(
     nodes: np.ndarray, bbox: np.ndarray, dictionary: np.ndarray, levels: int
 ) -> np.ndarray:
@@ -116,22 +133,39 @@ def build_walk_table(
     # one entry for the root plus two per level below it (a pass that ran
     # out of levels queued parents for a level it never recorded)
     t_parent[ids] = np.concatenate(level_parent[: 2 * len(level_ids) - 1])
-    # an id outside the dictionary resolves to the all-ones bitmap: it can
-    # never prune, and every returned row is value-checked anyway
-    lut = np.append(dictionary, np.uint32(0xFFFFFFFF))
-    bitmaps = lut[np.minimum(nodes["bitmap_ids"].astype(np.int64), len(dictionary))]
-    p_box = t_box[t_parent]
+    bitmaps = _resolve_bitmaps(nodes["bitmap_ids"], dictionary)
     table = np.empty(n, dtype=walk_table_dtype(bitmaps.shape[1]))
-    table["nests"] = bool(
-        (t_box[:, 0] >= p_box[:, 0]).all()
-        and (t_box[:, 1] <= p_box[:, 1]).all()
-        and not (bitmaps & ~bitmaps[t_parent]).any()
-    )
+    table["nests"] = _nests(t_box[:, 0], t_box[:, 1], bitmaps, t_parent)
     table["lo"], table["hi"], table["depth"], table["parent"] = (
         t_box[:, 0], t_box[:, 1], t_depth, t_parent
     )
     table["begin"], table["count"], table["bitmaps"] = nodes["begin"], nodes["count"], bitmaps
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def shallow_table_dtype(n_attrs: int) -> np.dtype:
+    """One row per shallow node, in the recursive walk's visit order.
+
+    The shallow counterpart of :func:`walk_table_dtype`: box, depth,
+    parent row and resolved bitmaps, plus ``leaf`` (the shallow leaf
+    index, -1 for inner nodes) and the ``left`` / ``right`` child rows of
+    inner nodes (-1 for leaves). ``nests`` is the tree's verdict, the same
+    in every row.
+    """
+    return np.dtype(
+        [
+            ("lo", "<f8", (3,)),
+            ("hi", "<f8", (3,)),
+            ("parent", "<i8"),
+            ("left", "<i8"),
+            ("right", "<i8"),
+            ("leaf", "<i8"),
+            ("depth", "<i2"),
+            ("nests", "?"),
+            ("bitmaps", "<u4", (max(n_attrs, 1),)),
+        ]
+    )
 
 
 class _LazyColumns(Mapping):
@@ -407,6 +441,7 @@ class BATFile:
                 lo, hi = self.attr_ranges[name]
                 self.binnings[name] = make_binning(kinds[a], lo, hi, edge_tables[a])
         self._treelet_cache: dict[int, TreeletView] = {}
+        self._shallow_table: np.ndarray | None = None
         self._visit_rank: np.ndarray | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -483,29 +518,69 @@ class BATFile:
         """Resolve a 16-bit dictionary ID to its 32-bit bitmap."""
         return int(self.dictionary[bitmap_id])
 
-    def bitmaps_many(self, bitmap_ids: np.ndarray) -> np.ndarray:
-        """Resolve an array of dictionary IDs to their uint32 bitmaps."""
-        return self.dictionary[np.asarray(bitmap_ids, dtype=np.int64)]
+    def shallow_table(self) -> np.ndarray:
+        """The shallow tree as a :func:`shallow_table_dtype` array, cached.
+
+        Rows are in stack-DFS visit order: the recursive traversal pops a
+        LIFO stack, so the *right* child of every inner node is visited
+        first. Pruning removes subtrees but never reorders survivors, so
+        the leaf rows of any query's survivors, in row order, are the
+        canonical emission order. Built on first use from the shallow
+        sections, which are CRC-checked when the file opens.
+        """
+        if self._shallow_table is not None:
+            return self._shallow_table
+        h = self.header
+        inner, leaves = self.shallow_inner, self.shallow_leaves
+        raw = np.stack([inner["left"], inner["right"]], axis=1).astype(np.int64)
+        kids = np.stack([raw & ~LEAF_FLAG, (raw & LEAF_FLAG) != 0], axis=2).tolist()
+        index, is_leaf, parent, depth, left, right = [], [], [], [], [], []
+        stack = [(0, h.n_shallow_inner == 0, 0, 0, None)]
+        while stack:
+            idx, leaf, up, d, side = stack.pop()
+            row = len(index)
+            if row == h.n_shallow_inner + h.n_shallow_leaves:
+                raise IntegrityError(
+                    f"shallow tree of {self.path} is not a tree",
+                    section="shallow_inner", path=self.path,
+                )
+            index.append(idx)
+            is_leaf.append(leaf)
+            parent.append(up)
+            depth.append(d)
+            left.append(-1)
+            right.append(-1)
+            if side is not None:
+                side[up] = row
+            if not leaf:
+                (li, ll), (ri, rl) = kids[idx]
+                stack.append((li, ll, row, d + 1, left))
+                stack.append((ri, rl, row, d + 1, right))
+        index = np.array(index, dtype=np.int64)
+        is_leaf = np.array(is_leaf, dtype=bool)
+        bbox = np.empty((len(index), 6))
+        ids = np.empty((len(index), *inner.dtype["bitmap_ids"].shape), dtype=np.int64)
+        for recs, rows in ((leaves, is_leaf), (inner, ~is_leaf)):
+            bbox[rows] = recs["bbox"][index[rows]]
+            ids[rows] = recs["bitmap_ids"][index[rows]]
+        bitmaps = _resolve_bitmaps(ids, self.dictionary)
+        parent = np.array(parent, dtype=np.int64)
+        table = np.empty(len(index), dtype=shallow_table_dtype(h.n_attrs))
+        table["lo"], table["hi"], table["bitmaps"] = bbox[:, :3], bbox[:, 3:], bitmaps
+        table["parent"], table["depth"] = parent, depth
+        table["left"], table["right"] = left, right
+        table["leaf"] = np.where(is_leaf, index, -1)
+        table["nests"] = _nests(bbox[:, :3], bbox[:, 3:], bitmaps, parent)
+        self._shallow_table = table
+        return table
 
     def shallow_leaf_visit_rank(self) -> np.ndarray:
-        """Rank of each shallow leaf in stack-DFS visit order, cached.
-
-        The recursive traversal pops a LIFO stack, so the *right* child of
-        every inner node is visited first. Pruning removes subtrees but
-        never reorders survivors, which makes this full-tree rank the
-        canonical emission order for any query's surviving leaves.
-        """
+        """Rank of each shallow leaf in visit order (see :meth:`shallow_table`)."""
         if self._visit_rank is None:
+            leaf = self.shallow_table()["leaf"]
+            leaf = leaf[leaf >= 0]
             rank = np.empty(self.header.n_shallow_leaves, dtype=np.int64)
-            n = 0
-            stack = [self.root()]
-            while stack:
-                idx, is_leaf = stack.pop()
-                if is_leaf:
-                    rank[idx] = n
-                    n += 1
-                else:
-                    stack.extend(self.children(idx))
+            rank[leaf] = np.arange(len(leaf))
             self._visit_rank = rank
         return self._visit_rank
 

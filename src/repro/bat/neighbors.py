@@ -40,7 +40,7 @@ import numpy as np
 
 from ..types import ParticleBatch
 from .file import BATFile
-from .query import _concat_ranges, _survivor_leaves, _table_survivors
+from .query import _check, _Forest, _gather, _segments, _shallow_survivors
 
 __all__ = [
     "NeighborStats",
@@ -148,21 +148,6 @@ def _point_box_d2(lo, hi, c) -> float:
 # -- pruned candidate gathering ----------------------------------------------
 
 
-def _treelet_slots(tv, keep_fn, stats: NeighborStats) -> np.ndarray:
-    """Slots of every particle owned by treelet nodes passing ``keep_fn``.
-
-    One pass of ``keep_fn`` over the treelet's walk table (the
-    :class:`~repro.bat.query._TreeletWalk` prune at full quality): every
-    surviving node contributes its whole own range, in pre-order and
-    therefore ascending.
-    """
-    table = tv.walk_table
-    alive, visited = _table_survivors(table, keep_fn(table["lo"], table["hi"]))
-    stats.nodes_visited += int(np.count_nonzero(visited))
-    beg = table["begin"][alive]
-    return _concat_ranges(beg, beg + table["count"][alive])
-
-
 def _filter_mask(tv, slots, filters) -> np.ndarray | None:
     """Exact value mask over ``slots`` for the request's filters."""
     mask = None
@@ -173,33 +158,52 @@ def _filter_mask(tv, slots, filters) -> np.ndarray | None:
     return mask
 
 
-def _gather_pruned(bat: BATFile, leaf_index: int, keep_fn, filters, stats):
-    """Candidate ``(positions64, keys)`` of nodes passing ``keep_fn``."""
-    vrank = bat.shallow_leaf_visit_rank()
-    pos_parts: list[np.ndarray] = []
-    key_parts: list[np.ndarray] = []
-    for leaf in _survivor_leaves(bat, keep_fn, stats):
-        leaf = int(leaf)
-        stats.treelets_visited += 1
-        tv = bat.treelet(leaf)
-        slots = _treelet_slots(tv, keep_fn, stats)
-        if not slots.size:
-            continue
-        stats.points_tested += len(slots)
-        mask = _filter_mask(tv, slots, filters)
-        if mask is not None:
-            slots = slots[mask]
-            if not slots.size:
-                continue
-        keys = np.empty((len(slots), 3), dtype=np.int64)
-        keys[:, 0] = leaf_index
-        keys[:, 1] = vrank[leaf]
-        keys[:, 2] = slots
-        pos_parts.append(tv.positions[slots].astype(np.float64))
-        key_parts.append(keys)
-    if not pos_parts:
-        return np.empty((0, 3), dtype=np.float64), np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(pos_parts, axis=0), np.concatenate(key_parts, axis=0)
+def _no_candidates():
+    return np.empty((0, 3), dtype=np.float64), np.empty((0, 3), dtype=np.int64)
+
+
+def _gather_pruned(bat: BATFile, leaf_index: int, keep_fn, filters, stats, box=None):
+    """Candidate ``(positions64, keys)`` of the nodes passing ``keep_fn``.
+
+    The read core's prune at full quality, one file at a time: one pass of
+    ``keep_fn(lo, hi)`` over the shallow table, one over the surviving
+    treelets' walk tables as one forest. Every surviving node contributes
+    its whole own range, in pre-order and therefore ascending; the ranges
+    are gathered and value-checked once per file. ``box``, when given,
+    keeps only the candidates inside it.
+    """
+    table = bat.shallow_table()
+    alive, visited = _shallow_survivors(table, keep_fn(table["lo"], table["hi"]))
+    stats.nodes_visited += int(np.count_nonzero(visited))
+    leaves = table["leaf"][alive & (table["leaf"] >= 0)]
+    stats.treelets_visited += len(leaves)
+    tvs = [bat.treelet(leaf) for leaf in leaves.tolist()]
+    if not tvs:
+        return _no_candidates()
+    forest = _Forest([tv.walk_table for tv in tvs], np.arange(len(tvs)), False)
+    alive, visited = forest.survivors(keep_fn(forest.lo, forest.hi))
+    stats.nodes_visited += int(np.count_nonzero(visited))
+    beg = forest.begin[alive]
+    n_points = np.array([tv.n_points for tv in tvs], dtype=np.int64)
+    seg = _segments(beg, beg + forest.count[alive], forest.tid[alive], n_points)
+    if seg is None:
+        return _no_candidates()
+    index, ranks, bounds, runs = seg
+    stats.points_tested += len(index)
+    tvs = [tvs[r] for r in ranks.tolist()]
+    pos, _, kept = _check(tvs, index, bounds, runs, box, filters, False)
+    if kept is not None:
+        if not kept.size:
+            return _no_candidates()
+        index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
+        pos = None if pos is None else pos.take(kept, axis=0)
+    if pos is None:
+        pos = _gather(tvs, None, index, bounds, runs)
+    keys = np.empty((len(index), 3), dtype=np.int64)
+    keys[:, 0] = leaf_index
+    keys[:, 1] = np.repeat(bat.shallow_leaf_visit_rank()[leaves[ranks]], np.diff(bounds))
+    keys[:, 2] = index
+    return pos.astype(np.float64), keys
 
 
 def _gather_all(bat: BATFile, leaf_index: int, filters, stats):
@@ -228,7 +232,7 @@ def _gather_all(bat: BATFile, leaf_index: int, filters, stats):
         pos_parts.append(tv.positions[slots].astype(np.float64))
         key_parts.append(keys)
     if not pos_parts:
-        return np.empty((0, 3), dtype=np.float64), np.empty((0, 3), dtype=np.int64)
+        return _no_candidates()
     return np.concatenate(pos_parts, axis=0), np.concatenate(key_parts, axis=0)
 
 
@@ -242,37 +246,10 @@ def box_members(bat: BATFile, leaf_index: int, box, filters, stats):
     blo = np.asarray(box.lower, dtype=np.float64)
     bhi = np.asarray(box.upper, dtype=np.float64)
 
-    def overlaps(lo, hi, _bitmap_ids=None):
+    def overlaps(lo, hi):
         return np.all((lo <= bhi) & (hi >= blo) & (lo <= hi), axis=1)
 
-    vrank = bat.shallow_leaf_visit_rank()
-    pos_parts: list[np.ndarray] = []
-    key_parts: list[np.ndarray] = []
-    for leaf in _survivor_leaves(bat, overlaps, stats):
-        leaf = int(leaf)
-        stats.treelets_visited += 1
-        tv = bat.treelet(leaf)
-        slots = _treelet_slots(tv, overlaps, stats)
-        if not slots.size:
-            continue
-        stats.points_tested += len(slots)
-        pos = tv.positions[slots]
-        mask = box.contains_points(pos)
-        fm = _filter_mask(tv, slots, filters)
-        if fm is not None:
-            mask &= fm
-        if not mask.any():
-            continue
-        slots = slots[mask]
-        keys = np.empty((len(slots), 3), dtype=np.int64)
-        keys[:, 0] = leaf_index
-        keys[:, 1] = vrank[leaf]
-        keys[:, 2] = slots
-        pos_parts.append(pos[mask].astype(np.float64))
-        key_parts.append(keys)
-    if not pos_parts:
-        return np.empty((0, 3), dtype=np.float64), np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(pos_parts, axis=0), np.concatenate(key_parts, axis=0)
+    return _gather_pruned(bat, leaf_index, overlaps, filters, stats, box=box)
 
 
 # -- per-center selection (shared by tree and brute engines) ------------------
@@ -414,7 +391,7 @@ def radius_neighbors(files, open_file, centers, radius, region, filters, stats):
     r2 = float(radius) * float(radius)
     r2s = r2 * (1.0 + PRUNE_SLACK)
 
-    def near(lo, hi, _bitmap_ids=None):
+    def near(lo, hi):
         return _boxes_box_d2(lo, hi, rlo, rhi) <= r2s
 
     pos_parts: list[np.ndarray] = []
@@ -496,6 +473,10 @@ class _BestK:
 def _knn_file(bat, leaf_index, centers, need, best, filters, stats):
     """Best-first descent of one file for each center in ``need``."""
     vrank = bat.shallow_leaf_visit_rank()
+    table = bat.shallow_table()
+    s_lo, s_hi = table["lo"], table["hi"]
+    s_leaf = table["leaf"].tolist()
+    s_kids = np.stack([table["left"], table["right"]], axis=1).tolist()
     tvs: dict[int, object] = {}
     pos64: dict[int, np.ndarray] = {}
     fmask: dict[int, np.ndarray | None] = {}
@@ -511,14 +492,8 @@ def _knn_file(bat, leaf_index, centers, need, best, filters, stats):
         c = centers[ci]
         b = best[ci]
         seq = itertools.count()
-        heap: list[tuple] = []
-        root, root_is_leaf = bat.root()
-        rec = (bat.shallow_leaves if root_is_leaf else bat.shallow_inner)[root]
-        bb = rec["bbox"]
-        heapq.heappush(
-            heap,
-            (_point_box_d2(bb[:3], bb[3:], c), next(seq), "s", root, root_is_leaf),
-        )
+        # shallow entries carry a shallow-table row, treelet entries a node
+        heap: list[tuple] = [(_point_box_d2(s_lo[0], s_hi[0], c), next(seq), "s", 0)]
         while heap:
             entry = heapq.heappop(heap)
             if entry[0] > b.bound() * (1.0 + PRUNE_SLACK):
@@ -526,30 +501,20 @@ def _knn_file(bat, leaf_index, centers, need, best, filters, stats):
             stats.nodes_visited += 1
             kind = entry[2]
             if kind == "s":
-                idx, is_leaf = entry[3], entry[4]
-                if is_leaf:
-                    tv = treelet(idx)
-                    lb = bat.leaf_box(idx)
+                row = entry[3]
+                leaf = s_leaf[row]
+                if leaf >= 0:
+                    treelet(leaf)
                     heapq.heappush(
-                        heap,
-                        (
-                            entry[0], next(seq), "t", idx, 0,
-                            np.asarray(lb.lower, dtype=np.float64),
-                            np.asarray(lb.upper, dtype=np.float64),
-                        ),
+                        heap, (entry[0], next(seq), "t", leaf, 0, s_lo[row], s_hi[row])
                     )
                 else:
-                    for child, child_is_leaf in bat.children(idx):
-                        crec = (
-                            bat.shallow_leaves if child_is_leaf
-                            else bat.shallow_inner
-                        )[child]
-                        cb = crec["bbox"]
+                    for child in s_kids[row]:
                         heapq.heappush(
                             heap,
                             (
-                                _point_box_d2(cb[:3], cb[3:], c),
-                                next(seq), "s", child, child_is_leaf,
+                                _point_box_d2(s_lo[child], s_hi[child], c),
+                                next(seq), "s", child,
                             ),
                         )
                 continue

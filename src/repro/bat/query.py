@@ -15,29 +15,46 @@ the number of LOD particles doubles per level, so the remap
 smoothly. A node at depth *d* is processed fully when ``d < floor(e)`` and
 fractionally (a prefix of its particles) when ``d == floor(e)``.
 
-**One core.** The shallow tree is walked level by level
-(:func:`_survivor_leaves`); every surviving treelet then gets a
-:class:`_TreeletWalk`. A treelet's nodes are not walked: its *walk table*
-(:attr:`~repro.bat.file.TreeletView.walk_table` — one row per node in
-pre-order with the node's box, depth, slot range, parent and resolved
-bitmaps, built once per treelet and held with the decoded columns) is
-tested against the query in one numpy pass (:func:`_node_tests`), and a
-node counts as visited when its parent passed (:func:`_table_survivors`;
-a treelet whose boxes or bitmaps do not nest has the result pushed down
-level by level instead). Pruning does not depend on quality, so the
-masks are computed on a walk's first window and kept. The depth cutoff
-lives in the window: it selects the kept rows with ``floor(e_lo) <= depth
-<= floor(e_hi)`` and counts visited nodes only down to ``floor(e_hi)``,
-below which no node can contribute — the counters are those of a
-top-down walk that stops there. A window's slot ranges come out in
-pre-order and are gathered and checked once per treelet (:func:`_gather`,
-the only gather), and a whole treelet asked for at full quality skips
-the table altogether (:func:`_full_speed`). The two entry points differ
-only in what they do with the rows:
+**One core.** A read is pruned, windowed and gathered one *file* at a
+time, with no Python loop over nodes or levels (:class:`_FileWalk`):
 
-- :func:`query_file` asks for one window and concatenates (or hands each
-  treelet's rows to a callback); the walks are dropped as it goes.
-- :func:`stream_query_file` keeps the walks across the rungs of a quality
+- *Shallow pass.* The file's shallow tree is one table
+  (:meth:`~repro.bat.file.BATFile.shallow_table`: a row per node in the
+  recursive walk's visit order, with box, resolved bitmaps, parent and
+  depth), tested against the query in one numpy pass
+  (:func:`_node_tests`). A node counts as visited when its parent passed
+  (:func:`_survivors`), and the surviving leaf rows, in row order, are
+  the treelets to read in emission order.
+- *Treelet pass.* A treelet's nodes are not walked either. The
+  survivors' *walk tables* (:attr:`~repro.bat.file.TreeletView.walk_table`:
+  the same kind of table per treelet, in pre-order, with each node's
+  slot range, held with the decoded columns) are laid back to back as
+  one :class:`_Forest` and tested in one pass. A tree, shallow or
+  treelet, whose boxes or bitmaps do not nest has the result pushed down
+  level by level instead, over its own rows only. Pruning does not depend
+  on quality, so the masks are computed on the walk's first window and
+  kept.
+- *Window.* The depth cutoff lives in the window: it selects the kept
+  rows with ``floor(e_lo) <= depth <= floor(e_hi)`` and counts visited
+  nodes only down to ``floor(e_hi)``, below which no node can contribute
+  — the counters are those of a top-down walk that stops there.
+- *Gather.* The window's slot ranges, in pre-order, become one index for
+  the file (:func:`_segments`), cut per treelet; each column is gathered
+  once into one array for the file (:func:`_gather`) and every row gets
+  one exact box/filter check. A whole treelet asked for at full quality
+  skips its table, node records and checks (:func:`_full_speed`) and is
+  handed on as views of its columns.
+
+The rows leave as *chunks* — the views of whole treelets and the
+gathered rows of the walked ones between them — and are copied once,
+where they are concatenated (:func:`concat_chunks`): in
+:func:`query_file`, or in the dataset layer across all of a read's
+files. The two entry points differ only in what they do with the
+chunks:
+
+- :func:`query_file` asks for one window and concatenates them (or hands
+  each one to a callback).
+- :func:`stream_query_file` keeps the walk across the rungs of a quality
   ladder and attaches per-row order keys ``(treelet_rank, slot)`` so the
   increments can be merged back into the one-shot order.
 
@@ -58,10 +75,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bitmaps import query_bitmap
-from ..errors import InvalidRequestError
+from ..errors import IntegrityError, InvalidRequestError
 from ..types import Box, ParticleBatch
 from .file import BATFile
-from .format import LEAF_FLAG
 
 __all__ = [
     "AttributeFilter",
@@ -73,6 +89,7 @@ __all__ = [
     "query_file_recursive",
     "FileIncrement",
     "stream_query_file",
+    "concat_chunks",
 ]
 
 @dataclass(frozen=True)
@@ -189,8 +206,8 @@ class _QueryContext:
     e_prev: float
     e_new: float
     stats: QueryStats = field(default_factory=QueryStats)
-    chunks_pos: list[np.ndarray] = field(default_factory=list)
-    chunks_attr: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    #: ``(positions, attrs)`` row chunks, concatenated once by :func:`_result`
+    chunks: list[tuple] = field(default_factory=list)
     callback: object = None
     #: names to materialize in the result; None = all
     attributes: tuple[str, ...] | None = None
@@ -223,11 +240,8 @@ class _QueryContext:
         self.stats.points_returned += n
         if self.callback is not None:
             self.callback(positions, attrs)
-            return
-        if positions is not None:
-            self.chunks_pos.append(np.asarray(positions))
-        for name, arr in attrs.items():
-            self.chunks_attr.setdefault(name, []).append(np.asarray(arr))
+        else:
+            self.chunks.append((positions, attrs))
 
 
 def _prepare(
@@ -301,11 +315,21 @@ def _result(bat: BATFile, ctx: _QueryContext) -> tuple[ParticleBatch | None, Que
         if ctx.attributes is not None:
             specs = [sp for sp in specs if sp.name in ctx.attributes]
         return ParticleBatch.empty(specs, with_positions=ctx.with_positions), ctx.stats
-    attrs = {name: np.concatenate(parts) for name, parts in ctx.chunks_attr.items()}
-    if not ctx.with_positions:
-        return ParticleBatch(None, attrs, count=ctx.stats.points_returned), ctx.stats
-    positions = np.concatenate(ctx.chunks_pos, axis=0)
-    return ParticleBatch(positions, attrs), ctx.stats
+    batch = concat_chunks(ctx.chunks, ctx.with_positions, ctx.stats.points_returned)
+    return batch, ctx.stats
+
+
+def concat_chunks(chunks, with_positions: bool, count: int) -> ParticleBatch:
+    """One batch from a read's non-empty list of ``(positions, attrs)`` chunks.
+
+    The one copy every returned byte takes: a chunk may be a view of a
+    mapped file or of a cached column, and the batch never is. ``count``
+    is the total row count (what sizes a batch with neither positions nor
+    attributes).
+    """
+    attrs = {name: np.concatenate([a[name] for _, a in chunks]) for name in chunks[0][1]}
+    positions = np.concatenate([p for p, _ in chunks]) if with_positions else None
+    return ParticleBatch(positions, attrs, count=count)
 
 
 def query_file(
@@ -322,7 +346,10 @@ def query_file(
 
     Returns ``(batch, stats)``; ``batch`` is ``None`` when a ``callback`` is
     given (the paper's API invokes a user callback for each point; here the
-    callback receives one chunk of arrays per treelet, for vectorization).
+    callback receives chunks of arrays in emission order, for
+    vectorization: a treelet emitted whole as views of its columns, or the
+    rows of the walked treelets between two such, gathered once). The
+    batch is the chunks concatenated — the one copy of the returned rows.
 
     ``attributes`` restricts which attribute arrays are materialized in the
     result — the array-per-attribute storage model means unrequested
@@ -338,8 +365,7 @@ def query_file(
         bat, quality, prev_quality, box, filters, attributes, with_positions, callback
     )
     if ctx.live:
-        window = _window_rows(bat, ctx, _walks(bat, ctx), ctx.e_prev, ctx.e_new)
-        for _rank, (pos, attrs, count, _sel, _mask) in window:
+        for pos, attrs, count, _, _ in _FileWalk(bat, ctx).window(ctx.e_prev, ctx.e_new):
             ctx.emit(pos, attrs, count)
     return _result(bat, ctx)
 
@@ -519,257 +545,346 @@ def _node_tests(ctx: _QueryContext, lo: np.ndarray, hi: np.ndarray, bitmaps):
     return inside, keep
 
 
-def _count_prunes(stats: QueryStats, n: int, n_inside: int, n_kept: int) -> None:
-    """Count the pruned among ``n`` visited nodes in the recursive walk's
-    order of checks: spatially first, by bitmap only if the box passed."""
-    stats.pruned_spatial += n - n_inside
-    stats.pruned_bitmap += n_inside - n_kept
+def _survivors(keep, parent, depth, roots, loose=None):
+    """``(alive, visited)`` of a table of trees, from each row's own test.
 
-
-def _survivor_leaves(bat: BATFile, keep_fn, stats) -> np.ndarray:
-    """Shallow leaves passing ``keep_fn(lo, hi, bitmap_ids)``, in visit order.
-
-    Level-by-level walk of the shallow tree, one numpy pass per depth.
-    Children sit exactly one level below their parents, so each frontier
-    holds all surviving nodes of one depth. Surviving leaves are collected
-    and re-ordered by the stack-DFS visit rank — pruning removes subtrees
-    but never reorders the rest, so traversing the returned leaves in
-    order matches the recursive walk's emission order exactly. Every node
-    tested counts in ``stats.nodes_visited``.
+    A top-down walk visits a node when its parent passed and keeps it when
+    it passes too. Where boxes and bitmaps nest (every file the builder
+    writes) a failing parent implies failing children, so ``keep`` already
+    is the kept set; the rows of trees that do not (``loose``) have it
+    pushed down one level at a time. ``roots`` are the rows every walk
+    starts from.
     """
-
-    def keep_of(recs):
-        stats.nodes_visited += len(recs)
-        bb = recs["bbox"].astype(np.float64)
-        return keep_fn(bb[:, :3], bb[:, 3:], recs["bitmap_ids"])
-
-    empty = np.empty(0, dtype=np.int64)
-    root, root_is_leaf = bat.root()
-    inner = empty if root_is_leaf else np.array([root], dtype=np.int64)
-    leaves = np.array([root], dtype=np.int64) if root_is_leaf else empty
-    found: list[np.ndarray] = []
-    while inner.size or leaves.size:
-        if leaves.size:
-            keep = keep_of(bat.shallow_leaves[leaves])
-            if keep.any():
-                found.append(leaves[keep])
-        if inner.size:
-            recs = bat.shallow_inner[inner]
-            srecs = recs[keep_of(recs)]
-            raw = np.concatenate([srecs["left"], srecs["right"]]).astype(np.uint32)
-            is_leaf = (raw & LEAF_FLAG) != 0
-            child = (raw & ~LEAF_FLAG).astype(np.int64)
-            inner, leaves = child[~is_leaf], child[is_leaf]
-        else:
-            inner = leaves = empty
-    if not found:
-        return empty
-    hits = np.concatenate(found)
-    rank = bat.shallow_leaf_visit_rank()
-    return hits[np.argsort(rank[hits])]
-
-
-def _table_survivors(table: np.ndarray, keep: np.ndarray):
-    """``(alive, visited)`` of a walk table, from each row's own test result.
-
-    A top-down walk visits a node when every ancestor passed and keeps it
-    when it passes too. Where boxes and bitmaps nest (``table["nests"]``,
-    every file the builder writes) a failing parent implies failing
-    children, so ``keep`` already is that set; otherwise it is pushed down
-    the table one level at a time.
-    """
-    parent = table["parent"]
-    if not table["nests"][0]:
+    if loose is not None:
         keep = keep.copy()
-        depth = table["depth"]
-        for d in range(1, int(depth.max()) + 1):
-            rows = np.flatnonzero(depth == d)
-            keep[rows] &= keep[parent[rows]]
+        rows = np.flatnonzero(loose)
+        d = depth[rows]
+        for level in range(1, int(d.max(initial=0)) + 1):
+            at = rows[d == level]
+            keep[at] &= keep[parent[at]]
     visited = keep[parent]
-    visited[0] = True
+    visited[roots] = True
     return keep, visited
 
 
-class _TreeletWalk:
-    """One treelet's pruned read, advanced one quality window at a time.
+def _shallow_survivors(table: np.ndarray, keep: np.ndarray):
+    """:func:`_survivors` of a :meth:`~repro.bat.file.BATFile.shallow_table`."""
+    loose = None if table["nests"][0] else np.ones(len(table), dtype=bool)
+    return _survivors(keep, table["parent"], table["depth"], 0, loose)
 
-    Pruning does not depend on quality, so the first window tests the
-    whole walk table at once and later windows reuse the masks. What a
-    window still decides is depth: it counts the visited nodes of the
-    depths no earlier window reached (the recursive walk's counters under
-    the depth cutoff — no node below ``floor(e_hi)`` is ever counted), and
-    emits the kept nodes of the depths it covers, with the same monotone
-    slot-range rounding as the recursive walk — consecutive windows chain
-    with no gap and no overlap.
+
+def _count_visits(stats: QueryStats, seen, inside, kept) -> None:
+    """Count the ``seen`` rows as visited nodes and the pruned among them,
+    in the recursive walk's order of checks: spatially first (``inside``,
+    ``None`` without a box), by bitmap only if the box passed; ``kept``
+    are the seen rows that survived."""
+    n = int(np.count_nonzero(seen))
+    n_inside = n if inside is None else int(np.count_nonzero(seen & inside))
+    stats.nodes_visited += n
+    stats.pruned_spatial += n - n_inside
+    stats.pruned_bitmap += n_inside - int(np.count_nonzero(kept))
+
+
+class _Forest:
+    """The walk tables of several treelets of one file as one table.
+
+    One array per field, the treelets' rows back to back: ``tid`` is each
+    row's treelet (as ``ranks`` numbers them), ``parent`` a row of this
+    table, ``roots`` every treelet's first row, ``loose`` the rows of
+    treelets that do not nest (``None`` when all of them do). ``bitmaps``
+    is only gathered on request.
     """
 
-    __slots__ = ("tv", "_leaf", "_alive", "_visited", "_inside", "_reached", "_spent")
+    __slots__ = (
+        "lo", "hi", "bitmaps", "begin", "count", "parent", "depth", "tid",
+        "roots", "loose",
+    )
 
-    def __init__(self, bat: BATFile, leaf: int) -> None:
-        self.tv = bat.treelet(leaf)
-        self._leaf = leaf
-        #: kept / visited / box-passing rows of the walk table (first window)
-        self._alive = self._visited = self._inside = None
-        #: deepest depth whose visited nodes are counted already
-        self._reached = -1
-        #: the treelet was emitted whole: no later window adds anything
-        self._spent = False
+    def __init__(self, tables, ranks, with_bitmaps: bool):
+        sizes = [len(t) for t in tables]
+        self.roots = np.cumsum([0, *sizes[:-1]])
+        self.tid = np.repeat(ranks, sizes)
+        self.lo = np.concatenate([t["lo"] for t in tables])
+        self.hi = np.concatenate([t["hi"] for t in tables])
+        self.begin = np.concatenate([t["begin"] for t in tables])
+        self.count = np.concatenate([t["count"] for t in tables])
+        self.depth = np.concatenate([t["depth"] for t in tables])
+        self.parent = np.concatenate([t["parent"] for t in tables])
+        self.parent += np.repeat(self.roots, sizes)
+        self.bitmaps = (
+            np.concatenate([t["bitmaps"] for t in tables]) if with_bitmaps else None
+        )
+        nests = np.array([t["nests"][0] for t in tables], dtype=bool)
+        self.loose = None if nests.all() else np.repeat(~nests, sizes)
 
-    def rows(self, bat: BATFile, ctx: _QueryContext, e_lo: float, e_hi: float):
-        """Rows this treelet adds between effective depths ``e_lo → e_hi``.
+    def survivors(self, keep: np.ndarray):
+        return _survivors(keep, self.parent, self.depth, self.roots, self.loose)
 
-        Returns :func:`_gather`'s tuple, or ``None`` when the window adds
-        nothing here.
-        """
-        if self._spent:
+
+def _segments(lo: np.ndarray, hi: np.ndarray, tid: np.ndarray, n_points: np.ndarray):
+    """One file's slot ranges ``[lo, hi)`` as one index, cut per treelet.
+
+    The ranges come grouped by treelet ``tid`` and ascending within each.
+    Returns ``(index, ranks, bounds, runs)``: ``index[bounds[i]:bounds[i +
+    1]]`` are the slots of treelet ``ranks[i]``, one contiguous run from
+    slot ``runs[i]`` where that is not -1 — or ``None`` when the ranges are
+    empty. A range past its treelet's ``n_points`` is a damaged file.
+    """
+    nz = hi > lo
+    if not nz.all():
+        lo, hi, tid = lo[nz], hi[nz], tid[nz]
+        if not lo.size:
             return None
-        tv = self.tv
-        if _full_speed(bat, self._leaf, tv, ctx, e_lo, e_hi):
-            # No box test runs here, so under column projection the node
-            # records and the position block are never touched — a
-            # one-column read decodes just that column.
-            self._spent = True
-            ctx.stats.nodes_visited += 1
-            pos = tv.positions if ctx.with_positions else None
-            n = tv.n_points
-            return pos, ctx.select_attrs(tv.attributes), n, slice(0, n), None
-        table = tv.walk_table
-        depth = table["depth"]
-        if self._alive is None:
-            self._inside, keep = _node_tests(ctx, table["lo"], table["hi"], table["bitmaps"])
-            self._alive, self._visited = _table_survivors(table, keep)
-        fl_lo, fl_hi = math.floor(e_lo), math.floor(e_hi)
-        upto = depth <= fl_hi
-        if fl_hi > self._reached:
-            new = upto & (depth > self._reached)
-            seen = self._visited & new
-            n = int(np.count_nonzero(seen))
-            ctx.stats.nodes_visited += n
-            _count_prunes(
-                ctx.stats,
-                n,
-                n if self._inside is None else int(np.count_nonzero(seen & self._inside)),
-                int(np.count_nonzero(self._alive & new)),
+    if (hi > n_points[tid]).any():
+        raise IntegrityError("treelet node slot range past the treelet's points")
+    n = len(lo)
+    ends = np.cumsum(hi - lo)
+    # the index: consecutive slots, jumping at every range start
+    steps = np.ones(int(ends[-1]), dtype=np.int64)
+    steps[0] = lo[0]
+    steps[ends[:-1]] = lo[1:] - hi[:-1] + 1
+    # each treelet's first and last range
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(tid[1:], tid[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    last = np.empty_like(first)
+    last[:-1] = first[1:] - 1
+    last[-1] = n - 1
+    bounds = np.zeros(len(first) + 1, dtype=np.int64)
+    bounds[1:] = ends[last]
+    runs = np.where(hi[last] - lo[first] == bounds[1:] - bounds[:-1], lo[first], -1)
+    return np.cumsum(steps), tid[first], bounds, runs
+
+
+def _gather(tvs, name, index: np.ndarray, bounds: np.ndarray, runs=None):
+    """One column of several treelets gathered into one array.
+
+    ``name`` is an attribute, or ``None`` for the positions. Segment ``i``
+    takes ``index[bounds[i]:bounds[i + 1]]`` from that column of
+    ``tvs[i]`` — a plain slice copy where ``runs[i]`` names the first slot
+    of one contiguous run. Empty segments are skipped, so their column is
+    never fetched (nor, on v4 files, decoded).
+    """
+    b = bounds.tolist()
+    starts = runs.tolist() if runs is not None else [-1] * len(tvs)
+    out = None
+    for tv, a, z, s in zip(tvs, b, b[1:], starts):
+        if a == z:
+            continue
+        col = tv.positions if name is None else tv.attributes[name]
+        if out is None:
+            out = np.empty((b[-1], *col.shape[1:]), dtype=col.dtype)
+        if s >= 0:
+            out[a:z] = col[s : s + z - a]
+        else:
+            # indices are in range (see _segments): no bounds-checked copy
+            col.take(index[a:z], axis=0, out=out[a:z], mode="clip")
+    return out
+
+
+def _check(tvs, index, bounds, runs, box, filters, with_positions: bool):
+    """The exact box/filter check over a file's gathered rows.
+
+    Returns ``(positions, cols, kept)``: the positions when returned
+    (``with_positions``) or needed for the box test, else ``None`` — they
+    decode only then; the filter columns by name; and the indices of the
+    rows that pass, ``None`` when nothing was checked. Each column is
+    fetched and gathered once, so a filter column that is also returned
+    reuses the values its filter tested.
+    """
+    pos = mask = None
+    if with_positions or box is not None:
+        pos = _gather(tvs, None, index, bounds, runs)
+        if box is not None:
+            mask = box.contains_points(pos)
+    cols: dict[str, np.ndarray] = {}
+    for f in filters:
+        vals = cols.get(f.name)
+        if vals is None:
+            vals = cols[f.name] = _gather(tvs, f.name, index, bounds, runs)
+        fmask = (vals >= f.lo) & (vals <= f.hi)
+        mask = fmask if mask is None else (mask & fmask)
+    return pos, cols, None if mask is None else np.flatnonzero(mask)
+
+
+class _FileWalk:
+    """One file's pruned read, advanced one quality window at a time.
+
+    The shallow pass runs on construction and picks the treelets to read
+    (in emission order; ``ranks`` below index them). Pruning does not
+    depend on quality, so the first window that walks any treelet tests
+    the walk tables of all it walks as one :class:`_Forest` and later
+    windows reuse the masks. What a window still decides is depth: it
+    counts the visited nodes of the depths no earlier window reached (the
+    recursive walk's counters under the depth cutoff — no node below
+    ``floor(e_hi)`` is ever counted) and selects the kept nodes of the
+    depths it covers, with the same monotone slot-range rounding as the
+    recursive walk, so consecutive windows chain with no gap and no
+    overlap.
+    """
+
+    __slots__ = (
+        "ctx", "tvs", "n_points", "max_depth", "containable", "names", "spent",
+        "forest", "inside", "alive", "visited", "reached",
+    )
+
+    def __init__(self, bat: BATFile, ctx: _QueryContext) -> None:
+        self.ctx = ctx
+        table = bat.shallow_table()
+        inside, keep = _node_tests(ctx, table["lo"], table["hi"], table["bitmaps"])
+        alive, visited = _shallow_survivors(table, keep)
+        _count_visits(ctx.stats, visited, inside, alive)
+        leaves = table[alive & (table["leaf"] >= 0)]
+        ctx.stats.treelets_visited += len(leaves)
+        self.tvs = [bat.treelet(leaf) for leaf in leaves["leaf"].tolist()]
+        self.n_points = np.array([tv.n_points for tv in self.tvs], dtype=np.int64)
+        self.max_depth = np.array([tv.max_depth for tv in self.tvs], dtype=np.int64)
+        # the quality-independent half of the whole-treelet rule
+        # (_full_speed): no filters, and the box contains the leaf box
+        if ctx.filters:
+            self.containable = np.zeros(len(leaves), dtype=bool)
+        elif ctx.qbounds is None:
+            self.containable = np.ones(len(leaves), dtype=bool)
+        else:
+            qlo, qhi = ctx.qbounds
+            lo, hi = leaves["lo"], leaves["hi"]
+            self.containable = (lo > hi).any(axis=1) | ((qlo <= lo) & (hi <= qhi)).all(axis=1)
+        self.names = [
+            n for n in bat.attr_names if ctx.attributes is None or n in ctx.attributes
+        ]
+        #: treelets emitted whole: no later window adds anything
+        self.spent = np.zeros(len(leaves), dtype=bool)
+        #: the walked treelets' tables and masks (first walking window)
+        self.forest = self.inside = self.alive = self.visited = None
+        #: deepest depth whose visited nodes are counted already
+        self.reached = -1
+
+    def window(self, e_lo: float, e_hi: float, keyed: bool = False) -> list[tuple]:
+        """Row chunks ``(positions, attrs, count, ranks, slots)`` this file
+        adds between effective depths ``e_lo → e_hi``, in emission order.
+
+        Each treelet emitted whole is one chunk of views; the walked rows
+        between two such are one chunk, sliced from the window's gathered
+        arrays. ``ranks`` / ``slots`` are per-row order keys, only built
+        when ``keyed``.
+        """
+        ctx = self.ctx
+        live = ~self.spent
+        whole = live & self.containable & (e_lo == 0.0) & (e_hi >= self.max_depth + 1)
+        self.spent |= whole
+        ctx.stats.nodes_visited += int(np.count_nonzero(whole))
+        walked = live & ~whole
+        rows = self._walk(walked, e_lo, e_hi) if walked.any() else None
+        whole_ranks = np.flatnonzero(whole).tolist()
+        if rows is None:
+            return [self._whole(rank, keyed) for rank in whole_ranks]
+        pos, attrs, count, ranks, bounds, slots = rows
+        row_ranks = np.repeat(ranks, np.diff(bounds)) if keyed else None
+        # the row offset each whole treelet sits at among the walked rows
+        cuts = bounds[np.searchsorted(ranks, whole_ranks)].tolist()
+        chunks = []
+        done = 0
+        for rank, cut in zip([*whole_ranks, None], [*cuts, count]):
+            if cut > done:
+                chunks.append((
+                    None if pos is None else pos[done:cut],
+                    {name: col[done:cut] for name, col in attrs.items()},
+                    cut - done,
+                    None if row_ranks is None else row_ranks[done:cut],
+                    slots[done:cut] if keyed else None,
+                ))
+                done = cut
+            if rank is not None:
+                chunks.append(self._whole(rank, keyed))
+        return chunks
+
+    def _whole(self, rank: int, keyed: bool) -> tuple:
+        """A treelet emitted whole: views of its columns, no table, no check.
+
+        No box test runs here, so under column projection the node records
+        and the position block are never touched — a one-column read
+        decodes just that column.
+        """
+        tv = self.tvs[rank]
+        n = tv.n_points
+        pos = tv.positions if self.ctx.with_positions else None
+        attrs = self.ctx.select_attrs(tv.attributes)
+        if not keyed:
+            return pos, attrs, n, None, None
+        return (
+            pos, attrs, n,
+            np.full(n, rank, dtype=np.int64), np.arange(n, dtype=np.int64),
+        )
+
+    def _walk(self, walked: np.ndarray, e_lo: float, e_hi: float):
+        """The ``walked`` treelets' rows between ``e_lo → e_hi``, gathered once.
+
+        Returns ``(positions, attrs, count, ranks, bounds, slots)`` — the
+        rows of treelet ``ranks[i]`` at ``bounds[i]:bounds[i + 1]``, and
+        ``slots`` their node-order slots — or ``None`` when no row passes.
+        """
+        ctx = self.ctx
+        if self.forest is None:
+            ranks = np.flatnonzero(walked)
+            f = self.forest = _Forest(
+                [self.tvs[r].walk_table for r in ranks.tolist()], ranks,
+                bool(ctx.bitmap_tests),
             )
-            self._reached = fl_hi
-        sel = np.flatnonzero(self._alive & upto & (depth >= fl_lo))
+            self.inside, keep = _node_tests(ctx, f.lo, f.hi, f.bitmaps)
+            self.alive, self.visited = f.survivors(keep)
+        f = self.forest
+        fl_lo, fl_hi = math.floor(e_lo), math.floor(e_hi)
+        upto = walked[f.tid] & (f.depth <= fl_hi)
+        if fl_hi > self.reached:
+            new = upto & (f.depth > self.reached)
+            _count_visits(ctx.stats, self.visited & new, self.inside, self.alive & new)
+            self.reached = fl_hi
+        sel = np.flatnonzero(self.alive & upto & (f.depth >= fl_lo))
         if not sel.size:
             return None
-        d = depth[sel]
-        beg = table["begin"][sel]
-        cnt = table["count"][sel]
+        d = f.depth[sel]
+        beg = f.begin[sel]
+        cnt = f.count[sel]
         # Same rounding as the recursive walk: truncation of f*count + 0.5
         # (values are non-negative), f = clip(e - depth, 0, 1).
         lo_slot = beg + (np.clip(e_lo - d, 0.0, 1.0) * cnt + 0.5).astype(np.int64)
         hi_slot = beg + (np.clip(e_hi - d, 0.0, 1.0) * cnt + 0.5).astype(np.int64)
-        nz = hi_slot > lo_slot
-        if not nz.all():
-            lo_slot, hi_slot = lo_slot[nz], hi_slot[nz]
-            if not lo_slot.size:
-                return None
         # Rows are node ids, assigned in pre-order: exactly the recursive
         # walk's emission order (and ascending slot order, by construction
         # of the node-order particle layout).
-        return _gather(tv, lo_slot, hi_slot, ctx)
-
-
-def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Concatenate ``[lo[i], hi[i])`` ranges into one index array, no loop."""
-    lens = hi - lo
-    nz = lens > 0
-    if not nz.all():
-        lo, hi, lens = lo[nz], hi[nz], lens[nz]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    steps = np.ones(total, dtype=np.int64)
-    steps[0] = lo[0]
-    ends = np.cumsum(lens)[:-1]
-    steps[ends] = lo[1:] - hi[:-1] + 1
-    return np.cumsum(steps)
-
-
-def _gather(tv, lo_slot: np.ndarray, hi_slot: np.ndarray, ctx: _QueryContext):
-    """Gather the surviving slot ranges of one treelet and check every row.
-
-    A single contiguous run (the common case for full-quality reads of a
-    whole subtree) stays a zero-copy slice of the mapped file; fragmented
-    ranges gather through one fancy-index pass. Returns ``(positions |
-    None, attrs, count, sel, mask)`` — ``sel`` the slots tested (a slice
-    or an index array), ``mask`` which of them passed (``None`` = all) —
-    or ``None`` when no row passes.
-    """
-    if (lo_slot[1:] == hi_slot[:-1]).all():
-        sel: slice | np.ndarray = slice(int(lo_slot[0]), int(hi_slot[-1]))
-        n_sel = sel.stop - sel.start
-    else:
-        sel = _concat_ranges(lo_slot, hi_slot)
-        n_sel = len(sel)
-    ctx.stats.points_tested += n_sel
-    # positions decode only when returned or needed for the box test
-    pos = None
-    if ctx.with_positions or ctx.box is not None:
-        pos = tv.positions[sel]
-    mask = None
-    if ctx.box is not None:
-        mask = ctx.box.contains_points(pos)
-    # each column is fetched and gathered once: a filter column that is
-    # also returned reuses the values its filter tested
-    cols: dict[str, np.ndarray] = {}
-    for f in ctx.filters:
-        vals = cols.get(f.name)
-        if vals is None:
-            vals = cols[f.name] = tv.attributes[f.name][sel]
-        fmask = (vals >= f.lo) & (vals <= f.hi)
-        mask = fmask if mask is None else (mask & fmask)
-    if not ctx.with_positions:
-        pos = None
-    count = n_sel if mask is None else int(mask.sum())
-    if count == 0:
-        return None
-    # selection is by key so lazily decoded (v4) columns outside the
-    # requested set are never materialized
-    attrs = {}
-    for n in tv.attributes:
-        if ctx.attributes is None or n in ctx.attributes:
-            vals = cols[n] if n in cols else tv.attributes[n][sel]
-            attrs[n] = vals if mask is None else vals[mask]
-    if pos is not None and mask is not None:
-        pos = pos[mask]
-    return pos, attrs, count, sel, mask
+        seg = _segments(lo_slot, hi_slot, f.tid[sel], self.n_points)
+        if seg is None:
+            return None
+        index, ranks, bounds, runs = seg
+        ctx.stats.points_tested += len(index)
+        tvs = [self.tvs[r] for r in ranks.tolist()]
+        pos, cols, kept = _check(
+            tvs, index, bounds, runs, ctx.box, ctx.filters, ctx.with_positions
+        )
+        count = len(index)
+        if kept is not None:
+            count = len(kept)
+            if count == 0:
+                return None
+            index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
+            cols = {name: vals[kept] for name, vals in cols.items() if name in self.names}
+            if ctx.with_positions:
+                pos = pos.take(kept, axis=0)
+        if not ctx.with_positions:
+            pos = None
+        # selection is by key so lazily decoded (v4) columns outside the
+        # requested set are never materialized
+        attrs = {
+            name: cols[name] if name in cols else _gather(tvs, name, index, bounds, runs)
+            for name in self.names
+        }
+        return pos, attrs, count, ranks, bounds, index
 
 
 def _concat(parts: list[np.ndarray], dtype, shape=(0,)) -> np.ndarray:
     """``np.concatenate`` that turns no parts into a typed empty array."""
     return np.concatenate(parts) if parts else np.empty(shape, dtype=dtype)
-
-
-def _walks(bat: BATFile, ctx: _QueryContext):
-    """One :class:`_TreeletWalk` per surviving treelet, in emission order."""
-
-    def keep_fn(lo, hi, bitmap_ids):
-        bitmaps = bat.bitmaps_many(bitmap_ids) if ctx.bitmap_tests else None
-        inside, keep = _node_tests(ctx, lo, hi, bitmaps)
-        n = len(keep)
-        _count_prunes(
-            ctx.stats,
-            n,
-            n if inside is None else int(np.count_nonzero(inside)),
-            int(np.count_nonzero(keep)),
-        )
-        return keep
-
-    for leaf in _survivor_leaves(bat, keep_fn, ctx.stats):
-        ctx.stats.treelets_visited += 1
-        yield _TreeletWalk(bat, int(leaf))
-
-
-def _window_rows(bat: BATFile, ctx: _QueryContext, walks, e_lo: float, e_hi: float):
-    """``(treelet rank, rows)`` of every walk with rows in ``e_lo → e_hi``."""
-    for rank, walk in enumerate(walks):
-        rows = walk.rows(bat, ctx, e_lo, e_hi)
-        if rows is not None:
-            yield rank, rows
 
 
 # -- streamed reads -------------------------------------------------------------
@@ -846,45 +961,34 @@ def stream_query_file(
         bat, ladder[-1], prev_quality, box, filters, attributes, with_positions,
         stats=stats,
     )
-    walks = list(_walks(bat, ctx)) if ctx.live else []
+    walk = _FileWalk(bat, ctx) if ctx.live else None
     specs = bat.attribute_specs()
     if attributes is not None:
         specs = [sp for sp in specs if sp.name in attributes]
     prev = prev_quality
     for q in ladder:
-        pos_parts: list[np.ndarray] = []
-        slot_parts: list[np.ndarray] = []
-        rank_parts: list[np.ndarray] = []
-        attr_parts: dict[str, list[np.ndarray]] = {sp.name: [] for sp in specs}
-        total = 0
-        window = _window_rows(
-            bat, ctx, walks,
-            quality_to_depth(prev, bat.max_treelet_depth),
-            quality_to_depth(q, bat.max_treelet_depth),
-        )
-        for rank, (pos, attrs, count, sel, mask) in window:
-            total += count
-            if pos is not None:
-                pos_parts.append(pos)
-            for name, arr in attrs.items():
-                attr_parts[name].append(arr)
-            # the order keys: the node-order slot of every returned row
-            slots = (
-                np.arange(sel.start, sel.stop, dtype=np.int64)
-                if isinstance(sel, slice) else sel
+        chunks = []
+        if walk is not None:
+            chunks = walk.window(
+                quality_to_depth(prev, bat.max_treelet_depth),
+                quality_to_depth(q, bat.max_treelet_depth),
+                keyed=True,
             )
-            slot_parts.append(slots if mask is None else slots[mask])
-            rank_parts.append(np.full(count, rank, dtype=np.int64))
+        total = sum(c[2] for c in chunks)
         ctx.stats.points_returned += total
         yield FileIncrement(
             quality=q,
             prev_quality=prev,
-            positions=_concat(pos_parts, np.float32, (0, 3)) if with_positions else None,
+            positions=(
+                _concat([c[0] for c in chunks], np.float32, (0, 3))
+                if with_positions else None
+            ),
             attributes={
-                sp.name: _concat(attr_parts[sp.name], sp.dtype) for sp in specs
+                sp.name: _concat([c[1][sp.name] for c in chunks], sp.dtype)
+                for sp in specs
             },
             count=total,
-            treelet_rank=_concat(rank_parts, np.int64),
-            slots=_concat(slot_parts, np.int64),
+            treelet_rank=_concat([c[3] for c in chunks], np.int64),
+            slots=_concat([c[4] for c in chunks], np.int64),
         )
         prev = q

@@ -37,6 +37,7 @@ from ..bat.neighbors import (
 )
 from ..bat.query import (
     QueryStats,
+    concat_chunks,
     default_quality_ladder,
     query_file,
     stream_query_file,
@@ -268,7 +269,11 @@ class BATDataset:
         planner pruning which leaf files get touched at all. The kept
         files are read in plan (= leaf index) order through the shared
         handle cache, so results, stats and callback chunks follow file
-        order.
+        order. Every file's row chunks are collected and the batch is
+        concatenated once, across files: a chunk may be a view of a mapped
+        file whose handle the cache closes before the read ends, which
+        :meth:`~repro.bat.file.BATFile.close` tolerates — the mapping
+        lives as long as the view.
 
         ``request.on_error`` decides what a corrupt or missing leaf file
         does: ``"raise"`` surfaces a clear
@@ -291,29 +296,30 @@ class BATDataset:
             pruned_files=plan.pruned_files, quarantined_files=plan.excluded_files
         )
         leaf_stats: list[tuple[int, QueryStats]] = []
-        parts = []
+        chunks: list[tuple] = []
+        sink = callback if callback is not None else (lambda p, a: chunks.append((p, a)))
         for fp in plan.files:
+            mark = len(chunks)
             try:
                 f = self.file(fp.leaf_index)
                 decoded_before = f.decoded_bytes
-                res, s = query_file(
+                _, s = query_file(
                     f,
                     quality=req.quality,
                     prev_quality=req.prev_quality,
                     box=fp.box,
                     filters=req.filters,
-                    callback=callback,
+                    callback=sink,
                     attributes=attributes,
                     with_positions=with_positions,
                 )
             except _LEAF_ERRORS as exc:
+                del chunks[mark:]  # a failed file contributes no rows
                 self._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
                 continue
             s.decoded_bytes = f.decoded_bytes - decoded_before
             stats.merge(s)
             leaf_stats.append((fp.leaf_index, s))
-            if res is not None and len(res):
-                parts.append(res)
         if self.telemetry is not None:
             self.telemetry.view(req.box, req.filters, self._materialized_columns(req))
             for i, s in leaf_stats:
@@ -322,9 +328,10 @@ class BATDataset:
                 )
         if callback is not None:
             return QueryResult(batch=None, stats=stats)
-        if not parts:
+        if not chunks:
             return QueryResult(batch=empty_batch(self, req.columns), stats=stats)
-        return QueryResult(batch=ParticleBatch.concatenate(parts), stats=stats)
+        batch = concat_chunks(chunks, with_positions, stats.points_returned)
+        return QueryResult(batch=batch, stats=stats)
 
     def stream(self, request=None, ladder=None, plan=None):
         """Stream one query as per-rung :class:`~repro.api.StreamIncrement`s.

@@ -8,6 +8,7 @@ import pytest
 
 from repro import QueryRequest, open_dataset
 from repro.bat import AttributeFilter
+from repro.bat.filecache import BATFileCache
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.machines import testing_machine as make_test_machine
@@ -126,6 +127,37 @@ class TestQueries:
         with BATDataset(ds.metadata_path) as d2:
             b, _ = d2.query(QueryRequest(quality=0.2))
             assert len(b) > 0
+
+
+class TestOneCopyAcrossFiles:
+    """A read hands every file's row chunks — a whole treelet as a view of
+    the mapped file — to one concatenation at its end. Through a one-handle
+    cache each handle is closed before the read is over; ``BATFile.close``
+    leaves a mapping alive while a view of it exists, so the result is still
+    exact, and it shares no memory with any mapping."""
+
+    def test_handles_closed_mid_read(self, dataset):
+        ds = dataset[0]
+        requests = (
+            QueryRequest(),
+            QueryRequest(quality=0.8, box=Box((0.5, 0.5, 0.0), (2.5, 3.5, 1.0))),
+            QueryRequest(columns=("temp",)),
+        )
+        with BATFileCache(capacity=1) as tight:
+            with BATDataset(ds.metadata_path, file_cache=tight) as small:
+                for req in requests:
+                    want, _ = ds.query(req)
+                    got, stats = small.query(req)
+                    assert stats.files_opened > 1
+                    assert got.digest() == want.digest()
+                    for column in [got.positions, *got.attributes.values()]:
+                        if column is not None:
+                            # the array under the column owns its memory: a
+                            # mapping's would have the mapping as its base
+                            while isinstance(column.base, np.ndarray):
+                                column = column.base
+                            assert column.base is None and column.flags.owndata
+            assert tight.stats()["evictions"] >= ds.n_files
 
 
 class TestResourcesReturnToBaseline:

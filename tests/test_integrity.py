@@ -301,6 +301,58 @@ def corrupt_leaf(directory, metadata, leaf_index):
     return p
 
 
+class TestPrunedDamageIsNeverTouched:
+    """A read materializes only the treelets its shallow pass keeps, so a
+    damaged treelet a query prunes is never checksummed or decoded: the read
+    is complete and byte-identical to the undamaged file's. Only a query
+    that reaches the damage raises, or degrades."""
+
+    @pytest.fixture()
+    def v4_dataset(self, tmp_path):
+        data = make_rank_data(nranks=8, seed=33)
+        writer = TwoPhaseWriter(
+            make_test_machine(), target_size=32 * 1024,
+            bat_config=BATBuildConfig(codecs="auto"),
+        )
+        return tmp_path, writer.write(data, out_dir=tmp_path, name="dg")
+
+    def test_prune_around_a_damaged_treelet(self, v4_dataset, monkeypatch):
+        out, rep = v4_dataset
+        with BATDataset(rep.metadata_path) as ds:
+            f = ds.file(0)
+            assert f.checksummed and f.column_encoded
+            boxes = [f.leaf_box(t) for t in range(f.n_treelets)]
+            bad, box = next(
+                (k, b) for k in range(len(boxes)) for b in boxes
+                if not b.intersects(boxes[k])
+            )
+            off = int(f.shallow_leaves[bad]["treelet_offset"])
+            nbytes = int(f.shallow_leaves[bad]["treelet_nbytes"])
+            req = QueryRequest(box=box, quality=0.8)
+            clean, clean_stats = ds.query(req)
+            path = out / ds.metadata.leaves[0].file_name
+        assert len(clean) and clean_stats.files_opened >= 1
+        raw = bytearray(path.read_bytes())
+        raw[off + nbytes // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+
+        touched = []
+        treelet = BATFile.treelet
+        monkeypatch.setattr(
+            BATFile, "treelet", lambda self, leaf: touched.append(leaf) or treelet(self, leaf)
+        )
+        with BATDataset(rep.metadata_path) as ds:
+            got, stats = ds.query(req)
+            assert got.digest() == clean.digest()
+            assert stats == clean_stats and stats.quarantined_files == 0
+            assert touched and bad not in touched
+            # a read that reaches the damaged treelet raises, or degrades
+            with pytest.raises(IntegrityError, match="dg.00000"):
+                ds.query(QueryRequest(box=boxes[bad]))
+            part, stats = ds.query(QueryRequest(box=boxes[bad], on_error="degrade"))
+            assert stats.quarantined_files == 1 and list(ds.quarantined()) == [0]
+
+
 class TestQuarantineAndDegradedReads:
     def test_missing_leaf_raises_clear_error(self, written_dataset):
         out, rep = written_dataset

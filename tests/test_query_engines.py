@@ -290,6 +290,50 @@ class TestOneShotEqualsStream:
             assert getattr(stats, name) == getattr(dstats, name), name
 
 
+class TestWholeAndWalkedTreeletsInOneFile:
+    """A box around one treelet's bounds holds it (and maybe others) whole
+    and cuts its neighbours: one file read emits the whole ones as views of
+    their columns and walks the rest, interleaved in emission order."""
+
+    @SETTINGS
+    @given(data=st.data(), margin=st.floats(0.01, 0.2), cols=column_sets())
+    def test_like_the_recursive_walk_one_shot_and_every_rung(
+        self, bat, bat_qz, data, margin, cols
+    ):
+        attributes, with_positions = cols
+        for f in (bat, bat_qz):
+            leaf_box = f.leaf_box(data.draw(st.integers(0, f.n_treelets - 1)))
+            box = Box(
+                tuple(v - margin for v in leaf_box.lower),
+                tuple(v + margin for v in leaf_box.upper),
+            )
+            kw = dict(box=box, attributes=attributes, with_positions=with_positions)
+            want, want_stats = query_file_recursive(f, **kw)
+            got, stats = query_file(f, **kw)
+            assert_same_batch(want, got)
+            # at full quality the depth cutoff cuts nothing: all ten fields
+            assert stats == want_stats
+            ladder = data.draw(ladders(0.0, 1.0))
+            stream_stats, incs = QueryStats(), []
+            for inc in stream_query_file(f, ladder, stats=stream_stats, **kw):
+                incs.append(inc)
+                direct, _ = query_file_recursive(f, quality=inc.quality, **kw)
+                assert_same_batch(direct, ParticleBatch(*reassemble(incs), count=len(direct)))
+            if len(ladder) == 1:
+                assert stream_stats == want_stats
+
+
+def assert_same_batch(want, got):
+    if want.positions is None:
+        assert got.positions is None
+    else:
+        assert got.positions.tobytes() == want.positions.tobytes()
+    assert list(got.attributes) == list(want.attributes)
+    for name, arr in want.attributes.items():
+        assert got.attributes[name].tobytes() == arr.tobytes()
+    assert len(got) == len(want)
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     data = make_rank_data(nranks=16, seed=3)

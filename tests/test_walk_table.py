@@ -13,14 +13,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.bat.file as bat_file
 from repro.bat import AttributeFilter, BATFile, build_bat
 from repro.bat.builder import BATBuildConfig
 from repro.bat.filecache import BATFileCache
-from repro.bat.format import treelet_header_dtype, treelet_node_dtype
+from repro.bat.format import shallow_inner_dtype, treelet_header_dtype, treelet_node_dtype
 from repro.bat.query import (
     QueryStats,
     quality_to_depth,
@@ -36,6 +36,7 @@ from tests.test_query_engines import (
     filter_sets,
     ladders,
     quality_pairs,
+    reassemble,
 )
 
 N = 12_000
@@ -73,13 +74,29 @@ def v4_image(batch):
 
 def tampered(image: bytes, leaf: int, edit) -> BATFile:
     """Reopen ``image`` after ``edit(nodes)`` rewrote one treelet's records."""
+    return BATFile.from_bytes(tamper_treelet(image, leaf, edit))
+
+
+def tamper_treelet(image: bytes, leaf: int, edit) -> bytes:
     buf = bytearray(image)
     with BATFile.from_bytes(image) as f:
         off = int(f.shallow_leaves[leaf]["treelet_offset"]) + treelet_header_dtype().itemsize
         n_nodes = len(f.treelet(leaf).nodes)
         node_dt = treelet_node_dtype(f.header.n_attrs)
     edit(np.frombuffer(buf, dtype=node_dt, count=n_nodes, offset=off))
-    return BATFile.from_bytes(bytes(buf))
+    return bytes(buf)
+
+
+def tamper_shallow(image: bytes, edit) -> bytes:
+    """``image`` after ``edit(inner)`` rewrote the shallow inner records."""
+    buf = bytearray(image)
+    with BATFile.from_bytes(image) as f:
+        h = f.header
+    edit(np.frombuffer(
+        buf, dtype=shallow_inner_dtype(h.n_attrs), count=h.n_shallow_inner,
+        offset=h.shallow_inner_offset,
+    ))
+    return bytes(buf)
 
 
 def assert_reads_like_the_recursive_walk(f, **kw):
@@ -289,7 +306,135 @@ class TestNodeCounters:
             assert _core_counters(stats) == want.counters()
 
 
-# -- (c), (e) the table as a resident of the decoded-column tier ----------------------
+# -- (d) one file, treelets of every kind ---------------------------------------------
+
+
+def _expected(f, box, filters, q0, rungs, quality) -> QueryStats:
+    """All ten counters a read of ``q0 → quality`` must show after the
+    windows ``q0 → rungs[0] → ...``, from the references.
+
+    Points come from the recursive walk, one window at a time (a window's
+    points are the recursive read of exactly that window); treelets are
+    counted up front, for the whole range; node and prune counters come
+    from the plain top-down walks of :class:`_LevelWalkCounter`.
+    """
+    kw = dict(box=box, filters=filters)
+    counter = _LevelWalkCounter(f, box, filters, quality)
+    depth = f.max_treelet_depth
+    tested = returned = 0
+    for lo, hi in zip([q0, *rungs], rungs):
+        _, s = query_file_recursive(f, quality=hi, prev_quality=lo, **kw)
+        tested += s.points_tested
+        returned += s.points_returned
+        if counter.live:
+            counter.window(quality_to_depth(lo, depth), quality_to_depth(hi, depth))
+    nodes, spatial, bitmap = counter.counters()
+    _, whole = query_file_recursive(f, quality=quality, prev_quality=q0, **kw)
+    return QueryStats(
+        treelets_visited=whole.treelets_visited, nodes_visited=nodes,
+        points_tested=tested, points_returned=returned, pruned_spatial=spatial,
+        pruned_bitmap=bitmap, files_opened=1,
+    )
+
+
+def assert_like_the_references(f, box, filters, q0, ladder):
+    """A one-shot read and every rung of a streamed one, bytes and all ten
+    :class:`QueryStats` fields, against the recursive walk."""
+    kw = dict(box=box, filters=filters)
+    q1 = ladder[-1]
+    want, want_stats = query_file_recursive(f, quality=q1, prev_quality=q0, **kw)
+    got, stats = query_file(f, quality=q1, prev_quality=q0, **kw)
+    assert_same_result(want, want_stats, got, stats)
+    assert stats == _expected(f, box, filters, q0, [q1], q1)
+
+    stats, incs = QueryStats(), []
+    for k, inc in enumerate(stream_query_file(f, ladder, q0, stats=stats, **kw)):
+        incs.append(inc)
+        assert stats == _expected(f, box, filters, q0, ladder[: k + 1], q1)
+        # the increments so far are the direct read up to this rung
+        direct, _ = query_file_recursive(f, quality=inc.quality, prev_quality=q0, **kw)
+        pos, attrs = reassemble(incs)
+        assert pos.tobytes() == direct.positions.tobytes()
+        for name, arr in attrs.items():
+            assert arr.tobytes() == direct.attributes[name].tobytes()
+
+
+def _leaf_cube(f, leaf, margin):
+    box = f.leaf_box(leaf)
+    return Box(
+        tuple(max(v - margin, 0.0) for v in box.lower),
+        tuple(min(v + margin, 1.0) for v in box.upper),
+    )
+
+
+class TestTreeletsOfEveryKindInOneFile:
+    @SETTINGS
+    @given(leaf=st.integers(0, 7), margin=st.floats(0.01, 0.3), data=st.data())
+    def test_whole_and_walked_treelets(self, bat, leaf, margin, data):
+        """A box around one leaf: that treelet is emitted whole, the ones it
+        cuts are walked, all in one file read."""
+        box = _leaf_cube(bat, leaf, margin)
+        survivors = [t for t in range(bat.n_treelets) if bat.leaf_box(t).intersects(box)]
+        whole = [t for t in survivors if box.contains_box(bat.leaf_box(t))]
+        assume(len(whole) < len(survivors))
+        assert_like_the_references(bat, box, (), 0.0, data.draw(ladders(0.0, 1.0)))
+
+    @SETTINGS
+    @given(box=boxes(), filters=filter_sets(), qs=quality_pairs(), data=st.data())
+    def test_loose_and_nesting_treelets(self, loose_bat, box, filters, qs, data):
+        """Treelets whose boxes or bitmaps do not nest beside ones that do:
+        the push-down covers only the rows of the loose ones."""
+        q0, q1 = qs
+        assert_like_the_references(loose_bat, box, filters, q0, data.draw(ladders(q0, q1)))
+
+    @SETTINGS
+    @given(box=boxes(), filters=filter_sets(), qs=quality_pairs(), data=st.data())
+    def test_shallow_tree_that_does_not_nest(self, loose_shallow_bat, box, filters, qs, data):
+        q0, q1 = qs
+        assert_like_the_references(
+            loose_shallow_bat, box, filters, q0, data.draw(ladders(q0, q1))
+        )
+
+
+@pytest.fixture(scope="module")
+def loose_bat(image, bat):
+    """Treelets 1 and 5 tampered (a split, a bitmap), the other six intact."""
+    nodes = bat.treelet(1).nodes
+    table = bat.treelet(1).walk_table
+    victim = next(
+        i for i in range(1, len(nodes))
+        if nodes[i]["axis"] >= 0
+        and table["hi"][i][nodes[i]["axis"]] < table["hi"][0][nodes[i]["axis"]] - 0.05
+    )
+
+    def widen(recs):
+        ax = int(recs[victim]["axis"])
+        recs[victim]["split"] = table["hi"][victim][ax] + 0.04
+
+    def empty_bitmap(recs):
+        recs[2]["bitmap_ids"][0] = 0  # id 0 is the empty bitmap
+
+    edited = tamper_treelet(tamper_treelet(image, 1, widen), 5, empty_bitmap)
+    with BATFile.from_bytes(edited) as f:
+        nests = [bool(f.treelet(t).walk_table["nests"][0]) for t in range(f.n_treelets)]
+        assert nests == [t not in (1, 5) for t in range(f.n_treelets)]
+        yield f
+
+
+@pytest.fixture(scope="module")
+def loose_shallow_bat(image, bat):
+    """A shallow tree that does not nest: below the root, one inner node's
+    box shrunk to its lower half along x, another's first bitmap emptied."""
+    assert bat.header.n_shallow_inner > 2
+
+    def edit(recs):
+        bb = recs[1]["bbox"]
+        bb[3] = (bb[0] + bb[3]) / 2
+        recs[2]["bitmap_ids"][0] = 0  # id 0 is the empty bitmap
+
+    with BATFile.from_bytes(tamper_shallow(image, edit)) as f:
+        assert not f.shallow_table()["nests"][0]
+        yield f
 
 
 @pytest.fixture
