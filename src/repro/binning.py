@@ -11,8 +11,9 @@ distribution defeats equi-width bins (§VII). This module provides both:
   quantiles, so heavily skewed attributes still spread across all bits.
 
 Both expose the same operations (bin assignment, bitmap construction,
-query-bitmap computation, remapping to a global equi-width reference), so
-the BAT builder and the query traversal are scheme-agnostic.
+query-bitmap computation, each bin's value interval for remapping to a
+global equi-width reference), so the BAT builder, the query traversal and
+rank 0's manifest are scheme-agnostic.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import numpy as np
 from .bitmaps import (
     BITMAP_BITS,
     FULL_BITMAP,
-    bitmap_bins,
+    bin_intervals,
     bitmap_of_values,
     bitmaps_by_group,
     or_bins_by_group,
     query_bitmap,
-    remap_bitmap,
     value_bins,
 )
 
@@ -65,9 +65,9 @@ class EquiWidthBinning:
     def query(self, qlo: float, qhi: float) -> np.uint32:
         return query_bitmap(qlo, qhi, self.lo, self.hi)
 
-    def remap_to_equiwidth(self, bitmap: int, glo: float, ghi: float) -> np.uint32:
-        """Re-express a local bitmap against a global equi-width range."""
-        return remap_bitmap(bitmap, self.lo, self.hi, glo, ghi)
+    def bin_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each bin's value interval, for remapping to a global range."""
+        return bin_intervals(self.lo, self.hi)
 
     def edges(self) -> np.ndarray:
         """The 33 bin boundaries (derived, for symmetric serialization)."""
@@ -143,15 +143,9 @@ class EquiDepthBinning:
             return FULL_BITMAP
         return np.uint32(((1 << count) - 1) << first)
 
-    def remap_to_equiwidth(self, bitmap: int, glo: float, ghi: float) -> np.uint32:
-        """Cover each set quantile bin's value interval with global bins."""
-        bitmap = int(bitmap)
-        if bitmap == 0:
-            return np.uint32(0)
-        out = np.uint32(0)
-        for b in bitmap_bins(bitmap):
-            out |= query_bitmap(self._edges[b], self._edges[b + 1], glo, ghi)
-        return np.uint32(out)
+    def bin_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each quantile bin's value interval, for remapping to a global range."""
+        return self._edges[:-1], self._edges[1:]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EquiDepthBinning) and np.array_equal(

@@ -24,7 +24,9 @@ __all__ = [
     "or_bins_by_group",
     "bitmaps_by_group",
     "query_bitmap",
-    "remap_bitmap",
+    "query_bitmaps",
+    "bin_intervals",
+    "remap_bitmaps",
     "bitmap_bins",
     "BitmapDictionary",
 ]
@@ -110,27 +112,70 @@ def bitmap_bins(bitmap: int) -> list[int]:
     return [i for i in range(BITMAP_BITS) if (int(bitmap) >> i) & 1]
 
 
-def remap_bitmap(bitmap: int, lo: float, hi: float, glo: float, ghi: float) -> np.uint32:
-    """Re-express a bitmap built against ``[lo, hi]`` relative to ``[glo, ghi]``.
+#: bin numbers 0..31, as shifts and as multipliers of a bin width
+_BINS = np.arange(BITMAP_BITS, dtype=np.uint32)
 
-    Used when rank 0 merges aggregator-local bitmaps into the global-range
-    Aggregation Tree metadata (§III-D). Each set local bin's value interval
-    is conservatively covered by the global bins it overlaps.
+
+def query_bitmaps(qlo, qhi, lo, hi) -> np.ndarray:
+    """:func:`query_bitmap` elementwise over broadcast arrays (uint32).
+
+    The same float64 expressions in the same order, so every element
+    equals the scalar call on the same four numbers.
     """
-    bitmap = int(bitmap)
-    if bitmap == 0:
-        return np.uint32(0)
+    qlo, qhi, lo, hi = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.float64) for a in (qlo, qhi, lo, hi))
+    )
     span = hi - lo
-    if span <= 0:
-        # All local values equal `lo`; they land in a single global bin.
-        return query_bitmap(lo, lo, glo, ghi)
-    out = np.uint32(0)
-    width = span / BITMAP_BITS
-    for b in bitmap_bins(bitmap):
-        blo = lo + b * width
-        bhi = blo + width
-        out |= query_bitmap(blo, bhi, glo, ghi)
-    return np.uint32(out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # value_bins of the clamped bounds; lanes overruled below may hold
+        # garbage from a zero span
+        scale = BITMAP_BITS / span
+        first = ((np.maximum(qlo, lo) - lo) * scale).astype(np.int64)
+        last = ((np.minimum(qhi, hi) - lo) * scale).astype(np.int64)
+    np.clip(first, 0, BITMAP_BITS - 1, out=first)
+    np.clip(last, 0, BITMAP_BITS - 1, out=last)
+    # bits first..last: a uint64 difference of powers, so all 32 fit
+    one = np.uint64(1)
+    bits = (one << (last + 1).astype(np.uint64)) - (one << first.astype(np.uint64))
+    bits = np.where(span <= 0, np.uint64(FULL_BITMAP), bits)
+    bits[(span > 0) & ((qhi < lo) | (qlo > hi))] = 0
+    bits[qhi < qlo] = 0
+    return bits.astype(np.uint32)
+
+
+def bin_intervals(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """``(blo, bhi)``: the value interval of each of the 32 equi-width bins
+    of ``[lo, hi]``, as ``blo = lo + b * width``, ``bhi = blo + width``.
+
+    Vectorized over array ``lo`` / ``hi`` (a trailing axis of 32 is
+    added). A degenerate range holds only ``lo``, so every bin collapses
+    onto it.
+    """
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    span = np.asarray(hi, dtype=np.float64)[..., None] - lo
+    width = np.where(span <= 0, 0.0, span / BITMAP_BITS)
+    blo = lo + _BINS * width
+    return blo, blo + width
+
+
+def remap_bitmaps(bitmaps, blo, bhi, glo, ghi) -> np.ndarray:
+    """Re-express local bitmaps against global equi-width ranges, in one pass.
+
+    Bit ``b`` of ``bitmaps[...]`` stands for the local value interval
+    ``[blo[..., b], bhi[..., b]]`` (:func:`bin_intervals`, or an
+    equi-depth binning's edges); the result covers every set bit's
+    interval with the bins of ``[glo, ghi]`` it overlaps — conservative,
+    so a value the local bitmap admits is never pruned globally. Rank 0
+    merges every aggregator's root bitmaps this way (§III-D), and equals
+    the scalar loop kept in ``tests/reference_metadata.py`` bit for bit.
+    """
+    bitmaps = np.asarray(bitmaps, dtype=np.uint32)[..., None]
+    set_bits = ((bitmaps >> _BINS) & 1) == 1
+    cover = query_bitmaps(
+        blo, bhi, np.asarray(glo, dtype=np.float64)[..., None],
+        np.asarray(ghi, dtype=np.float64)[..., None],
+    )
+    return np.bitwise_or.reduce(np.where(set_bits, cover, np.uint32(0)), axis=-1)
 
 
 class BitmapDictionary:

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from ..atomic import atomic_write_bytes
-from ..bitmaps import remap_bitmap
+from ..bitmaps import bin_intervals, remap_bitmaps
 from ..types import AttributeSpec, Box
 from .aggtree import AggInner, AggLeaf, AggregationTree
 
-__all__ = ["LeafMetadata", "DatasetMetadata", "build_metadata"]
+__all__ = ["LeafMetadata", "DatasetMetadata", "build_metadata", "remap_to_global"]
 
 FORMAT_VERSION = 1
 
@@ -77,7 +77,8 @@ class DatasetMetadata:
 
     @property
     def json_size(self) -> int:
-        """Serialized size in bytes (cached — used by read cost models)."""
+        """Serialized size in bytes (cached, and recorded by :meth:`save` —
+        used by the write and read cost models)."""
         size = getattr(self, "_json_size", None)
         if size is None:
             size = len(self.to_json().encode())
@@ -203,6 +204,7 @@ class DatasetMetadata:
         """
         data = self.to_json().encode()
         atomic_write_bytes(path, data)
+        object.__setattr__(self, "_json_size", len(data))
         return len(data)
 
     @staticmethod
@@ -237,6 +239,43 @@ class DatasetMetadata:
             attr_dtypes=dict(doc.get("attr_dtypes", {})),
             generation=int(doc.get("generation", 0)),
         )
+
+
+def remap_to_global(
+    leaf_root_bitmaps: list[dict[str, int]],
+    leaf_attr_ranges: list[dict[str, tuple[float, float]]],
+    leaf_binnings: list[dict] | None,
+    global_ranges: dict[str, tuple[float, float]],
+) -> list[dict[str, int]]:
+    """Every leaf's root bitmaps re-expressed on the global equi-width bins.
+
+    Rank 0's serial part of the write, so it is one vectorized pass over
+    every ``(leaf, attribute, set bin)`` (:func:`~repro.bitmaps.remap_bitmaps`)
+    instead of a call per bin. A leaf's bins are those of its binning
+    scheme when ``leaf_binnings`` records one, else equi-width over its
+    local range.
+    """
+    keys = [(i, name) for i, bms in enumerate(leaf_root_bitmaps) for name in bms]
+    out: list[dict[str, int]] = [{} for _ in leaf_root_bitmaps]
+    if not keys:
+        return out
+    intervals = []
+    for i, name in keys:
+        binning = (leaf_binnings[i] or {}).get(name) if leaf_binnings else None
+        intervals.append(
+            binning.bin_intervals() if binning is not None
+            else bin_intervals(*leaf_attr_ranges[i][name])
+        )
+    glo, ghi = np.array([global_ranges[name] for _, name in keys], dtype=np.float64).T
+    remapped = remap_bitmaps(
+        [leaf_root_bitmaps[i][name] for i, name in keys],
+        np.stack([blo for blo, _ in intervals]),
+        np.stack([bhi for _, bhi in intervals]),
+        glo, ghi,
+    )
+    for (i, name), bm in zip(keys, remapped.tolist()):
+        out[i][name] = bm
+    return out
 
 
 def build_metadata(
@@ -277,18 +316,12 @@ def build_metadata(
 
     leaves: list[LeafMetadata] = []
     bounds = Box.empty()
-    for i, (leaf, fname, ranges, bms) in enumerate(
-        zip(leaves_in, file_names, leaf_attr_ranges, leaf_root_bitmaps)
+    leaf_global_bitmaps = remap_to_global(
+        leaf_root_bitmaps, leaf_attr_ranges, leaf_binnings, attr_ranges
+    )
+    for leaf, fname, ranges, global_bms in zip(
+        leaves_in, file_names, leaf_attr_ranges, leaf_global_bitmaps
     ):
-        global_bms = {}
-        for name, bm in bms.items():
-            glo, ghi = attr_ranges[name]
-            binning = (leaf_binnings[i] or {}).get(name) if leaf_binnings else None
-            if binning is not None:
-                global_bms[name] = int(binning.remap_to_equiwidth(bm, glo, ghi))
-            else:
-                lo, hi = ranges[name]
-                global_bms[name] = int(remap_bitmap(bm, lo, hi, glo, ghi))
         leaves.append(
             LeafMetadata(
                 leaf_index=leaf.leaf_index,

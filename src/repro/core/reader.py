@@ -19,7 +19,7 @@ import numpy as np
 from functools import partial
 
 from ..machines import MachineSpec
-from ..parallel import get_executor
+from ..parallel import executor_scope, parse_executor_spec
 from ..simmpi import Message, VirtualCluster
 from ..types import Box, ParticleBatch
 from .assign import assign_read_aggregators
@@ -53,12 +53,39 @@ class ReadReport:
         return self.total_bytes / self.elapsed if self.elapsed > 0 else 0.0
 
 
+def _shared_face_owners(points: np.ndarray, r: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which of ``points`` (rows request ``r``'s closed box returned) stay with ``r``.
+
+    ``lo`` / ``hi`` are the ``(R, 3)`` corners of every request on the
+    leaf. A box hands a point on one of its upper faces to a requested box
+    that contains it and *starts* on that face and continues past it, so a
+    point on a face two boxes share goes to the upper one — the half-open
+    cells the write decomposition uses. Overlapping requests keep their
+    whole overlap, and a point every containing box would hand on (their
+    faces meet only around a hole in the decomposition) stays with all of
+    them rather than being lost.
+    """
+    keep = np.ones(len(points), dtype=bool)
+    face = np.flatnonzero((points == hi[r]).any(axis=1))
+    if face.size == 0:
+        return keep
+    p = points[face].astype(np.float64)[:, None, :]                 # (m, 1, 3)
+    inside = ((lo <= p) & (p <= hi)).all(axis=2)[:, :, None]        # (m, R, 1)
+    starts = ((p == lo) & (p < hi) & inside).any(axis=1, keepdims=True)
+    hands_on = ((p == hi) & inside & starts).any(axis=2)            # (m, R)
+    kept_by_none = (hands_on | ~inside[:, :, 0]).all(axis=1)
+    keep[face] = ~hands_on[:, r] | kept_by_none
+    return keep
+
+
 def _read_leaf(layout_name: str, data_dir: str, item):
     """Serve every request against one leaf file (one executor task).
 
     ``item`` is ``(leaf_index, file_name, [(rank, (2,3) bounds), ...])``;
     returns ``(leaf_index, [(rank, batch), ...])``. Each task owns its file
-    handle, so tasks are independent across threads and processes.
+    handle, so tasks are independent across threads and processes. Every
+    rank whose box touches a particle asks this leaf for it, so the task
+    alone decides who owns a particle on a shared face.
     """
     from ..layouts import get_layout
 
@@ -73,12 +100,17 @@ def _read_leaf(layout_name: str, data_dir: str, item):
             f"{data_dir!r}: {exc}",
             leaf_index=leaf_idx, path=str(Path(data_dir) / file_name),
         ) from exc
+    lo = np.array([bounds[0] for _, bounds in reqs], dtype=np.float64)
+    hi = np.array([bounds[1] for _, bounds in reqs], dtype=np.float64)
+    served = []
     try:
-        return leaf_idx, [
-            (r, f.query_box(Box.from_array(bounds))) for r, bounds in reqs
-        ]
+        for i, (r, bounds) in enumerate(reqs):
+            batch = f.query_box(Box.from_array(bounds))
+            keep = _shared_face_owners(batch.positions, i, lo, hi)
+            served.append((r, batch if keep.all() else batch.select(np.flatnonzero(keep))))
     finally:
         f.close()
+    return leaf_idx, served
 
 
 class TwoPhaseReader:
@@ -87,8 +119,14 @@ class TwoPhaseReader:
     def __init__(self, machine: MachineSpec, network_model: str = "phase", executor=None):
         self.machine = machine
         self.network_model = network_model
-        #: execution layer for per-file restart reads (see repro.parallel)
-        self.executor = get_executor(executor)
+        #: execution layer for per-file restart reads: a spec string whose
+        #: pool lives for one read(), an Executor instance the caller
+        #: shares and closes, or None for $REPRO_EXECUTOR, else serial (no
+        #: restart-read traffic has been measured to want a pool; see
+        #: repro.parallel)
+        if isinstance(executor, str):
+            parse_executor_spec(executor)
+        self.executor = executor
 
     def read(
         self,
@@ -167,9 +205,8 @@ class TwoPhaseReader:
                 (leaf_idx, metadata.leaves[leaf_idx].file_name, reqs)
                 for leaf_idx, reqs in sorted(by_leaf.items())
             ]
-            results = self.executor.map(
-                partial(_read_leaf, metadata.layout, str(data_dir)), tasks
-            )
+            with executor_scope(self.executor) as ex:
+                results = ex.map(partial(_read_leaf, metadata.layout, str(data_dir)), tasks)
             answered: dict[tuple[int, int], ParticleBatch] = {}
             for leaf_idx, served in results:
                 for r, res in served:

@@ -16,6 +16,14 @@ The pipeline runs on a :class:`~repro.simmpi.VirtualCluster`:
 With materialized data the pipeline really moves the bytes and writes real
 BAT files (lossless, query-able); timing always comes from the cost models,
 so scaling studies can also run counts-only (DESIGN.md §5).
+
+Step 5 really runs concurrently: one task per leaf (gather its members'
+particles, build, encode, verified publish) on a thread pool sized by
+:func:`~repro.parallel.threads_for` — a thread per usable CPU, at most one
+per leaf, serial on one CPU — unless ``executor=`` or ``$REPRO_EXECUTOR``
+names another. Rank 0's part of step 6 stays serial, so it is kept short:
+every leaf's root bitmaps are remapped to the global ranges in one
+vectorized pass and the manifest is encoded once.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from ..atomic import publish_bytes
 from ..machines import MachineSpec
 from ..bat.builder import BATBuildConfig
 from ..iosim.faults import FaultConfig, FaultInjector, FaultReport
-from ..parallel import get_executor
+from ..parallel import executor_scope, parse_executor_spec, threads_for
 from ..simmpi import Message, VirtualCluster
 from ..types import ParticleBatch
 from .aggtree import AggTreeConfig, build_aggregation_tree
@@ -79,21 +87,25 @@ class _LeafSummary:
     payload_encoded_bytes: int = 0
     #: column name -> codec id the build chose (empty for v2/v3 builds)
     codec_table: dict = field(default_factory=dict)
+    #: attribute name -> numpy dtype string of the aggregated batch
+    attr_dtypes: dict = field(default_factory=dict)
 
 
 def _build_leaf(layout_name: str, cfg, publish_cfg, item) -> _LeafSummary:
-    """Build (and optionally publish) one aggregation leaf.
+    """Aggregate, build (and optionally publish) one aggregation leaf.
 
     Module-level and driven only by picklable arguments so every executor
-    kind can run it. ``item`` is ``(batch, out_path | None, fault_plan)``;
-    the file lands through the verified atomic-publish protocol, with
+    kind can run it. ``item`` is ``(member batches, out_path | None,
+    fault_plan)``; the members are concatenated here, on the aggregator,
+    and the file lands through the verified atomic-publish protocol, with
     ``fault_plan`` (precomputed on rank 0, see
     :meth:`~repro.iosim.faults.FaultInjector.plan_leaf_write`) damaging
     specific attempts.
     """
     from ..layouts import get_layout
 
-    batch, out_path, fault_plan = item
+    members, out_path, fault_plan = item
+    batch = ParticleBatch.concatenate(members)
     max_attempts, backoff_s = publish_cfg
     built = get_layout(layout_name).build(batch, cfg)
     attempts = 1
@@ -114,6 +126,7 @@ def _build_leaf(layout_name: str, cfg, publish_cfg, item) -> _LeafSummary:
         payload_raw_bytes=getattr(built, "payload_raw_bytes", 0),
         payload_encoded_bytes=getattr(built, "payload_encoded_bytes", 0),
         codec_table=dict(getattr(built, "codec_table", {}) or {}),
+        attr_dtypes={n: a.dtype.str for n, a in batch.attributes.items()},
     )
 
 
@@ -181,11 +194,14 @@ class TwoPhaseWriter:
         #: fault-injection config; None (or all-zero probabilities) leaves
         #: the pipeline byte- and timing-identical to a fault-free run
         self.faults = faults
-        #: execution layer for per-aggregator builds and file writes; a
-        #: spec string ("serial", "thread:8", "process:4"), an Executor
-        #: instance to share a pool across writes, or None for the
-        #: REPRO_EXECUTOR/serial default (see repro.parallel)
-        self.executor = get_executor(executor)
+        #: execution layer for per-aggregator builds and file writes: a
+        #: spec string ("serial", "thread:8", "process:4") whose pool lives
+        #: for one write(), an Executor instance the caller shares across
+        #: writes and closes, or None for $REPRO_EXECUTOR, else a thread
+        #: per usable CPU (see repro.parallel)
+        if isinstance(executor, str):
+            parse_executor_spec(executor)
+        self.executor = executor
         self.layout = get_layout(layout)
         if layout != "bat" and bat_config is not None:
             raise ValueError("bat_config only applies to the 'bat' layout")
@@ -317,16 +333,9 @@ class TwoPhaseWriter:
                 fault_report.dead_aggregators = dead
                 fault_report.reassigned_leaves = n_reassigned
 
-        # Functional aggregation: concatenate member batches per leaf.
-        built = None
         payload_raw = payload_enc = 0
         codec_table: dict = {}
-        leaf_batches: list[ParticleBatch] | None = None
-        if data.materialized:
-            leaf_batches = [
-                ParticleBatch.concatenate([data.batches[r] for r in leaf.rank_ids])
-                for leaf in leaves
-            ]
+        attr_dtypes = None
 
         # 5. BAT construction on aggregators (per-rank, sums over the leaves
         # a rank aggregates)
@@ -351,29 +360,32 @@ class TwoPhaseWriter:
             else None
         )
         retry_sizes = np.zeros(nranks)
-        if leaf_batches is not None:
+        if data.materialized:
             cfg = self.bat_config if self.layout.name == "bat" else None
             publish_cfg = (
                 (faults.max_write_attempts, faults.retry_backoff_s)
                 if faults is not None
                 else (1, 0.0)
             )
-            # One task per aggregation leaf: every BuiltBAT is independent,
-            # so builds and file writes fan out across the executor; the
-            # rank-0 metadata assembly below is the only barrier. Results
-            # come back in leaf order, so parallel runs are bit-identical
-            # to serial ones.
+            # One task per aggregation leaf: every aggregator gathers, builds
+            # and publishes independently, so the tasks fan out across the
+            # executor; the rank-0 metadata assembly below is the only
+            # barrier. Results come back in leaf order, so parallel runs are
+            # bit-identical to serial ones.
             tasks = [
                 (
-                    b,
+                    [data.batches[r] for r in leaf.rank_ids],
                     str(out_dir / file_names[i]) if materialize else None,
                     plans[i] if plans is not None else (),
                 )
-                for i, b in enumerate(leaf_batches)
+                for i, leaf in enumerate(leaves)
             ]
-            built = self.executor.map(
-                partial(_build_leaf, self.layout.name, cfg, publish_cfg), tasks
-            )
+            with executor_scope(self.executor, default=threads_for(n_leaves)) as ex:
+                built = ex.map(
+                    partial(_build_leaf, self.layout.name, cfg, publish_cfg), tasks
+                )
+            if built:
+                attr_dtypes = built[0].attr_dtypes
             leaf_binnings = []
             for i, (leaf, bb) in enumerate(zip(leaves, built)):
                 leaf_ranges.append(bb.attr_ranges)
@@ -417,21 +429,15 @@ class TwoPhaseWriter:
         # writes the manifest.
         n_attrs = max(len(leaf_ranges[0]) if leaf_ranges else 0, 1)
         cluster.gather_to_root("gather leaf summaries", 20.0 * n_attrs)
-        attr_dtypes = None
-        if leaf_batches is not None and leaf_batches:
-            attr_dtypes = {
-                n: a.dtype.str for n, a in leaf_batches[0].attributes.items()
-            }
         metadata = build_metadata(
             plan, nranks, file_names, leaf_ranges, leaf_bitmaps, leaf_binnings,
             layout=self.layout.name, attr_dtypes=attr_dtypes,
         )
-        meta_bytes = metadata.json_size
-        cluster.root_small_write(PHASE_NAMES[6], meta_bytes)
         metadata_path = None
         if materialize:
             metadata_path = str(out_dir / f"{name}.meta.json")
-            metadata.save(metadata_path)
+            metadata.save(metadata_path)  # also records json_size
+        cluster.root_small_write(PHASE_NAMES[6], metadata.json_size)
 
         breakdown = cluster.breakdown()
         breakdown[PHASE_NAMES[6]] = breakdown.pop(PHASE_NAMES[6], 0.0) + breakdown.pop(

@@ -1,7 +1,7 @@
 """Pluggable execution layer for the write pipeline and the restart reader.
 
 The paper's two-phase pipeline keeps every aggregator busy concurrently
-(§IV–V); this module supplies the process-local analogue so the
+(§III–IV); this module supplies the process-local analogue so the
 reproduction's two fan-out paths — per-aggregator BAT builds/writes and
 per-file restart reads — actually overlap instead of running in one
 Python thread. Visualization reads (:mod:`repro.core.dataset`, the serve
@@ -12,20 +12,24 @@ queries do not fan out").
 Three executors share one tiny contract (:meth:`Executor.map` preserves
 input order; results are deterministic regardless of completion order):
 
-- ``serial`` — plain in-process loop, zero overhead, the default;
+- ``serial`` — plain in-process loop, zero overhead;
 - ``thread`` — ``ThreadPoolExecutor``; wins when the work releases the GIL
-  (numpy kernels, zlib, file writes) or is I/O bound;
+  (numpy kernels, zlib, file writes) or is I/O bound. Each task runs in a
+  copy of the caller's :mod:`contextvars` context, so whatever the caller
+  set there (a trace's open span) is what the task sees;
 - ``process`` — ``ProcessPoolExecutor``; wins for CPU-bound pure-Python
   work, at the cost of pickling tasks and results.
 
 Executors are selected by *spec string* — ``"serial"``, ``"thread"``,
 ``"process"``, optionally suffixed with a worker count (``"thread:8"``,
-``"process:4"``) — via the ``executor=`` parameter of
-:class:`~repro.core.writer.TwoPhaseWriter` /
+``"process:4"``; without one, :func:`usable_cpus`) — via the ``executor=``
+parameter of :class:`~repro.core.writer.TwoPhaseWriter` /
 :class:`~repro.core.reader.TwoPhaseReader` or the ``REPRO_EXECUTOR``
-environment variable. Both accept either a spec string or an
-:class:`Executor` instance, so a pool can be built once and shared across
-many writes/restart reads — including across threads: lazy pool
+environment variable; with neither, the writer fans its leaves over
+:func:`threads_for` and the restart reader runs serially. A pool resolved
+from a spec lives for one write or read (:func:`executor_scope`); an
+:class:`Executor` instance passed instead is the caller's to share across
+many calls and to close — including across threads: lazy pool
 construction and shutdown are lock-protected.
 
 Parallel output is required to be *bit-identical* to serial output: tasks
@@ -37,9 +41,11 @@ this property.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 
 __all__ = [
     "Executor",
@@ -47,10 +53,11 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "get_executor",
+    "executor_scope",
     "parse_executor_spec",
     "available_executors",
-    "default_workers",
-    "default_thread_workers",
+    "usable_cpus",
+    "threads_for",
     "EXECUTOR_ENV_VAR",
 ]
 
@@ -58,23 +65,21 @@ __all__ = [
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 
-def default_workers() -> int:
-    """Worker count used when a spec names no explicit count."""
-    return max(os.cpu_count() or 1, 1)
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a process pinned to one CPU gets one), else ``os.cpu_count()``.
+    The worker count of a pool spec that names none."""
+    try:
+        return max(len(os.sched_getaffinity(0)), 1)
+    except AttributeError:  # no affinity masks on this platform
+        return max(os.cpu_count() or 1, 1)
 
 
-def default_thread_workers() -> int:
-    """Default size of the *thread* pool.
-
-    Threads here exist to overlap I/O (fsync, page faults) with
-    GIL-releasing compute, so the pool is sized past the core count —
-    ``cpu + 4`` capped at 32, the same shape ``ThreadPoolExecutor`` uses —
-    instead of ``cpu_count``. On a 1-core machine the old default built a
-    1-worker pool: pure serial execution plus futures overhead, which is
-    exactly the thread-slower-than-serial regression the write+query bench
-    used to show.
-    """
-    return min(32, (os.cpu_count() or 1) + 4)
+def threads_for(tasks: int) -> str:
+    """Spec for ``tasks`` GIL-releasing tasks: a thread per usable CPU, no
+    more threads than tasks, and serial when that is one."""
+    n = min(usable_cpus(), tasks)
+    return f"thread:{n}" if n > 1 else "serial"
 
 
 def available_executors() -> list[str]:
@@ -126,10 +131,9 @@ class _PoolExecutor(Executor):
     """Shared machinery for the concurrent.futures-backed executors."""
 
     _pool_cls: type = None  # set by subclasses
-    _default_workers = staticmethod(default_workers)
 
     def __init__(self, workers: int | None = None):
-        self._workers = int(workers) if workers else self._default_workers()
+        self._workers = int(workers) if workers else usable_cpus()
         if self._workers < 1:
             raise ValueError("executor worker count must be >= 1")
         self._pool = None
@@ -170,7 +174,13 @@ class ThreadExecutor(_PoolExecutor):
 
     kind = "thread"
     _pool_cls = ThreadPoolExecutor
-    _default_workers = staticmethod(default_thread_workers)
+
+    def map(self, fn, items) -> list:
+        items = list(items)
+        # one context copy per task, taken on the calling thread: a context
+        # can be entered by one thread at a time
+        contexts = [contextvars.copy_context() for _ in items]
+        return super().map(lambda job: job[0].run(fn, job[1]), zip(contexts, items))
 
 
 class ProcessExecutor(_PoolExecutor):
@@ -210,19 +220,35 @@ def parse_executor_spec(spec: str) -> tuple[str, int | None]:
     return kind, workers
 
 
-def get_executor(spec=None) -> Executor:
+def get_executor(spec=None, default: str = "serial") -> Executor:
     """Resolve a spec string, ``None``, or an :class:`Executor` instance.
 
-    ``None`` falls back to ``$REPRO_EXECUTOR``, then to serial. Instances
-    pass through untouched so callers can share one pool across calls.
+    ``None`` falls back to ``$REPRO_EXECUTOR``, then to ``default``.
+    Instances pass through untouched so callers can share one pool across
+    calls.
     """
     if isinstance(spec, Executor):
         return spec
     if spec is None:
-        spec = os.environ.get(EXECUTOR_ENV_VAR) or "serial"
+        spec = os.environ.get(EXECUTOR_ENV_VAR) or default
     kind, workers = parse_executor_spec(str(spec))
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
         return ThreadExecutor(workers)
     return ProcessExecutor(workers)
+
+
+@contextmanager
+def executor_scope(spec=None, default: str = "serial"):
+    """The executor for one fan-out, resolved as :func:`get_executor` does.
+
+    A pool resolved here (from a spec string, ``$REPRO_EXECUTOR`` or
+    ``default``) is shut down on exit, its workers joined; an
+    :class:`Executor` instance is the caller's and stays open.
+    """
+    if isinstance(spec, Executor):
+        yield spec
+        return
+    with get_executor(spec, default) as ex:
+        yield ex

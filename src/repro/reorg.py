@@ -48,8 +48,7 @@ import numpy as np
 from .bat.builder import BATBuildConfig, build_bat
 from .bat.file import BATFile
 from .bat.query import query_file, query_file_recursive
-from .bitmaps import remap_bitmap
-from .core.metadata import DatasetMetadata, LeafMetadata
+from .core.metadata import DatasetMetadata, LeafMetadata, remap_to_global
 from .morton import encode_positions
 from .types import Box, ParticleBatch
 
@@ -600,15 +599,10 @@ def _built_leaf(
     name: str, built, source: LeafMetadata, global_ranges: dict
 ) -> LeafMetadata:
     """Manifest entry for one rewritten file (bitmaps on global ranges)."""
-    global_bms = {}
-    for attr, bm in built.root_bitmaps.items():
-        glo, ghi = global_ranges.get(attr, built.attr_ranges[attr])
-        binning = built.attr_binnings.get(attr)
-        if binning is not None:
-            global_bms[attr] = int(binning.remap_to_equiwidth(bm, glo, ghi))
-        else:
-            lo, hi = built.attr_ranges[attr]
-            global_bms[attr] = int(remap_bitmap(bm, lo, hi, glo, ghi))
+    [global_bms] = remap_to_global(
+        [built.root_bitmaps], [built.attr_ranges], [built.attr_binnings],
+        {**built.attr_ranges, **global_ranges},
+    )
     return LeafMetadata(
         leaf_index=-1,  # renumbered after the splice
         file_name=name,

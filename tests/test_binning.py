@@ -12,7 +12,13 @@ from repro.binning import (
     EquiWidthBinning,
     make_binning,
 )
-from repro.bitmaps import BITMAP_BITS, FULL_BITMAP, bitmap_of_values, query_bitmap
+from repro.bitmaps import (
+    BITMAP_BITS,
+    FULL_BITMAP,
+    bitmap_of_values,
+    query_bitmap,
+    remap_bitmaps,
+)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -109,7 +115,7 @@ class TestEquiDepth:
         b = EquiDepthBinning.fit(vals)
         bm = b.bitmap(vals)
         glo, ghi = float(vals.min()), float(vals.max()) * 2
-        remapped = b.remap_to_equiwidth(bm, glo, ghi)
+        remapped = remap_bitmaps(bm, *b.bin_intervals(), glo, ghi)
         direct = bitmap_of_values(vals, glo, ghi)
         assert int(remapped) & int(direct) == int(direct)
 

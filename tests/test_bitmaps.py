@@ -13,8 +13,9 @@ from repro.bitmaps import (
     bitmap_of_values,
     bitmaps_by_group,
     or_bins_by_group,
+    bin_intervals,
     query_bitmap,
-    remap_bitmap,
+    remap_bitmaps,
     value_bins,
 )
 
@@ -170,6 +171,11 @@ class TestQueryBitmap:
         assert int(query_bitmap(qlo, qhi, lo, hi)) & vb
         assert int(query_bitmap(lo - 1.0, v, lo, hi)) & vb
         assert int(query_bitmap(v, hi + 1.0, lo, hi)) & vb
+
+
+def remap_bitmap(bitmap, lo, hi, glo, ghi):
+    """One bitmap built over equi-width ``[lo, hi]``, on ``[glo, ghi]``."""
+    return remap_bitmaps(bitmap, *bin_intervals(lo, hi), glo, ghi)
 
 
 class TestRemapBitmap:

@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.bitmaps import bitmap_of_values, query_bitmap
+from repro.binning import EquiDepthBinning, EquiWidthBinning
+from repro.bitmaps import (
+    BITMAP_BITS,
+    bin_intervals,
+    bitmap_of_values,
+    query_bitmap,
+    remap_bitmaps,
+)
 from repro.core import AggTreeConfig, build_aggregation_tree, build_metadata
-from repro.core.metadata import DatasetMetadata
+from repro.core.metadata import DatasetMetadata, remap_to_global
 from repro.types import Box
+from tests.reference_metadata import remap_bitmap_scalar, remap_equidepth_scalar
 
 
 def make_tree(nx=4, ny=4, target=400_000, seed=0):
@@ -166,3 +176,85 @@ class TestSerialization:
         p.write_text('{"format": "bat-dataset", "version": 99}')
         with pytest.raises(ValueError, match="version"):
             DatasetMetadata.load(p)
+
+
+# -- rank 0's remap: one vectorized pass ≡ the scalar loop ---------------------
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+bitmaps32 = st.one_of(
+    st.integers(0, 0xFFFFFFFF),
+    st.sampled_from([0, 1, 1 << 31, (1 << 31) | 1, 0xFFFFFFFF]),
+)
+
+
+@st.composite
+def remap_rows(draw):
+    """``(bitmap, lo, hi, glo, ghi)``: arbitrary, degenerate, or with the
+    local bounds on global bin edges (where rounding would show)."""
+    glo, ghi = sorted((draw(finite), draw(finite)))
+    shape = draw(st.sampled_from(["free", "degenerate_local", "degenerate_global", "edges"]))
+    if shape == "degenerate_global":
+        ghi = glo
+    if shape == "edges":
+        width = (ghi - glo) / BITMAP_BITS
+        i, j = sorted(draw(st.integers(0, BITMAP_BITS)) for _ in range(2))
+        lo, hi = glo + i * width, glo + j * width
+    else:
+        lo, hi = sorted((draw(finite), draw(finite)))
+    if shape == "degenerate_local":
+        hi = lo
+    return draw(bitmaps32), lo, hi, glo, ghi
+
+
+class TestVectorizedRemap:
+    """``remap_bitmaps`` (and ``remap_to_global`` over it) equals the
+    per-set-bin loop of ``tests/reference_metadata.py`` bit for bit, which
+    is what keeps manifests byte-identical."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(remap_rows(), min_size=1, max_size=40))
+    # the filter bin-edge case: 263.25 is a bin edge of [251, 300]
+    @example([(0xFFFFFFFF, 263.25, 289.5, 251.0, 300.0), (1 << 31, 251.0, 263.25, 251.0, 300.0)])
+    def test_equiwidth_rows_in_one_pass(self, rows):
+        bms, lo, hi, glo, ghi = (list(col) for col in zip(*rows))
+        got = remap_bitmaps(bms, *bin_intervals(lo, hi), glo, ghi)
+        want = [remap_bitmap_scalar(*row) for row in rows]
+        assert got.dtype == np.uint32
+        assert got.tolist() == [int(w) for w in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(finite, min_size=1, max_size=200),
+        bitmaps32, finite, finite,
+    )
+    def test_equidepth_bins(self, values, bm, a, b):
+        binning = EquiDepthBinning.fit(np.array(values))
+        glo, ghi = sorted((a, b))
+        got = remap_bitmaps(bm, *binning.bin_intervals(), glo, ghi)
+        assert int(got) == int(remap_equidepth_scalar(bm, binning.edges(), glo, ghi))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(remap_rows(), min_size=1, max_size=12), st.data())
+    def test_remap_to_global_mixes_schemes(self, rows, data):
+        """Leaves with and without a recorded binning, and equi-depth ones,
+        in one call, against the global range of their own attribute."""
+        root, ranges, binnings, global_ranges, want = [], [], [], {}, []
+        for i, (bm, lo, hi, glo, ghi) in enumerate(rows):
+            name = f"a{i % 3}"
+            glo, ghi = global_ranges.setdefault(name, (glo, ghi))
+            kind = data.draw(st.sampled_from(["none", "equiwidth", "equidepth"]))
+            if kind == "equidepth":
+                binning = EquiDepthBinning.fit(np.linspace(lo, hi, 50))
+                want.append(remap_equidepth_scalar(bm, binning.edges(), glo, ghi))
+            else:
+                binning = EquiWidthBinning(lo, hi) if kind == "equiwidth" else None
+                want.append(remap_bitmap_scalar(bm, lo, hi, glo, ghi))
+            root.append({name: bm})
+            ranges.append({name: (lo, hi)})
+            binnings.append({name: binning} if binning is not None else {})
+        got = remap_to_global(root, ranges, binnings, global_ranges)
+        assert [next(iter(g.values())) for g in got] == [int(w) for w in want]
+
+    def test_no_leaves_and_no_attributes(self):
+        assert remap_to_global([], [], None, {}) == []
+        assert remap_to_global([{}, {}], [{}, {}], None, {}) == [{}, {}]

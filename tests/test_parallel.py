@@ -7,17 +7,21 @@ byte-identical BAT files and identical restart reads on randomized
 workloads.
 """
 
+import contextvars
 import hashlib
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro import QueryRequest
+from repro import BATBuildConfig, QueryRequest, parallel
 from repro.bat import BATFileCache
 from repro.bat.query import query_file
 from repro.core import TwoPhaseReader, TwoPhaseWriter
+from repro.core import writer as writer_module
 from repro.core.dataset import BATDataset
+from repro.iosim.faults import FaultConfig
 from repro.machines import testing_machine as make_test_machine
 from repro.parallel import (
     ProcessExecutor,
@@ -79,12 +83,146 @@ class TestExecutors:
         ex.close()
         ex.close()
 
+    def test_thread_tasks_run_in_the_callers_context(self):
+        """A pool thread sees the context variables its caller set (an open
+        trace span), and what a task sets stays in that task."""
+        var = contextvars.ContextVar("var", default="unset")
+
+        def task(i):
+            seen = var.get()
+            var.set(f"task {i}")
+            return seen, threading.get_ident()
+
+        token = var.set("caller")
+        try:
+            with get_executor("thread:2") as ex:
+                got = ex.map(task, range(8))
+        finally:
+            var.reset(token)
+        assert [seen for seen, _ in got] == ["caller"] * 8
+        assert threading.get_ident() not in {ident for _, ident in got}
+        assert var.get() == "unset"
+
+    def test_unsized_pools_use_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        assert get_executor("thread").workers == 3
+        assert get_executor("process").workers == 3
+        assert parallel.threads_for(32) == "thread:3"
+        assert parallel.threads_for(2) == "thread:2"
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        assert parallel.threads_for(32) == "serial"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
+    def test_usable_cpus_follow_the_affinity_mask(self):
+        mask = os.sched_getaffinity(0)
+        assert parallel.usable_cpus() == len(mask)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            assert parallel.usable_cpus() == 1
+        finally:
+            os.sched_setaffinity(0, mask)
+
 
 def _hash_files(directory):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(directory.glob("*.bat"))
     }
+
+
+class TestDefaultWriter:
+    """With no ``executor=`` and no ``$REPRO_EXECUTOR`` the writer fans its
+    leaves over a thread per usable CPU: same bytes as serial, and no thread
+    outlives the write."""
+
+    WRITES = {
+        "v3": {},
+        "v4": {"bat_config": BATBuildConfig(codecs="auto")},
+        "faulted": {"faults": FaultConfig(
+            seed=3, torn_write=0.3, bit_flip=0.3, aggregator_death=0.2
+        )},
+    }
+
+    @pytest.fixture(autouse=True)
+    def _no_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    @pytest.fixture()
+    def two_cpus(self, monkeypatch):
+        """The pool is really built, even on a one-CPU machine."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+    @pytest.fixture()
+    def task_threads(self, monkeypatch):
+        """Idents of the threads that published leaf files."""
+        ran_on = set()
+        publish = writer_module.publish_bytes
+
+        def spy(*args, **kwargs):
+            ran_on.add(threading.get_ident())
+            return publish(*args, **kwargs)
+
+        monkeypatch.setattr(writer_module, "publish_bytes", spy)
+        return ran_on
+
+    @staticmethod
+    def _write(tmp_path, name, data, executor=None, **kwargs):
+        out = tmp_path / name
+        writer = TwoPhaseWriter(
+            make_test_machine(), target_size=64 * 1024, executor=executor, **kwargs
+        )
+        report = writer.write(data, out_dir=out, name="d")
+        return out, report
+
+    @pytest.mark.parametrize("kind", sorted(WRITES))
+    def test_default_is_byte_identical_to_serial(
+        self, kind, random_workloads, tmp_path, two_cpus
+    ):
+        data = random_workloads[1]
+        serial, want = self._write(tmp_path, "serial", data, "serial", **self.WRITES[kind])
+        pooled, got = self._write(tmp_path, "default", data, **self.WRITES[kind])
+        assert len(_hash_files(serial)) > 1
+        assert _hash_files(pooled) == _hash_files(serial)
+        assert (pooled / "d.meta.json").read_bytes() == (serial / "d.meta.json").read_bytes()
+        if kind == "faulted":
+            assert want.faults.total_injected > 0
+            assert got.faults.to_doc() == want.faults.to_doc()
+
+    @pytest.mark.parametrize("how", ["default", "spec", "env"])
+    def test_no_thread_outlives_the_write(
+        self, how, random_workloads, tmp_path, monkeypatch, two_cpus, task_threads
+    ):
+        if how == "env":
+            monkeypatch.setenv("REPRO_EXECUTOR", "thread:2")
+        before = threading.active_count()
+        self._write(tmp_path, how, random_workloads[0], "thread:2" if how == "spec" else None)
+        assert task_threads and threading.get_ident() not in task_threads  # a pool ran
+        assert threading.active_count() == before
+
+    def test_an_executor_instance_stays_the_callers(self, random_workloads, tmp_path):
+        with ThreadExecutor(2) as ex:
+            self._write(tmp_path, "a", random_workloads[0], ex)
+            assert ex._pool is not None
+            self._write(tmp_path, "b", random_workloads[0], ex)  # still usable
+        assert ex._pool is None
+
+    def test_one_usable_cpu_writes_serially(
+        self, random_workloads, tmp_path, monkeypatch, task_threads
+    ):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "ThreadExecutor", None)  # building one would fail
+        self._write(tmp_path, "one", random_workloads[0])
+        assert task_threads == {threading.get_ident()}
+
+    def test_reader_pools_live_for_one_read(self, random_workloads, tmp_path):
+        data = random_workloads[0]
+        out, report = self._write(tmp_path, "r", data, "serial")
+        before = threading.active_count()
+        rep = TwoPhaseReader(make_test_machine(), executor="thread:2").read(
+            report.metadata, data.bounds, data_dir=out
+        )
+        assert sum(len(b) for b in rep.batches) == data.total_particles
+        assert threading.active_count() == before
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +248,6 @@ class TestByteIdenticalOutputs:
                 out = tmp_path_factory.mktemp(f"w{w}-{spec.replace(':', '_')}")
                 writer = TwoPhaseWriter(machine, target_size=64 * 1024, executor=spec)
                 report = writer.write(data, out_dir=out, name="prop")
-                writer.executor.close()
                 per_spec[spec] = (out, report)
             runs.append((data, per_spec))
         return runs

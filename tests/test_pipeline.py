@@ -192,6 +192,54 @@ class TestReadPipeline:
         assert sum(len(b) for b in rep.batches) == data.total_particles
 
 
+class TestSharedFaces:
+    """A particle on the face two reading boxes share goes to exactly one
+    of them; where two requests overlap, each gets the overlap."""
+
+    # x of the marked particles; y, z stay inside every box below
+    MARKED = (0.5, 1.0, 1.5)
+
+    @pytest.fixture(scope="class")
+    def dataset(self, machine, tmp_path_factory):
+        rng = np.random.default_rng(7)
+        pos = (rng.random((400, 3)) * [2.0, 1.0, 1.0]).astype(np.float32)
+        pos[np.isin(pos[:, 0], [1.0, 1.5]), 0] = 0.25  # the rest stay off the faces
+        pos[: len(self.MARKED)] = [[x, 0.5, 0.5] for x in self.MARKED]
+        ident = np.arange(len(pos), dtype=np.float64)
+        data = RankData(
+            bounds=np.array([[[0.0, 0.0, 0.0], [2.0, 1.0, 1.0]]]),
+            counts=np.array([len(pos)]),
+            batches=[ParticleBatch(pos, {"ident": ident})],
+        )
+        out = tmp_path_factory.mktemp("faces")
+        report = TwoPhaseWriter(machine, target_size=1 << 20).write(data, out_dir=out, name="f")
+        return report.metadata, out
+
+    @staticmethod
+    def _idents(rep):
+        return [set(b.attributes["ident"].astype(int).tolist()) if len(b) else set()
+                for b in rep.batches]
+
+    def test_particle_on_a_shared_face_goes_to_one_rank(self, dataset, machine):
+        meta, out = dataset
+        boxes = np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+                          [[1.0, 0.0, 0.0], [2.0, 1.0, 1.0]]])
+        left, right = self._idents(TwoPhaseReader(machine).read(meta, boxes, data_dir=out))
+        assert not left & right
+        assert len(left) + len(right) == 400
+        assert 1 in right and 1 not in left  # the particle at x = 1.0
+
+    def test_overlapping_requests_each_get_the_overlap(self, dataset, machine):
+        meta, out = dataset
+        boxes = np.array([[[0.0, 0.0, 0.0], [1.5, 1.0, 1.0]],
+                          [[0.5, 0.0, 0.0], [2.0, 1.0, 1.0]]])
+        left, right = self._idents(TwoPhaseReader(machine).read(meta, boxes, data_dir=out))
+        # x = 0.5 and 1.5 sit on a face of one box inside the other: not a
+        # face the two boxes share, so both keep them, as they keep x = 1.0
+        assert {0, 1, 2} <= left & right
+        assert left | right == set(range(400))
+
+
 class TestEventNetworkModel:
     def test_write_read_with_event_model(self, machine, tmp_path):
         """The full pipeline runs under the discrete-event network model

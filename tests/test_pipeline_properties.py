@@ -6,7 +6,7 @@ invariants: no particle is ever lost, duplicated, or misrouted.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import QueryRequest
@@ -46,6 +46,9 @@ class TestPipelineConservation:
         empty_fraction=st.floats(0.0, 0.9),
         target_kb=st.sampled_from([16, 64, 512]),
     )
+    # a particle exactly on the face two reading boxes share used to be
+    # returned to both (3 924 particles read of 3 923 written)
+    @example(nranks=16, seed=19597874, empty_fraction=0.375, target_kb=16)
     def test_write_read_conserves_particles(self, tmp_path_factory, nranks, seed, empty_fraction, target_kb):
         data = random_rank_data(nranks, seed, empty_fraction)
         out = tmp_path_factory.mktemp("prop")
