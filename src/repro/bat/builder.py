@@ -96,15 +96,12 @@ class BATBuildConfig:
     checksums: bool = True
     #: per-column codec spec (format v4). ``None`` (the default) keeps the
     #: version-3 raw-column layout byte-identical to previous builds.
-    #: ``"auto"`` samples each column at write time and picks the best
-    #: lossless codec above ``codec_floor_mbs``; a mapping assigns codecs per
-    #: column name (``"positions"``, ``"nodes"``, attribute names; ``"*"`` as
-    #: default, value ``"auto"`` to defer to sampling). Lossy ``quantize{b}``
-    #: codecs are only ever used when named explicitly here.
+    #: ``"auto"`` sizes a sample of each column at write time and picks the
+    #: smallest lossless codec; a mapping assigns codecs per column name
+    #: (``"positions"``, ``"nodes"``, attribute names; ``"*"`` as default,
+    #: value ``"auto"`` to defer to sampling). Lossy ``quantize{b}`` codecs
+    #: are only ever used when named explicitly here.
     codecs: object = None
-    #: nominal-throughput floor (MB/s) for auto codec selection; static per
-    #: codec, so the choice is deterministic across machines and executors
-    codec_floor_mbs: float = 50.0
 
     def __post_init__(self) -> None:
         if self.attribute_binning not in ("equiwidth", "equidepth"):
@@ -420,7 +417,7 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
         file_columns = {"nodes": all_nodes, "positions": pos_source}
         for name in attr_names:
             file_columns[name] = attrs_no[name]
-        codec_map = select_codecs(file_columns, config.codecs, config.codec_floor_mbs)
+        codec_map = select_codecs(file_columns, config.codecs)
         # Encode each whole-file column once, batched across treelets, so
         # per-treelet Python/struct overhead is amortized (the delta codec
         # shares one diff/zigzag pass over the entire column). Node records

@@ -28,18 +28,24 @@ write time. The registry ships four families:
     origin and scale travel in a 16-byte payload header so the two
     directory floats stay free for the bound.
 
-The integer ``delta`` path packs and unpacks bits through word-aligned
-uint64 kernels (:func:`_pack_bits_le` / :func:`_unpack_bits_le`) rather
-than materializing an ``n × width`` bit matrix; the wire format is
-byte-identical to the historical ``np.packbits(..., bitorder="little")``
-stream, so files written by earlier versions decode unchanged.
+The integer ``delta`` wire format is the historical
+``np.packbits(..., bitorder="little")`` stream of each value's low
+``width`` bits, so files written by earlier versions decode unchanged.
+:func:`_pack_bits_le` builds it from the values' little-endian bytes
+(``np.unpackbits`` → slice to ``width`` → ``np.packbits``);
+:func:`_unpack_bits_le` reads it back through word-aligned uint64 lanes.
 
-Codec *choice* must be deterministic: the same input bytes have to
-produce the same file no matter which executor built which leaf (the
-byte-identity invariant the whole write path is property-tested on).
-The write-time sampler therefore never measures wall-clock — each codec
-declares a nominal throughput, and :func:`select_codecs` filters on that
-static figure before comparing sampled ratios.
+``"auto"`` selection (:func:`select_codecs`) runs no encoder. On a
+deterministic strided sample of each column it computes the ``delta``
+size exactly — header plus ``(n - 1) * width`` bits, ``width`` being the
+bit length of the largest zigzag delta — and estimates the ``zlib`` size
+from the order-0 entropy of the sample's bytes, padded by
+:data:`ZLIB_ENTROPY_SLACK` and :data:`ZLIB_BLOCK_OVERHEAD` because plain
+entropy is optimistic on noisy floats. The smaller wins if it beats raw
+by :data:`RAW_MARGIN`. Codec choice must be a pure function of the
+column bytes: the same input has to produce the same file no matter
+which executor built which leaf (the byte-identity invariant the whole
+write path is property-tested on), so nothing here measures wall-clock.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,19 +79,17 @@ CODEC_DELTA = "delta"
 SAMPLE_ELEMENTS = 16384
 #: an encoder must beat raw by this factor on the sample to displace it
 RAW_MARGIN = 0.9
+#: the zlib size estimate is the sample's byte entropy times this ...
+ZLIB_ENTROPY_SLACK = 1.01
+#: ... plus this many bytes of Deflate block and stream overhead
+ZLIB_BLOCK_OVERHEAD = 64
 
 
 class Codec:
-    """One column codec: a name, a loss class, and encode/decode.
-
-    ``throughput_mbs`` is a *declared nominal* encode rate (MB/s), not a
-    measurement — the selector compares it against the configured floor so
-    codec choice stays deterministic across machines and executors.
-    """
+    """One column codec: a name, a loss class, and encode/decode."""
 
     name: str = "?"
     lossless: bool = True
-    throughput_mbs: float = 1000.0
 
     def can_encode(self, dtype: np.dtype) -> bool:
         raise NotImplementedError
@@ -94,15 +97,6 @@ class Codec:
     def encode(self, arr: np.ndarray) -> tuple[bytes, float, float]:
         """Return ``(payload, p0, p1)``; params land in the column directory."""
         raise NotImplementedError
-
-    def sample_nbytes(self, sample: np.ndarray) -> int:
-        """Encoded size of a selection sample, as cheaply as possible.
-
-        Only the *relative* size matters to :func:`select_codecs`, so codecs
-        with tunable effort (zlib) may estimate at a faster setting than
-        :meth:`encode` uses — as long as the estimate is deterministic.
-        """
-        return len(self.encode(sample)[0])
 
     def encode_segments(self, arr: np.ndarray, starts) -> list[tuple[bytes, float, float]]:
         """Encode ``arr[starts[i]:starts[i+1]]`` for every segment.
@@ -129,7 +123,6 @@ class Codec:
 class _RawCodec(Codec):
     name = CODEC_RAW
     lossless = True
-    throughput_mbs = 4000.0
 
     def can_encode(self, dtype):
         return True
@@ -144,7 +137,6 @@ class _RawCodec(Codec):
 class _ZlibCodec(Codec):
     name = CODEC_ZLIB
     lossless = True
-    throughput_mbs = 90.0
 
     # level 4 encodes float columns 3-4x faster than the old default of 6
     # for about a 1% ratio loss, and *decode* speed is level-independent —
@@ -157,11 +149,6 @@ class _ZlibCodec(Codec):
 
     def encode(self, arr):
         return zlib.compress(np.ascontiguousarray(arr).tobytes(), self.level), 0.0, 0.0
-
-    def sample_nbytes(self, sample):
-        # ratio probe only: level 1 tracks the real level's relative size
-        # closely and runs ~5x faster, keeping selection off the hot path
-        return len(zlib.compress(np.ascontiguousarray(sample).tobytes(), 1))
 
     def decode(self, buf, dtype, n_elems, p0, p1):
         # zlib accepts any buffer-protocol object: decompressing straight
@@ -179,48 +166,36 @@ class _ZlibCodec(Codec):
 # delta payload: u8 first-value bits | u1 bit width | packed zigzag deltas
 _DELTA_HEADER = struct.Struct("<QB")
 
-_U64_0 = np.uint64(0)
 _U64_1 = np.uint64(1)
 _U64_6 = np.uint64(6)
 _U64_63 = np.uint64(63)
-_U64_64 = np.uint64(64)
 
-
-def _or_scatter(words: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """OR each ``vals`` lane into ``words[idx]``; ``idx`` must be non-decreasing.
-
-    Runs of equal indices are collapsed with ``bitwise_or.reduceat`` so no
-    lane is lost to numpy's last-writer-wins fancy assignment.
-    """
-    if idx.size == 0:
-        return
-    run_starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
-    words[idx[run_starts]] |= np.bitwise_or.reduceat(vals, run_starts)
+#: values packed per ``_pack_bits_le`` step; a multiple of 8, so every
+#: step's bit stream ends on a byte boundary and the steps concatenate
+_PACK_CHUNK = 1 << 14
 
 
 def _pack_bits_le(zig: np.ndarray, width: int) -> bytes:
     """Pack each value's low ``width`` bits LSB-first into a byte stream.
 
     Byte-identical to ``np.packbits(bit_matrix, bitorder="little")`` over
-    the historical per-bit matrix, but runs on whole uint64 lanes: each
-    value lands at absolute bit offset ``i * width``, straddling at most
-    two little-endian words.
+    the historical ``n × width`` bit matrix, which is what it builds: the
+    values' little-endian bytes unpacked LSB-first give each value's bits
+    in order, and slicing to ``width`` columns drops the high ones. Done
+    :data:`_PACK_CHUNK` values at a time so the 64-byte-per-value bit
+    matrix stays small.
     """
     n = int(zig.size)
-    nbytes = (n * width + 7) // 8
-    if nbytes == 0:
+    if n == 0 or width == 0:
         return b""
-    nwords = (n * width + 63) // 64 + 1  # +1 pad word absorbs the last spill
-    words = np.zeros(nwords, dtype="<u8")
-    start = np.arange(n, dtype=np.uint64) * np.uint64(width)
-    wi = (start >> _U64_6).astype(np.int64)
-    sh = start & _U64_63
-    # a lane with sh == 0 fits one word; (64 - sh) & 63 dodges the
-    # undefined shift-by-64 for exactly those lanes, which np.where drops
-    inv = (_U64_64 - sh) & _U64_63
-    _or_scatter(words, wi, zig << sh)
-    _or_scatter(words, wi + 1, np.where(sh == _U64_0, _U64_0, zig >> inv))
-    return words.tobytes()[:nbytes]
+    lanes = np.ascontiguousarray(zig, dtype="<u8").view(np.uint8).reshape(n, 8)
+    return b"".join(
+        np.packbits(
+            np.unpackbits(lanes[i : i + _PACK_CHUNK], axis=1, bitorder="little")[:, :width],
+            bitorder="little",
+        ).tobytes()
+        for i in range(0, n, _PACK_CHUNK)
+    )
 
 
 def _unpack_bits_le(buf, offset: int, n: int, width: int) -> np.ndarray:
@@ -253,12 +228,24 @@ def _zigzag(vals: np.ndarray) -> np.ndarray:
         return ((deltas << 1) ^ (deltas >> 63)).view(np.uint64)
 
 
+def _bit_width(zig: np.ndarray) -> int:
+    """Bits needed for the largest zigzag delta (0 when there is none)."""
+    return int(zig.max()).bit_length() if zig.size else 0
+
+
+def _delta_nbytes(flat: np.ndarray) -> int:
+    """Exact size of the ``delta`` payload of integer array ``flat``."""
+    if flat.size == 0:
+        return _DELTA_HEADER.size
+    width = _bit_width(_zigzag(flat.astype(np.int64, copy=False)))
+    return _DELTA_HEADER.size + ((flat.size - 1) * width + 7) // 8
+
+
 class _DeltaBitpackCodec(Codec):
     """Delta + minimal-width bit-packing for integer columns."""
 
     name = CODEC_DELTA
     lossless = True
-    throughput_mbs = 600.0
 
     def can_encode(self, dtype):
         dtype = np.dtype(dtype)
@@ -267,7 +254,7 @@ class _DeltaBitpackCodec(Codec):
     @staticmethod
     def _pack_one(vals: np.ndarray, zig: np.ndarray) -> bytes:
         first = int(vals[0].view(np.uint64))
-        width = int(zig.max()).bit_length() if zig.size else 0
+        width = _bit_width(zig)
         header = _DELTA_HEADER.pack(first, width)
         if width == 0 or zig.size == 0:
             return header
@@ -340,7 +327,6 @@ class _QuantizeCodec(Codec):
     """Error-bounded lossy quantization onto a ``2**bits``-level grid."""
 
     lossless = False
-    throughput_mbs = 800.0
 
     def __init__(self, bits: int):
         if not 1 <= bits <= 32:
@@ -407,7 +393,6 @@ class _QuantizeAutoCodec(Codec):
 
     name = "qauto"
     lossless = False
-    throughput_mbs = 800.0
 
     def __init__(self, bound: float | None = None):
         if bound is not None and not (float(bound) > 0.0):
@@ -544,7 +529,13 @@ def decode_column(codec_name: str, buf, dtype, n_elems: int, p0: float, p1: floa
 
 
 def _sample(arr: np.ndarray) -> np.ndarray:
-    """A deterministic strided sample of up to SAMPLE_ELEMENTS elements."""
+    """A deterministic strided sample of up to SAMPLE_ELEMENTS elements.
+
+    The stride runs over the raveled column, so on a row-major ``(n, 3)``
+    block whose size is ``3 * SAMPLE_ELEMENTS`` to ``4 * SAMPLE_ELEMENTS - 1``
+    (a 20 000-point position block: stride 3) every sampled element is an
+    ``x``.
+    """
     flat = np.ascontiguousarray(arr).ravel()
     if flat.size <= SAMPLE_ELEMENTS:
         return flat
@@ -552,23 +543,33 @@ def _sample(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(flat[:: stride][:SAMPLE_ELEMENTS])
 
 
-def _auto_pick(arr: np.ndarray, floor_mbs: float) -> str:
-    """The best *lossless* codec for one column, by sampled ratio.
+def _zlib_nbytes_estimate(sample: np.ndarray) -> float:
+    """``zlib`` payload size of ``sample`` from its order-0 byte entropy."""
+    octets = sample.reshape(-1).view(np.uint8)
+    counts = np.bincount(octets)
+    counts = counts[counts > 0].astype(np.float64)
+    entropy_bytes = -float(np.sum(counts * np.log2(counts / octets.size))) / 8.0
+    return entropy_bytes * ZLIB_ENTROPY_SLACK + ZLIB_BLOCK_OVERHEAD
 
-    Candidates below the throughput floor are never considered; a winner
-    must beat raw by :data:`RAW_MARGIN` on the sample or raw is kept.
-    Fully deterministic: strided sample, declared throughputs, fixed order.
+
+def _auto_pick(arr: np.ndarray) -> str:
+    """The best *lossless* codec for one column, sized on its sample.
+
+    ``delta`` (integer columns) is sized exactly and ``zlib`` estimated; no
+    encoder runs. Candidates are tried in a fixed order (``delta``, then
+    ``zlib``; a tie keeps the earlier), and a winner must beat raw by
+    :data:`RAW_MARGIN` on the sample or raw is kept.
     """
     sample = _sample(arr)
     raw_nbytes = sample.nbytes
     if raw_nbytes == 0:
         return CODEC_RAW
     best_name, best_nbytes = CODEC_RAW, raw_nbytes
-    for name in (CODEC_DELTA, CODEC_ZLIB):
-        codec = _REGISTRY[name]
-        if codec.throughput_mbs < floor_mbs or not codec.can_encode(sample.dtype):
-            continue
-        nbytes = codec.sample_nbytes(sample)
+    candidates = [(CODEC_ZLIB, _zlib_nbytes_estimate)]
+    if _REGISTRY[CODEC_DELTA].can_encode(sample.dtype):
+        candidates.insert(0, (CODEC_DELTA, _delta_nbytes))
+    for name, size_of in candidates:
+        nbytes = size_of(sample)
         if nbytes < best_nbytes:
             best_name, best_nbytes = name, nbytes
     if best_name != CODEC_RAW and best_nbytes > RAW_MARGIN * raw_nbytes:
@@ -576,18 +577,14 @@ def _auto_pick(arr: np.ndarray, floor_mbs: float) -> str:
     return best_name
 
 
-def select_codecs(
-    columns: dict[str, np.ndarray],
-    spec,
-    floor_mbs: float = 50.0,
-) -> dict[str, str]:
+def select_codecs(columns: dict[str, np.ndarray], spec) -> dict[str, str]:
     """Resolve a codec spec to one concrete codec name per column.
 
-    ``spec`` is either the string ``"auto"`` (sample every column, pick the
-    best lossless codec above the throughput floor) or a mapping of column
-    name to codec name, where the value ``"auto"`` defers to sampling and
-    the key ``"*"`` provides a default for unnamed columns. Columns a
-    mapping leaves completely unspecified stay ``raw``.
+    ``spec`` is either the string ``"auto"`` (size every column's sample,
+    pick the smallest lossless codec) or a mapping of column name to codec
+    name, where the value ``"auto"`` defers to sampling and the key ``"*"``
+    provides a default for unnamed columns. Columns a mapping leaves
+    completely unspecified stay ``raw``.
     """
     if isinstance(spec, str):
         if spec != "auto":
@@ -605,7 +602,7 @@ def select_codecs(
     for name, arr in columns.items():
         choice = mapping[name]
         if choice == "auto":
-            resolved[name] = _auto_pick(arr, floor_mbs)
+            resolved[name] = _auto_pick(arr)
         else:
             codec = get_codec(choice)
             if not codec.can_encode(arr.dtype):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.bat.codecs import (
     _DELTA_HEADER,
+    _PACK_CHUNK,
     _pack_bits_le,
     _unpack_bits_le,
     _zigzag,
@@ -71,6 +72,17 @@ class TestPackKernels:
         np.testing.assert_array_equal(
             _unpack_bits_le(packed, 0, zig.size, width), zig
         )
+
+    @pytest.mark.parametrize("width", [1, 7, 13, 64])
+    def test_packed_chunks_concatenate(self, width):
+        """Past one ``_PACK_CHUNK`` the per-chunk streams join seamlessly."""
+        rng = np.random.default_rng(width)
+        zig = masked(
+            rng.integers(0, 2**64, 2 * _PACK_CHUNK + 5, dtype=np.uint64).tolist(), width
+        )
+        packed = _pack_bits_le(zig, width)
+        assert packed == reference_pack(zig, width)
+        np.testing.assert_array_equal(_unpack_bits_le(packed, 0, zig.size, width), zig)
 
     def test_empty_and_width_zero(self):
         assert _pack_bits_le(np.zeros(0, dtype=np.uint64), 7) == b""

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.bat import AttributeFilter, BATBuildConfig, BATFile, build_bat
 from repro.bat.codecs import (
+    RAW_MARGIN,
+    ZLIB_BLOCK_OVERHEAD,
+    _auto_pick,
+    _delta_nbytes,
+    _sample,
     available_codecs,
     decode_column,
     encode_column,
@@ -18,6 +23,8 @@ from repro.bat.format import CODEC_VERSION, LEGACY_VERSION, VERSION
 from repro.bat.query import query_file
 from repro.errors import CodecError, ReproError
 from repro.types import Box, ParticleBatch
+from repro.workloads import compressible_rank_data
+from tests.reference_codec_select import auto_pick_probe, probe_nbytes
 
 
 # -- registry ---------------------------------------------------------------
@@ -144,6 +151,128 @@ def test_select_codecs_explicit_mapping_with_default():
     cols = {"a": np.arange(64, dtype=np.int64), "b": np.arange(64, dtype=np.int64)}
     chosen = select_codecs(cols, {"*": "raw", "a": "zlib"})
     assert chosen == {"a": "zlib", "b": "raw"}
+
+
+# -- selection without trial encodes ----------------------------------------
+
+_ALL_INT_DTYPES = ["i1", "u1", "i2", "u2", "i4", "u4", "i8", "u8"]
+
+
+def _extremes(dtype) -> list:
+    info = np.iinfo(dtype)
+    return [info.min, info.max, 0, info.max, info.min, 1, info.min]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_ALL_INT_DTYPES).flatmap(
+        lambda dt: hnp.arrays(dtype=np.dtype(dt), shape=st.integers(0, 300))
+    )
+)
+@example(np.zeros(0, dtype=np.uint64))
+@example(np.array([7], dtype=np.int8))
+@example(np.array([2**64 - 1, 0], dtype=np.uint64))
+@example(np.array([-(2**63), 2**63 - 1], dtype=np.int64))
+def test_delta_size_formula_is_the_encoded_size(arr):
+    assert _delta_nbytes(arr) == len(get_codec("delta").encode(arr)[0])
+
+
+@pytest.mark.parametrize("dtype", _ALL_INT_DTYPES)
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_delta_size_formula_at_dtype_extremes(dtype, n):
+    """Extreme values wrap their int64 deltas; every prefix length is exact."""
+    arr = np.array(_extremes(dtype)[:n], dtype=dtype)
+    assert _delta_nbytes(arr) == len(get_codec("delta").encode(arr)[0])
+
+
+def _compressible_file_columns(monkeypatch, seed: int) -> list[dict]:
+    """The whole-file columns ``build_bat`` hands to selection, per leaf."""
+    import repro.bat.builder as builder
+
+    seen: list[dict] = []
+
+    def record(columns, spec):
+        seen.append(dict(columns))
+        return select_codecs(columns, spec)
+
+    monkeypatch.setattr(builder, "select_codecs", record)
+    # the benchmark's D_main geometry: 32 ranks of 20 000 particles, one
+    # rank per leaf, so the position block is sampled at stride 3 and the
+    # attribute columns at stride 1
+    batches = compressible_rank_data(32, 20_000, seed=seed).batches
+    for rank in (0, 9, 22, 31):
+        build_bat(batches[rank], BATBuildConfig(codecs="auto"))
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_picks_equal_the_trial_encode_reference_on_compressible_leaves(monkeypatch, seed):
+    files = _compressible_file_columns(monkeypatch, seed)
+    assert len(files) == 4
+    for columns in files:
+        for name, arr in columns.items():
+            assert _auto_pick(arr) == auto_pick_probe(arr), name
+
+
+def test_compressible_codec_table_is_pinned():
+    """The table ``compressible_rank_data`` was built to produce."""
+    batch = compressible_rank_data(32, 20_000, seed=0).batches[5]
+    built = build_bat(batch, BATBuildConfig(codecs="auto"))
+    assert built.codec_table == {
+        "nodes": "zlib",
+        "positions": "zlib",
+        "temp": "zlib",
+        "id": "delta",
+        "species": "delta",
+        "rho": "raw",
+    }
+
+
+#: how far apart, by the reference's own probe, two picks may be when the
+#: estimate and the probe disagree on an i.i.d. random column (raw counts
+#: as ``RAW_MARGIN * raw``, the size it must be beaten by); on columns of a
+#: few hundred bytes the estimate's fixed block overhead decides instead
+NEAR_TIE = 0.02
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40_000),
+    kind=st.sampled_from(["int", "float", "grid"]),
+    dtype_ix=st.integers(0, 7),
+    bits=st.integers(1, 63),
+    exp=st.integers(-3, 6),
+)
+def test_disagreements_with_the_reference_are_near_ties(seed, n, kind, dtype_ix, bits, exp):
+    """On i.i.d. columns the estimate only differs where the probe was a coin toss.
+
+    Random integers of a random bit range (any dtype, wrapping), uniform
+    floats of a random scale and offset, and floats on a power-of-two grid.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "int":
+        offset = rng.integers(0, 2**63, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            words = rng.integers(0, 2**bits, n, dtype=np.uint64) + offset
+        col = words.astype(_ALL_INT_DTYPES[dtype_ix])
+    else:
+        ftype = np.float32 if dtype_ix % 2 else np.float64
+        if kind == "float":
+            col = rng.random(n) * 10.0**exp + rng.normal() * 10.0 ** (exp - dtype_ix)
+        else:
+            col = np.floor(rng.random(n) * 2.0 ** (bits % 24 + 1)) / 2.0 ** (exp + 3)
+        col = col.astype(ftype)
+    new, ref = _auto_pick(col), auto_pick_probe(col)
+    if new == ref:
+        return
+    sample = _sample(col)
+
+    def measured(name):
+        return RAW_MARGIN * sample.nbytes if name == "raw" else probe_nbytes(name, sample)
+
+    slack = NEAR_TIE * measured(ref) + ZLIB_BLOCK_OVERHEAD
+    assert measured(new) <= measured(ref) + slack, (new, ref)
 
 
 # -- file-level behavior ----------------------------------------------------
