@@ -62,14 +62,14 @@ class Request:
     machinery: sequence fields are frozen to tuples, the error policy is
     checked, and then the subclass's :meth:`_validate` hook runs. Every
     request is therefore hashable and comparable the moment it exists,
-    so request objects key the plan/result/collapse caches directly, and
+    so request objects key the plan and result caches directly, and
     an invalid request fails at construction with an
     :class:`~repro.errors.InvalidRequestError` naming the offending
     field — never deep inside a traversal.
 
     ``family`` is the wire-format discriminator used by
     :func:`request_to_doc` / :func:`request_from_doc`; the serve tier's
-    cache and collapse keys hold the request object itself.
+    cache and single-flight keys hold the request object itself.
     """
 
     filters: tuple = ()
@@ -411,8 +411,8 @@ class StreamIncrement:
     stream's increments by them reproduces the direct synchronous
     emission order byte for byte (see :func:`reassemble_stream`).
     ``order=None`` marks a pre-ordered increment — e.g. a one-shot
-    synchronous result re-published as a single increment by the serve
-    layer's request collapser.
+    synchronous result (a result-cache hit, or an identical in-flight
+    window's) pushed to a stream as a single increment by the serve layer.
 
     ``stats`` is the stream's *cumulative* work-counter object: every
     increment of one stream carries the same live

@@ -57,6 +57,9 @@ from .treelet import build_forest, propagate_bitmaps_bottom_up
 
 __all__ = ["BATBuildConfig", "BuiltBAT", "build_bat"]
 
+#: particles per shallow leaf the adaptive subprefix aims for
+TARGET_TREELET_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class BATBuildConfig:
@@ -67,7 +70,7 @@ class BATBuildConfig:
     per treelet leaf, 21-bit Morton quantization.
 
     ``subprefix_bits=None`` (the default) adapts the subprefix to the input
-    size so each shallow leaf receives about ``target_treelet_points``
+    size so each shallow leaf receives about ``TARGET_TREELET_POINTS``
     particles, capped at the paper's 12 bits — the paper evaluated
     aggregators holding millions of particles, where 12 bits "provides
     satisfactory results"; a fixed 12 bits on a small input would shatter
@@ -78,7 +81,6 @@ class BATBuildConfig:
     lod_per_node: int = 8
     max_leaf_points: int = 128
     morton_bits: int = MAX_BITS
-    target_treelet_points: int = 4096
     #: "equiwidth" (the paper's scheme) or "equidepth" (quantile bins — the
     #: §VII extension for skewed attributes)
     attribute_binning: str = "equiwidth"
@@ -111,8 +113,6 @@ class BATBuildConfig:
                 raise ValueError("subprefix_bits must be in [3, 3*morton_bits]")
             if self.subprefix_bits % 3 != 0:
                 raise ValueError("subprefix_bits must be a multiple of 3")
-        if self.target_treelet_points < 1:
-            raise ValueError("target_treelet_points must be >= 1")
         if self.lod_per_node < 1 or self.max_leaf_points < 1:
             raise ValueError("lod_per_node and max_leaf_points must be >= 1")
         if not 1 <= self.morton_bits <= MAX_BITS:
@@ -131,7 +131,7 @@ class BATBuildConfig:
             return self.subprefix_bits
         import math
 
-        ratio = max(n_points / self.target_treelet_points, 1.0)
+        ratio = max(n_points / TARGET_TREELET_POINTS, 1.0)
         levels = math.ceil(math.log2(ratio) / 3.0) if ratio > 1.0 else 1
         return int(min(max(3 * levels, 3), DEFAULT_SUBPREFIX_BITS, 3 * self.morton_bits))
 

@@ -21,10 +21,15 @@ handle has this tier attached, its treelet views do *not* memoize
 decoded columns themselves: retention lives here, which is what makes
 the byte budget an actual bound on decoded memory.
 
+**Single-flight.** What concurrent reads of any windows duplicate is a
+treelet column, and this key names it: a miss that :meth:`load` finds
+already being decoded (or built) waits for that load instead of
+repeating it. The hit path is :meth:`get` alone.
+
 The budget is in *decoded* bytes (``arr.nbytes``), not encoded bytes:
 that is what the cache actually pins in memory. Eviction is strict LRU.
 All operations take one re-entrant lock so the serve layer's scheduler
-workers can share a single instance.
+workers can share a single instance; loaders run outside it.
 """
 
 from __future__ import annotations
@@ -34,10 +39,30 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["DecodedColumnCache", "DEFAULT_COLUMN_CACHE_BYTES"]
+__all__ = ["DecodedColumnCache", "DEFAULT_COLUMN_CACHE_BYTES", "Flight"]
 
 #: default byte budget (64 MiB) when a caller enables the tier without sizing it
 DEFAULT_COLUMN_CACHE_BYTES = 64 * 1024 * 1024
+
+
+class Flight:
+    """A load in progress; waiters block on ``done``, then read ``value``.
+    The first waiter makes ``done``: a load nobody waits for costs no event."""
+
+    __slots__ = ("key", "done", "value", "waiters")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.done = None
+        self.value = None
+        self.waiters = 0
+
+    def wait(self):
+        """Register a waiter (owner's lock held); returns the event to wait on."""
+        if self.done is None:
+            self.done = threading.Event()
+        self.waiters += 1
+        return self.done
 
 
 class DecodedColumnCache:
@@ -58,10 +83,14 @@ class DecodedColumnCache:
         self.budget_bytes = budget_bytes
         self._lock = threading.RLock()
         self._entries: OrderedDict[tuple[str, int, int], np.ndarray] = OrderedDict()
+        #: key -> the load running for it (see :meth:`load`)
+        self._inflight: dict[tuple[str, int, int], Flight] = {}
         self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: misses served by another thread's load of the same key
+        self.joins = 0
 
     # -- core --------------------------------------------------------------
 
@@ -77,6 +106,42 @@ class DecodedColumnCache:
             self.hits += 1
             return arr
 
+    def load(self, path: str, treelet: int, column: int, loader):
+        """The miss path of :meth:`get`: ``loader()``, run once per key.
+
+        A miss on a key already loading waits and returns that load's
+        array (even one over budget), re-counted as a join, so ``misses``
+        counts loads. If a loader raises, each of its waiters runs
+        ``loader`` itself. A load :meth:`invalidate` overtook answers its
+        waiters but is not cached.
+        """
+        key = (str(path), int(treelet), int(column))
+        with self._lock:
+            arr = self._entries.get(key)
+            waited = self._inflight.get(key)
+            if arr is not None or waited is not None:
+                self.misses -= 1
+                self.joins += 1
+                if arr is not None:
+                    return arr
+                done = waited.wait()
+            else:
+                flight = self._inflight[key] = Flight(key)
+        if waited is not None:
+            done.wait()
+            return loader() if waited.value is None else waited.value
+        try:
+            flight.value = loader()
+        finally:
+            with self._lock:
+                if self._inflight.get(key) is flight:
+                    del self._inflight[key]
+                    if flight.value is not None:
+                        self._insert(key, flight.value)
+            if flight.done is not None:  # no waiter can join once it left _inflight
+                flight.done.set()
+        return flight.value
+
     def put(self, path: str, treelet: int, column: int, arr: np.ndarray) -> None:
         """Insert one decoded column, evicting LRU entries over budget.
 
@@ -84,20 +149,22 @@ class DecodedColumnCache:
         admitting one would immediately evict everything else for a single
         entry that can never be amortized.
         """
-        key = (str(path), int(treelet), int(column))
-        nbytes = int(arr.nbytes)
         with self._lock:
-            if nbytes > self.budget_bytes:
-                return
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= int(old.nbytes)
-            self._entries[key] = arr
-            self._bytes += nbytes
-            while self._bytes > self.budget_bytes and self._entries:
-                _, victim = self._entries.popitem(last=False)
-                self._bytes -= int(victim.nbytes)
-                self.evictions += 1
+            self._insert((str(path), int(treelet), int(column)), arr)
+
+    def _insert(self, key: tuple, arr: np.ndarray) -> None:
+        nbytes = int(arr.nbytes)
+        if nbytes > self.budget_bytes:
+            return
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes -= int(old.nbytes)
+        self._entries[key] = arr
+        self._bytes += nbytes
+        while self._bytes > self.budget_bytes and self._entries:
+            _, victim = self._entries.popitem(last=False)
+            self._bytes -= int(victim.nbytes)
+            self.evictions += 1
 
     def peek(self, path: str, treelet: int, column: int):
         """Like :meth:`get` but touches neither counters nor LRU order."""
@@ -107,18 +174,19 @@ class DecodedColumnCache:
     # -- invalidation ------------------------------------------------------
 
     def invalidate(self, path: str) -> int:
-        """Drop every entry belonging to ``path``; returns entries removed."""
+        """Drop every entry belonging to ``path``; returns entries removed.
+
+        Loads of ``path`` in flight are forgotten too: they finish for
+        their own waiters, and the next miss starts a fresh load.
+        """
         path = str(path)
         with self._lock:
+            for k in [k for k in self._inflight if k[0] == path]:
+                del self._inflight[k]
             doomed = [k for k in self._entries if k[0] == path]
             for k in doomed:
                 self._bytes -= int(self._entries.pop(k).nbytes)
             return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -136,6 +204,7 @@ class DecodedColumnCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
+                "joins": self.joins,
                 "evictions": self.evictions,
                 "entries": len(self._entries),
                 "bytes": self._bytes,

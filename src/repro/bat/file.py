@@ -691,16 +691,25 @@ class BATFile:
 
         Consults the attached :class:`DecodedColumnCache` first; a hit
         skips the codec (and ``transform``) entirely and does *not* count
-        toward ``decoded_bytes`` (the counter measures real decode work).
+        toward ``decoded_bytes`` (the counter measures real decode work),
+        and a miss joins a decode of the same column already running.
         ``transform`` post-processes the raw codec output — the position
         slot uses it to reshape/dequantize — and the cache stores the
         *transformed* product, so hits skip that work too.
         """
         cache = self.column_cache
-        if cache is not None:
-            arr = cache.get(self.cache_key, leaf, idx)
-            if arr is not None:
-                return arr
+        if cache is None:
+            return self._decode_slot(leaf, col_dir, starts, idx, dtype, count, transform)
+        arr = cache.get(self.cache_key, leaf, idx)
+        if arr is not None:
+            return arr
+        return cache.load(
+            self.cache_key, leaf, idx,
+            lambda: self._decode_slot(leaf, col_dir, starts, idx, dtype, count, transform),
+        )
+
+    def _decode_slot(self, leaf, col_dir, starts, idx, dtype, count, transform):
+        """Run the codec (and ``transform``) on one treelet column slot."""
         d = col_dir[idx]
         codec_name = bytes(d["codec"]).rstrip(b"\0").decode()
         buf = self._buf[int(starts[idx]) : int(starts[idx + 1])]
@@ -715,32 +724,33 @@ class BATFile:
             self.decoded_bytes += arr.nbytes
         if transform is not None:
             arr = transform(arr)
-        if cache is not None:
-            cache.put(self.cache_key, leaf, idx, arr)
         return arr
 
     def _walk_table(self, leaf: int) -> np.ndarray:
         """The walk table of one treelet, built on first use.
 
         A resident of the decoded-column tier like any column (same key,
-        its own slot), so the byte budget bounds it and whatever retires
-        the handle's columns retires it; not codec work, so it never
-        counts toward ``decoded_bytes``.
+        its own slot, the same single-flight), so the byte budget bounds
+        it and whatever retires the handle's columns retires it; not
+        codec work, so it never counts toward ``decoded_bytes``.
         """
         cache = self.column_cache
-        if cache is not None:
-            table = cache.get(self.cache_key, leaf, WALK_TABLE_SLOT)
-            if table is not None:
-                return table
-        table = build_walk_table(
+        if cache is None:
+            return self._build_walk_table(leaf)
+        table = cache.get(self.cache_key, leaf, WALK_TABLE_SLOT)
+        if table is not None:
+            return table
+        return cache.load(
+            self.cache_key, leaf, WALK_TABLE_SLOT, lambda: self._build_walk_table(leaf)
+        )
+
+    def _build_walk_table(self, leaf: int) -> np.ndarray:
+        return build_walk_table(
             self._treelet_cache[leaf].nodes,
             np.asarray(self.shallow_leaves[leaf]["bbox"], dtype=np.float64),
             self.dictionary,
             self.max_treelet_depth + 2,
         )
-        if cache is not None:
-            cache.put(self.cache_key, leaf, WALK_TABLE_SLOT, table)
-        return table
 
     def treelet(self, leaf: int) -> TreeletView:
         """Map (or decompress/decode) the treelet of shallow leaf ``leaf``.

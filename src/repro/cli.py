@@ -192,7 +192,6 @@ def _cmd_serve(args) -> int:
     config = ServeConfig(
         capacity=args.capacity,
         max_queued=args.max_queued,
-        collapse=not args.no_collapse,
         degradation=DegradationConfig(enabled=not args.no_degradation),
     )
     concurrency = args.concurrency or 2 * args.capacity
@@ -236,16 +235,16 @@ def _cmd_serve(args) -> int:
         f"{load.throughput_rps:.1f} req/s, p50 {lat['p50']:.2f} ms, "
         f"p99 {lat['p99']:.2f} ms, {load.rejected} rejected, "
         f"{snapshot['requests']['degraded']} degraded, "
+        f"{snapshot['caches']['collapse']['collapsed_hits']} result joins, "
+        f"{snapshot['caches']['decoded_columns']['joins']} decode joins, "
         f"{checked} responses byte-verified"
     )
     if args.stream:
         streaming = snapshot["streaming"]
-        collapse = snapshot["caches"]["collapse"]
         print(
             f"  streaming: {streaming['increments']} increments, "
             f"ttfi p50 {streaming['ttfi_ms']['p50']:.2f} ms, "
-            f"{streaming['shed']} shed; collapse hit rate "
-            f"{collapse['hit_rate']:.1%} ({collapse['saved_points']} points shared)"
+            f"{streaming['shed']} shed"
         )
     if args.shards:
         shards = snapshot["shards"]
@@ -482,9 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--sessions for that)")
     serve.add_argument("--hot-views", type=int, default=0, metavar="N",
                        help="pile sessions onto N shared views (exercises "
-                            "request collapsing; 0 = independent traces)")
-    serve.add_argument("--no-collapse", action="store_true",
-                       help="disable in-flight request collapsing")
+                            "the single-flight caches; 0 = independent traces)")
     serve.add_argument("--arrival", choices=("closed", "open"), default="closed",
                        help="closed: each client waits for its response; open: "
                             "Poisson arrivals at --rate-hz")

@@ -66,7 +66,7 @@ class DatasetMetadata:
     attr_dtypes: dict[str, str] = field(default_factory=dict)
     #: layout generation counter, bumped by every online reorganization
     #: republish. Caches that derive anything from the *leaf set* (plans,
-    #: results, in-flight collapse) key on it so entries built against a
+    #: results, in-flight windows) key on it so entries built against a
     #: pre-reorg layout are never served afterwards. Write-time manifests
     #: start at 0; older manifests without the field load as 0.
     generation: int = 0

@@ -68,36 +68,42 @@ class ReorgError(RuntimeError):
     """A reorganization could not be applied safely; nothing was published."""
 
 
+#: how many distinct hot boxes one pass may carve along
+MAX_HOT_BOXES = 4
+
+#: cap on points per carved hot file (larger hot regions chunk)
+MAX_HOT_FILE_POINTS = 1 << 18
+
+#: merged cold files (and carve remainder slabs) stop growing here
+MERGE_MAX_POINTS = 1 << 18
+
+#: a column is "hot" when touched in at least this fraction of queries
+HOT_COLUMN_FRACTION = 0.5
+
+#: codecs of rewritten files' frequently read (decode-cheap) and rarely
+#: read (size-cheap) columns
+HOT_CODEC = "raw"
+COLD_CODEC = "zlib"
+
+
 @dataclass(frozen=True)
 class ReorgConfig:
-    """Thresholds and rewrite policy of one reorganization pass."""
+    """Thresholds and rewrite policy of one reorganization pass; values
+    no caller tunes are the module constants above."""
 
     #: do nothing until at least this many queries back the evidence
     min_queries: int = 8
     #: a recurring box becomes carve evidence at this many observations
     min_box_queries: int = 4
-    #: how many distinct hot boxes one pass may carve along
-    max_hot_boxes: int = 4
     #: carve only leaves with at least this many points (tiny leaves are
     #: cheap to read whole; splitting them just multiplies files)
     carve_min_points: int = 512
-    #: cap on points per carved hot file (larger hot regions chunk)
-    max_hot_file_points: int = 1 << 18
     #: a leaf is "cold" when its opens fall at or below this fraction of
     #: the step's most-opened leaf
     cold_open_fraction: float = 0.25
-    #: merged cold files stop growing at this many points
-    merge_max_points: int = 1 << 18
-    #: rewrite hot leaves' column codecs by access frequency
-    recodec: bool = True
-    #: a column is "hot" when touched in at least this fraction of queries
-    hot_column_fraction: float = 0.5
-    #: codec for frequently-read columns (decode-cheap)
-    hot_codec: str = "raw"
-    #: codec for rarely-read columns (size-cheap)
-    cold_codec: str = "zlib"
     #: per-column codec policy of rewritten files: None keeps v3 raw
-    #: columns, "auto" samples, or the frequency-driven mapping above
+    #: columns; otherwise column-access evidence picks ``HOT_CODEC`` /
+    #: ``COLD_CODEC`` per column, and without evidence "auto" samples
     codecs: str | None = "auto"
     #: re-read every rewritten file and verify its particle multiset is
     #: byte-identical to the source leaves before publishing the manifest
@@ -223,7 +229,7 @@ def plan_reorg(
         if lo is not None and int(n) >= config.min_box_queries
     ]
     boxes.sort(key=lambda bn: -bn[1])
-    for box, n in boxes[: config.max_hot_boxes]:
+    for box, n in boxes[:MAX_HOT_BOXES]:
         carve = []
         for i, leaf in enumerate(metadata.leaves):
             if i in claimed or opens[i] == 0:
@@ -267,7 +273,7 @@ def plan_reorg(
     group_points = 0
     for i in cold:
         count = metadata.leaves[i].count
-        if group and group_points + count > config.merge_max_points:
+        if group and group_points + count > MERGE_MAX_POINTS:
             if len(group) >= 2:
                 claimed.update(group)
                 actions.append(
@@ -291,29 +297,28 @@ def plan_reorg(
         )
 
     # recodec the remaining hot leaves when column access is skewed
-    if config.recodec:
-        col_touches = tele.get("columns", {})
-        if col_touches:
-            hot_cols = {
-                name
-                for name, n in col_touches.items()
-                if n >= config.hot_column_fraction * max(n_queries, 1)
-            }
-            all_cols = set(metadata.attr_dtypes) | {"positions"}
-            if hot_cols and hot_cols != all_cols:
-                for i in range(len(metadata.leaves)):
-                    if i not in claimed and opens[i] > cold_cut:
-                        actions.append(
-                            ReorgAction(
-                                kind="recodec",
-                                leaf_indices=(i,),
-                                reason=(
-                                    f"hot columns {sorted(hot_cols)} of "
-                                    f"{sorted(all_cols)}"
-                                ),
-                            )
+    col_touches = tele.get("columns", {})
+    if col_touches:
+        hot_cols = {
+            name
+            for name, n in col_touches.items()
+            if n >= HOT_COLUMN_FRACTION * max(n_queries, 1)
+        }
+        all_cols = set(metadata.attr_dtypes) | {"positions"}
+        if hot_cols and hot_cols != all_cols:
+            for i in range(len(metadata.leaves)):
+                if i not in claimed and opens[i] > cold_cut:
+                    actions.append(
+                        ReorgAction(
+                            kind="recodec",
+                            leaf_indices=(i,),
+                            reason=(
+                                f"hot columns {sorted(hot_cols)} of "
+                                f"{sorted(all_cols)}"
+                            ),
                         )
-                        claimed.add(i)
+                    )
+                    claimed.add(i)
     return actions
 
 
@@ -340,19 +345,19 @@ def _codec_map(
     config: ReorgConfig, hot_cols: set[str] | None, file_cols: set[str]
 ):
     """The per-column codec spec for rewritten files."""
-    if hot_cols is None or not config.recodec or config.codecs is None:
+    if hot_cols is None or config.codecs is None:
         # no frequency evidence (or v3 output requested): keep the
         # configured policy as-is
         return config.codecs
     # tree node records decode on every open regardless of the query:
     # always decode-cheap; everything unobserved defaults size-cheap
-    spec: dict[str, str] = {"*": config.cold_codec, "nodes": config.hot_codec}
+    spec: dict[str, str] = {"*": COLD_CODEC, "nodes": HOT_CODEC}
     for name in hot_cols & file_cols:
-        spec[name] = config.hot_codec
+        spec[name] = HOT_CODEC
     return spec
 
 
-def _hot_columns(tele: dict, config: ReorgConfig) -> set[str] | None:
+def _hot_columns(tele: dict) -> set[str] | None:
     col_touches = tele.get("columns", {})
     n_queries = sum(n for _, _, n in tele.get("boxes", []))
     if not col_touches or not n_queries:
@@ -360,7 +365,7 @@ def _hot_columns(tele: dict, config: ReorgConfig) -> set[str] | None:
     return {
         name
         for name, n in col_touches.items()
-        if n >= config.hot_column_fraction * n_queries
+        if n >= HOT_COLUMN_FRACTION * n_queries
     }
 
 
@@ -448,7 +453,7 @@ def apply_reorg(
 
     new_gen = metadata.generation + 1
     stem = manifest_path.name.split(".")[0] or "reorg"
-    hot_cols = _hot_columns(_step_telemetry(telemetry, step), config)
+    hot_cols = _hot_columns(_step_telemetry(telemetry, step))
     attr_order = list(metadata.attr_dtypes)
     seen: set[int] = set()
     for action in actions:
@@ -462,11 +467,7 @@ def apply_reorg(
     # physical column reorder is only safe when every leaf is rewritten:
     # result attribute order follows file order, and one dataset must not
     # mix orders across files (batch concatenation requires agreement)
-    reorder_all = (
-        config.recodec
-        and hot_cols is not None
-        and len(seen) == len(metadata.leaves)
-    )
+    reorder_all = hot_cols is not None and len(seen) == len(metadata.leaves)
     if reorder_all:
         attr_order = sorted(
             metadata.attr_dtypes,
@@ -500,7 +501,7 @@ def apply_reorg(
             pieces = []
             if mask.any():
                 pieces += _chunk(
-                    _subset(merged, mask), config.max_hot_file_points
+                    _subset(merged, mask), MAX_HOT_FILE_POINTS
                 )
             # the remainder is decomposed into axis-aligned complement
             # slabs: each slab lies strictly outside the hot box on its
@@ -511,9 +512,9 @@ def apply_reorg(
                 for slab in _complement_slabs(
                     _subset(merged, ~mask), action.hot_box
                 ):
-                    pieces += _chunk(slab, config.merge_max_points)
+                    pieces += _chunk(slab, MERGE_MAX_POINTS)
         elif action.kind == "merge":
-            pieces = _chunk(merged, config.merge_max_points)
+            pieces = _chunk(merged, MERGE_MAX_POINTS)
         elif action.kind == "recodec":
             pieces = [merged]
         else:

@@ -5,10 +5,10 @@ budget*; this package supplies the machinery that makes that promise hold
 for many simultaneous clients instead of one: a bounded priority
 scheduler with admission control (:mod:`~repro.serve.scheduler`),
 adaptive quality degradation under load (:mod:`~repro.serve.degrade`), a
-shared TTL+LRU result cache above the plan cache
-(:mod:`~repro.serve.cache`), pre-completion request collapsing of
-overlapping in-flight decodes (:mod:`~repro.serve.collapse`), streamed
-per-rung delivery with bounded-outbox backpressure
+shared TTL+LRU result cache above the plan cache whose single-flight
+hands an executing window's result to identical requests that arrive
+meanwhile (:mod:`~repro.serve.cache`; the decoded-column cache does the
+same per treelet column), streamed per-rung delivery with bounded-outbox backpressure
 (:mod:`~repro.serve.streaming`), and a windowed JSON metrics surface
 (:mod:`~repro.serve.metrics`). :class:`~repro.serve.service.QueryService`
 ties them together, and :mod:`repro.serve.aio` fronts it with a single
@@ -28,7 +28,6 @@ durable batch queue over either one's stateless ``execute``.
 
 from .aio import AsyncQueryService, AsyncStream
 from .cache import ResultCache
-from .collapse import CollapseAbandoned, FollowSpec, InflightTable
 from .degrade import DegradationConfig, DegradationPolicy
 from .hashing import HashRing, assign_leaves, region_key
 from .jobs import JobConfig, JobRunner, JobStore, make_sweep
@@ -70,12 +69,9 @@ __all__ = [
     "AdmissionRejected",
     "AsyncQueryService",
     "AsyncStream",
-    "CollapseAbandoned",
     "DegradationConfig",
     "DegradationPolicy",
-    "FollowSpec",
     "HashRing",
-    "InflightTable",
     "JobConfig",
     "JobRunner",
     "JobStore",

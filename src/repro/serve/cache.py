@@ -1,6 +1,6 @@
 """Shared TTL + LRU cache of query *results*, above the plan cache.
 
-The serving cache hierarchy has three layers, cheapest miss first:
+The serving cache hierarchy has four tiers, cheapest miss first:
 
 - **result cache** (this module) — whole :class:`~repro.types.ParticleBatch`
   (or :class:`~repro.api.NeighborResult`) responses keyed by ``(step,
@@ -10,6 +10,8 @@ The serving cache hierarchy has three layers, cheapest miss first:
   least-recently-used entry is evicted past ``capacity``.
 - **plan cache** (:class:`~repro.core.planner.PlanCache`) — per-file skip
   lists keyed by ``(box, filters)``; quality-independent.
+- **decoded-column cache** (:class:`~repro.bat.colcache.DecodedColumnCache`)
+  — treelet columns and walk tables keyed ``(file, treelet, slot)``.
 - **file-handle cache** (:class:`~repro.bat.filecache.BATFileCache`) —
   open mmapped leaf files.
 
@@ -19,6 +21,11 @@ every later identical request is served from memory — byte-identical by
 construction, since the cached object *is* the batch a direct dataset
 query returned. Batches are treated as immutable once cached; callers
 must not write to a served batch's arrays.
+
+**Single-flight.** A miss on a window an identical **leader** is already
+executing waits for it (:meth:`ResultCache.join`) and takes its result,
+if complete and non-partial; else it executes for itself. Streams never
+lead: no request may wait on another client's consumer.
 
 **The key.** ``window`` is the frozen request the serve core hands the
 step backend: the client's :class:`~repro.api.QueryRequest` with
@@ -32,8 +39,8 @@ request's class keeps the families apart. ``generation`` is the
 manifest's layout generation: an online reorganization republish changes
 row order (results follow file/treelet order), so responses cached
 against the old layout must never satisfy requests planned against the
-new one. ``step`` stays first so :meth:`ResultCache.invalidate_step`
-finds it.
+new one, and a window never waits on a leader of another layout.
+``step`` stays first so :meth:`ResultCache.invalidate_step` finds it.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import threading
 import time
 from collections import OrderedDict
 
+from ..bat.colcache import Flight
 from ..types import ParticleBatch
 
 __all__ = ["ResultCache"]
@@ -60,10 +68,17 @@ class ResultCache:
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, tuple[ParticleBatch, float]] = OrderedDict()
+        #: key -> its executing leader (at most one per scheduler worker)
+        self._inflight: dict[tuple, Flight] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.expirations = 0
+        #: single-flight: leads, waits served, waits left to execute
+        self.leaders = 0
+        self.collapsed_hits = 0
+        self.fallbacks = 0
+        self.saved_bytes = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -84,6 +99,45 @@ class ResultCache:
             self.hits += 1
             self._entries.move_to_end(key)
             return batch
+
+    def join(self, key: tuple, lead: bool):
+        """The miss path of :meth:`get`: ``(batch, flight)``.
+
+        ``batch`` is the result of an identical window in flight (or just
+        stored). Else, with ``lead``, ``flight`` makes the caller the
+        leader, which must :meth:`settle` it however execution ends; else
+        both are None and the caller executes the window itself.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:  # stored since the caller's get missed
+                self.collapsed_hits += 1
+                self.saved_bytes += entry[0].nbytes
+                return entry[0], None
+            flight = self._inflight.get(key)
+            if flight is None:
+                if not lead:
+                    return None, None
+                flight = self._inflight[key] = Flight(key)
+                self.leaders += 1
+                return None, flight
+            done = flight.wait()
+        done.wait()
+        return flight.value, None
+
+    def settle(self, flight: Flight, batch=None) -> None:
+        """Hand a leader's ``batch`` to its waiters (None — failed, partial
+        — sends them to execute for themselves); :meth:`put` caches it."""
+        with self._lock:
+            del self._inflight[flight.key]
+            if batch is None:
+                self.fallbacks += flight.waiters
+            else:
+                self.collapsed_hits += flight.waiters
+                self.saved_bytes += flight.waiters * batch.nbytes
+            flight.value = batch
+        if flight.done is not None:  # no waiter can join once it left _inflight
+            flight.done.set()
 
     def put(self, key: tuple, batch: ParticleBatch) -> None:
         with self._lock:
@@ -128,6 +182,18 @@ class ResultCache:
                 "evictions": self.evictions,
                 "expirations": self.expirations,
                 "hit_rate": self.hits / total if total else 0.0,
+            }
+
+    def flight_stats(self) -> dict:
+        """The single-flight counters (the snapshot's ``collapse`` block)."""
+        with self._lock:
+            total = self.leaders + self.collapsed_hits + self.fallbacks
+            return {
+                "leaders": self.leaders,
+                "collapsed_hits": self.collapsed_hits,
+                "fallbacks": self.fallbacks,
+                "saved_bytes": self.saved_bytes,
+                "hit_rate": self.collapsed_hits / total if total else 0.0,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -144,8 +144,8 @@ def make_hot_traces(
     A realistic thundering herd: viewers pile onto the same handful of
     interesting regions (a collaboration session, a linked dashboard), so
     concurrent requests overlap heavily. This is the workload where
-    pre-completion request collapsing pays — :func:`make_traces` gives
-    every session its own random focus and collapse rarely triggers.
+    the result cache and its single-flight pay — :func:`make_traces`
+    gives every session its own random focus and they rarely trigger.
     """
     rng = np.random.default_rng(seed)
     views = [_zoom_trace(rng, bounds, ops_per_session) for _ in range(n_views)]

@@ -7,7 +7,7 @@ collector is the single JSON-able source of truth the CLI, the load
 generator, and the bench suite print: latency percentiles, per-phase time
 totals, queue-depth high-water marks, admission rejections, degradation
 engage/release transitions, and the hit rates of every cache layer
-(result → collapse → plan → decoded column → file handle).
+(result → plan → decoded column → file handle).
 
 Memory is bounded: per-request samples (latency, time to first
 increment) live in a fixed-size ring buffer, so a service that has been
@@ -116,7 +116,7 @@ class RequestSpan:
     partial: bool = False
     #: leaf files this request's query could not see
     quarantined_files: int = 0
-    #: served from an overlapping in-flight request instead of decoding
+    #: served from an identical in-flight window's result
     collapsed: bool = False
     #: delivered through a StreamHandle (increments, not one batch)
     streamed: bool = False
@@ -208,7 +208,7 @@ class ServeMetrics:
         self.points_served = 0
         self.bytes_served = 0
         self.max_queue_depth = 0
-        #: requests served off an overlapping in-flight decode
+        #: requests served from an identical in-flight window's result
         self.collapsed = 0
         #: requests delivered through a StreamHandle
         self.streamed = 0
@@ -254,10 +254,6 @@ class ServeMetrics:
             self.points_served += span.points
             self.bytes_served += span.nbytes
             self.max_queue_depth = max(self.max_queue_depth, span.queue_depth)
-
-    def sample_queue_depth(self, depth: int) -> None:
-        with self._lock:
-            self.max_queue_depth = max(self.max_queue_depth, depth)
 
     # -- export ----------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """The concurrent query service fronting one dataset or time series.
 
 :class:`QueryService` multiplexes many client sessions over one set of
-shared resources — one file-handle cache, one plan cache per timestep,
-one result cache, one in-flight collapse table. A request travels::
+shared resources — one file-handle cache (and the decoded-column cache
+on it), one plan cache per timestep, one result cache. A request
+travels::
 
     request() ── admission ──▶ RequestScheduler (priority queue,
         │ rejected past bounds      capacity worker threads)
@@ -14,13 +15,14 @@ one result cache, one in-flight collapse table. A request travels::
         │                    ResultCache.get ── hit ──▶ response
         │                               │ miss
         │                               ▼
-        │                    InflightTable.acquire ── follower ──▶ consume
-        │                               │ leader                 leader's
-        │                               ▼                        increments
+        │                    ResultCache.join ── identical window in
+        │                               │ lead     flight: wait, take
+        │                               ▼          its result
         │                    Dataset.plan (PlanCache) ─▶ Dataset.query /
         │                               │                Dataset.stream
-        │                               ▼                (BATFileCache)
-        └──────────◀─────────  cache put + session accounting
+        │                               ▼                (DecodedColumnCache,
+        │                               │                 BATFileCache)
+        └──────────◀─────────  cache put, settle waiters, session accounting
 
 Two execution modes share that path. :meth:`QueryService.submit` /
 :meth:`~QueryService.request` are the one-shot mode: the worker runs
@@ -35,11 +37,9 @@ increment through a bounded per-session outbox as it materializes; a
 consumer that falls behind sheds the remaining rungs at a rung boundary
 (the session simply refines from there later, like load degradation).
 
-Either way the **collapse table** sits between the result cache and the
-decode: concurrent requests whose plans touch overlapping work — same
-view, or a derived column-subset / filter-superset / rung-truncation of
-it — share one decode, with the leader publishing increments and
-followers adapting them per-request (see :mod:`repro.serve.collapse`).
+Concurrent work is deduplicated by single-flight in the two keyed
+caches (:mod:`repro.serve.cache`): per identical one-shot or neighbor
+window, which streams may wait on but never lead, and per treelet column.
 
 **One core, two step backends.** Everything above reaches a timestep
 through one narrow surface — ``metadata.generation``, ``plan``,
@@ -54,17 +54,17 @@ opens them, not what a request means.
 **One identity.** The worker builds the effective window once —
 ``window = replace(request, quality=effective, prev_quality=prev,
 on_error="degrade")`` — and ``(step, generation, window)`` is the
-result-cache key, the collapse key, and ``window`` the request handed to
+result-cache and single-flight key, and ``window`` the request handed to
 the step backend. Requests are frozen dataclasses, so a field added to
 one enters every tier's identity by construction.
 
 Every response is byte-identical to a direct
 :meth:`~repro.core.dataset.BATDataset.query` at the same effective
-``(prev_quality, quality)`` — the scheduler, the caches, the collapse
-table, and the streaming mode reorder and deduplicate work, they never
-alter results. Degradation and shedding only lower the quality ceiling
-of *new* increments, so a degraded or shed session refining after load
-drains converges to exactly the full-quality data set.
+``(prev_quality, quality)`` — the scheduler, the caches and the
+streaming mode reorder and deduplicate work, they never alter results.
+Degradation and shedding only lower the quality ceiling of *new*
+increments, so a degraded or shed session refining after load drains
+converges to exactly the full-quality data set.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ from ..core.dataset import BATDataset, empty_batch
 from ..core.metadata import DatasetMetadata
 from ..types import ParticleBatch
 from .cache import ResultCache
-from .collapse import _DONE, CollapseAbandoned, InflightTable, adapt_increment
 from .degrade import DegradationConfig, DegradationPolicy
 from .metrics import AccessTelemetry, RequestSpan, ServeMetrics, json_sanitize
 from .scheduler import (
@@ -119,10 +118,6 @@ MAX_SESSION_QUEUE = 8
 
 #: requests at or below this quality count as interactive first paints
 INTERACTIVE_QUALITY = 0.35
-
-#: how long a collapse follower waits on its leader before falling back
-#: to its own query (the leader always runs on a live worker)
-COLLAPSE_TIMEOUT = 30.0
 
 #: quality-ladder resolution for streamed requests (2**levels rungs
 #: across the full quality range; see ``default_quality_ladder``)
@@ -178,8 +173,6 @@ class ServeConfig:
     #: byte budget of the decoded-column LRU shared by every open file
     #: (0 disables the tier; columns then decode cold on every touch)
     column_cache_bytes: int = DEFAULT_COLUMN_CACHE_BYTES
-    #: collapse concurrent overlapping requests onto one in-flight decode
-    collapse: bool = True
     #: increments buffered per streamed request before its worker blocks
     stream_outbox: int = 8
     #: how long a streamed worker waits on a full outbox before shedding
@@ -226,7 +219,7 @@ class ServeResponse:
     partial: bool = False
     #: how many leaf files this response could not see
     quarantined_files: int = 0
-    #: served off an overlapping in-flight request's decode
+    #: served from an identical in-flight window's result
     collapsed: bool = False
     #: the stream stopped early at a rung boundary (slow consumer);
     #: ``served_quality`` is the last fully delivered rung
@@ -271,7 +264,6 @@ class QueryService:
         self.results = ResultCache(
             capacity=self.config.result_cache_entries, ttl=self.config.result_ttl
         )
-        self.collapse = InflightTable()
         self.metrics = ServeMetrics(clock=clock)
         #: per-(step, leaf) access tallies — the reorganizer's evidence
         self.telemetry = AccessTelemetry()
@@ -297,10 +289,10 @@ class QueryService:
 
         ``cancel=True`` is the bounded-shutdown path: live stream
         outboxes are abandoned first (in-flight workers then shed at the
-        next rung boundary instead of blocking on full outboxes, and
-        collapse followers fall back and shed in turn), queued tickets
-        are cancelled with :class:`~repro.serve.scheduler.SchedulerClosed`
-        rather than drained, and only then do the workers join — so
+        next rung boundary instead of blocking on full outboxes), queued
+        tickets are cancelled with
+        :class:`~repro.serve.scheduler.SchedulerClosed` rather than
+        drained, and only then do the workers join — so
         teardown never races a worker still publishing. Either way every
         admitted stream's outbox is finished before datasets close, so no
         consumer can block forever on a service that no longer exists.
@@ -377,7 +369,7 @@ class QueryService:
         shared file cache — deferred under leases, so streams in flight
         finish on their pinned old-generation handles), the step's result
         entries are evicted eagerly, and the fresh manifest's generation
-        flows into every plan/result/collapse key from here on. In-flight
+        flows into every plan/result key from here on. In-flight
         requests holding the old dataset object still read the old leaf
         files (a reorg never deletes them in place), so whichever
         generation a request observed, its response is byte-identical to
@@ -459,7 +451,7 @@ class QueryService:
 
         Takes a :class:`~repro.api.QueryRequest` or a
         :class:`~repro.api.NeighborRequest` (served one-shot at bulk
-        priority through the same caches and collapse table).
+        priority through the same caches).
         """
         if isinstance(request, NeighborRequest):
             return self._submit_neighbors(session_id, request, step)
@@ -545,13 +537,10 @@ class QueryService:
     def _execute_neighbor(
         self, ticket, sess, span, req: NeighborRequest, step: int
     ) -> ServeResponse:
-        """Result cache → collapse → :meth:`BATDataset.neighbors`.
+        """Result cache (single-flight) → :meth:`BATDataset.neighbors`.
 
-        Neighbor results are one-shot (no quality ladder), so the
-        collapse entry publishes exactly one increment whose ``batch``
-        is the whole :class:`~repro.api.NeighborResult`; joins are
-        exact-match only. Partial results — a quarantined leaf — are
-        never cached and never shared, exactly like the query family.
+        Partial results — a quarantined leaf — are never cached and never
+        handed over, exactly like the query family.
         """
         t_start = self._clock()
         span.wait_seconds = ticket.wait_seconds
@@ -562,45 +551,26 @@ class QueryService:
         key = (step, ds.metadata.generation, window)
         result = self.results.get(key)
         cache_hit = result is not None
-        collapsed = False
         if not cache_hit:
-            entry = spec = None
-            if self.config.collapse:
-                entry, spec = self.collapse.acquire(key, (1.0,))
-            if spec is not None:
-                incs, _, abandoned = self._follow(entry, spec, span, None, t_start)
-                if abandoned:
-                    self.collapse.record_fallback()
-                elif incs:
-                    result = incs[0].batch
-                    collapsed = True
-            if result is None:
-                leading = entry is not None and spec is None
-                try:
-                    t0 = self._clock()
-                    result = ds.neighbors(window)
-                    span.traverse_seconds = self._clock() - t0
-                    span.quarantined_files = result.stats.quarantined_files
-                    span.partial = result.stats.quarantined_files > 0
-                    if leading:
-                        entry.publish(StreamIncrement(
-                            quality=1.0, prev_quality=0.0, batch=result,
-                            partial=span.partial,
-                        ))
-                        entry.finish()
-                    if not span.partial:
-                        self.results.put(key, result)
-                except BaseException:
-                    if leading:
-                        entry.abandon()
-                    raise
-                finally:
-                    if leading:
-                        self.collapse.release(entry)
+            result, flight = self.results.join(key, lead=True)
+            span.collapsed = result is not None
+        if result is None:
+            handed = None
+            try:
+                t0 = self._clock()
+                result = ds.neighbors(window)
+                span.traverse_seconds = self._clock() - t0
+                span.quarantined_files = result.stats.quarantined_files
+                span.partial = result.stats.quarantined_files > 0
+                if not span.partial:
+                    self.results.put(key, result)
+                    handed = result
+            finally:
+                if flight is not None:
+                    self.results.settle(flight, handed)
         span.increments = 1
         span.served_quality = 1.0
         span.cache_hit = cache_hit
-        span.collapsed = collapsed
         span.points = len(result)
         span.nbytes = result.nbytes
         span.total_seconds = span.wait_seconds + (self._clock() - t_start)
@@ -619,7 +589,7 @@ class QueryService:
             span=span,
             partial=span.partial,
             quarantined_files=span.quarantined_files,
-            collapsed=collapsed,
+            collapsed=span.collapsed,
             increments=1,
             neighbors=result,
         )
@@ -757,7 +727,13 @@ class QueryService:
                 key = (step, ds.metadata.generation, window)
                 batch = self.results.get(key)
                 cache_hit = batch is not None
-                if cache_hit:
+                flight = None
+                if not cache_hit:
+                    # a streamed leader's progress would hang on its own
+                    # consumer, so streams only ever wait
+                    batch, flight = self.results.join(key, lead=not streamed)
+                    span.collapsed = batch is not None
+                if batch is not None:
                     served = effective
                     if streamed:
                         inc = StreamIncrement(
@@ -775,24 +751,30 @@ class QueryService:
                     else:
                         span.increments = 1
                 else:
-                    t0 = self._clock()
-                    plan = ds.plan(req.box, req.filters)
-                    span.plan_seconds = self._clock() - t0
-                    batch, served, shed = self._execute_miss(
-                        span, key, ds, plan, outbox, ladder, t_start
-                    )
-                    if batch is None:
-                        batch = empty_batch(ds, columns)
-                    t0 = self._clock()
-                    if not span.partial and served > prev:
-                        # partial results must not be served to later
-                        # requests from the cache as if they were
-                        # complete; shed results are cached at the
-                        # (prev, served) window they actually cover
-                        if served != effective:
-                            key = (*key[:2], replace(window, quality=served))
-                        self.results.put(key, batch)
-                    span.gather_seconds = self._clock() - t0
+                    handed = None
+                    try:
+                        t0 = self._clock()
+                        plan = ds.plan(req.box, req.filters)
+                        span.plan_seconds = self._clock() - t0
+                        batch, served, shed = self._execute_miss(
+                            span, window, ds, plan, outbox, ladder, t_start
+                        )
+                        if batch is None:
+                            batch = empty_batch(ds, columns)
+                        t0 = self._clock()
+                        if not span.partial and served > prev:
+                            # partial results must not be served to later
+                            # requests from the cache as if they were
+                            # complete; shed results are cached at the
+                            # (prev, served) window they actually cover
+                            if served != effective:
+                                key = (*key[:2], replace(window, quality=served))
+                            self.results.put(key, batch)
+                            handed = batch
+                        span.gather_seconds = self._clock() - t0
+                    finally:
+                        if flight is not None:
+                            self.results.settle(flight, handed)
             span.shed = shed
             if sess is not None:
                 if served > prev:
@@ -820,64 +802,15 @@ class QueryService:
             increments=span.increments,
         )
 
-    def _execute_miss(self, span, key, ds, plan, outbox, ladder, t_start):
-        """Decode the window of ``key``: collapse, follow, or lead.
+    def _execute_miss(self, span, window, ds, plan, outbox, ladder, t_start):
+        """Execute ``window`` on the step backend: one query, or (with an
+        outbox) one stream of rung increments pushed as they materialize.
 
         Returns ``(batch_or_None, served_quality, shed)``.
         """
-        window = key[2]
-        prev, effective = window.prev_quality, window.quality
-        if outbox is not None:
-            if ladder is None:
-                ladder = default_quality_ladder(effective, prev, levels=STREAM_LEVELS)
-            else:
-                # degradation may have lowered the target below the
-                # caller's ladder; keep the rungs inside the window
-                ladder = tuple(q for q in ladder if prev < q < effective) + (effective,)
-        else:
-            ladder = (effective,)
-        entry = spec = None
-        if self.config.collapse:
-            entry, spec = self.collapse.acquire(key, ladder)
-        if spec is not None:
-            incs, shed, abandoned = self._follow(entry, spec, span, outbox, t_start)
-            if not abandoned:
-                span.collapsed = True
-                span.increments = len(incs)
-                if incs:
-                    return reassemble_stream(incs).batch, incs[-1].quality, shed
-                return None, prev, shed
-            self.collapse.record_fallback()
-            # increments already pushed to a streaming consumer are
-            # committed — the fallback decode covers only the remaining
-            # window, and rung chaining keeps the union byte-exact
-            kept = incs if outbox is not None else []
-            fb_prev = kept[-1].quality if kept else prev
-            if fb_prev >= effective:
-                # the leader died after its final rung reached us
-                span.collapsed = True
-                span.increments = len(kept)
-                return reassemble_stream(kept).batch, fb_prev, False
-            fb_ladder = tuple(q for q in ladder if fb_prev < q < effective) + (effective,)
-            return self._lead(
-                None, span, replace(window, prev_quality=fb_prev), ds, plan,
-                fb_ladder, outbox, t_start, carried=kept,
-            )
-        try:
-            return self._lead(entry, span, window, ds, plan, ladder, outbox, t_start)
-        finally:
-            if entry is not None:
-                self.collapse.release(entry)
-
-    def _lead(
-        self, entry, span, window, ds, plan, ladder, outbox, t_start, carried=()
-    ):
-        """Execute ``window`` (as collapse leader when ``entry`` is set)."""
         prev, effective = window.prev_quality, window.quality
         t0 = self._clock()
         if outbox is None:
-            # one-shot mode: the pre-streaming sync path, published to
-            # followers as a single pre-ordered increment.
             # Corrupt/missing leaves degrade the response instead of
             # failing the request: the dataset quarantines them and
             # returns what the surviving files hold
@@ -886,23 +819,18 @@ class QueryService:
             span.quarantined_files = qstats.quarantined_files
             span.partial = qstats.quarantined_files > 0
             span.increments = 1
-            if entry is not None:
-                entry.publish(StreamIncrement(
-                    quality=effective, prev_quality=prev, batch=batch,
-                    stats=qstats, partial=span.partial,
-                ))
-                entry.finish()
             return batch, effective, False
-        incs = list(carried)
+        if ladder is None:
+            ladder = default_quality_ladder(effective, prev, levels=STREAM_LEVELS)
+        else:
+            # degradation may have lowered the target below the
+            # caller's ladder; keep the rungs inside the window
+            ladder = tuple(q for q in ladder if prev < q < effective) + (effective,)
+        incs = []
         shed = False
         gen = ds.stream(window, ladder=ladder, plan=plan)
         try:
             for inc in gen:
-                if entry is not None:
-                    # publish before pushing: followers are never
-                    # throttled by this request's own consumer (a
-                    # partial increment kills the entry instead)
-                    entry.publish(inc)
                 if inc.partial:
                     span.partial = True
                 if not outbox.push(inc, self.config.stream_grace):
@@ -913,62 +841,15 @@ class QueryService:
                     span.first_increment_seconds = (
                         span.wait_seconds + (self._clock() - t_start)
                     )
-        except BaseException:
-            if entry is not None:
-                entry.abandon()
-            raise
         finally:
             gen.close()
         span.traverse_seconds = self._clock() - t0
-        if entry is not None:
-            if shed:
-                # the unstreamed rungs will never be published
-                entry.abandon()
-            else:
-                entry.finish()
         if incs and incs[-1].stats is not None:
             span.quarantined_files = incs[-1].stats.quarantined_files
         span.increments = len(incs)
         if incs:
             return reassemble_stream(incs).batch, incs[-1].quality, shed
         return None, prev, shed
-
-    def _follow(self, entry, spec, span, outbox, t_start):
-        """Consume a leader's published stream instead of decoding.
-
-        Returns ``(increments, shed, abandoned)``; ``increments`` holds
-        what was consumed (and, when streaming, already pushed) before
-        the stop/shed/abandon point.
-        """
-        streamed = outbox is not None
-        incs = []
-        shed = abandoned = False
-        shared_points = shared_bytes = 0
-        i = 0
-        while True:
-            try:
-                inc = entry.fetch(i, COLLAPSE_TIMEOUT, clock=self._clock)
-            except CollapseAbandoned:
-                abandoned = True
-                break
-            if inc is _DONE:
-                break
-            i += 1
-            shared_points += len(inc.batch)
-            shared_bytes += inc.batch.nbytes
-            adapted = adapt_increment(inc, spec)
-            if streamed and not outbox.push(adapted, self.config.stream_grace):
-                shed = True
-                break
-            incs.append(adapted)
-            if span.first_increment_seconds == 0.0:
-                span.first_increment_seconds = (
-                    span.wait_seconds + (self._clock() - t_start)
-                )
-            if spec.stop_quality is not None and inc.quality >= spec.stop_quality:
-                break
-        self.collapse.record_shared(shared_points, shared_bytes)
-        return incs, shed, abandoned
 
     # -- metrics ----------------------------------------------------------------
 
@@ -998,17 +879,17 @@ class QueryService:
         doc["degradation"] = self.degradation.stats()
         doc["caches"] = {
             "results": self.results.stats(),
-            # pre-completion dedup: requests collapsed onto in-flight
-            # decodes, one tier above the result cache
-            "collapse": self.collapse.stats(),
+            # the result tier's single-flight: windows led, and waits
+            # served by (or executed after) an identical leader
+            "collapse": self.results.flight_stats(),
             "plans": plans,
             "files": file_stats,
             # the decoded-column tier rides on the file cache; hoist it so
-            # dashboards see all five levels side by side
+            # dashboards see all four tiers side by side
             "decoded_columns": file_stats.pop(
                 "decoded_columns",
-                {"hits": 0, "misses": 0, "evictions": 0, "entries": 0,
-                 "bytes": 0, "budget_bytes": 0},
+                {"hits": 0, "misses": 0, "joins": 0, "evictions": 0,
+                 "entries": 0, "bytes": 0, "budget_bytes": 0},
             ),
         }
         doc["integrity"] = {

@@ -9,8 +9,8 @@ BATFileCache, DecodedColumnCache, PlanCache, quarantine set, and decode
 threads for exactly the leaves it was dealt.
 
 It is not a second service: it *is* :class:`QueryService` — sessions,
-admission, degradation, result cache, collapse, streaming outboxes,
-batch gate, asyncio front end, one copy — with the per-step backend
+admission, degradation, result cache, streaming outboxes, batch gate,
+asyncio front end, one copy — with the per-step backend
 replaced. Where the core holds a :class:`~repro.core.dataset.BATDataset`
 the router holds a :class:`_ShardedStep`, which plans against the
 manifest alone (the router never opens a leaf file) and answers
@@ -18,7 +18,7 @@ manifest alone (the router never opens a leaf file) and answers
 leaves the plan touches::
 
     request ── QueryService core (admission, session, degradation,
-        │                          ResultCache, collapse, outbox)
+        │                          ResultCache, outbox)
         │                        │ step.plan / step.query / step.stream
         │                        ▼
         │        _ShardedStep: plan (manifest only) ─▶ owners (ring)
@@ -645,10 +645,10 @@ class _ShardedStep:
 class ShardedQueryService(QueryService):
     """:class:`QueryService` whose steps are answered by N worker processes.
 
-    Sessions, admission, degradation, the result cache, collapse,
-    streaming and the metrics surface are the base class's, unchanged;
-    this class supplies the step backend (:class:`_ShardedStep`), owns
-    the worker processes, and adds the ``shards`` block to the snapshot.
+    Sessions, admission, degradation, the result cache, streaming and
+    the metrics surface are the base class's, unchanged; this class
+    supplies the step backend (:class:`_ShardedStep`), owns the worker
+    processes, and adds the ``shards`` block to the snapshot.
     """
 
     def __init__(

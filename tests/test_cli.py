@@ -115,6 +115,8 @@ class TestServe:
         assert "served 9 requests from 3 sessions" in out
         assert "byte-verified" in out
         assert "p99" in out
+        assert "result joins" in out and "decode joins" in out
+        assert "collapse hit rate" not in out
 
     def test_serve_json_snapshot(self, written, capsys):
         import json

@@ -1,12 +1,17 @@
 """Tests for the byte-budgeted decoded-column cache tier.
 
 Covers the unit contract (LRU under a hard byte budget, counter-pure
-``peek``, per-path invalidation) and the integration invariants: a cached
+``peek``, per-path invalidation, single-flight loads — every concurrent
+wait here is bounded and released by an event, never by a sleep) and
+the integration invariants: a cached
 read must be byte-identical to a cold decode, cache hits must not inflate
 the ``decoded_bytes`` work counter, and entries must die with their file
 handle — eviction, drop, and quarantine all invalidate, so a rewritten or
 corrupt file can never serve stale columns.
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +93,126 @@ class TestUnitContract:
         c.put("f", 0, 0, _arr(30))
         assert c.nbytes == 30
         assert len(c) == 1
+
+
+def _until(predicate, what: str, timeout: float = 10.0) -> None:
+    """Spin (yielding the GIL) until ``predicate()``; fail after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0)
+
+
+def _lookup(cache, loader, key=("f", 0, 1)):
+    """What a handle does: ``get`` first, ``load`` only on a miss."""
+    arr = cache.get(*key)
+    return arr if arr is not None else cache.load(*key, loader)
+
+
+class _Gate:
+    """A loader that blocks until released and counts its calls."""
+
+    def __init__(self, arr, fail_first: bool = False):
+        self.arr = arr
+        self.fail_first = fail_first
+        self.calls = 0
+        self._lock = threading.Lock()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        self.entered.set()
+        assert self.release.wait(10.0)
+        if first and self.fail_first:
+            raise RuntimeError("corrupt column")
+        return self.arr
+
+
+def _herd(cache, gate, n: int):
+    """One leader inside ``gate`` plus ``n - 1`` threads joined on it;
+    returns the threads (started) and their ``(result, error)`` slots."""
+    out = [None] * n
+
+    def run(i):
+        try:
+            out[i] = (_lookup(cache, gate), None)
+        except Exception as exc:  # surfaced through ``out``
+            out[i] = (None, exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    threads[0].start()
+    assert gate.entered.wait(10.0)
+    for t in threads[1:]:
+        t.start()
+    _until(lambda: cache.stats()["joins"] == n - 1, "every waiter to join")
+    return threads, out
+
+
+def _finish(threads) -> None:
+    for t in threads:
+        t.join(10.0)
+        assert not t.is_alive(), "a single-flight waiter hung"
+
+
+class TestSingleFlight:
+    def test_concurrent_misses_load_once(self):
+        c = DecodedColumnCache(budget_bytes=1024)
+        gate = _Gate(_arr(100))
+        threads, out = _herd(c, gate, 6)
+        gate.release.set()
+        _finish(threads)
+        assert gate.calls == 1
+        assert all(res is gate.arr and err is None for res, err in out)
+        s = c.stats()
+        # every lookup is one hit, one miss or one join; misses count loads
+        assert (s["hits"], s["misses"], s["joins"]) == (0, 1, 5)
+        assert c.peek("f", 0, 1) is gate.arr
+
+    def test_failed_load_hangs_no_waiter(self):
+        c = DecodedColumnCache(budget_bytes=1024)
+        gate = _Gate(_arr(100), fail_first=True)
+        threads, out = _herd(c, gate, 4)
+        gate.release.set()
+        _finish(threads)
+        errors = [err for _, err in out if err is not None]
+        assert len(errors) == 1 and "corrupt" in str(errors[0])
+        # each waiter ran the loader itself
+        assert gate.calls == 4
+        assert sum(res is gate.arr for res, _ in out) == 3
+        # and the key is not left in flight: the next miss loads afresh
+        fresh = _arr(10)
+        assert _lookup(c, lambda: fresh) is fresh
+
+    def test_over_budget_array_reaches_waiters(self):
+        c = DecodedColumnCache(budget_bytes=50)
+        gate = _Gate(_arr(100))
+        threads, out = _herd(c, gate, 3)
+        gate.release.set()
+        _finish(threads)
+        assert gate.calls == 1
+        assert all(res is gate.arr for res, _ in out)
+        assert len(c) == 0 and c.nbytes == 0
+
+    def test_invalidate_during_load_leaves_no_stale_entry(self):
+        c = DecodedColumnCache(budget_bytes=1024)
+        gate = _Gate(_arr(100))
+        threads, out = _herd(c, gate, 2)
+        c.invalidate("f")
+        # a miss after the invalidation does not join the overtaken load
+        fresh = _arr(30)
+        assert _lookup(c, lambda: fresh) is fresh
+        gate.release.set()
+        _finish(threads)
+        # the overtaken load still answered its own waiters ...
+        assert all(res is gate.arr for res, _ in out)
+        # ... but never entered the cache
+        assert c.peek("f", 0, 1) is fresh
+        assert c.nbytes == 30
+        c.invalidate("f")
+        assert len(c) == 0 and c.nbytes == 0
 
 
 @pytest.fixture(scope="module")

@@ -324,7 +324,7 @@ class TestGridPath:
 
 
 class TestServeIntegration:
-    """NeighborRequest through QueryService: caches, collapse, parity."""
+    """NeighborRequest through QueryService: caches and parity."""
 
     @pytest.fixture(scope="class")
     def served(self, tmp_path_factory):

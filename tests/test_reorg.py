@@ -5,7 +5,7 @@ Covers the two halves of the bugfix PR:
 - the **staleness layer**: a leaf file replaced on disk (the atomic
   rename every publisher here uses) must never be served from a stale
   mmap, a stale decoded column, a stale plan, a stale result, or a stale
-  collapse join — while streams that pinned the old handle finish on the
+  in-flight window — while streams that pinned the old handle finish on the
   exact bytes they planned against;
 - the **reorganizer** (:mod:`repro.reorg`): telemetry-driven rewrites
   must preserve the particle multiset exactly, publish under a bumped
@@ -32,6 +32,7 @@ from repro.core.metadata import DatasetMetadata
 from repro.core.planner import PlanCache
 from repro.machines import testing_machine
 from repro.reorg import (
+    MERGE_MAX_POINTS,
     ReorgAction,
     ReorgConfig,
     ReorgDaemon,
@@ -384,7 +385,7 @@ class TestPlanReorg:
         for a in merges:
             assert len(a.leaf_indices) >= 2
             total = sum(md.leaves[i].count for i in a.leaf_indices)
-            assert total <= ReorgConfig().merge_max_points
+            assert total <= MERGE_MAX_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +601,10 @@ class TestServiceReload:
             for _ in range(6)
             for box in views
         ]
-        # 1-entry result cache, column cache off: every hot view reaches
-        # the I/O layer and pays the decode work its layout induces
-        config = serve_config(
-            capacity=1, result_cache_entries=1, collapse=False, column_cache_bytes=0
-        )
+        # 1-entry result cache, column cache off, one worker (so no window
+        # overlaps another): every hot view reaches the I/O layer and pays
+        # the decode work its layout induces
+        config = serve_config(capacity=1, result_cache_entries=1, column_cache_bytes=0)
 
         def replay():
             with QueryService(meta, config) as svc:

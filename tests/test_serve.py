@@ -30,7 +30,6 @@ from repro.serve import (
     AdmissionRejected,
     DegradationConfig,
     DegradationPolicy,
-    InflightTable,
     QueryService,
     RequestScheduler,
     ResultCache,
@@ -260,7 +259,7 @@ class TestDegradationPolicy:
 
 
 def window_key(quality=1.0, prev_quality=0.0, step=0, generation=0, **fields):
-    """A result-cache / collapse key as the serve core builds it."""
+    """A result-cache / single-flight key as the serve core builds it."""
     window = QueryRequest(
         quality=quality, prev_quality=prev_quality, on_error="degrade", **fields
     )
@@ -587,6 +586,7 @@ class TestQueryService:
         for phase in ("wait", "plan", "traverse", "gather"):
             assert phase in snap["phase_seconds"]
         assert snap["scheduler"]["capacity"] == 2
+        # "collapse" is the result tier's single-flight block
         assert set(snap["caches"]) == {"results", "collapse", "plans", "files", "decoded_columns"}
         assert snap["degradation"]["downgrades"] == 0
 
@@ -638,9 +638,9 @@ BASE = {
         columns=("positions", "mass", "temp"),
     ),
 }
-#: ... and, per field, what to replace to get a second valid value of it.
-#: The three a collapse follower may differ in are chosen joinable: a
-#: filter superset, a column subset, a rung of the leader's ladder.
+#: ... and, per field, what to replace to get a second valid value of it
+#: (a filter superset, a column subset and a lower rung among them: windows
+#: that once joined the base's in-flight stream and now never do)
 OTHER = {
     "box": dict(box=Box((0.0, 0.0, 0.0), (2.0, 2.0, 1.0))),
     "filters": dict(filters=(MASS, AttributeFilter("temp", 280.0, 330.0))),
@@ -653,8 +653,6 @@ OTHER = {
     "radius": dict(radius=0.2),
     "engine": dict(engine="brute"),
 }
-LADDER = (0.5, 0.8)
-DERIVED = {(QueryRequest, name) for name in ("filters", "columns", "quality")}
 
 #: driven from the dataclasses: a field added to a request is a new case
 #: here (and fails until OTHER holds a second value for it)
@@ -682,15 +680,13 @@ class TestRequestIdentity:
 
     @pytest.mark.parametrize("cls, name", FIELDS)
     def test_changed_field_never_joins_exactly(self, cls, name):
-        """... and joins at all only as one of the documented derivations."""
-        table = InflightTable()
-        leader, _ = table.acquire((0, 0, BASE[cls]), LADDER)
-        entry, spec = table.acquire((0, 0, changed(cls, name)), LADDER)
-        assert table.collapsed_hits == 0
-        if (cls, name) in DERIVED:
-            assert entry is leader and not (spec.is_identity and spec.stop_quality is None)
-        else:
-            assert entry is not leader and spec is None
+        """... nor waits on the base request's in-flight leader: with the
+        base leading, the changed window leads for itself."""
+        cache = ResultCache(capacity=4, ttl=None)
+        _, leader = cache.join((0, 0, BASE[cls]), lead=True)
+        batch, flight = cache.join((0, 0, changed(cls, name)), lead=True)
+        assert batch is None and flight is not None and flight is not leader
+        assert cache.flight_stats()["collapsed_hits"] == 0
 
     @pytest.mark.parametrize("where", [(1, 0), (0, 1)], ids=["step", "generation"])
     @pytest.mark.parametrize("cls", BASE, ids=lambda cls: cls.__name__)
@@ -699,13 +695,10 @@ class TestRequestIdentity:
         cache.put((0, 0, BASE[cls]), ParticleBatch(np.zeros((1, 3))))
         assert cache.get((0, 0, BASE[cls])) is not None
         assert cache.get((*where, BASE[cls])) is None
-        table = InflightTable()
-        leader, _ = table.acquire((0, 0, BASE[cls]), LADDER)
-        for name in [n for c, n in DERIVED if c is cls] + [None]:
-            request = BASE[cls] if name is None else changed(cls, name)
-            entry, spec = table.acquire((*where, request), LADDER)
-            assert entry is not leader and spec is None
-            table.release(entry)  # or the next request may join *it*
+        flights = ResultCache(capacity=4, ttl=None)
+        _, leader = flights.join((0, 0, BASE[cls]), lead=True)
+        batch, flight = flights.join((*where, BASE[cls]), lead=True)
+        assert batch is None and flight is not None and flight is not leader
 
     @pytest.mark.parametrize("cls", BASE, ids=lambda cls: cls.__name__)
     def test_on_error_is_policy_not_identity(self, written, cls):

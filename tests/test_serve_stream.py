@@ -1,15 +1,17 @@
-"""Tests for streamed serving: outbox backpressure, request collapsing,
-the asyncio front end, windowed metrics, and open-loop load.
+"""Tests for streamed serving: outbox backpressure, single-flight at the
+result tier, the asyncio front end, windowed metrics, and open-loop load.
 
-The core invariant, stressed from every angle: whatever the collapse
-table, the quality ladder, backpressure shedding, and the degradation
-policy did to a request, the bytes a client ends up holding are exactly
+The core invariant, stressed from every angle: whatever single-flight,
+the quality ladder, backpressure shedding, and the degradation policy
+did to a request, the bytes a client ends up holding are exactly
 the bytes a direct synchronous query at the same effective
 ``(prev_quality, quality)`` coordinates returns.
 """
 
+import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,17 +19,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import QueryRequest, reassemble_stream
-from repro.api import StreamIncrement
-from repro.bat import AttributeFilter
+from repro.bat import AttributeFilter, BATBuildConfig
 from repro.bat.colcache import DecodedColumnCache
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.machines import testing_machine
 from repro.serve import (
     AsyncQueryService,
-    CollapseAbandoned,
-    InflightTable,
+    DegradationConfig,
     QueryService,
+    ResultCache,
     ServeConfig,
     ServeMetrics,
     StreamOutbox,
@@ -36,11 +37,11 @@ from repro.serve import (
     run_load,
     verify_identity_samples,
 )
-from repro.serve.collapse import _DONE, adapt_increment, _compatible, FollowSpec, InflightEntry
 from repro.serve.metrics import DEFAULT_METRICS_WINDOW, RequestSpan
 from repro.serve.scheduler import RequestScheduler, SchedulerConfig
 from repro.serve.streaming import DONE, EMPTY
 from repro.types import Box, ParticleBatch
+from tests.test_colcache import _until
 from tests.test_pipeline import make_rank_data
 
 SETTINGS = settings(
@@ -161,14 +162,7 @@ class TestTicketCallbacks:
 
 
 # ---------------------------------------------------------------------------
-# collapse table (unit)
-
-
-def _inc(batch, quality=1.0, prev=0.0, order="keys"):
-    if order == "keys":
-        order = np.zeros((len(batch), 3), dtype=np.int64)
-        order[:, 2] = np.arange(len(batch))
-    return StreamIncrement(quality=quality, prev_quality=prev, batch=batch, order=order)
+# the result cache's in-flight table (single-flight, unit)
 
 
 def _batch(n=8, names=("mass", "temp")):
@@ -178,134 +172,94 @@ def _batch(n=8, names=("mass", "temp")):
 
 
 def _key(step=0, generation=0, **fields):
-    """A collapse key as the serve core builds it: (step, generation, window)."""
+    """A result key as the serve core builds it: (step, generation, window)."""
     return (step, generation, QueryRequest(on_error="degrade", **fields))
+
+
+def _joining(cache, key, lead=False):
+    """``cache.join(key)`` on its own thread: ``(thread, out)``."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(cache.join(key, lead=lead)))
+    t.start()
+    return t, out
+
+
+def _joined(cache, key, lead=False):
+    """``cache.join(key)``, asserted to return without waiting on anyone."""
+    t, out = _joining(cache, key, lead)
+    t.join(10.0)
+    assert not t.is_alive(), f"{key} waited on another window's leader"
+    return out[0]
 
 
 class TestInflightTable:
     def test_leader_then_exact_follower(self):
-        table = InflightTable()
-        entry, spec = table.acquire(_key(), (1.0,))
-        assert spec is None
-        e2, spec2 = table.acquire(_key(), (1.0,))
-        assert e2 is entry and spec2 is not None and spec2.is_identity
-        table.release(entry)
-        s = table.stats()
-        assert s["leaders"] == 1 and s["collapsed_hits"] == 1 and s["entries"] == 0
+        cache = ResultCache(ttl=None)
+        batch, flight = cache.join(_key(), lead=True)
+        assert batch is None and flight is not None
+        t, out = _joining(cache, _key(), lead=True)
+        _until(lambda: flight.waiters == 1, "the follower to wait")
+        b = _batch()
+        cache.settle(flight, b)
+        t.join(10.0)
+        assert out == [(b, None)]
+        s = cache.flight_stats()
+        assert (s["leaders"], s["collapsed_hits"], s["fallbacks"]) == (1, 1, 0)
+        assert s["saved_bytes"] == b.nbytes
 
     def test_released_entry_not_joinable(self):
-        table = InflightTable()
-        entry, _ = table.acquire(_key(), (1.0,))
-        table.release(entry)
-        e2, spec = table.acquire(_key(), (1.0,))
-        assert e2 is not entry and spec is None
-
-    def test_derived_filter_superset(self):
-        entry = InflightEntry(_key(), (1.0,))
-        spec = _compatible(entry, _key(filters=FILT))
-        assert spec is not None and spec.extra_filters == FILT
-
-    def test_derived_column_subset(self):
-        entry = InflightEntry(_key(), (1.0,))
-        spec = _compatible(entry, _key(columns=("mass",)))
-        assert spec is not None and spec.columns == ("mass",)
-
-    def test_derived_rung_truncation(self):
-        entry = InflightEntry(_key(), (0.25, 0.5, 1.0))
-        spec = _compatible(entry, _key(quality=0.5))
-        assert spec is not None and spec.stop_quality == 0.5
-        assert _compatible(entry, _key(quality=0.3)) is None  # not a rung
+        cache = ResultCache(ttl=None)
+        _, flight = cache.join(_key(), lead=True)
+        cache.settle(flight, None)
+        batch, again = _joined(cache, _key(), lead=True)
+        assert batch is None and again is not None and again is not flight
 
     def test_incompatible_prev_box(self):
-        entry = InflightEntry(_key(), (1.0,))
-        assert _compatible(entry, _key(prev_quality=0.5)) is None
-        assert _compatible(entry, _key(box=BOX)) is None
+        cache = ResultCache(ttl=None)
+        cache.join(_key(), lead=True)
+        assert _joined(cache, _key(prev_quality=0.5)) == (None, None)
+        assert _joined(cache, _key(box=BOX)) == (None, None)
 
     def test_different_generation_or_step_never_joins(self):
-        """Row order follows the leaf set: neither an exact nor a derived
-        follower may consume a stream decoded from another layout."""
-        table = InflightTable()
-        entry, _ = table.acquire(_key(), (0.5, 1.0))
+        """Row order follows the leaf set: no window waits on a leader
+        executing against another layout."""
+        cache = ResultCache(ttl=None)
+        _, flight = cache.join(_key(quality=0.5), lead=True)
         for other in (dict(generation=1), dict(step=1)):
-            assert _compatible(entry, _key(**other)) is None
-            assert _compatible(entry, _key(columns=("mass",), **other)) is None
-            assert _compatible(entry, _key(filters=FILT, **other)) is None
-            assert _compatible(entry, _key(quality=0.5, **other)) is None
-            e2, spec = table.acquire(_key(**other), (0.5, 1.0))
-            assert e2 is not entry and spec is None
-        assert table.stats()["leaders"] == 3
-
-    def test_narrow_leader_cannot_serve_wider_follower(self):
-        entry = InflightEntry(_key(columns=("mass",)), (1.0,))
-        assert _compatible(entry, _key()) is None
-        assert _compatible(entry, _key(columns=("mass", "temp"))) is None
-        # extra filter on a column the leader did not materialize
-        tfilt = (AttributeFilter("temp", 0.1, 0.9),)
-        assert _compatible(entry, _key(columns=("mass",), filters=tfilt)) is None
-        # ... but a filter over a column the leader does carry is fine
-        assert _compatible(entry, _key(columns=("mass",), filters=FILT)) is not None
-
-    def test_follower_consumes_published_stream(self):
-        table = InflightTable()
-        entry, _ = table.acquire(_key(), (0.5, 1.0))
-        b = _batch()
-        got = []
-
-        def follower():
-            i = 0
-            while True:
-                inc = entry.fetch(i, timeout=5.0)
-                if inc is _DONE:
-                    return
-                got.append(inc)
-                i += 1
-
-        t = threading.Thread(target=follower)
-        t.start()
-        entry.publish(_inc(b, quality=0.5))
-        entry.publish(_inc(b, quality=1.0, prev=0.5))
-        entry.finish()
-        t.join(5.0)
-        assert [g.quality for g in got] == [0.5, 1.0]
+            assert _joined(cache, _key(quality=0.5, **other)) == (None, None)
+            batch, led = _joined(cache, _key(quality=0.5, **other), lead=True)
+            assert batch is None and led is not flight
+        assert cache.flight_stats()["leaders"] == 3
 
     def test_partial_publish_abandons_followers(self):
-        entry = InflightEntry(_key(), (1.0,))
-        entry.publish(
-            StreamIncrement(
-                quality=1.0, prev_quality=0.0, batch=_batch(), order=None, partial=True
-            )
-        )
-        with pytest.raises(CollapseAbandoned):
-            entry.fetch(0, timeout=0.1)
+        """A leader settling with nothing (failed, partial or shed) sends
+        every follower off to execute the window itself."""
+        cache = ResultCache(ttl=None)
+        _, flight = cache.join(_key(), lead=True)
+        followers = [_joining(cache, _key()) for _ in range(2)]
+        _until(lambda: flight.waiters == 2, "both followers to wait")
+        cache.settle(flight, None)
+        for t, out in followers:
+            t.join(10.0)
+            assert out == [(None, None)]
+        s = cache.flight_stats()
+        assert (s["collapsed_hits"], s["fallbacks"]) == (0, 2)
 
-    def test_fetch_timeout_raises(self):
-        entry = InflightEntry(_key(), (1.0,))
-        with pytest.raises(CollapseAbandoned):
-            entry.fetch(0, timeout=0.01)
+    def test_waiting_never_leads(self):
+        """A window asked not to lead (a stream) registers nothing."""
+        cache = ResultCache(ttl=None)
+        assert _joined(cache, _key()) == (None, None)
+        batch, flight = _joined(cache, _key(), lead=True)
+        assert batch is None and flight is not None
+        assert cache.flight_stats()["leaders"] == 1
 
-
-class TestAdaptIncrement:
-    def test_identity_shares_increment(self):
-        inc = _inc(_batch())
-        assert adapt_increment(inc, FollowSpec()) is inc
-
-    def test_extra_filter_masks_rows_and_order(self):
-        b = _batch(16)
-        inc = _inc(b)
-        lo, hi = 0.3, 0.7
-        spec = FollowSpec(extra_filters=(AttributeFilter("mass", lo, hi),))
-        out = adapt_increment(inc, spec)
-        mask = (b.attributes["mass"] >= lo) & (b.attributes["mass"] <= hi)
-        assert np.array_equal(out.batch.attributes["mass"], b.attributes["mass"][mask])
-        assert np.array_equal(out.order, inc.order[mask])
-
-    def test_column_projection_preserves_attr_order(self):
-        b = _batch(8, names=("a", "b", "c"))
-        out = adapt_increment(_inc(b), FollowSpec(columns=("c", "a")))
-        assert list(out.batch.attributes) == ["a", "c"]  # file order kept
-        assert out.batch.positions is None
-        out2 = adapt_increment(_inc(b), FollowSpec(columns=("a", "positions")))
-        assert out2.batch.positions is not None
+    def test_result_stored_since_the_miss_is_handed_over(self):
+        cache = ResultCache(ttl=None)
+        b = _batch()
+        assert cache.get(_key()) is None
+        cache.put(_key(), b)  # an identical leader finished meanwhile
+        assert _joined(cache, _key(), lead=True) == (b, None)
+        assert cache.flight_stats()["collapsed_hits"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +362,27 @@ class TestServiceStreaming:
             list(h)
             h.result(30.0)
             snap = svc.snapshot()
-            assert {"entries", "subscribers", "leaders", "collapsed_hits",
-                    "derived_hits", "fallbacks", "saved_decodes", "saved_points",
-                    "saved_bytes", "hit_rate"} <= set(snap["caches"]["collapse"])
+            # the result tier's single-flight, under its old block name
+            assert set(snap["caches"]["collapse"]) == {
+                "leaders", "collapsed_hits", "fallbacks", "saved_bytes", "hit_rate"
+            }
+            assert "joins" in snap["caches"]["decoded_columns"]
             assert snap["streaming"]["streamed"] == 1
             assert snap["streaming"]["increments"] >= 1
             assert snap["streaming"]["ttfi_ms"]["p50"] > 0
             assert snap["latency_ms"]["window"] == DEFAULT_METRICS_WINDOW
+
+
+def _v4_dataset(tmp_path, name="sf"):
+    rep = TwoPhaseWriter(
+        testing_machine(), target_size=128 * 1024,
+        bat_config=BATBuildConfig(codecs="auto"),
+    ).write(make_rank_data(nranks=9, seed=21), out_dir=tmp_path, name=name)
+    return rep.metadata_path
+
+
+def _waiting_on_a_leader(svc) -> bool:
+    return any(f.waiters for f in list(svc.results._inflight.values()))
 
 
 class TestServiceCollapse:
@@ -446,21 +414,117 @@ class TestServiceCollapse:
                     QueryRequest(quality=resp.served_quality, filters=flt)
                 )
                 assert canon(resp.batch) == canon(ref.batch), f"request {i}"
-            stats = svc.collapse.stats()
+            stats = svc.results.flight_stats()
             assert stats["leaders"] >= 1
             assert stats["fallbacks"] == 0
+            assert stats["collapsed_hits"] == sum(r.collapsed for r in results.values())
 
-    def test_collapse_disabled_never_joins(self, written):
-        cfg = serve_config(capacity=4, collapse=False, result_cache_entries=1)
-        with QueryService(written, cfg) as svc:
-            sids = [svc.open_session() for _ in range(4)]
-            tickets = [
-                svc.submit(sid, QueryRequest(quality=1.0)) for sid in sids
+    def test_burst_decodes_each_column_once(self, tmp_path):
+        """120 one-shot sessions released together on 4 overlapping views
+        of a v4 dataset, capacity 4, default caches: every response is
+        the direct query's bytes, and the burst decodes exactly the
+        columns one serial pass over the 4 views decodes."""
+        meta = _v4_dataset(tmp_path, "burst")
+        with BATDataset(meta) as direct:
+            lo, hi = direct.bounds.lower, direct.bounds.upper
+            at = lambda f: tuple(a + f * (b - a) for a, b in zip(lo, hi))  # noqa: E731
+            views = [
+                QueryRequest(quality=1.0, box=Box(at(f), at(f + 0.7)))
+                for f in (0.0, 0.1, 0.2, 0.3)
             ]
+            refs = [direct.query(v) for v in views]
+        cfg = serve_config(
+            capacity=4, max_queued=256, result_ttl=30.0,
+            degradation=DegradationConfig(enabled=False),
+        )
+
+        def decoded(svc):
+            return svc.snapshot()["caches"]["decoded_columns"]
+
+        with QueryService(meta, cfg) as svc:
+            for view in views:
+                svc.execute(view)
+            serial = decoded(svc)["misses"]
+        with QueryService(meta, cfg) as svc:
+            sids = [svc.open_session() for _ in range(120)]
+            tickets = [svc.submit(sid, views[i % 4]) for i, sid in enumerate(sids)]
+            responses = [t.result(60.0) for t in tickets]
+            burst = decoded(svc)
+        for i, resp in enumerate(responses):
+            assert resp.served_quality == 1.0 and not resp.partial
+            assert canon(resp.batch) == canon(refs[i % 4].batch), f"request {i}"
+        assert burst["misses"] == serial
+
+    def test_streams_never_lead(self, written):
+        cfg = serve_config(capacity=4, result_cache_entries=1)
+        with QueryService(written, cfg) as svc:
+            handles = [
+                svc.stream(svc.open_session(), QueryRequest(quality=1.0))
+                for _ in range(4)
+            ]
+            for h in handles:
+                list(h)
+                h.result(60.0)
+            assert svc.results.flight_stats()["leaders"] == 0
+
+    @pytest.mark.parametrize("outcome", ["raises", "partial"])
+    def test_failed_or_partial_leader_hands_nothing_over(self, tmp_path, outcome):
+        meta = _v4_dataset(tmp_path, "lead")
+        if outcome == "partial":
+            sorted(tmp_path.glob("*.bat"))[0].unlink()
+        req = QueryRequest(quality=1.0)
+        cfg = serve_config(degradation=DegradationConfig(enabled=False))
+        with QueryService(meta, cfg) as svc:
+            ds = svc.dataset(0)
+            query = ds.query
+            calls = []
+
+            def leader_query(window, plan=None):
+                calls.append(window)
+                if len(calls) == 1:
+                    # hold the leader until the other request waits on it
+                    _until(lambda: _waiting_on_a_leader(svc), "a waiter")
+                    if outcome == "raises":
+                        raise RuntimeError("leader failed")
+                return query(window, plan=plan)
+
+            ds.query = leader_query
+            tickets = [svc.submit(svc.open_session(), req) for _ in range(2)]
+            responses, errors = [], []
             for t in tickets:
-                t.result(60.0)
-            s = svc.collapse.stats()
-            assert s["leaders"] == 0 and s["collapsed_hits"] == 0
+                try:
+                    responses.append(t.result(60.0))
+                except RuntimeError as exc:
+                    errors.append(exc)
+            stats = svc.results.flight_stats()
+        assert len(calls) == 2
+        assert (stats["leaders"], stats["collapsed_hits"], stats["fallbacks"]) == (1, 0, 1)
+        assert len(errors) == (outcome == "raises")
+        with BATDataset(meta) as direct:
+            ref = direct.query(replace(req, on_error="degrade"))
+        for resp in responses:
+            assert not resp.collapsed and not resp.cache_hit
+            assert resp.partial == (outcome == "partial")
+            assert canon(resp.batch) == canon(ref.batch)
+
+    def test_one_shot_completes_beside_an_undrained_stream(self, written, direct):
+        """A stream whose consumer never drains blocks forever on its
+        outbox (``stream_grace=None``); an identical one-shot window must
+        not wait on it."""
+        cfg = serve_config(
+            stream_outbox=1, stream_grace=None,
+            degradation=DegradationConfig(enabled=False),
+        )
+        req = QueryRequest(quality=1.0, box=BOX)
+        svc = QueryService(written, cfg)
+        try:
+            handle = svc.stream(svc.open_session(), req)
+            _until(lambda: handle.outbox.blocked_pushes > 0, "the stream to block")
+            resp = svc.request(svc.open_session(), req, timeout=30.0)
+            assert not resp.collapsed
+            assert canon(resp.batch) == canon(direct.query(req).batch)
+        finally:
+            svc.close(cancel=True)
 
     @SETTINGS
     @given(data=st.data())
@@ -667,8 +731,6 @@ class TestOneReplayFunction:
 
 class TestOpenLoopLoad:
     def test_open_loop_deterministic_and_verified(self, written, direct):
-        from repro.serve import DegradationConfig
-
         for stream in (False, True):
             reports = []
             for _ in range(2):
@@ -717,7 +779,8 @@ class TestColumnCacheStress:
         arrays = [rng.random(rng.integers(64, 1024)) for _ in range(64)]
         stop = threading.Event()
         over_budget = []
-        gets = [0] * 4
+        wrong = []
+        gets = [0] * 6
 
         def sampler():
             while not stop.is_set():
@@ -730,8 +793,12 @@ class TestColumnCacheStress:
                 k = int(r.integers(0, 64))
                 op = int(r.integers(0, 10))
                 if op < 4:
-                    cache.get(f"f{k % 4}", k, 0)
+                    arr = cache.get(f"f{k % 4}", k, 0)
                     gets[tid] += 1
+                    if arr is None and op < 2:  # a reader's miss path
+                        arr = cache.load(f"f{k % 4}", k, 0, lambda: arrays[k])
+                    if arr is not None and arr is not arrays[k]:
+                        wrong.append(k)
                 elif op < 8:
                     cache.put(f"f{k % 4}", k, 0, arrays[k])
                 elif op == 8:
@@ -739,20 +806,30 @@ class TestColumnCacheStress:
                 else:
                     cache.invalidate(f"f{k % 4}")
 
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
-        s = threading.Thread(target=sampler)
-        s.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stop.set()
-        s.join()
+        # more threads than cores, switching as often as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(6)]
+            s = threading.Thread(target=sampler)
+            s.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+                assert not t.is_alive()
+            stop.set()
+            s.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
         assert not over_budget, f"budget exceeded mid-race: {over_budget[:3]}"
+        assert not wrong, f"another key's array served: {wrong[:3]}"
         stats = cache.stats()
-        # counter purity: every get is exactly one hit or one miss; peek
-        # and invalidate moved neither counter
-        assert stats["hits"] + stats["misses"] == sum(gets)
+        # counter purity: every get is exactly one hit or one miss, a load
+        # re-counts its miss as a join when it waited; peek and invalidate
+        # moved no counter
+        assert stats["hits"] + stats["misses"] + stats["joins"] == sum(gets)
+        assert not cache._inflight
         # the bookkept byte total equals the entries actually present
         assert cache.nbytes == sum(
             arr.nbytes

@@ -391,10 +391,11 @@ class TestShardedIdentity:
         scatter = step._scatter
 
         def held(*args):
-            # park the leader in its scatter until the other session joined
+            # park the leader in its scatter until the other session waits
+            # on it at the result tier
             deadline = time.monotonic() + 30.0
             while (
-                sharded.collapse.stats()["subscribers"] < 1
+                not any(f.waiters for f in list(sharded.results._inflight.values()))
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.005)
