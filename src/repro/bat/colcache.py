@@ -21,15 +21,25 @@ handle has this tier attached, its treelet views do *not* memoize
 decoded columns themselves: retention lives here, which is what makes
 the byte budget an actual bound on decoded memory.
 
+**One round-trip per file and column.** A read asks for one column (or
+the walk tables) of all of a file's surviving treelets at once:
+:meth:`fetch` answers the hits and claims the misses under one lock
+acquisition, and one loader call produces every claimed miss. The
+single-key pair — :meth:`get` for the hit path, :meth:`load` for its
+miss path — is :meth:`fetch`'s one-key case, not a second
+implementation.
+
 **Single-flight.** What concurrent reads of any windows duplicate is a
-treelet column, and this key names it: a miss that :meth:`load` finds
-already being decoded (or built) waits for that load instead of
-repeating it. The hit path is :meth:`get` alone.
+treelet column, and this key names it: a miss that :meth:`fetch` finds
+already being decoded (or built) elsewhere waits for that load instead
+of repeating it.
 
 The budget is in *decoded* bytes (``arr.nbytes``), not encoded bytes:
 that is what the cache actually pins in memory. Eviction is strict LRU.
 All operations take one re-entrant lock so the serve layer's scheduler
-workers can share a single instance; loaders run outside it.
+workers can share a single instance; loaders run outside it. Entries and
+loads are indexed by file, so :meth:`invalidate` touches only the keys
+of the file it drops.
 """
 
 from __future__ import annotations
@@ -68,10 +78,10 @@ class Flight:
 class DecodedColumnCache:
     """LRU over decoded column arrays with a hard byte budget.
 
-    ``get``/``put`` maintain hit/miss/eviction counters surfaced through
-    :meth:`stats`; :meth:`peek` is counter-pure (metrics endpoints can
-    probe without perturbing hit rates). :meth:`invalidate` drops every
-    entry of one file — the file-handle cache calls it whenever a
+    ``get``/``fetch`` maintain hit/miss/join/eviction counters surfaced
+    through :meth:`stats`; :meth:`peek` is counter-pure (metrics endpoints
+    can probe without perturbing hit rates). :meth:`invalidate` drops
+    every entry of one file — the file-handle cache calls it whenever a
     ``BATFile`` is evicted, dropped, or quarantined, so a rewritten or
     corrupt file can never serve stale columns.
     """
@@ -83,8 +93,10 @@ class DecodedColumnCache:
         self.budget_bytes = budget_bytes
         self._lock = threading.RLock()
         self._entries: OrderedDict[tuple[str, int, int], np.ndarray] = OrderedDict()
-        #: key -> the load running for it (see :meth:`load`)
-        self._inflight: dict[tuple[str, int, int], Flight] = {}
+        #: path -> the keys of its entries
+        self._files: dict[str, set[tuple[str, int, int]]] = {}
+        #: path -> key -> the load running for it (see :meth:`fetch`)
+        self._inflight: dict[str, dict[tuple[str, int, int], Flight]] = {}
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -109,38 +121,91 @@ class DecodedColumnCache:
     def load(self, path: str, treelet: int, column: int, loader):
         """The miss path of :meth:`get`: ``loader()``, run once per key.
 
-        A miss on a key already loading waits and returns that load's
-        array (even one over budget), re-counted as a join, so ``misses``
-        counts loads. If a loader raises, each of its waiters runs
-        ``loader`` itself. A load :meth:`invalidate` overtook answers its
-        waiters but is not cached.
+        :meth:`fetch` of the one key, with the miss :meth:`get` counted
+        re-counted there: a hit, a load (``misses``) or a wait (``joins``).
         """
-        key = (str(path), int(treelet), int(column))
         with self._lock:
-            arr = self._entries.get(key)
-            waited = self._inflight.get(key)
-            if arr is not None or waited is not None:
-                self.misses -= 1
-                self.joins += 1
+            self.misses -= 1
+        return self.fetch(path, ((int(treelet), int(column)),), lambda _: (loader(),))[0]
+
+    def fetch(self, path: str, keys, loader) -> list:
+        """The arrays of ``keys`` — ``(treelet, column)`` pairs of Python
+        ints, of one file — in order, with one cache round-trip.
+
+        Hits come from the cache. The misses no other thread is loading
+        are claimed and produced by one call ``loader(claimed)``, which
+        returns their arrays in the order of ``claimed`` (a subsequence of
+        ``keys``); they are cached, and the call returns them even when
+        one is over budget. A miss already loading elsewhere waits for that
+        load and takes its array. Per key, ``hits``, ``misses`` (loads) or
+        ``joins`` (waits) advance by one. If ``loader`` raises, every
+        waiter on its keys loads those keys itself. A load that
+        :meth:`invalidate` overtook answers its waiters but is not cached.
+        """
+        path = str(path)
+        out = []
+        claimed: list[int] = []
+        flights: list[Flight] = []
+        waited: list[tuple[int, Flight, threading.Event]] = []
+        with self._lock:
+            entries = self._entries
+            running = self._inflight.get(path)
+            for treelet, column in keys:
+                key = (path, treelet, column)
+                arr = entries.get(key)
                 if arr is not None:
-                    return arr
-                done = waited.wait()
-            else:
-                flight = self._inflight[key] = Flight(key)
-        if waited is not None:
+                    entries.move_to_end(key)
+                elif running is not None and key in running:
+                    flight = running[key]
+                    waited.append((len(out), flight, flight.wait()))
+                else:
+                    if running is None:
+                        running = self._inflight[path] = {}
+                    flight = running[key] = Flight(key)
+                    claimed.append(len(out))
+                    flights.append(flight)
+                out.append(arr)
+            self.hits += len(out) - len(claimed) - len(waited)
+            self.misses += len(claimed)
+            self.joins += len(waited)
+        # a thread runs its own loads before it waits on anyone else's, so
+        # two threads claiming overlapping sets never wait on each other
+        if claimed:
+            try:
+                arrays = loader([keys[i] for i in claimed])
+                for flight, arr in zip(flights, arrays, strict=True):
+                    flight.value = arr
+            finally:
+                self._settle(path, flights)
+            for i, flight in zip(claimed, flights):
+                out[i] = flight.value
+        failed = []
+        for i, flight, done in waited:
             done.wait()
-            return loader() if waited.value is None else waited.value
-        try:
-            flight.value = loader()
-        finally:
-            with self._lock:
-                if self._inflight.get(key) is flight:
-                    del self._inflight[key]
-                    if flight.value is not None:
-                        self._insert(key, flight.value)
+            if flight.value is None:  # its loader raised
+                failed.append(i)
+            out[i] = flight.value
+        if failed:
+            for i, arr in zip(failed, loader([keys[i] for i in failed])):
+                out[i] = arr
+        return out
+
+    def _settle(self, path: str, flights: list[Flight]) -> None:
+        """End the claimed ``flights`` (loaded, or not if their loader
+        raised): cache what no invalidation overtook, release the waiters."""
+        with self._lock:
+            running = self._inflight.get(path)
+            if running is not None:
+                for flight in flights:
+                    if running.get(flight.key) is flight:
+                        del running[flight.key]
+                        if flight.value is not None:
+                            self._insert(flight.key, flight.value)
+                if not running:
+                    del self._inflight[path]
+        for flight in flights:
             if flight.done is not None:  # no waiter can join once it left _inflight
                 flight.done.set()
-        return flight.value
 
     def put(self, path: str, treelet: int, column: int, arr: np.ndarray) -> None:
         """Insert one decoded column, evicting LRU entries over budget.
@@ -159,11 +224,17 @@ class DecodedColumnCache:
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= int(old.nbytes)
+        else:
+            self._files.setdefault(key[0], set()).add(key)
         self._entries[key] = arr
         self._bytes += nbytes
         while self._bytes > self.budget_bytes and self._entries:
-            _, victim = self._entries.popitem(last=False)
+            victim_key, victim = self._entries.popitem(last=False)
             self._bytes -= int(victim.nbytes)
+            keys = self._files[victim_key[0]]
+            keys.discard(victim_key)
+            if not keys:
+                del self._files[victim_key[0]]
             self.evictions += 1
 
     def peek(self, path: str, treelet: int, column: int):
@@ -177,13 +248,13 @@ class DecodedColumnCache:
         """Drop every entry belonging to ``path``; returns entries removed.
 
         Loads of ``path`` in flight are forgotten too: they finish for
-        their own waiters, and the next miss starts a fresh load.
+        their own waiters, and the next miss starts a fresh load. Touches
+        only ``path``'s own keys.
         """
         path = str(path)
         with self._lock:
-            for k in [k for k in self._inflight if k[0] == path]:
-                del self._inflight[k]
-            doomed = [k for k in self._entries if k[0] == path]
+            self._inflight.pop(path, None)
+            doomed = self._files.pop(path, ())
             for k in doomed:
                 self._bytes -= int(self._entries.pop(k).nbytes)
             return len(doomed)

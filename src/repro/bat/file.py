@@ -4,13 +4,23 @@ Reads go through ``mmap`` so the OS page cache serves repeated traversals
 and the 4 KB-aligned treelets map cleanly onto pages. The shallow tree,
 attribute table, and bitmap dictionary — touched by every query — live in
 the first pages of the file.
+
+A read asks for treelets in batches, one file at a time: the surviving
+treelets' walk tables (:meth:`BATFile.walk_tables`, the missing ones
+built in one level-synchronous pass by :func:`build_walk_tables`) and
+one column of all of them (:meth:`BATFile.columns`) each cost one round
+trip to an attached :class:`~repro.bat.colcache.DecodedColumnCache`.
+A v4 treelet's column directory is parsed into Python values once, when
+:meth:`BATFile.treelet` materializes it, and each miss is one codec call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import mmap
 import os
+import struct
 import threading
 import zlib
 from collections.abc import Mapping
@@ -31,6 +41,7 @@ from .format import (
     Header,
     attr_table_dtype,
     column_dir_dtype,
+    child_links_ok,
     shallow_inner_dtype,
     shallow_leaf_dtype,
     treelet_header_dtype,
@@ -39,11 +50,16 @@ from .format import (
     unpack_footer,
 )
 
-__all__ = ["BATFile", "TreeletView", "WALK_TABLE_SLOT", "build_walk_table"]
+__all__ = ["BATFile", "TreeletView", "WALK_TABLE_SLOT", "build_walk_tables"]
 
 #: :class:`~repro.bat.colcache.DecodedColumnCache` slot of a treelet's walk
 #: table; directory columns occupy slots ``0 .. n_attrs + 1``
 WALK_TABLE_SLOT = -1
+
+#: a treelet's 16-byte preamble, the four little-endian u4 fields of
+#: :func:`~repro.bat.format.treelet_header_dtype` in order
+_TREELET_HEADER = struct.Struct("<4I")
+_COLUMN_DIR = column_dir_dtype()
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,7 +92,7 @@ def _resolve_bitmaps(bitmap_ids: np.ndarray, dictionary: np.ndarray) -> np.ndarr
     the all-ones bitmap: it can never prune, and every returned row is
     value-checked anyway."""
     lut = np.append(dictionary, np.uint32(0xFFFFFFFF))
-    return lut[np.minimum(bitmap_ids.astype(np.int64), len(dictionary))]
+    return lut.take(bitmap_ids, mode="clip")  # ids are >= 0: clip hits the sentinel
 
 
 def _nests(lo, hi, bitmaps, parent) -> bool:
@@ -88,22 +104,52 @@ def _nests(lo, hi, bitmaps, parent) -> bool:
     )
 
 
-def build_walk_table(
-    nodes: np.ndarray, bbox: np.ndarray, dictionary: np.ndarray, levels: int
-) -> np.ndarray:
-    """Flatten one treelet's k-d nodes into a :func:`walk_table_dtype` array.
+def build_walk_tables(leaves, nodes, bboxes, dictionary: np.ndarray, levels: int) -> list:
+    """The walk tables of several treelets, built together.
 
-    The only place node boxes are derived from the splits: one level-by-
-    level pass from the leaf's ``bbox`` through at most ``levels`` depths
-    (no read looks deeper). Rows no link reaches keep a NaN box, depth -1
-    and themselves as parent, so no test or depth window ever selects them.
+    ``nodes[i]`` are the node records of treelet ``leaves[i]`` and
+    ``bboxes[i]`` its leaf box. Table ``i`` flattens those nodes into a
+    :func:`walk_table_dtype` array. This is the only place node boxes are
+    derived from the splits: a level-by-level pass from each leaf box
+    through at most ``levels`` depths (no read looks deeper). Rows no link
+    reaches keep a NaN box, depth -1 and themselves as parent, so no test
+    or depth window ever selects them.
+
+    The treelets' records are laid back to back and walked level-
+    synchronously: one numpy pass per depth over every treelet's frontier
+    at once, not one per treelet. Each table is its own array (no view of
+    a shared one), so a cache charging its ``nbytes`` charges exactly what
+    it pins. A link that leaves ``node < child < n_nodes`` raises
+    :class:`~repro.errors.IntegrityError` naming the treelet.
     """
-    n = len(nodes)
-    axis, split = nodes["axis"], nodes["split"]
-    children = np.stack([nodes["left"], nodes["right"]])
+    bounds = list(itertools.accumulate(map(len, nodes), initial=0))
+    sizes = np.diff(bounds)
+    if not sizes.all():
+        leaf = leaves[int(np.argmin(sizes))]
+        raise IntegrityError(f"treelet {leaf} has no nodes", section=f"treelet {leaf}")
+    roots = np.array(bounds[:-1])
+    # one buffer of raw records: a structured np.concatenate promotes
+    # every field of every operand first
+    recs = nodes[0] if len(nodes) == 1 else np.frombuffer(b"".join(nodes), nodes[0].dtype)
+    n = bounds[-1]
     ar = np.arange(n)
-    ids = np.zeros(1, dtype=np.int64)
-    box = np.asarray(bbox, dtype=np.float64).reshape(1, 2, 3)  # [:, 0] lo, [:, 1] hi
+    first = np.repeat(roots, sizes)  # each row's treelet root
+    axis, split = recs["axis"], recs["split"]
+    children = np.empty((2, n), dtype=np.int64)
+    children[0], children[1] = recs["left"], recs["right"]
+    children += first
+    # the rule in rows of all the treelets: first + node < first + child < first + n_nodes
+    ok = child_links_ok(ar, children[0], children[1], first + np.repeat(sizes, sizes))
+    if not (ok | (axis < 0)).all():
+        row = int(np.flatnonzero(~ok & (axis >= 0))[0])
+        t = int(np.searchsorted(roots, row, side="right")) - 1
+        raise IntegrityError(
+            f"treelet {leaves[t]} node {row - bounds[t]}: child link outside "
+            "node < child < n_nodes",
+            section=f"treelet {leaves[t]}",
+        )
+    ids = roots
+    box = np.asarray(bboxes, dtype=np.float64).reshape(-1, 2, 3)  # [:, 0] lo, [:, 1] hi
     level_ids, level_box, level_parent = [], [], [ids]
     for _ in range(levels):
         level_ids.append(ids)
@@ -115,32 +161,40 @@ def build_walk_table(
             if k == 0:
                 break
             ids, ax, box = ids[desc], ax[desc], box[desc]
+        # every treelet's left children, then every treelet's right ones:
+        # within a treelet, the order a walk of it alone would queue them
+        rows = np.arange(k)
         sp = split[ids]
-        rows = ar[:k]
-        lhi = box.copy()
-        lhi[rows, 1, ax] = sp
-        rlo = box.copy()
-        rlo[rows, 0, ax] = sp
+        box = np.concatenate([box, box])
+        box[rows, 1, ax] = sp  # left children end at the split ...
+        box[rows + k, 0, ax] = sp  # ... right ones start there
         level_parent += (ids, ids)
         ids = children[:, ids].ravel()
-        box = np.concatenate([lhi, rlo])
     ids = np.concatenate(level_ids)
     t_box = np.full((n, 2, 3), np.nan)
     t_box[ids] = np.concatenate(level_box)
     t_depth = np.full(n, -1, dtype=np.int16)
-    t_depth[ids] = np.repeat(ar[: len(level_ids)], [len(i) for i in level_ids])
+    t_depth[ids] = np.repeat(np.arange(len(level_ids)), [len(i) for i in level_ids])
     t_parent = ar.copy()
-    # one entry for the root plus two per level below it (a pass that ran
-    # out of levels queued parents for a level it never recorded)
+    # one entry for the roots plus two per level below them (a pass that
+    # ran out of levels queued parents for a level it never recorded)
     t_parent[ids] = np.concatenate(level_parent[: 2 * len(level_ids) - 1])
-    bitmaps = _resolve_bitmaps(nodes["bitmap_ids"], dictionary)
-    table = np.empty(n, dtype=walk_table_dtype(bitmaps.shape[1]))
-    table["nests"] = _nests(t_box[:, 0], t_box[:, 1], bitmaps, t_parent)
-    table["lo"], table["hi"], table["depth"], table["parent"] = (
-        t_box[:, 0], t_box[:, 1], t_depth, t_parent
+    lo, hi = t_box[:, 0], t_box[:, 1]
+    bitmaps = _resolve_bitmaps(recs["bitmap_ids"], dictionary)
+    # _nests per treelet, reduced over each treelet's run of flat values
+    # (an axis=1 reduction of rows this short costs more than the test)
+    inside = (lo >= lo[t_parent]) & (hi <= hi[t_parent])
+    spill = bitmaps & ~bitmaps[t_parent]
+    nests = np.logical_and.reduceat(inside.ravel(), roots * 3) & (
+        np.bitwise_or.reduceat(spill.ravel(), roots * spill.shape[1]) == 0
     )
-    table["begin"], table["count"], table["bitmaps"] = nodes["begin"], nodes["count"], bitmaps
-    return table
+    table = np.empty(n, dtype=walk_table_dtype(bitmaps.shape[1]))
+    table["nests"] = np.repeat(nests, sizes)
+    table["lo"], table["hi"], table["depth"], table["parent"] = lo, hi, t_depth, t_parent - first
+    table["begin"], table["count"], table["bitmaps"] = recs["begin"], recs["count"], bitmaps
+    if len(sizes) == 1:
+        return [table]
+    return [table[a:z].copy() for a, z in zip(bounds, bounds[1:])]
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,38 +222,50 @@ def shallow_table_dtype(n_attrs: int) -> np.dtype:
     )
 
 
+class _ColumnDir:
+    """One v4 treelet's column directory, parsed once into Python values.
+
+    Slot ``i`` (0 nodes, 1 positions, 2+ attributes) is codec
+    ``codecs[i]`` over the file's bytes ``starts[i]:starts[i + 1]`` with
+    parameters ``p0[i]`` / ``p1[i]``, decoding to ``counts[i]`` values
+    that fill ``raw_nbytes[i]`` bytes. ``bbox`` dequantizes positions.
+    """
+
+    __slots__ = ("codecs", "starts", "p0", "p1", "raw_nbytes", "counts", "bbox")
+
+    def __init__(self, col_dir: np.ndarray, base: int, counts: list, bbox: np.ndarray):
+        self.codecs = [c.rstrip(b"\0").decode() for c in col_dir["codec"].tolist()]
+        self.starts = list(itertools.accumulate(col_dir["enc_nbytes"].tolist(), initial=base))
+        self.p0 = col_dir["p0"].tolist()
+        self.p1 = col_dir["p1"].tolist()
+        self.raw_nbytes = col_dir["raw_nbytes"].tolist()
+        self.counts = counts
+        self.bbox = bbox
+
+
 class _LazyColumns(Mapping):
     """Attribute columns of one v4 treelet, decoded on first access.
 
     Looks like the plain dict v2/v3 treelets carry, but a column's payload
     is only run through its codec when something subscripts it — queries
     that filter or select a subset of attributes never touch (or pay for)
-    the rest. Decoded columns are cached for the life of the treelet view.
+    the rest. A cache-less handle's view keeps what it decoded.
     """
 
-    __slots__ = ("_file", "_names", "_col_dir", "_starts", "_n_pts", "_leaf", "_cache")
+    __slots__ = ("_file", "_leaf", "_cache")
 
-    def __init__(self, file, names, col_dir, starts, n_pts, leaf):
+    def __init__(self, file: "BATFile", leaf: int):
         self._file = file
-        self._names = names
-        self._col_dir = col_dir
-        self._starts = starts
-        self._n_pts = n_pts
         self._leaf = leaf
         self._cache: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         arr = self._cache.get(name)
         if arr is None:
-            try:
-                idx = self._names.index(name)
-            except ValueError:
-                raise KeyError(name) from None
-            # nodes and positions occupy directory slots 0 and 1
-            arr = self._file._decode_treelet_column(
-                self._leaf, self._col_dir, self._starts, 2 + idx,
-                self._file.attr_dtypes[name], self._n_pts,
-            )
+            slot = self._file._attr_slots.get(name)
+            if slot is None:
+                raise KeyError(name)
+            arr = self._file._treelet_column(self._leaf, slot)
             # with a DecodedColumnCache attached, *it* owns retention (and
             # its byte budget must actually bound decoded memory); only
             # cache-less handles memoize for their own lifetime
@@ -208,13 +274,13 @@ class _LazyColumns(Mapping):
         return arr
 
     def __iter__(self):
-        return iter(self._names)
+        return iter(self._file.attr_names)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._file.attr_names)
 
     def __contains__(self, name) -> bool:
-        return name in self._names
+        return name in self._file._attr_slots
 
 
 class TreeletView:
@@ -228,58 +294,45 @@ class TreeletView:
     header already carries ``n_points`` and ``max_depth``, so a full-speed
     plan (no box test, no filters) can emit a whole treelet without ever
     decoding its node records — or, under column projection, its position
-    block. Accessing the property triggers (and memoizes) the decode.
+    block. Accessing the property triggers the decode (memoized on the
+    view only when the handle has no decoded-column cache), and
+    ``column_dir`` is the treelet's parsed column directory.
 
-    ``walk_table`` is the flattened form of ``nodes`` that pruned reads
-    test (:func:`build_walk_table`), lazy for every layout and retained
-    exactly like a decoded column.
+    Pruned reads test the flattened form of ``nodes``:
+    :meth:`BATFile.walk_tables`.
     """
 
     __slots__ = (
-        "_nodes", "_positions", "attributes", "max_depth", "_n_points",
-        "_nodes_thunk", "_positions_thunk", "_memoize", "_table", "_table_thunk",
+        "_nodes", "_positions", "attributes", "max_depth", "n_points", "_file", "_leaf",
+        "column_dir",
     )
 
     def __init__(
         self,
+        n_points: int,
+        max_depth: int,
         nodes: np.ndarray | None = None,
         positions: np.ndarray | None = None,
         attributes: Mapping | None = None,
-        max_depth: int = 0,
-        n_points: int | None = None,
-        nodes_thunk=None,
-        positions_thunk=None,
-        memoize: bool = True,
-        table_thunk=None,
+        file: "BATFile | None" = None,
+        leaf: int = -1,
+        column_dir: _ColumnDir | None = None,
     ):
+        self.n_points = int(n_points)
+        self.max_depth = int(max_depth)
         self._nodes = nodes
         self._positions = positions
         self.attributes = attributes if attributes is not None else {}
-        self.max_depth = int(max_depth)
-        self._n_points = n_points
-        self._nodes_thunk = nodes_thunk
-        self._positions_thunk = positions_thunk
-        # views of a handle with a DecodedColumnCache attached do not
-        # memoize: retention (and the byte budget) belongs to that tier
-        self._memoize = bool(memoize)
-        self._table = None
-        self._table_thunk = table_thunk
-
-    @property
-    def walk_table(self) -> np.ndarray:  # structured walk_table_dtype
-        if self._table is not None:
-            return self._table
-        arr = self._table_thunk()
-        if self._memoize:
-            self._table = arr
-        return arr
+        self._file = file
+        self._leaf = leaf
+        self.column_dir = column_dir
 
     @property
     def nodes(self) -> np.ndarray:  # structured treelet_node_dtype
         if self._nodes is not None:
             return self._nodes
-        arr = self._nodes_thunk()
-        if self._memoize:
+        arr = self._file._treelet_column(self._leaf, 0)
+        if self._file.column_cache is None:
             self._nodes = arr
         return arr
 
@@ -287,16 +340,17 @@ class TreeletView:
     def positions(self) -> np.ndarray:  # (n, 3) float32, node order
         if self._positions is not None:
             return self._positions
-        arr = self._positions_thunk()
-        if self._memoize:
+        arr = self._file._treelet_column(self._leaf, 1)
+        if self._file.column_cache is None:
             self._positions = arr
         return arr
 
-    @property
-    def n_points(self) -> int:
-        if self._n_points is not None:
-            return self._n_points
-        return len(self.positions)
+
+def _dequantize(q: np.ndarray, bbox: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` 16-bit quantized positions to float32 inside ``bbox``."""
+    lo = bbox[:3]
+    ext = np.maximum(bbox[3:] - lo, 0.0)
+    return (lo + q.astype(np.float64) / 65535.0 * ext).astype(np.float32)
 
 
 class BATFile:
@@ -440,7 +494,17 @@ class BATFile:
             for a, name in enumerate(self.attr_names):
                 lo, hi = self.attr_ranges[name]
                 self.binnings[name] = make_binning(kinds[a], lo, hi, edge_tables[a])
+        #: directory slot of each attribute (0 nodes, 1 positions)
+        self._attr_slots = {name: 2 + a for a, name in enumerate(self.attr_names)}
+        #: what each directory slot decodes to
+        self._slot_dtypes = [
+            self._node_dt,
+            np.dtype("<u2") if self.quantized else np.dtype("<f4"),
+            *self.attr_dtypes.values(),
+        ]
         self._treelet_cache: dict[int, TreeletView] = {}
+        #: walk tables of a handle with no decoded-column cache attached
+        self._walk_tables: dict[int, np.ndarray] = {}
         self._shallow_table: np.ndarray | None = None
         self._visit_rank: np.ndarray | None = None
 
@@ -457,9 +521,10 @@ class BATFile:
         Safe to call on a partially constructed instance (a parse failure
         releases its handles through here).
         """
-        cache = getattr(self, "_treelet_cache", None)
-        if cache is not None:
-            cache.clear()
+        for memo in ("_treelet_cache", "_walk_tables"):
+            cache = getattr(self, memo, None)
+            if cache is not None:
+                cache.clear()
         self.shallow_inner = None
         self.shallow_leaves = None
         self.dictionary = None
@@ -686,71 +751,112 @@ class BATFile:
         self._column_summary = out
         return out
 
-    def _decode_treelet_column(self, leaf, col_dir, starts, idx, dtype, count, transform=None):
-        """Decode directory slot ``idx`` of one v4 treelet to a flat array.
+    # -- treelet columns and walk tables ------------------------------------
 
-        Consults the attached :class:`DecodedColumnCache` first; a hit
-        skips the codec (and ``transform``) entirely and does *not* count
-        toward ``decoded_bytes`` (the counter measures real decode work),
-        and a miss joins a decode of the same column already running.
-        ``transform`` post-processes the raw codec output — the position
-        slot uses it to reshape/dequantize — and the cache stores the
-        *transformed* product, so hits skip that work too.
+    def columns(self, leaves, name: str | None) -> list[np.ndarray]:
+        """One column of several treelets, in order: attribute ``name``, or
+        the ``(n, 3)`` positions for ``None``.
+
+        A treelet not materialized yet is materialized first
+        (:meth:`treelet`). On a v4 handle with a
+        :class:`DecodedColumnCache` attached this is one cache round-trip
+        for all of them, and one codec call per treelet column decoded
+        (:meth:`DecodedColumnCache.fetch`); otherwise each column comes
+        from its treelet view.
         """
+        return self._columns(leaves, 1 if name is None else 2 + self.attr_index(name))
+
+    def _columns(self, leaves, slot: int) -> list[np.ndarray]:
         cache = self.column_cache
-        if cache is None:
-            return self._decode_slot(leaf, col_dir, starts, idx, dtype, count, transform)
-        arr = cache.get(self.cache_key, leaf, idx)
-        if arr is not None:
-            return arr
-        return cache.load(
-            self.cache_key, leaf, idx,
-            lambda: self._decode_slot(leaf, col_dir, starts, idx, dtype, count, transform),
+        if cache is None or not self.column_encoded:
+            views = [self._view(leaf) for leaf in leaves]
+            if slot == 0:
+                return [tv.nodes for tv in views]
+            if slot == 1:
+                return [tv.positions for tv in views]
+            name = self.attr_names[slot - 2]
+            return [tv.attributes[name] for tv in views]
+        return cache.fetch(
+            self.cache_key, [(leaf, slot) for leaf in leaves],
+            lambda keys: [self._decode_slot(leaf, slot) for leaf, _ in keys],
         )
 
-    def _decode_slot(self, leaf, col_dir, starts, idx, dtype, count, transform):
-        """Run the codec (and ``transform``) on one treelet column slot."""
-        d = col_dir[idx]
-        codec_name = bytes(d["codec"]).rstrip(b"\0").decode()
-        buf = self._buf[int(starts[idx]) : int(starts[idx + 1])]
-        arr = decode_column(codec_name, buf, dtype, count, float(d["p0"]), float(d["p1"]))
-        if arr.nbytes != int(d["raw_nbytes"]):
+    def _treelet_column(self, leaf: int, slot: int) -> np.ndarray:
+        """Directory slot ``slot`` of one v4 treelet: the attached cache's
+        hit path, else its one-key miss path (which joins a decode of the
+        same column already running); a plain decode without a cache."""
+        cache = self.column_cache
+        if cache is None:
+            return self._decode_slot(leaf, slot)
+        arr = cache.get(self.cache_key, leaf, slot)
+        if arr is not None:
+            return arr
+        return cache.load(self.cache_key, leaf, slot, lambda: self._decode_slot(leaf, slot))
+
+    def _decode_slot(self, leaf: int, slot: int) -> np.ndarray:
+        """Run directory slot ``slot`` of one v4 treelet through its codec.
+
+        The position slot is also reshaped to ``(n, 3)`` and dequantized,
+        and a cache stores that final product, so hits skip the work too.
+        Only this counts toward ``decoded_bytes`` — cache hits never get
+        here, so the counter measures real decode work.
+        """
+        d = self._view(leaf).column_dir
+        arr = decode_column(
+            d.codecs[slot], self._buf[d.starts[slot] : d.starts[slot + 1]],
+            self._slot_dtypes[slot], d.counts[slot], d.p0[slot], d.p1[slot],
+        )
+        if arr.nbytes != d.raw_nbytes[slot]:
             raise IntegrityError(
-                f"treelet {leaf} column {idx}: decoded {arr.nbytes} bytes, "
-                f"directory says {int(d['raw_nbytes'])} in {self.path}",
+                f"treelet {leaf} column {slot}: decoded {arr.nbytes} bytes, "
+                f"directory says {d.raw_nbytes[slot]} in {self.path}",
                 section=f"treelet {leaf}", path=self.path,
             )
         with self._dbytes_lock:
             self.decoded_bytes += arr.nbytes
-        if transform is not None:
-            arr = transform(arr)
+        if slot == 1:
+            arr = arr.reshape(-1, 3)
+            if self.quantized:
+                arr = _dequantize(arr, d.bbox)
         return arr
 
-    def _walk_table(self, leaf: int) -> np.ndarray:
-        """The walk table of one treelet, built on first use.
+    def walk_tables(self, leaves) -> list[np.ndarray]:
+        """The walk tables of several treelets, in order, built on first use.
 
-        A resident of the decoded-column tier like any column (same key,
-        its own slot, the same single-flight), so the byte budget bounds
-        it and whatever retires the handle's columns retires it; not
-        codec work, so it never counts toward ``decoded_bytes``.
+        A treelet not materialized yet is materialized first
+        (:meth:`treelet`). The missing tables are built together, in one
+        :func:`build_walk_tables` pass over their node records. With a
+        :class:`DecodedColumnCache` attached the tables are its residents
+        (slot :data:`WALK_TABLE_SLOT`, one round-trip for all of them, the
+        same single-flight), so the byte budget bounds them and whatever
+        retires the handle's columns retires them; a cache-less handle
+        keeps them itself. Not codec work: never counts toward
+        ``decoded_bytes``.
         """
         cache = self.column_cache
-        if cache is None:
-            return self._build_walk_table(leaf)
-        table = cache.get(self.cache_key, leaf, WALK_TABLE_SLOT)
-        if table is not None:
-            return table
-        return cache.load(
-            self.cache_key, leaf, WALK_TABLE_SLOT, lambda: self._build_walk_table(leaf)
-        )
+        if cache is not None:
+            return cache.fetch(
+                self.cache_key, [(leaf, WALK_TABLE_SLOT) for leaf in leaves],
+                lambda keys: self._build_walk_tables([leaf for leaf, _ in keys]),
+            )
+        memo = self._walk_tables
+        missing = [leaf for leaf in leaves if leaf not in memo]
+        if missing:
+            memo.update(zip(missing, self._build_walk_tables(missing)))
+        return [memo[leaf] for leaf in leaves]
 
-    def _build_walk_table(self, leaf: int) -> np.ndarray:
-        return build_walk_table(
-            self._treelet_cache[leaf].nodes,
-            np.asarray(self.shallow_leaves[leaf]["bbox"], dtype=np.float64),
-            self.dictionary,
-            self.max_treelet_depth + 2,
-        )
+    def _build_walk_tables(self, leaves: list) -> list[np.ndarray]:
+        try:
+            return build_walk_tables(
+                leaves, self._columns(leaves, 0), self.shallow_leaves["bbox"][leaves],
+                self.dictionary, self.max_treelet_depth + 2,
+            )
+        except IntegrityError as exc:
+            exc.path = self.path
+            raise
+
+    def _view(self, leaf: int) -> TreeletView:
+        return self._treelet_cache.get(leaf) or self.treelet(leaf)
 
     def treelet(self, leaf: int) -> TreeletView:
         """Map (or decompress/decode) the treelet of shallow leaf ``leaf``.
@@ -776,26 +882,24 @@ class BATFile:
                 section=f"treelet {leaf}", path=self.path,
             )
         if self._treelet_crcs is not None:
-            actual = zlib.crc32(self._mm[off : off + nbytes])
+            actual = zlib.crc32(self._buf[off : off + nbytes])
             if actual != int(self._treelet_crcs[leaf]):
                 raise IntegrityError(
                     f"treelet {leaf} checksum mismatch in {self.path}",
                     section=f"treelet {leaf}", path=self.path,
                 )
-        th = np.frombuffer(self._mm, dtype=treelet_header_dtype(), count=1, offset=off)[0]
-        n_nodes = int(th["n_nodes"])
-        n_pts = int(th["n_points"])
-        head = treelet_header_dtype().itemsize
+        n_nodes, n_pts, max_depth, raw_nbytes = _TREELET_HEADER.unpack_from(self._buf, off)
+        head = _TREELET_HEADER.size
 
         if self.column_encoded:
-            view = self._treelet_v4(leaf, rec, off, head, n_nodes, n_pts, int(th["max_depth"]))
+            view = self._treelet_v4(leaf, rec, off, head, n_nodes, n_pts, max_depth)
             self._treelet_cache[leaf] = view
             return view
 
         if self.compressed:
             comp = self._mm[off + head : off + int(rec["treelet_nbytes"])]
             payload = zlib.decompress(comp)
-            if len(payload) != int(th["raw_nbytes"]):
+            if len(payload) != raw_nbytes:
                 raise IntegrityError(
                     f"treelet {leaf}: decompressed size mismatch in {self.path}",
                     section=f"treelet {leaf}", path=self.path,
@@ -812,9 +916,7 @@ class BATFile:
                 n_pts, 3
             )
             cursor += q.nbytes
-            lo = np.asarray(rec["bbox"][:3], dtype=np.float64)
-            ext = np.maximum(np.asarray(rec["bbox"][3:], dtype=np.float64) - lo, 0.0)
-            positions = (lo + q.astype(np.float64) / 65535.0 * ext).astype(np.float32)
+            positions = _dequantize(q, np.asarray(rec["bbox"], dtype=np.float64))
         else:
             positions = np.frombuffer(
                 buf, dtype=np.float32, count=3 * n_pts, offset=cursor
@@ -825,69 +927,37 @@ class BATFile:
             dt = self.attr_dtypes[name]
             attrs[name] = np.frombuffer(buf, dtype=dt, count=n_pts, offset=cursor)
             cursor += n_pts * dt.itemsize
-        view = TreeletView(
-            nodes=nodes, positions=positions, attributes=attrs, max_depth=int(th["max_depth"]),
-            memoize=self.column_cache is None,
-            table_thunk=lambda: self._walk_table(leaf),
-        )
+        view = TreeletView(n_pts, max_depth, nodes=nodes, positions=positions, attributes=attrs)
         self._treelet_cache[leaf] = view
         return view
 
     def _treelet_v4(self, leaf, rec, off, head, n_nodes, n_pts, max_depth) -> TreeletView:
         """Build the view of a column-encoded (v4) treelet.
 
-        *Everything* decodes lazily: node records and the position block go
-        behind thunks on the view (a full-speed plan under column
-        projection may need neither), and attribute columns go behind a
-        :class:`_LazyColumns` mapping so only the columns a query filters
-        on or materializes ever run through their codec.
+        *Everything* decodes lazily: node records and the position block
+        decode when the view's properties are read (a full-speed plan
+        under column projection may need neither), and attribute columns
+        go behind a :class:`_LazyColumns` mapping so only the columns a
+        query filters on or materializes ever run through their codec.
+        The column directory is parsed here, once.
         """
-        n_cols = 2 + self.header.n_attrs
-        dir_dt = column_dir_dtype()
-        col_dir = np.frombuffer(self._mm, dtype=dir_dt, count=n_cols, offset=off + head)
-        base = off + head + col_dir.nbytes
-        starts = base + np.concatenate(
-            [[0], np.cumsum(col_dir["enc_nbytes"].astype(np.int64))]
+        n_attrs = self.header.n_attrs
+        col_dir = np.frombuffer(self._mm, dtype=_COLUMN_DIR, count=2 + n_attrs, offset=off + head)
+        column_dir = _ColumnDir(
+            col_dir, off + head + col_dir.nbytes, [n_nodes, 3 * n_pts] + [n_pts] * n_attrs,
+            # plain floats copied out of the shallow-leaf record, not a
+            # structured view pinning the mapping
+            np.asarray(rec["bbox"], dtype=np.float64).copy(),
         )
-        if int(starts[-1]) > off + int(rec["treelet_nbytes"]):
+        if column_dir.starts[-1] > off + int(rec["treelet_nbytes"]):
             raise IntegrityError(
                 f"treelet {leaf}: column payloads overrun the treelet block "
                 f"in {self.path}",
                 section=f"treelet {leaf}", path=self.path,
             )
-
-        def nodes_thunk() -> np.ndarray:
-            return self._decode_treelet_column(
-                leaf, col_dir, starts, 0, self._node_dt, n_nodes
-            )
-
-        # copy the bbox floats out of the shallow-leaf record so the thunk
-        # holds plain values, not a structured view pinning the mapping
-        bbox = np.asarray(rec["bbox"], dtype=np.float64).copy()
-
-        def dequantize(flat: np.ndarray) -> np.ndarray:
-            if self.quantized:
-                q = flat.reshape(n_pts, 3)
-                lo = bbox[:3]
-                ext = np.maximum(bbox[3:] - lo, 0.0)
-                return (lo + q.astype(np.float64) / 65535.0 * ext).astype(np.float32)
-            return flat.reshape(n_pts, 3)
-
-        def positions_thunk() -> np.ndarray:
-            pos_dt = np.dtype("<u2") if self.quantized else np.dtype("<f4")
-            return self._decode_treelet_column(
-                leaf, col_dir, starts, 1, pos_dt, 3 * n_pts, transform=dequantize
-            )
-
-        attrs = _LazyColumns(self, list(self.attr_names), col_dir, starts, n_pts, leaf)
         return TreeletView(
-            attributes=attrs,
-            max_depth=max_depth,
-            n_points=n_pts,
-            nodes_thunk=nodes_thunk,
-            positions_thunk=positions_thunk,
-            memoize=self.column_cache is None,
-            table_thunk=lambda: self._walk_table(leaf),
+            n_pts, max_depth, attributes=_LazyColumns(self, leaf), file=self, leaf=leaf,
+            column_dir=column_dir,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

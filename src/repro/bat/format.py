@@ -73,6 +73,7 @@ __all__ = [
     "shallow_inner_dtype",
     "shallow_leaf_dtype",
     "treelet_node_dtype",
+    "child_links_ok",
     "treelet_header_dtype",
     "LEAF_FLAG",
 ]
@@ -314,6 +315,13 @@ def treelet_node_dtype(n_attrs: int) -> np.dtype:
             ("bitmap_ids", "<u2", (max(n_attrs, 1),)),
         ]
     )
+
+
+def child_links_ok(node, left, right, n_nodes):
+    """Where inner nodes' child links stay inside their treelet and point
+    forward: ``node < child < n_nodes`` for both children (node records
+    are in pre-order). Array-wise over any number of nodes."""
+    return (node < left) & (left < n_nodes) & (node < right) & (right < n_nodes)
 
 
 def column_dir_dtype() -> np.dtype:

@@ -177,10 +177,11 @@ def _gather_pruned(bat: BATFile, leaf_index: int, keep_fn, filters, stats, box=N
     stats.nodes_visited += int(np.count_nonzero(visited))
     leaves = table["leaf"][alive & (table["leaf"] >= 0)]
     stats.treelets_visited += len(leaves)
-    tvs = [bat.treelet(leaf) for leaf in leaves.tolist()]
+    ids = leaves.tolist()
+    tvs = [bat.treelet(leaf) for leaf in ids]
     if not tvs:
         return _no_candidates()
-    forest = _Forest([tv.walk_table for tv in tvs], np.arange(len(tvs)), False)
+    forest = _Forest(bat.walk_tables(ids), np.arange(len(tvs)), False)
     alive, visited = forest.survivors(keep_fn(forest.lo, forest.hi))
     stats.nodes_visited += int(np.count_nonzero(visited))
     beg = forest.begin[alive]
@@ -190,15 +191,15 @@ def _gather_pruned(bat: BATFile, leaf_index: int, keep_fn, filters, stats, box=N
         return _no_candidates()
     index, ranks, bounds, runs = seg
     stats.points_tested += len(index)
-    tvs = [tvs[r] for r in ranks.tolist()]
-    pos, _, kept = _check(tvs, index, bounds, runs, box, filters, False)
+    seg_leaves = [ids[r] for r in ranks.tolist()]
+    pos, _, kept = _check(bat, seg_leaves, index, bounds, runs, box, filters, False)
     if kept is not None:
         if not kept.size:
             return _no_candidates()
         index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
         pos = None if pos is None else pos.take(kept, axis=0)
     if pos is None:
-        pos = _gather(tvs, None, index, bounds, runs)
+        pos = _gather(bat, seg_leaves, None, index, bounds, runs)
     keys = np.empty((len(index), 3), dtype=np.int64)
     keys[:, 0] = leaf_index
     keys[:, 1] = np.repeat(bat.shallow_leaf_visit_rank()[leaves[ranks]], np.diff(bounds))

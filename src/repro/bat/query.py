@@ -26,10 +26,11 @@ time, with no Python loop over nodes or levels (:class:`_FileWalk`):
   (:func:`_survivors`), and the surviving leaf rows, in row order, are
   the treelets to read in emission order.
 - *Treelet pass.* A treelet's nodes are not walked either. The
-  survivors' *walk tables* (:attr:`~repro.bat.file.TreeletView.walk_table`:
+  survivors' *walk tables* (:meth:`~repro.bat.file.BATFile.walk_tables`:
   the same kind of table per treelet, in pre-order, with each node's
-  slot range, held with the decoded columns) are laid back to back as
-  one :class:`_Forest` and tested in one pass. A tree, shallow or
+  slot range, held with the decoded columns; the missing ones built in
+  one level-synchronous pass) are laid back to back as one
+  :class:`_Forest` and tested in one pass. A tree, shallow or
   treelet, whose boxes or bitmaps do not nest has the result pushed down
   level by level instead, over its own rows only. Pruning does not depend
   on quality, so the masks are computed on the walk's first window and
@@ -39,11 +40,13 @@ time, with no Python loop over nodes or levels (:class:`_FileWalk`):
   nodes only down to ``floor(e_hi)``, below which no node can contribute
   — the counters are those of a top-down walk that stops there.
 - *Gather.* The window's slot ranges, in pre-order, become one index for
-  the file (:func:`_segments`), cut per treelet; each column is gathered
-  once into one array for the file (:func:`_gather`) and every row gets
-  one exact box/filter check. A whole treelet asked for at full quality
-  skips its table, node records and checks (:func:`_full_speed`) and is
-  handed on as views of its columns.
+  the file (:func:`_segments`), cut per treelet; each column is fetched
+  for all those treelets in one call
+  (:meth:`~repro.bat.file.BATFile.columns`: one cache round-trip) and
+  gathered once into one array for the file (:func:`_gather`), and every
+  row gets one exact box/filter check. A whole treelet asked for at full
+  quality skips its table, node records and checks (:func:`_full_speed`)
+  and is handed on as views of its columns, fetched the same way.
 
 The rows leave as *chunks* — the views of whole treelets and the
 gathered rows of the walked ones between them — and are copied once,
@@ -657,24 +660,27 @@ def _segments(lo: np.ndarray, hi: np.ndarray, tid: np.ndarray, n_points: np.ndar
     return np.cumsum(steps), tid[first], bounds, runs
 
 
-def _gather(tvs, name, index: np.ndarray, bounds: np.ndarray, runs=None):
-    """One column of several treelets gathered into one array.
+def _gather(bat: BATFile, leaves, name, index: np.ndarray, bounds: np.ndarray, runs=None):
+    """One column of several treelets of ``bat`` gathered into one array.
 
     ``name`` is an attribute, or ``None`` for the positions. Segment ``i``
-    takes ``index[bounds[i]:bounds[i + 1]]`` from that column of
-    ``tvs[i]`` — a plain slice copy where ``runs[i]`` names the first slot
-    of one contiguous run. Empty segments are skipped, so their column is
-    never fetched (nor, on v4 files, decoded).
+    takes ``index[bounds[i]:bounds[i + 1]]`` from that column of treelet
+    ``leaves[i]`` — a plain slice copy where ``runs[i]`` names the first
+    slot of one contiguous run. The columns of the non-empty segments are
+    fetched in one call (:meth:`~repro.bat.file.BATFile.columns`); empty
+    segments are skipped, so their column is never fetched (nor, on v4
+    files, decoded).
     """
     b = bounds.tolist()
-    starts = runs.tolist() if runs is not None else [-1] * len(tvs)
-    out = None
-    for tv, a, z, s in zip(tvs, b, b[1:], starts):
-        if a == z:
-            continue
-        col = tv.positions if name is None else tv.attributes[name]
-        if out is None:
-            out = np.empty((b[-1], *col.shape[1:]), dtype=col.dtype)
+    segs = [i for i in range(len(leaves)) if b[i] < b[i + 1]]
+    if not segs:
+        return None
+    cols = bat.columns([leaves[i] for i in segs], name)
+    starts = runs.tolist() if runs is not None else None
+    out = np.empty((b[-1], *cols[0].shape[1:]), dtype=cols[0].dtype)
+    for i, col in zip(segs, cols):
+        a, z = b[i], b[i + 1]
+        s = -1 if starts is None else starts[i]
         if s >= 0:
             out[a:z] = col[s : s + z - a]
         else:
@@ -683,7 +689,7 @@ def _gather(tvs, name, index: np.ndarray, bounds: np.ndarray, runs=None):
     return out
 
 
-def _check(tvs, index, bounds, runs, box, filters, with_positions: bool):
+def _check(bat: BATFile, leaves, index, bounds, runs, box, filters, with_positions: bool):
     """The exact box/filter check over a file's gathered rows.
 
     Returns ``(positions, cols, kept)``: the positions when returned
@@ -695,14 +701,14 @@ def _check(tvs, index, bounds, runs, box, filters, with_positions: bool):
     """
     pos = mask = None
     if with_positions or box is not None:
-        pos = _gather(tvs, None, index, bounds, runs)
+        pos = _gather(bat, leaves, None, index, bounds, runs)
         if box is not None:
             mask = box.contains_points(pos)
     cols: dict[str, np.ndarray] = {}
     for f in filters:
         vals = cols.get(f.name)
         if vals is None:
-            vals = cols[f.name] = _gather(tvs, f.name, index, bounds, runs)
+            vals = cols[f.name] = _gather(bat, leaves, f.name, index, bounds, runs)
         fmask = (vals >= f.lo) & (vals <= f.hi)
         mask = fmask if mask is None else (mask & fmask)
     return pos, cols, None if mask is None else np.flatnonzero(mask)
@@ -725,11 +731,12 @@ class _FileWalk:
     """
 
     __slots__ = (
-        "ctx", "tvs", "n_points", "max_depth", "containable", "names", "spent",
+        "bat", "ctx", "leaves", "n_points", "max_depth", "containable", "names", "spent",
         "forest", "inside", "alive", "visited", "reached",
     )
 
     def __init__(self, bat: BATFile, ctx: _QueryContext) -> None:
+        self.bat = bat
         self.ctx = ctx
         table = bat.shallow_table()
         inside, keep = _node_tests(ctx, table["lo"], table["hi"], table["bitmaps"])
@@ -737,9 +744,10 @@ class _FileWalk:
         _count_visits(ctx.stats, visited, inside, alive)
         leaves = table[alive & (table["leaf"] >= 0)]
         ctx.stats.treelets_visited += len(leaves)
-        self.tvs = [bat.treelet(leaf) for leaf in leaves["leaf"].tolist()]
-        self.n_points = np.array([tv.n_points for tv in self.tvs], dtype=np.int64)
-        self.max_depth = np.array([tv.max_depth for tv in self.tvs], dtype=np.int64)
+        self.leaves = leaves["leaf"].tolist()
+        tvs = [bat.treelet(leaf) for leaf in self.leaves]
+        self.n_points = np.array([tv.n_points for tv in tvs], dtype=np.int64)
+        self.max_depth = np.array([tv.max_depth for tv in tvs], dtype=np.int64)
         # the quality-independent half of the whole-treelet rule
         # (_full_speed): no filters, and the box contains the leaf box
         if ctx.filters:
@@ -777,15 +785,16 @@ class _FileWalk:
         walked = live & ~whole
         rows = self._walk(walked, e_lo, e_hi) if walked.any() else None
         whole_ranks = np.flatnonzero(whole).tolist()
+        wholes = self._wholes(whole_ranks, keyed)
         if rows is None:
-            return [self._whole(rank, keyed) for rank in whole_ranks]
+            return wholes
         pos, attrs, count, ranks, bounds, slots = rows
         row_ranks = np.repeat(ranks, np.diff(bounds)) if keyed else None
         # the row offset each whole treelet sits at among the walked rows
         cuts = bounds[np.searchsorted(ranks, whole_ranks)].tolist()
         chunks = []
         done = 0
-        for rank, cut in zip([*whole_ranks, None], [*cuts, count]):
+        for whole_chunk, cut in zip([*wholes, None], [*cuts, count]):
             if cut > done:
                 chunks.append((
                     None if pos is None else pos[done:cut],
@@ -795,27 +804,34 @@ class _FileWalk:
                     slots[done:cut] if keyed else None,
                 ))
                 done = cut
-            if rank is not None:
-                chunks.append(self._whole(rank, keyed))
+            if whole_chunk is not None:
+                chunks.append(whole_chunk)
         return chunks
 
-    def _whole(self, rank: int, keyed: bool) -> tuple:
-        """A treelet emitted whole: views of its columns, no table, no check.
+    def _wholes(self, ranks: list[int], keyed: bool) -> list[tuple]:
+        """Treelets emitted whole: views of their columns, no table, no check.
 
-        No box test runs here, so under column projection the node records
-        and the position block are never touched — a one-column read
-        decodes just that column.
+        Each column is fetched for all of them in one call. No box test
+        runs here, so under column projection the node records and the
+        position block are never touched — a one-column read decodes just
+        that column.
         """
-        tv = self.tvs[rank]
-        n = tv.n_points
-        pos = tv.positions if self.ctx.with_positions else None
-        attrs = self.ctx.select_attrs(tv.attributes)
-        if not keyed:
-            return pos, attrs, n, None, None
-        return (
-            pos, attrs, n,
-            np.full(n, rank, dtype=np.int64), np.arange(n, dtype=np.int64),
-        )
+        if not ranks:
+            return []
+        leaves = [self.leaves[r] for r in ranks]
+        pos = self.bat.columns(leaves, None) if self.ctx.with_positions else None
+        cols = {name: self.bat.columns(leaves, name) for name in self.names}
+        chunks = []
+        for i, rank in enumerate(ranks):
+            n = int(self.n_points[rank])
+            chunks.append((
+                None if pos is None else pos[i],
+                {name: col[i] for name, col in cols.items()},
+                n,
+                np.full(n, rank, dtype=np.int64) if keyed else None,
+                np.arange(n, dtype=np.int64) if keyed else None,
+            ))
+        return chunks
 
     def _walk(self, walked: np.ndarray, e_lo: float, e_hi: float):
         """The ``walked`` treelets' rows between ``e_lo → e_hi``, gathered once.
@@ -828,7 +844,7 @@ class _FileWalk:
         if self.forest is None:
             ranks = np.flatnonzero(walked)
             f = self.forest = _Forest(
-                [self.tvs[r].walk_table for r in ranks.tolist()], ranks,
+                self.bat.walk_tables([self.leaves[r] for r in ranks.tolist()]), ranks,
                 bool(ctx.bitmap_tests),
             )
             self.inside, keep = _node_tests(ctx, f.lo, f.hi, f.bitmaps)
@@ -858,9 +874,9 @@ class _FileWalk:
             return None
         index, ranks, bounds, runs = seg
         ctx.stats.points_tested += len(index)
-        tvs = [self.tvs[r] for r in ranks.tolist()]
+        leaves = [self.leaves[r] for r in ranks.tolist()]
         pos, cols, kept = _check(
-            tvs, index, bounds, runs, ctx.box, ctx.filters, ctx.with_positions
+            self.bat, leaves, index, bounds, runs, ctx.box, ctx.filters, ctx.with_positions
         )
         count = len(index)
         if kept is not None:
@@ -876,7 +892,8 @@ class _FileWalk:
         # selection is by key so lazily decoded (v4) columns outside the
         # requested set are never materialized
         attrs = {
-            name: cols[name] if name in cols else _gather(tvs, name, index, bounds, runs)
+            name: cols[name] if name in cols
+            else _gather(self.bat, leaves, name, index, bounds, runs)
             for name in self.names
         }
         return pos, attrs, count, ranks, bounds, index

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .file import BATFile
-from .format import PAGE_SIZE
+from .format import PAGE_SIZE, child_links_ok
 
 __all__ = ["ValidationReport", "validate_file", "validate_dataset"]
 
@@ -176,7 +176,7 @@ def _validate_treelet(bat: BATFile, leaf: int, report: ValidationReport) -> None
     if len(inner):
         l = nodes["left"][inner].astype(np.int64)
         r = nodes["right"][inner].astype(np.int64)
-        bad = np.nonzero(~((inner < l) & (l < n) & (inner < r) & (r < n)))[0]
+        bad = np.nonzero(~child_links_ok(inner, l, r, n))[0]
         if not report.check(
             len(bad) == 0, f"treelet {leaf} node {inner[bad[0]] if len(bad) else 0}: bad children"
         ):

@@ -215,6 +215,154 @@ class TestSingleFlight:
         assert len(c) == 0 and c.nbytes == 0
 
 
+class _BatchGate:
+    """A batch loader that records every key it loads; its first call
+    blocks until released (and raises then, with ``fail_first``)."""
+
+    def __init__(self, fail_first: bool = False):
+        self.fail_first = fail_first
+        self.loaded: list[tuple] = []
+        self.calls = 0
+        self._lock = threading.Lock()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    @staticmethod
+    def array(key) -> np.ndarray:
+        return np.full(8, key[0] * 100 + key[1], dtype=np.int64)
+
+    def __call__(self, keys):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+            self.loaded += keys
+        if first:
+            self.entered.set()
+            assert self.release.wait(10.0)
+            if self.fail_first:
+                raise RuntimeError("corrupt column")
+        return [self.array(k) for k in keys]
+
+
+def _batch_herd(cache, gate, sets):
+    """Fetch ``sets[0]`` (held inside ``gate``), then every other set on
+    its own thread; returns the threads and their ``(result, error)`` slots."""
+    out = [None] * len(sets)
+
+    def run(i):
+        try:
+            out[i] = (cache.fetch("f", sets[i], gate), None)
+        except Exception as exc:  # surfaced through ``out``
+            out[i] = (None, exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(sets))]
+    threads[0].start()
+    assert gate.entered.wait(10.0)
+    for t in threads[1:]:
+        t.start()
+    held = set(sets[0])
+    joins = sum(len(held & set(s)) for s in sets[1:])
+    _until(lambda: cache.stats()["joins"] >= joins, "every waiter to join")
+    return threads, out
+
+
+class TestBatchedMissPath:
+    """:meth:`DecodedColumnCache.fetch`: the single-flight guarantees of
+    :class:`TestSingleFlight`, per key, for one loader call per batch."""
+
+    def test_hits_and_misses_in_one_round_trip(self):
+        c = DecodedColumnCache(budget_bytes=1024)
+        c.put("f", 1, 0, _arr(10))
+        loaded = []
+
+        def loader(keys):
+            loaded.append(list(keys))
+            return [_arr(k[0]) for k in keys]
+
+        got = c.fetch("f", [(0, 0), (1, 0), (2, 0)], loader)
+        assert loaded == [[(0, 0), (2, 0)]]
+        assert [a.nbytes for a in got] == [0, 10, 2]
+        s = c.stats()
+        assert (s["hits"], s["misses"], s["joins"]) == (1, 2, 0)
+        # all three are cached now (a zero-byte array too): no loader call
+        assert c.fetch("f", [(2, 0), (0, 0), (1, 0)], None)[0] is got[2]
+
+    def test_overlapping_batches_load_each_key_once(self):
+        c = DecodedColumnCache(budget_bytes=1 << 20)
+        gate = _BatchGate()
+        sets = [
+            [(t, 2) for t in range(4)],
+            [(2, 2), (3, 2), (4, 2), (5, 2)],
+            [(3, 2), (4, 2), (5, 2), (6, 2), (7, 2)],
+            [(t, 2) for t in range(8)],
+        ]
+        threads, out = _batch_herd(c, gate, sets)
+        gate.release.set()
+        _finish(threads)
+        assert sorted(gate.loaded) == [(t, 2) for t in range(8)]
+        for keys, (res, err) in zip(sets, out):
+            assert err is None
+            assert [a.tolist() for a in res] == [gate.array(k).tolist() for k in keys]
+            for k, a in zip(keys, res):
+                assert c.peek("f", *k) is a  # every thread holds the cached array
+        s = c.stats()
+        assert s["misses"] == 8
+        assert s["hits"] + s["misses"] + s["joins"] == sum(map(len, sets))
+        assert not c._inflight
+
+    def test_raising_batch_loader_hangs_no_waiter(self):
+        c = DecodedColumnCache(budget_bytes=1 << 20)
+        gate = _BatchGate(fail_first=True)
+        sets = [[(0, 1), (1, 1), (2, 1)], [(1, 1)], [(2, 1), (5, 1)], [(0, 1), (2, 1)]]
+        threads, out = _batch_herd(c, gate, sets)
+        gate.release.set()
+        _finish(threads)
+        errors = [err for _, err in out if err is not None]
+        assert len(errors) == 1 and "corrupt" in str(errors[0])
+        assert out[0][1] is errors[0]
+        # each waiter loaded what it waited for itself, and got it
+        for keys, (res, err) in zip(sets[1:], out[1:]):
+            assert err is None
+            assert [a.tolist() for a in res] == [gate.array(k).tolist() for k in keys]
+        # and no key is left in flight: the next miss loads afresh
+        assert not c._inflight
+        fresh = _arr(10)
+        assert c.fetch("f", [(9, 1)], lambda keys: [fresh])[0] is fresh
+
+    def test_invalidation_mid_batch_leaves_no_stale_entry(self):
+        c = DecodedColumnCache(budget_bytes=1 << 20)
+        gate = _BatchGate()
+        sets = [[(0, 0), (1, 0), (2, 0)], [(1, 0)]]
+        threads, out = _batch_herd(c, gate, sets)
+        c.invalidate("f")
+        # a miss after the invalidation does not join the overtaken batch
+        fresh = _arr(30)
+        assert c.fetch("f", [(1, 0)], lambda keys: [fresh])[0] is fresh
+        gate.release.set()
+        _finish(threads)
+        # the overtaken batch still answered its own waiters ...
+        assert out[1][0][0].tolist() == gate.array((1, 0)).tolist()
+        assert [a.tolist() for a in out[0][0]] == [gate.array(k).tolist() for k in sets[0]]
+        # ... but none of it entered the cache
+        assert c.peek("f", 1, 0) is fresh
+        assert c.peek("f", 0, 0) is None and c.peek("f", 2, 0) is None
+        assert c.nbytes == 30 and not c._inflight
+
+    def test_invalidate_touches_only_its_files_keys(self):
+        c = DecodedColumnCache(budget_bytes=1 << 20)
+        for path in ("a", "b"):
+            c.fetch(path, [(t, s) for t in range(3) for s in (-1, 0, 2)],
+                    lambda keys: [_arr(4) for _ in keys])
+        assert set(c._files) == {"a", "b"} and len(c._files["a"]) == 9
+        assert c.invalidate("a") == 9
+        assert set(c._files) == {"b"} and len(c) == 9 and c.nbytes == 36
+        # eviction keeps the index exact
+        c.budget_bytes = 8
+        c.put("b", 9, 9, _arr(8))
+        assert c._files == {"b": {("b", 9, 9)}} and len(c) == 1
+        assert c.invalidate("b") == 1 and not c._files
+
+
 @pytest.fixture(scope="module")
 def v4_bytes():
     rng = np.random.default_rng(11)

@@ -791,8 +791,16 @@ class TestColumnCacheStress:
             r = np.random.default_rng(tid)
             for i in range(400):
                 k = int(r.integers(0, 64))
-                op = int(r.integers(0, 10))
-                if op < 4:
+                op = int(r.integers(0, 11))
+                if op == 10:  # a reader's batched round-trip over 3 treelets
+                    ks = [(k + j) % 64 for j in range(3)]
+                    got = cache.fetch(
+                        f"f{k % 4}", [(j, 0) for j in ks],
+                        lambda keys: [arrays[t] for t, _ in keys],
+                    )
+                    gets[tid] += len(ks)
+                    wrong.extend(j for j, arr in zip(ks, got) if arr is not arrays[j])
+                elif op < 4:
                     arr = cache.get(f"f{k % 4}", k, 0)
                     gets[tid] += 1
                     if arr is None and op < 2:  # a reader's miss path
@@ -826,10 +834,13 @@ class TestColumnCacheStress:
         assert not wrong, f"another key's array served: {wrong[:3]}"
         stats = cache.stats()
         # counter purity: every get is exactly one hit or one miss, a load
-        # re-counts its miss as a join when it waited; peek and invalidate
-        # moved no counter
+        # re-counts its miss as a join when it waited, every fetched key is
+        # one of the three; peek and invalidate moved no counter
         assert stats["hits"] + stats["misses"] + stats["joins"] == sum(gets)
         assert not cache._inflight
+        # the per-file index names exactly the entries present
+        assert {k for keys in cache._files.values() for k in keys} == set(cache._entries)
+        assert all(cache._files.values())
         # the bookkept byte total equals the entries actually present
         assert cache.nbytes == sum(
             arr.nbytes

@@ -1,15 +1,20 @@
 """Walk tables: the flat prune of a treelet vs a plain top-down walk.
 
-A :class:`~repro.bat.file.TreeletView`'s walk table lets the read core
-test every node of a treelet in one numpy pass. That equals a top-down
-walk only where child boxes and bitmaps nest inside their parents', so
-the tests here cover the other side: a hand-tampered treelet that does
-not nest, the core's node counters against a level walk written out in
-plain Python, and the table's life as a resident of the decoded-column
-tier (tight budgets, cache-less handles).
+A treelet's walk table (:meth:`~repro.bat.file.BATFile.walk_tables`)
+lets the read core test every node of a treelet in one numpy pass. That
+equals a top-down walk only where child boxes and bitmaps nest inside
+their parents', so the tests here cover the other side: a hand-tampered
+treelet that does not nest, the core's node counters against a level
+walk written out in plain Python, and the table's life as a resident of
+the decoded-column tier (tight budgets, cache-less handles, concurrent
+readers). The batched build is pinned byte for byte to the per-treelet
+one in ``tests/reference_walk_table.py``, and a child link that leaves
+its treelet is an integrity error.
 """
 
+import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.bat.file as bat_file
+from repro import QueryRequest
 from repro.bat import AttributeFilter, BATFile, build_bat
 from repro.bat.builder import BATBuildConfig
 from repro.bat.filecache import BATFileCache
@@ -28,8 +34,14 @@ from repro.bat.query import (
     query_file_recursive,
     stream_query_file,
 )
+from repro.core import TwoPhaseWriter
+from repro.core.dataset import BATDataset
+from repro.errors import IntegrityError
+from repro.machines import testing_machine
 from repro.types import Box, ParticleBatch
-from tests.test_colcache import _digest
+from tests.reference_walk_table import build_walk_table
+from tests.test_colcache import _digest, _until
+from tests.test_pipeline import make_rank_data
 from tests.test_query_engines import (
     assert_same_result,
     boxes,
@@ -110,10 +122,10 @@ class TestTreeletsThatDoNotNest:
     """(a) files come from disk: the flat test must not assume nesting."""
 
     def test_builder_output_nests(self, bat):
-        assert all(bat.treelet(t).walk_table["nests"][0] for t in range(bat.n_treelets))
+        assert all(t["nests"][0] for t in bat.walk_tables(range(bat.n_treelets)))
 
     def test_split_outside_the_parent_box(self, image, bat):
-        table = bat.treelet(0).walk_table
+        table = bat.walk_tables([0])[0]
         leaf_hi = table["hi"][0]
         # an inner node whose box stops short of the leaf box along its own
         # split axis: pushing its split past its box makes its left child
@@ -131,7 +143,7 @@ class TestTreeletsThatDoNotNest:
             recs[victim]["split"] = edge + 0.04
 
         with tampered(image, 0, edit) as f:
-            assert not f.treelet(0).walk_table["nests"][0]
+            assert not f.walk_tables([0])[0]["nests"][0]
             # a box the left child's widened box meets and the victim's misses
             lo, hi = table["lo"][victim].copy(), table["hi"][victim].copy()
             lo[ax], hi[ax] = edge + 0.01, edge + 0.03
@@ -141,7 +153,7 @@ class TestTreeletsThatDoNotNest:
                     assert_reads_like_the_recursive_walk(f, quality=q, box=box)
             # the probe is the case a nesting-blind flat test gets wrong
             left = int(nodes[victim]["left"])
-            wt = f.treelet(0).walk_table
+            wt = f.walk_tables([0])[0]
             qlo, qhi = np.asarray(probe.lower), np.asarray(probe.upper)
             meets = np.all((wt["lo"] <= qhi) & (wt["hi"] >= qlo), axis=1)
             assert meets[left] and not meets[victim]
@@ -154,7 +166,7 @@ class TestTreeletsThatDoNotNest:
             recs[victim]["bitmap_ids"][0] = 0  # id 0 is the empty bitmap
 
         with tampered(image, 0, edit) as f:
-            assert not f.treelet(0).walk_table["nests"][0]
+            assert not f.walk_tables([0])[0]["nests"][0]
             filt = (AttributeFilter("density", 0.2, 0.9),)
             s = assert_reads_like_the_recursive_walk(f, quality=1.0, filters=filt)
             clean = query_file(bat, quality=1.0, filters=filt)[1]
@@ -400,7 +412,7 @@ class TestTreeletsOfEveryKindInOneFile:
 def loose_bat(image, bat):
     """Treelets 1 and 5 tampered (a split, a bitmap), the other six intact."""
     nodes = bat.treelet(1).nodes
-    table = bat.treelet(1).walk_table
+    table = bat.walk_tables([1])[0]
     victim = next(
         i for i in range(1, len(nodes))
         if nodes[i]["axis"] >= 0
@@ -416,7 +428,7 @@ def loose_bat(image, bat):
 
     edited = tamper_treelet(tamper_treelet(image, 1, widen), 5, empty_bitmap)
     with BATFile.from_bytes(edited) as f:
-        nests = [bool(f.treelet(t).walk_table["nests"][0]) for t in range(f.n_treelets)]
+        nests = [bool(t["nests"][0]) for t in f.walk_tables(range(f.n_treelets))]
         assert nests == [t not in (1, 5) for t in range(f.n_treelets)]
         yield f
 
@@ -439,18 +451,25 @@ def loose_shallow_bat(image, bat):
 
 @pytest.fixture
 def count_builds(monkeypatch):
+    """Every treelet a walk-table build covers, one entry per table built."""
     calls = []
-    build = bat_file.build_walk_table
+    lock = threading.Lock()
+    build = bat_file.build_walk_tables
 
-    def counting(nodes, *args):
-        calls.append(len(nodes))
-        return build(nodes, *args)
+    def counting(leaves, *args):
+        with lock:
+            calls.extend(leaves)
+        return build(leaves, *args)
 
-    monkeypatch.setattr(bat_file, "build_walk_table", counting)
+    monkeypatch.setattr(bat_file, "build_walk_tables", counting)
     return calls
 
 
 WALKED = dict(quality=0.7, box=Box((0.05,) * 3, (0.9,) * 3))
+
+
+def _tables(cache, kind=bat_file.WALK_TABLE_SLOT):
+    return [arr for key, arr in cache.column_cache._entries.items() if key[2] == kind]
 
 
 class TestTableRetention:
@@ -460,7 +479,7 @@ class TestTableRetention:
         with BATFile(path) as plain:
             want, _ = query_file(plain, **WALKED)
             n_treelets = plain.n_treelets
-            table_bytes = plain.treelet(0).walk_table.nbytes
+            table_bytes = plain.walk_tables([0])[0].nbytes
         del count_builds[:]
         # room for a few columns or tables at a time, never for all of them
         budget = 6 * table_bytes
@@ -471,9 +490,9 @@ class TestTableRetention:
                 assert _digest(got) == _digest(want)
                 assert cache.column_cache.nbytes <= budget
             assert cache.column_cache.stats()["evictions"] > 0
-            # evicted tables are rebuilt, never kept on the view on the side
+            # evicted tables are rebuilt, never kept on the handle on the side
             assert len(count_builds) > n_treelets
-            assert all(f.treelet(t)._table is None for t in range(n_treelets))
+            assert f._walk_tables == {}
 
     def test_tables_are_charged_to_the_budget(self, v4_image, tmp_path):
         path = tmp_path / "a.bat"
@@ -481,12 +500,12 @@ class TestTableRetention:
         with BATFileCache(capacity=4) as cache:
             f = cache.get(path)
             query_file(f, **WALKED)
-            tables = [
-                arr for key, arr in cache.column_cache._entries.items()
-                if key[2] == bat_file.WALK_TABLE_SLOT
-            ]
+            tables = _tables(cache)
             assert len(tables) == f.n_treelets
             assert cache.column_cache.nbytes >= sum(t.nbytes for t in tables)
+            # built in one batch, yet each table owns its memory: a cached
+            # table's nbytes is exactly what it pins
+            assert all(t.base is None and t.flags.owndata for t in tables)
             decoded = f.decoded_bytes
             query_file(f, **WALKED)
             assert f.decoded_bytes == decoded  # a table is not codec work
@@ -497,10 +516,238 @@ class TestTableRetention:
         path.write_bytes(request.getfixturevalue(which))
         with BATFile(path) as f:
             first, _ = query_file(f, **WALKED)
-            built = len(count_builds)
-            assert built == f.n_treelets
+            assert sorted(count_builds) == list(range(f.n_treelets))
             for _ in range(2):
-                again, _ = query_file(f, quality=1.0, prev_quality=0.7, box=WALKED["box"])
+                query_file(f, quality=1.0, prev_quality=0.7, box=WALKED["box"])
                 list(stream_query_file(f, (0.2, 0.7), box=WALKED["box"]))
-            assert len(count_builds) == built
+            assert sorted(count_builds) == list(range(f.n_treelets))
             assert _digest(query_file(f, **WALKED)[0]) == _digest(first)
+
+    def test_threads_with_overlapping_survivors_build_each_table_once(
+        self, v4_image, tmp_path, monkeypatch
+    ):
+        """The batched miss path is single-flight per table: threads asking
+        for overlapping survivor sets while the first build is held wait
+        for the tables it claimed and build only the rest."""
+        path = tmp_path / "a.bat"
+        path.write_bytes(v4_image)
+        built, lock = [], threading.Lock()
+        entered, release = threading.Event(), threading.Event()
+        build = bat_file.build_walk_tables
+
+        def held(leaves, *args):
+            with lock:
+                first = not built
+                built.extend(leaves)
+            if first:
+                entered.set()
+                assert release.wait(10.0)
+            return build(leaves, *args)
+
+        monkeypatch.setattr(bat_file, "build_walk_tables", held)
+        sets = [[0, 1, 2, 3], [2, 3, 4, 5], [3, 4, 5, 6, 7], list(range(8))]
+        with BATFileCache(capacity=4) as cache:
+            f = cache.get(path)
+            assert f.n_treelets == 8
+            got = [None] * len(sets)
+
+            def run(i):
+                got[i] = f.walk_tables(sets[i])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(sets))]
+            threads[0].start()
+            assert entered.wait(10.0)
+            for t in threads[1:]:
+                t.start()
+            # every later set waits on at least the tables set 0 holds
+            _until(lambda: cache.column_cache.stats()["joins"] >= 7, "the joins")
+            release.set()
+            for t in threads:
+                t.join(10.0)
+                assert not t.is_alive(), "a walk-table waiter hung"
+            assert sorted(built) == list(range(8))
+            for leaves, tables in zip(sets, got):
+                for leaf, table in zip(leaves, tables):
+                    assert table is cache.column_cache.peek(f.cache_key, leaf, -1)
+                    want = build_walk_table(
+                        f.treelet(leaf).nodes, f.shallow_leaves["bbox"][leaf],
+                        f.dictionary, f.max_treelet_depth + 2,
+                    )
+                    assert table.tobytes() == want.tobytes()
+
+
+# -- (e) the batched build against the per-treelet reference ---------------------------
+
+
+@st.composite
+def treelets(draw, n_attrs=2, max_depth=5):
+    """Node records of one random treelet in pre-order: any depth from a
+    lone root down, axes and splits anywhere (boxes need not nest), bitmap
+    ids in and beyond a 16-entry dictionary."""
+    recs = []
+    node_ids = st.lists(st.integers(0, 20), min_size=n_attrs, max_size=n_attrs)
+
+    def node(depth):
+        i = len(recs)
+        recs.append(None)
+        rec = dict(
+            axis=-1, depth=depth, split=0.0, left=-1, right=-1,
+            begin=draw(st.integers(0, 50)), count=draw(st.integers(0, 50)),
+            bitmap_ids=draw(node_ids),
+        )
+        if depth < max_depth and draw(st.booleans()):
+            rec["axis"] = draw(st.integers(0, 2))
+            rec["split"] = draw(st.floats(-0.5, 1.5, width=32))
+            rec["left"] = node(depth + 1)
+            rec["right"] = node(depth + 1)
+        recs[i] = rec
+        return i
+
+    node(0)
+    out = np.zeros(len(recs), dtype=treelet_node_dtype(n_attrs))
+    for i, rec in enumerate(recs):
+        for key, value in rec.items():
+            out[i][key] = value
+    return out
+
+
+DICTIONARY = np.random.default_rng(3).integers(0, 2**32, 16, dtype=np.uint32)
+
+
+def assert_like_the_reference(leaves, nodes, bboxes, dictionary, levels):
+    tables = bat_file.build_walk_tables(leaves, nodes, bboxes, dictionary, levels)
+    assert len(tables) == len(nodes)
+    for recs, bbox, table in zip(nodes, bboxes, tables):
+        want = build_walk_table(recs, bbox, dictionary, levels)
+        assert table.dtype == want.dtype
+        assert table.tobytes() == want.tobytes()
+        assert table.flags.owndata
+
+
+class TestBatchedBuildEqualsTheReference:
+    @SETTINGS
+    @given(
+        forest=st.lists(treelets(), min_size=1, max_size=6),
+        levels=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_random_treelets_of_mixed_depths(self, forest, levels, data):
+        boxes = data.draw(st.lists(
+            st.lists(st.floats(-1.0, 2.0), min_size=6, max_size=6),
+            min_size=len(forest), max_size=len(forest),
+        ))
+        assert_like_the_reference(
+            list(range(len(forest))), forest, np.asarray(boxes), DICTIONARY, levels
+        )
+
+    def test_one_node_treelets(self):
+        lone = np.zeros(1, dtype=treelet_node_dtype(2))
+        lone["axis"] = -1
+        lone["count"] = 7
+        bboxes = np.array([[0, 0, 0, 1, 1, 1], [0.5, 0, 0, 1, 0.5, 1]], dtype=np.float64)
+        assert_like_the_reference([4, 9], [lone, lone.copy()], bboxes, DICTIONARY, 3)
+
+    @SETTINGS
+    @given(subset=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+    def test_survivor_subsets_of_a_written_file(self, image, subset):
+        with BATFile.from_bytes(image) as f:
+            nodes = [f.treelet(t).nodes for t in subset]
+            bboxes = f.shallow_leaves["bbox"][subset]
+            assert_like_the_reference(
+                subset, nodes, bboxes, f.dictionary, f.max_treelet_depth + 2
+            )
+            for t, table in zip(subset, f.walk_tables(subset)):
+                want = build_walk_table(
+                    f.treelet(t).nodes, bboxes[subset.index(t)], f.dictionary,
+                    f.max_treelet_depth + 2,
+                )
+                assert table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edit", ["split", "bitmap", "dictionary"])
+    def test_treelets_that_do_not_nest(self, image, bat, edit):
+        """The three tamperings of :class:`TestTreeletsThatDoNotNest`, in a
+        batch beside intact treelets."""
+        nodes = bat.treelet(0).nodes
+        table = bat.walk_tables([0])[0]
+        victim = next(
+            i for i in range(1, len(nodes))
+            if nodes[i]["axis"] >= 0
+            and table["hi"][i][nodes[i]["axis"]] < table["hi"][0][nodes[i]["axis"]] - 0.05
+        )
+
+        def tamper(recs):
+            if edit == "split":
+                recs[victim]["split"] = table["hi"][victim][int(recs[victim]["axis"])] + 0.04
+            elif edit == "bitmap":
+                recs[victim]["bitmap_ids"][0] = 0
+            else:
+                recs[1]["bitmap_ids"][0] = 0xFFFF
+
+        with tampered(image, 0, tamper) as f:
+            leaves = [3, 0, 6]
+            nodes = [f.treelet(t).nodes for t in leaves]
+            assert_like_the_reference(
+                leaves, nodes, f.shallow_leaves["bbox"][leaves], f.dictionary,
+                f.max_treelet_depth + 2,
+            )
+            if edit != "dictionary":
+                assert not f.walk_tables([0])[0]["nests"][0]
+
+
+# -- (f) child links that leave the treelet ---------------------------------------------
+
+
+def _bad_link_image(image: bytes, link) -> bytes:
+    """``image`` with treelet 0's root linking its left child to ``link``
+    (``"n_nodes"``: one past the last node)."""
+
+    def edit(recs):
+        assert recs[0]["axis"] >= 0
+        recs[0]["left"] = len(recs) if link == "n_nodes" else link
+
+    return tamper_treelet(image, 0, edit)
+
+
+class TestChildLinksOutsideTheTreelet:
+    """A flipped link in a v2 file (no CRC to catch it) is an integrity
+    error, like every other damage a read can trip over."""
+
+    @pytest.mark.parametrize("link", [-7, "n_nodes"])
+    def test_query_file_raises_integrity_error(self, image, link):
+        with BATFile.from_bytes(_bad_link_image(image, link), name="bad.bat") as f:
+            with pytest.raises(IntegrityError, match="child link") as err:
+                query_file(f, **WALKED)
+        assert err.value.section == "treelet 0"
+        assert err.value.path == "bad.bat"
+
+    def test_treelet_without_nodes_raises_integrity_error(self, image):
+        buf = bytearray(image)
+        with BATFile.from_bytes(image) as f:
+            off = int(f.shallow_leaves[0]["treelet_offset"])
+        buf[off : off + 4] = bytes(4)  # the treelet header's n_nodes
+        with BATFile.from_bytes(bytes(buf)) as f:
+            with pytest.raises(IntegrityError, match="no nodes") as err:
+                query_file(f, **WALKED)
+        assert err.value.section == "treelet 0"
+
+    @pytest.mark.parametrize("link", [-7, "n_nodes"])
+    def test_degraded_dataset_read_quarantines_the_file(self, tmp_path, link):
+        data = make_rank_data(nranks=4, seed=3)
+        writer = TwoPhaseWriter(
+            testing_machine(), target_size=64 * 1024,
+            bat_config=BATBuildConfig(checksums=False),
+        )
+        report = writer.write(data, out_dir=tmp_path, name="v2")
+        with BATDataset(report.metadata_path) as ds:
+            assert ds.n_files > 1
+            req = QueryRequest(quality=0.7)
+            full, _ = ds.query(req)
+            victim = tmp_path / ds.metadata.leaves[0].file_name
+            victim.write_bytes(_bad_link_image(victim.read_bytes(), link))
+            ds.file_cache.close()  # reopen the edited file
+            with pytest.raises(IntegrityError):
+                ds.query(req)
+            part, stats = ds.query(dataclasses.replace(req, on_error="degrade"))
+            assert stats.quarantined_files == 1
+            assert list(ds.quarantined()) == [0]
+            assert 0 < len(part) < len(full)
