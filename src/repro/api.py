@@ -48,7 +48,7 @@ __all__ = [
 ON_ERROR_POLICIES = ("raise", "degrade")
 
 #: traversal engines a :class:`NeighborRequest` may choose: ``"tree"``
-#: (best-first k-d pruning, the default) or ``"brute"`` (the exhaustive
+#: (k-d pruning, nearest file first; the default) or ``"brute"`` (the exhaustive
 #: reference — opens and tests everything; kept byte-identical as the
 #: correctness oracle)
 NEIGHBOR_ENGINES = ("tree", "brute")

@@ -5,16 +5,21 @@ already carry (Cavelan et al., arXiv 1910.02639): every treelet node's
 bounding box bounds its own slot range, so a node whose box lies farther
 from the query centers than the search radius (or the current k-th
 neighbor bound) is pruned with its whole subtree, and only the surviving
-nodes' particle ranges are gathered and distance-tested.
+nodes' particle ranges are gathered and distance-tested. Like the read
+core, every step is an array pass over a whole node set or candidate
+set; no step loops over nodes or centers in Python.
 
 Two engines implement the same semantics:
 
-- ``"tree"`` (default) — best-first/pruned traversal. Fixed-radius
-  queries gather one candidate set per file (nodes within ``radius`` of
-  the query region, measured box-to-box so the halo has round corners);
-  k-NN runs a per-center best-first descent over files, shallow nodes,
-  and treelet nodes, skipping every file whose bounds lie beyond the
-  center's current k-th distance.
+- ``"tree"`` (default). Fixed-radius queries gather one candidate set
+  per file (nodes within ``radius`` of the query region, measured
+  box-to-box so the halo has round corners) and select every center's
+  neighbors in one grid-stencil pass (:func:`select_radius`). k-NN
+  visits files in ascending distance from the centers, skips every file
+  whose bounds lie beyond each center's current k-th distance, and in an
+  opened file gathers, for all centers that still need it at once, the
+  nodes within their bounds; one distance block and one partition then
+  tighten the bounds before the next file (:func:`knn_neighbors`).
 - ``"brute"`` — the exhaustive reference: opens every file, tests every
   particle. Kept byte-identical as the correctness oracle.
 
@@ -22,18 +27,16 @@ Determinism contract: per-center neighbor lists are ordered by
 ``(distance², leaf, treelet, slot)`` where ``(leaf, treelet, slot)`` is
 the particle's global order-key (leaf-file index, treelet visit rank,
 node-order slot — the same key scheme the streaming read path uses).
-Distances are computed in one shared helper (:func:`dist2`, float64,
-fixed operation order), keys are unique per particle, so the sort is a
-total order and both engines — and any shard layout — produce the
-same selection. The box-level pruning bounds carry a tiny
-relative slack so a float rounding at the prune boundary can only admit
-an extra node (harmless), never drop a true neighbor.
+Distances are :func:`dist2`'s one expression (float64, fixed operation
+order) broadcast over centers, keys are unique per particle, so the sort
+is a total order and both engines — and any shard layout — produce the
+same selection. The box-level pruning bounds carry a tiny relative slack
+so a float rounding at the prune boundary can only admit an extra node
+(harmless), never drop a true neighbor.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,23 +59,36 @@ __all__ = [
 #: boundary may only keep an extra node, never drop a true neighbor
 PRUNE_SLACK = 1e-9
 
+#: most (center, candidate) pairs one distance block holds: every block
+#: of centers × candidates or nodes is cut to stay under it
+_PAIR_BUDGET = 1 << 22
+
 
 @dataclass
 class NeighborStats:
-    """Work counters for one neighbor query; merged across files."""
+    """Work counters for one neighbor query, summed over its files."""
 
     #: resolved query centers
     centers: int = 0
     treelets_visited: int = 0
+    #: shallow-table and walk-table rows visited (a row whose parent
+    #: passed), once per pruned gather: per ``center_box`` file, per
+    #: radius file, per opened k-NN file (one test for all the centers
+    #: still needing it); 0 for the brute engine
     nodes_visited: int = 0
-    #: candidate rows gathered out of surviving nodes
+    #: candidate rows gathered out of surviving nodes, before filters,
+    #: once per pruned gather (brute: every stored particle)
     points_tested: int = 0
-    #: center × candidate distance evaluations
+    #: center × candidate distance evaluations: per opened k-NN file, the
+    #: centers still needing it × its filtered candidates; per radius
+    #: query, each center's candidates in its 27 grid cells; brute k-NN,
+    #: centers × candidates
     pairs_tested: int = 0
     #: neighbor rows returned (sum of all per-center list lengths)
     points_returned: int = 0
     #: files skipped without opening them (planner halo prune + the k-NN
-    #: engine's dynamic best-first skips)
+    #: engine's skips: a file whose bounds lie beyond every center's
+    #: current k-th distance when its turn comes)
     pruned_files: int = 0
     files_opened: int = 0
     #: files opened only for their ghost strip (they overlap the halo
@@ -84,39 +100,34 @@ class NeighborStats:
     quarantined_files: int = 0
     decoded_bytes: int = 0
 
-    def merge(self, other: "NeighborStats") -> None:
-        self.centers += other.centers
-        self.treelets_visited += other.treelets_visited
-        self.nodes_visited += other.nodes_visited
-        self.points_tested += other.points_tested
-        self.pairs_tested += other.pairs_tested
-        self.points_returned += other.points_returned
-        self.pruned_files += other.pruned_files
-        self.files_opened += other.files_opened
-        self.ghost_files_opened += other.ghost_files_opened
-        self.ghost_points += other.ghost_points
-        self.quarantined_files += other.quarantined_files
-        self.decoded_bytes += other.decoded_bytes
-
 
 # -- shared geometry kernels --------------------------------------------------
+
+
+def _sq(d: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis, in the one fixed order.
+
+    Never ``einsum``, ``@`` or ``.sum(axis=-1)``: they may add in another
+    order, and the engines' byte identity rests on this one.
+    """
+    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
 
 
 def dist2(positions: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared distances from ``(n, 3)`` float64 positions to one center.
 
-    The one arithmetic path every engine shares: identical inputs give
-    bit-identical outputs, which is what makes the tree engines'
-    selections byte-comparable to the brute-force oracle.
+    The one arithmetic path every engine shares — the selections evaluate
+    this expression broadcast over their (center, candidate) pairs:
+    identical inputs give bit-identical outputs, which is what makes the
+    tree engines' selections byte-comparable to the brute-force oracle.
     """
-    d = positions - center
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    return _sq(positions - center)
 
 
-def _boxes_point_d2(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Min squared distance from ``(n, 3)`` boxes to one point."""
-    g = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
-    return g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1] + g[:, 2] * g[:, 2]
+def _boxes_points_d2(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``(n, m)`` min squared distances from ``(n, 3)`` boxes to ``(m, 3)`` points."""
+    lo, hi = lo[:, None, :], hi[:, None, :]
+    return _sq(np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0))
 
 
 def _boxes_box_d2(
@@ -128,34 +139,10 @@ def _boxes_box_d2(
     the region; comparing it against ``radius²`` is exactly the overlap
     test with the region's Euclidean (round-cornered) halo expansion.
     """
-    g = np.maximum(rlo - hi, 0.0) + np.maximum(lo - rhi, 0.0)
-    return g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1] + g[:, 2] * g[:, 2]
-
-
-def _point_box_d2(lo, hi, c) -> float:
-    """Scalar min squared distance from one box to one point."""
-    d2 = 0.0
-    for i in range(3):
-        g = float(lo[i]) - float(c[i])
-        if g < 0.0:
-            g = float(c[i]) - float(hi[i])
-        if g < 0.0:
-            g = 0.0
-        d2 += g * g
-    return d2
+    return _sq(np.maximum(rlo - hi, 0.0) + np.maximum(lo - rhi, 0.0))
 
 
 # -- pruned candidate gathering ----------------------------------------------
-
-
-def _filter_mask(tv, slots, filters) -> np.ndarray | None:
-    """Exact value mask over ``slots`` for the request's filters."""
-    mask = None
-    for f in filters:
-        vals = tv.attributes[f.name][slots]
-        fm = (vals >= f.lo) & (vals <= f.hi)
-        mask = fm if mask is None else mask & fm
-    return mask
 
 
 def _no_candidates():
@@ -207,34 +194,32 @@ def _gather_pruned(bat: BATFile, leaf_index: int, keep_fn, filters, stats, box=N
     return pos.astype(np.float64), keys
 
 
-def _gather_all(bat: BATFile, leaf_index: int, filters, stats):
-    """Every particle of one file, filtered, in (visit rank, slot) order."""
+def _gather_all(bat: BATFile, leaf_index: int, filters, stats) -> list[tuple]:
+    """Every particle of one file, filtered: ``(positions64, keys)`` per
+    treelet, in (visit rank, slot) order — one treelet at a time, through
+    none of the pruned gather's machinery."""
     vrank = bat.shallow_leaf_visit_rank()
-    pos_parts: list[np.ndarray] = []
-    key_parts: list[np.ndarray] = []
-    for leaf in np.argsort(vrank):
-        leaf = int(leaf)
+    parts = []
+    for leaf in np.argsort(vrank).tolist():
         stats.treelets_visited += 1
         tv = bat.treelet(leaf)
-        n = tv.n_points
-        if not n:
-            continue
-        stats.points_tested += n
-        slots = np.arange(n, dtype=np.int64)
-        mask = _filter_mask(tv, slots, filters)
-        if mask is not None:
-            slots = slots[mask]
-            if not slots.size:
-                continue
-        keys = np.empty((len(slots), 3), dtype=np.int64)
-        keys[:, 0] = leaf_index
-        keys[:, 1] = vrank[leaf]
-        keys[:, 2] = slots
-        pos_parts.append(tv.positions[slots].astype(np.float64))
-        key_parts.append(keys)
-    if not pos_parts:
+        stats.points_tested += tv.n_points
+        slots = np.arange(tv.n_points, dtype=np.int64)
+        for f in filters:
+            vals = tv.attributes[f.name][slots]
+            slots = slots[(vals >= f.lo) & (vals <= f.hi)]
+        if len(slots):
+            keys = np.empty((len(slots), 3), dtype=np.int64)
+            keys[:, 0], keys[:, 1], keys[:, 2] = leaf_index, vrank[leaf], slots
+            parts.append((tv.positions[slots].astype(np.float64), keys))
+    return parts
+
+
+def _candidates(parts) -> tuple[np.ndarray, np.ndarray]:
+    """One ``(positions64, keys)`` candidate set from ``(positions64, keys)`` parts."""
+    if not parts:
         return _no_candidates()
-    return np.concatenate(pos_parts, axis=0), np.concatenate(key_parts, axis=0)
+    return tuple(np.concatenate(c, axis=0) for c in zip(*parts))
 
 
 def box_members(bat: BATFile, leaf_index: int, box, filters, stats):
@@ -253,7 +238,7 @@ def box_members(bat: BATFile, leaf_index: int, box, filters, stats):
     return _gather_pruned(bat, leaf_index, overlaps, filters, stats, box=box)
 
 
-# -- per-center selection (shared by tree and brute engines) ------------------
+# -- selection (shared by tree and brute engines) -----------------------------
 
 
 def _empty_selection(n_centers: int):
@@ -264,115 +249,120 @@ def _empty_selection(n_centers: int):
     )
 
 
-#: pair-count product past which select_radius hashes candidates into a
-#: uniform grid instead of testing every (center, candidate) pair
-_GRID_THRESHOLD = 1 << 22
+def _select(n_centers: int, parts, k: int | None = None):
+    """CSR ``(offsets, keys, d2)`` from tested pairs: ``(center, d2, key)``
+    array triples.
 
-
-def _radius_grid(cand_pos: np.ndarray, cell: float):
-    """Hash candidates into a uniform grid: ``{cell_coords: index array}``.
-
-    ``cell`` is slightly larger than the query radius, so every true
-    neighbor of a center lies in the 27 cells around the center's own —
-    the per-center candidate subset is an exact superset, and the
-    selection the caller computes over it is unchanged (same ``dist2``
-    values, same tie-break order).
+    One lexsort orders every center's rows by ``(d2, leaf, treelet,
+    slot)`` — the deterministic tie-break; with ``k``, only each center's
+    first ``k`` rows are kept.
     """
-    cells = np.floor(cand_pos / cell).astype(np.int64)
-    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-    sc = cells[order]
-    change = np.flatnonzero(np.any(sc[1:] != sc[:-1], axis=1)) + 1
-    starts = np.concatenate([[0], change, [len(sc)]])
-    return {
-        tuple(sc[a]): order[a:b]
-        for a, b in zip(starts[:-1], starts[1:])
-    }
+    if not parts:
+        return _empty_selection(n_centers)
+    ci, d2, keys = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], d2, ci))
+    counts = np.bincount(ci, minlength=n_centers)
+    if k is not None and len(order):
+        first = np.cumsum(counts) - counts
+        order = order[np.arange(len(order)) - np.repeat(first, counts) < k]
+        counts = np.minimum(counts, k)
+    offsets = np.zeros(n_centers + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, keys[order], d2[order]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ``arange(s, s + c)`` of every ``(start, count)``."""
+    skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(len(skip), dtype=np.int64) + skip
+
+
+#: the 27 cell offsets of a radius stencil
+_STENCIL = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+#: largest grid cell coordinate magnitude (see :func:`select_radius`)
+_CELL_LIMIT = 2.0**52
 
 
 def select_radius(centers, cand_pos, cand_keys, radius, stats: NeighborStats):
-    """Per-center CSR selection of candidates within ``radius``.
+    """CSR selection of every center's candidates within ``radius``.
 
     Returns ``(offsets, keys, d2)`` with each center's rows ordered by
     ``(d2, leaf, treelet, slot)`` — the deterministic tie-break. The
     keep test ``d2 <= radius**2`` is exact (no slack): both engines run
     this same selection, so rounding at the boundary is common to both.
+
+    One pass for all centers: the candidates are sorted by grid cell, a
+    cell slightly wider than ``radius``, so every true neighbor lies in
+    the 27 cells around its center's; one ``searchsorted`` finds every
+    (center, stencil cell) range, and the pairs are expanded and
+    distance-tested in blocks of at most ``_PAIR_BUDGET``.
     """
+    n_centers, n = len(centers), len(cand_pos)
+    if not n_centers or not n:
+        return _empty_selection(n_centers)
     r2 = np.float64(radius) * np.float64(radius)
-    offsets = np.zeros(len(centers) + 1, dtype=np.int64)
-    key_parts: list[np.ndarray] = []
-    d2_parts: list[np.ndarray] = []
-    grid = cell = None
-    if len(cand_pos) and len(centers) * len(cand_pos) > _GRID_THRESHOLD:
-        # margin over the radius so float rounding in the cell division
-        # can never push a boundary neighbor out of the 27-cell stencil
-        cell = float(radius) * (1.0 + 1e-6)
-        grid = _radius_grid(cand_pos, cell)
-    for i, c in enumerate(centers):
-        n = 0
-        if len(cand_pos):
-            if grid is None:
-                idx = None
-                pos, keys = cand_pos, cand_keys
-            else:
-                cx, cy, cz = np.floor(
-                    np.asarray(c, dtype=np.float64) / cell
-                ).astype(np.int64)
-                parts = []
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        for dz in (-1, 0, 1):
-                            hit = grid.get((cx + dx, cy + dy, cz + dz))
-                            if hit is not None:
-                                parts.append(hit)
-                if not parts:
-                    offsets[i + 1] = offsets[i]
-                    continue
-                idx = np.concatenate(parts)
-                pos, keys = cand_pos[idx], cand_keys[idx]
-            stats.pairs_tested += len(pos)
-            d2 = dist2(pos, c)
-            hit = np.flatnonzero(d2 <= r2)
-            if hit.size:
-                hd2 = d2[hit]
-                hk = keys[hit]
-                order = np.lexsort((hk[:, 2], hk[:, 1], hk[:, 0], hd2))
-                key_parts.append(hk[order])
-                d2_parts.append(hd2[order])
-                n = hit.size
-        offsets[i + 1] = offsets[i] + n
-    if not key_parts:
-        return _empty_selection(len(centers))
-    return (
-        offsets,
-        np.concatenate(key_parts, axis=0),
-        np.concatenate(d2_parts),
+    # margin over the radius so float rounding in the distance test can
+    # never admit a pair whose cells lie two apart
+    cell = float(radius) * (1.0 + 1e-6)
+    # cell coordinates clipped to ±2^52, where float64 still holds every
+    # integer: the clip is monotone, so a neighbor stays within one cell
+    # of its center, and no cast or stencil offset can overflow int64
+    pc, cc = (
+        np.clip(np.floor(x / cell), -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
+        for x in (cand_pos, centers)
     )
+    cells = np.concatenate([pc, (cc[:, None, :] + _STENCIL).reshape(-1, 3)])
+    # rank the cells by one lexsort over candidates and stencil cells
+    # together: equal cells get equal ranks, never a product of extents
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+    sc = cells[order]
+    step = np.zeros(len(sc), dtype=np.int64)
+    step[1:] = np.any(sc[1:] != sc[:-1], axis=1)
+    rank = np.empty(len(sc), dtype=np.int64)
+    rank[order] = np.cumsum(step)
+    by_cell = order[order < n]  # candidates in cell order (lexsort is stable)
+    cand_rank = rank[by_cell]
+    q = rank[n:]
+    lo = np.searchsorted(cand_rank, q, "left")
+    cnt = np.searchsorted(cand_rank, q, "right") - lo
+    per_center = cnt.reshape(n_centers, 27).sum(axis=1)
+    ends = np.cumsum(per_center)
+    stats.pairs_tested += int(ends[-1])
+    parts = []
+    a = 0
+    while a < n_centers:
+        base = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, "right")))
+        rows = slice(27 * a, 27 * b)
+        idx = by_cell[_ranges(lo[rows], cnt[rows])]
+        if len(idx):
+            ci = np.repeat(np.arange(a, b), per_center[a:b])
+            d2 = _sq(cand_pos[idx] - centers[ci])
+            hit = d2 <= r2
+            parts.append((ci[hit], d2[hit], cand_keys[idx[hit]]))
+        a = b
+    return _select(n_centers, parts)
 
 
 def select_knn(centers, cand_pos, cand_keys, k, stats: NeighborStats):
-    """Per-center CSR selection of the ``k`` nearest candidates."""
-    offsets = np.zeros(len(centers) + 1, dtype=np.int64)
-    key_parts: list[np.ndarray] = []
-    d2_parts: list[np.ndarray] = []
-    for i, c in enumerate(centers):
-        n = 0
-        if len(cand_pos):
-            stats.pairs_tested += len(cand_pos)
-            d2 = dist2(cand_pos, c)
-            order = np.lexsort(
-                (cand_keys[:, 2], cand_keys[:, 1], cand_keys[:, 0], d2)
-            )[:k]
-            key_parts.append(cand_keys[order])
-            d2_parts.append(d2[order])
-            n = len(order)
-        offsets[i + 1] = offsets[i] + n
-    if not key_parts:
-        return _empty_selection(len(centers))
-    return (
-        offsets,
-        np.concatenate(key_parts, axis=0),
-        np.concatenate(d2_parts),
-    )
+    """CSR selection of every center's ``k`` nearest candidates.
+
+    Center blocks of at most ``_PAIR_BUDGET`` pairs: one distance block,
+    one partition for each center's k-th distance, every pair within it
+    (ties included) to the shared lexsort.
+    """
+    n_centers, n = len(centers), len(cand_pos)
+    if not n_centers or not n:
+        return _empty_selection(n_centers)
+    stats.pairs_tested += n_centers * n
+    parts = []
+    step, kth = max(1, _PAIR_BUDGET // n), min(k, n) - 1
+    for a in range(0, n_centers, step):
+        d2 = _sq(cand_pos - centers[a:a + step, None])
+        # each center's k-th distance (its farthest, with fewer than k)
+        ci, j = np.nonzero(d2 <= np.partition(d2, kth, axis=1)[:, kth:kth + 1])
+        parts.append((ci + a, d2[ci, j], cand_keys[j]))
+    return _select(n_centers, parts, k)
 
 
 # -- engines ------------------------------------------------------------------
@@ -395,8 +385,7 @@ def radius_neighbors(files, open_file, centers, radius, region, filters, stats):
     def near(lo, hi):
         return _boxes_box_d2(lo, hi, rlo, rhi) <= r2s
 
-    pos_parts: list[np.ndarray] = []
-    key_parts: list[np.ndarray] = []
+    parts = []
     for fp in files:
         bat = open_file(fp)
         if bat is None:
@@ -405,176 +394,46 @@ def radius_neighbors(files, open_file, centers, radius, region, filters, stats):
         if fp.action == "ghost":
             stats.ghost_points += len(pos)
         if len(pos):
-            pos_parts.append(pos)
-            key_parts.append(keys)
-    if not pos_parts:
-        cand_pos = np.empty((0, 3), dtype=np.float64)
-        cand_keys = np.empty((0, 3), dtype=np.int64)
-    else:
-        cand_pos = np.concatenate(pos_parts, axis=0)
-        cand_keys = np.concatenate(key_parts, axis=0)
+            parts.append((pos, keys))
+    cand_pos, cand_keys = _candidates(parts)
     return select_radius(centers, cand_pos, cand_keys, radius, stats)
 
 
 def brute_neighbors(files, open_file, centers, k, radius, filters, stats):
     """The exhaustive reference: every file opened, every particle tested."""
-    pos_parts: list[np.ndarray] = []
-    key_parts: list[np.ndarray] = []
+    parts = []
     for fp in files:
         bat = open_file(fp)
-        if bat is None:
-            continue
-        pos, keys = _gather_all(bat, fp.leaf_index, filters, stats)
-        if len(pos):
-            pos_parts.append(pos)
-            key_parts.append(keys)
-    if not pos_parts:
-        cand_pos = np.empty((0, 3), dtype=np.float64)
-        cand_keys = np.empty((0, 3), dtype=np.int64)
-    else:
-        cand_pos = np.concatenate(pos_parts, axis=0)
-        cand_keys = np.concatenate(key_parts, axis=0)
+        if bat is not None:
+            parts += _gather_all(bat, fp.leaf_index, filters, stats)
+    cand_pos, cand_keys = _candidates(parts)
     if radius is not None:
         return select_radius(centers, cand_pos, cand_keys, radius, stats)
     return select_knn(centers, cand_pos, cand_keys, k, stats)
 
 
-class _BestK:
-    """One center's running k-best set, ordered by (d2, key)."""
-
-    __slots__ = ("k", "d2", "keys")
-
-    def __init__(self, k: int):
-        self.k = k
-        self.d2 = np.empty(0, dtype=np.float64)
-        self.keys = np.empty((0, 3), dtype=np.int64)
-
-    def bound(self) -> float:
-        """Current k-th squared distance (inf while under-filled)."""
-        if len(self.d2) < self.k:
-            return np.inf
-        return float(self.d2[self.k - 1])
-
-    def add(self, d2: np.ndarray, keys: np.ndarray) -> None:
-        b = self.bound()
-        if np.isfinite(b):
-            # non-strict: an equal-distance candidate with a smaller key
-            # must still be able to displace the current k-th entry
-            sel = d2 <= b
-            d2, keys = d2[sel], keys[sel]
-        if not len(d2):
-            return
-        d2 = np.concatenate([self.d2, d2])
-        keys = np.concatenate([self.keys, keys], axis=0)
-        order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], d2))[: self.k]
-        self.d2 = d2[order]
-        self.keys = keys[order]
-
-
-def _knn_file(bat, leaf_index, centers, need, best, filters, stats):
-    """Best-first descent of one file for each center in ``need``."""
-    vrank = bat.shallow_leaf_visit_rank()
-    table = bat.shallow_table()
-    s_lo, s_hi = table["lo"], table["hi"]
-    s_leaf = table["leaf"].tolist()
-    s_kids = np.stack([table["left"], table["right"]], axis=1).tolist()
-    tvs: dict[int, object] = {}
-    pos64: dict[int, np.ndarray] = {}
-    fmask: dict[int, np.ndarray | None] = {}
-
-    def treelet(leaf: int):
-        tv = tvs.get(leaf)
-        if tv is None:
-            tv = tvs[leaf] = bat.treelet(leaf)
-            stats.treelets_visited += 1
-        return tv
-
-    for ci in need:
-        c = centers[ci]
-        b = best[ci]
-        seq = itertools.count()
-        # shallow entries carry a shallow-table row, treelet entries a node
-        heap: list[tuple] = [(_point_box_d2(s_lo[0], s_hi[0], c), next(seq), "s", 0)]
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[0] > b.bound() * (1.0 + PRUNE_SLACK):
-                break  # min-heap: every remaining node is at least this far
-            stats.nodes_visited += 1
-            kind = entry[2]
-            if kind == "s":
-                row = entry[3]
-                leaf = s_leaf[row]
-                if leaf >= 0:
-                    treelet(leaf)
-                    heapq.heappush(
-                        heap, (entry[0], next(seq), "t", leaf, 0, s_lo[row], s_hi[row])
-                    )
-                else:
-                    for child in s_kids[row]:
-                        heapq.heappush(
-                            heap,
-                            (
-                                _point_box_d2(s_lo[child], s_hi[child], c),
-                                next(seq), "s", child,
-                            ),
-                        )
-                continue
-            leaf, node_id, lo, hi = entry[3], entry[4], entry[5], entry[6]
-            tv = treelet(leaf)
-            rec = tv.nodes[node_id]
-            begin = int(rec["begin"])
-            count = int(rec["count"])
-            if count:
-                p = pos64.get(leaf)
-                if p is None:
-                    p = pos64[leaf] = tv.positions.astype(np.float64)
-                    if filters:
-                        fmask[leaf] = _filter_mask(
-                            tv, np.arange(len(p), dtype=np.int64), filters
-                        )
-                    else:
-                        fmask[leaf] = None
-                stats.points_tested += count
-                stats.pairs_tested += count
-                seg = p[begin:begin + count]
-                d2 = dist2(seg, c)
-                slots = np.arange(begin, begin + count, dtype=np.int64)
-                fm = fmask[leaf]
-                if fm is not None:
-                    sel = fm[begin:begin + count]
-                    d2, slots = d2[sel], slots[sel]
-                if len(d2):
-                    keys = np.empty((len(slots), 3), dtype=np.int64)
-                    keys[:, 0] = leaf_index
-                    keys[:, 1] = vrank[leaf]
-                    keys[:, 2] = slots
-                    b.add(d2, keys)
-            if rec["axis"] >= 0:
-                ax = int(rec["axis"])
-                sp = float(rec["split"])
-                lhi = hi.copy()
-                lhi[ax] = sp
-                rlo = lo.copy()
-                rlo[ax] = sp
-                for cid, clo, chi in (
-                    (int(rec["left"]), lo, lhi),
-                    (int(rec["right"]), rlo, hi),
-                ):
-                    heapq.heappush(
-                        heap,
-                        (
-                            _point_box_d2(clo, chi, c),
-                            next(seq), "t", leaf, cid, clo, chi,
-                        ),
-                    )
+def _within_any(lo, hi, pts, lim) -> np.ndarray:
+    """Mask of the ``(n, 3)`` boxes within squared distance ``lim[j]`` of
+    some point ``pts[j]``; point blocks of at most ``_PAIR_BUDGET`` pairs."""
+    keep = np.zeros(len(lo), dtype=bool)
+    step = max(1, _PAIR_BUDGET // max(len(lo), 1))
+    for a in range(0, len(pts), step):
+        keep |= (_boxes_points_d2(lo, hi, pts[a:a + step]) <= lim[a:a + step]).any(axis=1)
+    return keep
 
 
 def knn_neighbors(files, open_file, centers, k, filters, stats):
-    """Tree engine, k-NN mode: best-first over files, then within files.
+    """Tree engine, k-NN mode: files in distance order, each one batch.
 
-    Files are visited in ascending min-distance order; a file is opened
-    only while some center's k-th bound still reaches into its bounds —
-    everything else is skipped unopened (counted in ``pruned_files``).
+    Files are visited in ascending min distance to any center; a file is
+    opened only while some center's k-th bound still reaches into its
+    bounds — everything else is skipped unopened (counted in
+    ``pruned_files``). An opened file is one pruned gather for all the
+    centers that still need it (a node survives if it lies within any of
+    their bounds), one distance block and one partition into the running
+    ``(centers, k)`` best distances, so after every file each bound is the
+    exact k-th distance over the files so far. The pairs within the bounds
+    are kept; one lexsort at the end takes each center's first ``k``.
     """
     n_centers = len(centers)
     if not files or n_centers == 0:
@@ -583,47 +442,64 @@ def knn_neighbors(files, open_file, centers, k, filters, stats):
     lo = np.array([fp.bounds.lower for fp in files], dtype=np.float64)
     hi = np.array([fp.bounds.upper for fp in files], dtype=np.float64)
     # (F, C) min squared distance from each file's bounds to each center
-    fd2 = np.stack([_boxes_point_d2(lo, hi, c) for c in centers], axis=1)
+    fd2 = _boxes_points_d2(lo, hi, centers)
+    # each center's best squared distances so far: (C, k) once k
+    # candidates were seen, narrower (and every bound inf) before
+    best = np.empty((n_centers, 0), dtype=np.float64)
+    bound = np.full(n_centers, np.inf)
+    parts = []
     order = np.argsort(fd2.min(axis=1), kind="stable")
-    best = [_BestK(k) for _ in range(n_centers)]
-    for fi in order:
-        col = fd2[int(fi)]
-        need = [
-            ci for ci in range(n_centers)
-            if col[ci] <= best[ci].bound() * (1.0 + PRUNE_SLACK)
-        ]
-        if not need:
-            stats.pruned_files += 1
-            continue
-        fp = files[int(fi)]
+    while len(order):
+        lim = bound * (1.0 + PRUNE_SLACK)
+        # bounds only tighten: the files up to the next one some center
+        # reaches are skipped now, exactly as they would be one by one
+        reach = fd2[order] <= lim
+        live = np.flatnonzero(reach.any(axis=1))
+        stats.pruned_files += int(live[0]) if len(live) else len(order)
+        if not len(live):
+            break
+        need = np.flatnonzero(reach[live[0]])
+        fp = files[int(order[live[0]])]
+        order = order[live[0] + 1:]
         bat = open_file(fp)
         if bat is None:
             continue
-        _knn_file(bat, fp.leaf_index, centers, need, best, filters, stats)
-    offsets = np.zeros(n_centers + 1, dtype=np.int64)
-    for i, b in enumerate(best):
-        offsets[i + 1] = offsets[i] + len(b.d2)
-    if offsets[-1] == 0:
-        return _empty_selection(n_centers)
-    return (
-        offsets,
-        np.concatenate([b.keys for b in best], axis=0),
-        np.concatenate([b.d2 for b in best]),
-    )
+        c_need, lim_need = centers[need], lim[need]
+        pos, keys = _gather_pruned(
+            bat, fp.leaf_index, lambda nlo, nhi: _within_any(nlo, nhi, c_need, lim_need),
+            filters, stats,
+        )
+        stats.pairs_tested += len(need) * len(pos)
+        step = max(1, _PAIR_BUDGET // len(need))
+        for a in range(0, len(pos), step):
+            d2 = _sq(pos[a:a + step] - c_need[:, None])
+            merged = np.concatenate([best[need], d2], axis=1)
+            if merged.shape[1] >= k:  # column k - 1 becomes the k-th smallest
+                merged = np.partition(merged, k - 1, axis=1)[:, :k]
+            if merged.shape[1] == best.shape[1]:
+                best[need] = merged
+            else:  # under-filled: every bound is inf, every center needs the file
+                best = merged
+            if best.shape[1] == k:
+                bound = best[:, k - 1]
+            ci, j = np.nonzero(d2 <= bound[need][:, None])
+            parts.append((need[ci], d2[ci, j], keys[a + j]))
+    return _select(n_centers, parts, k)
 
 
 # -- shared row materialization ----------------------------------------------
 
 
-def materialize_rows(open_treelet, keys, specs, attributes, with_positions):
+def materialize_rows(open_file, keys, specs, attributes, with_positions):
     """Fetch the selected rows into one :class:`ParticleBatch`.
 
     ``keys`` is the ``(N, 3)`` selection in final output order;
-    ``open_treelet(leaf_index, treelet_rank)`` resolves a key prefix to
-    its :class:`~repro.bat.file.TreeletView`. Rows are fetched grouped
-    per (file, treelet) for locality, then scattered back into key
-    order — both engines materialize through this one path, so equal
-    selections produce byte-identical batches.
+    ``open_file(leaf_index)`` returns the leaf's :class:`BATFile`. Each
+    file's rows are fetched with one gather per column (one
+    :meth:`~repro.bat.file.BATFile.columns` round-trip for all of its
+    treelets), then scattered back into key order — both engines
+    materialize through this one path, so equal selections produce
+    byte-identical batches.
     """
     sel_specs = [
         sp for sp in specs if attributes is None or sp.name in attributes
@@ -637,16 +513,18 @@ def materialize_rows(open_treelet, keys, specs, attributes, with_positions):
     }
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
     sk = keys[order]
-    change = np.flatnonzero(
-        (sk[1:, 0] != sk[:-1, 0]) | (sk[1:, 1] != sk[:-1, 1])
-    ) + 1
-    bounds = np.concatenate([[0], change, [n]])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        tv = open_treelet(int(sk[a, 0]), int(sk[a, 1]))
-        rows = order[a:b]
-        slots = sk[a:b, 2]
+    new_file = np.flatnonzero(sk[1:, 0] != sk[:-1, 0]) + 1
+    for a, b in zip([0, *new_file.tolist()], [*new_file.tolist(), n]):
+        bat = open_file(int(sk[a, 0]))
+        ranks = sk[a:b, 1]
+        cut = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
+        bounds = np.concatenate([[0], cut, [b - a]])
+        table_leaf = bat.shallow_table()["leaf"]
+        # shallow leaf ids in visit order: the inverse of the visit rank
+        leaves = table_leaf[table_leaf >= 0][ranks[bounds[:-1]]].tolist()
+        index, rows = sk[a:b, 2], order[a:b]
         if pos is not None:
-            pos[rows] = tv.positions[slots]
+            pos[rows] = _gather(bat, leaves, None, index, bounds)
         for name, out in attrs.items():
-            out[rows] = tv.attributes[name][slots]
+            out[rows] = _gather(bat, leaves, name, index, bounds)
     return ParticleBatch(pos, attrs, count=n)

@@ -515,24 +515,7 @@ class BATDataset:
         stats.points_returned = int(offsets[-1])
 
         # -- materialize the selected rows ---------------------------------
-        tv_cache: dict[tuple[int, int], object] = {}
-        rank_to_leaf: dict[int, np.ndarray] = {}
-
-        def open_treelet(leaf_index: int, trank: int):
-            tv = tv_cache.get((leaf_index, trank))
-            if tv is None:
-                f = open_leaf(leaf_index)
-                inv = rank_to_leaf.get(leaf_index)
-                if inv is None:
-                    inv = rank_to_leaf[leaf_index] = np.argsort(
-                        f.shallow_leaf_visit_rank()
-                    )
-                tv = tv_cache[(leaf_index, trank)] = f.treelet(int(inv[trank]))
-            return tv
-
-        batch = materialize_rows(
-            open_treelet, keys, specs, attributes, with_positions
-        )
+        batch = materialize_rows(open_leaf, keys, specs, attributes, with_positions)
 
         # -- telemetry + decode accounting ---------------------------------
         leaf_rows: dict[int, int] = {}

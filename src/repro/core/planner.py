@@ -267,7 +267,7 @@ def plan_neighbor_query(
             )
         )
     if radius is None:
-        # best-first visiting order for the k-NN engine; leaf index
+        # nearest-first visiting order for the k-NN engine; leaf index
         # breaks distance ties so the order is deterministic
         files.sort(key=lambda fp: (fp.min_d2, fp.leaf_index))
     return NeighborQueryPlan(

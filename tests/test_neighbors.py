@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -307,20 +307,172 @@ class TestTieBreak:
             )
 
 
+def assert_same_selection(got, want):
+    """Two ``(offsets, keys, d2)`` selections are byte-identical."""
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def candidate_sets(draw):
+    """Candidates and centers on a lattice: duplicates and exact ties.
+
+    Lattice coordinates are exact in binary, so lattice differences and
+    ``radius = m * step`` make ``d2 == radius²`` hold exactly. ``far``
+    puts everything near 1e6 with a step of ~1e-3 or ~1e-6: cell
+    coordinates of 1e9 and beyond, past any product of extents.
+    """
+    base, step = draw(st.sampled_from([(0.0, 0.25), (1e6, 2.0**-10), (1e6, 2.0**-20)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    n = draw(st.integers(0, 40))
+    pos = rng.integers(-3, 4, (n, 3))
+    if n > 1 and draw(st.booleans()):
+        pos[rng.integers(0, n, n // 2)] = pos[0]  # exact duplicate positions
+    centers = rng.integers(-6, 7, (draw(st.integers(1, 6)), 3))
+    if draw(st.booleans()):
+        centers[0] = (500, -400, 300)  # far outside the candidates' extent
+    flat = rng.choice(1000, n, replace=False)
+    keys = np.stack([flat // 100, flat // 10 % 10, flat % 10], axis=1).astype(np.int64)
+    return (
+        base + step * centers.astype(np.float64),
+        base + step * pos.astype(np.float64),
+        keys,
+        step * draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
+        draw(st.integers(1, n + 3)),
+    )
+
+
+class TestSelection:
+    """The batched selections equal the per-center reference, bytes and all.
+
+    Tree ≡ brute cannot catch a selection bug (both engines share the
+    kernel), so the kernel is held to ``tests/reference_neighbors.py``.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=candidate_sets())
+    @example(case=(np.zeros((2, 3)), np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), 0.5, 1))
+    def test_batched_equals_per_center(self, case):
+        from repro.bat import neighbors as nb
+        from repro.bat.neighbors import NeighborStats
+        from tests import reference_neighbors as ref
+
+        centers, pos, keys, radius, k = case
+        for new, old, arg in (
+            (nb.select_radius, ref.select_radius, radius),
+            (nb.select_knn, ref.select_knn, k),
+        ):
+            assert_same_selection(
+                new(centers, pos, keys, arg, NeighborStats()),
+                old(centers, pos, keys, arg, NeighborStats()),
+            )
+
+    def test_extreme_coordinate_radius_ratio(self):
+        # cell coordinates near 1e15 (coordinates ~1e9, radius 2^-20),
+        # where the division rounds by ~0.1 cell: each center still finds
+        # its one partner at exactly the radius
+        import warnings
+
+        from repro.bat import neighbors as nb
+        from repro.bat.neighbors import NeighborStats
+        from tests import reference_neighbors as ref
+
+        rng = np.random.default_rng(11)
+        ulp = 2.0**-23  # float64 spacing at 1e9
+        n = 3000
+        centers = 1e9 + (32 * np.arange(n) + rng.integers(0, 8, n))[:, None] * ulp
+        centers = centers * np.ones(3)
+        radius = 8 * ulp
+        pos = centers.copy()
+        pos[:, 0] += radius  # exact: 1e9 + (m + 8) ulp is representable
+        keys = np.stack([np.zeros(n), np.zeros(n), np.arange(n)], axis=1).astype(np.int64)
+        offsets, got, d2 = nb.select_radius(centers, pos, keys, radius, NeighborStats())
+        assert np.array_equal(offsets, np.arange(n + 1))
+        assert np.array_equal(got, keys)
+        assert np.all(d2 == radius * radius)
+        # cell coordinates past int64 (±1e300 at radius 1): still exact,
+        # and no cast overflows
+        centers = np.array([[1e300, -1e300, 0.0], [-1e300, 5.0, 1e300], [1.0, 2.0, 3.0]])
+        pos = np.concatenate([centers, centers + 0.5, -centers])
+        keys = np.stack([np.arange(9), np.zeros(9), np.zeros(9)], axis=1).astype(np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nb.select_radius(centers, pos, keys, 1.0, NeighborStats())
+        with np.errstate(over="ignore"):  # the flat reference squares 2e300
+            want = ref.select_radius(centers, pos, keys, 1.0, NeighborStats())
+        assert_same_selection(got, want)
+        assert np.array_equal(got[0], [0, 2, 4, 6])
+
+
 class TestGridPath:
-    """The gridded candidate prefilter is invisible in the results."""
+    """Radius selection runs on a grid only; it equals the per-center
+    reference's flat path and its gridded one on a real candidate set."""
 
     def test_grid_and_flat_paths_agree(self, dataset, monkeypatch):
         import repro.bat.neighbors as nb
+        from tests import reference_neighbors as ref
 
-        req = dict(
+        req = NeighborRequest(
             center_box=Box((0.5, 0.5, 0.0), (3.5, 3.5, 1.0)), radius=0.3
         )
-        monkeypatch.setattr(nb, "_GRID_THRESHOLD", 0)
-        gridded = dataset.neighbors(NeighborRequest(**req))
-        monkeypatch.setattr(nb, "_GRID_THRESHOLD", 1 << 62)
-        flat = dataset.neighbors(NeighborRequest(**req))
-        assert_identical(gridded, flat)
+        grid = dataset.neighbors(req)
+        monkeypatch.setattr(nb, "select_radius", ref.select_radius)
+        for threshold in (1 << 62, 0):  # the reference's flat, then gridded path
+            monkeypatch.setattr(ref, "_GRID_THRESHOLD", threshold)
+            assert_identical(grid, dataset.neighbors(req))
+        assert grid.stats.pairs_tested < grid.n_centers * grid.stats.points_tested
+
+
+class TestKnnReference:
+    """The batched k-NN engine equals the best-first walk it replaced.
+
+    It opens no file the walk would not: after every file each bound is
+    the exact k-th distance over the files so far, never looser than the
+    walk's.
+    """
+
+    def run_both(self, ds, monkeypatch, **kw):
+        import repro.core.dataset as core_ds
+        from tests import reference_neighbors as ref
+
+        req = NeighborRequest(**kw)
+        new = ds.neighbors(req)
+        with monkeypatch.context() as m:
+            m.setattr(core_ds, "knn_neighbors", ref.knn_neighbors)
+            old = ds.neighbors(req)
+        assert_identical(new, old)
+        assert new.stats.files_opened <= old.stats.files_opened
+        assert new.stats.pruned_files >= old.stats.pruned_files
+        return new, old
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**31), k=st.integers(1, 60), n=st.integers(1, 12))
+    def test_random_points(self, dataset, monkeypatch, seed, k, n):
+        rng = np.random.default_rng(seed)
+        pts = tuple(map(tuple, rng.uniform([-0.5, -0.5, -0.2], [4.5, 4.5, 1.2], (n, 3))))
+        self.run_both(dataset, monkeypatch, points=pts, k=k)
+
+    def test_filtered(self, dataset, monkeypatch):
+        self.run_both(
+            dataset, monkeypatch,
+            points=((1.0, 1.0, 0.5), (3.2, 0.4, 0.1), (2.0, 2.0, 0.5)), k=25,
+            filters=(AttributeFilter("mass", 0.25, 0.75),), columns=("mass",),
+        )
+
+    def test_k_equals_the_first_file(self, dataset, monkeypatch):
+        # the nearest file is gathered whole (every bound is still inf):
+        # k equal to its particle count fills the running best exactly
+        leaf = max(dataset.metadata.leaves, key=lambda l: l.count)
+        mid = tuple((a + b) / 2 for a, b in zip(leaf.bounds.lower, leaf.bounds.upper))
+        self.run_both(dataset, monkeypatch, points=(mid,), k=leaf.count)
+
+    def test_k_past_the_population(self, dataset, monkeypatch):
+        new, _ = self.run_both(
+            dataset, monkeypatch, points=((2.0, 2.0, 0.5),),
+            k=dataset.total_particles + 5,
+        )
+        assert np.array_equal(new.counts, [dataset.total_particles])
 
 
 class TestServeIntegration:
