@@ -5,10 +5,11 @@ further") and advanced binning schemes as future work; these benchmarks
 quantify what each buys on realistic data:
 
 - file size: plain vs quantized vs compressed vs both, against the raw
-  payload;
+  payload (quantization and compression are the v4 column codecs
+  ``quantize16`` and ``zlib``);
 - query cost: equi-width vs equi-depth bitmap pruning on a skewed,
   spatially correlated attribute;
-- read cost: compressed treelets trade file size for decompression time.
+- read cost: compressed columns trade file size for decompression time.
 """
 
 import time
@@ -16,12 +17,17 @@ import time
 import numpy as np
 
 from conftest import emit
-from repro.bat import AttributeFilter, BATBuildConfig, build_bat
+from repro.bat import AttributeFilter, BATBuildConfig, BATFile, build_bat
 from repro.bat.query import query_file
 from repro.bench import format_table
 from repro.workloads import CoalBoiler
 
 N = 400_000
+
+#: the §VII space extensions as v4 column-codec specs
+QUANTIZED = BATBuildConfig(codecs={"positions": "quantize16", "*": "raw"})
+COMPRESSED = BATBuildConfig(codecs={"*": "zlib"})
+QUANT_COMP = BATBuildConfig(codecs={"positions": "quantize16", "*": "zlib"})
 
 
 def _boiler_batch():
@@ -34,12 +40,14 @@ def test_size_ablation(benchmark):
         rows = []
         for label, cfg in (
             ("plain", BATBuildConfig()),
-            ("quantized", BATBuildConfig(quantize_positions=True)),
-            ("compressed", BATBuildConfig(compress=True)),
-            ("quant+comp", BATBuildConfig(quantize_positions=True, compress=True)),
+            ("quantized", QUANTIZED),
+            ("compressed", COMPRESSED),
+            ("quant+comp", QUANT_COMP),
         ):
             built = build_bat(batch, cfg)
-            rows.append((label, built.nbytes, built.raw_bytes))
+            with BATFile.from_bytes(built.data) as f:
+                pos = f.column_summary()["positions"]["enc_nbytes"]
+            rows.append((label, built.nbytes, built.raw_bytes, pos))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -47,16 +55,18 @@ def test_size_ablation(benchmark):
     emit(
         format_table(
             ["variant", "file MB", "overhead vs raw"],
-            [[l, f"{n / 1e6:.1f}", f"{n / raw - 1:+.1%}"] for l, n, _ in rows],
+            [[l, f"{n / 1e6:.1f}", f"{n / raw - 1:+.1%}"] for l, n, _, _ in rows],
             title=f"Layout-size ablation (Coal Boiler sample, {N:,} particles, raw {raw / 1e6:.1f} MB)",
         )
     )
-    sizes = {l: n for l, n, _ in rows}
+    sizes = {l: n for l, n, _, _ in rows}
     assert sizes["quantized"] < sizes["plain"]
     assert sizes["compressed"] < sizes["plain"]
     assert sizes["quant+comp"] < min(sizes["quantized"], sizes["compressed"])
-    # quantization alone removes 6 B/particle of the 12 B positions
-    assert sizes["plain"] - sizes["quantized"] > 5.5 * N
+    # quantization alone removes 6 B/particle of the 12 B positions (the
+    # whole-file difference is a little less: the v4 column directory)
+    pos = {l: p for l, _, _, p in rows}
+    assert pos["plain"] - pos["quantized"] == 6 * N
 
 
 def test_binning_ablation(benchmark):
@@ -103,12 +113,12 @@ def test_binning_ablation(benchmark):
 
 
 def test_compression_read_cost(benchmark):
-    """Compressed treelets cost decompression on first touch, then cache."""
+    """Compressed columns cost decompression on first touch, then cache."""
 
     def run():
         batch = _boiler_batch()
         out = {}
-        for label, cfg in (("plain", BATBuildConfig()), ("compressed", BATBuildConfig(compress=True))):
+        for label, cfg in (("plain", BATBuildConfig()), ("compressed", COMPRESSED)):
             built = build_bat(batch, cfg)
             with built.open() as f:
                 t0 = time.perf_counter()
@@ -125,7 +135,7 @@ def test_compression_read_cost(benchmark):
         format_table(
             ["variant", "cold read ms", "warm read ms"],
             [[l, f"{c * 1e3:.1f}", f"{w * 1e3:.1f}"] for l, (c, w) in out.items()],
-            title="Compressed-treelet read cost (full-quality sweep)",
+            title="Compressed-column read cost (full-quality sweep)",
         )
     )
     # decompression makes the first touch slower; the cache hides it after

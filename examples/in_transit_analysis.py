@@ -9,8 +9,8 @@ statistics, a coarse LOD snapshot — then decides whether the step is
 interesting enough to persist at all (a common in-situ triggering pattern).
 
 It also demonstrates two §VII extensions: quantile (equi-depth) bitmap
-bins for the heavily skewed attribute, and quantized+compressed storage
-for the step that does get written.
+bins for the heavily skewed attribute, and quantized positions plus
+per-column codecs (format v4) for the step that does get written.
 
 Usage: python examples/in_transit_analysis.py
 """
@@ -64,13 +64,13 @@ def main() -> None:
             interesting = hot.count > 0.05 * len(batch)
 
         if interesting:
-            # the persisted copy uses the §VII space extensions
+            # the persisted copy uses the §VII space extensions: 16-bit
+            # quantized positions and the smallest lossless codec elsewhere
             compact = build_bat(
                 batch,
                 BATBuildConfig(
                     attribute_binning="equidepth",
-                    quantize_positions=True,
-                    compress=True,
+                    codecs={"positions": "quantize16", "*": "auto"},
                 ),
             )
             path = OUT / f"ts{ts:06d}.bat"
@@ -84,7 +84,7 @@ def main() -> None:
     kept = sorted(p.name for p in OUT.glob("*.bat"))
     print(f"persisted steps: {kept}")
 
-    # prove the persisted, quantized+compressed file still answers queries
+    # prove the persisted, quantized + encoded file still answers queries
     if kept:
         from repro.bat import BATFile
         from repro.bat.query import query_file

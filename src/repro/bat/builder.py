@@ -11,8 +11,8 @@ The treelets of a file are built, and everything after them computed, as
 one *forest*: ``bat.treelet.build_forest`` returns every treelet's nodes
 in one set of arrays (treelet-major, ids and slots treelet-local, exactly
 what the node records store), and ``build_bat`` derives bitmaps,
-dictionary ids, boxes, quantization and codec segments from those arrays
-in whole-file passes. No per-treelet object exists; the only per-treelet
+dictionary ids, boxes and codec segments from those arrays in whole-file
+passes. No per-treelet object exists; the only per-treelet
 loop left assembles the page-aligned blobs.
 """
 
@@ -33,8 +33,6 @@ from .codecs import get_codec, select_codecs
 from .format import (
     CODEC_VERSION,
     FLAG_COLUMN_CODECS,
-    FLAG_COMPRESSED_TREELETS,
-    FLAG_QUANTIZED_POSITIONS,
     HEADER_SIZE,
     LEAF_FLAG,
     LEGACY_VERSION,
@@ -84,13 +82,6 @@ class BATBuildConfig:
     #: "equiwidth" (the paper's scheme) or "equidepth" (quantile bins — the
     #: §VII extension for skewed attributes)
     attribute_binning: str = "equiwidth"
-    #: store treelet positions as uint16 quantized to the treelet bounds
-    #: (§VII quantization extension; halves position storage, lossy to
-    #: ~1/65535 of a treelet's extent)
-    quantize_positions: bool = False
-    #: zlib-compress each treelet payload (§VII compression extension;
-    #: treelets decompress on first access rather than mapping in place)
-    compress: bool = False
     #: emit the version-3 checksum footer (header CRC, per-section and
     #: per-treelet CRC32s, whole-file digest). ``False`` produces a legacy
     #: version-2 image, byte-identical to pre-checksum builds — used by the
@@ -102,7 +93,10 @@ class BATBuildConfig:
     #: smallest lossless codec; a mapping assigns codecs per column name
     #: (``"positions"``, ``"nodes"``, attribute names; ``"*"`` as default,
     #: value ``"auto"`` to defer to sampling). Lossy ``quantize{b}`` codecs
-    #: are only ever used when named explicitly here.
+    #: are only ever used when named explicitly here. This is the §VII
+    #: compression and quantization extension: per column, ``zlib`` or an
+    #: error-bounded ``quantize{b}`` (the whole-treelet-zlib and 16-bit
+    #: position layouts of header flag bits 0 and 1 are read, never written).
     codecs: object = None
 
     def __post_init__(self) -> None:
@@ -120,8 +114,6 @@ class BATBuildConfig:
         if self.codecs is not None:
             if not self.checksums:
                 raise ValueError("codecs require checksums=True (v4 is a checksummed format)")
-            if self.compress:
-                raise ValueError("compress and codecs are mutually exclusive")
             if isinstance(self.codecs, str) and self.codecs != "auto":
                 raise ValueError("codecs must be None, 'auto', or a column->codec mapping")
 
@@ -379,32 +371,15 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     treelets_offset = pad_to(binning_offset + len(binning_bytes), PAGE_SIZE)
 
     use_codecs = config.codecs is not None
-    flags = 0
-    if config.quantize_positions:
-        flags |= FLAG_QUANTIZED_POSITIONS
-    if config.compress:
-        flags |= FLAG_COMPRESSED_TREELETS
-    if use_codecs:
-        flags |= FLAG_COLUMN_CODECS
+    flags = FLAG_COLUMN_CODECS if use_codecs else 0
 
     # All node records in one structured array (treelet-major, so each
-    # blob is a contiguous slice), and all quantization math in one
-    # vectorized pass; the remaining loop only assembles bytes.
+    # blob is a contiguous slice); the remaining loop only assembles bytes.
     all_nodes = np.zeros(total_nodes, dtype=node_dt)
     for name in ("axis", "depth", "split", "left", "right", "begin", "count", "subtree_end"):
         all_nodes[name] = getattr(forest, name)
     if n_attrs:
         all_nodes["bitmap_ids"] = treelet_bitmap_ids[:, :n_attrs]
-
-    quantized_all = None
-    if config.quantize_positions:
-        lo_pp = np.repeat(leaf_boxes[:, :3].astype(np.float64), pts_per, axis=0)
-        ext_pp = np.maximum(
-            np.repeat(leaf_boxes[:, 3:].astype(np.float64), pts_per, axis=0) - lo_pp, 0.0
-        )
-        scale_pp = np.where(ext_pp > 0, 65535.0 / np.where(ext_pp > 0, ext_pp, 1.0), 0.0)
-        q = np.round((positions_no.astype(np.float64) - lo_pp) * scale_pp)
-        quantized_all = np.clip(q, 0, 65535).astype("<u2")
 
     # Codec selection is per file and samples the *whole-file* columns, so
     # every treelet of a leaf uses the same codec per column and the choice
@@ -413,8 +388,7 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     encoded_cols: dict[str, list[tuple[bytes, float, float]]] = {}
     codec_wire_names: dict[str, bytes] = {}
     if use_codecs:
-        pos_source = quantized_all if quantized_all is not None else positions_no
-        file_columns = {"nodes": all_nodes, "positions": pos_source}
+        file_columns = {"nodes": all_nodes, "positions": positions_no}
         for name in attr_names:
             file_columns[name] = attrs_no[name]
         codec_map = select_codecs(file_columns, config.codecs)
@@ -424,7 +398,7 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
         # segment on node_starts; everything else is per-point.
         segment_sources = {
             "nodes": (all_nodes, node_starts),
-            "positions": (pos_source, pt_starts),
+            "positions": (positions_no, pt_starts),
         }
         for name in attr_names:
             segment_sources[name] = (attrs_no[name], pt_starts)
@@ -448,19 +422,13 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     for k in range(n_leaves):
         nodes = all_nodes[node_starts[k] : node_starts[k + 1]]
         seg = slice(int(pt_starts[k]), int(pt_starts[k + 1]))
-
-        if quantized_all is not None:
-            pos_arr = quantized_all[seg]
-        else:
-            pos_arr = positions_no[seg]
-
         th = np.zeros(1, dtype=thead_dt)
         th[0]["n_nodes"] = n_nodes_per[k]
         th[0]["n_points"] = pts_per[k]
         th[0]["max_depth"] = max_depths[k]
 
         if use_codecs:
-            columns = [("nodes", nodes), ("positions", pos_arr)]
+            columns = [("nodes", nodes), ("positions", positions_no[seg])]
             columns += [(name, attrs_no[name][seg]) for name in attr_names]
             col_dir = np.zeros(len(columns), dtype=col_dir_dt)
             payload_parts = []
@@ -479,14 +447,11 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
             payload_raw_total += raw_nbytes
             payload_enc_total += sum(len(p) for p in payload_parts)
         else:
-            payload_parts = [nodes.tobytes(), np.ascontiguousarray(pos_arr).tobytes()]
+            payload_parts = [nodes.tobytes(), np.ascontiguousarray(positions_no[seg]).tobytes()]
             for name in attr_names:
                 payload_parts.append(np.ascontiguousarray(attrs_no[name][seg]).tobytes())
             payload = b"".join(payload_parts)
             payload_raw_total += len(payload)
-            if config.compress:
-                th[0]["raw_nbytes"] = len(payload)
-                payload = zlib.compress(payload, level=6)
             payload_enc_total += len(payload)
         blob = th.tobytes() + payload
 

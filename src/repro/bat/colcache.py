@@ -17,17 +17,16 @@ the same path, and their decoded columns must never mix. Entries hold
 the exact arrays the decode path produced (for the
 position slot, the final reshaped/dequantized ``(n, 3)`` float32 block),
 so a hit is byte-identical to a cold decode by construction. While a
-handle has this tier attached, its treelet views do *not* memoize
-decoded columns themselves: retention lives here, which is what makes
-the byte budget an actual bound on decoded memory.
+handle has this tier attached, it keeps its v4 columns and walk tables
+nowhere else (:meth:`BATFile._retained <repro.bat.file.BATFile._retained>`):
+retention lives here, which is what makes the byte budget an actual
+bound on decoded memory.
 
 **One round-trip per file and column.** A read asks for one column (or
 the walk tables) of all of a file's surviving treelets at once:
 :meth:`fetch` answers the hits and claims the misses under one lock
-acquisition, and one loader call produces every claimed miss. The
-single-key pair — :meth:`get` for the hit path, :meth:`load` for its
-miss path — is :meth:`fetch`'s one-key case, not a second
-implementation.
+acquisition, and one loader call produces every claimed miss. A single
+column is :meth:`fetch` of one key; there is no second miss path.
 
 **Single-flight.** What concurrent reads of any windows duplicate is a
 treelet column, and this key names it: a miss that :meth:`fetch` finds
@@ -117,16 +116,6 @@ class DecodedColumnCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return arr
-
-    def load(self, path: str, treelet: int, column: int, loader):
-        """The miss path of :meth:`get`: ``loader()``, run once per key.
-
-        :meth:`fetch` of the one key, with the miss :meth:`get` counted
-        re-counted there: a hit, a load (``misses``) or a wait (``joins``).
-        """
-        with self._lock:
-            self.misses -= 1
-        return self.fetch(path, ((int(treelet), int(column)),), lambda _: (loader(),))[0]
 
     def fetch(self, path: str, keys, loader) -> list:
         """The arrays of ``keys`` — ``(treelet, column)`` pairs of Python

@@ -5,13 +5,19 @@ and the 4 KB-aligned treelets map cleanly onto pages. The shallow tree,
 attribute table, and bitmap dictionary — touched by every query — live in
 the first pages of the file.
 
+Every treelet, whatever the file version, is read through a column
+directory (:class:`_ColumnDir`), parsed into Python values once when
+:meth:`BATFile.treelet` materializes it. A v4 treelet carries its own; a
+v2/v3 treelet's is synthesized from its header counts, every slot codec
+``raw`` (a zero-copy view), and a legacy compressed treelet is inflated
+once into the buffer its directory indexes. Each column of a treelet is
+one :meth:`BATFile._decode_slot` call.
+
 A read asks for treelets in batches, one file at a time: the surviving
 treelets' walk tables (:meth:`BATFile.walk_tables`, the missing ones
 built in one level-synchronous pass by :func:`build_walk_tables`) and
 one column of all of them (:meth:`BATFile.columns`) each cost one round
 trip to an attached :class:`~repro.bat.colcache.DecodedColumnCache`.
-A v4 treelet's column directory is parsed into Python values once, when
-:meth:`BATFile.treelet` materializes it, and each miss is one codec call.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .format import (
     child_links_ok,
     shallow_inner_dtype,
     shallow_leaf_dtype,
-    treelet_header_dtype,
     treelet_node_dtype,
     unpack_binning_section,
     unpack_footer,
@@ -223,55 +228,46 @@ def shallow_table_dtype(n_attrs: int) -> np.dtype:
 
 
 class _ColumnDir:
-    """One v4 treelet's column directory, parsed once into Python values.
+    """One treelet's column directory, parsed once into Python values.
 
     Slot ``i`` (0 nodes, 1 positions, 2+ attributes) is codec
-    ``codecs[i]`` over the file's bytes ``starts[i]:starts[i + 1]`` with
-    parameters ``p0[i]`` / ``p1[i]``, decoding to ``counts[i]`` values
-    that fill ``raw_nbytes[i]`` bytes. ``bbox`` dequantizes positions.
+    ``codecs[i]`` over ``buf[starts[i]:starts[i + 1]]`` with parameters
+    ``p0[i]`` / ``p1[i]``, decoding to ``counts[i]`` values that fill
+    ``raw_nbytes[i]`` bytes. ``buf`` is the file's mapping, or a legacy
+    compressed treelet's inflated payload. ``bbox`` dequantizes positions.
     """
 
-    __slots__ = ("codecs", "starts", "p0", "p1", "raw_nbytes", "counts", "bbox")
+    __slots__ = ("buf", "codecs", "starts", "p0", "p1", "raw_nbytes", "counts", "bbox")
 
-    def __init__(self, col_dir: np.ndarray, base: int, counts: list, bbox: np.ndarray):
-        self.codecs = [c.rstrip(b"\0").decode() for c in col_dir["codec"].tolist()]
-        self.starts = list(itertools.accumulate(col_dir["enc_nbytes"].tolist(), initial=base))
-        self.p0 = col_dir["p0"].tolist()
-        self.p1 = col_dir["p1"].tolist()
-        self.raw_nbytes = col_dir["raw_nbytes"].tolist()
+    def __init__(self, buf, base: int, codecs, enc_nbytes, raw_nbytes, p0, p1, counts, bbox):
+        self.buf = buf
+        self.codecs = codecs
+        self.starts = list(itertools.accumulate(enc_nbytes, initial=base))
+        self.p0 = p0
+        self.p1 = p1
+        self.raw_nbytes = raw_nbytes
         self.counts = counts
         self.bbox = bbox
 
 
 class _LazyColumns(Mapping):
-    """Attribute columns of one v4 treelet, decoded on first access.
+    """Attribute columns of one treelet, each read on first subscript.
 
-    Looks like the plain dict v2/v3 treelets carry, but a column's payload
-    is only run through its codec when something subscripts it — queries
-    that filter or select a subset of attributes never touch (or pay for)
-    the rest. A cache-less handle's view keeps what it decoded.
+    A read-only mapping over :meth:`BATFile._columns`: queries that filter
+    or select a subset of attributes never touch (or pay for) the rest.
     """
 
-    __slots__ = ("_file", "_leaf", "_cache")
+    __slots__ = ("_file", "_leaf")
 
     def __init__(self, file: "BATFile", leaf: int):
         self._file = file
         self._leaf = leaf
-        self._cache: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
-        arr = self._cache.get(name)
-        if arr is None:
-            slot = self._file._attr_slots.get(name)
-            if slot is None:
-                raise KeyError(name)
-            arr = self._file._treelet_column(self._leaf, slot)
-            # with a DecodedColumnCache attached, *it* owns retention (and
-            # its byte budget must actually bound decoded memory); only
-            # cache-less handles memoize for their own lifetime
-            if self._file.column_cache is None:
-                self._cache[name] = arr
-        return arr
+        slot = self._file._attr_slots.get(name)
+        if slot is None:
+            raise KeyError(name)
+        return self._file._columns([self._leaf], slot)[0]
 
     def __iter__(self):
         return iter(self._file.attr_names)
@@ -284,66 +280,38 @@ class _LazyColumns(Mapping):
 
 
 class TreeletView:
-    """Zero-copy views into one treelet's region of the mapped file.
+    """One treelet of a mapped file: its header counts and column directory.
 
-    ``attributes`` is a plain dict for v2/v3 files; for v4 files it is a
-    lazy mapping that decodes a column the first time it is subscripted.
-    Both support the full read-only mapping protocol.
-
-    For v4 files ``nodes`` and ``positions`` are lazy too: the treelet
-    header already carries ``n_points`` and ``max_depth``, so a full-speed
-    plan (no box test, no filters) can emit a whole treelet without ever
-    decoding its node records — or, under column projection, its position
-    block. Accessing the property triggers the decode (memoized on the
-    view only when the handle has no decoded-column cache), and
-    ``column_dir`` is the treelet's parsed column directory.
+    The treelet header carries ``n_points`` and ``max_depth``, so a
+    full-speed plan (no box test, no filters) can emit a whole treelet
+    without reading its node records — or, under column projection, its
+    position block. ``nodes``, ``positions`` and ``attributes`` (a lazy
+    read-only mapping) read a column on access and keep it as
+    :meth:`BATFile._retained` says: a v2/v3 column is a zero-copy view, a
+    v4 column one codec call.
 
     Pruned reads test the flattened form of ``nodes``:
     :meth:`BATFile.walk_tables`.
     """
 
-    __slots__ = (
-        "_nodes", "_positions", "attributes", "max_depth", "n_points", "_file", "_leaf",
-        "column_dir",
-    )
+    __slots__ = ("n_points", "max_depth", "column_dir", "attributes", "_file", "_leaf")
 
-    def __init__(
-        self,
-        n_points: int,
-        max_depth: int,
-        nodes: np.ndarray | None = None,
-        positions: np.ndarray | None = None,
-        attributes: Mapping | None = None,
-        file: "BATFile | None" = None,
-        leaf: int = -1,
-        column_dir: _ColumnDir | None = None,
-    ):
+    def __init__(self, file: "BATFile", leaf: int, n_points: int, max_depth: int,
+                 column_dir: _ColumnDir):
         self.n_points = int(n_points)
         self.max_depth = int(max_depth)
-        self._nodes = nodes
-        self._positions = positions
-        self.attributes = attributes if attributes is not None else {}
+        self.column_dir = column_dir
+        self.attributes = _LazyColumns(file, leaf)
         self._file = file
         self._leaf = leaf
-        self.column_dir = column_dir
 
     @property
     def nodes(self) -> np.ndarray:  # structured treelet_node_dtype
-        if self._nodes is not None:
-            return self._nodes
-        arr = self._file._treelet_column(self._leaf, 0)
-        if self._file.column_cache is None:
-            self._nodes = arr
-        return arr
+        return self._file._columns([self._leaf], 0)[0]
 
     @property
     def positions(self) -> np.ndarray:  # (n, 3) float32, node order
-        if self._positions is not None:
-            return self._positions
-        arr = self._file._treelet_column(self._leaf, 1)
-        if self._file.column_cache is None:
-            self._positions = arr
-        return arr
+        return self._file._columns([self._leaf], 1)[0]
 
 
 def _dequantize(q: np.ndarray, bbox: np.ndarray) -> np.ndarray:
@@ -503,8 +471,8 @@ class BATFile:
             *self.attr_dtypes.values(),
         ]
         self._treelet_cache: dict[int, TreeletView] = {}
-        #: walk tables of a handle with no decoded-column cache attached
-        self._walk_tables: dict[int, np.ndarray] = {}
+        #: ``(leaf, slot)`` -> what no attached cache keeps (see :meth:`_retained`)
+        self._memo: dict[tuple[int, int], np.ndarray] = {}
         self._shallow_table: np.ndarray | None = None
         self._visit_rank: np.ndarray | None = None
 
@@ -521,7 +489,7 @@ class BATFile:
         Safe to call on a partially constructed instance (a parse failure
         releases its handles through here).
         """
-        for memo in ("_treelet_cache", "_walk_tables"):
+        for memo in ("_treelet_cache", "_memo"):
             cache = getattr(self, memo, None)
             if cache is not None:
                 cache.clear()
@@ -699,55 +667,29 @@ class BATFile:
         """Per-column codec id, encoded/raw byte totals, and error bound.
 
         Aggregated over every treelet's column directory without decoding
-        any payload. Raw-layout (v2/v3) files report the ``raw`` codec with
-        equal encoded and raw sizes.
+        any payload (or checking a CRC). Raw-layout (v2/v3) files report
+        the ``raw`` codec with equal encoded and raw sizes.
         """
         if self._column_summary is not None:
             return self._column_summary
-        h = self.header
         names = ["nodes", "positions", *self.attr_names]
         out = {n: {"codec": "raw", "enc_nbytes": 0, "raw_nbytes": 0, "error_bound": 0.0}
                for n in names}
-        if not self.column_encoded:
-            node_sz = self._node_dt.itemsize
-            pos_sz = 6 if self.quantized else 12
-            for rec in self.shallow_leaves:
-                th = np.frombuffer(
-                    self._mm, dtype=treelet_header_dtype(), count=1,
-                    offset=int(rec["treelet_offset"]),
-                )[0]
-                out["nodes"]["raw_nbytes"] += int(th["n_nodes"]) * node_sz
-                out["positions"]["raw_nbytes"] += int(th["n_points"]) * pos_sz
-                for name in self.attr_names:
-                    out[name]["raw_nbytes"] += (
-                        int(th["n_points"]) * self.attr_dtypes[name].itemsize
+        for rec in self.shallow_leaves:
+            off = int(rec["treelet_offset"])
+            n_nodes, n_pts, _, _ = _TREELET_HEADER.unpack_from(self._buf, off)
+            d = self._column_dir(rec, n_nodes, n_pts, None)
+            for i, name in enumerate(names):
+                row = out[name]
+                row["codec"] = d.codecs[i]
+                row["enc_nbytes"] += d.starts[i + 1] - d.starts[i]
+                row["raw_nbytes"] += d.raw_nbytes[i]
+                codec = get_codec(d.codecs[i])
+                if not codec.lossless:
+                    dtype = self.attr_dtypes[name] if name in self.attr_dtypes else np.float32
+                    row["error_bound"] = max(
+                        row["error_bound"], float(codec.error_bound(d.p0[i], d.p1[i], dtype))
                     )
-            for rec in out.values():
-                rec["enc_nbytes"] = rec["raw_nbytes"]
-        else:
-            head = treelet_header_dtype().itemsize
-            dir_dt = column_dir_dtype()
-            for leaf in range(h.n_shallow_leaves):
-                off = int(self.shallow_leaves[leaf]["treelet_offset"])
-                col_dir = np.frombuffer(
-                    self._mm, dtype=dir_dt, count=len(names), offset=off + head
-                )
-                for i, name in enumerate(names):
-                    d = col_dir[i]
-                    codec_name = bytes(d["codec"]).rstrip(b"\0").decode()
-                    rec = out[name]
-                    rec["codec"] = codec_name
-                    rec["enc_nbytes"] += int(d["enc_nbytes"])
-                    rec["raw_nbytes"] += int(d["raw_nbytes"])
-                    codec = get_codec(codec_name)
-                    if not codec.lossless:
-                        dtype = (
-                            self.attr_dtypes[name] if name in self.attr_dtypes else np.float32
-                        )
-                        rec["error_bound"] = max(
-                            rec["error_bound"],
-                            float(codec.error_bound(float(d["p0"]), float(d["p1"]), dtype)),
-                        )
         self._column_summary = out
         return out
 
@@ -758,52 +700,49 @@ class BATFile:
         the ``(n, 3)`` positions for ``None``.
 
         A treelet not materialized yet is materialized first
-        (:meth:`treelet`). On a v4 handle with a
-        :class:`DecodedColumnCache` attached this is one cache round-trip
-        for all of them, and one codec call per treelet column decoded
-        (:meth:`DecodedColumnCache.fetch`); otherwise each column comes
-        from its treelet view.
+        (:meth:`treelet`). Each column missing from retention
+        (:meth:`_retained`) is one :meth:`_decode_slot` call; on a v4
+        handle with a :class:`DecodedColumnCache` attached, all of them
+        are one cache round-trip (:meth:`DecodedColumnCache.fetch`).
         """
         return self._columns(leaves, 1 if name is None else 2 + self.attr_index(name))
 
     def _columns(self, leaves, slot: int) -> list[np.ndarray]:
-        cache = self.column_cache
-        if cache is None or not self.column_encoded:
-            views = [self._view(leaf) for leaf in leaves]
-            if slot == 0:
-                return [tv.nodes for tv in views]
-            if slot == 1:
-                return [tv.positions for tv in views]
-            name = self.attr_names[slot - 2]
-            return [tv.attributes[name] for tv in views]
-        return cache.fetch(
-            self.cache_key, [(leaf, slot) for leaf in leaves],
-            lambda keys: [self._decode_slot(leaf, slot) for leaf, _ in keys],
+        return self._retained(
+            leaves, slot, lambda keys: [self._decode_slot(leaf, slot) for leaf, _ in keys]
         )
 
-    def _treelet_column(self, leaf: int, slot: int) -> np.ndarray:
-        """Directory slot ``slot`` of one v4 treelet: the attached cache's
-        hit path, else its one-key miss path (which joins a decode of the
-        same column already running); a plain decode without a cache."""
+    def _retained(self, leaves, slot: int, load) -> list[np.ndarray]:
+        """Slot ``slot`` of treelets ``leaves``, each produced by
+        ``load(missing_keys)`` once and then kept.
+
+        The attached :class:`DecodedColumnCache` keeps walk tables and v4
+        columns: one round-trip for all of them, single-flight, and its
+        byte budget bounds them. Everything else — a v2/v3 column (a view
+        of the mapping, nothing to budget), or anything on a cache-less
+        handle — is kept in the handle's own ``(leaf, slot)`` memo.
+        """
+        keys = [(leaf, slot) for leaf in leaves]
         cache = self.column_cache
-        if cache is None:
-            return self._decode_slot(leaf, slot)
-        arr = cache.get(self.cache_key, leaf, slot)
-        if arr is not None:
-            return arr
-        return cache.load(self.cache_key, leaf, slot, lambda: self._decode_slot(leaf, slot))
+        if cache is not None and (self.column_encoded or slot == WALK_TABLE_SLOT):
+            return cache.fetch(self.cache_key, keys, load)
+        memo = self._memo
+        missing = [key for key in keys if key not in memo]
+        if missing:
+            memo.update(zip(missing, load(missing)))
+        return [memo[key] for key in keys]
 
     def _decode_slot(self, leaf: int, slot: int) -> np.ndarray:
-        """Run directory slot ``slot`` of one v4 treelet through its codec.
+        """Run directory slot ``slot`` of one treelet through its codec.
 
         The position slot is also reshaped to ``(n, 3)`` and dequantized,
         and a cache stores that final product, so hits skip the work too.
-        Only this counts toward ``decoded_bytes`` — cache hits never get
-        here, so the counter measures real decode work.
+        Only a v4 slot counts toward ``decoded_bytes`` — cache hits never
+        get here, so the counter measures real decode work.
         """
         d = self._view(leaf).column_dir
         arr = decode_column(
-            d.codecs[slot], self._buf[d.starts[slot] : d.starts[slot + 1]],
+            d.codecs[slot], d.buf[d.starts[slot] : d.starts[slot + 1]],
             self._slot_dtypes[slot], d.counts[slot], d.p0[slot], d.p1[slot],
         )
         if arr.nbytes != d.raw_nbytes[slot]:
@@ -812,8 +751,9 @@ class BATFile:
                 f"directory says {d.raw_nbytes[slot]} in {self.path}",
                 section=f"treelet {leaf}", path=self.path,
             )
-        with self._dbytes_lock:
-            self.decoded_bytes += arr.nbytes
+        if self.column_encoded:
+            with self._dbytes_lock:
+                self.decoded_bytes += arr.nbytes
         if slot == 1:
             arr = arr.reshape(-1, 3)
             if self.quantized:
@@ -833,17 +773,10 @@ class BATFile:
         keeps them itself. Not codec work: never counts toward
         ``decoded_bytes``.
         """
-        cache = self.column_cache
-        if cache is not None:
-            return cache.fetch(
-                self.cache_key, [(leaf, WALK_TABLE_SLOT) for leaf in leaves],
-                lambda keys: self._build_walk_tables([leaf for leaf, _ in keys]),
-            )
-        memo = self._walk_tables
-        missing = [leaf for leaf in leaves if leaf not in memo]
-        if missing:
-            memo.update(zip(missing, self._build_walk_tables(missing)))
-        return [memo[leaf] for leaf in leaves]
+        return self._retained(
+            leaves, WALK_TABLE_SLOT,
+            lambda keys: self._build_walk_tables([leaf for leaf, _ in keys]),
+        )
 
     def _build_walk_tables(self, leaves: list) -> list[np.ndarray]:
         try:
@@ -858,16 +791,46 @@ class BATFile:
     def _view(self, leaf: int) -> TreeletView:
         return self._treelet_cache.get(leaf) or self.treelet(leaf)
 
-    def treelet(self, leaf: int) -> TreeletView:
-        """Map (or decompress/decode) the treelet of shallow leaf ``leaf``.
+    def _column_dir(self, rec, n_nodes: int, n_pts: int, buf) -> _ColumnDir:
+        """The column directory, over ``buf``, of the treelet of shallow
+        leaf record ``rec``.
 
-        Plain files hand back zero-copy views into the mapping; compressed
-        treelets inflate on first access, and quantized positions decode to
-        float32 against the leaf's bounding box. Either way the view is
-        cached, so repeated traversals pay once — including the treelet's
-        CRC32 verification on checksummed files, which runs on first touch
-        so queries that prune a damaged treelet never pay for (or trip
-        over) it.
+        A v4 treelet's is read from the file. A v2/v3 treelet's is
+        synthesized from its header counts: every slot is codec ``raw``
+        over the packed bytes, laid out in slot order after the header —
+        or, in a legacy compressed treelet, from the start of the
+        inflated payload.
+        """
+        base = int(rec["treelet_offset"]) + _TREELET_HEADER.size
+        counts = [n_nodes, 3 * n_pts] + [n_pts] * self.header.n_attrs
+        # plain floats copied out of the shallow-leaf record, not a
+        # structured view pinning the mapping
+        bbox = np.asarray(rec["bbox"], dtype=np.float64).copy()
+        if self.column_encoded:
+            col_dir = np.frombuffer(self._mm, dtype=_COLUMN_DIR, count=len(counts), offset=base)
+            return _ColumnDir(
+                buf, base + col_dir.nbytes,
+                [c.rstrip(b"\0").decode() for c in col_dir["codec"].tolist()],
+                col_dir["enc_nbytes"].tolist(), col_dir["raw_nbytes"].tolist(),
+                col_dir["p0"].tolist(), col_dir["p1"].tolist(), counts, bbox,
+            )
+        sizes = [n * dt.itemsize for n, dt in zip(counts, self._slot_dtypes)]
+        zeros = [0.0] * len(sizes)
+        return _ColumnDir(
+            buf, 0 if self.compressed else base, ["raw"] * len(sizes), sizes, sizes, zeros, zeros,
+            counts, bbox,
+        )
+
+    def treelet(self, leaf: int) -> TreeletView:
+        """Materialize the treelet of shallow leaf ``leaf``: its column
+        directory, nothing decoded yet.
+
+        The view is cached, so repeated traversals pay once — including
+        the treelet's CRC32 verification on checksummed files, which runs
+        on first touch so queries that prune a damaged treelet never pay
+        for (or trip over) it. A legacy compressed treelet inflates here,
+        once. A treelet that fails to inflate, or whose directory runs
+        past its bytes, raises :class:`~repro.errors.IntegrityError`.
         """
         cached = self._treelet_cache.get(leaf)
         if cached is not None:
@@ -889,76 +852,31 @@ class BATFile:
                     section=f"treelet {leaf}", path=self.path,
                 )
         n_nodes, n_pts, max_depth, raw_nbytes = _TREELET_HEADER.unpack_from(self._buf, off)
-        head = _TREELET_HEADER.size
-
-        if self.column_encoded:
-            view = self._treelet_v4(leaf, rec, off, head, n_nodes, n_pts, max_depth)
-            self._treelet_cache[leaf] = view
-            return view
-
-        if self.compressed:
-            comp = self._mm[off + head : off + int(rec["treelet_nbytes"])]
-            payload = zlib.decompress(comp)
+        buf, end = self._buf, off + nbytes
+        if self.compressed and not self.column_encoded:
+            try:
+                payload = zlib.decompress(self._buf[off + _TREELET_HEADER.size : end])
+            except zlib.error as exc:
+                raise IntegrityError(
+                    f"treelet {leaf}: payload does not inflate ({exc}) in {self.path}",
+                    section=f"treelet {leaf}", path=self.path,
+                ) from None
             if len(payload) != raw_nbytes:
                 raise IntegrityError(
                     f"treelet {leaf}: decompressed size mismatch in {self.path}",
                     section=f"treelet {leaf}", path=self.path,
                 )
-            buf, base = payload, 0
-        else:
-            buf, base = self._mm, off + head
-
-        cursor = base
-        nodes = np.frombuffer(buf, dtype=self._node_dt, count=n_nodes, offset=cursor)
-        cursor += nodes.nbytes
-        if self.quantized:
-            q = np.frombuffer(buf, dtype="<u2", count=3 * n_pts, offset=cursor).reshape(
-                n_pts, 3
-            )
-            cursor += q.nbytes
-            positions = _dequantize(q, np.asarray(rec["bbox"], dtype=np.float64))
-        else:
-            positions = np.frombuffer(
-                buf, dtype=np.float32, count=3 * n_pts, offset=cursor
-            ).reshape(n_pts, 3)
-            cursor += positions.nbytes
-        attrs: dict[str, np.ndarray] = {}
-        for name in self.attr_names:
-            dt = self.attr_dtypes[name]
-            attrs[name] = np.frombuffer(buf, dtype=dt, count=n_pts, offset=cursor)
-            cursor += n_pts * dt.itemsize
-        view = TreeletView(n_pts, max_depth, nodes=nodes, positions=positions, attributes=attrs)
-        self._treelet_cache[leaf] = view
-        return view
-
-    def _treelet_v4(self, leaf, rec, off, head, n_nodes, n_pts, max_depth) -> TreeletView:
-        """Build the view of a column-encoded (v4) treelet.
-
-        *Everything* decodes lazily: node records and the position block
-        decode when the view's properties are read (a full-speed plan
-        under column projection may need neither), and attribute columns
-        go behind a :class:`_LazyColumns` mapping so only the columns a
-        query filters on or materializes ever run through their codec.
-        The column directory is parsed here, once.
-        """
-        n_attrs = self.header.n_attrs
-        col_dir = np.frombuffer(self._mm, dtype=_COLUMN_DIR, count=2 + n_attrs, offset=off + head)
-        column_dir = _ColumnDir(
-            col_dir, off + head + col_dir.nbytes, [n_nodes, 3 * n_pts] + [n_pts] * n_attrs,
-            # plain floats copied out of the shallow-leaf record, not a
-            # structured view pinning the mapping
-            np.asarray(rec["bbox"], dtype=np.float64).copy(),
-        )
-        if column_dir.starts[-1] > off + int(rec["treelet_nbytes"]):
+            buf, end = memoryview(payload), len(payload)
+        d = self._column_dir(rec, n_nodes, n_pts, buf)
+        if d.starts[-1] > end:
             raise IntegrityError(
                 f"treelet {leaf}: column payloads overrun the treelet block "
                 f"in {self.path}",
                 section=f"treelet {leaf}", path=self.path,
             )
-        return TreeletView(
-            n_pts, max_depth, attributes=_LazyColumns(self, leaf), file=self, leaf=leaf,
-            column_dir=column_dir,
-        )
+        view = TreeletView(self, leaf, n_pts, max_depth, d)
+        self._treelet_cache[leaf] = view
+        return view
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -98,13 +98,14 @@ HEADER_CRC_OFFSET = HEADER_SIZE - 4
 #: shallow *leaf* index rather than another inner node.
 LEAF_FLAG = np.uint32(0x80000000)
 
-#: header flag: treelet positions stored as uint16 quantized against the
-#: shallow leaf's bounding box (6 B/particle instead of 12 B) — the §VII
-#: quantization extension; lossy to ~1/65535 of the leaf extent.
+#: header flag (read, no longer written): treelet positions stored as
+#: uint16 quantized against the shallow leaf's bounding box (6 B/particle
+#: instead of 12 B), lossy to ~1/65535 of the leaf extent. The v4
+#: ``quantize{b}`` codecs supersede it.
 FLAG_QUANTIZED_POSITIONS = 0x1
-#: header flag: each treelet's payload (nodes + positions + attributes) is
-#: zlib-compressed — the §VII compression extension; treelets decompress on
-#: first access instead of mapping in place.
+#: header flag (read, no longer written): each v2/v3 treelet's payload
+#: (nodes + positions + attributes) is one zlib stream, inflated on first
+#: access. The v4 per-column ``zlib`` codec supersedes it.
 FLAG_COMPRESSED_TREELETS = 0x2
 #: header flag: treelets carry a per-column codec directory (version >= 4);
 #: columns decode independently, and only when a query touches them.

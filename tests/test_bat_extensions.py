@@ -1,12 +1,20 @@
 """Tests for the §VII BAT extensions: quantization, compression,
-equi-depth binning, and in-memory (in-transit) access."""
+equi-depth binning, and in-memory (in-transit) access.
+
+The builder writes quantization and compression as v4 column codecs
+(``tests/test_codecs.py``); the legacy header-flag layouts are read from
+pinned images here."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bat import AttributeFilter, BATBuildConfig, BATFile, build_bat
 from repro.bat.query import query_file
+from repro.errors import IntegrityError
 from repro.types import Box, ParticleBatch
+from tests.test_read_counters import LEGACY, legacy_copy, write_legacy_particles
 
 N = 40_000
 
@@ -31,94 +39,113 @@ def roundtrip(batch, cfg, tmp_path, name):
     return built, BATFile(p)
 
 
+def leaf_files(meta):
+    return sorted(meta.parent.glob("*.bat"))
+
+
+def treelet_bytes(meta) -> int:
+    """Treelet block bytes of a dataset (page padding excluded)."""
+    total = 0
+    for path in leaf_files(meta):
+        with BATFile(path) as f:
+            total += int(f.shallow_leaves["treelet_nbytes"].sum())
+    return total
+
+
+def read_all(meta):
+    """Every leaf file's full read, concatenated in file order."""
+    parts = []
+    for path in leaf_files(meta):
+        with BATFile(path) as f:
+            parts.append(query_file(f)[0])
+    return ParticleBatch.concatenate(parts)
+
+
+@pytest.fixture(scope="module")
+def images(tmp_path_factory):
+    """The pinned legacy-flag images and a fresh raw v3 write of their
+    particles (``tests/test_read_counters.py`` documents both)."""
+    out = tmp_path_factory.mktemp("legacy")
+    metas = {key: legacy_copy(out, key) for key in LEGACY}
+    metas["raw"] = Path(write_legacy_particles(out / "raw"))
+    return metas
+
+
 class TestQuantizedPositions:
-    def test_flag_recorded(self, batch, tmp_path):
-        built, f = roundtrip(batch, BATBuildConfig(quantize_positions=True), tmp_path, "q")
-        with f:
-            assert f.quantized and not f.compressed
-            assert built.flags == 1
+    """Header flag bit 0, read from the pinned ``v3q`` image."""
 
-    def test_smaller_file(self, batch, tmp_path):
-        plain = build_bat(batch)
-        quant = build_bat(batch, BATBuildConfig(quantize_positions=True))
+    def test_flag_recorded(self, images):
+        for path in leaf_files(images["v3q"]):
+            with BATFile(path) as f:
+                assert f.quantized and not f.compressed
+
+    def test_smaller_file(self, images):
         # positions shrink from 12 to 6 bytes/particle
-        assert plain.nbytes - quant.nbytes > 5 * N
+        n = len(read_all(images["raw"]))
+        assert treelet_bytes(images["raw"]) - treelet_bytes(images["v3q"]) == 6 * n
 
-    def test_positions_accurate_to_quantum(self, batch, tmp_path):
-        _, f = roundtrip(batch, BATBuildConfig(quantize_positions=True), tmp_path, "qa")
-        with f:
-            res, _ = query_file(f)
-            assert len(res) == N
-            # worst case error: one treelet extent / 65535; treelets cover a
-            # small fraction of the domain, so 1e-4 absolute is generous
-            a = np.sort(res.positions, axis=0)
-            b = np.sort(batch.positions, axis=0)
-            assert np.abs(a - b).max() < 1e-4
+    def test_positions_accurate_to_quantum(self, images):
+        res, raw = read_all(images["v3q"]), read_all(images["raw"])
+        assert len(res) == len(raw)
+        # worst case error: one treelet extent / 65535; treelets cover a
+        # small fraction of the domain, so 1e-4 absolute is generous
+        a = np.sort(res.positions, axis=0)
+        b = np.sort(raw.positions, axis=0)
+        assert 0 < np.abs(a - b).max() < 1e-4
 
-    def test_attributes_lossless(self, batch, tmp_path):
-        _, f = roundtrip(batch, BATBuildConfig(quantize_positions=True), tmp_path, "ql")
-        with f:
-            res, _ = query_file(f)
-            np.testing.assert_array_equal(
-                np.sort(res.attributes["skew"]), np.sort(batch.attributes["skew"])
-            )
+    def test_attributes_lossless(self, images):
+        res, raw = read_all(images["v3q"]), read_all(images["raw"])
+        for name in raw.attributes:
+            np.testing.assert_array_equal(res.attributes[name], raw.attributes[name])
 
-    def test_spatial_query_consistent_with_decoded_positions(self, batch, tmp_path):
-        _, f = roundtrip(batch, BATBuildConfig(quantize_positions=True), tmp_path, "qs")
-        with f:
-            full, _ = query_file(f)
-            box = Box((0.5, 0.5, 0.2), (2.0, 1.5, 0.8))
-            res, _ = query_file(f, box=box)
-            assert len(res) == box.contains_points(full.positions).sum()
-            assert box.contains_points(res.positions).all()
+    def test_spatial_query_consistent_with_decoded_positions(self, images):
+        box = Box((0.1, 0.2, 0.2), (0.7, 0.6, 0.8))
+        for path in leaf_files(images["v3q"]):
+            with BATFile(path) as f:
+                full, _ = query_file(f)
+                res, _ = query_file(f, box=box)
+                assert len(res) == box.contains_points(full.positions).sum() > 0
+                assert box.contains_points(res.positions).all()
 
 
 class TestCompressedTreelets:
-    def test_flag_and_roundtrip(self, batch, tmp_path):
-        built, f = roundtrip(batch, BATBuildConfig(compress=True), tmp_path, "c")
-        with f:
-            assert f.compressed and not f.quantized
-            res, _ = query_file(f)
-            assert len(res) == N
-            np.testing.assert_array_equal(
-                np.sort(res.positions[:, 0]), np.sort(batch.positions[:, 0])
-            )
+    """Header flag bit 1, read from the pinned ``v3c`` and ``v2qc`` images."""
 
-    def test_compression_shrinks_file(self, batch):
-        plain = build_bat(batch)
-        comp = build_bat(batch, BATBuildConfig(compress=True))
-        assert comp.nbytes < plain.nbytes
+    def test_flag_and_roundtrip(self, images):
+        for path in leaf_files(images["v3c"]):
+            with BATFile(path) as f:
+                assert f.compressed and not f.quantized
+        assert read_all(images["v3c"]).digest() == read_all(images["raw"]).digest()
 
-    def test_queries_on_compressed(self, batch, tmp_path):
-        _, f = roundtrip(batch, BATBuildConfig(compress=True), tmp_path, "cq")
-        with f:
-            res, _ = query_file(f, filters=[AttributeFilter("u", 0.25, 0.5)])
-            u = batch.attributes["u"]
-            assert len(res) == ((u >= 0.25) & (u <= 0.5)).sum()
+    def test_compression_shrinks_file(self, images):
+        assert treelet_bytes(images["v3c"]) < treelet_bytes(images["raw"])
 
-    def test_combined_with_quantization(self, batch, tmp_path):
-        cfg = BATBuildConfig(quantize_positions=True, compress=True)
-        built, f = roundtrip(batch, cfg, tmp_path, "qc")
-        with f:
-            assert f.quantized and f.compressed
-            res, _ = query_file(f)
-            assert len(res) == N
-        # the combination gives the smallest file
-        assert built.nbytes < build_bat(batch, BATBuildConfig(compress=True)).nbytes
+    def test_queries_on_compressed(self, images):
+        temp = read_all(images["raw"]).attributes["temp"]
+        flt = [AttributeFilter("temp", 281.125, 290.125)]
+        got = 0
+        for path in leaf_files(images["v3c"]):
+            with BATFile(path) as f:
+                got += len(query_file(f, filters=flt)[0])
+        assert got == ((temp >= 281.125) & (temp <= 290.125)).sum() > 0
 
-    def test_corrupted_compressed_treelet_detected(self, batch, tmp_path):
-        built, f = roundtrip(batch, BATBuildConfig(compress=True), tmp_path, "cc")
-        f.close()
-        # truncate a compressed payload in-place: decompression must fail
-        # loudly rather than return garbage
-        import zlib
+    def test_combined_with_quantization(self, images):
+        for path in leaf_files(images["v2qc"]):
+            with BATFile(path) as f:
+                assert f.quantized and f.compressed and not f.checksummed
+        assert read_all(images["v2qc"]).digest() == read_all(images["v3q"]).digest()
+        # the combination gives the smallest treelets
+        assert treelet_bytes(images["v2qc"]) < treelet_bytes(images["v3c"])
 
-        data = bytearray(built.data)
+    def test_corrupted_compressed_treelet_detected(self, images):
+        # damage a compressed payload: inflating must fail loudly, as an
+        # IntegrityError naming the treelet, rather than return garbage
+        data = bytearray(leaf_files(images["v2qc"])[0].read_bytes())
         with BATFile.from_bytes(bytes(data)) as ref:
             off = int(ref.shallow_leaves[0]["treelet_offset"])
         data[off + 16 + 10] ^= 0xFF
         with BATFile.from_bytes(bytes(data)) as bad:
-            with pytest.raises((ValueError, zlib.error)):
+            with pytest.raises(IntegrityError, match="treelet 0"):
                 bad.treelet(0)
 
 

@@ -104,9 +104,8 @@ def _until(predicate, what: str, timeout: float = 10.0) -> None:
 
 
 def _lookup(cache, loader, key=("f", 0, 1)):
-    """What a handle does: ``get`` first, ``load`` only on a miss."""
-    arr = cache.get(*key)
-    return arr if arr is not None else cache.load(*key, loader)
+    """What a handle does for one column: :meth:`fetch` of one key."""
+    return cache.fetch(key[0], [key[1:]], lambda keys: [loader()])[0]
 
 
 class _Gate:

@@ -31,6 +31,7 @@ from repro.machines import testing_machine as make_test_machine
 from repro.serve import QueryService
 from repro.types import ParticleBatch
 from tests.test_pipeline import make_rank_data
+from tests.test_read_counters import legacy_copy
 
 
 def make_batch(seed=11, n=30_000):
@@ -351,6 +352,45 @@ class TestPrunedDamageIsNeverTouched:
                 ds.query(QueryRequest(box=boxes[bad]))
             part, stats = ds.query(QueryRequest(box=boxes[bad], on_error="degrade"))
             assert stats.quarantined_files == 1 and list(ds.quarantined()) == [0]
+
+
+class TestLegacyTreeletDamage:
+    """The pinned v2 image with flag bits 0 and 1 (``tests/data/legacy/
+    v2qc``, no checksums): damage only the treelet's own layout can
+    reveal is still an :class:`IntegrityError` naming the treelet, so a
+    degraded read quarantines the leaf instead of failing."""
+
+    @staticmethod
+    def damage(meta, at: int, value: int | None = None):
+        """Flip (or set) byte ``at`` of treelet 0 of leaf file 0."""
+        path = meta.parent / "v2qc.00000.bat"
+        raw = bytearray(path.read_bytes())
+        with BATFile.from_bytes(bytes(raw)) as f:
+            at += int(f.shallow_leaves[0]["treelet_offset"])
+        raw[at] = raw[at] ^ 0xFF if value is None else value
+        path.write_bytes(bytes(raw))
+        return path
+
+    def test_uninflatable_treelet_degrades(self, tmp_path):
+        meta = legacy_copy(tmp_path, "v2qc")
+        with BATFile(meta.parent / "v2qc.00001.bat") as f:
+            survivor, _ = query_file(f)
+        self.damage(meta, 16 + 10)  # inside the zlib stream
+        with BATDataset(meta) as ds:
+            with pytest.raises(IntegrityError, match="treelet 0"):
+                ds.query(QueryRequest())
+            part, stats = ds.query(QueryRequest(on_error="degrade"))
+        assert stats.quarantined_files == 1
+        assert part.digest() == survivor.digest()
+
+    def test_overstated_counts_are_an_integrity_error(self, tmp_path):
+        meta = legacy_copy(tmp_path, "v2qc")
+        # n_points (treelet header bytes 4..8) past what the payload holds
+        path = self.damage(meta, 5, value=0x7F)
+        with BATFile(path) as f:
+            with pytest.raises(IntegrityError, match="overrun") as exc:
+                f.treelet(0)
+        assert exc.value.section == "treelet 0"
 
 
 class TestQuarantineAndDegradedReads:

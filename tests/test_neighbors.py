@@ -22,7 +22,7 @@ from repro.api import (
     request_from_doc,
     request_to_doc,
 )
-from repro.bat import AttributeFilter
+from repro.bat import AttributeFilter, BATFile
 from repro.bat.builder import BATBuildConfig
 from repro.core import RankData, TwoPhaseWriter
 from repro.core.dataset import BATDataset
@@ -47,16 +47,17 @@ def dataset(request, tmp_path_factory):
     data = make_rank_data(nranks=12, seed=5, min_n=300, max_n=1200)
     out = tmp_path_factory.mktemp(f"neigh_{request.param}")
     if request.param == "v4":
-        writer = TwoPhaseWriter(
-            make_test_machine(),
-            target_size=32 * 1024,
-            bat_config=BATBuildConfig(quantize_positions=True, compress=True),
-        )
+        # lossy 16-bit positions, the best lossless codec everywhere else
+        cfg = BATBuildConfig(codecs={"positions": "quantize16", "*": "auto"})
     else:
-        writer = TwoPhaseWriter(make_test_machine(), target_size=32 * 1024)
+        cfg = BATBuildConfig()
+    writer = TwoPhaseWriter(make_test_machine(), target_size=32 * 1024, bat_config=cfg)
     rep = writer.write(data, out_dir=out, name="n")
     ds = BATDataset(rep.metadata_path)
     assert ds.metadata.n_files >= 4  # the whole point is crossing files
+    for path in out.glob("*.bat"):
+        with BATFile(path) as f:
+            assert f.version == int(request.param[1:])
     yield ds
     ds.close()
 

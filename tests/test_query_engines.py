@@ -57,11 +57,12 @@ def bat(batch, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bat_qz(batch, tmp_path_factory):
-    """Quantized + compressed variant: exercises the decode path."""
+    """Quantized + encoded (v4) variant: exercises the decode path."""
     path = tmp_path_factory.mktemp("engqz") / "qz.bat"
-    cfg = BATBuildConfig(quantize_positions=True, compress=True)
+    cfg = BATBuildConfig(codecs={"positions": "quantize16", "*": "auto"})
     build_bat(batch, cfg).write(path)
     with BATFile(path) as f:
+        assert f.version == 4
         yield f
 
 

@@ -801,10 +801,11 @@ class TestColumnCacheStress:
                     gets[tid] += len(ks)
                     wrong.extend(j for j, arr in zip(ks, got) if arr is not arrays[j])
                 elif op < 4:
-                    arr = cache.get(f"f{k % 4}", k, 0)
+                    if op < 2:  # a reader's one-column round-trip
+                        arr = cache.fetch(f"f{k % 4}", [(k, 0)], lambda _: [arrays[k]])[0]
+                    else:
+                        arr = cache.get(f"f{k % 4}", k, 0)
                     gets[tid] += 1
-                    if arr is None and op < 2:  # a reader's miss path
-                        arr = cache.load(f"f{k % 4}", k, 0, lambda: arrays[k])
                     if arr is not None and arr is not arrays[k]:
                         wrong.append(k)
                 elif op < 8:
@@ -833,9 +834,9 @@ class TestColumnCacheStress:
         assert not over_budget, f"budget exceeded mid-race: {over_budget[:3]}"
         assert not wrong, f"another key's array served: {wrong[:3]}"
         stats = cache.stats()
-        # counter purity: every get is exactly one hit or one miss, a load
-        # re-counts its miss as a join when it waited, every fetched key is
-        # one of the three; peek and invalidate moved no counter
+        # counter purity: every get is exactly one hit or one miss, every
+        # fetched key one hit, miss or join; peek and invalidate moved no
+        # counter
         assert stats["hits"] + stats["misses"] + stats["joins"] == sum(gets)
         assert not cache._inflight
         # the per-file index names exactly the entries present

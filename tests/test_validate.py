@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.bat import BATBuildConfig, build_bat
+from repro.bat import BATBuildConfig, BATFile, build_bat
 from repro.bat.validate import validate_dataset, validate_file
 from repro.core import TwoPhaseWriter
 from repro.machines import testing_machine as make_test_machine
@@ -45,9 +45,11 @@ class TestValidFiles:
         batch = ParticleBatch(
             rng.random((10_000, 3)).astype(np.float32), {"x": rng.random(10_000)}
         )
-        built = build_bat(batch, BATBuildConfig(quantize_positions=True, compress=True))
+        cfg = BATBuildConfig(codecs={"positions": "quantize16", "*": "auto"})
         p = tmp_path / "qc.bat"
-        built.write(p)
+        build_bat(batch, cfg).write(p)
+        with BATFile(p) as f:
+            assert f.version == 4
         assert validate_file(p).ok
 
     def test_summary_format(self, good_file):

@@ -492,7 +492,7 @@ class TestTableRetention:
             assert cache.column_cache.stats()["evictions"] > 0
             # evicted tables are rebuilt, never kept on the handle on the side
             assert len(count_builds) > n_treelets
-            assert f._walk_tables == {}
+            assert f._memo == {}
 
     def test_tables_are_charged_to_the_budget(self, v4_image, tmp_path):
         path = tmp_path / "a.bat"
