@@ -34,8 +34,7 @@ from .api import (
     open_dataset,
     reassemble_stream,
 )
-from .bat import AttributeFilter, BATBuildConfig, BATFile, build_bat
-from .bat.validate import validate_dataset, validate_file
+from .bat import AttributeFilter, BATBuildConfig, BATFile, build_bat, scrub_dataset, scrub_file
 from .binning import EquiDepthBinning, EquiWidthBinning
 from .core import (
     AggregationTree,
@@ -88,6 +87,6 @@ __all__ = [
     "TimeSeriesWriter",
     "TimeSeriesDataset",
     "recommend_target_size",
-    "validate_file",
-    "validate_dataset",
+    "scrub_file",
+    "scrub_dataset",
 ]

@@ -1,27 +1,23 @@
 """Atomic, verified file publication.
 
 Every durable artifact (leaf files, dataset manifests, series catalogs) is
-published the same way: write to a ``*.tmp`` sibling, flush and fsync it,
-then ``os.replace`` onto the final name and fsync the directory. A reader
+published by :func:`publish_bytes`: write a ``*.tmp`` sibling, flush and
+fsync it, read it back and compare it against the in-memory image, then
+``os.replace`` it onto the final name and fsync the directory. A reader
 therefore never observes a half-written file — it sees either the previous
-version or the complete new one.
-
-:func:`publish_bytes` adds read-back verification and bounded retry on top,
-which is what makes the write path provably recover from injected torn
-writes and bit flips: the verification compares the bytes that actually hit
-the filesystem against the in-memory image before the rename, so a damaged
-attempt is discarded and retried instead of being published.
+version or the complete new one — and a damaged attempt (an injected torn
+write or bit flip) is discarded and retried instead of being published,
+which is what makes the write path provably recover from them.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import zlib
 
 from .errors import PublishError
 
-__all__ = ["atomic_write_bytes", "publish_bytes"]
+__all__ = ["publish_bytes"]
 
 
 def _fsync_dir(dirname: str) -> None:
@@ -36,27 +32,6 @@ def _fsync_dir(dirname: str) -> None:
         pass
     finally:
         os.close(fd)
-
-
-def atomic_write_bytes(path, data, *, fsync: bool = True) -> None:
-    """Write ``data`` to ``path`` atomically (tmp file, fsync, rename)."""
-    spath = os.fspath(path)
-    tmp = spath + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            if fsync:
-                os.fsync(f.fileno())
-        os.replace(tmp, spath)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    if fsync:
-        _fsync_dir(os.path.dirname(spath))
 
 
 def _apply_fault(data: bytes, fault) -> bytes:
@@ -81,16 +56,7 @@ def _apply_fault(data: bytes, fault) -> bytes:
     raise ValueError(f"unknown write fault kind {kind!r}")
 
 
-def publish_bytes(
-    path,
-    data,
-    *,
-    fault_plan=(),
-    max_attempts: int = 4,
-    backoff_s: float = 0.0,
-    fsync: bool = True,
-    sleep=time.sleep,
-) -> int:
+def publish_bytes(path, data, *, fault_plan=(), max_attempts: int = 4) -> int:
     """Publish ``data`` at ``path`` with read-back verification and retry.
 
     Each attempt writes the tmp file, reads it back, and compares length and
@@ -114,22 +80,18 @@ def publish_bytes(
             with open(tmp, "wb") as f:
                 f.write(payload)
                 f.flush()
-                if fsync:
-                    os.fsync(f.fileno())
+                os.fsync(f.fileno())
             with open(tmp, "rb") as f:
                 written = f.read()
             if len(written) == len(data) and zlib.crc32(written) == expect:
                 os.replace(tmp, spath)
-                if fsync:
-                    _fsync_dir(os.path.dirname(spath))
+                _fsync_dir(os.path.dirname(spath))
                 return attempt
         finally:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-        if backoff_s and attempt < max_attempts:
-            sleep(backoff_s * (2 ** (attempt - 1)))
     raise PublishError(
         f"failed to publish {spath}: {max_attempts} write attempts "
         f"all failed read-back verification"

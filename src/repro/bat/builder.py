@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..atomic import atomic_write_bytes
+from ..atomic import publish_bytes
 from ..binning import EquiDepthBinning, EquiWidthBinning
 from ..bitmaps import BitmapDictionary
 from ..morton import MAX_BITS, encode_positions
@@ -78,7 +78,6 @@ class BATBuildConfig:
     subprefix_bits: int | None = None
     lod_per_node: int = 8
     max_leaf_points: int = 128
-    morton_bits: int = MAX_BITS
     #: "equiwidth" (the paper's scheme) or "equidepth" (quantile bins — the
     #: §VII extension for skewed attributes)
     attribute_binning: str = "equiwidth"
@@ -103,14 +102,12 @@ class BATBuildConfig:
         if self.attribute_binning not in ("equiwidth", "equidepth"):
             raise ValueError("attribute_binning must be 'equiwidth' or 'equidepth'")
         if self.subprefix_bits is not None:
-            if not 3 <= self.subprefix_bits <= 3 * self.morton_bits:
-                raise ValueError("subprefix_bits must be in [3, 3*morton_bits]")
+            if not 3 <= self.subprefix_bits <= 3 * MAX_BITS:
+                raise ValueError(f"subprefix_bits must be in [3, {3 * MAX_BITS}]")
             if self.subprefix_bits % 3 != 0:
                 raise ValueError("subprefix_bits must be a multiple of 3")
         if self.lod_per_node < 1 or self.max_leaf_points < 1:
             raise ValueError("lod_per_node and max_leaf_points must be >= 1")
-        if not 1 <= self.morton_bits <= MAX_BITS:
-            raise ValueError(f"morton_bits must be in [1, {MAX_BITS}]")
         if self.codecs is not None:
             if not self.checksums:
                 raise ValueError("codecs require checksums=True (v4 is a checksummed format)")
@@ -125,7 +122,7 @@ class BATBuildConfig:
 
         ratio = max(n_points / TARGET_TREELET_POINTS, 1.0)
         levels = math.ceil(math.log2(ratio) / 3.0) if ratio > 1.0 else 1
-        return int(min(max(3 * levels, 3), DEFAULT_SUBPREFIX_BITS, 3 * self.morton_bits))
+        return int(min(max(3 * levels, 3), DEFAULT_SUBPREFIX_BITS))
 
 
 @dataclass
@@ -170,8 +167,8 @@ class BuiltBAT:
         return self.overhead_bytes / self.raw_bytes if self.raw_bytes else 0.0
 
     def write(self, path) -> None:
-        """Publish the image atomically (tmp file, fsync, rename)."""
-        atomic_write_bytes(path, self.data)
+        """Publish the image atomically (tmp file, fsync, read-back check, rename)."""
+        publish_bytes(path, self.data)
 
     def open(self):
         """Open the image in memory for in-transit analysis (§III-C3).
@@ -242,9 +239,9 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
 
     bounds = batch.bounds
     subprefix_bits = config.resolve_subprefix_bits(n)
-    codes = encode_positions(batch.positions, bounds, bits=config.morton_bits)
+    codes = encode_positions(batch.positions, bounds)
     sort_order = np.argsort(codes, kind="stable")
-    uniq, pt_starts = shallow_tree_leaves(codes[sort_order], subprefix_bits, config.morton_bits)
+    uniq, pt_starts = shallow_tree_leaves(codes[sort_order], subprefix_bits)
     radix = build_radix_tree(uniq, subprefix_bits)
     n_leaves = len(uniq)
 
@@ -467,7 +464,7 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
     header = Header(
         n_points=n,
         n_attrs=n_attrs,
-        morton_bits=config.morton_bits,
+        morton_bits=MAX_BITS,
         subprefix_bits=subprefix_bits,
         lod_per_node=config.lod_per_node,
         max_leaf_points=config.max_leaf_points,

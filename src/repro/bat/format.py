@@ -74,6 +74,7 @@ __all__ = [
     "shallow_leaf_dtype",
     "treelet_node_dtype",
     "child_links_ok",
+    "node_fault",
     "treelet_header_dtype",
     "LEAF_FLAG",
 ]
@@ -323,6 +324,48 @@ def child_links_ok(node, left, right, n_nodes):
     forward: ``node < child < n_nodes`` for both children (node records
     are in pre-order). Array-wise over any number of nodes."""
     return (node < left) & (left < n_nodes) & (node < right) & (right < n_nodes)
+
+
+def node_fault(axis, left, right, begin, count, subtree_end, n_points: int) -> str | None:
+    """The first broken per-node invariant of one treelet, or ``None``.
+
+    Array-wise over the treelet's node fields (one entry per node, node ids
+    local to the treelet). Each node's own slice ``[begin, begin + count)``
+    starts its subtree slice ``[begin, subtree_end)``, which lies in
+    ``[0, n_points)``; an inner node's children pass
+    :func:`child_links_ok`, the left one starts right after the parent's
+    own particles, the right one ends with the parent's subtree, and no gap
+    lies between them; and the own slices partition ``[0, n_points)``.
+    The message names the first offending node.
+    """
+    n = len(axis)
+    if n == 0:
+        return "no nodes"
+    b, c, e = (np.asarray(a, dtype=np.int64) for a in (begin, count, subtree_end))
+    bad = np.flatnonzero((b + c > e) | (e > n_points))
+    if len(bad):
+        i = bad[0]
+        return f"node {i}: bad slice [{b[i]}, {b[i] + c[i]}, {e[i]})"
+    inner = np.flatnonzero(np.asarray(axis) >= 0)
+    l = np.asarray(left, dtype=np.int64)[inner]
+    r = np.asarray(right, dtype=np.int64)[inner]
+    bad = np.flatnonzero(~child_links_ok(inner, l, r, n))
+    if len(bad):
+        return f"node {inner[bad[0]]}: children must follow parent"
+    bad = np.flatnonzero((b[l] != b[inner] + c[inner]) | (e[r] != e[inner]))
+    if len(bad):
+        return f"node {inner[bad[0]]}: children do not tile subtree"
+    bad = np.flatnonzero(e[l] != b[r])
+    if len(bad):
+        return f"node {inner[bad[0]]}: gap between children"
+    # own-slot coverage via a difference array (+1 at begin, -1 at
+    # begin + count): the prefix sums are all 1 iff the slices partition
+    cover = np.zeros(n_points + 1, dtype=np.int64)
+    np.add.at(cover, b, 1)
+    np.add.at(cover, b + c, -1)
+    if (np.cumsum(cover[:-1]) != 1).any():
+        return "node slices do not partition the particles"
+    return None
 
 
 def column_dir_dtype() -> np.dtype:

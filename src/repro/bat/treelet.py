@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bitmaps import bitmaps_by_group
+from .format import node_fault
 
 __all__ = [
     "Treelet",
@@ -85,38 +86,13 @@ class Treelet:
         return self.axis[node] < 0
 
     def validate(self) -> None:
-        """Structural invariants, fully vectorized; cheap on large trees."""
-        n = self.n_nodes
-        if n == 0:
-            raise ValueError("empty treelet")
-        b = self.begin.astype(np.int64)
-        c = self.count.astype(np.int64)
-        e = self.subtree_end.astype(np.int64)
-        bad = np.nonzero(~((b + c <= e) & (e <= self.n_points)))[0]
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(f"node {i}: bad slice [{b[i]}, {b[i] + c[i]}, {e[i]})")
-        inner = np.nonzero(self.axis >= 0)[0]
-        if len(inner):
-            l = self.left[inner].astype(np.int64)
-            r = self.right[inner].astype(np.int64)
-            bad = np.nonzero(~((inner < l) & (l < n) & (inner < r) & (r < n)))[0]
-            if len(bad):
-                raise ValueError(f"node {inner[bad[0]]}: children must follow parent")
-            bad = np.nonzero((b[l] != b[inner] + c[inner]) | (e[r] != e[inner]))[0]
-            if len(bad):
-                raise ValueError(f"node {inner[bad[0]]}: children do not tile subtree")
-            bad = np.nonzero(e[l] != b[r])[0]
-            if len(bad):
-                raise ValueError(f"node {inner[bad[0]]}: gap between children")
-        # multiplicity of own-slot coverage via a difference array: +1 at
-        # begin, -1 at begin+count, prefix-sum == 1 everywhere iff the
-        # node slices partition [0, n_points)
-        cover = np.zeros(self.n_points + 1, dtype=np.int64)
-        np.add.at(cover, b, 1)
-        np.add.at(cover, b + c, -1)
-        if (np.cumsum(cover[:-1]) != 1).any():
-            raise ValueError("node-order slots do not partition the particles")
+        """Raise on the first broken structural invariant (vectorized)."""
+        fault = node_fault(
+            self.axis, self.left, self.right, self.begin, self.count,
+            self.subtree_end, self.n_points,
+        )
+        if fault is not None:
+            raise ValueError(fault)
         if (
             self.order.min(initial=0) < 0
             or self.order.max(initial=-1) >= self.n_points

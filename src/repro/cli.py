@@ -8,7 +8,7 @@ Usage::
         --box 0,0,0,1,1,1 --filter temperature:300:400 --stats
     python -m repro serve out/ts0000.meta.json --capacity 4 --concurrency 8
     python -m repro bench weak-scaling --machine stampede2 --ranks 96,384,1536
-    python -m repro scrub out/ts0000.meta.json        # verify every checksum
+    python -m repro scrub out/ts0000.meta.json --deep  # checksums, then structure
 
 Every subcommand prints plain text; nothing is modified on disk.
 """
@@ -349,33 +349,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    from .bat.validate import validate_dataset, validate_file
-
-    path = Path(args.path)
-    if path.suffix == ".json":
-        report = validate_dataset(path, deep=args.deep)
-    else:
-        report = validate_file(path, deep=True)
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
 def _cmd_scrub(args) -> int:
-    """Verify every checksum of a dataset (or one file), per-file status."""
+    """Check a dataset (or one file) for damage, per-file status."""
     import json
 
     from .bat.integrity import scrub_dataset, scrub_file
 
     path = Path(args.path)
-    if path.suffix == ".json":
-        report = scrub_dataset(path)
-    else:
-        report = scrub_file(path)
-    if args.json:
-        print(json.dumps(report.to_doc(), indent=1))
-    else:
-        print(report.summary())
+    scrub = scrub_dataset if path.suffix == ".json" else scrub_file
+    report = scrub(path, deep=args.deep)
+    print(json.dumps(report.to_doc(), indent=1) if args.json else report.summary())
     return 0 if report.ok else 1
 
 
@@ -548,18 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--ranks", default="96,384,1536,6144")
     bench.set_defaults(func=_cmd_bench)
 
-    validate = sub.add_parser("validate", help="check a .bat file or dataset for damage")
-    validate.add_argument("path")
-    validate.add_argument("--deep", action="store_true",
-                          help="also walk every treelet of every leaf file")
-    validate.set_defaults(func=_cmd_validate)
-
     scrub = sub.add_parser(
         "scrub",
-        help="verify every checksum in a dataset (or one .bat file), "
-             "reporting per-file status and the exact bad section",
+        help="check a dataset (or one .bat file) for damage: every checksum, "
+             "then the structure; reports per-file status and the exact bad section",
     )
     scrub.add_argument("path", help=".meta.json manifest or a single .bat file")
+    scrub.add_argument("--deep", action="store_true",
+                       help="also check every treelet of every leaf file")
     scrub.add_argument("--json", action="store_true",
                        help="emit the full report as JSON")
     scrub.set_defaults(func=_cmd_scrub)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..atomic import atomic_write_bytes
+from ..atomic import publish_bytes
 from ..bitmaps import bin_intervals, remap_bitmaps
 from ..types import AttributeSpec, Box
 from .aggtree import AggInner, AggLeaf, AggregationTree
@@ -199,11 +199,12 @@ class DatasetMetadata:
         """Publish the metadata file atomically; returns its size in bytes.
 
         The manifest is what makes a dataset *visible*: publishing it via
-        tmp-file + fsync + rename means a crash mid-write can never leave a
-        half-written manifest pointing at the (already published) leaves.
+        tmp-file + fsync + read-back check + rename means a crash mid-write
+        can never leave a half-written manifest pointing at the (already
+        published) leaves.
         """
         data = self.to_json().encode()
-        atomic_write_bytes(path, data)
+        publish_bytes(path, data)
         object.__setattr__(self, "_json_size", len(data))
         return len(data)
 

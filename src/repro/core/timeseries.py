@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..api import QueryRequest
-from ..atomic import atomic_write_bytes
+from ..atomic import publish_bytes
 from ..machines import MachineSpec
 from ..types import Box
 from .dataset import BATDataset
@@ -117,7 +117,7 @@ class TimeSeriesWriter:
             "version": CATALOG_VERSION,
             "steps": [self._steps[s].to_doc() for s in sorted(self._steps)],
         }
-        atomic_write_bytes(
+        publish_bytes(
             self.directory / CATALOG_NAME, json.dumps(doc, indent=1).encode()
         )
 

@@ -91,7 +91,7 @@ class _LeafSummary:
     attr_dtypes: dict = field(default_factory=dict)
 
 
-def _build_leaf(layout_name: str, cfg, publish_cfg, item) -> _LeafSummary:
+def _build_leaf(layout_name: str, cfg, max_attempts: int, item) -> _LeafSummary:
     """Aggregate, build (and optionally publish) one aggregation leaf.
 
     Module-level and driven only by picklable arguments so every executor
@@ -106,7 +106,6 @@ def _build_leaf(layout_name: str, cfg, publish_cfg, item) -> _LeafSummary:
 
     members, out_path, fault_plan = item
     batch = ParticleBatch.concatenate(members)
-    max_attempts, backoff_s = publish_cfg
     built = get_layout(layout_name).build(batch, cfg)
     attempts = 1
     if out_path is not None:
@@ -115,7 +114,6 @@ def _build_leaf(layout_name: str, cfg, publish_cfg, item) -> _LeafSummary:
             built.data,
             fault_plan=fault_plan,
             max_attempts=max_attempts,
-            backoff_s=backoff_s,
         )
     return _LeafSummary(
         attr_ranges=built.attr_ranges,
@@ -362,11 +360,7 @@ class TwoPhaseWriter:
         retry_sizes = np.zeros(nranks)
         if data.materialized:
             cfg = self.bat_config if self.layout.name == "bat" else None
-            publish_cfg = (
-                (faults.max_write_attempts, faults.retry_backoff_s)
-                if faults is not None
-                else (1, 0.0)
-            )
+            max_attempts = faults.max_write_attempts if faults is not None else 1
             # One task per aggregation leaf: every aggregator gathers, builds
             # and publishes independently, so the tasks fan out across the
             # executor; the rank-0 metadata assembly below is the only
@@ -382,7 +376,7 @@ class TwoPhaseWriter:
             ]
             with executor_scope(self.executor, default=threads_for(n_leaves)) as ex:
                 built = ex.map(
-                    partial(_build_leaf, self.layout.name, cfg, publish_cfg), tasks
+                    partial(_build_leaf, self.layout.name, cfg, max_attempts), tasks
                 )
             if built:
                 attr_dtypes = built[0].attr_dtypes

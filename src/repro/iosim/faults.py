@@ -52,14 +52,9 @@ class FaultConfig:
     duplicate_message: float = 0.0
     #: probability each aggregator rank dies before building its files
     aggregator_death: float = 0.0
-    #: bounded retry: attempts per leaf-file publish before giving up
+    #: bounded retry: attempts per leaf-file publish. The final attempt is
+    #: never faulted, so a bounded retry always recovers.
     max_write_attempts: int = 4
-    #: exponential backoff base between publish attempts (seconds; the
-    #: default keeps simulated runs fast while exercising the retry path)
-    retry_backoff_s: float = 0.0
-    #: never fault the final permitted attempt, so a bounded retry always
-    #: recovers; disable to test that PublishError surfaces cleanly
-    always_recover: bool = True
 
     def __post_init__(self) -> None:
         for name in ("torn_write", "bit_flip", "drop_message",
@@ -139,9 +134,8 @@ class FaultInjector:
         """
         cfg = self.config
         rng = np.random.default_rng([cfg.seed, _STREAM_WRITE, leaf_index])
-        budget = cfg.max_write_attempts - (1 if cfg.always_recover else 0)
         plan = []
-        for _ in range(budget):
+        for _ in range(cfg.max_write_attempts - 1):  # the last attempt stays clean
             u = rng.random()
             if u < cfg.torn_write:
                 plan.append(("torn", float(rng.random())))

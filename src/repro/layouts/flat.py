@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..atomic import atomic_write_bytes
+from ..atomic import publish_bytes
 from ..bat.format import check_attr_names
 from ..binning import EquiWidthBinning
 from ..bitmaps import bitmap_of_values
@@ -57,8 +57,8 @@ class BuiltFlat:
         return self.nbytes - self.raw_bytes
 
     def write(self, path) -> None:
-        """Publish the image atomically (tmp file, fsync, rename)."""
-        atomic_write_bytes(path, self.data)
+        """Publish the image atomically (tmp file, fsync, read-back check, rename)."""
+        publish_bytes(path, self.data)
 
 
 def build_flat(batch: ParticleBatch, config=None) -> BuiltFlat:

@@ -21,7 +21,7 @@ query-aligned layouts —
   break batch concatenation (and byte-identity).
 
 Every rewritten leaf is published under a **new, generation-qualified
-file name** via :func:`repro.atomic.atomic_write_bytes`, and the manifest
+file name** via :func:`repro.atomic.publish_bytes`, and the manifest
 republish bumps its layout ``generation`` counter. Old leaf files are
 left in place (``remove_old`` garbage-collects them explicitly), so a
 query in flight against the previous manifest keeps reading the exact
@@ -428,7 +428,7 @@ def apply_reorg(
     """Execute planned actions and atomically republish the manifest.
 
     Rewritten leaves land under new ``<stem>.g<generation>.r<k>.bat``
-    names (each written via the atomic tmp+fsync+rename path); the
+    names (each through the verified tmp+fsync+rename publish); the
     manifest is republished last with ``generation + 1``, so a crash at
     any point leaves the previous generation fully intact and readable.
     Raises :class:`ReorgError` (publishing nothing) if verification finds

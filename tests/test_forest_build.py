@@ -136,11 +136,10 @@ class TestBuiltFilesHoldTheReferenceTreelets:
         ids=["v2", "v3", "v4-auto"],
     )
     def test_every_treelet_view(self, batch, config):
-        codes = encode_positions(batch.positions, batch.bounds, bits=config.morton_bits)
+        codes = encode_positions(batch.positions, batch.bounds)
         sort_order = np.argsort(codes, kind="stable")
-        _, starts = shallow_tree_leaves(
-            codes[sort_order], config.resolve_subprefix_bits(len(batch)), config.morton_bits
-        )
+        subprefix_bits = config.resolve_subprefix_bits(len(batch))
+        _, starts = shallow_tree_leaves(codes[sort_order], subprefix_bits)
         with build_bat(batch, config).open() as bat:
             assert bat.n_treelets == len(starts) - 1 > 8
             for leaf in range(bat.n_treelets):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import QueryRequest
-from repro.atomic import atomic_write_bytes, publish_bytes
+from repro.atomic import publish_bytes
 from repro.bat import BATBuildConfig, build_bat, scrub_dataset, scrub_file
 from repro.bat.file import BATFile
 from repro.bat.format import HEADER_SIZE, LEGACY_VERSION, VERSION, Header
@@ -183,7 +183,7 @@ class TestCorruptOpenHygiene:
 class TestAtomicPublish:
     def test_atomic_write(self, tmp_path):
         p = tmp_path / "out.bin"
-        atomic_write_bytes(p, b"hello")
+        assert publish_bytes(p, b"hello") == 1
         assert p.read_bytes() == b"hello"
         assert [q.name for q in tmp_path.iterdir()] == ["out.bin"]
 
@@ -225,8 +225,8 @@ class TestFaultInjector:
         inj = FaultInjector(cfg)
         plans = [inj.plan_leaf_write(i) for i in range(64)]
         assert plans == [inj.plan_leaf_write(i) for i in range(64)]
-        # always_recover reserves the final attempt, so every plan leaves
-        # at least one clean attempt inside the budget
+        # the final attempt is never faulted, so every plan leaves at least
+        # one clean attempt inside the budget
         assert all(len(p) < cfg.max_write_attempts for p in plans)
         assert any(p for p in plans)
 
@@ -546,3 +546,17 @@ class TestScrubCLI:
             (out_dir / ds.metadata.leaves[0].file_name).unlink()
         assert main(["scrub", rep.metadata_path]) == 1
         assert "missing" in capsys.readouterr().out
+
+    def test_flat_layout_dataset(self, tmp_path, capsys):
+        """A flat-layout leaf carries neither checksums nor a BAT structure:
+        a healthy one scrubs clean, and only a missing one is a finding."""
+        rep = TwoPhaseWriter(make_test_machine(), layout="flat").write(
+            make_rank_data(nranks=4, seed=1), out_dir=tmp_path, name="fl"
+        )
+        assert scrub_dataset(rep.metadata_path, deep=True).ok
+        assert main(["scrub", rep.metadata_path]) == 0
+        victim = next(tmp_path.glob("*.flat"))
+        victim.unlink()
+        report = scrub_dataset(rep.metadata_path)
+        assert [f.path for f in report.files if f.status == "missing"] == [str(victim)]
+        assert main(["scrub", rep.metadata_path]) == 1
