@@ -5,8 +5,8 @@ evaluates a cubic-spline smoothed pressure field on a slab of the water
 body with :func:`repro.analysis.sph_smooth`. The slab deliberately
 straddles leaf-file boundaries: the planner's ghost-region exchange
 opens only the boundary strips of neighboring files, never a full
-neighbor-file read, and the result is byte-identical to the brute-force
-reference engine.
+neighbor-file read, and the neighbor lists are exact: the tests hold
+them byte-identical to an exhaustive reference.
 
 Usage: python examples/sph_kernel_interpolation.py
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import NeighborRequest, TwoPhaseWriter, machines, open_dataset
+from repro import TwoPhaseWriter, machines, open_dataset
 from repro.analysis import sph_smooth
 from repro.types import Box
 from repro.workloads import DamBreak
@@ -63,14 +63,6 @@ def main() -> None:
               f"{s.pruned_files} never opened")
         print(f"  pressure: mean {np.nanmean(field.values):.1f} "
               f"max {np.nanmax(field.values):.1f}")
-
-        # the brute-force oracle produces the same neighbor lists, bytes
-        # and all — the tree engine is an optimization, not an estimate
-        check = ds.neighbors(
-            NeighborRequest(center_box=slab, radius=H, engine="brute")
-        )
-        assert np.array_equal(check.keys, field.result.keys)
-        print("  verified: tree neighbor lists == brute-force reference")
 
 
 if __name__ == "__main__":

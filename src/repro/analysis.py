@@ -208,7 +208,6 @@ def sph_smooth(
     center_box: Box | None = None,
     points=None,
     filters=(),
-    engine: str = "tree",
 ) -> SmoothedField:
     """SPH kernel interpolation of one attribute over fixed-radius lists.
 
@@ -230,7 +229,6 @@ def sph_smooth(
         radius=float(h),
         filters=tuple(filters),
         columns=(attr,),
-        engine=engine,
     )
     res = dataset.neighbors(request)
     w = cubic_spline_kernel(res.distances, h)
@@ -272,7 +270,6 @@ def fof_groups(
     linking_length: float,
     center_box: Box | None = None,
     filters=(),
-    engine: str = "tree",
 ) -> FoFGroups:
     """Friends-of-friends halo finding over the particles in a region.
 
@@ -292,7 +289,6 @@ def fof_groups(
         radius=float(linking_length),
         filters=tuple(filters),
         columns=(),
-        engine=engine,
     )
     res = dataset.neighbors(request)
     n = res.n_centers

@@ -47,12 +47,6 @@ __all__ = [
 #: legal ``on_error`` policies for corrupt/missing leaf files
 ON_ERROR_POLICIES = ("raise", "degrade")
 
-#: traversal engines a :class:`NeighborRequest` may choose: ``"tree"``
-#: (k-d pruning, nearest file first; the default) or ``"brute"`` (the exhaustive
-#: reference — opens and tests everything; kept byte-identical as the
-#: correctness oracle)
-NEIGHBOR_ENGINES = ("tree", "brute")
-
 @dataclass(frozen=True)
 class Request:
     """Frozen base of every request family.
@@ -153,14 +147,13 @@ class NeighborRequest(Request):
     (distance 0 sorts first). Per-center neighbor lists are ordered by
     ``(distance, leaf, treelet, slot)`` — the global particle order-key
     breaks distance ties, which makes results reproducible across
-    engines and shard layouts (see docs/API.md).
+    shard layouts (see docs/API.md).
     """
 
     center_box: Box | None = None
     points: tuple | None = None
     k: int | None = None
     radius: float | None = None
-    engine: str = "tree"
 
     family: ClassVar[str] = "neighbor"
 
@@ -228,11 +221,6 @@ class NeighborRequest(Request):
                     f"radius must be a finite number > 0, got {self.radius!r}"
                 )
             object.__setattr__(self, "radius", r)
-        if self.engine not in NEIGHBOR_ENGINES:
-            raise InvalidRequestError(
-                f"unknown neighbor engine {self.engine!r} "
-                f"(choose from {NEIGHBOR_ENGINES})"
-            )
 
     @property
     def region(self) -> Box:
@@ -350,7 +338,6 @@ def request_to_doc(req: Request) -> dict:
         )
         doc["k"] = None if req.k is None else int(req.k)
         doc["radius"] = None if req.radius is None else float(req.radius)
-        doc["engine"] = req.engine
     else:  # pragma: no cover - future families must extend this
         raise InvalidRequestError(
             f"cannot serialize request family {req.family!r}"
@@ -362,9 +349,9 @@ def request_from_doc(doc: dict) -> Request:
     """Rebuild a request from its :func:`request_to_doc` wire doc.
 
     Docs without a ``family`` tag predate the neighbor family and parse
-    as query requests. Stored query docs (the job queue persists them)
-    may still carry the ``"engine"`` key of the time a query request
-    could choose its traversal; it is ignored.
+    as query requests. Stored docs (the job queue persists them) may
+    still carry the ``"engine"`` key of the time a request could choose
+    its traversal; it is ignored in both families.
     """
     from .bat.query import AttributeFilter  # local: avoids an import cycle
 
@@ -394,7 +381,6 @@ def request_from_doc(doc: dict) -> Request:
             points=tuple(tuple(p) for p in pts) if pts is not None else None,
             k=doc.get("k"),
             radius=doc.get("radius"),
-            engine=doc.get("engine", "tree"),
             **common,
         )
     raise InvalidRequestError(f"unknown request family {family!r} in doc")

@@ -9,19 +9,21 @@ nodes' particle ranges are gathered and distance-tested. Like the read
 core, every step is an array pass over a whole node set or candidate
 set; no step loops over nodes or centers in Python.
 
-Two engines implement the same semantics:
+One engine per mode:
 
-- ``"tree"`` (default). Fixed-radius queries gather one candidate set
-  per file (nodes within ``radius`` of the query region, measured
-  box-to-box so the halo has round corners) and select every center's
-  neighbors in one grid-stencil pass (:func:`select_radius`). k-NN
-  visits files in ascending distance from the centers, skips every file
-  whose bounds lie beyond each center's current k-th distance, and in an
-  opened file gathers, for all centers that still need it at once, the
-  nodes within their bounds; one distance block and one partition then
-  tighten the bounds before the next file (:func:`knn_neighbors`).
-- ``"brute"`` — the exhaustive reference: opens every file, tests every
-  particle. Kept byte-identical as the correctness oracle.
+- Fixed-radius queries gather one candidate set per file (nodes within
+  ``radius`` of the query region, measured box-to-box so the halo has
+  round corners) and select every center's neighbors in one
+  grid-stencil pass (:func:`radius_neighbors`, :func:`select_radius`).
+- k-NN visits files in ascending distance from the centers, skips every
+  file whose bounds lie beyond each center's current k-th distance, and
+  in an opened file gathers, for all centers that still need it at once,
+  the nodes within their bounds; one distance block and one partition
+  then tighten the bounds before the next file (:func:`knn_neighbors`).
+
+The exhaustive engine that opens every file and tests every particle is
+the tests' reference (``tests/reference_neighbors.py``), not a mode of
+the package; the tests pin this module's lists to it byte for byte.
 
 Determinism contract: per-center neighbor lists are ordered by
 ``(distance², leaf, treelet, slot)`` where ``(leaf, treelet, slot)`` is
@@ -29,10 +31,10 @@ the particle's global order-key (leaf-file index, treelet visit rank,
 node-order slot — the same key scheme the streaming read path uses).
 Distances are :func:`dist2`'s one expression (float64, fixed operation
 order) broadcast over centers, keys are unique per particle, so the sort
-is a total order and both engines — and any shard layout — produce the
-same selection. The box-level pruning bounds carry a tiny relative slack
-so a float rounding at the prune boundary can only admit an extra node
-(harmless), never drop a true neighbor.
+is a total order and the engine, the exhaustive reference and any shard
+layout produce the same selection. The box-level pruning bounds carry a
+tiny relative slack so a float rounding at the prune boundary can only
+admit an extra node (harmless), never drop a true neighbor.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "dist2",
     "radius_neighbors",
     "knn_neighbors",
-    "brute_neighbors",
     "box_members",
     "materialize_rows",
 ]
@@ -74,15 +75,14 @@ class NeighborStats:
     #: shallow-table and walk-table rows visited (a row whose parent
     #: passed), once per pruned gather: per ``center_box`` file, per
     #: radius file, per opened k-NN file (one test for all the centers
-    #: still needing it); 0 for the brute engine
+    #: still needing it)
     nodes_visited: int = 0
     #: candidate rows gathered out of surviving nodes, before filters,
-    #: once per pruned gather (brute: every stored particle)
+    #: once per pruned gather
     points_tested: int = 0
     #: center × candidate distance evaluations: per opened k-NN file, the
     #: centers still needing it × its filtered candidates; per radius
-    #: query, each center's candidates in its 27 grid cells; brute k-NN,
-    #: centers × candidates
+    #: query, each center's candidates in its 27 grid cells
     pairs_tested: int = 0
     #: neighbor rows returned (sum of all per-center list lengths)
     points_returned: int = 0
@@ -108,7 +108,7 @@ def _sq(d: np.ndarray) -> np.ndarray:
     """Squared norms over the last axis, in the one fixed order.
 
     Never ``einsum``, ``@`` or ``.sum(axis=-1)``: they may add in another
-    order, and the engines' byte identity rests on this one.
+    order, and byte identity with the reference rests on this one.
     """
     return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
 
@@ -116,10 +116,10 @@ def _sq(d: np.ndarray) -> np.ndarray:
 def dist2(positions: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared distances from ``(n, 3)`` float64 positions to one center.
 
-    The one arithmetic path every engine shares — the selections evaluate
-    this expression broadcast over their (center, candidate) pairs:
-    identical inputs give bit-identical outputs, which is what makes the
-    tree engines' selections byte-comparable to the brute-force oracle.
+    The one arithmetic path every selection shares — they evaluate this
+    expression broadcast over their (center, candidate) pairs: identical
+    inputs give bit-identical outputs, which is what makes the engine's
+    selections byte-comparable to the exhaustive reference.
     """
     return _sq(positions - center)
 
@@ -194,27 +194,6 @@ def _gather_pruned(bat: BATFile, leaf_index: int, keep_fn, filters, stats, box=N
     return pos.astype(np.float64), keys
 
 
-def _gather_all(bat: BATFile, leaf_index: int, filters, stats) -> list[tuple]:
-    """Every particle of one file, filtered: ``(positions64, keys)`` per
-    treelet, in (visit rank, slot) order — one treelet at a time, through
-    none of the pruned gather's machinery."""
-    vrank = bat.shallow_leaf_visit_rank()
-    parts = []
-    for leaf in np.argsort(vrank).tolist():
-        stats.treelets_visited += 1
-        tv = bat.treelet(leaf)
-        stats.points_tested += tv.n_points
-        slots = np.arange(tv.n_points, dtype=np.int64)
-        for f in filters:
-            vals = tv.attributes[f.name][slots]
-            slots = slots[(vals >= f.lo) & (vals <= f.hi)]
-        if len(slots):
-            keys = np.empty((len(slots), 3), dtype=np.int64)
-            keys[:, 0], keys[:, 1], keys[:, 2] = leaf_index, vrank[leaf], slots
-            parts.append((tv.positions[slots].astype(np.float64), keys))
-    return parts
-
-
 def _candidates(parts) -> tuple[np.ndarray, np.ndarray]:
     """One ``(positions64, keys)`` candidate set from ``(positions64, keys)`` parts."""
     if not parts:
@@ -238,7 +217,7 @@ def box_members(bat: BATFile, leaf_index: int, box, filters, stats):
     return _gather_pruned(bat, leaf_index, overlaps, filters, stats, box=box)
 
 
-# -- selection (shared by tree and brute engines) -----------------------------
+# -- selection ----------------------------------------------------------------
 
 
 def _empty_selection(n_centers: int):
@@ -288,8 +267,9 @@ def select_radius(centers, cand_pos, cand_keys, radius, stats: NeighborStats):
 
     Returns ``(offsets, keys, d2)`` with each center's rows ordered by
     ``(d2, leaf, treelet, slot)`` — the deterministic tie-break. The
-    keep test ``d2 <= radius**2`` is exact (no slack): both engines run
-    this same selection, so rounding at the boundary is common to both.
+    keep test ``d2 <= radius**2`` is exact (no slack): the exhaustive
+    reference runs this same selection, so rounding at the boundary is
+    common to both.
 
     One pass for all centers: the candidates are sorted by grid cell, a
     cell slightly wider than ``radius``, so every true neighbor lies in
@@ -369,7 +349,7 @@ def select_knn(centers, cand_pos, cand_keys, k, stats: NeighborStats):
 
 
 def radius_neighbors(files, open_file, centers, radius, region, filters, stats):
-    """Tree engine, fixed-radius mode.
+    """Fixed-radius mode.
 
     ``files`` are the planner's :class:`NeighborFilePlan` entries (the
     halo survivors); ``open_file(fp)`` returns a handle or ``None`` for
@@ -399,19 +379,6 @@ def radius_neighbors(files, open_file, centers, radius, region, filters, stats):
     return select_radius(centers, cand_pos, cand_keys, radius, stats)
 
 
-def brute_neighbors(files, open_file, centers, k, radius, filters, stats):
-    """The exhaustive reference: every file opened, every particle tested."""
-    parts = []
-    for fp in files:
-        bat = open_file(fp)
-        if bat is not None:
-            parts += _gather_all(bat, fp.leaf_index, filters, stats)
-    cand_pos, cand_keys = _candidates(parts)
-    if radius is not None:
-        return select_radius(centers, cand_pos, cand_keys, radius, stats)
-    return select_knn(centers, cand_pos, cand_keys, k, stats)
-
-
 def _within_any(lo, hi, pts, lim) -> np.ndarray:
     """Mask of the ``(n, 3)`` boxes within squared distance ``lim[j]`` of
     some point ``pts[j]``; point blocks of at most ``_PAIR_BUDGET`` pairs."""
@@ -423,7 +390,7 @@ def _within_any(lo, hi, pts, lim) -> np.ndarray:
 
 
 def knn_neighbors(files, open_file, centers, k, filters, stats):
-    """Tree engine, k-NN mode: files in distance order, each one batch.
+    """k-NN mode: files in distance order, each one batch.
 
     Files are visited in ascending min distance to any center; a file is
     opened only while some center's k-th bound still reaches into its
@@ -497,9 +464,8 @@ def materialize_rows(open_file, keys, specs, attributes, with_positions):
     ``open_file(leaf_index)`` returns the leaf's :class:`BATFile`. Each
     file's rows are fetched with one gather per column (one
     :meth:`~repro.bat.file.BATFile.columns` round-trip for all of its
-    treelets), then scattered back into key order — both engines
-    materialize through this one path, so equal selections produce
-    byte-identical batches.
+    treelets), then scattered back into key order — the one row path, so
+    equal selections produce byte-identical batches.
     """
     sel_specs = [
         sp for sp in specs if attributes is None or sp.name in attributes

@@ -45,8 +45,9 @@ time, with no Python loop over nodes or levels (:class:`_FileWalk`):
   (:meth:`~repro.bat.file.BATFile.columns`: one cache round-trip) and
   gathered once into one array for the file (:func:`_gather`), and every
   row gets one exact box/filter check. A whole treelet asked for at full
-  quality skips its table, node records and checks (:func:`_full_speed`)
-  and is handed on as views of its columns, fetched the same way.
+  quality — no filters, a box that contains it, a window from 0 past its
+  deepest level — skips its table, node records and checks and is handed
+  on as views of its columns, fetched the same way.
 
 The rows leave as *chunks* — the views of whole treelets and the
 gathered rows of the walked ones between them — and are copied once,
@@ -61,13 +62,14 @@ chunks:
   ladder and attaches per-row order keys ``(treelet_rank, slot)`` so the
   increments can be merged back into the one-shot order.
 
-**One reference.** :func:`query_file_recursive` is the original per-node
-stack walk. Nothing in the read path calls it: the property tests pin the
-core's output to it byte for byte, and the reorganizer re-reads its
-rebuilt files through it before publishing. Both return identical batches
-and identical ``points_tested`` / ``points_returned`` /
-``treelets_visited`` counters; ``nodes_visited`` and the per-subtree prune
-counters can be lower for the core because of its depth cutoff.
+**One engine.** There is no second traversal in the package. The
+original per-node stack walk is kept as the tests' reference
+(``tests/reference_query.py``); the property tests pin the core's output
+to it byte for byte. Both return identical batches and identical
+``points_tested`` / ``points_returned`` / ``treelets_visited`` counters;
+``nodes_visited`` and the per-subtree prune counters can be lower for the
+core because of its depth cutoff. "The recursive walk" below means that
+reference.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ __all__ = [
     "quality_for_depth",
     "default_quality_ladder",
     "query_file",
-    "query_file_recursive",
     "FileIncrement",
     "stream_query_file",
     "concat_chunks",
@@ -191,21 +192,10 @@ def default_quality_ladder(
     return tuple(rungs)
 
 
-def _depth_fraction(depth: int, e: float) -> float:
-    """Fraction of a depth-``depth`` node's own particles covered at ``e``."""
-    fl = math.floor(e)
-    if depth < fl:
-        return 1.0
-    if depth == fl:
-        return e - fl
-    return 0.0
-
-
 @dataclass
 class _QueryContext:
     box: Box | None
     filters: tuple[AttributeFilter, ...]
-    qbitmaps: dict[str, int]
     e_prev: float
     e_new: float
     stats: QueryStats = field(default_factory=QueryStats)
@@ -224,12 +214,6 @@ class _QueryContext:
     qbounds: tuple[np.ndarray, np.ndarray] | None = None
     #: per filter ``(attribute index, query bitmap)``, for array-wise tests
     bitmap_tests: tuple[tuple[int, np.uint32], ...] = ()
-
-    def select_attrs(self, attrs) -> dict:
-        # key-based so unselected lazy (v4) columns never decode
-        if self.attributes is None:
-            return {k: attrs[k] for k in attrs}
-        return {k: attrs[k] for k in attrs if k in self.attributes}
 
     def emit(
         self,
@@ -260,7 +244,7 @@ def _prepare(
 ) -> _QueryContext:
     """Validate one file read and derive what every traversal needs.
 
-    The request prologue of all three entry points: unknown attribute
+    The request prologue of every read entry point: unknown attribute
     names raise ``KeyError`` here, each filter becomes a query bitmap
     against the attribute's binning, and the quality window becomes
     effective depths. ``stats`` may be a caller-owned counter object to
@@ -285,7 +269,6 @@ def _prepare(
     ctx = _QueryContext(
         box=box,
         filters=filters,
-        qbitmaps=qbitmaps,
         e_prev=quality_to_depth(prev_quality, bat.max_treelet_depth),
         e_new=e_new,
         callback=callback,
@@ -371,160 +354,6 @@ def query_file(
         for pos, attrs, count, _, _ in _FileWalk(bat, ctx).window(ctx.e_prev, ctx.e_new):
             ctx.emit(pos, attrs, count)
     return _result(bat, ctx)
-
-
-def query_file_recursive(
-    bat: BATFile,
-    quality: float = 1.0,
-    prev_quality: float = 0.0,
-    box: Box | None = None,
-    filters: tuple[AttributeFilter, ...] | list[AttributeFilter] = (),
-    callback=None,
-    attributes: list[str] | None = None,
-    with_positions: bool = True,
-) -> tuple[ParticleBatch | None, QueryStats]:
-    """:func:`query_file` by the per-node stack walk — the reference.
-
-    Same arguments, same bytes, one emitted chunk per node. Kept for the
-    tests that pin the frontier core to it and for the reorganizer's
-    pre-publish verification; no read path uses it.
-    """
-    ctx = _prepare(
-        bat, quality, prev_quality, box, filters, attributes, with_positions, callback
-    )
-    if ctx.live:
-        _traverse_shallow(bat, ctx)
-    return _result(bat, ctx)
-
-
-# -- recursive walk (reference implementation) -------------------------------
-
-
-def _bitmaps_prune(bat: BATFile, bitmap_ids, ctx: _QueryContext) -> bool:
-    """True when the node's bitmaps prove no filter can match below it."""
-    for f in ctx.filters:
-        a = bat.attr_index(f.name)
-        node_bm = bat.bitmap(int(bitmap_ids[a]))
-        if node_bm & ctx.qbitmaps[f.name] == 0:
-            return True
-    return False
-
-
-def _traverse_shallow(bat: BATFile, ctx: _QueryContext) -> None:
-    root, root_is_leaf = bat.root()
-    stack = [(root, root_is_leaf)]
-    while stack:
-        idx, is_leaf = stack.pop()
-        ctx.stats.nodes_visited += 1
-        rec = bat.shallow_leaves[idx] if is_leaf else bat.shallow_inner[idx]
-        nb = rec["bbox"]
-        node_box = Box(tuple(map(float, nb[:3])), tuple(map(float, nb[3:])))
-        if ctx.box is not None and not node_box.intersects(ctx.box):
-            ctx.stats.pruned_spatial += 1
-            continue
-        if ctx.filters and _bitmaps_prune(bat, rec["bitmap_ids"], ctx):
-            ctx.stats.pruned_bitmap += 1
-            continue
-        if is_leaf:
-            ctx.stats.treelets_visited += 1
-            _traverse_treelet(bat, idx, node_box, ctx)
-        else:
-            stack.extend(bat.children(idx))
-
-
-def _full_speed(
-    bat: BATFile, leaf: int, tv, ctx: _QueryContext, e_lo: float, e_hi: float
-) -> bool:
-    """Whole treelet requested at full quality: one contiguous emit."""
-    return (
-        not ctx.filters
-        and e_lo == 0.0
-        and e_hi >= tv.max_depth + 1
-        and (ctx.box is None or ctx.box.contains_box(bat.leaf_box(leaf)))
-    )
-
-
-def _emit_full_treelet(tv, ctx: _QueryContext) -> None:
-    """Emit a whole treelet (full-speed plan) decoding only what's needed.
-
-    No box test runs here, so under column projection the node records and
-    the position block are never touched — a one-column read decodes just
-    that column.
-    """
-    ctx.stats.nodes_visited += 1
-    attrs = ctx.select_attrs(tv.attributes)
-    if ctx.with_positions:
-        ctx.emit(tv.positions, attrs)
-    else:
-        ctx.emit(None, attrs, count=tv.n_points)
-
-
-def _traverse_treelet(bat: BATFile, leaf: int, leaf_box: Box, ctx: _QueryContext) -> None:
-    tv = bat.treelet(leaf)
-    if _full_speed(bat, leaf, tv, ctx, ctx.e_prev, ctx.e_new):
-        _emit_full_treelet(tv, ctx)
-        return
-
-    nodes = tv.nodes
-    stack: list[tuple[int, Box]] = [(0, leaf_box)]
-    while stack:
-        node_id, node_box = stack.pop()
-        ctx.stats.nodes_visited += 1
-        rec = nodes[node_id]
-        if ctx.box is not None and not node_box.intersects(ctx.box):
-            ctx.stats.pruned_spatial += 1
-            continue
-        if ctx.filters and _bitmaps_prune(bat, rec["bitmap_ids"], ctx):
-            ctx.stats.pruned_bitmap += 1
-            continue
-
-        depth = int(rec["depth"])
-        f0 = _depth_fraction(depth, ctx.e_prev)
-        f1 = _depth_fraction(depth, ctx.e_new)
-        begin = int(rec["begin"])
-        count = int(rec["count"])
-        # Rounded (not floored) so small nodes still contribute at low
-        # quality; monotone in f, hits `count` exactly at f == 1.
-        lo_slot = begin + int(f0 * count + 0.5)
-        hi_slot = begin + int(f1 * count + 0.5)
-        if hi_slot > lo_slot:
-            _emit_points(tv, lo_slot, hi_slot, ctx)
-
-        if rec["axis"] >= 0:
-            ax = int(rec["axis"])
-            pos = float(rec["split"])
-            left_box, right_box = node_box.split(ax, pos)
-            stack.append((int(rec["right"]), right_box))
-            stack.append((int(rec["left"]), left_box))
-
-
-def _emit_points(tv, lo_slot: int, hi_slot: int, ctx: _QueryContext) -> None:
-    n_sel = hi_slot - lo_slot
-    ctx.stats.points_tested += n_sel
-    # positions decode only when returned or needed for the box test
-    pos = None
-    if ctx.with_positions or ctx.box is not None:
-        pos = tv.positions[lo_slot:hi_slot]
-    mask = None
-    if ctx.box is not None:
-        mask = ctx.box.contains_points(pos)
-    for f in ctx.filters:
-        vals = tv.attributes[f.name][lo_slot:hi_slot]
-        fmask = (vals >= f.lo) & (vals <= f.hi)
-        mask = fmask if mask is None else (mask & fmask)
-    if not ctx.with_positions:
-        pos = None
-    # selection is by key so lazily decoded (v4) columns outside the
-    # requested set are never materialized
-    names = [n for n in tv.attributes if ctx.attributes is None or n in ctx.attributes]
-    if mask is None:
-        ctx.emit(pos, {n: tv.attributes[n][lo_slot:hi_slot] for n in names}, count=n_sel)
-    elif mask.any():
-        ctx.emit(
-            pos[mask] if pos is not None else None,
-            {n: tv.attributes[n][lo_slot:hi_slot][mask] for n in names},
-            count=int(mask.sum()),
-        )
 
 
 # -- flat core (vectorized) ----------------------------------------------------
@@ -748,8 +577,8 @@ class _FileWalk:
         tvs = [bat.treelet(leaf) for leaf in self.leaves]
         self.n_points = np.array([tv.n_points for tv in tvs], dtype=np.int64)
         self.max_depth = np.array([tv.max_depth for tv in tvs], dtype=np.int64)
-        # the quality-independent half of the whole-treelet rule
-        # (_full_speed): no filters, and the box contains the leaf box
+        # the quality-independent half of the whole-treelet rule: no
+        # filters, and the box contains the leaf box
         if ctx.filters:
             self.containable = np.zeros(len(leaves), dtype=bool)
         elif ctx.qbounds is None:

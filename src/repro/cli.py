@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import machines
-from .api import NEIGHBOR_ENGINES, NeighborRequest, QueryRequest, open_dataset
+from .api import NeighborRequest, QueryRequest, open_dataset
 from .bat.file import BATFile
 from .bat.query import AttributeFilter
 from .core.metadata import DatasetMetadata
@@ -136,7 +136,6 @@ def _cmd_neighbor_query(args) -> int:
         radius=args.radius,
         filters=tuple(args.filter or ()),
         columns=tuple(args.columns.split(",")) if args.columns else None,
-        engine=args.engine,
     )
     with open_dataset(args.metadata) as ds:
         res = ds.neighbors(request)
@@ -369,13 +368,13 @@ def _cmd_reorg(args) -> int:
     from .reorg import ReorgConfig, ReorgError, reorganize
 
     telemetry = json.loads(Path(args.telemetry).read_text())
-    # accept a full service snapshot (repro serve --stats-out) as-is
-    if "telemetry" in telemetry and "steps" not in telemetry:
+    # accept a full service snapshot (what repro serve --json prints) as-is;
+    # its "steps" is a step count, so only "telemetry" tells the two apart
+    if "telemetry" in telemetry:
         telemetry = telemetry["telemetry"]
     config = ReorgConfig(
         min_queries=args.min_queries,
         cold_open_fraction=args.cold_open_fraction,
-        verify=not args.no_verify,
         remove_old=args.remove_old,
     )
     try:
@@ -434,9 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--stats", action="store_true",
                        help="print per-attribute statistics of the result")
     query.add_argument("--output", help="write the result to an .npz file")
-    query.add_argument("--engine", choices=NEIGHBOR_ENGINES, default="tree",
-                       help="neighbor mode: tree (default) or brute, the "
-                            "exhaustive reference")
     query.set_defaults(func=_cmd_query)
 
     serve = sub.add_parser(
@@ -560,8 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     reorg.add_argument("--cold-open-fraction", type=float, default=0.25,
                        help="leaves opened at most this fraction of the "
                             "hottest leaf's opens are merge candidates")
-    reorg.add_argument("--no-verify", action="store_true",
-                       help="skip the pre-publish particle-multiset check")
     reorg.add_argument("--remove-old", action="store_true",
                        help="unlink replaced leaf files after republish "
                             "(default keeps them for in-flight readers)")

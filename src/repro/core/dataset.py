@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from ..bat.filecache import BATFileCache
 from ..bat.neighbors import (
     NeighborStats,
     box_members,
-    brute_neighbors,
     knn_neighbors,
     materialize_rows,
     radius_neighbors,
@@ -399,9 +397,9 @@ class BATDataset:
         query balls reach into, and the k-NN engine additionally skips
         files dynamically once every center's k-th-neighbor bound falls
         short of their bounds. Per-center lists are ordered by
-        ``(distance, leaf, treelet, slot)`` — deterministic across
-        engines and shard layouts; ``engine="brute"`` is the exhaustive
-        byte-identical reference.
+        ``(distance, leaf, treelet, slot)`` — deterministic across shard
+        layouts, and byte-identical to the exhaustive reference the tests
+        hold it to.
 
         ``request.on_error`` matches :meth:`query`: ``"degrade"``
         quarantines corrupt/missing leaves and returns the partial
@@ -474,7 +472,7 @@ class BATDataset:
                 center_keys = np.empty((0, 3), dtype=np.int64)
         stats.centers = len(centers)
 
-        # -- plan + engines -------------------------------------------------
+        # -- plan + engine --------------------------------------------------
         region = request.region
         plan = self._plan(
             plan, self._plan_cache.get_or_build_neighbor,
@@ -487,21 +485,6 @@ class BATDataset:
             offsets = np.zeros(1, dtype=np.int64)
             keys = np.empty((0, 3), dtype=np.int64)
             d2 = np.empty(0, dtype=np.float64)
-        elif request.engine == "brute":
-            excl = self._exclude()
-            brute_files = [
-                SimpleNamespace(
-                    leaf_index=leaf.leaf_index,
-                    file_name=leaf.file_name,
-                    action="full",
-                )
-                for leaf in self.metadata.leaves
-                if leaf.leaf_index not in excl
-            ]
-            offsets, keys, d2 = brute_neighbors(
-                brute_files, open_plan_file, centers, request.k,
-                request.radius, request.filters, stats,
-            )
         elif request.radius is not None:
             offsets, keys, d2 = radius_neighbors(
                 plan.files, open_plan_file, centers, request.radius,

@@ -101,8 +101,8 @@ class CodecError(ReproError, ValueError):
 
 
 class InvalidRequestError(ReproError, ValueError):
-    """A query request is malformed (bad quality range, unknown neighbor engine,
-    unknown column, inverted filter bounds, ...).
+    """A query request is malformed (bad quality range, both or neither of
+    ``k`` and ``radius``, unknown column, inverted filter bounds, ...).
 
     Subclasses :class:`ValueError` so existing callers that guarded query
     parameters with ``except ValueError`` keep working.

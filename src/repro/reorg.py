@@ -31,9 +31,11 @@ The serve tier reacts to the generation bump by invalidating its caches
 coherently — see :meth:`repro.serve.service.QueryService.reload_step` and
 :meth:`repro.serve.shard.ShardedQueryService.reload_step`.
 
-By default every action is verified before the manifest is published:
-the rewritten files are reopened and their full-quality particle
-multiset compared byte-for-byte against the source leaves.
+Every action is verified before the manifest is published: the rewritten
+files are reopened, read back through :func:`repro.bat.query.query_file`
+— the path that will serve them — and their full-quality particle
+multiset compared byte-for-byte against the source leaves. A mismatch
+unlinks every file the pass wrote and raises :class:`ReorgError`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .bat.builder import BATBuildConfig, build_bat
 from .bat.file import BATFile
-from .bat.query import query_file, query_file_recursive
+from .bat.query import query_file
 from .core.metadata import DatasetMetadata, LeafMetadata, remap_to_global
 from .morton import encode_positions
 from .types import Box, ParticleBatch
@@ -105,9 +107,6 @@ class ReorgConfig:
     #: columns; otherwise column-access evidence picks ``HOT_CODEC`` /
     #: ``COLD_CODEC`` per column, and without evidence "auto" samples
     codecs: str | None = "auto"
-    #: re-read every rewritten file and verify its particle multiset is
-    #: byte-identical to the source leaves before publishing the manifest
-    verify: bool = True
     #: unlink replaced leaf files after the manifest republish. Off by
     #: default: readers of the previous generation may still be streaming
     #: from them (the serve tier's leases pin open handles, but a cold
@@ -530,22 +529,21 @@ def apply_reorg(
             report.bytes_written += built.nbytes
             built_pieces.append((name, built))
 
-        if config.verify:
-            rebuilt = []
-            for name, _ in built_pieces:
-                with BATFile(directory / name) as f:
-                    b, _stats = query_file_recursive(f, quality=1.0)
-                rebuilt.append(b)
-            got = _canonical_rows(ParticleBatch.concatenate(rebuilt))
-            want = _canonical_rows(merged)
-            if got != want:
-                for path in written:
-                    path.unlink(missing_ok=True)
-                raise ReorgError(
-                    f"{action.kind} of leaves {action.leaf_indices} does not "
-                    "round-trip the particle multiset; manifest not published"
-                )
-            report.verified_points += len(merged)
+        rebuilt = []
+        for name, _ in built_pieces:
+            with BATFile(directory / name) as f:
+                b, _stats = query_file(f, quality=1.0)
+            rebuilt.append(b)
+        got = _canonical_rows(ParticleBatch.concatenate(rebuilt))
+        want = _canonical_rows(merged)
+        if got != want:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise ReorgError(
+                f"{action.kind} of leaves {action.leaf_indices} does not "
+                "round-trip the particle multiset; manifest not published"
+            )
+        report.verified_points += len(merged)
         outputs[min(action.leaf_indices)] = built_pieces
         for i in action.leaf_indices:
             report.files_obsolete.append(metadata.leaves[i].file_name)

@@ -1,14 +1,17 @@
-"""The per-center neighbor selections, kept as the reference.
+"""The neighbor references: the exhaustive engine and the per-center selections.
 
-These are the selections :mod:`repro.bat.neighbors` ran before it went
-array-wide: :func:`select_radius` and :func:`select_knn` loop over the
-centers one at a time (``select_radius`` with its dict-keyed grid past
+:func:`brute_neighbors` is the exhaustive engine: every non-quarantined
+leaf opened, every particle tested, through none of the pruned gather's
+machinery. The tests pin :meth:`repro.core.dataset.BATDataset.neighbors`
+to it byte for byte. It selects with the package's batched kernels, so
+it cannot catch a selection bug; for that, the rest of this module keeps
+the selections :mod:`repro.bat.neighbors` ran before it went array-wide:
+:func:`select_radius` and :func:`select_knn` loop over the centers one at
+a time (``select_radius`` with its dict-keyed grid past
 ``_GRID_THRESHOLD`` pairs), and :func:`knn_neighbors` is the best-first
 k-NN walk — one heap per center and file over shallow and treelet nodes,
 with one running :class:`_BestK` set per center. Nothing in ``src/``
-calls them. The tests pin the batched selections and the batched k-NN
-engine to them byte for byte, which the tree ≡ brute tests alone cannot
-do: both engines share the batched selection kernel.
+calls any of them.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import itertools
 
 import numpy as np
 
+from repro.bat import neighbors as batched
 from repro.bat.neighbors import (
     PRUNE_SLACK,
     NeighborStats,
@@ -25,7 +29,7 @@ from repro.bat.neighbors import (
     dist2,
 )
 
-__all__ = ["select_radius", "select_knn", "knn_neighbors"]
+__all__ = ["brute_neighbors", "select_radius", "select_knn", "knn_neighbors"]
 
 
 def _filter_mask(tv, slots, filters) -> np.ndarray | None:
@@ -36,6 +40,44 @@ def _filter_mask(tv, slots, filters) -> np.ndarray | None:
         fm = (vals >= f.lo) & (vals <= f.hi)
         mask = fm if mask is None else mask & fm
     return mask
+
+
+def _gather_all(bat, leaf_index: int, filters) -> list[tuple]:
+    """Every particle of one file, filtered: ``(positions64, keys)`` per
+    treelet, in (visit rank, slot) order — one treelet at a time."""
+    vrank = bat.shallow_leaf_visit_rank()
+    parts = []
+    for leaf in np.argsort(vrank).tolist():
+        tv = bat.treelet(leaf)
+        slots = np.arange(tv.n_points, dtype=np.int64)
+        mask = _filter_mask(tv, slots, filters)
+        if mask is not None:
+            slots = slots[mask]
+        if len(slots):
+            keys = np.empty((len(slots), 3), dtype=np.int64)
+            keys[:, 0], keys[:, 1], keys[:, 2] = leaf_index, vrank[leaf], slots
+            parts.append((tv.positions[slots].astype(np.float64), keys))
+    return parts
+
+
+def brute_neighbors(ds, request, centers):
+    """``request``'s ``(offsets, keys, d2)`` around ``centers``, exhaustively.
+
+    The candidates are every particle of every leaf of ``ds`` not
+    quarantined, in key order; the selection is the package's
+    (``select_radius`` / ``select_knn``), with the request's ``radius``
+    or ``k``.
+    """
+    excluded = ds._exclude()
+    parts = []
+    for leaf in ds.metadata.leaves:
+        if leaf.leaf_index not in excluded:
+            parts += _gather_all(ds.file(leaf.leaf_index), leaf.leaf_index, request.filters)
+    cand_pos, cand_keys = batched._candidates(parts)
+    stats = NeighborStats()
+    if request.radius is not None:
+        return batched.select_radius(centers, cand_pos, cand_keys, request.radius, stats)
+    return batched.select_knn(centers, cand_pos, cand_keys, request.k, stats)
 
 
 def _boxes_point_d2(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -87,8 +129,8 @@ def select_radius(centers, cand_pos, cand_keys, radius, stats: NeighborStats):
 
     Returns ``(offsets, keys, d2)`` with each center's rows ordered by
     ``(d2, leaf, treelet, slot)`` — the deterministic tie-break. The
-    keep test ``d2 <= radius**2`` is exact (no slack): both engines run
-    this same selection, so rounding at the boundary is common to both.
+    keep test ``d2 <= radius**2`` is exact (no slack), as in the batched
+    selection.
     """
     r2 = np.float64(radius) * np.float64(radius)
     offsets = np.zeros(len(centers) + 1, dtype=np.int64)
@@ -299,7 +341,7 @@ def _knn_file(bat, leaf_index, centers, need, best, filters, stats):
 
 
 def knn_neighbors(files, open_file, centers, k, filters, stats):
-    """Tree engine, k-NN mode: best-first over files, then within files.
+    """k-NN mode: best-first over files, then within files.
 
     Files are visited in ascending min-distance order; a file is opened
     only while some center's k-th bound still reaches into its bounds —

@@ -1,10 +1,11 @@
 """The recursive treelet builder: executable spec for ``bat.treelet.build_forest``.
 
 This is the node-at-a-time build the level-synchronous forest replaced,
-kept unchanged as the reference the tests compare against — the role
-``query_file_recursive`` plays for reads. It runs in the same process as the
-code under test, so both see the same ``np.argpartition`` (whose choice
-among equal-rank permutations belongs to the numpy build and the CPU).
+kept unchanged as the reference the tests compare against — the role the
+recursive walk of ``reference_query.py`` plays for reads. It runs in the
+same process as the code under test, so both see the same
+``np.argpartition`` (whose choice among equal-rank permutations belongs to
+the numpy build and the CPU).
 """
 
 from __future__ import annotations

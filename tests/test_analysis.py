@@ -222,12 +222,15 @@ class TestNeighborAnalyses:
         ds.close()
 
     def test_sph_smooth_engines_agree(self, clustered):
+        from repro import NeighborRequest
         from repro.analysis import sph_smooth
+        from tests.test_neighbors import assert_matches_brute
 
         a = sph_smooth(clustered, "rho", h=0.06)
-        b = sph_smooth(clustered, "rho", h=0.06, engine="brute")
-        assert np.array_equal(a.result.keys, b.result.keys)
-        np.testing.assert_array_equal(a.values, b.values)
+        req = NeighborRequest(
+            center_box=clustered.metadata.bounds, radius=0.06, columns=("rho",)
+        )
+        assert_matches_brute(clustered, a.result, req)
         # every stored center is its own neighbor: no empty lists, and
         # the smoothed field is a convex combination of rho values
         assert a.counts.min() >= 1
@@ -244,12 +247,16 @@ class TestNeighborAnalyses:
         np.testing.assert_array_equal(field.values, w_sum_one.values)
 
     def test_fof_engines_agree_and_labels_partition(self, clustered):
+        from repro import NeighborRequest
         from repro.analysis import fof_groups
+        from tests.test_neighbors import assert_matches_brute
 
         a = fof_groups(clustered, 0.02)
-        b = fof_groups(clustered, 0.02, engine="brute")
-        np.testing.assert_array_equal(a.labels, b.labels)
-        assert a.n_groups == b.n_groups
+        # labels are a function of the centers' keys and the lists
+        req = NeighborRequest(
+            center_box=clustered.metadata.bounds, radius=0.02, columns=()
+        )
+        assert_matches_brute(clustered, a.result, req)
         # labels are a compact partition: 0..n_groups-1, sizes sum to N
         assert a.labels.min() == 0 and a.labels.max() == a.n_groups - 1
         assert a.sizes.sum() == len(a.centers)

@@ -271,17 +271,6 @@ class TestNeighborQuery:
         assert {"centers", "offsets", "distances", "keys"} <= set(saved)
         assert saved["offsets"][-1] == len(saved["distances"])
 
-    def test_brute_engine_matches_tree(self, written, capsys):
-        _, rep = written
-        argv = ["query", str(rep.metadata_path),
-                "--at", "2,2,0.5", "--knn", "6"]
-        assert main(argv) == 0
-        tree_out = capsys.readouterr().out.splitlines()[0]
-        assert main(argv + ["--engine", "brute"]) == 0
-        brute_out = capsys.readouterr().out.splitlines()[0]
-        # same centers and neighbor totals from both engines
-        assert tree_out.split("(tested")[0] == brute_out.split("(tested")[0]
-
     def test_bad_point_is_a_parse_error(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -295,3 +284,53 @@ class TestNeighborQuery:
         with pytest.raises(InvalidRequestError, match="exactly one of k and radius"):
             main(["query", str(rep.metadata_path),
                   "--at", "1,1,0.5", "--knn", "3", "--radius", "0.2"])
+
+
+class TestReorg:
+    @pytest.fixture
+    def replayed(self, tmp_path):
+        """A fresh dataset and the telemetry of a service replay on it."""
+        import json
+
+        from repro import QueryRequest
+        from repro.core.metadata import DatasetMetadata
+        from repro.serve import QueryService
+        from tests.test_reorg import hot_box, serve_config, write_dataset
+
+        meta = write_dataset(tmp_path, nranks=16, seed=3)
+        box = hot_box(DatasetMetadata.load(meta))
+        with QueryService(meta, serve_config()) as svc:
+            # distinct qualities defeat the result cache, so every query
+            # reaches the dataset and its telemetry
+            for i in range(12):
+                svc.execute(QueryRequest(box=box, quality=0.5 + i * 0.04))
+            snapshot = svc.snapshot()
+        tele = tmp_path / "telemetry.json"
+        tele.write_text(json.dumps(snapshot))
+        return meta, tele
+
+    def test_reorg_publishes_a_verified_generation(self, replayed, capsys):
+        import json
+
+        meta, tele = replayed
+        assert main(["reorg", str(meta), str(tele), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["generation_to"] == doc["generation_from"] + 1
+        assert doc["verified_points"] > 0
+        assert main(["scrub", "--deep", str(meta)]) == 0
+
+    def test_refused_publish_exits_1(self, replayed, capsys, monkeypatch):
+        from tests.test_reorg import lossy_build_bat
+
+        meta, tele = replayed
+        before = meta.read_bytes()
+        lossy_build_bat(monkeypatch)
+        assert main(["reorg", str(meta), str(tele), "--json"]) == 1
+        assert "nothing published" in capsys.readouterr().err
+        assert meta.read_bytes() == before
+
+    def test_verification_cannot_be_skipped(self, replayed):
+        meta, tele = replayed
+        with pytest.raises(SystemExit) as err:
+            main(["reorg", str(meta), str(tele), "--no-verify"])
+        assert err.value.code == 2

@@ -1,11 +1,13 @@
 """Tests for the neighbor-query engine (k-NN + fixed-radius).
 
-The load-bearing property: the tree engine's neighbor lists are
-**byte-identical** to the brute-force reference for every request shape
-— same offsets, same distances, same ``(leaf, treelet, slot)`` keys,
-same materialized rows — including balls straddling several leaf files
-(served through ghost strips), empty neighborhoods, and exact distance
-ties (broken by the global particle order-key, never by float luck).
+The load-bearing property: the engine's neighbor lists are
+**byte-identical** to the exhaustive reference
+(``tests/reference_neighbors.brute_neighbors``) for every request shape —
+same offsets, same distances, same ``(leaf, treelet, slot)`` keys —
+including balls straddling several leaf files (served through ghost
+strips), empty neighborhoods, and exact distance ties (broken by the
+global particle order-key, never by float luck). Rows follow from keys
+through the one ``materialize_rows``.
 """
 
 import json
@@ -30,6 +32,7 @@ from repro.errors import InvalidRequestError
 from repro.machines import testing_machine as make_test_machine
 from repro.types import Box, ParticleBatch
 from repro.workloads import grid_decompose
+from tests.reference_neighbors import brute_neighbors
 from tests.test_pipeline import make_rank_data
 
 SETTINGS = settings(
@@ -85,11 +88,19 @@ def assert_identical(a, b):
         assert arr.tobytes() == b.batch.attributes[name].tobytes()
 
 
-def both_engines(ds, **kw):
-    tree = ds.neighbors(NeighborRequest(engine="tree", **kw))
-    brute = ds.neighbors(NeighborRequest(engine="brute", **kw))
-    assert_identical(tree, brute)
-    return tree, brute
+def assert_matches_brute(ds, res, req):
+    """``res`` selects what the exhaustive reference selects, bytes and all."""
+    offsets, keys, d2 = brute_neighbors(ds, req, res.centers)
+    assert np.array_equal(res.offsets, offsets)
+    assert np.array_equal(res.keys, keys)
+    assert res.distances.tobytes() == np.sqrt(d2).tobytes()
+
+
+def neighbors_checked(ds, **kw):
+    req = NeighborRequest(**kw)
+    res = ds.neighbors(req)
+    assert_matches_brute(ds, res, req)
+    return res
 
 
 class TestConstruction:
@@ -117,12 +128,17 @@ class TestConstruction:
             (dict(points=((0.0, 1.0),), k=1), "triple"),
             (dict(points=((0.0, 1.0, float("nan")),), k=1), "finite"),
             (dict(center_box="box", k=1), "center_box must be a Box"),
-            (dict(center_box=BOX, k=1, engine="psychic"), "unknown neighbor engine"),
         ],
     )
     def test_invalid(self, kw, msg):
         with pytest.raises(InvalidRequestError, match=msg):
             NeighborRequest(**kw)
+
+    def test_engine_is_not_a_field(self):
+        """There is one engine: the exhaustive one is a test reference,
+        not an option of the request."""
+        with pytest.raises(TypeError, match="engine"):
+            NeighborRequest(center_box=self.BOX, k=1, engine="brute")
 
     def test_frozen_and_hashable(self):
         a = NeighborRequest(points=[[0, 1, 2]], k=3)
@@ -144,13 +160,16 @@ class TestConstruction:
             NeighborRequest(center_box=self.BOX, radius=0.2,
                             filters=(AttributeFilter("mass", 0.1, 0.9),),
                             columns=("mass",)),
-            NeighborRequest(points=((0.5, 0.5, 0.5), (1.0, 2.0, 3.0)), k=7,
-                            engine="brute"),
+            NeighborRequest(points=((0.5, 0.5, 0.5), (1.0, 2.0, 3.0)), k=7),
         ):
             doc = request_to_doc(req)
             json.dumps(doc)  # plain JSON types only
             assert doc["family"] == "neighbor"
+            assert "engine" not in doc
             assert request_from_doc(doc) == req
+            # docs stored while a request could choose its engine still parse
+            for engine in ("tree", "brute"):
+                assert request_from_doc({**doc, "engine": engine}) == req
 
     def test_family_absent_doc_is_a_query(self):
         # PR-8-era job stores persisted docs without a family tag
@@ -165,7 +184,7 @@ class TestConstruction:
 
 
 class TestByteIdentity:
-    """Tree engine == brute-force oracle, bytes and all."""
+    """Engine == exhaustive reference, bytes and all."""
 
     @SETTINGS
     @given(seed=st.integers(0, 2**31), radius=st.floats(0.05, 0.6))
@@ -173,19 +192,19 @@ class TestByteIdentity:
         rng = np.random.default_rng(seed)
         lo = rng.uniform([0, 0, 0], [3, 3, 0.5])
         box = Box(tuple(lo), tuple(lo + rng.uniform(0.2, 1.0, 3)))
-        both_engines(dataset, center_box=box, radius=radius)
+        neighbors_checked(dataset, center_box=box, radius=radius)
 
     @SETTINGS
     @given(seed=st.integers(0, 2**31), k=st.integers(1, 40))
     def test_knn_random_points(self, dataset, seed, k):
         rng = np.random.default_rng(seed)
         pts = tuple(map(tuple, rng.uniform([0, 0, 0], [4, 4, 1], (5, 3))))
-        both_engines(dataset, points=pts, k=k)
+        neighbors_checked(dataset, points=pts, k=k)
 
     def test_ball_straddles_many_leaves(self, dataset):
         # a fat ball at the domain center must reach several leaf files,
-        # and the tree engine must serve the extra files as ghost strips
-        tree, _ = both_engines(
+        # and the engine must serve the extra files as ghost strips
+        tree = neighbors_checked(
             dataset, points=((2.0, 2.0, 0.5),), radius=1.0
         )
         assert tree.stats.files_opened >= 2
@@ -202,12 +221,13 @@ class TestByteIdentity:
             tuple(v - eps for v in mid.upper),
         )
         radius = 0.15
-        tree, brute = both_engines(dataset, center_box=slab, radius=radius)
+        tree = neighbors_checked(dataset, center_box=slab, radius=radius)
         assert tree.stats.ghost_files_opened >= 1
         assert tree.stats.pruned_files >= 1
         assert tree.center_keys is not None
-        # brute == the naive halo-full-read plan: every leaf the
-        # radius-expanded slab touches, read in full
+        # fewer files than the exhaustive reference, and fewer ghost
+        # points than the naive plan: every leaf the radius-expanded slab
+        # touches, read in full
         halo = Box(
             tuple(v - radius for v in slab.lower),
             tuple(v + radius for v in slab.upper),
@@ -215,24 +235,24 @@ class TestByteIdentity:
         naive_points = sum(
             l.count for l in dataset.metadata.leaves if l.bounds.intersects(halo)
         )
-        assert tree.stats.files_opened <= brute.stats.files_opened
+        assert tree.stats.files_opened <= dataset.metadata.n_files
         assert 0 < tree.stats.ghost_points < naive_points
 
     def test_empty_neighborhood(self, dataset):
-        tree, _ = both_engines(
+        tree = neighbors_checked(
             dataset, points=((40.0, 40.0, 40.0),), radius=0.01
         )
         assert len(tree) == 0 and np.array_equal(tree.counts, [0])
 
     def test_knn_from_far_outside_still_finds_k(self, dataset):
-        tree, _ = both_engines(dataset, points=((40.0, 40.0, 40.0),), k=9)
+        tree = neighbors_checked(dataset, points=((40.0, 40.0, 40.0),), k=9)
         assert np.array_equal(tree.counts, [9])
         # distances ascend within the list
         assert np.all(np.diff(tree.distances) >= 0)
 
     def test_filters_and_columns(self, dataset):
         filt = (AttributeFilter("mass", 0.25, 0.75),)
-        tree, _ = both_engines(
+        tree = neighbors_checked(
             dataset,
             center_box=Box((1.0, 1.0, 0.0), (3.0, 3.0, 1.0)),
             radius=0.2,
@@ -243,7 +263,7 @@ class TestByteIdentity:
         assert tree.batch.positions is None
         # every neighbor (and every center) passed the filter: re-running
         # unfiltered must return a superset of lists
-        loose, _ = both_engines(
+        loose = neighbors_checked(
             dataset,
             center_box=Box((1.0, 1.0, 0.0), (3.0, 3.0, 1.0)),
             radius=0.2,
@@ -253,7 +273,7 @@ class TestByteIdentity:
 
     def test_k_larger_than_population_returns_everything(self, dataset):
         n = dataset.total_particles
-        tree, _ = both_engines(dataset, points=((2.0, 2.0, 0.5),), k=n + 50)
+        tree = neighbors_checked(dataset, points=((2.0, 2.0, 0.5),), k=n + 50)
         assert np.array_equal(tree.counts, [n])
 
 
@@ -288,9 +308,7 @@ class TestTieBreak:
         ds.close()
 
     def test_knn_tie_break_is_the_order_key(self, dupes):
-        tree, brute = both_engines(
-            dupes, points=((1.0, 1.0, 0.5),), k=5
-        )
+        tree = neighbors_checked(dupes, points=((1.0, 1.0, 0.5),), k=5)
         # all five hits are the duplicated position: distance exactly 0
         assert np.all(tree.distances == 0.0)
         # and the keys ascend strictly in (leaf, treelet, slot) order
@@ -298,7 +316,7 @@ class TestTieBreak:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_radius_lists_sorted_by_key_within_ties(self, dupes):
-        tree, _ = both_engines(
+        tree = neighbors_checked(
             dupes, points=((1.0, 1.0, 0.5),), radius=0.25
         )
         d, keys = tree.distances, [tuple(k) for k in tree.keys]
@@ -347,8 +365,9 @@ def candidate_sets(draw):
 class TestSelection:
     """The batched selections equal the per-center reference, bytes and all.
 
-    Tree ≡ brute cannot catch a selection bug (both engines share the
-    kernel), so the kernel is held to ``tests/reference_neighbors.py``.
+    Engine ≡ brute cannot catch a selection bug (the exhaustive reference
+    selects with the same kernel), so the kernel is held to the per-center
+    selections of ``tests/reference_neighbors.py``.
     """
 
     @settings(max_examples=150, deadline=None)

@@ -1,7 +1,7 @@
 """The frontier core vs the recursive reference, and one-shot vs streamed.
 
 The vectorized frontier core must be indistinguishable from the recursive
-reference (``query_file_recursive``, called directly) — same bytes, same
+reference (``tests/reference_query.query_file_recursive``) — same bytes, same
 result-facing stats — for any combination of box, filters, and
 (progressive) quality levels; and its two entry points must agree: a
 stream over any ascending ladder reassembles to the one-shot bytes, and a
@@ -18,16 +18,12 @@ from hypothesis import strategies as st
 from repro.bat import AttributeFilter, BATFile, build_bat
 from repro.bat.builder import BATBuildConfig
 from repro import QueryRequest
-from repro.bat.query import (
-    QueryStats,
-    query_file,
-    query_file_recursive,
-    stream_query_file,
-)
+from repro.bat.query import QueryStats, query_file, stream_query_file
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.machines import testing_machine as make_test_machine
 from repro.types import Box, ParticleBatch
+from tests.reference_query import query_file_recursive
 from tests.test_pipeline import make_rank_data
 
 N = 40_000

@@ -103,6 +103,29 @@ def replace_leaf(directory, leaf, bump=1.0):
     return shifted
 
 
+def lossy_build_bat(monkeypatch, at=1):
+    """Make the reorganizer's ``at``-th rebuilt piece lose one particle.
+
+    Returns the list of pieces built so far (one entry per call), so a
+    test can check the lossy piece was reached.
+    """
+    import repro.reorg
+
+    real = repro.reorg.build_bat
+    calls = []
+
+    def build_bat_dropping_one(batch, *args, **kwargs):
+        if len(calls) == at:
+            batch = ParticleBatch(
+                batch.positions[1:], {k: v[1:] for k, v in batch.attributes.items()}
+            )
+        calls.append(len(batch))
+        return real(batch, *args, **kwargs)
+
+    monkeypatch.setattr(repro.reorg, "build_bat", build_bat_dropping_one)
+    return calls
+
+
 def hot_box(metadata, frac_lo=0.30, frac_hi=0.60):
     lo = np.array(metadata.bounds.lower)
     ext = np.array(metadata.bounds.upper) - lo
@@ -419,6 +442,21 @@ class TestApplyReorg:
         with BATDataset(meta) as ds:
             after, _ = recursive_query(ds, QueryRequest(quality=1.0))
         assert canon(after) == canon(before)
+
+    def test_piece_that_loses_a_particle_is_never_published(
+        self, tmp_path, monkeypatch
+    ):
+        meta = write_dataset(tmp_path, nranks=16, seed=3)
+        md = DatasetMetadata.load(meta)
+        before = meta.read_bytes()
+        tele = synth_telemetry(md, hot_box(md))
+        calls = lossy_build_bat(monkeypatch)
+        with pytest.raises(ReorgError, match="does not round-trip"):
+            reorganize(meta, tele, config=ReorgConfig(min_queries=8))
+        assert len(calls) >= 2  # the lossy piece was built
+        assert meta.read_bytes() == before
+        assert DatasetMetadata.load(meta).generation == md.generation
+        assert not list(tmp_path.glob(f"*.g{md.generation + 1}.r*.bat"))
 
     def test_remove_old_unlinks_replaced_files(self, tmp_path):
         meta = write_dataset(tmp_path, nranks=16, seed=3)

@@ -651,7 +651,6 @@ OTHER = {
     "points": dict(points=((1.5, 1.5, 0.5),), center_box=None),
     "k": dict(k=5, radius=None),
     "radius": dict(radius=0.2),
-    "engine": dict(engine="brute"),
 }
 
 #: driven from the dataclasses: a field added to a request is a new case

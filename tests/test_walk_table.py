@@ -31,7 +31,6 @@ from repro.bat.query import (
     QueryStats,
     quality_to_depth,
     query_file,
-    query_file_recursive,
     stream_query_file,
 )
 from repro.core import TwoPhaseWriter
@@ -39,6 +38,7 @@ from repro.core.dataset import BATDataset
 from repro.errors import IntegrityError
 from repro.machines import testing_machine
 from repro.types import Box, ParticleBatch
+from tests.reference_query import query_file_recursive
 from tests.reference_walk_table import build_walk_table
 from tests.test_colcache import _digest, _until
 from tests.test_pipeline import make_rank_data
