@@ -13,7 +13,7 @@ v2/v3 treelet's is synthesized from its header counts, every slot codec
 once into the buffer its directory indexes. Each column of a treelet is
 one :meth:`BATFile._decode_slot` call.
 
-A read asks for treelets in batches, one file at a time: the surviving
+A read asks for treelets in batches, one file per call: the surviving
 treelets' walk tables (:meth:`BATFile.walk_tables`, the missing ones
 built in one level-synchronous pass by :func:`build_walk_tables`) and
 one column of all of them (:meth:`BATFile.columns`) each cost one round

@@ -16,6 +16,7 @@ timestep separately.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from collections import OrderedDict
@@ -29,6 +30,13 @@ __all__ = ["BATFileCache", "DEFAULT_CAPACITY"]
 
 #: default maximum number of simultaneously open leaf files
 DEFAULT_CAPACITY = 64
+
+
+@functools.lru_cache(maxsize=4096)
+def _key(path) -> str:
+    """The cache key of ``path``: its normalized string, computed once per
+    distinct path (a dataset looks up the same few paths on every read)."""
+    return str(Path(path))
 
 
 class BATFileCache:
@@ -129,7 +137,7 @@ class BATFileCache:
 
     def get(self, path) -> BATFile:
         """Return an open handle for ``path``, opening and caching on miss."""
-        key = str(Path(path))
+        key = _key(path)
         with self._lock:
             f = self._open.get(key)
             if f is not None:
@@ -150,21 +158,25 @@ class BATFileCache:
                 raise
             f.column_cache = self.column_cache
             self._open[key] = f
-            while len(self._open) > self.capacity:
-                # leased handles are skipped: a streamed read may hold
-                # treelet state in them for many rungs. The cache can
-                # transiently exceed capacity while leases are out; the
-                # bound resumes once they release.
-                victim_key = next(
-                    (k for k in self._open if k not in self._pins), None
-                )
-                if victim_key is None:
-                    break
-                victim = self._open.pop(victim_key)
-                self._retire(victim)
-                victim.close()
-                self.evictions += 1
+            self._trim()
             return f
+
+    def _trim(self) -> None:
+        """Evict least-recently-used handles down to capacity (lock held).
+
+        Leased handles are skipped: a read may hold treelet state in them
+        for its whole step, or a stream for many rungs. The cache can
+        transiently exceed capacity while leases are out; the bound
+        resumes as they release.
+        """
+        while len(self._open) > self.capacity:
+            victim_key = next((k for k in self._open if k not in self._pins), None)
+            if victim_key is None:
+                break
+            victim = self._open.pop(victim_key)
+            self._retire(victim)
+            victim.close()
+            self.evictions += 1
 
     def peek(self, path) -> BATFile | None:
         """Return the cached handle for ``path`` without opening on miss.
@@ -177,7 +189,7 @@ class BATFileCache:
         to be".
         """
         with self._lock:
-            key = str(Path(path))
+            key = _key(path)
             f = self._open.get(key)
             if f is not None and self._is_stale(f, key):
                 self._discard_stale(key, f)
@@ -192,7 +204,7 @@ class BATFileCache:
         last lease release, so streams in flight keep a valid handle.
         """
         with self._lock:
-            key = str(Path(path))
+            key = _key(path)
             f = self._open.pop(key, None)
             if f is not None:
                 self._retire(f)
@@ -206,14 +218,16 @@ class BATFileCache:
     def lease(self, paths):
         """Keep handles for ``paths`` open for the duration of the block.
 
-        Streamed reads (:meth:`BATDataset.stream`) hold per-treelet state
-        referencing a handle's section arrays across quality rungs; a
-        lease prevents eviction (or a concurrent :meth:`drop`) from
-        closing those handles mid-stream. Leases nest and are counted per
-        path; they pin only handles, not cache *entries* — lookups and
-        LRU order behave as usual.
+        A dataset read (:meth:`BATDataset.query`) holds every planned
+        file's handle for its whole step, and a streamed read
+        (:meth:`BATDataset.stream`) per-treelet state referencing a
+        handle's section arrays across quality rungs; a lease prevents
+        eviction (or a concurrent :meth:`drop`) from closing those handles
+        mid-read. Leases nest and are counted per path; they pin only
+        handles, not cache *entries* — lookups and LRU order behave as
+        usual, and the last release trims the cache back to capacity.
         """
-        keys = [str(Path(p)) for p in paths]
+        keys = [_key(p) for p in paths]
         with self._lock:
             for k in keys:
                 self._pins[k] = self._pins.get(k, 0) + 1
@@ -229,6 +243,7 @@ class BATFileCache:
                     else:
                         del self._pins[k]
                         victims.extend(self._deferred.pop(k, ()))
+                self._trim()
             for f in victims:
                 f.close()
 

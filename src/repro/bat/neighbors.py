@@ -45,7 +45,7 @@ import numpy as np
 
 from ..types import ParticleBatch
 from .file import BATFile
-from .query import _check, _Forest, _gather, _segments, _shallow_survivors
+from .query import _check, _file_fetch, _Forest, _gather, _segments, _shallow_survivors
 
 __all__ = [
     "NeighborStats",
@@ -178,15 +178,19 @@ def _gather_pruned(bat: BATFile, leaf_index: int, keep_fn, filters, stats, box=N
         return _no_candidates()
     index, ranks, bounds, runs = seg
     stats.points_tested += len(index)
-    seg_leaves = [ids[r] for r in ranks.tolist()]
-    pos, _, kept = _check(bat, seg_leaves, index, bounds, runs, box, filters, False)
+    fetch = _file_fetch(bat, [ids[r] for r in ranks.tolist()])
+    pos = None if box is None else _gather(fetch, None, index, bounds, runs)
+    _, kept = _check(
+        lambda name: _gather(fetch, name, index, bounds, runs),
+        pos, None if box is None else box.contains_points, filters,
+    )
     if kept is not None:
         if not kept.size:
             return _no_candidates()
         index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
         pos = None if pos is None else pos.take(kept, axis=0)
     if pos is None:
-        pos = _gather(bat, seg_leaves, None, index, bounds, runs)
+        pos = _gather(fetch, None, index, bounds, runs)
     keys = np.empty((len(index), 3), dtype=np.int64)
     keys[:, 0] = leaf_index
     keys[:, 1] = np.repeat(bat.shallow_leaf_visit_rank()[leaves[ranks]], np.diff(bounds))
@@ -489,8 +493,9 @@ def materialize_rows(open_file, keys, specs, attributes, with_positions):
         # shallow leaf ids in visit order: the inverse of the visit rank
         leaves = table_leaf[table_leaf >= 0][ranks[bounds[:-1]]].tolist()
         index, rows = sk[a:b, 2], order[a:b]
+        fetch = _file_fetch(bat, leaves)
         if pos is not None:
-            pos[rows] = _gather(bat, leaves, None, index, bounds)
+            pos[rows] = _gather(fetch, None, index, bounds)
         for name, out in attrs.items():
-            out[rows] = _gather(bat, leaves, name, index, bounds)
+            out[rows] = _gather(fetch, name, index, bounds)
     return ParticleBatch(pos, attrs, count=n)

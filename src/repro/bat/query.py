@@ -1,4 +1,4 @@
-"""Visualization reads on a BAT file (paper §V).
+"""Visualization reads on BAT files (paper §V).
 
 Queries take a quality window, an optional bounding box, and a set of
 attribute filters. Spatial pruning uses the k-d hierarchy (exact);
@@ -13,54 +13,70 @@ Quality ∈ [0, 1] maps to a maximum treelet depth through a log remap:
 the number of LOD particles doubles per level, so the remap
 ``e(q) = log2(1 + q·(2^(D+1) − 1))`` makes perceived quality progress
 smoothly. A node at depth *d* is processed fully when ``d < floor(e)`` and
-fractionally (a prefix of its particles) when ``d == floor(e)``.
+fractionally (a prefix of its particles) when ``d == floor(e)``. ``D`` is
+each file's own ``max_treelet_depth``, so the files of one read can reach
+different depths at the same quality.
 
-**One core.** A read is pruned, windowed and gathered one *file* at a
-time, with no Python loop over nodes or levels (:class:`_FileWalk`):
+**One core.** A read is pruned, windowed and gathered one *step* at a
+time — all the files of one request, read as one forest of trees
+(:class:`_Step`) — with no Python loop over nodes, levels or files'
+passes. A single file is the one-part step. Each file keeps its own
+query bitmaps, effective depths, plan box and ``live`` flag (a root that
+already proves its read empty); the step carries them per row:
 
-- *Shallow pass.* The file's shallow tree is one table
+- *Shallow pass.* Every file's shallow tree is one table
   (:meth:`~repro.bat.file.BATFile.shallow_table`: a row per node in the
   recursive walk's visit order, with box, resolved bitmaps, parent and
-  depth), tested against the query in one numpy pass
-  (:func:`_node_tests`). A node counts as visited when its parent passed
-  (:func:`_survivors`), and the surviving leaf rows, in row order, are
-  the treelets to read in emission order.
+  depth); the step's tables are laid back to back as one :class:`_Forest`
+  and tested against the query in one numpy pass. A node counts as
+  visited when its parent passed (:func:`_survivors`), and the surviving
+  leaf rows, in row order, are the treelets to read in emission order:
+  file by file, each file's in its own visit order.
 - *Treelet pass.* A treelet's nodes are not walked either. The
   survivors' *walk tables* (:meth:`~repro.bat.file.BATFile.walk_tables`:
   the same kind of table per treelet, in pre-order, with each node's
-  slot range, held with the decoded columns; the missing ones built in
-  one level-synchronous pass) are laid back to back as one
-  :class:`_Forest` and tested in one pass. A tree, shallow or
-  treelet, whose boxes or bitmaps do not nest has the result pushed down
-  level by level instead, over its own rows only. Pruning does not depend
-  on quality, so the masks are computed on the walk's first window and
-  kept.
+  slot range, held with the decoded columns; each file's missing ones
+  built in one level-synchronous pass) are laid back to back, across
+  files, as one :class:`_Forest` and tested in one pass. A tree, shallow
+  or treelet, whose boxes or bitmaps do not nest has the result pushed
+  down level by level instead, over its own rows only. Pruning does not
+  depend on quality, so the masks are computed on the walk's first
+  window and kept.
 - *Window.* The depth cutoff lives in the window: it selects the kept
   rows with ``floor(e_lo) <= depth <= floor(e_hi)`` and counts visited
   nodes only down to ``floor(e_hi)``, below which no node can contribute
   — the counters are those of a top-down walk that stops there.
 - *Gather.* The window's slot ranges, in pre-order, become one index for
-  the file (:func:`_segments`), cut per treelet; each column is fetched
-  for all those treelets in one call
+  the step (:func:`_segments`), cut per treelet; each column is fetched
+  per file for all that file's treelets in one call
   (:meth:`~repro.bat.file.BATFile.columns`: one cache round-trip) and
-  gathered once into one array for the file (:func:`_gather`), and every
+  gathered once into one array for the step (:func:`_gather`), and every
   row gets one exact box/filter check. A whole treelet asked for at full
   quality — no filters, a box that contains it, a window from 0 past its
   deepest level — skips its table, node records and checks and is handed
   on as views of its columns, fetched the same way.
 
+What has to stay per file does: treelet CRC verification on first touch
+(:meth:`~repro.bat.file.BATFile.treelet`), walk-table builds, column
+fetches and decodes, and the work counters — each file's
+:class:`QueryStats` are its own, counted per row. A file that turns out
+corrupt or missing (``IntegrityError`` / ``FileNotFoundError``) is
+dropped from the step: its rows never reach the result, its counters stay
+its own, and the error is handed back with it (:class:`StepPart`). So a
+step returns exactly the bytes and counters of reading its files one at
+a time, in order.
+
 The rows leave as *chunks* — the views of whole treelets and the
-gathered rows of the walked ones between them — and are copied once,
-where they are concatenated (:func:`concat_chunks`): in
-:func:`query_file`, or in the dataset layer across all of a read's
-files. The two entry points differ only in what they do with the
-chunks:
+gathered rows of the walked ones between them, across file boundaries —
+and are copied once, where they are concatenated (:func:`concat_chunks`);
+rows the walk gathered, alone, were copied by that gather.
+The two entry points differ only in what they do with the chunks:
 
 - :func:`query_file` asks for one window and concatenates them (or hands
   each one to a callback).
-- :func:`stream_query_file` keeps the walk across the rungs of a quality
-  ladder and attaches per-row order keys ``(treelet_rank, slot)`` so the
-  increments can be merged back into the one-shot order.
+- :func:`stream_query_file` keeps the walk of one file across the rungs
+  of a quality ladder and attaches per-row order keys ``(treelet_rank,
+  slot)`` so the increments can be merged back into the one-shot order.
 
 **One engine.** There is no second traversal in the package. The
 original per-node stack walk is kept as the tests' reference
@@ -76,6 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -87,6 +104,7 @@ from .file import BATFile
 __all__ = [
     "AttributeFilter",
     "QueryStats",
+    "StepPart",
     "quality_to_depth",
     "quality_for_depth",
     "default_quality_ladder",
@@ -95,6 +113,9 @@ __all__ = [
     "stream_query_file",
     "concat_chunks",
 ]
+
+#: what a corrupt or missing leaf file raises, at open or mid-traversal
+LEAF_ERRORS = (FileNotFoundError, IntegrityError)
 
 @dataclass(frozen=True)
 class AttributeFilter:
@@ -192,16 +213,36 @@ def default_quality_ladder(
     return tuple(rungs)
 
 
+
+
+@dataclass
+class StepPart:
+    """One file of a multi-file :func:`query_file` step.
+
+    ``bat`` and ``box`` (the file's plan box; ``None`` = no box test) go
+    in. ``stats`` come out as the file's own counters, exactly those of
+    reading it alone; ``error`` is the ``IntegrityError`` or
+    ``FileNotFoundError`` that dropped the file from the step — its rows
+    are then in no result and its counters are partial — else ``None``.
+    """
+
+    bat: BATFile
+    box: Box | None = None
+    stats: QueryStats = field(default_factory=QueryStats)
+    error: Exception | None = None
+
+
 @dataclass
 class _QueryContext:
+    """One file's side of a read: its request, derived for its own binnings
+    and tree depth, its counters, and the error that dropped it, if any."""
+
+    bat: BATFile
     box: Box | None
     filters: tuple[AttributeFilter, ...]
     e_prev: float
     e_new: float
     stats: QueryStats = field(default_factory=QueryStats)
-    #: ``(positions, attrs)`` row chunks, concatenated once by :func:`_result`
-    chunks: list[tuple] = field(default_factory=list)
-    callback: object = None
     #: names to materialize in the result; None = all
     attributes: tuple[str, ...] | None = None
     #: False = column-projected read: positions are neither returned nor
@@ -214,21 +255,8 @@ class _QueryContext:
     qbounds: tuple[np.ndarray, np.ndarray] | None = None
     #: per filter ``(attribute index, query bitmap)``, for array-wise tests
     bitmap_tests: tuple[tuple[int, np.uint32], ...] = ()
-
-    def emit(
-        self,
-        positions: np.ndarray | None,
-        attrs: dict[str, np.ndarray],
-        count: int | None = None,
-    ) -> None:
-        n = int(count) if positions is None else len(positions)
-        if n == 0:
-            return
-        self.stats.points_returned += n
-        if self.callback is not None:
-            self.callback(positions, attrs)
-        else:
-            self.chunks.append((positions, attrs))
+    #: the corrupt-or-missing error that dropped this file from its step
+    error: Exception | None = None
 
 
 def _prepare(
@@ -239,7 +267,6 @@ def _prepare(
     filters,
     attributes,
     with_positions: bool,
-    callback=None,
     stats: QueryStats | None = None,
 ) -> _QueryContext:
     """Validate one file read and derive what every traversal needs.
@@ -267,11 +294,11 @@ def _prepare(
             qbitmaps[f.name] = int(query_bitmap(f.lo, f.hi, lo, hi))
     e_new = quality_to_depth(quality, bat.max_treelet_depth)
     ctx = _QueryContext(
+        bat=bat,
         box=box,
         filters=filters,
         e_prev=quality_to_depth(prev_quality, bat.max_treelet_depth),
         e_new=e_new,
-        callback=callback,
         attributes=tuple(attributes) if attributes is not None else None,
         with_positions=bool(with_positions),
         live=not (
@@ -292,19 +319,6 @@ def _prepare(
     return ctx
 
 
-def _result(bat: BATFile, ctx: _QueryContext) -> tuple[ParticleBatch | None, QueryStats]:
-    """The ``(batch, stats)`` a one-shot read returns from what ``ctx`` collected."""
-    if ctx.callback is not None:
-        return None, ctx.stats
-    if ctx.stats.points_returned == 0:
-        specs = bat.attribute_specs()
-        if ctx.attributes is not None:
-            specs = [sp for sp in specs if sp.name in ctx.attributes]
-        return ParticleBatch.empty(specs, with_positions=ctx.with_positions), ctx.stats
-    batch = concat_chunks(ctx.chunks, ctx.with_positions, ctx.stats.points_returned)
-    return batch, ctx.stats
-
-
 def concat_chunks(chunks, with_positions: bool, count: int) -> ParticleBatch:
     """One batch from a read's non-empty list of ``(positions, attrs)`` chunks.
 
@@ -319,7 +333,7 @@ def concat_chunks(chunks, with_positions: bool, count: int) -> ParticleBatch:
 
 
 def query_file(
-    bat: BATFile,
+    bat,
     quality: float = 1.0,
     prev_quality: float = 0.0,
     box: Box | None = None,
@@ -328,14 +342,28 @@ def query_file(
     attributes: list[str] | None = None,
     with_positions: bool = True,
 ) -> tuple[ParticleBatch | None, QueryStats]:
-    """Run one (progressive) visualization read against a BAT file.
+    """Run one (progressive) visualization read against BAT files.
 
-    Returns ``(batch, stats)``; ``batch`` is ``None`` when a ``callback`` is
-    given (the paper's API invokes a user callback for each point; here the
-    callback receives chunks of arrays in emission order, for
-    vectorization: a treelet emitted whole as views of its columns, or the
-    rows of the walked treelets between two such, gathered once). The
-    batch is the chunks concatenated — the one copy of the returned rows.
+    ``bat`` is one :class:`~repro.bat.file.BATFile` (read with ``box``),
+    or the files of one *step* as a sequence of :class:`StepPart`, each
+    with its own plan box (``box`` must then be ``None``) and sharing one
+    attribute schema. A step reads its files as one forest, in order; it
+    returns the bytes the files' one-file reads return, concatenated, and
+    sets each part's ``stats`` to that file's own counters. A part that
+    turns out corrupt or missing is dropped — its rows are in no result —
+    and gets its ``error``; a one-file read raises that error instead.
+
+    Returns ``(batch, stats)``: ``stats`` sums the counters of the files
+    read (the dropped ones left out). ``batch`` is ``None`` when a
+    ``callback`` is given (the paper's API invokes a user callback for
+    each point; here the callback receives chunks of arrays in emission
+    order, for vectorization: a treelet emitted whole as views of its
+    columns, or the rows of the walked treelets between two such, gathered
+    once — a step's chunks run across file boundaries, in file order, and
+    arrive once the whole step is read). The batch is the chunks
+    concatenated — the one copy of the returned rows — or, when every row
+    was gathered by the walk (no treelet went whole), the gathered arrays
+    themselves: the gather was their one copy.
 
     ``attributes`` restricts which attribute arrays are materialized in the
     result — the array-per-attribute storage model means unrequested
@@ -347,34 +375,45 @@ def query_file(
     (v4) files the position block is only decoded where a box test still
     needs it. Callbacks then receive ``None`` as their positions argument.
     """
-    ctx = _prepare(
-        bat, quality, prev_quality, box, filters, attributes, with_positions, callback
-    )
-    if ctx.live:
-        for pos, attrs, count, _, _ in _FileWalk(bat, ctx).window(ctx.e_prev, ctx.e_new):
-            ctx.emit(pos, attrs, count)
-    return _result(bat, ctx)
+    one = isinstance(bat, BATFile)
+    if one:
+        parts = [StepPart(bat, box)]
+    elif box is not None:
+        raise InvalidRequestError("a step's boxes are per file: set StepPart.box")
+    else:
+        parts = list(bat)
+    ctxs = [
+        _prepare(p.bat, quality, prev_quality, p.box, filters, attributes, with_positions,
+                 stats=p.stats)
+        for p in parts
+    ]
+    live = [c for c in ctxs if c.live]
+    step = _Step(live) if live else None
+    chunks = step.window(prev_quality, quality) if step is not None else []
+    stats = QueryStats()
+    for p, c in zip(parts, ctxs):
+        p.error = c.error
+        if c.error is None:
+            stats.merge(p.stats)
+    if one and parts[0].error is not None:
+        raise parts[0].error
+    rows = [(pos, attrs) for pos, attrs, count, _, _ in chunks if count]
+    if callback is not None:
+        for pos, attrs in rows:
+            callback(pos, attrs)
+        return None, stats
+    if not rows:
+        specs = parts[0].bat.attribute_specs() if parts else []
+        if attributes is not None:
+            specs = [sp for sp in specs if sp.name in attributes]
+        return ParticleBatch.empty(specs, with_positions=with_positions), stats
+    if len(rows) == 1 and not step.views:
+        # rows the walk gathered are a copy already: this is their one copy
+        return ParticleBatch(*rows[0], count=stats.points_returned), stats
+    return concat_chunks(rows, with_positions, stats.points_returned), stats
 
 
 # -- flat core (vectorized) ----------------------------------------------------
-
-
-def _node_tests(ctx: _QueryContext, lo: np.ndarray, hi: np.ndarray, bitmaps):
-    """Test a batch of nodes against the query: ``(inside, keep)``.
-
-    ``lo``/``hi`` are the nodes' ``(n, 3)`` box corners, ``bitmaps`` their
-    ``(n, n_attrs)`` resolved bitmaps (unused without filters). ``inside``
-    marks the boxes that meet the query box (``None`` without one),
-    ``keep`` those that also pass every filter's bitmap.
-    """
-    if ctx.qbounds is not None:
-        qlo, qhi = ctx.qbounds
-        inside = keep = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
-    else:
-        inside, keep = None, np.ones(len(lo), dtype=bool)
-    for a, qbitmap in ctx.bitmap_tests:
-        keep = keep & ((bitmaps[:, a] & qbitmap) != 0)
-    return inside, keep
 
 
 def _survivors(keep, parent, depth, roots, loose=None):
@@ -405,56 +444,54 @@ def _shallow_survivors(table: np.ndarray, keep: np.ndarray):
     return _survivors(keep, table["parent"], table["depth"], 0, loose)
 
 
-def _count_visits(stats: QueryStats, seen, inside, kept) -> None:
-    """Count the ``seen`` rows as visited nodes and the pruned among them,
-    in the recursive walk's order of checks: spatially first (``inside``,
-    ``None`` without a box), by bitmap only if the box passed; ``kept``
-    are the seen rows that survived."""
-    n = int(np.count_nonzero(seen))
-    n_inside = n if inside is None else int(np.count_nonzero(seen & inside))
-    stats.nodes_visited += n
-    stats.pruned_spatial += n - n_inside
-    stats.pruned_bitmap += n_inside - int(np.count_nonzero(kept))
-
-
 class _Forest:
-    """The walk tables of several treelets of one file as one table.
+    """Several tables of trees laid back to back as one table.
 
-    One array per field, the treelets' rows back to back: ``tid`` is each
-    row's treelet (as ``ranks`` numbers them), ``parent`` a row of this
-    table, ``roots`` every treelet's first row, ``loose`` the rows of
-    treelets that do not nest (``None`` when all of them do). ``bitmaps``
-    is only gathered on request.
+    The tables are walk tables (:meth:`~repro.bat.file.BATFile.walk_tables`)
+    or shallow tables (:meth:`~repro.bat.file.BATFile.shallow_table`), of
+    one file or of several. One array per field, the tables' rows back to
+    back: ``tid`` is each row's table (as ``ranks`` numbers them),
+    ``parent`` a row of this table, ``roots`` every table's first row,
+    ``loose`` the rows of trees that do not nest (``None`` when all of
+    them do). ``bitmaps`` is only gathered on request; of the other fields,
+    only those named in ``fields`` (``begin`` / ``count``, or ``leaf``).
     """
 
     __slots__ = (
-        "lo", "hi", "bitmaps", "begin", "count", "parent", "depth", "tid",
+        "lo", "hi", "bitmaps", "begin", "count", "leaf", "parent", "depth", "tid",
         "roots", "loose",
     )
 
-    def __init__(self, tables, ranks, with_bitmaps: bool):
-        sizes = [len(t) for t in tables]
-        self.roots = np.cumsum([0, *sizes[:-1]])
-        self.tid = np.repeat(ranks, sizes)
-        self.lo = np.concatenate([t["lo"] for t in tables])
-        self.hi = np.concatenate([t["hi"] for t in tables])
-        self.begin = np.concatenate([t["begin"] for t in tables])
-        self.count = np.concatenate([t["count"] for t in tables])
-        self.depth = np.concatenate([t["depth"] for t in tables])
-        self.parent = np.concatenate([t["parent"] for t in tables])
-        self.parent += np.repeat(self.roots, sizes)
-        self.bitmaps = (
-            np.concatenate([t["bitmaps"] for t in tables]) if with_bitmaps else None
-        )
-        nests = np.array([t["nests"][0] for t in tables], dtype=bool)
-        self.loose = None if nests.all() else np.repeat(~nests, sizes)
+    def __init__(self, tables, ranks, with_bitmaps: bool, fields=("begin", "count")):
+        if len(tables) == 1:  # one table is its own forest: no copy
+            table = tables[0]
+            column = table.__getitem__
+            self.roots = 0
+            self.tid = np.zeros(len(table), dtype=np.int64) + ranks[0]
+            self.parent = table["parent"]
+            self.loose = None if table["nests"][0] else np.ones(len(table), dtype=bool)
+        else:
+            sizes = np.array([len(t) for t in tables])
+            self.roots = sizes.cumsum() - sizes
+            self.tid = np.repeat(ranks, sizes)
+
+            def column(name):
+                return np.concatenate([t[name] for t in tables])
+
+            self.parent = column("parent") + np.repeat(self.roots, sizes)
+            nests = np.array([t["nests"][0] for t in tables], dtype=bool)
+            self.loose = None if nests.all() else np.repeat(~nests, sizes)
+        self.lo, self.hi, self.depth = column("lo"), column("hi"), column("depth")
+        for name in fields:
+            setattr(self, name, column(name))
+        self.bitmaps = column("bitmaps") if with_bitmaps else None
 
     def survivors(self, keep: np.ndarray):
         return _survivors(keep, self.parent, self.depth, self.roots, self.loose)
 
 
 def _segments(lo: np.ndarray, hi: np.ndarray, tid: np.ndarray, n_points: np.ndarray):
-    """One file's slot ranges ``[lo, hi)`` as one index, cut per treelet.
+    """Slot ranges ``[lo, hi)`` as one index, cut per treelet.
 
     The ranges come grouped by treelet ``tid`` and ascending within each.
     Returns ``(index, ranks, bounds, runs)``: ``index[bounds[i]:bounds[i +
@@ -489,22 +526,31 @@ def _segments(lo: np.ndarray, hi: np.ndarray, tid: np.ndarray, n_points: np.ndar
     return np.cumsum(steps), tid[first], bounds, runs
 
 
-def _gather(bat: BATFile, leaves, name, index: np.ndarray, bounds: np.ndarray, runs=None):
-    """One column of several treelets of ``bat`` gathered into one array.
+def _file_fetch(bat: BATFile, leaves):
+    """The :func:`_gather` ``fetch`` of segments over treelets ``leaves`` of
+    one file: one :meth:`~repro.bat.file.BATFile.columns` call."""
+    return lambda segs, name: bat.columns([leaves[i] for i in segs], name)
+
+
+def _gather(fetch, name, index: np.ndarray, bounds: np.ndarray, runs=None, want=None):
+    """One column of several treelets gathered into one array.
 
     ``name`` is an attribute, or ``None`` for the positions. Segment ``i``
-    takes ``index[bounds[i]:bounds[i + 1]]`` from that column of treelet
-    ``leaves[i]`` — a plain slice copy where ``runs[i]`` names the first
-    slot of one contiguous run. The columns of the non-empty segments are
-    fetched in one call (:meth:`~repro.bat.file.BATFile.columns`); empty
-    segments are skipped, so their column is never fetched (nor, on v4
-    files, decoded).
+    takes ``index[bounds[i]:bounds[i + 1]]`` from that column of its
+    treelet — a plain slice copy where ``runs[i]`` names the first slot of
+    one contiguous run. ``fetch(segs, name)`` returns the column of the
+    treelets of segments ``segs`` (ascending), in order. Only non-empty
+    segments are fetched — and with ``want``, only those it marks; the
+    rows of the others are left unset — so an unwanted column is never
+    fetched (nor, on v4 files, decoded).
     """
     b = bounds.tolist()
-    segs = [i for i in range(len(leaves)) if b[i] < b[i + 1]]
+    segs = [i for i in range(len(b) - 1) if b[i] < b[i + 1]]
+    if want is not None:
+        segs = [i for i in segs if want[i]]
     if not segs:
         return None
-    cols = bat.columns([leaves[i] for i in segs], name)
+    cols = fetch(segs, name)
     starts = runs.tolist() if runs is not None else None
     out = np.empty((b[-1], *cols[0].shape[1:]), dtype=cols[0].dtype)
     for i, col in zip(segs, cols):
@@ -518,103 +564,329 @@ def _gather(bat: BATFile, leaves, name, index: np.ndarray, bounds: np.ndarray, r
     return out
 
 
-def _check(bat: BATFile, leaves, index, bounds, runs, box, filters, with_positions: bool):
-    """The exact box/filter check over a file's gathered rows.
+def _check(gather, pos, inbox, filters):
+    """The exact box/filter check over a read's gathered rows.
 
-    Returns ``(positions, cols, kept)``: the positions when returned
-    (``with_positions``) or needed for the box test, else ``None`` — they
-    decode only then; the filter columns by name; and the indices of the
-    rows that pass, ``None`` when nothing was checked. Each column is
-    fetched and gathered once, so a filter column that is also returned
+    ``pos`` are the rows' positions and ``inbox(pos)`` the box test
+    (``None`` without one); ``gather(name)`` gathers one attribute over
+    the rows. Returns ``(cols, kept)``: the filter columns by name, and
+    the indices of the rows that pass, ``None`` when nothing was checked.
+    Each column is gathered once, so a filter column that is also returned
     reuses the values its filter tested.
     """
-    pos = mask = None
-    if with_positions or box is not None:
-        pos = _gather(bat, leaves, None, index, bounds, runs)
-        if box is not None:
-            mask = box.contains_points(pos)
+    mask = None if inbox is None else inbox(pos)
     cols: dict[str, np.ndarray] = {}
     for f in filters:
         vals = cols.get(f.name)
         if vals is None:
-            vals = cols[f.name] = _gather(bat, leaves, f.name, index, bounds, runs)
+            vals = cols[f.name] = gather(f.name)
         fmask = (vals >= f.lo) & (vals <= f.hi)
         mask = fmask if mask is None else (mask & fmask)
-    return pos, cols, None if mask is None else np.flatnonzero(mask)
+    return cols, None if mask is None else np.flatnonzero(mask)
 
 
-class _FileWalk:
-    """One file's pruned read, advanced one quality window at a time.
+class _PartFailed(Exception):
+    """Part ``part`` of a step raised ``error``, one of :data:`LEAF_ERRORS`."""
 
-    The shallow pass runs on construction and picks the treelets to read
-    (in emission order; ``ranks`` below index them). Pruning does not
+    def __init__(self, part: int, error: Exception):
+        super().__init__(part, error)
+        self.part = part
+        self.error = error
+
+
+#: the per-file counters a step counts per row (see :meth:`_Step._flush`)
+_TALLY = (
+    "treelets_visited", "nodes_visited", "pruned_spatial", "pruned_bitmap",
+    "points_tested", "points_returned",
+)
+_TREELETS, _NODES, _SPATIAL, _BITMAP, _TESTED, _RETURNED = range(len(_TALLY))
+
+
+class _Step:
+    """A step's pruned read, advanced one quality window at a time.
+
+    ``ctxs`` are the live files of the step, in order (*parts* below
+    number them). The shallow pass runs on construction and picks the
+    treelets to read, in emission order: grouped by part, each part's in
+    its own visit order (*ranks* below index them). Pruning does not
     depend on quality, so the first window that walks any treelet tests
     the walk tables of all it walks as one :class:`_Forest` and later
     windows reuse the masks. What a window still decides is depth: it
-    counts the visited nodes of the depths no earlier window reached (the
-    recursive walk's counters under the depth cutoff — no node below
-    ``floor(e_hi)`` is ever counted) and selects the kept nodes of the
-    depths it covers, with the same monotone slot-range rounding as the
-    recursive walk, so consecutive windows chain with no gap and no
+    counts the visited nodes of the depths no earlier window reached for
+    that part (the recursive walk's counters under the depth cutoff — no
+    node below ``floor(e_hi)`` is ever counted) and selects the kept nodes
+    of the depths it covers, with the same monotone slot-range rounding as
+    the recursive walk, so consecutive windows chain with no gap and no
     overlap.
+
+    Every counter is counted per part (one ``bincount`` per counter) into
+    a window-local tally that reaches the parts' stats when the window
+    ends. A part that raises one of :data:`LEAF_ERRORS` takes its partial
+    tally and the error and is dropped; the window is then redone without
+    it, so no row of it reaches a result and the other parts count
+    exactly as if it had never been in the step.
     """
 
     __slots__ = (
-        "bat", "ctx", "leaves", "n_points", "max_depth", "containable", "names", "spent",
-        "forest", "inside", "alive", "visited", "reached",
+        "ctxs", "filters", "with_positions", "names", "bitmap_tests",
+        "qlo", "qhi", "free", "one_box",
+        "tpart", "leaves", "n_points", "max_depth", "containable", "spent",
+        "forest", "fpart", "inside", "alive", "visited", "reached", "views",
     )
 
-    def __init__(self, bat: BATFile, ctx: _QueryContext) -> None:
-        self.bat = bat
-        self.ctx = ctx
-        table = bat.shallow_table()
-        inside, keep = _node_tests(ctx, table["lo"], table["hi"], table["bitmaps"])
-        alive, visited = _shallow_survivors(table, keep)
-        _count_visits(ctx.stats, visited, inside, alive)
-        leaves = table[alive & (table["leaf"] >= 0)]
-        ctx.stats.treelets_visited += len(leaves)
-        self.leaves = leaves["leaf"].tolist()
-        tvs = [bat.treelet(leaf) for leaf in self.leaves]
-        self.n_points = np.array([tv.n_points for tv in tvs], dtype=np.int64)
-        self.max_depth = np.array([tv.max_depth for tv in tvs], dtype=np.int64)
-        # the quality-independent half of the whole-treelet rule: no
-        # filters, and the box contains the leaf box
-        if ctx.filters:
-            self.containable = np.zeros(len(leaves), dtype=bool)
-        elif ctx.qbounds is None:
-            self.containable = np.ones(len(leaves), dtype=bool)
-        else:
-            qlo, qhi = ctx.qbounds
-            lo, hi = leaves["lo"], leaves["hi"]
-            self.containable = (lo > hi).any(axis=1) | ((qlo <= lo) & (hi <= qhi)).all(axis=1)
+    def __init__(self, ctxs: list[_QueryContext]) -> None:
+        self.ctxs = ctxs
+        first = ctxs[0]
+        schema = (first.bat.attr_names, first.bat.attr_dtypes)
+        if any((c.bat.attr_names, c.bat.attr_dtypes) != schema for c in ctxs[1:]):
+            raise InvalidRequestError("the files of one step must share their attributes")
+        self.filters = first.filters
+        self.with_positions = first.with_positions
         self.names = [
-            n for n in bat.attr_names if ctx.attributes is None or n in ctx.attributes
+            n for n in first.bat.attr_names if first.attributes is None or n in first.attributes
         ]
-        #: treelets emitted whole: no later window adds anything
-        self.spent = np.zeros(len(leaves), dtype=bool)
-        #: the walked treelets' tables and masks (first walking window)
-        self.forest = self.inside = self.alive = self.visited = None
-        #: deepest depth whose visited nodes are counted already
-        self.reached = -1
+        # each file's query bitmap per filter (its own binning), per part
+        self.bitmap_tests = [
+            (a, np.array([c.bitmap_tests[i][1] for c in ctxs], dtype=np.uint32))
+            for i, (a, _) in enumerate(first.bitmap_tests)
+        ]
+        # each file's plan box, per part: ``qlo`` / ``qhi`` (None when no
+        # file has one; a file without one borrows another's corners) and
+        # ``free``, the parts without one (None when every part has one)
+        boxes = [c.qbounds for c in ctxs if c.qbounds is not None]
+        self.qlo = self.qhi = self.free = None
+        if boxes:
+            corners = [c.qbounds or boxes[0] for c in ctxs]
+            self.qlo = np.array([lo for lo, _ in corners])
+            self.qhi = np.array([hi for _, hi in corners])
+            if len(boxes) < len(ctxs):
+                self.free = np.array([c.qbounds is None for c in ctxs])
+        #: every file with a box has the same one
+        self.one_box = all(
+            (lo == boxes[0][0]).all() and (hi == boxes[0][1]).all() for lo, hi in boxes[1:]
+        )
 
-    def window(self, e_lo: float, e_hi: float, keyed: bool = False) -> list[tuple]:
-        """Row chunks ``(positions, attrs, count, ranks, slots)`` this file
-        adds between effective depths ``e_lo → e_hi``, in emission order.
+        tally = self._tally()
+        tables, owners = [], []
+        for p, c in enumerate(ctxs):
+            try:
+                tables.append(c.bat.shallow_table())
+            except LEAF_ERRORS as exc:
+                c.error = exc
+                continue
+            owners.append(p)
+        if tables:
+            s = _Forest(tables, owners, bool(self.bitmap_tests), fields=("leaf",))
+            inside, keep = self._node_tests(s.tid, s.lo, s.hi, s.bitmaps)
+            alive, visited = s.survivors(keep)
+            self._count_visits(tally, s.tid, visited, inside, alive)
+            rows = np.flatnonzero(alive & (s.leaf >= 0))
+            tpart, leaves = s.tid[rows], s.leaf[rows]
+        else:
+            tpart = leaves = rows = np.zeros(0, dtype=np.int64)
+        self.tpart = tpart
+        tally[_TREELETS] += self._count(tpart)
+        self._flush(tally)
+        self.leaves = leaves.tolist()
+        # materialize (and verify) each surviving treelet, file by file
+        n_points, max_depth = [], []
+        for p, leaf in zip(tpart.tolist(), self.leaves):
+            c, n, d = ctxs[p], 0, 0
+            if c.error is None:
+                try:
+                    tv = c.bat.treelet(leaf)
+                    n, d = tv.n_points, tv.max_depth
+                except LEAF_ERRORS as exc:
+                    c.error = exc
+            n_points.append(n)
+            max_depth.append(d)
+        self.n_points = np.array(n_points, dtype=np.int64)
+        self.max_depth = np.array(max_depth, dtype=np.int64)
+        # the quality-independent half of the whole-treelet rule: no
+        # filters, and the box (if its file has one) contains the leaf box
+        if self.filters or not tables:
+            self.containable = np.zeros(len(tpart), dtype=bool)
+        elif self.qlo is None:
+            self.containable = np.ones(len(tpart), dtype=bool)
+        else:
+            qlo, qhi, free = self._box(tpart)
+            lo, hi = s.lo[rows], s.hi[rows]
+            self.containable = (lo > hi).any(axis=1) | ((qlo <= lo) & (hi <= qhi)).all(axis=1)
+            if free is not None:
+                self.containable |= free
+        #: treelets emitted whole, or of a dropped file: no later window adds anything
+        self.spent = np.zeros(len(tpart), dtype=bool)
+        for p, c in enumerate(ctxs):
+            if c.error is not None:
+                self.spent[tpart == p] = True
+        #: the walked treelets' tables and masks (first walking window)
+        self.forest = self.fpart = self.inside = self.alive = self.visited = None
+        #: per part, the deepest depth whose visited nodes are counted already
+        self.reached = np.array([-1] * len(ctxs))
+        #: whether the last window's chunks include views of columns (the
+        #: whole treelets') rather than only rows the walk gathered
+        self.views = False
+
+    # -- per-part bookkeeping ------------------------------------------------
+
+    @staticmethod
+    def _tally() -> list:
+        """One count per :data:`_TALLY` counter: per part, an array — or a
+        number, in a one-part step or where nothing was counted yet."""
+        return [0] * len(_TALLY)
+
+    def _flush(self, tally: list, parts=None) -> None:
+        """Add the ``tally`` counts of ``parts`` (default all) to their stats."""
+        for p in range(len(self.ctxs)) if parts is None else parts:
+            stats = self.ctxs[p].stats
+            for name, n in zip(_TALLY, tally):
+                n = int(n[p] if isinstance(n, np.ndarray) else n)
+                if n:
+                    setattr(stats, name, getattr(stats, name) + n)
+
+    def _count(self, rp, mask=None):
+        """The rows of parts ``rp`` (those of ``mask``) counted per part."""
+        if len(self.ctxs) == 1:
+            return len(rp) if mask is None else np.count_nonzero(mask)
+        return np.bincount(rp if mask is None else rp[mask], minlength=len(self.ctxs))
+
+    def _per_part(self, ranks: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """``sizes`` (one per treelet of ``ranks``) summed per part."""
+        if len(self.ctxs) == 1:
+            return sizes.sum()
+        return np.bincount(
+            self.tpart[ranks], weights=sizes, minlength=len(self.ctxs)
+        ).astype(np.int64)
+
+    def _count_visits(self, tally, rp, seen, inside, kept) -> None:
+        """Count the ``seen`` rows (of parts ``rp``) as visited nodes and the
+        pruned among them, in the recursive walk's order of checks:
+        spatially first (``inside``, ``None`` without a box), by bitmap only
+        if the box passed; ``kept`` are the seen rows that survived."""
+        n = self._count(rp, seen)
+        n_inside = n if inside is None else self._count(rp, seen & inside)
+        tally[_NODES] += n
+        tally[_SPATIAL] += n - n_inside
+        tally[_BITMAP] += n_inside - self._count(rp, kept)
+
+    # -- the query, per row ------------------------------------------------------
+
+    @staticmethod
+    def _rows(values: np.ndarray, rp):
+        """``values`` (one per part) for rows of parts ``rp`` — just one
+        value where every part has the same."""
+        return values[0] if len(values) == 1 or (values == values[0]).all() else values[rp]
+
+    def _box(self, rp):
+        """``(qlo, qhi, free)`` for rows of parts ``rp``: the box corners
+        and the rows with no box test (``None`` when every row has one)."""
+        if self.one_box:
+            qlo, qhi = self.qlo[0], self.qhi[0]
+        else:
+            qlo, qhi = self.qlo[rp], self.qhi[rp]
+        return qlo, qhi, None if self.free is None else self.free[rp]
+
+    def _node_tests(self, rp, lo, hi, bitmaps):
+        """Test nodes of parts ``rp`` against their files' queries: ``(inside, keep)``.
+
+        ``lo``/``hi`` are the nodes' ``(n, 3)`` box corners, ``bitmaps``
+        their ``(n, n_attrs)`` resolved bitmaps (unused without filters).
+        ``inside`` marks the boxes that meet their query box (``None``
+        when no file has one), ``keep`` those that also pass every
+        filter's bitmap.
+        """
+        if self.qlo is not None:
+            qlo, qhi, free = self._box(rp)
+            inside = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
+            if free is not None:
+                inside |= free
+            keep = inside
+        else:
+            inside, keep = None, np.ones(len(lo), dtype=bool)
+        for a, qbitmaps in self.bitmap_tests:
+            keep = keep & ((bitmaps[:, a] & self._rows(qbitmaps, rp)) != 0)
+        return inside, keep
+
+    def _inbox(self, ranks, sizes):
+        """The exact box test over the rows of treelets ``ranks`` (``sizes``
+        rows each), ``None`` when no file has a box."""
+        if self.qlo is None:
+            return None
+        per_row = self.free is not None or not self.one_box
+        qlo, qhi, free = self._box(np.repeat(self.tpart[ranks], sizes) if per_row else None)
+
+        def inbox(pos):
+            if pos is None:  # no row has a box test
+                return free
+            mask = np.all((pos >= qlo) & (pos <= qhi), axis=1)
+            return mask if free is None else mask | free
+
+        return inbox
+
+    def _fetcher(self, ranks: np.ndarray, method: str = "columns"):
+        """The :func:`_gather` ``fetch`` of segments over treelets ``ranks``:
+        one call of the handle's ``method`` (:meth:`~repro.bat.file.BATFile.columns`,
+        or :meth:`~repro.bat.file.BATFile.walk_tables`) per file, a file
+        that fails raised as :class:`_PartFailed`."""
+        parts = self.tpart[ranks].tolist()
+        leaves = [self.leaves[r] for r in ranks.tolist()]
+
+        def fetch(segs, *args):
+            # segments come in part order: one run when the ends agree
+            runs = (
+                [(parts[segs[0]], segs)] if parts[segs[0]] == parts[segs[-1]]
+                else groupby(segs, key=parts.__getitem__)
+            )
+            out = []
+            for p, group in runs:
+                try:
+                    out += getattr(self.ctxs[p].bat, method)([leaves[s] for s in group], *args)
+                except LEAF_ERRORS as exc:
+                    raise _PartFailed(p, exc) from None
+            return out
+
+        return fetch
+
+    # -- windows -----------------------------------------------------------------
+
+    def window(self, q_lo: float, q_hi: float, keyed: bool = False) -> list[tuple]:
+        """Row chunks ``(positions, attrs, count, ranks, slots)`` the step
+        adds between qualities ``q_lo → q_hi``, in emission order.
 
         Each treelet emitted whole is one chunk of views; the walked rows
         between two such are one chunk, sliced from the window's gathered
         arrays. ``ranks`` / ``slots`` are per-row order keys, only built
         when ``keyed``.
         """
-        ctx = self.ctx
+        while True:
+            spent, reached, tally = self.spent.copy(), self.reached.copy(), self._tally()
+            try:
+                chunks = self._window(q_lo, q_hi, keyed, tally)
+            except _PartFailed as fail:
+                # drop the part and redo the window without it
+                self.spent, self.reached = spent, reached
+                self._flush(tally, [fail.part])
+                self.ctxs[fail.part].error = fail.error
+                self.spent[self.tpart == fail.part] = True
+                continue
+            self._flush(tally)
+            return chunks
+
+    def _window(self, q_lo, q_hi, keyed, tally) -> list[tuple]:
+        # each file's effective depths, from its own tree depth
+        e_lo = np.array([quality_to_depth(q_lo, c.bat.max_treelet_depth) for c in self.ctxs])
+        e_hi = np.array([quality_to_depth(q_hi, c.bat.max_treelet_depth) for c in self.ctxs])
+        tp = self.tpart
         live = ~self.spent
-        whole = live & self.containable & (e_lo == 0.0) & (e_hi >= self.max_depth + 1)
+        whole = live & self.containable & (self._rows(e_lo, tp) == 0.0)
+        whole &= self._rows(e_hi, tp) >= self.max_depth + 1
         self.spent |= whole
-        ctx.stats.nodes_visited += int(np.count_nonzero(whole))
+        tally[_NODES] += self._count(tp, whole)
         walked = live & ~whole
-        rows = self._walk(walked, e_lo, e_hi) if walked.any() else None
-        whole_ranks = np.flatnonzero(whole).tolist()
-        wholes = self._wholes(whole_ranks, keyed)
+        rows = self._walk(walked, e_lo, e_hi, tally) if walked.any() else None
+        whole_ranks = np.flatnonzero(whole)
+        wholes = self._wholes(whole_ranks, keyed, tally)
+        self.views = bool(whole_ranks.size)
         if rows is None:
             return wholes
         pos, attrs, count, ranks, bounds, slots = rows
@@ -637,22 +909,24 @@ class _FileWalk:
                 chunks.append(whole_chunk)
         return chunks
 
-    def _wholes(self, ranks: list[int], keyed: bool) -> list[tuple]:
+    def _wholes(self, ranks: np.ndarray, keyed: bool, tally) -> list[tuple]:
         """Treelets emitted whole: views of their columns, no table, no check.
 
-        Each column is fetched for all of them in one call. No box test
-        runs here, so under column projection the node records and the
-        position block are never touched — a one-column read decodes just
-        that column.
+        Each column is fetched for all of a file's in one call. No box
+        test runs here, so under column projection the node records and
+        the position block are never touched — a one-column read decodes
+        just that column.
         """
-        if not ranks:
+        if not ranks.size:
             return []
-        leaves = [self.leaves[r] for r in ranks]
-        pos = self.bat.columns(leaves, None) if self.ctx.with_positions else None
-        cols = {name: self.bat.columns(leaves, name) for name in self.names}
+        fetch = self._fetcher(ranks)
+        segs = range(len(ranks))
+        pos = fetch(segs, None) if self.with_positions else None
+        cols = {name: fetch(segs, name) for name in self.names}
+        sizes = self.n_points[ranks]
+        tally[_RETURNED] += self._per_part(ranks, sizes)
         chunks = []
-        for i, rank in enumerate(ranks):
-            n = int(self.n_points[rank])
+        for i, (rank, n) in enumerate(zip(ranks.tolist(), sizes.tolist())):
             chunks.append((
                 None if pos is None else pos[i],
                 {name: col[i] for name, col in cols.items()},
@@ -662,50 +936,64 @@ class _FileWalk:
             ))
         return chunks
 
-    def _walk(self, walked: np.ndarray, e_lo: float, e_hi: float):
-        """The ``walked`` treelets' rows between ``e_lo → e_hi``, gathered once.
+    def _walk(self, walked: np.ndarray, e_lo: np.ndarray, e_hi: np.ndarray, tally):
+        """The ``walked`` treelets' rows between ``e_lo → e_hi`` (per part),
+        gathered once.
 
         Returns ``(positions, attrs, count, ranks, bounds, slots)`` — the
         rows of treelet ``ranks[i]`` at ``bounds[i]:bounds[i + 1]``, and
         ``slots`` their node-order slots — or ``None`` when no row passes.
         """
-        ctx = self.ctx
         if self.forest is None:
             ranks = np.flatnonzero(walked)
-            f = self.forest = _Forest(
-                self.bat.walk_tables([self.leaves[r] for r in ranks.tolist()]), ranks,
-                bool(ctx.bitmap_tests),
-            )
-            self.inside, keep = _node_tests(ctx, f.lo, f.hi, f.bitmaps)
+            tables = self._fetcher(ranks, "walk_tables")(range(len(ranks)))
+            f = self.forest = _Forest(tables, ranks, bool(self.bitmap_tests))
+            self.fpart = self.tpart[f.tid]
+            self.inside, keep = self._node_tests(self.fpart, f.lo, f.hi, f.bitmaps)
             self.alive, self.visited = f.survivors(keep)
-        f = self.forest
-        fl_lo, fl_hi = math.floor(e_lo), math.floor(e_hi)
-        upto = walked[f.tid] & (f.depth <= fl_hi)
-        if fl_hi > self.reached:
-            new = upto & (f.depth > self.reached)
-            _count_visits(ctx.stats, self.visited & new, self.inside, self.alive & new)
-            self.reached = fl_hi
-        sel = np.flatnonzero(self.alive & upto & (f.depth >= fl_lo))
+        f, rp = self.forest, self.fpart
+        # depths are non-negative: truncation is floor
+        fl_lo, fl_hi = e_lo.astype(np.int64), e_hi.astype(np.int64)
+        upto = walked[f.tid] & (f.depth <= self._rows(fl_hi, rp))
+        new = upto & (f.depth > self._rows(self.reached, rp))
+        self._count_visits(tally, rp, self.visited & new, self.inside, self.alive & new)
+        self.reached = np.maximum(self.reached, fl_hi)
+        sel = np.flatnonzero(self.alive & upto & (f.depth >= self._rows(fl_lo, rp)))
         if not sel.size:
             return None
         d = f.depth[sel]
         beg = f.begin[sel]
         cnt = f.count[sel]
+        ps = rp[sel]
         # Same rounding as the recursive walk: truncation of f*count + 0.5
         # (values are non-negative), f = clip(e - depth, 0, 1).
-        lo_slot = beg + (np.clip(e_lo - d, 0.0, 1.0) * cnt + 0.5).astype(np.int64)
-        hi_slot = beg + (np.clip(e_hi - d, 0.0, 1.0) * cnt + 0.5).astype(np.int64)
+        lo_slot = beg + (np.clip(self._rows(e_lo, ps) - d, 0.0, 1.0) * cnt + 0.5).astype(np.int64)
+        hi_slot = beg + (np.clip(self._rows(e_hi, ps) - d, 0.0, 1.0) * cnt + 0.5).astype(np.int64)
         # Rows are node ids, assigned in pre-order: exactly the recursive
         # walk's emission order (and ascending slot order, by construction
         # of the node-order particle layout).
-        seg = _segments(lo_slot, hi_slot, f.tid[sel], self.n_points)
+        tid = f.tid[sel]
+        try:
+            seg = _segments(lo_slot, hi_slot, tid, self.n_points)
+        except IntegrityError as exc:
+            bad = (hi_slot > lo_slot) & (hi_slot > self.n_points[tid])
+            raise _PartFailed(int(self.tpart[tid[np.argmax(bad)]]), exc) from None
         if seg is None:
             return None
         index, ranks, bounds, runs = seg
-        ctx.stats.points_tested += len(index)
-        leaves = [self.leaves[r] for r in ranks.tolist()]
-        pos, cols, kept = _check(
-            self.bat, leaves, index, bounds, runs, ctx.box, ctx.filters, ctx.with_positions
+        sizes = bounds[1:] - bounds[:-1]
+        tally[_TESTED] += self._per_part(ranks, sizes)
+        fetch = self._fetcher(ranks)
+        pos = None
+        if self.with_positions or self.qlo is not None:
+            # positions decode only where returned or needed for a box test
+            want = None
+            if not self.with_positions and self.free is not None:
+                want = ~self.free[self.tpart[ranks]]
+            pos = _gather(fetch, None, index, bounds, runs, want)
+        cols, kept = _check(
+            lambda name: _gather(fetch, name, index, bounds, runs),
+            pos, self._inbox(ranks, sizes), self.filters,
         )
         count = len(index)
         if kept is not None:
@@ -714,23 +1002,26 @@ class _FileWalk:
                 return None
             index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
             cols = {name: vals[kept] for name, vals in cols.items() if name in self.names}
-            if ctx.with_positions:
+            if self.with_positions:
                 pos = pos.take(kept, axis=0)
-        if not ctx.with_positions:
+        if not self.with_positions:
             pos = None
         # selection is by key so lazily decoded (v4) columns outside the
         # requested set are never materialized
         attrs = {
-            name: cols[name] if name in cols
-            else _gather(self.bat, leaves, name, index, bounds, runs)
+            name: cols[name] if name in cols else _gather(fetch, name, index, bounds, runs)
             for name in self.names
         }
+        tally[_RETURNED] += self._per_part(ranks, bounds[1:] - bounds[:-1])
         return pos, attrs, count, ranks, bounds, index
 
 
-def _concat(parts: list[np.ndarray], dtype, shape=(0,)) -> np.ndarray:
-    """``np.concatenate`` that turns no parts into a typed empty array."""
-    return np.concatenate(parts) if parts else np.empty(shape, dtype=dtype)
+def _concat(parts: list[np.ndarray], dtype, shape=(0,), copy: bool = True) -> np.ndarray:
+    """``np.concatenate`` that turns no parts into a typed empty array, and
+    hands a lone part back as it is unless ``copy``."""
+    if not parts:
+        return np.empty(shape, dtype=dtype)
+    return parts[0] if len(parts) == 1 and not copy else np.concatenate(parts)
 
 
 # -- streamed reads -------------------------------------------------------------
@@ -807,34 +1098,31 @@ def stream_query_file(
         bat, ladder[-1], prev_quality, box, filters, attributes, with_positions,
         stats=stats,
     )
-    walk = _FileWalk(bat, ctx) if ctx.live else None
+    step = _Step([ctx]) if ctx.live else None
     specs = bat.attribute_specs()
     if attributes is not None:
         specs = [sp for sp in specs if sp.name in attributes]
     prev = prev_quality
     for q in ladder:
-        chunks = []
-        if walk is not None:
-            chunks = walk.window(
-                quality_to_depth(prev, bat.max_treelet_depth),
-                quality_to_depth(q, bat.max_treelet_depth),
-                keyed=True,
-            )
+        chunks = step.window(prev, q, keyed=True) if step is not None else []
+        if ctx.error is not None:
+            raise ctx.error
         total = sum(c[2] for c in chunks)
-        ctx.stats.points_returned += total
+        # rows the walk gathered alone are a copy already (as in query_file)
+        copy = step is None or step.views
         yield FileIncrement(
             quality=q,
             prev_quality=prev,
             positions=(
-                _concat([c[0] for c in chunks], np.float32, (0, 3))
+                _concat([c[0] for c in chunks], np.float32, (0, 3), copy)
                 if with_positions else None
             ),
             attributes={
-                sp.name: _concat([c[1][sp.name] for c in chunks], sp.dtype)
+                sp.name: _concat([c[1][sp.name] for c in chunks], sp.dtype, copy=copy)
                 for sp in specs
             },
             count=total,
-            treelet_rank=_concat([c[3] for c in chunks], np.int64),
-            slots=_concat([c[4] for c in chunks], np.int64),
+            treelet_rank=_concat([c[3] for c in chunks], np.int64, copy=copy),
+            slots=_concat([c[4] for c in chunks], np.int64, copy=copy),
         )
         prev = q

@@ -34,8 +34,9 @@ from ..bat.neighbors import (
     radius_neighbors,
 )
 from ..bat.query import (
+    LEAF_ERRORS,
     QueryStats,
-    concat_chunks,
+    StepPart,
     default_quality_ladder,
     query_file,
     stream_query_file,
@@ -46,9 +47,6 @@ from .metadata import DatasetMetadata
 from .planner import NeighborQueryPlan, PlanCache, QueryPlan
 
 __all__ = ["BATDataset", "empty_batch"]
-
-#: what a corrupt or missing leaf file raises, at open or mid-traversal
-_LEAF_ERRORS = (FileNotFoundError, IntegrityError)
 
 
 def _split_columns(columns) -> tuple[list[str] | None, bool]:
@@ -78,9 +76,9 @@ class BATDataset:
 
     ``file_cache`` bounds how many leaf files stay open between queries
     and may be shared with other datasets (e.g. across the steps of a
-    time series). A read is one reader walking the planned leaf files in
-    order through that cache; docs/PERFORMANCE.md has the measurements
-    behind not fanning it out.
+    time series). A read is one reader reading the planned leaf files,
+    in order, as one step through that cache; docs/PERFORMANCE.md has
+    the measurements behind not fanning it out.
     """
 
     def __init__(
@@ -97,6 +95,11 @@ class BATDataset:
                 "only reads 'bat' files (see repro.layouts for the reader)"
             )
         self.directory = self.metadata_path.parent
+        #: each leaf's path, resolved once: an open dataset's manifest never
+        #: changes (the handle cache still checks the file on every lookup)
+        self._leaf_paths = [
+            str(self.directory / leaf.file_name) for leaf in self.metadata.leaves
+        ]
         self._cache = file_cache if file_cache is not None else BATFileCache()
         self._owns_cache = file_cache is None
         # the serve layer injects a plan cache it also reads stats from;
@@ -124,8 +127,8 @@ class BATDataset:
             self._cache.close()
         else:
             # shared cache: only drop this dataset's entries
-            for leaf in self.metadata.leaves:
-                self._cache.drop(self.directory / leaf.file_name)
+            for path in self._leaf_paths:
+                self._cache.drop(path)
 
     def __enter__(self) -> "BATDataset":
         return self
@@ -164,8 +167,7 @@ class BATDataset:
 
     def file(self, leaf_index: int) -> BATFile:
         """Open the BAT file of one leaf through the LRU handle cache."""
-        leaf = self.metadata.leaves[leaf_index]
-        return self._cache.get(self.directory / leaf.file_name)
+        return self._cache.get(self._leaf_paths[leaf_index])
 
     def attribute_specs(self) -> list:
         """Attribute specs without faulting new files into the cache.
@@ -180,12 +182,11 @@ class BATDataset:
             return specs
         if not self.metadata.leaves:
             return []
-        for leaf in self.metadata.leaves:
-            cached = self._cache.peek(self.directory / leaf.file_name)
+        for path in self._leaf_paths:
+            cached = self._cache.peek(path)
             if cached is not None:
                 return cached.attribute_specs()
-        first = self.metadata.leaves[0]
-        with BATFile(self.directory / first.file_name) as f:
+        with BATFile(self._leaf_paths[0]) as f:
             return f.attribute_specs()
 
     # -- quarantine ------------------------------------------------------------
@@ -196,10 +197,9 @@ class BATDataset:
         Also drops any cached handle so a repaired file is re-opened and
         re-verified after :meth:`clear_quarantine`.
         """
-        leaf = self.metadata.leaves[leaf_index]
         with self._quarantine_lock:
             self._quarantined[leaf_index] = reason
-        self._cache.drop(self.directory / leaf.file_name)
+        self._cache.drop(self._leaf_paths[leaf_index])
 
     def quarantined(self) -> dict[int, str]:
         """Snapshot of quarantined leaves: ``{leaf_index: reason}``."""
@@ -265,13 +265,16 @@ class BATDataset:
 
         Same semantics as :func:`repro.bat.query.query_file`, with the
         planner pruning which leaf files get touched at all. The kept
-        files are read in plan (= leaf index) order through the shared
-        handle cache, so results, stats and callback chunks follow file
-        order. Every file's row chunks are collected and the batch is
-        concatenated once, across files: a chunk may be a view of a mapped
-        file whose handle the cache closes before the read ends, which
-        :meth:`~repro.bat.file.BATFile.close` tolerates — the mapping
-        lives as long as the view.
+        files are looked up in plan (= leaf index) order through the
+        shared handle cache — leased for the read — and read as one
+        step: one ``query_file`` call over all of them, so results and
+        stats equal those of reading them one at a time, in that order.
+        The batch is concatenated once, across files, inside the lease.
+        Callback chunks come per step, once it is read: file order, but
+        a chunk of walked rows can span files, and a chunk may be a view
+        of a mapped file whose handle the cache closes once the lease
+        ends, which :meth:`~repro.bat.file.BATFile.close` tolerates — the
+        mapping lives as long as the view.
 
         ``request.on_error`` decides what a corrupt or missing leaf file
         does: ``"raise"`` surfaces a clear
@@ -293,42 +296,47 @@ class BATDataset:
         stats = QueryStats(
             pruned_files=plan.pruned_files, quarantined_files=plan.excluded_files
         )
+        failed: dict[int, Exception] = {}
+        opened: list[tuple[int, int]] = []  # (leaf index, decoded bytes before)
+        parts: list[StepPart] = []
+        # the step holds every part's handle until it returns
+        with self._cache.lease([self._leaf_paths[fp.leaf_index] for fp in plan.files]):
+            for fp in plan.files:
+                try:
+                    f = self.file(fp.leaf_index)
+                except LEAF_ERRORS as exc:
+                    failed[fp.leaf_index] = exc
+                    continue
+                opened.append((fp.leaf_index, f.decoded_bytes))
+                parts.append(StepPart(f, fp.box))
+            batch, _ = query_file(
+                parts,
+                quality=req.quality,
+                prev_quality=req.prev_quality,
+                filters=req.filters,
+                callback=callback,
+                attributes=attributes,
+                with_positions=with_positions,
+            )
         leaf_stats: list[tuple[int, QueryStats]] = []
-        chunks: list[tuple] = []
-        sink = callback if callback is not None else (lambda p, a: chunks.append((p, a)))
-        for fp in plan.files:
-            mark = len(chunks)
-            try:
-                f = self.file(fp.leaf_index)
-                decoded_before = f.decoded_bytes
-                _, s = query_file(
-                    f,
-                    quality=req.quality,
-                    prev_quality=req.prev_quality,
-                    box=fp.box,
-                    filters=req.filters,
-                    callback=sink,
-                    attributes=attributes,
-                    with_positions=with_positions,
-                )
-            except _LEAF_ERRORS as exc:
-                del chunks[mark:]  # a failed file contributes no rows
-                self._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
+        for (i, decoded_before), part in zip(opened, parts):
+            if part.error is not None:
+                failed[i] = part.error  # its rows are in no result
                 continue
-            s.decoded_bytes = f.decoded_bytes - decoded_before
-            stats.merge(s)
-            leaf_stats.append((fp.leaf_index, s))
+            part.stats.decoded_bytes = part.bat.decoded_bytes - decoded_before
+            stats.merge(part.stats)
+            leaf_stats.append((i, part.stats))
+        for fp in plan.files:  # in plan order: "raise" names the first
+            if fp.leaf_index in failed:
+                self._leaf_failed(fp.leaf_index, failed[fp.leaf_index], req.on_error, stats)
         if self.telemetry is not None:
             self.telemetry.view(req.box, req.filters, self._materialized_columns(req))
             for i, s in leaf_stats:
                 self.telemetry.leaf(
                     i, points=s.points_returned, decoded_bytes=s.decoded_bytes
                 )
-        if callback is not None:
-            return QueryResult(batch=None, stats=stats)
-        if not chunks:
-            return QueryResult(batch=empty_batch(self, req.columns), stats=stats)
-        batch = concat_chunks(chunks, with_positions, stats.points_returned)
+        if callback is None and stats.points_returned == 0:
+            batch = empty_batch(self, req.columns)
         return QueryResult(batch=batch, stats=stats)
 
     def stream(self, request=None, ladder=None, plan=None):
@@ -434,7 +442,7 @@ class BATDataset:
                 return None
             try:
                 f = self.file(leaf_index)
-            except _LEAF_ERRORS as exc:
+            except LEAF_ERRORS as exc:
                 self._leaf_failed(leaf_index, exc, request.on_error, stats)
                 failed.add(leaf_index)
                 return None
@@ -538,14 +546,14 @@ class BATDataset:
         leaf_handles: dict[int, tuple] = {}
         leaf_points: dict[int, int] = {}
         with self._cache.lease(
-            [self.directory / fp.file_name for fp in plan.files]
+            [self._leaf_paths[fp.leaf_index] for fp in plan.files]
         ):
             gens = []  # [(file_rank, leaf_index, per-file increment generator)]
             for file_rank, fp in enumerate(plan.files):
                 try:
                     f = self.file(fp.leaf_index)
                     leaf_handles[fp.leaf_index] = (f, f.decoded_bytes)
-                except _LEAF_ERRORS as exc:
+                except LEAF_ERRORS as exc:
                     self._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
                     partial = True
                     continue
@@ -592,7 +600,7 @@ class BATDataset:
             for slot, (file_rank, leaf_index, gen) in enumerate(gens):
                 try:
                     inc = next(gen)
-                except _LEAF_ERRORS as exc:
+                except LEAF_ERRORS as exc:
                     self._leaf_failed(leaf_index, exc, req.on_error, stats)
                     partial = True
                     dead.append(slot)
@@ -645,7 +653,7 @@ class BATDataset:
             stats.quarantined_files += 1
             return
         leaf = self.metadata.leaves[leaf_index]
-        path = str(self.directory / leaf.file_name)
+        path = self._leaf_paths[leaf_index]
         context = (
             f"leaf file {leaf.file_name!r} (leaf {leaf_index}) of dataset "
             f"{self.metadata_path.name!r}"

@@ -3,9 +3,10 @@
 This is the original per-node stack walk, kept as the reference the read
 tests compare against — the role ``reference_treelet.py`` plays for the
 treelet builder. Nothing in ``src/`` calls it. It shares the request
-prologue and the result assembly with the core (``_prepare`` /
-``_result``), so both validate and count the same way; the walk itself —
-which nodes are visited, pruned, windowed and emitted — is its own.
+prologue and the final concatenation with the core (``_prepare`` /
+``concat_chunks``), so both validate and count the same way; the walk
+itself — which nodes are visited, pruned, windowed and emitted — is its
+own, one file at a time.
 
 Both return identical batches and identical ``points_tested`` /
 ``points_returned`` / ``treelets_visited`` counters; ``nodes_visited`` and
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 
 from repro.bat.file import BATFile
-from repro.bat.query import AttributeFilter, QueryStats, _prepare, _result
+from repro.bat.query import AttributeFilter, QueryStats, _prepare, concat_chunks
 from repro.types import Box, ParticleBatch
 
 __all__ = ["query_file_recursive"]
@@ -38,12 +39,37 @@ def query_file_recursive(
 
     Same arguments, same bytes, one emitted chunk per node.
     """
-    ctx = _prepare(
-        bat, quality, prev_quality, box, filters, attributes, with_positions, callback
-    )
+    ctx = _prepare(bat, quality, prev_quality, box, filters, attributes, with_positions)
+    ctx.out = _Out(ctx.stats, callback)
     if ctx.live:
         _traverse_shallow(bat, ctx)
-    return _result(bat, ctx)
+    if callback is not None:
+        return None, ctx.stats
+    if ctx.stats.points_returned == 0:
+        specs = bat.attribute_specs()
+        if ctx.attributes is not None:
+            specs = [sp for sp in specs if sp.name in ctx.attributes]
+        return ParticleBatch.empty(specs, with_positions=ctx.with_positions), ctx.stats
+    return concat_chunks(ctx.out.chunks, ctx.with_positions, ctx.stats.points_returned), ctx.stats
+
+
+class _Out:
+    """Where the walk's rows go: ``(positions, attrs)`` chunks, or a callback."""
+
+    def __init__(self, stats: QueryStats, callback):
+        self.stats = stats
+        self.callback = callback
+        self.chunks = []
+
+    def emit(self, positions, attrs, count=None) -> None:
+        n = int(count) if positions is None else len(positions)
+        if n == 0:
+            return
+        self.stats.points_returned += n
+        if self.callback is not None:
+            self.callback(positions, attrs)
+        else:
+            self.chunks.append((positions, attrs))
 
 
 def _depth_fraction(depth: int, e: float) -> float:
@@ -110,9 +136,9 @@ def _emit_full_treelet(tv, ctx) -> None:
         if ctx.attributes is None or k in ctx.attributes
     }
     if ctx.with_positions:
-        ctx.emit(tv.positions, attrs)
+        ctx.out.emit(tv.positions, attrs)
     else:
-        ctx.emit(None, attrs, count=tv.n_points)
+        ctx.out.emit(None, attrs, count=tv.n_points)
 
 
 def _traverse_treelet(bat: BATFile, leaf: int, leaf_box: Box, ctx) -> None:
@@ -174,9 +200,9 @@ def _emit_points(tv, lo_slot: int, hi_slot: int, ctx) -> None:
     # requested set are never materialized
     names = [n for n in tv.attributes if ctx.attributes is None or n in ctx.attributes]
     if mask is None:
-        ctx.emit(pos, {n: tv.attributes[n][lo_slot:hi_slot] for n in names}, count=n_sel)
+        ctx.out.emit(pos, {n: tv.attributes[n][lo_slot:hi_slot] for n in names}, count=n_sel)
     elif mask.any():
-        ctx.emit(
+        ctx.out.emit(
             pos[mask] if pos is not None else None,
             {n: tv.attributes[n][lo_slot:hi_slot][mask] for n in names},
             count=int(mask.sum()),

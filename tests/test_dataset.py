@@ -131,10 +131,10 @@ class TestQueries:
 
 class TestOneCopyAcrossFiles:
     """A read hands every file's row chunks — a whole treelet as a view of
-    the mapped file — to one concatenation at its end. Through a one-handle
-    cache each handle is closed before the read is over; ``BATFile.close``
-    leaves a mapping alive while a view of it exists, so the result is still
-    exact, and it shares no memory with any mapping."""
+    the mapped file — to one concatenation at the end of its step. A
+    one-handle cache holds every planned handle for the step and evicts
+    (closes) them as it ends; the result is still exact, and it shares no
+    memory with any mapping."""
 
     def test_handles_closed_mid_read(self, dataset):
         ds = dataset[0]
