@@ -74,9 +74,10 @@ The two entry points differ only in what they do with the chunks:
 
 - :func:`query_file` asks for one window and concatenates them (or hands
   each one to a callback).
-- :func:`stream_query_file` keeps the walk of one file across the rungs
-  of a quality ladder and attaches per-row order keys ``(treelet_rank,
-  slot)`` so the increments can be merged back into the one-shot order.
+- :func:`stream_query_file` keeps the walk of one step across the rungs
+  of a quality ladder and attaches per-row order keys ``(part,
+  treelet_rank, slot)`` so the increments can be merged back into the
+  one-shot order.
 
 **One engine.** There is no second traversal in the package. The
 original per-node stack walk is kept as the tests' reference
@@ -213,23 +214,59 @@ def default_quality_ladder(
     return tuple(rungs)
 
 
+def check_ladder(ladder, prev_quality: float) -> tuple[float, ...]:
+    """``ladder`` as a tuple of floats, checked to be a stream's ladder:
+    at least one rung, non-descending within ``[prev_quality, 1]``."""
+    ladder = tuple(float(q) for q in ladder)
+    if not ladder:
+        raise InvalidRequestError("ladder must have at least one rung")
+    lo = prev_quality
+    for q in ladder:
+        if not lo <= q <= 1.0:
+            raise InvalidRequestError("ladder must be non-descending within [prev_quality, 1]")
+        lo = q
+    return ladder
+
+
 
 
 @dataclass
 class StepPart:
-    """One file of a multi-file :func:`query_file` step.
+    """One file of a multi-file :func:`query_file` or
+    :func:`stream_query_file` step.
 
     ``bat`` and ``box`` (the file's plan box; ``None`` = no box test) go
     in. ``stats`` come out as the file's own counters, exactly those of
-    reading it alone; ``error`` is the ``IntegrityError`` or
-    ``FileNotFoundError`` that dropped the file from the step — its rows
-    are then in no result and its counters are partial — else ``None``.
+    reading it alone (parts may share one object, to sum into); ``error``
+    is the ``IntegrityError`` or ``FileNotFoundError`` that dropped the
+    file from the step — its rows are then in no later result and its
+    counters are partial — else ``None``.
     """
 
     bat: BATFile
     box: Box | None = None
     stats: QueryStats = field(default_factory=QueryStats)
     error: Exception | None = None
+
+
+def _open_step(bat, box, stats, quality, prev_quality, filters, attributes, with_positions):
+    """``(one, parts, ctxs, step)`` of a read's ``bat`` argument — one file
+    read with ``box`` (counting into ``stats``, if given) is the one-part
+    step: its parts, every part's prepared read, and the :class:`_Step`
+    over the live ones (``None`` when none is)."""
+    if isinstance(bat, BATFile):
+        one, parts = True, [StepPart(bat, box, stats if stats is not None else QueryStats())]
+    elif box is not None:
+        raise InvalidRequestError("a step's boxes are per file: set StepPart.box")
+    else:
+        one, parts = False, list(bat)
+    ctxs = [
+        _prepare(p.bat, quality, prev_quality, p.box, filters, attributes, with_positions,
+                 stats=p.stats)
+        for p in parts
+    ]
+    live = [c for c in ctxs if c.live]
+    return one, parts, ctxs, _Step(live) if live else None
 
 
 @dataclass
@@ -319,6 +356,21 @@ def _prepare(
     return ctx
 
 
+def _specs(parts, attributes) -> list:
+    """The attribute specs a step's result carries."""
+    specs = parts[0].bat.attribute_specs() if parts else []
+    return specs if attributes is None else [sp for sp in specs if sp.name in attributes]
+
+
+def _settle(one: bool, parts, ctxs) -> None:
+    """Hand each part the error that dropped it, if any; a one-file read
+    raises it instead."""
+    for p, c in zip(parts, ctxs):
+        p.error = c.error
+    if one and parts[0].error is not None:
+        raise parts[0].error
+
+
 def concat_chunks(chunks, with_positions: bool, count: int) -> ParticleBatch:
     """One batch from a read's non-empty list of ``(positions, attrs)`` chunks.
 
@@ -375,38 +427,22 @@ def query_file(
     (v4) files the position block is only decoded where a box test still
     needs it. Callbacks then receive ``None`` as their positions argument.
     """
-    one = isinstance(bat, BATFile)
-    if one:
-        parts = [StepPart(bat, box)]
-    elif box is not None:
-        raise InvalidRequestError("a step's boxes are per file: set StepPart.box")
-    else:
-        parts = list(bat)
-    ctxs = [
-        _prepare(p.bat, quality, prev_quality, p.box, filters, attributes, with_positions,
-                 stats=p.stats)
-        for p in parts
-    ]
-    live = [c for c in ctxs if c.live]
-    step = _Step(live) if live else None
-    chunks = step.window(prev_quality, quality) if step is not None else []
+    one, parts, ctxs, step = _open_step(
+        bat, box, None, quality, prev_quality, filters, attributes, with_positions
+    )
+    chunks, _ = step.window(prev_quality, quality) if step is not None else ([], None)
+    _settle(one, parts, ctxs)
     stats = QueryStats()
-    for p, c in zip(parts, ctxs):
-        p.error = c.error
-        if c.error is None:
+    for p in parts:
+        if p.error is None:
             stats.merge(p.stats)
-    if one and parts[0].error is not None:
-        raise parts[0].error
-    rows = [(pos, attrs) for pos, attrs, count, _, _ in chunks if count]
+    rows = [(pos, attrs) for pos, attrs, count in chunks if count]
     if callback is not None:
         for pos, attrs in rows:
             callback(pos, attrs)
         return None, stats
     if not rows:
-        specs = parts[0].bat.attribute_specs() if parts else []
-        if attributes is not None:
-            specs = [sp for sp in specs if sp.name in attributes]
-        return ParticleBatch.empty(specs, with_positions=with_positions), stats
+        return ParticleBatch.empty(_specs(parts, attributes), with_positions=with_positions), stats
     if len(rows) == 1 and not step.views:
         # rows the walk gathered are a copy already: this is their one copy
         return ParticleBatch(*rows[0], count=stats.points_returned), stats
@@ -630,7 +666,7 @@ class _Step:
     __slots__ = (
         "ctxs", "filters", "with_positions", "names", "bitmap_tests",
         "qlo", "qhi", "free", "one_box",
-        "tpart", "leaves", "n_points", "max_depth", "containable", "spent",
+        "tpart", "first", "leaves", "n_points", "max_depth", "containable", "spent",
         "forest", "fpart", "inside", "alive", "visited", "reached", "views",
     )
 
@@ -685,6 +721,8 @@ class _Step:
         else:
             tpart = leaves = rows = np.zeros(0, dtype=np.int64)
         self.tpart = tpart
+        #: per part, the rank of its first treelet
+        self.first = np.searchsorted(tpart, np.arange(len(ctxs)))
         tally[_TREELETS] += self._count(tpart)
         self._flush(tally)
         self.leaves = leaves.tolist()
@@ -849,14 +887,15 @@ class _Step:
 
     # -- windows -----------------------------------------------------------------
 
-    def window(self, q_lo: float, q_hi: float, keyed: bool = False) -> list[tuple]:
-        """Row chunks ``(positions, attrs, count, ranks, slots)`` the step
-        adds between qualities ``q_lo → q_hi``, in emission order.
+    def window(self, q_lo: float, q_hi: float, keyed: bool = False):
+        """``(chunks, keys)``: the row chunks ``(positions, attrs, count)``
+        the step adds between qualities ``q_lo → q_hi``, in emission order,
+        and — only when ``keyed`` — the rows' order keys ``(part, treelet
+        rank within the part, slot)``, one ``(n, 3)`` int64 array.
 
         Each treelet emitted whole is one chunk of views; the walked rows
         between two such are one chunk, sliced from the window's gathered
-        arrays. ``ranks`` / ``slots`` are per-row order keys, only built
-        when ``keyed``.
+        arrays.
         """
         while True:
             spent, reached, tally = self.spent.copy(), self.reached.copy(), self._tally()
@@ -872,7 +911,7 @@ class _Step:
             self._flush(tally)
             return chunks
 
-    def _window(self, q_lo, q_hi, keyed, tally) -> list[tuple]:
+    def _window(self, q_lo, q_hi, keyed, tally):
         # each file's effective depths, from its own tree depth
         e_lo = np.array([quality_to_depth(q_lo, c.bat.max_treelet_depth) for c in self.ctxs])
         e_hi = np.array([quality_to_depth(q_hi, c.bat.max_treelet_depth) for c in self.ctxs])
@@ -885,15 +924,14 @@ class _Step:
         walked = live & ~whole
         rows = self._walk(walked, e_lo, e_hi, tally) if walked.any() else None
         whole_ranks = np.flatnonzero(whole)
-        wholes = self._wholes(whole_ranks, keyed, tally)
+        wholes = self._wholes(whole_ranks, tally)
         self.views = bool(whole_ranks.size)
-        if rows is None:
-            return wholes
-        pos, attrs, count, ranks, bounds, slots = rows
-        row_ranks = np.repeat(ranks, np.diff(bounds)) if keyed else None
+        pos, attrs, count, ranks, bounds, slots = rows or _NO_ROWS
         # the row offset each whole treelet sits at among the walked rows
         cuts = bounds[np.searchsorted(ranks, whole_ranks)].tolist()
-        chunks = []
+        sizes = self.n_points[whole_ranks]
+        from0 = np.arange(sizes.max(initial=0))  # a whole treelet's slots
+        chunks, slot_runs = [], []  # the rows' slots, chunk by chunk
         done = 0
         for whole_chunk, cut in zip([*wholes, None], [*cuts, count]):
             if cut > done:
@@ -901,15 +939,27 @@ class _Step:
                     None if pos is None else pos[done:cut],
                     {name: col[done:cut] for name, col in attrs.items()},
                     cut - done,
-                    None if row_ranks is None else row_ranks[done:cut],
-                    slots[done:cut] if keyed else None,
                 ))
+                slot_runs.append(slots[done:cut])
                 done = cut
             if whole_chunk is not None:
                 chunks.append(whole_chunk)
-        return chunks
+                slot_runs.append(from0[: whole_chunk[2]])
+        if not keyed:
+            return chunks, None
+        # the rows' treelets, in emission (= rank) order
+        ranks = np.concatenate([ranks, whole_ranks])
+        at = np.argsort(ranks)
+        ranks, sizes = ranks[at], np.concatenate([np.diff(bounds), sizes])[at]
+        part = self.tpart[ranks]
+        keys = np.empty((3, int(sizes.sum())), dtype=np.int64)  # column-major: key by key
+        keys[0] = np.repeat(part, sizes)
+        keys[1] = np.repeat(ranks - self.first[part], sizes)
+        if slot_runs:
+            np.concatenate(slot_runs, out=keys[2])
+        return chunks, keys.T
 
-    def _wholes(self, ranks: np.ndarray, keyed: bool, tally) -> list[tuple]:
+    def _wholes(self, ranks: np.ndarray, tally) -> list[tuple]:
         """Treelets emitted whole: views of their columns, no table, no check.
 
         Each column is fetched for all of a file's in one call. No box
@@ -925,16 +975,10 @@ class _Step:
         cols = {name: fetch(segs, name) for name in self.names}
         sizes = self.n_points[ranks]
         tally[_RETURNED] += self._per_part(ranks, sizes)
-        chunks = []
-        for i, (rank, n) in enumerate(zip(ranks.tolist(), sizes.tolist())):
-            chunks.append((
-                None if pos is None else pos[i],
-                {name: col[i] for name, col in cols.items()},
-                n,
-                np.full(n, rank, dtype=np.int64) if keyed else None,
-                np.arange(n, dtype=np.int64) if keyed else None,
-            ))
-        return chunks
+        return [
+            (None if pos is None else pos[i], {name: col[i] for name, col in cols.items()}, n)
+            for i, n in enumerate(sizes.tolist())
+        ]
 
     def _walk(self, walked: np.ndarray, e_lo: np.ndarray, e_hi: np.ndarray, tally):
         """The ``walked`` treelets' rows between ``e_lo → e_hi`` (per part),
@@ -1016,6 +1060,10 @@ class _Step:
         return pos, attrs, count, ranks, bounds, index
 
 
+#: :meth:`_Step._walk`'s result when no walked row passes
+_NO_ROWS = (None, {}, 0, np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int64))
+
+
 def _concat(parts: list[np.ndarray], dtype, shape=(0,), copy: bool = True) -> np.ndarray:
     """``np.concatenate`` that turns no parts into a typed empty array, and
     hands a lone part back as it is unless ``copy``."""
@@ -1029,14 +1077,15 @@ def _concat(parts: list[np.ndarray], dtype, shape=(0,), copy: bool = True) -> np
 
 @dataclass
 class FileIncrement:
-    """Rows one quality rung of a streamed file read adds.
+    """Rows one quality rung of a streamed step read adds.
 
-    ``treelet_rank`` and ``slots`` are per-row order keys: stably sorting
-    the concatenation of a file's increments by ``(treelet_rank, slot)``
-    reproduces the direct synchronous emission order byte for byte —
-    treelets emit in visit-rank order, and within a treelet node ids are
-    assigned pre-order, which is ascending slot order by construction of
-    the node-order particle layout.
+    ``keys`` are per-row order keys ``(part, treelet_rank, slot)``,
+    ``(count, 3)`` int64: stably sorting the concatenation of a stream's
+    increments by them reproduces the direct synchronous emission order
+    byte for byte — parts emit in step order, a part's treelets in its own
+    visit-rank order, and within a treelet node ids are assigned
+    pre-order, which is ascending slot order by construction of the
+    node-order particle layout.
     """
 
     quality: float
@@ -1044,12 +1093,11 @@ class FileIncrement:
     positions: np.ndarray | None
     attributes: dict[str, np.ndarray]
     count: int
-    treelet_rank: np.ndarray
-    slots: np.ndarray
+    keys: np.ndarray
 
 
 def stream_query_file(
-    bat: BATFile,
+    bat,
     ladder,
     prev_quality: float = 0.0,
     box: Box | None = None,
@@ -1058,17 +1106,20 @@ def stream_query_file(
     with_positions: bool = True,
     stats: QueryStats | None = None,
 ):
-    """Stream one file's (progressive) read as per-rung increments.
+    """Stream one (progressive) read as per-rung increments.
 
-    ``ladder`` is a non-descending sequence of qualities starting above
-    ``prev_quality`` and ending at the target quality (see
-    :func:`default_quality_ladder`). Exactly one :class:`FileIncrement` is
-    yielded per rung — possibly empty. Each rung is one window of the
-    traversal :func:`query_file` runs once, over walks kept from rung to
-    rung, so two invariants hold:
+    ``bat`` is one file (read with ``box``; ``stats`` may pass a
+    caller-owned :class:`QueryStats` to count into) or a step's
+    :class:`StepPart` sequence, as for :func:`query_file`. ``ladder`` is a
+    non-descending sequence of qualities starting above ``prev_quality``
+    and ending at the target quality (see :func:`default_quality_ladder`).
+    Exactly one :class:`FileIncrement` is yielded per rung — possibly
+    empty. Each rung is one window of the traversal :func:`query_file`
+    runs once, over one step kept from rung to rung, so two invariants
+    hold:
 
     - *Reassembly*: the concatenation of all increments, stably sorted by
-      ``(treelet_rank, slot)``, is byte-identical to
+      ``(part, treelet_rank, slot)``, is byte-identical to
       ``query_file(bat, ladder[-1], prev_quality, ...)``.
     - *Truncation*: stopping after rung *k* leaves exactly the rows of a
       direct query at quality ``ladder[k]`` — rung ranges chain with no
@@ -1076,40 +1127,34 @@ def stream_query_file(
       lower-quality result, refinable later from ``prev_quality =
       ladder[k]``.
 
-    ``stats`` may pass a caller-owned :class:`QueryStats` to accumulate
-    into (the dataset layer shares one across a stream's files); work
-    counters advance as rungs are consumed. A one-rung ladder does exactly
-    a direct query's work. After the final rung of a longer one,
-    ``points_returned`` and the prune counters equal the direct query's;
-    ``points_tested``/``nodes_visited`` can be higher where the direct
-    query takes the whole-treelet fast path a rung-split read cannot.
+    A part that turns out corrupt or missing is dropped from the rung it
+    fails at on — its earlier rows stay delivered — and has its ``error``
+    set before that rung's increment is yielded; a one-file stream raises
+    it instead. Work counters advance as rungs are consumed. A one-rung
+    ladder does exactly a direct query's work. After the final rung of a
+    longer one, ``points_returned`` and the prune counters equal the
+    direct query's; ``points_tested``/``nodes_visited`` (and the dataset's
+    ``decoded_bytes``: node records decoded for walk tables) can be higher
+    where the direct query takes the whole-treelet fast path a rung-split
+    read cannot.
     """
-    ladder = tuple(float(q) for q in ladder)
-    if not ladder:
-        raise InvalidRequestError("ladder must have at least one rung")
-    lo = prev_quality
-    for q in ladder:
-        if not lo <= q <= 1.0:
-            raise InvalidRequestError(
-                "ladder must be non-descending within [prev_quality, 1]"
-            )
-        lo = q
-    ctx = _prepare(
-        bat, ladder[-1], prev_quality, box, filters, attributes, with_positions,
-        stats=stats,
+    ladder = check_ladder(ladder, prev_quality)
+    one, parts, ctxs, step = _open_step(
+        bat, box, stats, ladder[-1], prev_quality, filters, attributes, with_positions
     )
-    step = _Step([ctx]) if ctx.live else None
-    specs = bat.attribute_specs()
-    if attributes is not None:
-        specs = [sp for sp in specs if sp.name in attributes]
+    specs = _specs(parts, attributes)
+    # the step numbers only the live parts
+    owner = np.array([i for i, c in enumerate(ctxs) if c.live], dtype=np.int64)
     prev = prev_quality
     for q in ladder:
-        chunks = step.window(prev, q, keyed=True) if step is not None else []
-        if ctx.error is not None:
-            raise ctx.error
-        total = sum(c[2] for c in chunks)
+        chunks, keys = step.window(prev, q, keyed=True) if step is not None else ([], None)
+        _settle(one, parts, ctxs)
         # rows the walk gathered alone are a copy already (as in query_file)
         copy = step is None or step.views
+        if keys is None:
+            keys = np.empty((0, 3), dtype=np.int64)
+        elif len(owner) < len(parts):
+            keys[:, 0] = owner[keys[:, 0]]
         yield FileIncrement(
             quality=q,
             prev_quality=prev,
@@ -1121,8 +1166,7 @@ def stream_query_file(
                 sp.name: _concat([c[1][sp.name] for c in chunks], sp.dtype, copy=copy)
                 for sp in specs
             },
-            count=total,
-            treelet_rank=_concat([c[3] for c in chunks], np.int64, copy=copy),
-            slots=_concat([c[4] for c in chunks], np.int64, copy=copy),
+            count=sum(c[2] for c in chunks),
+            keys=keys,
         )
         prev = q

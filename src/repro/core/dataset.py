@@ -37,6 +37,7 @@ from ..bat.query import (
     LEAF_ERRORS,
     QueryStats,
     StepPart,
+    check_ladder,
     default_quality_ladder,
     query_file,
     stream_query_file,
@@ -347,10 +348,10 @@ class BATDataset:
         quality rung of ``ladder`` (default:
         :func:`~repro.bat.query.default_quality_ladder` between the
         request's ``prev_quality`` and ``quality``) as the traversal
-        materializes it. Each file's per-treelet walks are kept across
-        rungs — pruning runs once, each rung only touches the depth
-        window it adds — and the file handles are leased from the file
-        cache for the stream's lifetime.
+        materializes it. The planned files are one step, kept across
+        rungs (one ``stream_query_file`` call) — pruning runs once, each
+        rung only touches the depth window it adds — and the file handles
+        are leased from the file cache for the stream's lifetime.
 
         Invariants (property-tested):
 
@@ -367,25 +368,21 @@ class BATDataset:
         a partial one-shot result — is not byte-comparable and must not
         be cached). A plan that already excludes quarantined leaves
         flags every increment ``partial`` from the first rung, as
-        :meth:`query` reports it. Streams execute serially across files:
-        the serve tier's parallelism is across sessions, not within one
-        stream.
+        :meth:`query` reports it. A failing leaf is handled (quarantined,
+        or raised naming it) after the rung it fails at, in plan order.
+        A one-rung stream's ``inc.stats`` equal the direct query's; a
+        longer ladder's can end higher in ``points_tested``,
+        ``nodes_visited`` and ``decoded_bytes`` (see
+        :func:`~repro.bat.query.stream_query_file`).
         """
         req = request if request is not None else QueryRequest()
         if not isinstance(req, QueryRequest):
             raise InvalidRequestError("stream() takes a repro.QueryRequest")
         if ladder is None:
             ladder = default_quality_ladder(req.quality, req.prev_quality)
-        ladder = tuple(float(q) for q in ladder)
-        if not ladder or ladder[-1] != req.quality:
+        ladder = check_ladder(ladder, req.prev_quality)
+        if ladder[-1] != req.quality:
             raise InvalidRequestError("ladder must end exactly at request.quality")
-        lo = req.prev_quality
-        for q in ladder:
-            if not lo <= q <= 1.0:
-                raise InvalidRequestError(
-                    "ladder must be non-descending within [prev_quality, 1]"
-                )
-            lo = q
         plan = self._plan(
             plan, self._plan_cache.get_or_build, box=req.box, filters=req.filters
         )
@@ -537,46 +534,53 @@ class BATDataset:
 
     def _stream_rungs(self, req, ladder, plan):
         attributes, with_positions = _split_columns(req.columns)
-        stats = QueryStats()
-        stats.pruned_files += plan.pruned_files
-        stats.quarantined_files += plan.excluded_files
+        stats = QueryStats(pruned_files=plan.pruned_files, quarantined_files=plan.excluded_files)
         partial = plan.excluded_files > 0
-        # per-leaf telemetry gathered over the stream's whole life: the
-        # handle and its decode counter at stream start, points delivered
-        leaf_handles: dict[int, tuple] = {}
-        leaf_points: dict[int, int] = {}
+        opened: list[tuple[int, int, int]] = []  # (file rank, leaf index, decoded bytes before)
+        parts: list[StepPart] = []
         with self._cache.lease(
             [self._leaf_paths[fp.leaf_index] for fp in plan.files]
         ):
-            gens = []  # [(file_rank, leaf_index, per-file increment generator)]
             for file_rank, fp in enumerate(plan.files):
                 try:
                     f = self.file(fp.leaf_index)
-                    leaf_handles[fp.leaf_index] = (f, f.decoded_bytes)
                 except LEAF_ERRORS as exc:
                     self._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
                     partial = True
                     continue
-                gens.append(
-                    (
-                        file_rank,
-                        fp.leaf_index,
-                        stream_query_file(
-                            f,
-                            ladder,
-                            prev_quality=req.prev_quality,
-                            box=fp.box,
-                            filters=req.filters,
-                            attributes=attributes,
-                            with_positions=with_positions,
-                            stats=stats,
-                        ),
-                    )
-                )
+                opened.append((file_rank, fp.leaf_index, f.decoded_bytes))
+                # the parts share one counter object: the stream's running total
+                parts.append(StepPart(f, fp.box, stats))
+            plan_rank = np.array([r for r, _, _ in opened], dtype=np.int64)
+            points = np.zeros(len(parts), dtype=np.int64)  # delivered, per part
+            failed: set[int] = set()
             try:
-                yield from self._stream_ladder(
-                    req, ladder, gens, stats, partial, leaf_points
-                )
+                for inc in stream_query_file(
+                    parts, ladder, prev_quality=req.prev_quality, filters=req.filters,
+                    attributes=attributes, with_positions=with_positions,
+                ):
+                    order = inc.keys
+                    if self.telemetry is not None:
+                        points += np.bincount(order[:, 0], minlength=len(parts))
+                    if len(parts) < len(plan.files):  # column 0: part → plan file rank
+                        order[:, 0] = plan_rank[order[:, 0]]
+                    stats.decoded_bytes = sum(
+                        p.bat.decoded_bytes - before
+                        for p, (_, _, before) in zip(parts, opened)
+                    )
+                    for i, p in enumerate(parts):  # in plan order: "raise" names the first
+                        if p.error is not None and i not in failed:
+                            failed.add(i)
+                            partial = True
+                            self._leaf_failed(opened[i][1], p.error, req.on_error, stats)
+                    batch = (
+                        ParticleBatch(inc.positions, inc.attributes, count=inc.count)
+                        if inc.count else empty_batch(self, req.columns)
+                    )
+                    yield StreamIncrement(
+                        quality=inc.quality, prev_quality=inc.prev_quality, batch=batch,
+                        order=order, stats=stats, partial=partial,
+                    )
             finally:
                 # record what the stream actually touched, even when the
                 # consumer closed it early at a rung boundary (shedding)
@@ -584,62 +588,12 @@ class BATDataset:
                     self.telemetry.view(
                         req.box, req.filters, self._materialized_columns(req)
                     )
-                    for leaf_index, (f, decoded_before) in leaf_handles.items():
+                    for (_, leaf_index, before), p, n in zip(opened, parts, points.tolist()):
                         self.telemetry.leaf(
                             leaf_index,
-                            points=leaf_points.get(leaf_index, 0),
-                            decoded_bytes=max(f.decoded_bytes - decoded_before, 0),
+                            points=n,
+                            decoded_bytes=max(p.bat.decoded_bytes - before, 0),
                         )
-
-    def _stream_ladder(self, req, ladder, gens, stats, partial, leaf_points):
-        prev = req.prev_quality
-        for q in ladder:
-            parts: list[ParticleBatch] = []
-            orders: list[np.ndarray] = []
-            dead: list[int] = []
-            for slot, (file_rank, leaf_index, gen) in enumerate(gens):
-                try:
-                    inc = next(gen)
-                except LEAF_ERRORS as exc:
-                    self._leaf_failed(leaf_index, exc, req.on_error, stats)
-                    partial = True
-                    dead.append(slot)
-                    continue
-                if inc.count:
-                    leaf_points[leaf_index] = (
-                        leaf_points.get(leaf_index, 0) + inc.count
-                    )
-                    parts.append(
-                        ParticleBatch(
-                            inc.positions, inc.attributes, count=inc.count
-                        )
-                    )
-                    okeys = np.empty((inc.count, 3), dtype=np.int64)
-                    okeys[:, 0] = file_rank
-                    okeys[:, 1] = inc.treelet_rank
-                    okeys[:, 2] = inc.slots
-                    orders.append(okeys)
-            for slot in reversed(dead):
-                gens.pop(slot)[2].close()
-            if parts:
-                batch = (
-                    ParticleBatch.concatenate(parts) if len(parts) > 1 else parts[0]
-                )
-                order = (
-                    np.concatenate(orders, axis=0) if len(orders) > 1 else orders[0]
-                )
-            else:
-                batch = empty_batch(self, req.columns)
-                order = np.empty((0, 3), dtype=np.int64)
-            yield StreamIncrement(
-                quality=q,
-                prev_quality=prev,
-                batch=batch,
-                order=order,
-                stats=stats,
-                partial=partial,
-            )
-            prev = q
 
     def _leaf_failed(self, leaf_index: int, exc: Exception, on_error: str, stats) -> None:
         """One leaf file turned out corrupt or missing mid-query.

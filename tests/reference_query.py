@@ -1,4 +1,5 @@
-"""The recursive read walk: executable spec for ``repro.bat.query.query_file``.
+"""The recursive read walk: executable spec for ``repro.bat.query.query_file``
+— and the per-file stream loop, the spec for ``BATDataset.stream``.
 
 This is the original per-node stack walk, kept as the reference the read
 tests compare against — the role ``reference_treelet.py`` plays for the
@@ -18,11 +19,22 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from repro.api import StreamIncrement
 from repro.bat.file import BATFile
-from repro.bat.query import AttributeFilter, QueryStats, _prepare, concat_chunks
+from repro.bat.query import (
+    LEAF_ERRORS,
+    AttributeFilter,
+    QueryStats,
+    _prepare,
+    concat_chunks,
+    stream_query_file,
+)
+from repro.core.dataset import _split_columns, empty_batch
 from repro.types import Box, ParticleBatch
 
-__all__ = ["query_file_recursive"]
+__all__ = ["query_file_recursive", "stream_per_file"]
 
 
 def query_file_recursive(
@@ -207,3 +219,123 @@ def _emit_points(tv, lo_slot: int, hi_slot: int, ctx) -> None:
             {n: tv.attributes[n][lo_slot:hi_slot][mask] for n in names},
             count=int(mask.sum()),
         )
+
+
+# -- the per-file stream --------------------------------------------------------
+
+
+def stream_per_file(ds, req, ladder, plan):
+    """``ds.stream(req, ladder, plan)`` as one ``stream_query_file``
+    generator per planned file, stitched rung by rung.
+
+    The dataset's stream loop before a stream became one step, kept as
+    the reference the stepped stream is held to (its ``decoded_bytes``
+    stay 0: this loop never set them) — changed only to read a file
+    increment's keys from its one ``keys`` array. ``ladder`` must already
+    be checked.
+    """
+    attributes, with_positions = _split_columns(req.columns)
+    stats = QueryStats()
+    stats.pruned_files += plan.pruned_files
+    stats.quarantined_files += plan.excluded_files
+    partial = plan.excluded_files > 0
+    # per-leaf telemetry gathered over the stream's whole life: the
+    # handle and its decode counter at stream start, points delivered
+    leaf_handles: dict[int, tuple] = {}
+    leaf_points: dict[int, int] = {}
+    with ds._cache.lease(
+        [ds._leaf_paths[fp.leaf_index] for fp in plan.files]
+    ):
+        gens = []  # [(file_rank, leaf_index, per-file increment generator)]
+        for file_rank, fp in enumerate(plan.files):
+            try:
+                f = ds.file(fp.leaf_index)
+                leaf_handles[fp.leaf_index] = (f, f.decoded_bytes)
+            except LEAF_ERRORS as exc:
+                ds._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
+                partial = True
+                continue
+            gens.append(
+                (
+                    file_rank,
+                    fp.leaf_index,
+                    stream_query_file(
+                        f,
+                        ladder,
+                        prev_quality=req.prev_quality,
+                        box=fp.box,
+                        filters=req.filters,
+                        attributes=attributes,
+                        with_positions=with_positions,
+                        stats=stats,
+                    ),
+                )
+            )
+        try:
+            yield from _stream_ladder(
+                ds, req, ladder, gens, stats, partial, leaf_points
+            )
+        finally:
+            # record what the stream actually touched, even when the
+            # consumer closed it early at a rung boundary (shedding)
+            if ds.telemetry is not None:
+                ds.telemetry.view(
+                    req.box, req.filters, ds._materialized_columns(req)
+                )
+                for leaf_index, (f, decoded_before) in leaf_handles.items():
+                    ds.telemetry.leaf(
+                        leaf_index,
+                        points=leaf_points.get(leaf_index, 0),
+                        decoded_bytes=max(f.decoded_bytes - decoded_before, 0),
+                    )
+
+
+def _stream_ladder(ds, req, ladder, gens, stats, partial, leaf_points):
+    prev = req.prev_quality
+    for q in ladder:
+        parts: list[ParticleBatch] = []
+        orders: list[np.ndarray] = []
+        dead: list[int] = []
+        for slot, (file_rank, leaf_index, gen) in enumerate(gens):
+            try:
+                inc = next(gen)
+            except LEAF_ERRORS as exc:
+                ds._leaf_failed(leaf_index, exc, req.on_error, stats)
+                partial = True
+                dead.append(slot)
+                continue
+            if inc.count:
+                leaf_points[leaf_index] = (
+                    leaf_points.get(leaf_index, 0) + inc.count
+                )
+                parts.append(
+                    ParticleBatch(
+                        inc.positions, inc.attributes, count=inc.count
+                    )
+                )
+                okeys = np.empty((inc.count, 3), dtype=np.int64)
+                okeys[:, 0] = file_rank
+                okeys[:, 1] = inc.keys[:, 1]
+                okeys[:, 2] = inc.keys[:, 2]
+                orders.append(okeys)
+        for slot in reversed(dead):
+            gens.pop(slot)[2].close()
+        if parts:
+            batch = (
+                ParticleBatch.concatenate(parts) if len(parts) > 1 else parts[0]
+            )
+            order = (
+                np.concatenate(orders, axis=0) if len(orders) > 1 else orders[0]
+            )
+        else:
+            batch = empty_batch(ds, req.columns)
+            order = np.empty((0, 3), dtype=np.int64)
+        yield StreamIncrement(
+            quality=q,
+            prev_quality=prev,
+            batch=batch,
+            order=order,
+            stats=stats,
+            partial=partial,
+        )
+        prev = q

@@ -193,10 +193,8 @@ def ladders(q0, q1):
 
 def reassemble(incs):
     """A file stream's increments merged by their ``(treelet_rank, slot)`` keys."""
-    order = np.lexsort(
-        (np.concatenate([i.slots for i in incs]),
-         np.concatenate([i.treelet_rank for i in incs]))
-    )
+    keys = np.concatenate([i.keys for i in incs])
+    order = np.lexsort((keys[:, 2], keys[:, 1]))
     pos = None
     if incs[0].positions is not None:
         pos = np.concatenate([i.positions for i in incs])[order]
@@ -269,9 +267,9 @@ class TestOneShotEqualsStream:
         assert stats.treelets_visited == bat.n_treelets
         assert stats.nodes_visited == n_shallow + bat.n_treelets
         # the fast path emits each treelet as one contiguous slot run
-        starts = np.flatnonzero(np.diff(inc.treelet_rank, prepend=-1))
+        starts = np.flatnonzero(np.diff(inc.keys[:, 1], prepend=-1))
         assert len(starts) == bat.n_treelets
-        assert (inc.slots[starts] == 0).all()
+        assert (inc.keys[starts, 2] == 0).all()
 
     def test_multi_rung_counters(self, bat):
         """Rungs split the work; they never add rows or prunes."""
