@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.bat.query as query_module
 import repro.core.dataset as dataset_module
 from repro import BATBuildConfig, Box, QueryRequest
 from repro.bat import AttributeFilter, BATFile
@@ -139,6 +140,20 @@ def windows():
 COLUMNS = st.sampled_from([None, ("temp",), ("positions",), ("positions", "mass"), ()])
 
 
+class _NaNEmpty:
+    """``numpy``, but ``empty`` fills a floating array with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float, **kwargs):
+        out = np.empty(shape, dtype, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+
 class TestStepEqualsPerFileLoop:
     @SETTINGS
     @given(box=boxes(), filters=filter_sets(), qs=windows(), columns=COLUMNS)
@@ -169,6 +184,35 @@ class TestStepEqualsPerFileLoop:
                     quality=q, prev_quality=prev, box=box, filters=filters, columns=columns
                 )
                 assert_step_is_the_loop(meta, req)
+
+    @pytest.mark.parametrize("filters", [(), (AttributeFilter("temp", 300.0, 310.0),)])
+    def test_box_test_compares_only_gathered_positions(self, meta, monkeypatch, filters):
+        """A column-projected step that mixes plan boxes and box-free parts
+        gathers positions for the boxed parts only: the box test must
+        compare no row that was never gathered. Every fresh float array of
+        the read core starts as NaN here, so an unset row shows."""
+        monkeypatch.setattr(query_module, "np", _NaNEmpty())
+        real = query_module._Step._inbox
+        seen = []
+
+        def spying(self, ranks, sizes):
+            inbox = real(self, ranks, sizes)
+
+            def check(pos):
+                seen.append(pos)
+                return inbox(pos)
+
+            return None if inbox is None else check
+
+        monkeypatch.setattr(query_module._Step, "_inbox", spying)
+        box = Box((0.0, 0.0, 0.0), (2.0, 4.0, 1.0))
+        for prev, q in ((0.0, 1.0), (0.0, 0.4), (0.3, 0.8)):
+            req = QueryRequest(
+                quality=q, prev_quality=prev, box=box, filters=filters, columns=("temp",)
+            )
+            assert_step_is_the_loop(meta, req)
+        assert any(pos is not None for pos in seen)
+        assert not any(np.isnan(pos).any() for pos in seen if pos is not None)
 
     def test_filters_bitmap_prune_treelets(self, meta):
         req = QueryRequest(filters=(AttributeFilter("temp", 399.0, 400.0),))
