@@ -51,7 +51,11 @@ already proves its read empty); the step carries them per row:
   per file for all that file's treelets in one call
   (:meth:`~repro.bat.file.BATFile.columns`: one cache round-trip) and
   gathered once into one array for the step (:func:`_gather`), and every
-  row gets one exact box/filter check. A whole treelet asked for at full
+  row gets one exact box/filter check. Positions are gathered before the
+  check only when a box test reads them; otherwise once, at the kept
+  rows. Every box test, node or point, is three 1-D comparisons in
+  float64, one per axis (:func:`~repro.types.boxes_meet`,
+  :func:`~repro.types.points_in_box`). A whole treelet asked for at full
   quality — no filters, a box that contains it, a window from 0 past its
   deepest level — skips its table, node records and checks and is handed
   on as views of its columns, fetched the same way.
@@ -99,7 +103,7 @@ import numpy as np
 
 from ..bitmaps import query_bitmap
 from ..errors import IntegrityError, InvalidRequestError
-from ..types import Box, ParticleBatch
+from ..types import Box, ParticleBatch, boxes_meet, boxes_within, points_in_box
 from .file import BATFile
 
 __all__ = [
@@ -577,8 +581,8 @@ def _gather(fetch, name, index: np.ndarray, bounds: np.ndarray, runs=None, want=
     one contiguous run. ``fetch(segs, name)`` returns the column of the
     treelets of segments ``segs`` (ascending), in order. Only non-empty
     segments are fetched — and with ``want``, only those it marks; the
-    rows of the others are left unset — so an unwanted column is never
-    fetched (nor, on v4 files, decoded).
+    rows of the others are zero — so an unwanted column is never fetched
+    (nor, on v4 files, decoded).
     """
     b = bounds.tolist()
     segs = [i for i in range(len(b) - 1) if b[i] < b[i + 1]]
@@ -588,7 +592,7 @@ def _gather(fetch, name, index: np.ndarray, bounds: np.ndarray, runs=None, want=
         return None
     cols = fetch(segs, name)
     starts = runs.tolist() if runs is not None else None
-    out = np.empty((b[-1], *cols[0].shape[1:]), dtype=cols[0].dtype)
+    out = (np.empty if want is None else np.zeros)((b[-1], *cols[0].shape[1:]), cols[0].dtype)
     for i, col in zip(segs, cols):
         a, z = b[i], b[i + 1]
         s = -1 if starts is None else starts[i]
@@ -749,7 +753,9 @@ class _Step:
         else:
             qlo, qhi, free = self._box(tpart)
             lo, hi = s.lo[rows], s.hi[rows]
-            self.containable = (lo > hi).any(axis=1) | ((qlo <= lo) & (hi <= qhi)).all(axis=1)
+            self.containable = boxes_within(lo, hi, qlo, qhi)
+            for a in range(3):  # an empty leaf box is contained too
+                self.containable |= lo[:, a] > hi[:, a]
             if free is not None:
                 self.containable |= free
         #: treelets emitted whole, or of a dropped file: no later window adds anything
@@ -829,13 +835,13 @@ class _Step:
 
         ``lo``/``hi`` are the nodes' ``(n, 3)`` box corners, ``bitmaps``
         their ``(n, n_attrs)`` resolved bitmaps (unused without filters).
-        ``inside`` marks the boxes that meet their query box (``None``
-        when no file has one), ``keep`` those that also pass every
-        filter's bitmap.
+        ``inside`` marks the boxes that meet their query box, axis by
+        axis (:func:`~repro.types.boxes_meet`; ``None`` when no file has
+        a box), ``keep`` those that also pass every filter's bitmap.
         """
         if self.qlo is not None:
             qlo, qhi, free = self._box(rp)
-            inside = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
+            inside = boxes_meet(lo, hi, qlo, qhi)
             if free is not None:
                 inside |= free
             keep = inside
@@ -847,7 +853,12 @@ class _Step:
 
     def _inbox(self, ranks, sizes):
         """The exact box test over the rows of treelets ``ranks`` (``sizes``
-        rows each), ``None`` when no file has a box."""
+        rows each), ``None`` when no file has a box.
+
+        Axis by axis (:func:`~repro.types.points_in_box`), against one box
+        or each row's file's. The rows of box-free parts pass; a projected
+        read gathers no positions for them, and their rows are zeros.
+        """
         if self.qlo is None:
             return None
         per_row = self.free is not None or not self.one_box
@@ -856,7 +867,7 @@ class _Step:
         def inbox(pos):
             if pos is None:  # no row has a box test
                 return free
-            mask = np.all((pos >= qlo) & (pos <= qhi), axis=1)
+            mask = points_in_box(pos, qlo, qhi)
             return mask if free is None else mask | free
 
         return inbox
@@ -1029,8 +1040,9 @@ class _Step:
         tally[_TESTED] += self._per_part(ranks, sizes)
         fetch = self._fetcher(ranks)
         pos = None
-        if self.with_positions or self.qlo is not None:
-            # positions decode only where returned or needed for a box test
+        if self.qlo is not None:
+            # the box test reads positions: gather them over every tested
+            # row (a projected read: only the rows with a box test)
             want = None
             if not self.with_positions and self.free is not None:
                 want = ~self.free[self.tpart[ranks]]
@@ -1046,10 +1058,12 @@ class _Step:
                 return None
             index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
             cols = {name: vals[kept] for name, vals in cols.items() if name in self.names}
-            if self.with_positions:
+            if pos is not None and self.with_positions:
                 pos = pos.take(kept, axis=0)
         if not self.with_positions:
             pos = None
+        elif pos is None:  # no box test: gathered once, at the kept rows
+            pos = _gather(fetch, None, index, bounds, runs)
         # selection is by key so lazily decoded (v4) columns outside the
         # requested set are never materialized
         attrs = {

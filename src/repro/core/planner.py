@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bitmaps import query_bitmap
-from ..types import Box
+from ..types import Box, boxes_meet, boxes_within
 from .metadata import DatasetMetadata
 
 __all__ = [
@@ -107,8 +107,8 @@ def plan_query(
         if np.any(qlo > qhi):  # empty query box intersects nothing
             keep[:] = False
         else:
-            keep = np.all((lo <= qhi) & (hi >= qlo) & (lo <= hi), axis=1)
-            contained = keep & np.all((qlo <= lo) & (qhi >= hi), axis=1)
+            keep = boxes_meet(lo, hi, qlo, qhi)
+            contained = keep & boxes_within(lo, hi, qlo, qhi)
     elif box is None:
         contained[:] = True
     pruned_spatial = int(n - keep.sum())

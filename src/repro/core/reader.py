@@ -73,7 +73,7 @@ def _shared_face_owners(points: np.ndarray, r: int, lo: np.ndarray, hi: np.ndarr
     inside = ((lo <= p) & (p <= hi)).all(axis=2)[:, :, None]        # (m, R, 1)
     starts = ((p == lo) & (p < hi) & inside).any(axis=1, keepdims=True)
     hands_on = ((p == hi) & inside & starts).any(axis=2)            # (m, R)
-    kept_by_none = (hands_on | ~inside[:, :, 0]).all(axis=1)
+    kept_by_none = np.all(hands_on | ~inside[:, :, 0], axis=1)
     keep[face] = ~hands_on[:, r] | kept_by_none
     return keep
 
