@@ -51,14 +51,12 @@ already proves its read empty); the step carries them per row:
   per file for all that file's treelets in one call
   (:meth:`~repro.bat.file.BATFile.columns`: one cache round-trip) and
   gathered once into one array for the step (:func:`_gather`), and every
-  row gets one exact box/filter check. Positions are gathered before the
-  check only when a box test reads them; otherwise once, at the kept
-  rows. Every box test, node or point, is three 1-D comparisons in
-  float64, one per axis (:func:`~repro.types.boxes_meet`,
-  :func:`~repro.types.points_in_box`). A whole treelet asked for at full
-  quality — no filters, a box that contains it, a window from 0 past its
-  deepest level — skips its table, node records and checks and is handed
-  on as views of its columns, fetched the same way.
+  row gets one exact box/filter check (positions are gathered for it only
+  under a box; else once, at the kept rows). Every box test runs axis by
+  axis (:func:`~repro.types.points_in_box`). A whole treelet asked for
+  at full quality — no filters, a box that contains it, a window from 0
+  past its deepest level — skips its table, node records and checks and
+  is handed on as views of its columns, fetched the same way.
 
 What has to stay per file does: treelet CRC verification on first touch
 (:meth:`~repro.bat.file.BATFile.treelet`), walk-table builds, column
@@ -852,13 +850,9 @@ class _Step:
         return inside, keep
 
     def _inbox(self, ranks, sizes):
-        """The exact box test over the rows of treelets ``ranks`` (``sizes``
-        rows each), ``None`` when no file has a box.
-
-        Axis by axis (:func:`~repro.types.points_in_box`), against one box
-        or each row's file's. The rows of box-free parts pass; a projected
-        read gathers no positions for them, and their rows are zeros.
-        """
+        """The exact box test, axis by axis, over the rows of treelets
+        ``ranks`` (``sizes`` rows each), ``None`` when no file has a box.
+        Box-free parts' rows pass (a projected read leaves them zeros)."""
         if self.qlo is None:
             return None
         per_row = self.free is not None or not self.one_box
@@ -1041,8 +1035,7 @@ class _Step:
         fetch = self._fetcher(ranks)
         pos = None
         if self.qlo is not None:
-            # the box test reads positions: gather them over every tested
-            # row (a projected read: only the rows with a box test)
+            # the box test reads positions (projected: only those it tests)
             want = None
             if not self.with_positions and self.free is not None:
                 want = ~self.free[self.tpart[ranks]]

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Box", "AttributeSpec", "ParticleBatch", "points_in_box", "boxes_meet", "boxes_within",
-]
+__all__ = ["Box", "AttributeSpec", "ParticleBatch", "points_in_box", "boxes_meet", "boxes_within"]
 
 
 @dataclass(frozen=True)
@@ -117,53 +115,38 @@ class Box:
         return Box(tuple(arr[0].tolist()), tuple(arr[1].tolist()))
 
 
-# -- per-row box tests ---------------------------------------------------------
-#
-# One row per point or box, one 1-D comparison per axis, AND-ed in place.
-# The broadcast form — ``(pts >= lo) & (pts <= hi)`` over ``(n, 3)``,
-# reduced over its length-3 axis — runs about 10x slower in numpy. The
-# query bounds are float64, ``(3,)`` or one row per point ``(n, 3)``, and
-# every comparison stays in float64, as the broadcast form's does.
+# -- per-row box tests: one 1-D float64 comparison per axis, AND-ed in place.
+# The broadcast form, ``(pts >= lo) & (pts <= hi)`` reduced over its
+# length-3 axis, runs ~10x slower. Query bounds are float64, ``(3,)`` or
+# ``(n, 3)`` (one box per row); points and boxes are ``(n, 3)``.
 
 
-def _axes(bound: np.ndarray) -> np.ndarray:
-    """A float64 bound per axis: row ``a`` is axis ``a``'s, ``(1,)`` for a
-    ``(3,)`` bound and ``(n,)`` for an ``(n, 3)`` one. Never a scalar: numpy
-    1.x casts a scalar bound to the points' float32, and a point on a
-    float32-rounded bound would then flip."""
-    return bound.T if bound.ndim == 2 else bound[:, None]
+def _rows_le(n: int, *pairs) -> np.ndarray:
+    """Rows where ``x <= y`` on every axis, for every ``(x, y)`` of ``pairs``:
+    an ``(n, 3)`` side column by column, a ``(3,)`` bound as one ``(1,)``
+    float64 array per axis — never a scalar, which numpy 1.x compares in
+    the other side's float32, flipping points on float32-rounded bounds."""
+    mask = np.ones(n, dtype=bool)
+    for x, y in pairs:
+        x, y = (v.T if v.ndim == 2 else v[:, None] for v in (x, y))
+        for a in range(3):
+            mask &= x[a] <= y[a]
+    return mask
 
 
 def points_in_box(pts: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
-    """Which rows of ``(n, 3)`` ``pts`` lie in the closed box ``[qlo, qhi]``."""
-    lo, hi = _axes(qlo), _axes(qhi)
-    mask = np.ones(len(pts), dtype=bool)
-    for a in range(3):
-        mask &= pts[:, a] >= lo[a]
-        mask &= pts[:, a] <= hi[a]
-    return mask
+    """Which rows of ``pts`` lie in the closed box ``[qlo, qhi]``."""
+    return _rows_le(len(pts), (qlo, pts), (pts, qhi))
 
 
 def boxes_meet(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
-    """Which ``(n, 3)`` boxes ``[lo, hi]`` are non-empty and meet ``[qlo, qhi]``
-    (a NaN box meets nothing)."""
-    q_lo, q_hi = _axes(qlo), _axes(qhi)
-    mask = np.ones(len(lo), dtype=bool)
-    for a in range(3):
-        mask &= lo[:, a] <= q_hi[a]
-        mask &= hi[:, a] >= q_lo[a]
-        mask &= lo[:, a] <= hi[:, a]
-    return mask
+    """Which boxes ``[lo, hi]`` are non-empty and meet ``[qlo, qhi]`` (no NaN box does)."""
+    return _rows_le(len(lo), (lo, qhi), (qlo, hi), (lo, hi))
 
 
 def boxes_within(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
-    """Which ``(n, 3)`` boxes ``[lo, hi]`` lie inside ``[qlo, qhi]``."""
-    q_lo, q_hi = _axes(qlo), _axes(qhi)
-    mask = np.ones(len(lo), dtype=bool)
-    for a in range(3):
-        mask &= q_lo[a] <= lo[:, a]
-        mask &= hi[:, a] <= q_hi[a]
-    return mask
+    """Which boxes ``[lo, hi]`` lie inside ``[qlo, qhi]``."""
+    return _rows_le(len(lo), (qlo, lo), (hi, qhi))
 
 
 @dataclass(frozen=True)
