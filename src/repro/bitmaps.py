@@ -33,17 +33,20 @@ __all__ = [
 
 BITMAP_BITS = 32
 FULL_BITMAP = np.uint32(0xFFFFFFFF)
+#: the narrowest value range whose bin scale ``BITMAP_BITS / span`` is finite
+_MIN_SPAN = BITMAP_BITS / np.finfo(np.float64).max
 
 
 def value_bins(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Bin index in ``[0, 32)`` for each value relative to ``[lo, hi]``.
 
     Values outside the range clamp to the boundary bins; a degenerate range
-    maps everything to bin 0.
+    maps everything to bin 0, and so does one too narrow for a finite bin
+    scale (a subnormal span: ``0 * inf`` would cast NaN to int).
     """
     values = np.asarray(values, dtype=np.float64)
     span = hi - lo
-    if span <= 0:
+    if not span > _MIN_SPAN:
         return np.zeros(values.shape, dtype=np.int64)
     bins = ((values - lo) * (BITMAP_BITS / span)).astype(np.int64)
     np.clip(bins, 0, BITMAP_BITS - 1, out=bins)
