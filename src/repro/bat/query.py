@@ -570,7 +570,7 @@ def _file_fetch(bat: BATFile, leaves):
     return lambda segs, name: bat.columns([leaves[i] for i in segs], name)
 
 
-def _gather(fetch, name, index: np.ndarray, bounds: np.ndarray, runs=None, want=None):
+def _gather(fetch, name, index: np.ndarray, bounds: np.ndarray, runs=None, want=None, out=None):
     """One column of several treelets gathered into one array.
 
     ``name`` is an attribute, or ``None`` for the positions. Segment ``i``
@@ -579,8 +579,8 @@ def _gather(fetch, name, index: np.ndarray, bounds: np.ndarray, runs=None, want=
     one contiguous run. ``fetch(segs, name)`` returns the column of the
     treelets of segments ``segs`` (ascending), in order. Only non-empty
     segments are fetched — and with ``want``, only those it marks; the
-    rows of the others are zero — so an unwanted column is never fetched
-    (nor, on v4 files, decoded).
+    rows of the others are zero, or kept from ``out`` — so an unwanted
+    column is never fetched (nor, on v4 files, decoded).
     """
     b = bounds.tolist()
     segs = [i for i in range(len(b) - 1) if b[i] < b[i + 1]]
@@ -590,7 +590,8 @@ def _gather(fetch, name, index: np.ndarray, bounds: np.ndarray, runs=None, want=
         return None
     cols = fetch(segs, name)
     starts = runs.tolist() if runs is not None else None
-    out = (np.empty if want is None else np.zeros)((b[-1], *cols[0].shape[1:]), cols[0].dtype)
+    if out is None:
+        out = (np.empty if want is None else np.zeros)((b[-1], *cols[0].shape[1:]), cols[0].dtype)
     for i, col in zip(segs, cols):
         a, z = b[i], b[i + 1]
         s = -1 if starts is None else starts[i]
@@ -751,9 +752,7 @@ class _Step:
         else:
             qlo, qhi, free = self._box(tpart)
             lo, hi = s.lo[rows], s.hi[rows]
-            self.containable = boxes_within(lo, hi, qlo, qhi)
-            for a in range(3):  # an empty leaf box is contained too
-                self.containable |= lo[:, a] > hi[:, a]
+            self.containable = boxes_within(lo, hi, qlo, qhi)  # alive: met its box, not empty
             if free is not None:
                 self.containable |= free
         #: treelets emitted whole, or of a dropped file: no later window adds anything
@@ -850,9 +849,8 @@ class _Step:
         return inside, keep
 
     def _inbox(self, ranks, sizes):
-        """The exact box test, axis by axis, over the rows of treelets
-        ``ranks`` (``sizes`` rows each), ``None`` when no file has a box.
-        Box-free parts' rows pass (a projected read leaves them zeros)."""
+        """The exact box test, axis by axis, over the rows of treelets ``ranks``
+        (``sizes`` each; box-free parts' rows, zeros, pass); ``None`` without a box."""
         if self.qlo is None:
             return None
         per_row = self.free is not None or not self.one_box
@@ -1033,11 +1031,9 @@ class _Step:
         sizes = bounds[1:] - bounds[:-1]
         tally[_TESTED] += self._per_part(ranks, sizes)
         fetch = self._fetcher(ranks)
-        pos = None
-        if self.qlo is not None:
-            # the box test reads positions (projected: only those it tests)
-            want = None
-            if not self.with_positions and self.free is not None:
+        pos = want = None
+        if self.qlo is not None:  # the box test reads the boxed parts' positions
+            if self.free is not None:
                 want = ~self.free[self.tpart[ranks]]
             pos = _gather(fetch, None, index, bounds, runs, want)
         cols, kept = _check(
@@ -1055,8 +1051,10 @@ class _Step:
                 pos = pos.take(kept, axis=0)
         if not self.with_positions:
             pos = None
-        elif pos is None:  # no box test: gathered once, at the kept rows
+        elif pos is None:  # no box test read them: gathered once, at the kept rows
             pos = _gather(fetch, None, index, bounds, runs)
+        elif want is not None:  # and so are the box-free parts'
+            _gather(fetch, None, index, bounds, runs, ~want, out=pos)
         # selection is by key so lazily decoded (v4) columns outside the
         # requested set are never materialized
         attrs = {

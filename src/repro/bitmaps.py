@@ -33,8 +33,7 @@ __all__ = [
 
 BITMAP_BITS = 32
 FULL_BITMAP = np.uint32(0xFFFFFFFF)
-#: the narrowest value range whose bin scale ``BITMAP_BITS / span`` is finite
-_MIN_SPAN = BITMAP_BITS / np.finfo(np.float64).max
+_MIN_SPAN = BITMAP_BITS / np.finfo(np.float64).max  #: narrowest span with a finite bin scale
 
 
 def value_bins(values: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -115,38 +115,38 @@ class Box:
         return Box(tuple(arr[0].tolist()), tuple(arr[1].tolist()))
 
 
-# -- per-row box tests: one 1-D float64 comparison per axis, AND-ed in place.
-# The broadcast form, ``(pts >= lo) & (pts <= hi)`` reduced over its
-# length-3 axis, runs ~10x slower. Query bounds are float64, ``(3,)`` or
-# ``(n, 3)`` (one box per row); points and boxes are ``(n, 3)``.
+# -- per-row box tests, axis-major: ~10x faster than ``(pts >= lo) & (pts <=
+# hi)`` reduced over its length-3 axis. Query bounds are float64, ``(3,)``
+# or ``(n, 3)`` (one box per row); points and boxes are ``(n, 3)``.
 
 
-def _rows_le(n: int, *pairs) -> np.ndarray:
+def _rows_le(*pairs) -> np.ndarray:
     """Rows where ``x <= y`` on every axis, for every ``(x, y)`` of ``pairs``:
-    an ``(n, 3)`` side column by column, a ``(3,)`` bound as one ``(1,)``
-    float64 array per axis — never a scalar, which numpy 1.x compares in
-    the other side's float32, flipping points on float32-rounded bounds."""
-    mask = np.ones(n, dtype=bool)
-    for x, y in pairs:
-        x, y = (v.T if v.ndim == 2 else v[:, None] for v in (x, y))
-        for a in range(3):
-            mask &= x[a] <= y[a]
-    return mask
+    an ``(n, 3)`` side transposed, a ``(3,)`` bound as a ``(3, 1)`` float64
+    column — never scalars, which numpy 1.x compares in the other side's
+    float32, flipping points on float32-rounded bounds. Each comparison
+    writes one contiguous row per axis; the three rows are AND-ed last."""
+    mask = None
+    for pair in pairs:
+        x, y = (v.T if v.ndim == 2 else v[:, None] for v in pair)
+        le = np.less_equal(x, y, order="C")
+        mask = le if mask is None else np.logical_and(mask, le, out=mask)
+    return mask[0] & mask[1] & mask[2]
 
 
 def points_in_box(pts: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
     """Which rows of ``pts`` lie in the closed box ``[qlo, qhi]``."""
-    return _rows_le(len(pts), (qlo, pts), (pts, qhi))
+    return _rows_le((qlo, pts), (pts, qhi))
 
 
 def boxes_meet(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
     """Which boxes ``[lo, hi]`` are non-empty and meet ``[qlo, qhi]`` (no NaN box does)."""
-    return _rows_le(len(lo), (lo, qhi), (qlo, hi), (lo, hi))
+    return _rows_le((lo, qhi), (qlo, hi), (lo, hi))
 
 
 def boxes_within(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
     """Which boxes ``[lo, hi]`` lie inside ``[qlo, qhi]``."""
-    return _rows_le(len(lo), (qlo, lo), (hi, qhi))
+    return _rows_le((qlo, lo), (hi, qhi))
 
 
 @dataclass(frozen=True)

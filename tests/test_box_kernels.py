@@ -1,12 +1,13 @@
 """The axis-wise box kernels equal the broadcast forms they replaced.
 
 :func:`~repro.types.points_in_box`, :func:`~repro.types.boxes_meet` and
-:func:`~repro.types.boxes_within` run one 1-D comparison per axis instead
-of an ``(n, 3)`` broadcast reduced over its length-3 axis. The references
-below are the broadcast expressions, verbatim, that the read core, the
-planner and the neighbor engine used before. Every comparison must stay
-in float64: the points are float32 and sit exactly on float32-rounded
-query bounds, where a comparison in float32 flips.
+:func:`~repro.types.boxes_within` compare axis-major, over transposed
+``(3, n)`` rows, instead of an ``(n, 3)`` broadcast reduced over its
+length-3 axis. The references below are the broadcast expressions,
+verbatim, that the read core, the planner and the neighbor engine used
+before. Every comparison must stay in float64: the points are float32
+and sit exactly on float32-rounded query bounds, where a comparison in
+float32 flips.
 """
 
 import numpy as np
