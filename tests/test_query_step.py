@@ -185,12 +185,13 @@ class TestStepEqualsPerFileLoop:
                 )
                 assert_step_is_the_loop(meta, req)
 
+    @pytest.mark.parametrize("columns", [("temp",), None])
     @pytest.mark.parametrize("filters", [(), (AttributeFilter("temp", 300.0, 310.0),)])
-    def test_box_test_compares_only_gathered_positions(self, meta, monkeypatch, filters):
-        """A column-projected step that mixes plan boxes and box-free parts
-        gathers positions for the boxed parts only: the box test must
-        compare no row that was never gathered. Every fresh float array of
-        the read core starts as NaN here, so an unset row shows."""
+    def test_box_test_compares_only_gathered_positions(self, meta, monkeypatch, filters, columns):
+        """A step that mixes plan boxes and box-free parts gathers positions
+        for the box test over the boxed parts only: the test must compare
+        no row that was never gathered. Every fresh float array of the
+        read core starts as NaN here, so an unset row shows."""
         monkeypatch.setattr(query_module, "np", _NaNEmpty())
         real = query_module._Step._inbox
         seen = []
@@ -208,7 +209,7 @@ class TestStepEqualsPerFileLoop:
         box = Box((0.0, 0.0, 0.0), (2.0, 4.0, 1.0))
         for prev, q in ((0.0, 1.0), (0.0, 0.4), (0.3, 0.8)):
             req = QueryRequest(
-                quality=q, prev_quality=prev, box=box, filters=filters, columns=("temp",)
+                quality=q, prev_quality=prev, box=box, filters=filters, columns=columns
             )
             assert_step_is_the_loop(meta, req)
         assert any(pos is not None for pos in seen)
