@@ -152,10 +152,9 @@ def test_no_rows():
 @given(point_cases())
 def test_box_contains_points(case):
     pts, qlo, qhi = case
-    lo, hi = np.broadcast_to(qlo, (len(pts), 3)), np.broadcast_to(qhi, (len(pts), 3))
     if not len(pts):
         return
-    box = Box(tuple(lo[0].tolist()), tuple(hi[0].tolist()))
+    box = Box(tuple(qlo.reshape(-1, 3)[0].tolist()), tuple(qhi.reshape(-1, 3)[0].tolist()))
     want = (
         np.zeros(len(pts), dtype=bool) if box.is_empty
         else ref_points_in_box(pts, np.asarray(box.lower), np.asarray(box.upper))
