@@ -329,9 +329,19 @@ class TestPercentile:
 
     def test_p50_p99(self):
         vals = list(range(1, 101))
-        assert percentile(vals, 50) == pytest.approx(50, abs=1)
-        assert percentile(vals, 99) == pytest.approx(99, abs=1)
+        assert percentile(vals, 50) == 50
+        assert percentile(vals, 99) == 99
         assert percentile(vals, 100) == 100
+
+    def test_nearest_rank_is_exact(self):
+        """Rank ceil(p * n / 100): no half-to-even rounding bumps an odd
+        integer rank up by one, and no float error in p / 100 does."""
+        assert percentile([1, 2], 50) == 1.0
+        assert percentile(range(1, 101), 99) == 99
+        assert percentile(range(1, 11), 10) == 1
+        assert percentile(range(1, 101), 7) == 7
+        assert percentile(range(1, 11), 11) == 2
+        assert percentile([3, 1, 2], 0) == 1
 
 
 # ---------------------------------------------------------------------------
