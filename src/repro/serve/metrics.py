@@ -22,6 +22,7 @@ TTL and latency accounting deterministically.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections import deque
@@ -91,9 +92,8 @@ def percentile(values, p: float) -> float:
     if not values:
         return 0.0
     vals = sorted(values)
-    if len(vals) == 1:
-        return float(vals[0])
-    rank = max(1, int(round(p / 100.0 * len(vals) + 0.5)))
+    # multiply first: 7 / 100 * 100 is 7.000000000000001
+    rank = max(1, math.ceil(p * len(vals) / 100))
     return float(vals[min(rank, len(vals)) - 1])
 
 
