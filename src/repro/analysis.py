@@ -314,7 +314,7 @@ def fof_groups(
             ri, rj = find(i), find(other)
             if ri != rj:
                 # merge toward the smaller canonical index so labels are
-                # deterministic across executors
+                # deterministic whatever the pair order
                 if rj < ri:
                     ri, rj = rj, ri
                 parent[rj] = ri

@@ -37,9 +37,10 @@ def _fsync_dir(dirname: str) -> None:
 def _apply_fault(data: bytes, fault) -> bytes:
     """Damage one write attempt according to a fault-plan entry.
 
-    Entries are plain picklable tuples so plans cross process-executor
-    boundaries: ``("torn", f)`` keeps only the first ``f`` fraction of the
-    payload, ``("bitflip", f)`` flips the byte at fractional position ``f``.
+    Entries are plain tuples, precomputed on rank 0 so thread scheduling
+    cannot reorder them: ``("torn", f)`` keeps only the first ``f``
+    fraction of the payload, ``("bitflip", f)`` flips the byte at
+    fractional position ``f``.
     """
     if fault is None:
         return data

@@ -380,7 +380,8 @@ def build_bat(batch: ParticleBatch, config: BATBuildConfig | None = None) -> Bui
 
     # Codec selection is per file and samples the *whole-file* columns, so
     # every treelet of a leaf uses the same codec per column and the choice
-    # is a pure function of the input batch (executor-independent bytes).
+    # is a pure function of the input batch (the same bytes whichever
+    # writer thread builds the leaf).
     codec_map: dict[str, str] = {}
     encoded_cols: dict[str, list[tuple[bytes, float, float]]] = {}
     codec_wire_names: dict[str, bytes] = {}

@@ -44,8 +44,9 @@ from the order-0 entropy of the sample's bytes, padded by
 entropy is optimistic on noisy floats. The smaller wins if it beats raw
 by :data:`RAW_MARGIN`. Codec choice must be a pure function of the
 column bytes: the same input has to produce the same file no matter
-which executor built which leaf (the byte-identity invariant the whole
-write path is property-tested on), so nothing here measures wall-clock.
+which thread built which leaf, or when (the byte-identity invariant the
+whole write path is property-tested on), so nothing here measures
+wall-clock.
 """
 
 from __future__ import annotations

@@ -44,11 +44,9 @@ class BATFileCache:
 
     Thread-safe: the serve layer's scheduler workers share one cache
     across every session, so lookup, insert, and eviction are guarded by
-    a lock (process-parallel query paths still open their own handles
-    inside worker tasks — see :mod:`repro.core.dataset` — the cache
-    serves the serial and threaded paths). Eviction may close a handle
-    another thread is still reading through an outstanding numpy view;
-    that is safe — see :meth:`BATFile.close`.
+    a lock. Eviction may close a handle another thread is still reading
+    through an outstanding numpy view; that is safe — see
+    :meth:`BATFile.close`.
 
     The hit/miss/eviction counters feed the serve metrics surface
     (:meth:`stats`), so they must stay exact under concurrency.

@@ -16,10 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from functools import partial
-
 from ..machines import MachineSpec
-from ..parallel import executor_scope, parse_executor_spec
 from ..simmpi import Message, VirtualCluster
 from ..types import Box, ParticleBatch
 from .assign import assign_read_aggregators
@@ -78,18 +75,16 @@ def _shared_face_owners(points: np.ndarray, r: int, lo: np.ndarray, hi: np.ndarr
     return keep
 
 
-def _read_leaf(layout_name: str, data_dir: str, item):
-    """Serve every request against one leaf file (one executor task).
+def _read_leaf(layout_name: str, data_dir: str, leaf_idx: int, file_name: str, reqs):
+    """Serve every request against one leaf file.
 
-    ``item`` is ``(leaf_index, file_name, [(rank, (2,3) bounds), ...])``;
-    returns ``(leaf_index, [(rank, batch), ...])``. Each task owns its file
-    handle, so tasks are independent across threads and processes. Every
-    rank whose box touches a particle asks this leaf for it, so the task
-    alone decides who owns a particle on a shared face.
+    ``reqs`` is ``[(rank, (2,3) bounds), ...]``; returns ``[(rank, batch),
+    ...]``. The file is opened and closed here. Every rank whose box
+    touches a particle asks this leaf for it, so this call alone decides
+    who owns a particle on a shared face.
     """
     from ..layouts import get_layout
 
-    leaf_idx, file_name, reqs = item
     try:
         f = get_layout(layout_name).open(Path(data_dir) / file_name)
     except FileNotFoundError as exc:
@@ -110,23 +105,15 @@ def _read_leaf(layout_name: str, data_dir: str, item):
             served.append((r, batch if keep.all() else batch.select(np.flatnonzero(keep))))
     finally:
         f.close()
-    return leaf_idx, served
+    return served
 
 
 class TwoPhaseReader:
     """Parallel reads of a BAT data set at an arbitrary rank count."""
 
-    def __init__(self, machine: MachineSpec, network_model: str = "phase", executor=None):
+    def __init__(self, machine: MachineSpec, network_model: str = "phase"):
         self.machine = machine
         self.network_model = network_model
-        #: execution layer for per-file restart reads: a spec string whose
-        #: pool lives for one read(), an Executor instance the caller
-        #: shares and closes, or None for $REPRO_EXECUTOR, else serial (no
-        #: restart-read traffic has been measured to want a pool; see
-        #: repro.parallel)
-        if isinstance(executor, str):
-            parse_executor_spec(executor)
-        self.executor = executor
 
     def read(
         self,
@@ -193,23 +180,18 @@ class TwoPhaseReader:
         batches: list[ParticleBatch] | None = None
         actual_bytes: dict[tuple[int, int], float] = {}
         if data_dir is not None:
-            # Group requests per leaf file and fan the files out across the
-            # executor — one open/query/close per file, mirroring the read
+            # Group requests per leaf file and serve the files in leaf
+            # order — one open/query/close per file, mirroring the read
             # aggregators that each serve the files they own. Results are
             # keyed by (rank, leaf) and re-assembled in the original
-            # request order, so completion order cannot change the output.
+            # request order.
             by_leaf: dict[int, list[tuple[int, np.ndarray]]] = {}
             for r, leaf_idx in requests:
                 by_leaf.setdefault(leaf_idx, []).append((r, read_bounds[r]))
-            tasks = [
-                (leaf_idx, metadata.leaves[leaf_idx].file_name, reqs)
-                for leaf_idx, reqs in sorted(by_leaf.items())
-            ]
-            with executor_scope(self.executor) as ex:
-                results = ex.map(partial(_read_leaf, metadata.layout, str(data_dir)), tasks)
             answered: dict[tuple[int, int], ParticleBatch] = {}
-            for leaf_idx, served in results:
-                for r, res in served:
+            for leaf_idx, reqs in sorted(by_leaf.items()):
+                file_name = metadata.leaves[leaf_idx].file_name
+                for r, res in _read_leaf(metadata.layout, str(data_dir), leaf_idx, file_name, reqs):
                     answered[(r, leaf_idx)] = res
                     actual_bytes[(r, leaf_idx)] = float(res.nbytes)
             per_rank: list[list[ParticleBatch]] = [[] for _ in range(nranks)]

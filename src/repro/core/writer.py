@@ -18,12 +18,11 @@ BAT files (lossless, query-able); timing always comes from the cost models,
 so scaling studies can also run counts-only (DESIGN.md §5).
 
 Step 5 really runs concurrently: one task per leaf (gather its members'
-particles, build, encode, verified publish) on a thread pool sized by
-:func:`~repro.parallel.threads_for` — a thread per usable CPU, at most one
-per leaf, serial on one CPU — unless ``executor=`` or ``$REPRO_EXECUTOR``
-names another. Rank 0's part of step 6 stays serial, so it is kept short:
-every leaf's root bitmaps are remapped to the global ranges in one
-vectorized pass and the manifest is encoded once.
+particles, build, encode, verified publish) through
+:func:`~repro.parallel.fan_out` — a thread per usable CPU, at most one per
+leaf, in-process on one CPU. Rank 0's part of step 6 stays serial, so it
+is kept short: every leaf's root bitmaps are remapped to the global
+ranges in one vectorized pass and the manifest is encoded once.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from ..atomic import publish_bytes
 from ..machines import MachineSpec
 from ..bat.builder import BATBuildConfig
 from ..iosim.faults import FaultConfig, FaultInjector, FaultReport
-from ..parallel import executor_scope, parse_executor_spec, threads_for
+from ..parallel import fan_out
 from ..simmpi import Message, VirtualCluster
 from ..types import ParticleBatch
 from .aggtree import AggTreeConfig, build_aggregation_tree
@@ -70,9 +69,9 @@ ESTIMATED_BAT_OVERHEAD = 1.02
 class _LeafSummary:
     """What rank 0 needs from one aggregator's build (§III-D).
 
-    The serialized bytes stay in the worker — written straight to disk
-    there when materializing — so a process pool never ships file images
-    back through pickling.
+    The serialized bytes stay in the leaf task — written straight to disk
+    there when materializing — so rank 0 never holds every leaf's file
+    image at once.
     """
 
     attr_ranges: dict
@@ -94,11 +93,11 @@ class _LeafSummary:
 def _build_leaf(layout_name: str, cfg, max_attempts: int, item) -> _LeafSummary:
     """Aggregate, build (and optionally publish) one aggregation leaf.
 
-    Module-level and driven only by picklable arguments so every executor
-    kind can run it. ``item`` is ``(member batches, out_path | None,
-    fault_plan)``; the members are concatenated here, on the aggregator,
-    and the file lands through the verified atomic-publish protocol, with
-    ``fault_plan`` (precomputed on rank 0, see
+    A pure function of its arguments, so the leaf's bytes do not depend
+    on which thread runs it or when. ``item`` is ``(member batches,
+    out_path | None, fault_plan)``; the members are concatenated here, on
+    the aggregator, and the file lands through the verified atomic-publish
+    protocol, with ``fault_plan`` (precomputed on rank 0, see
     :meth:`~repro.iosim.faults.FaultInjector.plan_leaf_write`) damaging
     specific attempts.
     """
@@ -181,7 +180,6 @@ class TwoPhaseWriter:
         bat_config: BATBuildConfig | None = None,
         layout: str = "bat",
         network_model: str = "phase",
-        executor=None,
         faults: FaultConfig | None = None,
     ):
         from ..layouts import get_layout
@@ -192,14 +190,6 @@ class TwoPhaseWriter:
         #: fault-injection config; None (or all-zero probabilities) leaves
         #: the pipeline byte- and timing-identical to a fault-free run
         self.faults = faults
-        #: execution layer for per-aggregator builds and file writes: a
-        #: spec string ("serial", "thread:8", "process:4") whose pool lives
-        #: for one write(), an Executor instance the caller shares across
-        #: writes and closes, or None for $REPRO_EXECUTOR, else a thread
-        #: per usable CPU (see repro.parallel)
-        if isinstance(executor, str):
-            parse_executor_spec(executor)
-        self.executor = executor
         self.layout = get_layout(layout)
         if layout != "bat" and bat_config is not None:
             raise ValueError("bat_config only applies to the 'bat' layout")
@@ -349,8 +339,8 @@ class TwoPhaseWriter:
         leaf_binnings: list[dict] | None = None
         write_sizes = np.zeros(nranks)
         file_sizes = np.zeros(n_leaves)
-        # Per-leaf fault plans are precomputed here (rank 0) as picklable
-        # tuples so any executor replays them identically; retry_sizes
+        # Per-leaf fault plans are precomputed here (rank 0) as plain
+        # tuples, so thread scheduling cannot reorder them; retry_sizes
         # accumulates the extra bytes each aggregator re-publishes.
         plans = (
             [injector.plan_leaf_write(i) for i in range(n_leaves)]
@@ -362,10 +352,10 @@ class TwoPhaseWriter:
             cfg = self.bat_config if self.layout.name == "bat" else None
             max_attempts = faults.max_write_attempts if faults is not None else 1
             # One task per aggregation leaf: every aggregator gathers, builds
-            # and publishes independently, so the tasks fan out across the
-            # executor; the rank-0 metadata assembly below is the only
-            # barrier. Results come back in leaf order, so parallel runs are
-            # bit-identical to serial ones.
+            # and publishes independently, so the tasks fan out; the rank-0
+            # metadata assembly below is the only barrier. Results come
+            # back in leaf order, so pooled runs are bit-identical to
+            # in-process ones.
             tasks = [
                 (
                     [data.batches[r] for r in leaf.rank_ids],
@@ -374,10 +364,7 @@ class TwoPhaseWriter:
                 )
                 for i, leaf in enumerate(leaves)
             ]
-            with executor_scope(self.executor, default=threads_for(n_leaves)) as ex:
-                built = ex.map(
-                    partial(_build_leaf, self.layout.name, cfg, max_attempts), tasks
-                )
+            built = fan_out(partial(_build_leaf, self.layout.name, cfg, max_attempts), tasks)
             if built:
                 attr_dtypes = built[0].attr_dtypes
             leaf_binnings = []

@@ -10,8 +10,9 @@ Two properties make the injected runs usable in benchmarks and CI:
 - **Determinism.** Every fault decision derives from ``FaultConfig.seed``
   and a stable index (leaf index, message index, rank id) through its own
   :class:`numpy.random.Generator` stream — never from shared mutable RNG
-  state — so per-leaf write plans are plain picklable tuples that cross
-  process-executor boundaries, and a faulted run is exactly reproducible.
+  state — so per-leaf write plans are plain tuples computed up front on
+  rank 0, no thread's schedule can reorder them, and a faulted run is
+  exactly reproducible.
 - **Recovery is observable, not assumed.** Write faults damage specific
   publish *attempts*; the read-back verification in
   :func:`repro.atomic.publish_bytes` catches them before the rename, so a
@@ -128,9 +129,9 @@ class FaultInjector:
 
         Returns a tuple of ``("torn"|"bitflip", fraction)`` entries, one per
         *damaged* attempt; the attempt after the last entry is clean. The
-        plan is a pure function of ``(seed, leaf_index)`` and picklable, so
-        rank 0 computes every plan up front and workers in any executor
-        replay them identically.
+        plan is a pure function of ``(seed, leaf_index)``, so rank 0
+        computes every plan up front and the leaf tasks replay them
+        identically in whatever order the writer's threads run them.
         """
         cfg = self.config
         rng = np.random.default_rng([cfg.seed, _STREAM_WRITE, leaf_index])

@@ -162,17 +162,13 @@ class TestOneCopyAcrossFiles:
 
 class TestResourcesReturnToBaseline:
     """A read is one reader walking the leaf files it planned: it starts no
-    thread and no process, so there is nothing for ``close()`` to leak.
-    ``$REPRO_EXECUTOR`` selects a pool for the write pipeline and the
-    restart reader only (it used to make every dataset build a pool that
-    ``close()`` never shut down)."""
+    thread and no process, so there is nothing for ``close()`` to leak."""
 
     @staticmethod
     def _live():
         return threading.active_count(), len(multiprocessing.active_children())
 
-    def test_open_dataset(self, dataset, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread:3")
+    def test_open_dataset(self, dataset):
         before = self._live()
         with open_dataset(dataset[0].metadata_path) as ds:
             batch, stats = ds.query(QueryRequest(quality=0.5))
@@ -180,8 +176,7 @@ class TestResourcesReturnToBaseline:
             assert self._live() == before
         assert self._live() == before
 
-    def test_query_service(self, dataset, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process:2")
+    def test_query_service(self, dataset):
         before = self._live()
         svc = QueryService(dataset[0].metadata_path, ServeConfig(capacity=3))
         sid = svc.open_session()

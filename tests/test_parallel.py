@@ -1,10 +1,9 @@
-"""Tests for the pluggable execution layer (repro.parallel).
+"""Tests for the writer's fan-out (repro.parallel).
 
-The load-bearing property: every executor is an implementation detail of
-*how fast* the write pipeline and the restart reader run, never of *what*
-they produce. Serial, thread, and process backends must emit
-byte-identical BAT files and identical restart reads on randomized
-workloads.
+The load-bearing property: the worker count is an implementation detail
+of *how fast* the write pipeline runs, never of *what* it produces. Writes
+on 1, 2 and 4 usable CPUs must emit byte-identical BAT files, manifests,
+query results and restart reads on randomized workloads.
 """
 
 import contextvars
@@ -23,69 +22,41 @@ from repro.core import writer as writer_module
 from repro.core.dataset import BATDataset
 from repro.iosim.faults import FaultConfig
 from repro.machines import testing_machine as make_test_machine
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-    parse_executor_spec,
-)
+from repro.parallel import fan_out
 from repro.types import Box
 from tests.test_pipeline import make_rank_data
 
-# keep pools tiny: CI and the dev container may have a single core, and
-# correctness (ordering, byte-identity) is what these tests pin down
-EXECUTOR_SPECS = ["serial", "thread:2", "process:2"]
+# usable CPUs the writer is told it has; a pool is really built for 2 and
+# 4 even on a one-CPU machine
+CPU_COUNTS = [1, 2, 4]
 
 
 def _square(x):
     return x * x
 
 
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
+
+
 class TestExecutors:
-    @pytest.mark.parametrize("spec", EXECUTOR_SPECS)
-    def test_map_preserves_input_order(self, spec):
-        with get_executor(spec) as ex:
-            assert ex.map(_square, list(range(20))) == [i * i for i in range(20)]
+    """``fan_out``, the one way the package runs tasks concurrently."""
 
-    @pytest.mark.parametrize("spec", EXECUTOR_SPECS)
-    def test_map_empty_and_single(self, spec):
-        with get_executor(spec) as ex:
-            assert ex.map(_square, []) == []
-            assert ex.map(_square, [7]) == [49]
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "thread:2"])
+    def test_map_preserves_input_order(self, cpus, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        assert fan_out(_square, range(20)) == [i * i for i in range(20)]
 
-    def test_parse_spec(self):
-        assert parse_executor_spec("serial") == ("serial", None)
-        assert parse_executor_spec("thread") == ("thread", None)
-        assert parse_executor_spec("process:4") == ("process", 4)
-        with pytest.raises(ValueError):
-            parse_executor_spec("gpu")
-        with pytest.raises(ValueError):
-            parse_executor_spec("thread:0")
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "thread:2"])
+    def test_map_empty_and_single(self, cpus, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        assert fan_out(_square, []) == []
+        assert fan_out(_square, [7]) == [49]
 
-    def test_get_executor_kinds(self):
-        assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread:2"), ThreadExecutor)
-        assert isinstance(get_executor("process:2"), ProcessExecutor)
-        ex = SerialExecutor()
-        assert get_executor(ex) is ex
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread:3")
-        ex = get_executor()
-        assert ex.kind == "thread" and ex.workers == 3
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        assert get_executor().kind == "serial"
-
-    def test_pool_close_is_idempotent(self):
-        ex = get_executor("thread:2")
-        ex.map(_square, [1, 2, 3])
-        ex.close()
-        ex.close()
-
-    def test_thread_tasks_run_in_the_callers_context(self):
-        """A pool thread sees the context variables its caller set (an open
-        trace span), and what a task sets stays in that task."""
+    def test_thread_tasks_run_in_the_callers_context(self, monkeypatch):
+        """A task sees the context variables its caller set (an open trace
+        span), and what a task sets stays in that task — on pool threads
+        and in-process alike."""
         var = contextvars.ContextVar("var", default="unset")
 
         def task(i):
@@ -93,24 +64,36 @@ class TestExecutors:
             var.set(f"task {i}")
             return seen, threading.get_ident()
 
-        token = var.set("caller")
-        try:
-            with get_executor("thread:2") as ex:
-                got = ex.map(task, range(8))
-        finally:
-            var.reset(token)
-        assert [seen for seen, _ in got] == ["caller"] * 8
-        assert threading.get_ident() not in {ident for _, ident in got}
+        for cpus in (2, 1):
+            _cpus(monkeypatch, cpus)
+            token = var.set("caller")
+            try:
+                got = fan_out(task, range(8))
+                assert var.get() == "caller"
+            finally:
+                var.reset(token)
+            assert [seen for seen, _ in got] == ["caller"] * 8
+            on_caller = threading.get_ident() in {ident for _, ident in got}
+            assert on_caller == (cpus == 1)
         assert var.get() == "unset"
 
     def test_unsized_pools_use_the_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
-        assert get_executor("thread").workers == 3
-        assert get_executor("process").workers == 3
-        assert parallel.threads_for(32) == "thread:3"
-        assert parallel.threads_for(2) == "thread:2"
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        assert parallel.threads_for(32) == "serial"
+        """A thread per usable CPU, no more threads than tasks."""
+        sizes = []
+
+        class Spy(parallel.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Spy)
+        _cpus(monkeypatch, 3)
+        fan_out(_square, range(32))
+        fan_out(_square, range(2))
+        assert sizes == [3, 2]
+        _cpus(monkeypatch, 1)
+        fan_out(_square, range(32))
+        assert sizes == [3, 2]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
     def test_usable_cpus_follow_the_affinity_mask(self):
@@ -130,10 +113,16 @@ def _hash_files(directory):
     }
 
 
+def _write(tmp_path, name, data, **kwargs):
+    out = tmp_path / name
+    writer = TwoPhaseWriter(make_test_machine(), target_size=64 * 1024, **kwargs)
+    report = writer.write(data, out_dir=out, name="d")
+    return out, report
+
+
 class TestDefaultWriter:
-    """With no ``executor=`` and no ``$REPRO_EXECUTOR`` the writer fans its
-    leaves over a thread per usable CPU: same bytes as serial, and no thread
-    outlives the write."""
+    """The writer fans its leaves over a thread per usable CPU: the same
+    bytes as an in-process write, and no thread outlives the write."""
 
     WRITES = {
         "v3": {},
@@ -142,15 +131,6 @@ class TestDefaultWriter:
             seed=3, torn_write=0.3, bit_flip=0.3, aggregator_death=0.2
         )},
     }
-
-    @pytest.fixture(autouse=True)
-    def _no_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-
-    @pytest.fixture()
-    def two_cpus(self, monkeypatch):
-        """The pool is really built, even on a one-CPU machine."""
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
     @pytest.fixture()
     def task_threads(self, monkeypatch):
@@ -165,70 +145,47 @@ class TestDefaultWriter:
         monkeypatch.setattr(writer_module, "publish_bytes", spy)
         return ran_on
 
-    @staticmethod
-    def _write(tmp_path, name, data, executor=None, **kwargs):
-        out = tmp_path / name
-        writer = TwoPhaseWriter(
-            make_test_machine(), target_size=64 * 1024, executor=executor, **kwargs
-        )
-        report = writer.write(data, out_dir=out, name="d")
-        return out, report
-
     @pytest.mark.parametrize("kind", sorted(WRITES))
     def test_default_is_byte_identical_to_serial(
-        self, kind, random_workloads, tmp_path, two_cpus
+        self, kind, random_workloads, tmp_path, monkeypatch
     ):
         data = random_workloads[1]
-        serial, want = self._write(tmp_path, "serial", data, "serial", **self.WRITES[kind])
-        pooled, got = self._write(tmp_path, "default", data, **self.WRITES[kind])
+        runs = {}
+        for cpus in CPU_COUNTS:
+            _cpus(monkeypatch, cpus)
+            runs[cpus] = _write(tmp_path, f"cpus{cpus}", data, **self.WRITES[kind])
+        serial, want = runs[1]
         assert len(_hash_files(serial)) > 1
-        assert _hash_files(pooled) == _hash_files(serial)
-        assert (pooled / "d.meta.json").read_bytes() == (serial / "d.meta.json").read_bytes()
-        if kind == "faulted":
-            assert want.faults.total_injected > 0
-            assert got.faults.to_doc() == want.faults.to_doc()
+        for cpus in CPU_COUNTS[1:]:
+            pooled, got = runs[cpus]
+            assert _hash_files(pooled) == _hash_files(serial), cpus
+            assert (pooled / "d.meta.json").read_bytes() == (serial / "d.meta.json").read_bytes()
+            if kind == "faulted":
+                assert want.faults.total_injected > 0
+                assert got.faults.to_doc() == want.faults.to_doc()
 
-    @pytest.mark.parametrize("how", ["default", "spec", "env"])
     def test_no_thread_outlives_the_write(
-        self, how, random_workloads, tmp_path, monkeypatch, two_cpus, task_threads
+        self, random_workloads, tmp_path, monkeypatch, task_threads
     ):
-        if how == "env":
-            monkeypatch.setenv("REPRO_EXECUTOR", "thread:2")
+        _cpus(monkeypatch, 2)
         before = threading.active_count()
-        self._write(tmp_path, how, random_workloads[0], "thread:2" if how == "spec" else None)
+        _write(tmp_path, "pooled", random_workloads[0])
         assert task_threads and threading.get_ident() not in task_threads  # a pool ran
         assert threading.active_count() == before
-
-    def test_an_executor_instance_stays_the_callers(self, random_workloads, tmp_path):
-        with ThreadExecutor(2) as ex:
-            self._write(tmp_path, "a", random_workloads[0], ex)
-            assert ex._pool is not None
-            self._write(tmp_path, "b", random_workloads[0], ex)  # still usable
-        assert ex._pool is None
 
     def test_one_usable_cpu_writes_serially(
         self, random_workloads, tmp_path, monkeypatch, task_threads
     ):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        monkeypatch.setattr(parallel, "ThreadExecutor", None)  # building one would fail
-        self._write(tmp_path, "one", random_workloads[0])
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", None)  # building one would fail
+        _write(tmp_path, "one", random_workloads[0])
         assert task_threads == {threading.get_ident()}
-
-    def test_reader_pools_live_for_one_read(self, random_workloads, tmp_path):
-        data = random_workloads[0]
-        out, report = self._write(tmp_path, "r", data, "serial")
-        before = threading.active_count()
-        rep = TwoPhaseReader(make_test_machine(), executor="thread:2").read(
-            report.metadata, data.bounds, data_dir=out
-        )
-        assert sum(len(b) for b in rep.batches) == data.total_particles
-        assert threading.active_count() == before
 
 
 @pytest.fixture(scope="module")
 def random_workloads():
-    # randomized workloads per the issue: different rank counts, particle
-    # counts, and seeds, so byte-identity isn't a fluke of one layout
+    # randomized workloads: different rank counts, particle counts, and
+    # seeds, so byte-identity isn't a fluke of one layout
     return [
         make_rank_data(nranks=8, seed=11, min_n=100, max_n=900),
         make_rank_data(nranks=16, seed=42, min_n=50, max_n=2000),
@@ -236,68 +193,65 @@ def random_workloads():
 
 
 class TestByteIdenticalOutputs:
-    """Property: serial/thread/process write the same bytes, answer the same."""
+    """Property: writes on 1, 2 and 4 usable CPUs produce the same bytes
+    and answer the same."""
 
     @pytest.fixture(scope="class")
     def written(self, random_workloads, tmp_path_factory):
-        machine = make_test_machine()
         runs = []
-        for w, data in enumerate(random_workloads):
-            per_spec = {}
-            for spec in EXECUTOR_SPECS:
-                out = tmp_path_factory.mktemp(f"w{w}-{spec.replace(':', '_')}")
-                writer = TwoPhaseWriter(machine, target_size=64 * 1024, executor=spec)
-                report = writer.write(data, out_dir=out, name="prop")
-                per_spec[spec] = (out, report)
-            runs.append((data, per_spec))
+        with pytest.MonkeyPatch.context() as mp:
+            for w, data in enumerate(random_workloads):
+                per_count = {}
+                for cpus in CPU_COUNTS:
+                    _cpus(mp, cpus)
+                    per_count[cpus] = _write(tmp_path_factory.mktemp(f"w{w}"), "prop", data)
+                runs.append((data, per_count))
         return runs
 
     def test_file_bytes_identical(self, written):
-        for _, per_spec in written:
-            ref = _hash_files(per_spec["serial"][0])
+        for _, per_count in written:
+            ref = _hash_files(per_count[1][0])
             assert len(ref) > 1  # multiple aggregators, or the test is vacuous
-            for spec in EXECUTOR_SPECS[1:]:
-                assert _hash_files(per_spec[spec][0]) == ref, spec
+            for cpus in CPU_COUNTS[1:]:
+                assert _hash_files(per_count[cpus][0]) == ref, cpus
 
     def test_metadata_identical(self, written):
-        for _, per_spec in written:
-            texts = {
-                spec: (out / "prop.meta.json").read_text()
-                for spec, (out, _) in per_spec.items()
-            }
-            assert texts["thread:2"] == texts["serial"]
-            assert texts["process:2"] == texts["serial"]
+        for _, per_count in written:
+            texts = {cpus: (out / "d.meta.json").read_text() for cpus, (out, _) in per_count.items()}
+            for cpus in CPU_COUNTS[1:]:
+                assert texts[cpus] == texts[1], cpus
 
     def test_query_file_results_identical(self, written):
         from repro.bat.file import BATFile
 
         box = Box((0.5, 0.5, 0.0), (3.0, 3.0, 1.0))
-        for _, per_spec in written:
-            ref = None
-            for spec, (out, _) in per_spec.items():
+        for _, per_count in written:
+            got = {}
+            for cpus, (out, _) in per_count.items():
                 parts = []
                 for p in sorted(out.glob("*.bat")):
                     with BATFile(p) as f:
                         batch, _ = query_file(f, quality=0.7, box=box)
                         parts.append(batch.positions)
-                got = np.concatenate(parts) if parts else np.empty((0, 3))
-                if ref is None:
-                    ref = got
-                else:
-                    np.testing.assert_array_equal(got, ref, err_msg=spec)
+                got[cpus] = np.concatenate(parts) if parts else np.empty((0, 3))
+            for cpus in CPU_COUNTS[1:]:
+                np.testing.assert_array_equal(got[cpus], got[1], err_msg=str(cpus))
 
     def test_reader_parallel_matches_serial(self, written):
+        """Restart reads of the pooled writes equal those of the in-process one."""
         machine = make_test_machine()
-        for data, per_spec in written:
-            out, report = per_spec["serial"]
+        for data, per_count in written:
             bounds = np.roll(data.bounds, -1, axis=0)
-            serial = TwoPhaseReader(machine).read(report.metadata, bounds, data_dir=out)
-            threaded = TwoPhaseReader(machine, executor="thread:2").read(
-                report.metadata, bounds, data_dir=out
-            )
-            assert serial.batches is not None
-            for got, want in zip(threaded.batches, serial.batches):
-                np.testing.assert_array_equal(got.positions, want.positions)
+            reads = {
+                cpus: TwoPhaseReader(machine).read(report.metadata, bounds, data_dir=out)
+                for cpus, (out, report) in per_count.items()
+            }
+            assert reads[1].batches is not None
+            for cpus in CPU_COUNTS[1:]:
+                for got, want in zip(reads[cpus].batches, reads[1].batches, strict=True):
+                    np.testing.assert_array_equal(got.positions, want.positions)
+                    for name in want.attributes:
+                        np.testing.assert_array_equal(got.attributes[name], want.attributes[name])
 
 
 class TestFileCache:
@@ -305,7 +259,7 @@ class TestFileCache:
     def files(self, random_workloads, tmp_path):
         data = random_workloads[0]
         writer = TwoPhaseWriter(make_test_machine(), target_size=32 * 1024)
-        report = writer.write(data, out_dir=tmp_path, name="lru")
+        writer.write(data, out_dir=tmp_path, name="lru")
         return sorted(tmp_path.glob("*.bat"))
 
     def test_hit_returns_same_handle(self, files):

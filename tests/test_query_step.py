@@ -43,9 +43,7 @@ DOMAIN = Box((0.0, 0.0, 0.0), (4.0, 4.0, 1.0))
 def write(out, version: int, name: str = "step", **cfg):
     """A multi-file dataset whose files reach different treelet depths."""
     config = BATBuildConfig(codecs="auto", **cfg) if version == 4 else BATBuildConfig(**cfg)
-    writer = TwoPhaseWriter(
-        testing_machine(), target_size=48 * 1024, bat_config=config, executor="serial"
-    )
+    writer = TwoPhaseWriter(testing_machine(), target_size=48 * 1024, bat_config=config)
     data = make_rank_data(nranks=6, seed=2, min_n=50, max_n=6000, domain=DOMAIN)
     return writer.write(data, out_dir=out, name=name).metadata_path
 

@@ -29,8 +29,7 @@ those two knobs (``quantize_positions``, ``compress``)::
         "v4q": BATBuildConfig(codecs="auto", quantize_positions=True),
     }
     for key, cfg in LEGACY.items():
-        writer = TwoPhaseWriter(testing_machine(), target_size=16 * 1024,
-                                bat_config=cfg, executor="serial")
+        writer = TwoPhaseWriter(testing_machine(), target_size=16 * 1024, bat_config=cfg)
         writer.write(compressible_rank_data(2, 600, seed=7),
                      out_dir=f"tests/data/legacy/{key}", name=key)
 
