@@ -37,7 +37,6 @@ __all__ = [
     "QueryResult",
     "NeighborResult",
     "StreamIncrement",
-    "merge_keyed",
     "reassemble_stream",
     "request_to_doc",
     "request_from_doc",
@@ -416,38 +415,6 @@ class StreamIncrement:
     partial: bool = False
 
 
-def _keyed_concat(incs):
-    """``(batch, order, perm)`` of keyed increments laid end to end;
-    ``perm`` sorts the rows by order key (``None``: already sorted)."""
-    parts = [inc for inc in incs if len(inc.batch)] or incs[:1]
-    if len(parts) == 1:
-        # a single increment is already ascending in its order keys
-        return parts[0].batch, parts[0].order, None
-    batch = ParticleBatch.concatenate([inc.batch for inc in parts])
-    order = np.concatenate([inc.order for inc in parts], axis=0)
-    return batch, order, np.lexsort((order[:, 2], order[:, 1], order[:, 0]))
-
-
-def merge_keyed(increments) -> StreamIncrement:
-    """Merge keyed increments into one keyed increment, rows in key order.
-
-    :func:`reassemble_stream` with the keys kept: the shard router merges
-    one rung's per-shard increments with it and forwards the result as
-    that rung's (still mergeable) increment. The merge spans
-    ``(first.prev_quality, last.quality]`` and carries the last
-    increment's cumulative ``stats``; it is partial if any part was.
-    """
-    incs = list(increments)
-    batch, order, perm = _keyed_concat(incs)
-    if perm is not None:
-        batch, order = batch.select(perm), order[perm]
-    return StreamIncrement(
-        quality=incs[-1].quality, prev_quality=incs[0].prev_quality,
-        batch=batch, order=order, stats=incs[-1].stats,
-        partial=any(inc.partial for inc in incs),
-    )
-
-
 def reassemble_stream(increments) -> QueryResult:
     """Fold streamed increments back into one :class:`QueryResult`.
 
@@ -463,23 +430,22 @@ def reassemble_stream(increments) -> QueryResult:
     if not incs:
         raise InvalidRequestError("cannot reassemble an empty stream")
     stats = incs[-1].stats
-    keyed = [inc for inc in incs if inc.order is not None]
-    if not keyed:
-        # pre-ordered increments (the sync one-shot path): concatenation
-        # in delivery order already is the direct order
-        if len(incs) == 1:
-            return QueryResult(batch=incs[0].batch, stats=stats)
-        return QueryResult(
-            batch=ParticleBatch.concatenate([inc.batch for inc in incs]), stats=stats
-        )
-    if len(keyed) != len(incs):
+    keyed = sum(inc.order is not None for inc in incs)
+    if keyed not in (0, len(incs)):
         raise InvalidRequestError(
             "cannot reassemble a mix of keyed and pre-ordered increments"
         )
-    batch, _, perm = _keyed_concat(incs)
-    return QueryResult(
-        batch=batch if perm is None else batch.select(perm), stats=stats
-    )
+    parts = [inc for inc in incs if len(inc.batch)] or incs[:1]
+    if len(parts) == 1:
+        # one increment already is in order (ascending keys, or pre-ordered)
+        return QueryResult(batch=parts[0].batch, stats=stats)
+    # pre-ordered increments (the sync one-shot path, the shard router's
+    # leaf runs) laid end to end already are the direct order
+    batch = ParticleBatch.concatenate([inc.batch for inc in parts])
+    if keyed:
+        order = np.concatenate([inc.order for inc in parts])
+        batch = batch.select(np.lexsort((order[:, 2], order[:, 1], order[:, 0])))
+    return QueryResult(batch=batch, stats=stats)
 
 
 def open_dataset(path, *, file_cache=None, plan_cache=None):

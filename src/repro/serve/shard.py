@@ -25,26 +25,27 @@ leaves the plan touches::
         │                        │ scatter per window / per ladder rung
         │              ┌─────────┼─────────┐           (pipe RPC, pickle)
         │         shard 0    shard 1  ...  shard k     (processes)
-        │          restricted plan → ds.stream → keyed increment
-        │              └─────────┼─────────┘
+        │          restricted plan → ds.stream → rows + leaf runs
+        │              └─────────┼─────────┘   (+ order keys per rung)
         │                        ▼ gather
-        └──────◀── order-key merge: reassemble_stream (one-shot) or
-                   merge_keyed (one globally keyed increment per rung)
+        └──────◀── leaf-run merge: runs of all replies sorted by leaf,
+                   sliced end to end (reassemble_stream, pre-ordered)
 
 **Byte-identity across the scatter.** A shard executes the query with
 the full plan *filtered to its owned leaves* — never via planner
 exclusion, which would count the other shards' files as quarantined and
-mark every response partial. Order keys from :meth:`BATDataset.stream`
-carry a plan-local file rank in column 0; since every plan lists files
-ascending by leaf index, each worker rewrites that column to the
-**global leaf index** before replying, and the router's lexsort then
-reproduces exactly the single-process delivery order. A streamed
+mark every response partial. A shard's rows arrive file by file, leaves
+ascending, and each leaf file has one owner; so each reply lists its
+**leaf runs** (``(global leaf index, row count)`` per file) and the
+router lays the runs of all replies end to end in leaf order — exactly
+the single-process delivery order, with no per-row sort. A streamed
 request is the same scatter once per ladder rung (a rung of a
 multi-rung stream equals the one-rung stream of its ``(prev, q]``
-window, rows and keys alike — the one call workers serve). Responses
-are property-tested byte-identical to :class:`QueryService`'s in every
-mode the core has, including boxes spanning shard boundaries; only
-neighbor requests are refused (:meth:`_ShardedStep.neighbors`).
+window — the one call workers serve); only rung replies ship per-row
+order keys, column 0 rewritten to the global leaf index, since clients
+reassemble rungs by them. Responses are property-tested byte-identical
+to :class:`QueryService`'s in every mode the core has, including boxes
+spanning shard boundaries; only neighbor requests are refused.
 
 **One generation per request.** A step object is immutable: a reload
 replaces it, so a request plans, scatters and keys its caches against
@@ -75,7 +76,6 @@ import numpy as np
 from ..api import (
     QueryResult,
     StreamIncrement,
-    merge_keyed,
     reassemble_stream,
     request_from_doc,
     request_to_doc,
@@ -122,14 +122,6 @@ class ShardUnavailable(ReproError, RuntimeError):
 class StaleGeneration(ReproError, RuntimeError):
     """A worker serves a different layout generation than the request was
     planned against, even after reloading the step's manifest."""
-
-
-#: the reply payload of a window that touches no leaf of the shard asked
-_NO_ROWS = {
-    "count": 0, "positions": None, "attributes": {},
-    "order": np.empty((0, 3), dtype=np.int64),
-    "partial": False, "quarantined_files": 0,
-}
 
 
 # -- worker process ------------------------------------------------------------
@@ -201,13 +193,16 @@ class _ShardWorker:
         }
 
     def execute(self, doc: dict) -> dict:
-        """One scattered window on this shard's leaves; a keyed increment.
+        """One scattered window on this shard's leaves: rows and leaf runs.
 
         The plan is the worker's own (quarantine-aware) plan filtered to
         owned leaves — filtering, not planner exclusion, so foreign
-        leaves are not miscounted as quarantined. Order-key column 0 is
-        rewritten from the plan-local file rank to the global leaf index
-        so the router's merge is globally ordered.
+        leaves are not miscounted as quarantined. ``runs`` is an
+        ``(files, 2)`` int64 array of ``(global leaf index, row count)``
+        in emission order, leaves ascending; the router merges by it.
+        Only a stream rung (``doc["keyed"]``) ships the rows' order keys,
+        column 0 rewritten from the plan-local file rank to the global
+        leaf index; a one-shot window's ``order`` is ``None``.
         """
         t0 = time.perf_counter()
         step = int(doc["step"])
@@ -227,14 +222,15 @@ class _ShardWorker:
             session_id=self.shard_id, seq=0, requested_quality=req.quality,
             prev_quality=req.prev_quality,
         )
-        if not files:
-            payload = dict(
-                _NO_ROWS, partial=full_plan.excluded_files > 0,
-                quarantined_files=full_plan.excluded_files,
-            )
+        if not files:  # no owned leaf survives this worker's own plan
             span.total_seconds = time.perf_counter() - t0
             self.metrics.record(span)
-            return payload
+            return {
+                "count": 0, "positions": None, "attributes": {}, "order": None,
+                "runs": np.empty((0, 2), dtype=np.int64),
+                "partial": full_plan.excluded_files > 0,
+                "quarantined_files": full_plan.excluded_files,
+            }
         plan = replace(full_plan, files=files, n_files=len(files))
         inc = None
         gen = ds.stream(req, ladder=(req.quality,), plan=plan)
@@ -243,14 +239,14 @@ class _ShardWorker:
                 pass  # single-rung ladder: exactly one increment
         finally:
             gen.close()
-        order = inc.order
-        if len(order):
-            lut = np.fromiter(
-                (fp.leaf_index for fp in plan.files), dtype=np.int64,
-                count=len(plan.files),
-            )
-            order = order.copy()
-            order[:, 0] = lut[order[:, 0]]
+        lut = np.array([fp.leaf_index for fp in plan.files], dtype=np.int64)
+        rank = inc.order[:, 0]  # non-decreasing: rows arrive file by file
+        starts = np.flatnonzero(np.diff(rank, prepend=-1))
+        runs = np.column_stack((lut[rank[starts]], np.diff(starts, append=len(rank))))
+        order = None
+        if doc["keyed"]:
+            order = inc.order.copy()
+            order[:, 0] = lut[rank]
         stats = inc.stats
         batch = inc.batch
         span.served_quality = req.quality
@@ -267,6 +263,7 @@ class _ShardWorker:
             "positions": batch.positions,
             "attributes": dict(batch.attributes),
             "order": order,
+            "runs": runs,
             "partial": span.partial,
             "quarantined_files": stats.quarantined_files,
         }
@@ -568,53 +565,36 @@ class _ShardedStep:
             "BATDataset.neighbors"
         )
 
-    def _scatter(self, req, plan):
+    def _scatter(self, req, plan, keyed=False):
         """Send one ``(prev_quality, quality]`` window to every shard that
-        owns a planned leaf; gather ``(keyed increments, quarantined)``."""
+        owns a planned leaf and merge the replies by leaf runs: ``(batch,
+        order, quarantined, partial)``, ``order`` the rows' global keys
+        for a stream rung (``keyed``), else ``None``."""
         needed = sorted({self.owners[fp.leaf_index] for fp in plan.files})
         self._router._count_fanout(len(needed))
         doc = {
             "step": self._step,
             "generation": self.metadata.generation,
             "request": request_to_doc(req),
+            "keyed": keyed,
         }
         clients = [self._router._shards[s] for s in needed]
         started = [(c, c._start("query", doc)) for c in clients]
         payloads = [
             c.finish(reply, RPC_TIMEOUT, retry=("query", doc))
             for c, reply in started
-        ] or [_NO_ROWS]  # the plan kept no file: nobody to ask
-        incs = [
-            StreamIncrement(
-                quality=req.quality,
-                prev_quality=req.prev_quality,
-                batch=ParticleBatch(
-                    payload["positions"], payload["attributes"],
-                    count=payload["count"],
-                ),
-                order=payload["order"],
-                partial=payload["partial"],
-            )
-            for payload in payloads
         ]
-        return incs, sum(payload["quarantined_files"] for payload in payloads)
-
-    def _typed(self, batch, columns):
-        """``batch``, or the manifest's empty schema when every shard
-        answered with an untyped empty one — empty responses stay
-        schema-stable."""
-        if not len(batch) and not batch.attributes:
-            return empty_batch(self, columns)
-        return batch
+        batch, order = _merge_replies(self.owners, req, zip(needed, payloads), keyed)
+        if batch is None:  # no rows anywhere: the step's schema-stable empty
+            batch = empty_batch(self, req.columns)
+        quarantined = sum(p["quarantined_files"] for p in payloads)
+        return batch, order, quarantined, any(p["partial"] for p in payloads)
 
     def query(self, request, plan) -> QueryResult:
         """One window, one scatter; byte-identical to the single-process
-        decode of the same window (order-key merge)."""
-        incs, quarantined = self._scatter(request, plan)
-        return QueryResult(
-            batch=self._typed(reassemble_stream(incs).batch, request.columns),
-            stats=QueryStats(quarantined_files=quarantined),
-        )
+        decode of the same window (leaf-run merge)."""
+        batch, _, quarantined, _ = self._scatter(request, plan)
+        return QueryResult(batch=batch, stats=QueryStats(quarantined_files=quarantined))
 
     def stream(self, request, ladder, plan):
         """One scatter per ladder rung, one globally keyed increment each.
@@ -630,16 +610,66 @@ class _ShardedStep:
         for q in ladder:
             # per view a shard's count only grows, so the latest rung's
             # total is the stream's cumulative one
-            incs, stats.quarantined_files = self._scatter(
-                replace(request, quality=q, prev_quality=prev), plan
+            batch, order, stats.quarantined_files, rung_partial = self._scatter(
+                replace(request, quality=q, prev_quality=prev), plan, keyed=True
             )
-            inc = merge_keyed(incs)
-            partial = partial or inc.partial
-            yield replace(
-                inc, batch=self._typed(inc.batch, request.columns),
+            partial = partial or rung_partial
+            yield StreamIncrement(
+                quality=q, prev_quality=prev, batch=batch, order=order,
                 stats=stats, partial=partial,
             )
             prev = q
+
+
+def _leaf_runs(owners, replies) -> list:
+    """``(leaf, payload, start, end)`` of every leaf run in ``replies``
+    (``(shard, payload)`` pairs), sorted by leaf; adjacent runs of one
+    reply are coalesced, so a lone live reply is one run over all its rows.
+
+    A run whose leaf the sending shard does not own, or that does not
+    ascend within its reply, means router and worker disagree on the
+    layout: :class:`StaleGeneration`, before anything is merged.
+    """
+    runs = []
+    for shard, payload in replies:
+        start, prev = 0, -1
+        for leaf, count in payload["runs"].tolist():
+            if leaf <= prev or leaf >= len(owners) or owners[leaf] != shard:
+                why = "out of leaf order" if leaf <= prev else "not its leaf"
+                raise StaleGeneration(
+                    f"shard {shard} replied with rows of leaf {leaf} ({why})"
+                )
+            runs.append((leaf, payload, start, start + count))
+            start, prev = start + count, leaf
+    merged = []
+    for leaf, payload, start, end in sorted(runs, key=lambda run: run[0]):
+        if merged and merged[-1][1] is payload:  # its previous run ends at start
+            leaf, _, start, _ = merged.pop()
+        merged.append((leaf, payload, start, end))
+    return merged
+
+
+def _merge_replies(owners, window, replies, keyed):
+    """One window's ``(shard, payload)`` replies as ``(batch, order)`` in
+    single-process delivery order: the leaf runs laid end to end, rows as
+    pre-ordered increments of :func:`reassemble_stream` (a lone run passes
+    whole, uncopied) and order keys alike when ``keyed`` (else ``None``).
+    ``batch`` is ``None`` when no reply holds a row.
+    """
+    runs = _leaf_runs(owners, replies)
+    if not runs:
+        return None, np.empty((0, 3), dtype=np.int64) if keyed else None
+    batch = reassemble_stream([
+        StreamIncrement(window.quality, window.prev_quality, ParticleBatch(
+            None if p["positions"] is None else p["positions"][start:end],
+            {name: col[start:end] for name, col in p["attributes"].items()},
+            count=end - start,
+        )) for _, p, start, end in runs
+    ]).batch
+    if not keyed:
+        return batch, None
+    keys = [p["order"][start:end] for _, p, start, end in runs]
+    return batch, keys[0] if len(keys) == 1 else np.concatenate(keys)
 
 
 class ShardedQueryService(QueryService):

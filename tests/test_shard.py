@@ -33,11 +33,13 @@ from repro.serve import (
     QueryService,
     ServeConfig,
     ShardedQueryService,
+    StaleGeneration,
     assign_leaves,
     region_key,
     request_from_doc,
     request_to_doc,
 )
+from repro.serve.shard import _merge_replies, _ShardWorker
 from repro.types import Box
 from tests.test_pipeline import make_rank_data
 
@@ -633,3 +635,189 @@ class TestLoadgenCompat:
             rate_hz=400.0, identity_sample_every=2,
         )
         check_load(report, direct, 12, stream=True)
+
+
+# ---------------------------------------------------------------------------
+# the router's leaf-run merge and the worker reply it consumes
+
+
+def crafted_replies(owners, counts, keyed, with_positions, rng):
+    """``(shard, payload)`` worker replies of a window that returned
+    ``counts[leaf]`` rows of every leaf, and the rows' ``(leaf, treelet,
+    slot)`` keys per shard, as a worker's reply lays them out."""
+    replies, keys = [], {}
+    for shard in sorted(set(owners)):
+        leaves = [i for i, o in enumerate(owners) if o == shard and counts[i]]
+        per_leaf = []
+        for leaf in leaves:
+            n = counts[leaf]
+            tr = np.sort(rng.integers(0, 4, n))
+            per_leaf.append(np.column_stack([
+                np.full(n, leaf), tr, np.arange(n) + 10 * tr
+            ]).astype(np.int64))
+        k = np.concatenate(per_leaf) if per_leaf else np.empty((0, 3), np.int64)
+        n = len(k)
+        keys[shard] = k
+        replies.append((shard, {
+            "count": n,
+            "positions": (
+                rng.random((n, 3)).astype(np.float32) if with_positions else None
+            ),
+            "attributes": {
+                "mass": rng.random(n), "id": rng.integers(0, 1 << 30, n).astype(np.int32),
+            },
+            "order": k if keyed else None,
+            "runs": np.array(
+                [[leaf, counts[leaf]] for leaf in leaves], dtype=np.int64
+            ).reshape(-1, 2),
+            "partial": False, "quarantined_files": 0,
+        }))
+    return replies, keys
+
+
+class TestLeafRunMerge:
+    WINDOW = QueryRequest(quality=0.5, prev_quality=0.25)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_shards=st.integers(1, 3),
+        owned=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)),
+                       min_size=1, max_size=40),
+        keyed=st.booleans(),
+        with_positions=st.booleans(),
+        reply_order=st.randoms(use_true_random=False),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_lexsort_reference(
+        self, n_shards, owned, keyed, with_positions, reply_order, seed
+    ):
+        owners = [o % n_shards for o, _ in owned]
+        counts = [c for _, c in owned]
+        replies, keys = crafted_replies(
+            owners, counts, keyed, with_positions, np.random.default_rng(seed)
+        )
+        reply_order.shuffle(replies)  # gather order must not matter
+        batch, order = _merge_replies(owners, self.WINDOW, replies, keyed)
+        if not sum(counts):  # the router substitutes the step's empty schema
+            assert batch is None
+            assert order is None if not keyed else order.shape == (0, 3)
+            return
+
+        # reference: every reply laid end to end, then one lexsort by key
+        payloads = [p for _, p in replies]
+        ref_keys = np.concatenate([keys[s] for s, _ in replies])
+        perm = np.lexsort((ref_keys[:, 2], ref_keys[:, 1], ref_keys[:, 0]))
+        assert len(batch) == sum(counts)
+        for name in ("mass", "id"):
+            want = np.concatenate([p["attributes"][name] for p in payloads])[perm]
+            assert batch.attributes[name].dtype == want.dtype
+            assert batch.attributes[name].tobytes() == want.tobytes()
+        if with_positions:
+            want = np.concatenate([p["positions"] for p in payloads])[perm]
+            assert batch.positions.tobytes() == want.tobytes()
+        else:
+            assert batch.positions is None
+        if keyed:
+            assert order.tobytes() == ref_keys[perm].tobytes()
+        else:
+            assert order is None
+
+        live = [p for p in payloads if p["count"]]
+        if len(live) == 1:  # a lone live reply passes whole, uncopied
+            assert np.shares_memory(batch.attributes["mass"], live[0]["attributes"]["mass"])
+
+    @pytest.mark.parametrize("runs, message", [
+        ({0: [[1, 2]]}, "shard 0 replied with rows of leaf 1"),            # not its leaf
+        ({0: [[0, 2]], 1: [[0, 2]]}, "shard 1 replied with rows of leaf 0"),  # twice
+        ({0: [[2, 1], [0, 1]]}, "shard 0 replied with rows of leaf 0"),    # out of order
+    ])
+    def test_layout_disagreement_is_stale_generation(self, runs, message):
+        owners = (0, 1, 0)
+        replies = []
+        for shard, rows in runs.items():
+            n = sum(c for _, c in rows)
+            replies.append((shard, {
+                "count": n, "positions": np.zeros((n, 3), np.float32),
+                "attributes": {}, "order": None,
+                "runs": np.array(rows, dtype=np.int64),
+            }))
+        with pytest.raises(StaleGeneration, match=message):
+            _merge_replies(owners, self.WINDOW, replies, False)
+
+    def test_router_fails_the_request_and_caches_nothing(self, sharded, monkeypatch):
+        """A reply whose runs claim a leaf the other shard owns fails the
+        request with StaleGeneration; no result entry is written."""
+        owners = sharded.owners(0)
+        foreign = owners.index(1)
+        client = sharded._shards[0]
+        finish = client.finish
+
+        def tampered(*args, **kwargs):
+            payload = finish(*args, **kwargs)
+            if len(payload["runs"]):
+                payload["runs"][0, 0] = foreign
+            return payload
+
+        monkeypatch.setattr(client, "finish", tampered)
+        # a view no other test reads, so the result cache cannot absorb it
+        req = QueryRequest(quality=0.9, box=Box((0.1, 0.1, 0.1), (8.7, 8.7, 0.95)))
+        entries = sharded.snapshot(include_workers=False)["caches"]["results"]["entries"]
+        sid = sharded.open_session()
+        try:
+            with pytest.raises(StaleGeneration, match=f"leaf {foreign}"):
+                sharded.request(sid, req)
+        finally:
+            sharded.close_session(sid)
+        after = sharded.snapshot(include_workers=False)["caches"]["results"]["entries"]
+        assert after == entries
+
+
+class TestWorkerReply:
+    """An in-process worker's replies: one-shot windows ship rows and leaf
+    runs only, stream rungs add the direct stream's keys, globalized."""
+
+    REQ = QueryRequest(quality=0.6, box=Box((0.5, 0.5, 0.0), (6.0, 6.0, 0.9)))
+
+    @pytest.fixture(scope="class")
+    def workers(self, written):
+        ws = [_ShardWorker(str(written), shard, 2, {}) for shard in range(2)]
+        yield ws
+        for w in ws:
+            w.close()
+
+    def replies(self, worker, written):
+        doc = {
+            "step": 0, "generation": DatasetMetadata.load(written).generation,
+            "request": request_to_doc(self.REQ),
+        }
+        return (worker.execute(dict(doc, keyed=False)),
+                worker.execute(dict(doc, keyed=True)))
+
+    def test_one_shot_reply_is_rows_and_runs(self, workers, written):
+        for w in workers:
+            reply, _ = self.replies(w, written)
+            assert reply["order"] is None
+            leaves, counts = reply["runs"].T
+            assert (np.diff(leaves) > 0).all()
+            assert set(leaves.tolist()) <= w.dataset(0)[1]
+            assert (counts > 0).all() and counts.sum() == reply["count"] > 0
+
+    def test_rung_keys_are_the_direct_stream_keys_with_global_leaves(
+        self, workers, written, direct
+    ):
+        plan = direct.plan(self.REQ.box, self.REQ.filters)
+        lut = np.array([fp.leaf_index for fp in plan.files], dtype=np.int64)
+        (want,) = direct.stream(self.REQ, ladder=(self.REQ.quality,))
+        keys = want.order.copy()
+        keys[:, 0] = lut[keys[:, 0]]
+        rows = 0
+        for w in workers:
+            one_shot, rung = self.replies(w, written)
+            mine = np.isin(keys[:, 0], list(w.dataset(0)[1]))
+            assert rung["order"].tobytes() == keys[mine].tobytes()
+            assert rung["runs"].tobytes() == one_shot["runs"].tobytes()
+            for name, col in want.batch.attributes.items():
+                assert rung["attributes"][name].tobytes() == col[mine].tobytes()
+                assert one_shot["attributes"][name].tobytes() == col[mine].tobytes()
+            rows += rung["count"]
+        assert rows == len(want.batch) > 0
