@@ -24,6 +24,8 @@ All errors raised by the library derive from
 :class:`repro.errors.ReproError`; see :mod:`repro.errors`.
 """
 
+import logging
+
 from . import errors, machines
 from .api import (
     NeighborRequest,
@@ -53,6 +55,10 @@ from .core.timeseries import TimeSeriesDataset, TimeSeriesWriter
 from .types import AttributeSpec, Box, ParticleBatch
 
 __version__ = "1.0.0"
+
+# the library logs lifecycle events (quarantine, ...) under "repro.*";
+# it attaches no output of its own — an application adds its handlers
+logging.getLogger("repro").addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

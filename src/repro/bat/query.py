@@ -564,12 +564,6 @@ def _segments(lo: np.ndarray, hi: np.ndarray, tid: np.ndarray, n_points: np.ndar
     return np.cumsum(steps), tid[first], bounds, runs
 
 
-def _file_fetch(bat: BATFile, leaves):
-    """The :func:`_gather` ``fetch`` of segments over treelets ``leaves`` of
-    one file: one :meth:`~repro.bat.file.BATFile.columns` call."""
-    return lambda segs, name: bat.columns([leaves[i] for i in segs], name)
-
-
 def _gather(fetch, name, index: np.ndarray, bounds: np.ndarray, runs=None, want=None, out=None):
     """One column of several treelets gathered into one array.
 
@@ -631,6 +625,30 @@ class _PartFailed(Exception):
         super().__init__(part, error)
         self.part = part
         self.error = error
+
+
+def _fetcher(bats, parts: list, leaves: list, method: str = "columns"):
+    """The :func:`_gather` ``fetch`` of segments over the treelets
+    ``leaves[i]`` of files ``bats[parts[i]]``, the segments grouped by part:
+    one call of the handle's ``method`` (:meth:`~repro.bat.file.BATFile.columns`,
+    or :meth:`~repro.bat.file.BATFile.walk_tables`) per file, a file that
+    fails raised as :class:`_PartFailed`."""
+
+    def fetch(segs, *args):
+        # segments come in part order: one run when the ends agree
+        runs = (
+            [(parts[segs[0]], segs)] if parts[segs[0]] == parts[segs[-1]]
+            else groupby(segs, key=parts.__getitem__)
+        )
+        out = []
+        for p, group in runs:
+            try:
+                out += getattr(bats[p], method)([leaves[s] for s in group], *args)
+            except LEAF_ERRORS as exc:
+                raise _PartFailed(p, exc) from None
+        return out
+
+    return fetch
 
 
 #: the per-file counters a step counts per row (see :meth:`_Step._flush`)
@@ -865,28 +883,11 @@ class _Step:
         return inbox
 
     def _fetcher(self, ranks: np.ndarray, method: str = "columns"):
-        """The :func:`_gather` ``fetch`` of segments over treelets ``ranks``:
-        one call of the handle's ``method`` (:meth:`~repro.bat.file.BATFile.columns`,
-        or :meth:`~repro.bat.file.BATFile.walk_tables`) per file, a file
-        that fails raised as :class:`_PartFailed`."""
-        parts = self.tpart[ranks].tolist()
-        leaves = [self.leaves[r] for r in ranks.tolist()]
-
-        def fetch(segs, *args):
-            # segments come in part order: one run when the ends agree
-            runs = (
-                [(parts[segs[0]], segs)] if parts[segs[0]] == parts[segs[-1]]
-                else groupby(segs, key=parts.__getitem__)
-            )
-            out = []
-            for p, group in runs:
-                try:
-                    out += getattr(self.ctxs[p].bat, method)([leaves[s] for s in group], *args)
-                except LEAF_ERRORS as exc:
-                    raise _PartFailed(p, exc) from None
-            return out
-
-        return fetch
+        """:func:`_fetcher` of segments over treelets ``ranks``."""
+        return _fetcher(
+            [c.bat for c in self.ctxs], self.tpart[ranks].tolist(),
+            [self.leaves[r] for r in ranks.tolist()], method,
+        )
 
     # -- windows -----------------------------------------------------------------
 

@@ -12,6 +12,7 @@ faulted into the file-handle cache.
 
 from __future__ import annotations
 
+import logging
 import threading
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from ..bat.query import (
     LEAF_ERRORS,
     QueryStats,
     StepPart,
+    _PartFailed,
     check_ladder,
     default_quality_ladder,
     query_file,
@@ -48,6 +50,8 @@ from .metadata import DatasetMetadata
 from .planner import NeighborQueryPlan, PlanCache, QueryPlan
 
 __all__ = ["BATDataset", "empty_batch"]
+
+lgr = logging.getLogger("repro.core.dataset")
 
 
 def _split_columns(columns) -> tuple[list[str] | None, bool]:
@@ -200,7 +204,12 @@ class BATDataset:
         """
         with self._quarantine_lock:
             self._quarantined[leaf_index] = reason
-        self._cache.drop(self._leaf_paths[leaf_index])
+        path = self._leaf_paths[leaf_index]
+        self._cache.drop(path)
+        lgr.warning(
+            "quarantined leaf %d (%s): %s", leaf_index, path, reason,
+            extra={"leaf_index": leaf_index, "path": path, "reason": reason},
+        )
 
     def quarantined(self) -> dict[int, str]:
         """Snapshot of quarantined leaves: ``{leaf_index: reason}``."""
@@ -210,7 +219,12 @@ class BATDataset:
     def clear_quarantine(self) -> None:
         """Forget all quarantined leaves (e.g. after repairing files)."""
         with self._quarantine_lock:
+            leaves = sorted(self._quarantined)
             self._quarantined.clear()
+        lgr.info(
+            "cleared the quarantine of %d leaves of %s", len(leaves), self.metadata_path.name,
+            extra={"leaves": leaves, "dataset": str(self.metadata_path)},
+        )
 
     def _exclude(self) -> frozenset:
         with self._quarantine_lock:
@@ -406,121 +420,111 @@ class BATDataset:
         layouts, and byte-identical to the exhaustive reference the tests
         hold it to.
 
-        ``request.on_error`` matches :meth:`query`: ``"degrade"``
-        quarantines corrupt/missing leaves and returns the partial
-        result (``stats.quarantined_files`` counts what was lost).
+        The files of the center-box plan and of the neighbor plan are
+        leased from the handle cache for the whole request. The center
+        box's files are one gather, the radius engine's files another,
+        and the selected rows are materialized as one more, each column
+        gathered once across the files.
+
+        ``request.on_error`` matches :meth:`query`: ``"raise"`` surfaces
+        a corrupt or missing leaf as the error naming leaf and dataset;
+        ``"degrade"`` quarantines it and runs the request again on plans
+        that exclude it, so the partial result and its stats are those of
+        the same request issued afterwards (``stats.quarantined_files``
+        counts what was lost).
         """
         if not isinstance(request, NeighborRequest):
             raise InvalidRequestError("neighbors() takes a repro.NeighborRequest")
-        stats = NeighborStats()
         attributes, with_positions = _split_columns(request.columns)
         specs = self.attribute_specs()
         known = {sp.name for sp in specs}
-        for f in request.filters:
-            if f.name not in known:
-                raise KeyError(
-                    f"no attribute {f.name!r} in {self.metadata_path.name!r}"
-                )
-        if attributes is not None:
-            for name in attributes:
-                if name not in known:
-                    raise KeyError(
-                        f"no attribute {name!r} in {self.metadata_path.name!r}"
-                    )
-
-        opened: dict[int, tuple[BATFile, int]] = {}
-        failed: set[int] = set()
-
-        def open_leaf(leaf_index: int, action: str | None = None):
-            ent = opened.get(leaf_index)
-            if ent is not None:
-                return ent[0]
-            if leaf_index in failed:
-                return None
+        for name in [f.name for f in request.filters] + (attributes or []):
+            if name not in known:
+                raise KeyError(f"no attribute {name!r} in {self.metadata_path.name!r}")
+        while True:
             try:
-                f = self.file(leaf_index)
-            except LEAF_ERRORS as exc:
-                self._leaf_failed(leaf_index, exc, request.on_error, stats)
-                failed.add(leaf_index)
-                return None
-            opened[leaf_index] = (f, f.decoded_bytes)
-            stats.files_opened += 1
-            if action == "ghost":
-                stats.ghost_files_opened += 1
-            return f
+                return self._neighbors(request, plan, specs, attributes, with_positions)
+            except _PartFailed as fail:
+                self._leaf_failed(fail.part, fail.error, request.on_error)
+                plan = None  # the next plan excludes the leaf
 
-        def open_plan_file(fp):
-            return open_leaf(fp.leaf_index, fp.action)
-
-        # -- resolve centers ------------------------------------------------
-        center_keys = None
-        if request.points is not None:
-            centers = np.asarray(request.points, dtype=np.float64).reshape(-1, 3)
-        else:
-            cplan = self.plan(request.center_box, request.filters)
-            pos_parts, key_parts = [], []
-            for fp in cplan.files:
-                f = open_leaf(fp.leaf_index)
-                if f is None:
-                    continue
-                pos, keys = box_members(
-                    f, fp.leaf_index, request.center_box, request.filters, stats
-                )
-                if len(pos):
-                    pos_parts.append(pos)
-                    key_parts.append(keys)
-            if pos_parts:
-                centers = np.concatenate(pos_parts, axis=0)
-                center_keys = np.concatenate(key_parts, axis=0)
-            else:
-                centers = np.empty((0, 3), dtype=np.float64)
-                center_keys = np.empty((0, 3), dtype=np.int64)
-        stats.centers = len(centers)
-
-        # -- plan + engine --------------------------------------------------
+    def _neighbors(self, request, plan, specs, attributes, with_positions) -> NeighborResult:
+        """One attempt at :meth:`neighbors`; a failing leaf raises
+        :class:`~repro.bat.query._PartFailed` naming it."""
+        stats = NeighborStats()
         region = request.region
+        cplan = None
+        if request.points is None:
+            cplan = self.plan(request.center_box, request.filters)
         plan = self._plan(
             plan, self._plan_cache.get_or_build_neighbor,
             region=region, radius=request.radius, filters=request.filters,
         )
         stats.pruned_files += plan.pruned_files
         stats.quarantined_files += plan.excluded_files
+        leased = [*(cplan.files if cplan is not None else ()), *plan.files]
+        opened: dict[int, tuple[BATFile, int]] = {}
 
-        if len(centers) == 0:
-            offsets = np.zeros(1, dtype=np.int64)
-            keys = np.empty((0, 3), dtype=np.int64)
-            d2 = np.empty(0, dtype=np.float64)
-        elif request.radius is not None:
-            offsets, keys, d2 = radius_neighbors(
-                plan.files, open_plan_file, centers, request.radius,
-                region, request.filters, stats,
-            )
-        else:
-            offsets, keys, d2 = knn_neighbors(
-                plan.files, open_plan_file, centers, request.k,
-                request.filters, stats,
-            )
-        stats.points_returned = int(offsets[-1])
+        def open_leaf(leaf_index: int, action: str | None = None) -> BATFile:
+            ent = opened.get(leaf_index)
+            if ent is not None:
+                return ent[0]
+            try:
+                f = self.file(leaf_index)
+            except LEAF_ERRORS as exc:
+                raise _PartFailed(leaf_index, exc) from None
+            opened[leaf_index] = (f, f.decoded_bytes)
+            stats.files_opened += 1
+            if action == "ghost":
+                stats.ghost_files_opened += 1
+            return f
 
-        # -- materialize the selected rows ---------------------------------
-        batch = materialize_rows(open_leaf, keys, specs, attributes, with_positions)
+        with self._cache.lease([self._leaf_paths[fp.leaf_index] for fp in leased]):
+            # -- resolve centers --------------------------------------------
+            center_keys = None
+            if cplan is None:
+                centers = np.asarray(request.points, dtype=np.float64).reshape(-1, 3)
+            else:
+                centers, center_keys = box_members(
+                    [(open_leaf(fp.leaf_index), fp.leaf_index) for fp in cplan.files],
+                    request.center_box, request.filters, stats,
+                )
+            stats.centers = len(centers)
+
+            # -- engine ---------------------------------------------------------
+            if len(centers) == 0:
+                offsets = np.zeros(1, dtype=np.int64)
+                keys = np.empty((0, 3), dtype=np.int64)
+                d2 = np.empty(0, dtype=np.float64)
+            elif request.radius is not None:
+                offsets, keys, d2 = radius_neighbors(
+                    plan.files, lambda fp: open_leaf(fp.leaf_index, fp.action), centers,
+                    request.radius, region, request.filters, stats,
+                )
+            else:
+                offsets, keys, d2 = knn_neighbors(
+                    plan.files, lambda fp: open_leaf(fp.leaf_index, fp.action), centers,
+                    request.k, request.filters, stats,
+                )
+            stats.points_returned = int(offsets[-1])
+
+            # -- materialize the selected rows -----------------------------
+            batch = materialize_rows(open_leaf, keys, specs, attributes, with_positions)
 
         # -- telemetry + decode accounting ---------------------------------
-        leaf_rows: dict[int, int] = {}
-        if len(keys):
-            uniq, cnt = np.unique(keys[:, 0], return_counts=True)
-            leaf_rows = dict(zip(uniq.tolist(), cnt.tolist()))
-        for leaf_index, (f, before) in opened.items():
-            stats.decoded_bytes += max(f.decoded_bytes - before, 0)
+        decoded = {i: max(f.decoded_bytes - before, 0) for i, (f, before) in opened.items()}
+        stats.decoded_bytes = sum(decoded.values())
         if self.telemetry is not None:
+            leaf_rows: dict[int, int] = {}
+            if len(keys):
+                uniq, cnt = np.unique(keys[:, 0], return_counts=True)
+                leaf_rows = dict(zip(uniq.tolist(), cnt.tolist()))
             self.telemetry.view(
                 region, request.filters, self._materialized_columns(request)
             )
-            for leaf_index, (f, before) in opened.items():
+            for leaf_index, nbytes in decoded.items():
                 self.telemetry.leaf(
-                    leaf_index,
-                    points=leaf_rows.get(leaf_index, 0),
-                    decoded_bytes=max(f.decoded_bytes - before, 0),
+                    leaf_index, points=leaf_rows.get(leaf_index, 0), decoded_bytes=nbytes
                 )
         return NeighborResult(
             centers=centers,
@@ -595,16 +599,19 @@ class BATDataset:
                             decoded_bytes=max(p.bat.decoded_bytes - before, 0),
                         )
 
-    def _leaf_failed(self, leaf_index: int, exc: Exception, on_error: str, stats) -> None:
+    def _leaf_failed(
+        self, leaf_index: int, exc: Exception, on_error: str, stats=None
+    ) -> None:
         """One leaf file turned out corrupt or missing mid-query.
 
         ``"degrade"`` quarantines it (future plans exclude it up front)
-        and counts it in ``stats.quarantined_files``; ``"raise"``
+        and counts it in ``stats.quarantined_files``, if given; ``"raise"``
         surfaces a clear error naming the leaf and dataset.
         """
         if on_error == "degrade":
             self.quarantine_leaf(leaf_index, str(exc))
-            stats.quarantined_files += 1
+            if stats is not None:
+                stats.quarantined_files += 1
             return
         leaf = self.metadata.leaves[leaf_index]
         path = self._leaf_paths[leaf_index]

@@ -10,8 +10,10 @@ the selections :mod:`repro.bat.neighbors` ran before it went array-wide:
 a time (``select_radius`` with its dict-keyed grid past
 ``_GRID_THRESHOLD`` pairs), and :func:`knn_neighbors` is the best-first
 k-NN walk — one heap per center and file over shallow and treelet nodes,
-with one running :class:`_BestK` set per center. Nothing in ``src/``
-calls any of them.
+with one running :class:`_BestK` set per center. :func:`gather_pruned`
+and :func:`materialize_rows` are the per-file loops the engine ran before
+it read a request's files as one step: one pruned gather, or one
+gather per column, per file. Nothing in ``src/`` calls any of them.
 """
 
 from __future__ import annotations
@@ -28,8 +30,111 @@ from repro.bat.neighbors import (
     _empty_selection,
     dist2,
 )
+from repro.bat.query import _check, _Forest, _gather, _segments, _shallow_survivors
+from repro.types import ParticleBatch
 
-__all__ = ["brute_neighbors", "select_radius", "select_knn", "knn_neighbors"]
+__all__ = [
+    "brute_neighbors",
+    "select_radius",
+    "select_knn",
+    "knn_neighbors",
+    "gather_pruned",
+    "materialize_rows",
+]
+
+
+def _no_candidates():
+    return np.empty((0, 3), dtype=np.float64), np.empty((0, 3), dtype=np.int64)
+
+
+def _candidates(parts) -> tuple[np.ndarray, np.ndarray]:
+    """One ``(positions64, keys)`` candidate set from ``(positions64, keys)`` parts."""
+    if not parts:
+        return _no_candidates()
+    return tuple(np.concatenate(c, axis=0) for c in zip(*parts))
+
+
+def _file_fetch(bat, leaves):
+    """The ``_gather`` fetch of segments over treelets ``leaves`` of one file."""
+    return lambda segs, name: bat.columns([leaves[i] for i in segs], name)
+
+
+def gather_pruned_file(bat, leaf_index: int, keep_fn, filters, stats, box=None):
+    """One file's candidate ``(positions64, keys)`` of the nodes passing
+    ``keep_fn``: its shallow table, then its surviving treelets' walk
+    tables as one forest, gathered and value-checked once."""
+    table = bat.shallow_table()
+    alive, visited = _shallow_survivors(table, keep_fn(table["lo"], table["hi"]))
+    stats.nodes_visited += int(np.count_nonzero(visited))
+    leaves = table["leaf"][alive & (table["leaf"] >= 0)]
+    stats.treelets_visited += len(leaves)
+    ids = leaves.tolist()
+    tvs = [bat.treelet(leaf) for leaf in ids]
+    if not tvs:
+        return _no_candidates()
+    forest = _Forest(bat.walk_tables(ids), np.arange(len(tvs)), False)
+    alive, visited = forest.survivors(keep_fn(forest.lo, forest.hi))
+    stats.nodes_visited += int(np.count_nonzero(visited))
+    beg = forest.begin[alive]
+    n_points = np.array([tv.n_points for tv in tvs], dtype=np.int64)
+    seg = _segments(beg, beg + forest.count[alive], forest.tid[alive], n_points)
+    if seg is None:
+        return _no_candidates()
+    index, ranks, bounds, runs = seg
+    stats.points_tested += len(index)
+    fetch = _file_fetch(bat, [ids[r] for r in ranks.tolist()])
+    pos = None if box is None else _gather(fetch, None, index, bounds, runs)
+    _, kept = _check(
+        lambda name: _gather(fetch, name, index, bounds, runs),
+        pos, None if box is None else box.contains_points, filters,
+    )
+    if kept is not None:
+        if not kept.size:
+            return _no_candidates()
+        index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
+        pos = None if pos is None else pos.take(kept, axis=0)
+    if pos is None:
+        pos = _gather(fetch, None, index, bounds, runs)
+    keys = np.empty((len(index), 3), dtype=np.int64)
+    keys[:, 0] = leaf_index
+    keys[:, 1] = np.repeat(bat.shallow_leaf_visit_rank()[leaves[ranks]], np.diff(bounds))
+    keys[:, 2] = index
+    return pos.astype(np.float64), keys
+
+
+def gather_pruned(parts, keep_fn, filters, stats, box=None):
+    """``(positions64, keys)`` of the ``(BATFile, leaf_index)`` ``parts``:
+    one :func:`gather_pruned_file` per part, concatenated."""
+    got = [gather_pruned_file(bat, i, keep_fn, filters, stats, box) for bat, i in parts]
+    return _candidates([g for g in got if len(g[0])])
+
+
+def materialize_rows(open_file, keys, specs, attributes, with_positions):
+    """The selected rows as one batch: per file, one gather per column,
+    scattered back into key order."""
+    sel_specs = [sp for sp in specs if attributes is None or sp.name in attributes]
+    n = len(keys)
+    if n == 0:
+        return ParticleBatch.empty(sel_specs, with_positions=with_positions)
+    pos = np.empty((n, 3), dtype=np.float32) if with_positions else None
+    attrs = {sp.name: np.empty(n, dtype=sp.dtype) for sp in sel_specs}
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    sk = keys[order]
+    new_file = np.flatnonzero(sk[1:, 0] != sk[:-1, 0]) + 1
+    for a, b in zip([0, *new_file.tolist()], [*new_file.tolist(), n]):
+        bat = open_file(int(sk[a, 0]))
+        ranks = sk[a:b, 1]
+        cut = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
+        bounds = np.concatenate([[0], cut, [b - a]])
+        table_leaf = bat.shallow_table()["leaf"]
+        leaves = table_leaf[table_leaf >= 0][ranks[bounds[:-1]]].tolist()
+        index, rows = sk[a:b, 2], order[a:b]
+        fetch = _file_fetch(bat, leaves)
+        if pos is not None:
+            pos[rows] = _gather(fetch, None, index, bounds)
+        for name, out in attrs.items():
+            out[rows] = _gather(fetch, name, index, bounds)
+    return ParticleBatch(pos, attrs, count=n)
 
 
 def _filter_mask(tv, slots, filters) -> np.ndarray | None:
@@ -73,7 +178,7 @@ def brute_neighbors(ds, request, centers):
     for leaf in ds.metadata.leaves:
         if leaf.leaf_index not in excluded:
             parts += _gather_all(ds.file(leaf.leaf_index), leaf.leaf_index, request.filters)
-    cand_pos, cand_keys = batched._candidates(parts)
+    cand_pos, cand_keys = _candidates(parts)
     stats = NeighborStats()
     if request.radius is not None:
         return batched.select_radius(centers, cand_pos, cand_keys, request.radius, stats)
