@@ -35,7 +35,9 @@ of repeating it.
 
 The budget is in *decoded* bytes (``arr.nbytes``), not encoded bytes:
 that is what the cache actually pins in memory. Eviction is strict LRU.
-All operations take one re-entrant lock so the serve layer's scheduler
+The budget is a :class:`MemoryBudget`, which the serve layer shares with
+its result cache; columns outrank results there (see that class). All
+operations take one re-entrant lock so the serve layer's scheduler
 workers can share a single instance; loaders run outside it. Entries and
 loads are indexed by file, so :meth:`invalidate` touches only the keys
 of the file it drops.
@@ -48,7 +50,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["DecodedColumnCache", "DEFAULT_COLUMN_CACHE_BYTES", "Flight"]
+__all__ = ["DecodedColumnCache", "DEFAULT_COLUMN_CACHE_BYTES", "Flight", "MemoryBudget"]
 
 #: default byte budget (64 MiB) when a caller enables the tier without sizing it
 DEFAULT_COLUMN_CACHE_BYTES = 64 * 1024 * 1024
@@ -74,6 +76,79 @@ class Flight:
         return self.done
 
 
+class MemoryBudget:
+    """One byte bound over a process's decoded columns and cached results.
+
+    Two pools charge it: one :class:`DecodedColumnCache` and at most one
+    :class:`~repro.serve.cache.ResultCache` (the serve layer's
+    ``ServeConfig.memory_bytes``). They do not rank equally. A cached
+    column serves every window over its treelet; a result serves only its
+    own window and is rebuilt from cached columns in one warm read. So a
+    result never evicts a column, and a column insert that goes over the
+    budget first sheds LRU results, then LRU columns: results hold at
+    most what the columns leave.
+
+    The byte counts live here, under :attr:`lock`, which guards counter
+    arithmetic only and is taken inside a pool's own lock, never the
+    other way round. No thread holds both pools' locks: a column insert
+    first reserves its bytes (:meth:`reserve`), the result cache shedding
+    what the reservation needs under its own lock alone, and only then
+    takes the column lock to insert. A result is never stored into
+    reserved room.
+    """
+
+    def __init__(self, limit_bytes: int):
+        limit_bytes = int(limit_bytes)
+        if limit_bytes < 0:
+            raise ValueError("memory budget must be >= 0")
+        self.limit = limit_bytes
+        self.lock = threading.Lock()
+        #: bytes held by each pool, and reserved by column inserts under way
+        self.columns = 0
+        self.results = 0
+        self.reserved = 0
+        #: the pools charging this budget, set by their constructors
+        self.column_pool = None
+        self.result_pool = None
+
+    def attach(self, role: str, pool) -> None:
+        """Make ``pool`` this budget's ``column_pool`` or ``result_pool``."""
+        if getattr(self, role) is not None:
+            raise ValueError(f"this memory budget already has a {role}")
+        setattr(self, role, pool)
+
+    def reserve(self, nbytes: int) -> None:
+        """Hold ``nbytes`` for a column insert, LRU results shed to make
+        room; the insert releases the reservation (caller holds no lock)."""
+        with self.lock:
+            self.reserved += nbytes
+            over = self.columns + self.results + self.reserved > self.limit
+        if over and self.result_pool is not None:
+            self.result_pool.yield_to_columns()
+
+    def stats(self) -> dict:
+        """The serve snapshot's ``memory`` block: the budget, bytes and
+        evictions per pool, results shed for columns, and bytes handed to
+        single-flight waiters without being stored."""
+        cols, res = self.column_pool, self.result_pool
+        with self.lock:
+            return {
+                "budget_bytes": self.limit,
+                "bytes": self.columns + self.results,
+                "columns": {
+                    "bytes": self.columns,
+                    "evictions": getattr(cols, "evictions", 0),
+                    "uncached_bytes": getattr(cols, "uncached_bytes", 0),
+                },
+                "results": {
+                    "bytes": self.results,
+                    "evictions": getattr(res, "evictions", 0),
+                    "shed_for_columns": getattr(res, "shed", 0),
+                    "uncached_bytes": getattr(res, "uncached_bytes", 0),
+                },
+            }
+
+
 class DecodedColumnCache:
     """LRU over decoded column arrays with a hard byte budget.
 
@@ -85,23 +160,25 @@ class DecodedColumnCache:
     corrupt file can never serve stale columns.
     """
 
-    def __init__(self, budget_bytes: int = DEFAULT_COLUMN_CACHE_BYTES):
-        budget_bytes = int(budget_bytes)
-        if budget_bytes < 0:
-            raise ValueError("column cache budget must be >= 0")
-        self.budget_bytes = budget_bytes
+    def __init__(self, budget_bytes: int | MemoryBudget = DEFAULT_COLUMN_CACHE_BYTES):
+        if not isinstance(budget_bytes, MemoryBudget):
+            budget_bytes = MemoryBudget(budget_bytes)
+        budget_bytes.attach("column_pool", self)
+        #: the byte bound, this cache's own or shared with a result cache
+        self.memory = budget_bytes
         self._lock = threading.RLock()
         self._entries: OrderedDict[tuple[str, int, int], np.ndarray] = OrderedDict()
         #: path -> the keys of its entries
         self._files: dict[str, set[tuple[str, int, int]]] = {}
         #: path -> key -> the load running for it (see :meth:`fetch`)
         self._inflight: dict[str, dict[tuple[str, int, int], Flight]] = {}
-        self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         #: misses served by another thread's load of the same key
         self.joins = 0
+        #: bytes handed to waiters from loads that were not cached
+        self.uncached_bytes = 0
 
     # -- core --------------------------------------------------------------
 
@@ -182,16 +259,23 @@ class DecodedColumnCache:
     def _settle(self, path: str, flights: list[Flight]) -> None:
         """End the claimed ``flights`` (loaded, or not if their loader
         raised): cache what no invalidation overtook, release the waiters."""
+        loaded = [f for f in flights if f.value is not None]
+        reserved = self._reserve([f.value for f in loaded])
         with self._lock:
             running = self._inflight.get(path)
+            stored = []
             if running is not None:
                 for flight in flights:
                     if running.get(flight.key) is flight:
                         del running[flight.key]
                         if flight.value is not None:
-                            self._insert(flight.key, flight.value)
+                            stored.append((flight.key, flight.value))
                 if not running:
                     del self._inflight[path]
+            self._insert(stored, reserved)
+            for flight in loaded:
+                if flight.waiters and self._entries.get(flight.key) is not flight.value:
+                    self.uncached_bytes += flight.waiters * int(flight.value.nbytes)
         for flight in flights:
             if flight.done is not None:  # no waiter can join once it left _inflight
                 flight.done.set()
@@ -203,28 +287,45 @@ class DecodedColumnCache:
         admitting one would immediately evict everything else for a single
         entry that can never be amortized.
         """
+        reserved = self._reserve([arr])
         with self._lock:
-            self._insert((str(path), int(treelet), int(column)), arr)
+            self._insert([((str(path), int(treelet), int(column)), arr)], reserved)
 
-    def _insert(self, key: tuple, arr: np.ndarray) -> None:
-        nbytes = int(arr.nbytes)
-        if nbytes > self.budget_bytes:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= int(old.nbytes)
-        else:
-            self._files.setdefault(key[0], set()).add(key)
-        self._entries[key] = arr
-        self._bytes += nbytes
-        while self._bytes > self.budget_bytes and self._entries:
-            victim_key, victim = self._entries.popitem(last=False)
-            self._bytes -= int(victim.nbytes)
-            keys = self._files[victim_key[0]]
-            keys.discard(victim_key)
-            if not keys:
-                del self._files[victim_key[0]]
-            self.evictions += 1
+    def _reserve(self, arrays) -> int:
+        """Reserve room for the storable ``arrays`` (no lock held): results
+        give way first. Returns the bytes :meth:`_insert` must release."""
+        limit = self.memory.limit
+        nbytes = sum(n for n in (int(a.nbytes) for a in arrays) if n <= limit)
+        if nbytes:
+            self.memory.reserve(nbytes)
+        return nbytes
+
+    def _insert(self, items, reserved: int) -> None:
+        """Store ``(key, array)`` items, release ``reserved``, then evict
+        LRU columns while the columns and the room reserved by other
+        inserts overrun the budget (column lock held)."""
+        memory = self.memory
+        with memory.lock:
+            memory.reserved -= reserved
+            for key, arr in items:
+                nbytes = int(arr.nbytes)
+                if nbytes > memory.limit:
+                    continue
+                old = self._entries.pop(key, None)
+                if old is not None:
+                    memory.columns -= int(old.nbytes)
+                else:
+                    self._files.setdefault(key[0], set()).add(key)
+                self._entries[key] = arr
+                memory.columns += nbytes
+            while memory.columns + memory.reserved > memory.limit and self._entries:
+                victim_key, victim = self._entries.popitem(last=False)
+                memory.columns -= int(victim.nbytes)
+                keys = self._files[victim_key[0]]
+                keys.discard(victim_key)
+                if not keys:
+                    del self._files[victim_key[0]]
+                self.evictions += 1
 
     def peek(self, path: str, treelet: int, column: int):
         """Like :meth:`get` but touches neither counters nor LRU order."""
@@ -241,11 +342,11 @@ class DecodedColumnCache:
         only ``path``'s own keys.
         """
         path = str(path)
-        with self._lock:
+        with self._lock, self.memory.lock:
             self._inflight.pop(path, None)
             doomed = self._files.pop(path, ())
             for k in doomed:
-                self._bytes -= int(self._entries.pop(k).nbytes)
+                self.memory.columns -= int(self._entries.pop(k).nbytes)
             return len(doomed)
 
     # -- introspection -----------------------------------------------------
@@ -256,8 +357,8 @@ class DecodedColumnCache:
 
     @property
     def nbytes(self) -> int:
-        with self._lock:
-            return self._bytes
+        with self.memory.lock:
+            return self.memory.columns
 
     def stats(self) -> dict:
         with self._lock:
@@ -267,12 +368,12 @@ class DecodedColumnCache:
                 "joins": self.joins,
                 "evictions": self.evictions,
                 "entries": len(self._entries),
-                "bytes": self._bytes,
-                "budget_bytes": self.budget_bytes,
+                "bytes": self.memory.columns,
+                "budget_bytes": self.memory.limit,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"DecodedColumnCache(entries={len(self)}, bytes={self.nbytes}, "
-            f"budget={self.budget_bytes})"
+            f"budget={self.memory.limit})"
         )

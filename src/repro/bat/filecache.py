@@ -23,7 +23,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 
-from .colcache import DEFAULT_COLUMN_CACHE_BYTES, DecodedColumnCache
+from .colcache import DEFAULT_COLUMN_CACHE_BYTES, DecodedColumnCache, MemoryBudget
 from .file import BATFile
 
 __all__ = ["BATFileCache", "DEFAULT_CAPACITY"]
@@ -55,17 +55,22 @@ class BATFileCache:
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
-        column_cache_bytes: int = DEFAULT_COLUMN_CACHE_BYTES,
+        column_cache_bytes: int | MemoryBudget = DEFAULT_COLUMN_CACHE_BYTES,
     ):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = int(capacity)
         self._lock = threading.RLock()
         self._open: OrderedDict[str, BATFile] = OrderedDict()
+        if not isinstance(column_cache_bytes, MemoryBudget):
+            column_cache_bytes = MemoryBudget(column_cache_bytes)
+        #: the decoded columns' byte budget (the serve layer shares it
+        #: with its result cache)
+        self.memory = column_cache_bytes
         #: decoded-column tier shared by every handle this cache opens;
         #: a zero budget disables it (handles decode cold every time)
         self.column_cache = (
-            DecodedColumnCache(column_cache_bytes) if column_cache_bytes > 0 else None
+            DecodedColumnCache(self.memory) if self.memory.limit > 0 else None
         )
         self.hits = 0
         self.misses = 0

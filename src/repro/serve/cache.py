@@ -6,8 +6,10 @@ The serving cache hierarchy has four tiers, cheapest miss first:
   (or :class:`~repro.api.NeighborResult`) responses keyed by ``(step,
   generation, window)``. A hit skips planning and traversal entirely.
   Entries expire after ``ttl`` seconds (time-series data may be
-  rewritten in place by a restarted simulation) and the
-  least-recently-used entry is evicted past ``capacity``.
+  rewritten in place by a restarted simulation), and least-recently-used
+  entries are evicted to keep the result bytes within what the byte
+  budget, shared with the decoded columns, leaves them
+  (:class:`~repro.bat.colcache.MemoryBudget`: columns outrank results).
 - **plan cache** (:class:`~repro.core.planner.PlanCache`) — per-file skip
   lists keyed by ``(box, filters)``; quality-independent.
 - **decoded-column cache** (:class:`~repro.bat.colcache.DecodedColumnCache`)
@@ -25,7 +27,9 @@ must not write to a served batch's arrays.
 **Single-flight.** A miss on a window an identical **leader** is already
 executing waits for it (:meth:`ResultCache.join`) and takes its result,
 if complete and non-partial; else it executes for itself. Streams never
-lead: no request may wait on another client's consumer.
+lead: no request may wait on another client's consumer. A result too
+large to store is still handed to the waiters (``uncached_bytes``
+counts those bytes).
 
 **The key.** ``window`` is the frozen request the serve core hands the
 step backend: the client's :class:`~repro.api.QueryRequest` with
@@ -49,31 +53,53 @@ import threading
 import time
 from collections import OrderedDict
 
-from ..bat.colcache import Flight
+from ..bat.colcache import DEFAULT_COLUMN_CACHE_BYTES, Flight, MemoryBudget
 from ..types import ParticleBatch
 
-__all__ = ["ResultCache"]
+__all__ = ["ResultCache", "ENTRY_OVERHEAD_BYTES"]
+
+#: bytes charged per cached result beside its arrays: the key, the frozen
+#: window, the batch object and its array headers (~0.9 KB measured with
+#: tracemalloc). Without it empty results would cost nothing, and a byte
+#: budget would not bound how many of them the cache holds.
+ENTRY_OVERHEAD_BYTES = 1024
 
 
 class ResultCache:
-    """Thread-safe bounded LRU of query responses with TTL expiry."""
+    """Thread-safe byte-bounded LRU of query responses with TTL expiry.
 
-    def __init__(self, capacity: int = 256, ttl: float | None = 30.0, clock=time.monotonic):
-        if capacity < 1:
-            raise ValueError("result cache capacity must be >= 1")
+    ``budget_bytes`` is a byte count of its own or a
+    :class:`~repro.bat.colcache.MemoryBudget` shared with a decoded-column
+    cache, whose columns it then gives way to.
+    """
+
+    def __init__(
+        self,
+        budget_bytes: int | MemoryBudget = DEFAULT_COLUMN_CACHE_BYTES,
+        ttl: float | None = 30.0,
+        clock=time.monotonic,
+    ):
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive (or None to disable expiry)")
-        self.capacity = int(capacity)
+        if not isinstance(budget_bytes, MemoryBudget):
+            budget_bytes = MemoryBudget(budget_bytes)
+        budget_bytes.attach("result_pool", self)
+        self.memory = budget_bytes
         self.ttl = ttl
         self._clock = clock
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple[ParticleBatch, float]] = OrderedDict()
+        #: key -> (result, stored at, the bytes charged for it)
+        self._entries: OrderedDict[tuple, tuple[ParticleBatch, float, int]] = OrderedDict()
         #: key -> its executing leader (at most one per scheduler worker)
         self._inflight: dict[tuple, Flight] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.expirations = 0
+        #: results evicted to make room for decoded columns
+        self.shed = 0
+        #: bytes handed to single-flight waiters from results not stored
+        self.uncached_bytes = 0
         #: single-flight: leads, waits served, waits left to execute
         self.leaders = 0
         self.collapsed_hits = 0
@@ -90,9 +116,9 @@ class ResultCache:
             if entry is None:
                 self.misses += 1
                 return None
-            batch, stored_at = entry
+            batch, stored_at, _ = entry
             if self.ttl is not None and self._clock() - stored_at > self.ttl:
-                del self._entries[key]
+                self._drop([key])
                 self.expirations += 1
                 self.misses += 1
                 return None
@@ -135,21 +161,55 @@ class ResultCache:
             else:
                 self.collapsed_hits += flight.waiters
                 self.saved_bytes += flight.waiters * batch.nbytes
+                entry = self._entries.get(flight.key)
+                if flight.waiters and (entry is None or entry[0] is not batch):
+                    self.uncached_bytes += flight.waiters * batch.nbytes
             flight.value = batch
         if flight.done is not None:  # no waiter can join once it left _inflight
             flight.done.set()
 
     def put(self, key: tuple, batch: ParticleBatch) -> None:
+        """Store ``batch``, charged its arrays' bytes plus
+        :data:`ENTRY_OVERHEAD_BYTES`, evicting LRU results to fit it in
+        what the columns leave of the budget; one that cannot fit there
+        (one larger than the budget, say) is not stored and evicts nothing."""
+        nbytes = int(batch.nbytes) + ENTRY_OVERHEAD_BYTES
+        memory = self.memory
         with self._lock:
-            self._entries[key] = (batch, self._clock())
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._drop([key])
+            with memory.lock:
+                room = memory.limit - memory.columns - memory.reserved
+                if nbytes > room:
+                    return
+                while memory.results + nbytes > room:
+                    _, (_, _, n) = self._entries.popitem(last=False)
+                    memory.results -= n
+                    self.evictions += 1
+                self._entries[key] = (batch, self._clock(), nbytes)
+                memory.results += nbytes
+
+    def yield_to_columns(self) -> None:
+        """Shed LRU results until they fit beside the columns and the room
+        column inserts have reserved (:meth:`MemoryBudget.reserve`)."""
+        memory = self.memory
+        with self._lock, memory.lock:
+            room = memory.limit - memory.columns - memory.reserved
+            while memory.results > room and self._entries:
+                _, (_, _, n) = self._entries.popitem(last=False)
+                memory.results -= n
+                self.shed += 1
+
+    def _drop(self, keys) -> None:
+        """Remove ``keys`` (those present) and their bytes (lock held)."""
+        with self.memory.lock:
+            for key in keys:
+                entry = self._entries.pop(key, None)
+                if entry is not None:
+                    self.memory.results -= entry[2]
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._drop(list(self._entries))
 
     def invalidate_step(self, step) -> int:
         """Drop every entry for one step; returns how many were dropped.
@@ -160,27 +220,29 @@ class ResultCache:
         """
         with self._lock:
             victims = [k for k in self._entries if k[0] == step]
-            for k in victims:
-                del self._entries[k]
+            self._drop(victims)
             return len(victims)
 
     @property
     def nbytes(self) -> int:
-        """Payload bytes currently held (positions + attributes)."""
-        with self._lock:
-            return sum(b.nbytes for b, _ in self._entries.values())
+        """Bytes charged for the results held: their arrays plus
+        :data:`ENTRY_OVERHEAD_BYTES` each."""
+        with self.memory.lock:
+            return self.memory.results
 
     def stats(self) -> dict:
         with self._lock:
             total = self.hits + self.misses
             return {
                 "entries": len(self._entries),
-                "capacity": self.capacity,
+                "bytes": self.memory.results,
+                "budget_bytes": self.memory.limit,
                 "ttl_seconds": self.ttl,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "expirations": self.expirations,
+                "shed": self.shed,
                 "hit_rate": self.hits / total if total else 0.0,
             }
 
@@ -199,6 +261,6 @@ class ResultCache:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         s = self.stats()
         return (
-            f"ResultCache(entries={s['entries']}/{self.capacity}, "
+            f"ResultCache(entries={s['entries']}, bytes={s['bytes']}/{s['budget_bytes']}, "
             f"hits={s['hits']}, misses={s['misses']})"
         )

@@ -69,6 +69,7 @@ converges to exactly the full-quality data set.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from contextlib import nullcontext
@@ -82,11 +83,12 @@ from ..api import (
     StreamIncrement,
     reassemble_stream,
 )
-from ..bat.colcache import DEFAULT_COLUMN_CACHE_BYTES
+from ..bat.colcache import DEFAULT_COLUMN_CACHE_BYTES, MemoryBudget
 from ..bat.filecache import DEFAULT_CAPACITY, BATFileCache
 from ..bat.query import default_quality_ladder
 from ..core.dataset import BATDataset, empty_batch
 from ..core.metadata import DatasetMetadata
+from ..errors import AdmissionRejected
 from ..types import ParticleBatch
 from .cache import ResultCache
 from .degrade import DegradationConfig, DegradationPolicy
@@ -109,6 +111,7 @@ __all__ = [
     "resolve_step_manifests",
 ]
 
+lgr = logging.getLogger("repro.serve.service")
 
 #: share of the scheduler's slots :meth:`QueryService.execute` may hold
 BATCH_SHARE = 0.5
@@ -157,22 +160,28 @@ def resolve_step_manifests(source) -> dict[int, Path]:
 @dataclass(frozen=True)
 class ServeConfig:
     """The service's tuning knobs; values no caller tunes are the module
-    constants above."""
+    constants above.
+
+    ``memory_bytes`` bounds the decoded columns (walk tables included)
+    and the cached results together, and results give way to columns
+    (:class:`~repro.bat.colcache.MemoryBudget` holds the rule and its
+    reason). Shard workers take it as their column budget; the router,
+    which opens no leaf, gives it all to results.
+    """
 
     #: maximum concurrently executing queries (scheduler worker threads)
     capacity: int = 4
     #: global queue bound; submissions past it are rejected
     max_queued: int = 64
-    #: result-cache entry bound and TTL (seconds; None disables expiry)
-    result_cache_entries: int = 256
+    #: byte budget of decoded columns plus cached results (0 caches
+    #: neither; columns then decode cold on every touch)
+    memory_bytes: int = DEFAULT_COLUMN_CACHE_BYTES
+    #: result-cache TTL (seconds; None disables expiry)
     result_ttl: float | None = 30.0
     #: degradation policy knobs (see :mod:`repro.serve.degrade`)
     degradation: DegradationConfig = field(default_factory=DegradationConfig)
     #: bound on simultaneously open leaf files, shared by all sessions
     max_open_files: int = DEFAULT_CAPACITY
-    #: byte budget of the decoded-column LRU shared by every open file
-    #: (0 disables the tier; columns then decode cold on every touch)
-    column_cache_bytes: int = DEFAULT_COLUMN_CACHE_BYTES
     #: increments buffered per streamed request before its worker blocks
     stream_outbox: int = 8
     #: how long a streamed worker waits on a full outbox before shedding
@@ -244,9 +253,10 @@ class QueryService:
     def __init__(self, source, config: ServeConfig | None = None, clock=time.perf_counter):
         self.config = config or ServeConfig()
         self._clock = clock
+        #: the byte budget the decoded columns and the results share
+        self.memory = MemoryBudget(self.config.memory_bytes)
         self._file_cache = BATFileCache(
-            self.config.max_open_files,
-            column_cache_bytes=self.config.column_cache_bytes,
+            self.config.max_open_files, column_cache_bytes=self.memory
         )
         #: one backend per opened step: whatever :meth:`_open_step` built
         self._datasets: dict = {}
@@ -261,9 +271,7 @@ class QueryService:
             clock=clock,
         )
         self.degradation = DegradationPolicy(self.config.degradation)
-        self.results = ResultCache(
-            capacity=self.config.result_cache_entries, ttl=self.config.result_ttl
-        )
+        self.results = ResultCache(self.memory, ttl=self.config.result_ttl)
         self.metrics = ServeMetrics(clock=clock)
         #: per-(step, leaf) access tallies — the reorganizer's evidence
         self.telemetry = AccessTelemetry()
@@ -433,6 +441,12 @@ class QueryService:
             span.rejected = True
             span.queue_depth = getattr(exc, "queue_depth", 0)
             self.metrics.record(span)
+            if isinstance(exc, AdmissionRejected):
+                lgr.warning(
+                    "rejected a request of session %d: %s", session_id, exc.reason,
+                    extra={"session_id": session_id, "reason": exc.reason,
+                           "queue_depth": exc.queue_depth},
+                )
             raise
         span.seq = ticket.seq
         return ticket
@@ -847,9 +861,15 @@ class QueryService:
         if incs and incs[-1].stats is not None:
             span.quarantined_files = incs[-1].stats.quarantined_files
         span.increments = len(incs)
-        if incs:
-            return reassemble_stream(incs).batch, incs[-1].quality, shed
-        return None, prev, shed
+        served = incs[-1].quality if incs else prev
+        if shed:
+            lgr.info(
+                "session %d shed its stream at quality %g of %g",
+                span.session_id, served, span.requested_quality,
+                extra={"session_id": span.session_id, "served_quality": served,
+                       "requested_quality": span.requested_quality},
+            )
+        return reassemble_stream(incs).batch if incs else None, served, shed
 
     # -- metrics ----------------------------------------------------------------
 
@@ -892,6 +912,7 @@ class QueryService:
                  "entries": 0, "bytes": 0, "budget_bytes": 0},
             ),
         }
+        doc["memory"] = self.memory.stats()
         doc["integrity"] = {
             "quarantined_leaves": sum(len(q) for q in quarantined.values()),
             "quarantined_by_step": {

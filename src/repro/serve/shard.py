@@ -141,7 +141,7 @@ class _ShardWorker:
         self._manifests = resolve_step_manifests(source)
         self._file_cache = BATFileCache(
             options.get("max_open_files", 64),
-            column_cache_bytes=options.get("column_cache_bytes", 0),
+            column_cache_bytes=options.get("memory_bytes", 0),
         )
         #: step -> (dataset, frozenset of owned leaf indices), one layout
         #: generation per entry — fetched together, replaced together
@@ -291,6 +291,7 @@ class _ShardWorker:
             "files": file_stats,
             "decoded_columns": file_stats.pop("decoded_columns", {}),
         }
+        doc["memory"] = self._file_cache.memory.stats()
         doc["quarantined_leaves"] = quarantined
         doc["generations"] = generations
         doc["telemetry"] = self.telemetry.snapshot()
@@ -701,7 +702,7 @@ class ShardedQueryService(QueryService):
         options = {
             "capacity": max(1, self.config.capacity),
             "max_open_files": self.config.max_open_files,
-            "column_cache_bytes": self.config.column_cache_bytes,
+            "memory_bytes": self.config.memory_bytes,
         }
         # spawn, not fork: the router already runs scheduler threads
         ctx = multiprocessing.get_context("spawn")

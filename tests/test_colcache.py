@@ -356,7 +356,7 @@ class TestBatchedMissPath:
         assert c.invalidate("a") == 9
         assert set(c._files) == {"b"} and len(c) == 9 and c.nbytes == 36
         # eviction keeps the index exact
-        c.budget_bytes = 8
+        c.memory.limit = 8
         c.put("b", 9, 9, _arr(8))
         assert c._files == {"b": {("b", 9, 9)}} and len(c) == 1
         assert c.invalidate("b") == 1 and not c._files

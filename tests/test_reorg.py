@@ -639,10 +639,10 @@ class TestServiceReload:
             for _ in range(6)
             for box in views
         ]
-        # 1-entry result cache, column cache off, one worker (so no window
-        # overlaps another): every hot view reaches the I/O layer and pays
-        # the decode work its layout induces
-        config = serve_config(capacity=1, result_cache_entries=1, column_cache_bytes=0)
+        # no memory budget (no result or column is cached), one worker (so
+        # no window overlaps another): every hot view reaches the I/O layer
+        # and pays the decode work its layout induces
+        config = serve_config(capacity=1, memory_bytes=0)
 
         def replay():
             with QueryService(meta, config) as svc:

@@ -13,6 +13,7 @@ The load-bearing properties:
 """
 
 import dataclasses
+import logging
 import threading
 import time
 
@@ -41,6 +42,7 @@ from repro.serve import (
     run_load,
     verify_identity_samples,
 )
+from repro.serve.cache import ENTRY_OVERHEAD_BYTES
 from repro.types import Box, ParticleBatch
 from tests.test_pipeline import make_rank_data
 
@@ -266,18 +268,26 @@ def window_key(quality=1.0, prev_quality=0.0, step=0, generation=0, **fields):
     return (step, generation, window)
 
 
+#: bytes of ``TestResultCache._batch()``: (3, 3) float32 positions + 3 float64
+BATCH_NBYTES = 9 * 4 + 3 * 8
+#: what the result cache charges for one such batch
+CHARGE = BATCH_NBYTES + ENTRY_OVERHEAD_BYTES
+
+
 class TestResultCache:
     def _batch(self, n=3):
         rng = np.random.default_rng(n)
         return ParticleBatch(rng.random((n, 3)), {"m": rng.random(n)})
 
     def test_hit_returns_same_object(self):
-        cache = ResultCache(capacity=4, ttl=None)
+        cache = ResultCache(4 * CHARGE, ttl=None)
         key = window_key()
         b = self._batch()
+        assert b.nbytes == BATCH_NBYTES
         cache.put(key, b)
         assert cache.get(key) is b
         assert cache.stats()["hits"] == 1
+        assert cache.nbytes == CHARGE
 
     def test_prev_quality_in_key(self):
         k1 = window_key(0.7)
@@ -285,16 +295,17 @@ class TestResultCache:
         assert k1 != k2
 
     def test_lru_eviction(self):
-        cache = ResultCache(capacity=2, ttl=None)
+        cache = ResultCache(2 * CHARGE, ttl=None)
         ks = [window_key(q) for q in (0.1, 0.2, 0.3)]
         for k in ks:
             cache.put(k, self._batch())
         assert cache.get(ks[0]) is None  # evicted
         assert cache.get(ks[1]) is not None
         assert cache.stats()["evictions"] == 1
+        assert cache.nbytes == 2 * CHARGE
 
     def test_get_refreshes_lru(self):
-        cache = ResultCache(capacity=2, ttl=None)
+        cache = ResultCache(2 * CHARGE, ttl=None)
         a, b, c = (window_key(q) for q in (0.1, 0.2, 0.3))
         cache.put(a, self._batch())
         cache.put(b, self._batch())
@@ -305,7 +316,7 @@ class TestResultCache:
 
     def test_ttl_expiry_with_fake_clock(self):
         now = [0.0]
-        cache = ResultCache(capacity=4, ttl=10.0, clock=lambda: now[0])
+        cache = ResultCache(4 * CHARGE, ttl=10.0, clock=lambda: now[0])
         key = window_key()
         cache.put(key, self._batch())
         now[0] = 9.0
@@ -313,13 +324,29 @@ class TestResultCache:
         now[0] = 20.1
         assert cache.get(key) is None
         s = cache.stats()
-        assert s["expirations"] == 1 and s["entries"] == 0
+        assert s["expirations"] == 1 and s["entries"] == 0 and s["bytes"] == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResultCache(capacity=0)
+            ResultCache(-1)
         with pytest.raises(ValueError):
             ResultCache(ttl=0.0)
+
+    def test_result_larger_than_the_budget_is_not_stored(self):
+        """... and evicts nothing; its single-flight waiters still get it."""
+        cache = ResultCache(CHARGE, ttl=None)
+        small = window_key(0.1)
+        cache.put(small, self._batch())
+        big = self._batch(4)
+        assert big.nbytes > BATCH_NBYTES
+        _, flight = cache.join(window_key(0.2), lead=True)
+        flight.wait()  # one waiter
+        cache.put(window_key(0.2), big)
+        cache.settle(flight, big)
+        assert flight.value is big
+        assert cache.get(window_key(0.2)) is None
+        assert cache.get(small) is not None and cache.stats()["evictions"] == 0
+        assert cache.uncached_bytes == big.nbytes
 
 
 class TestPercentile:
@@ -542,9 +569,10 @@ class TestQueryService:
             ref, _ = direct.query(QueryRequest(quality=served_q, prev_quality=prev_q, box=box, filters=filters))
             assert got == batch_bytes(ref)
 
-    def test_admission_rejection_recorded(self, written):
+    def test_admission_rejection_recorded(self, written, caplog):
         _, meta = written
         cfg = serve_config(capacity=1, max_queued=0)
+        caplog.set_level(logging.INFO, logger="repro.serve.service")
         with QueryService(meta, cfg) as svc:
             sid = svc.open_session()
             with pytest.raises(AdmissionRejected):
@@ -552,6 +580,11 @@ class TestQueryService:
             snap = svc.snapshot()
             assert snap["requests"]["rejected"] == 1
             assert snap["scheduler"]["rejected_queue_full"] == 1
+        [record] = [r for r in caplog.records if r.name == "repro.serve.service"]
+        assert record.levelno == logging.WARNING
+        assert (record.session_id, record.reason, record.queue_depth) == (
+            sid, "global queue full", 0
+        )
 
     def test_degradation_engages_and_releases_under_load(self, written):
         """Blocker-gated backlog: degradation engages at >1x capacity and
@@ -691,7 +724,7 @@ class TestRequestIdentity:
     def test_changed_field_never_joins_exactly(self, cls, name):
         """... nor waits on the base request's in-flight leader: with the
         base leading, the changed window leads for itself."""
-        cache = ResultCache(capacity=4, ttl=None)
+        cache = ResultCache(ttl=None)
         _, leader = cache.join((0, 0, BASE[cls]), lead=True)
         batch, flight = cache.join((0, 0, changed(cls, name)), lead=True)
         assert batch is None and flight is not None and flight is not leader
@@ -700,11 +733,11 @@ class TestRequestIdentity:
     @pytest.mark.parametrize("where", [(1, 0), (0, 1)], ids=["step", "generation"])
     @pytest.mark.parametrize("cls", BASE, ids=lambda cls: cls.__name__)
     def test_another_step_or_generation_is_another_identity(self, cls, where):
-        cache = ResultCache(capacity=4, ttl=None)
+        cache = ResultCache(ttl=None)
         cache.put((0, 0, BASE[cls]), ParticleBatch(np.zeros((1, 3))))
         assert cache.get((0, 0, BASE[cls])) is not None
         assert cache.get((*where, BASE[cls])) is None
-        flights = ResultCache(capacity=4, ttl=None)
+        flights = ResultCache(ttl=None)
         _, leader = flights.join((0, 0, BASE[cls]), lead=True)
         batch, flight = flights.join((*where, BASE[cls]), lead=True)
         assert batch is None and flight is not None and flight is not leader

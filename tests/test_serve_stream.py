@@ -8,6 +8,7 @@ the bytes a direct synchronous query at the same effective
 ``(prev_quality, quality)`` coordinates returns.
 """
 
+import logging
 import sys
 import threading
 import time
@@ -37,6 +38,7 @@ from repro.serve import (
     run_load,
     verify_identity_samples,
 )
+from repro.serve.cache import ENTRY_OVERHEAD_BYTES
 from repro.serve.metrics import DEFAULT_METRICS_WINDOW, RequestSpan
 from repro.serve.scheduler import RequestScheduler, SchedulerConfig
 from repro.serve.streaming import DONE, EMPTY
@@ -171,6 +173,12 @@ def _batch(n=8, names=("mass", "temp")):
     return ParticleBatch(pos, {nm: rng.random(n) for nm in names})
 
 
+#: bytes of ``_batch()``: (8, 3) float32 positions + two 8-row float64 columns
+BATCH_NBYTES = 8 * 3 * 4 + 2 * 8 * 8
+#: what the result cache charges for one such batch: a budget of one result
+CHARGE = BATCH_NBYTES + ENTRY_OVERHEAD_BYTES
+
+
 def _key(step=0, generation=0, **fields):
     """A result key as the serve core builds it: (step, generation, window)."""
     return (step, generation, QueryRequest(on_error="degrade", **fields))
@@ -194,28 +202,31 @@ def _joined(cache, key, lead=False):
 
 class TestInflightTable:
     def test_leader_then_exact_follower(self):
-        cache = ResultCache(ttl=None)
+        cache = ResultCache(CHARGE, ttl=None)
         batch, flight = cache.join(_key(), lead=True)
         assert batch is None and flight is not None
         t, out = _joining(cache, _key(), lead=True)
         _until(lambda: flight.waiters == 1, "the follower to wait")
         b = _batch()
+        assert b.nbytes == BATCH_NBYTES
         cache.settle(flight, b)
         t.join(10.0)
         assert out == [(b, None)]
         s = cache.flight_stats()
         assert (s["leaders"], s["collapsed_hits"], s["fallbacks"]) == (1, 1, 0)
         assert s["saved_bytes"] == b.nbytes
+        # the leader settled without storing: the follower holds it uncached
+        assert cache.uncached_bytes == b.nbytes and cache.nbytes == 0
 
     def test_released_entry_not_joinable(self):
-        cache = ResultCache(ttl=None)
+        cache = ResultCache(CHARGE, ttl=None)
         _, flight = cache.join(_key(), lead=True)
         cache.settle(flight, None)
         batch, again = _joined(cache, _key(), lead=True)
         assert batch is None and again is not None and again is not flight
 
     def test_incompatible_prev_box(self):
-        cache = ResultCache(ttl=None)
+        cache = ResultCache(CHARGE, ttl=None)
         cache.join(_key(), lead=True)
         assert _joined(cache, _key(prev_quality=0.5)) == (None, None)
         assert _joined(cache, _key(box=BOX)) == (None, None)
@@ -223,7 +234,7 @@ class TestInflightTable:
     def test_different_generation_or_step_never_joins(self):
         """Row order follows the leaf set: no window waits on a leader
         executing against another layout."""
-        cache = ResultCache(ttl=None)
+        cache = ResultCache(CHARGE, ttl=None)
         _, flight = cache.join(_key(quality=0.5), lead=True)
         for other in (dict(generation=1), dict(step=1)):
             assert _joined(cache, _key(quality=0.5, **other)) == (None, None)
@@ -234,7 +245,7 @@ class TestInflightTable:
     def test_partial_publish_abandons_followers(self):
         """A leader settling with nothing (failed, partial or shed) sends
         every follower off to execute the window itself."""
-        cache = ResultCache(ttl=None)
+        cache = ResultCache(CHARGE, ttl=None)
         _, flight = cache.join(_key(), lead=True)
         followers = [_joining(cache, _key()) for _ in range(2)]
         _until(lambda: flight.waiters == 2, "both followers to wait")
@@ -247,17 +258,18 @@ class TestInflightTable:
 
     def test_waiting_never_leads(self):
         """A window asked not to lead (a stream) registers nothing."""
-        cache = ResultCache(ttl=None)
+        cache = ResultCache(CHARGE, ttl=None)
         assert _joined(cache, _key()) == (None, None)
         batch, flight = _joined(cache, _key(), lead=True)
         assert batch is None and flight is not None
         assert cache.flight_stats()["leaders"] == 1
 
     def test_result_stored_since_the_miss_is_handed_over(self):
-        cache = ResultCache(ttl=None)
+        cache = ResultCache(CHARGE, ttl=None)
         b = _batch()
         assert cache.get(_key()) is None
         cache.put(_key(), b)  # an identical leader finished meanwhile
+        assert cache.nbytes == CHARGE  # the budget holds exactly one
         assert _joined(cache, _key(), lead=True) == (b, None)
         assert cache.flight_stats()["collapsed_hits"] == 1
 
@@ -270,6 +282,13 @@ def serve_config(**kw):
     base = dict(capacity=2, result_ttl=None)
     base.update(kw)
     return ServeConfig(**base)
+
+
+def full_view_charge(direct) -> int:
+    """What the result cache charges for the whole-domain full-quality
+    result: the unit the service tests size their memory budget in (this
+    v3 dataset's full reads cache no column)."""
+    return direct.query(QueryRequest(quality=1.0)).batch.nbytes + ENTRY_OVERHEAD_BYTES
 
 
 class TestServiceStreaming:
@@ -295,8 +314,9 @@ class TestServiceStreaming:
                 direct.query(QueryRequest(quality=1.0)).batch
             )
 
-    def test_slow_consumer_sheds_prefix_exact(self, written, direct):
+    def test_slow_consumer_sheds_prefix_exact(self, written, direct, caplog):
         cfg = serve_config(stream_outbox=1, stream_grace=0.05)
+        caplog.set_level(logging.INFO, logger="repro.serve.service")
         with QueryService(written, cfg) as svc:
             sid = svc.open_session()
             handle = svc.stream(sid, QueryRequest(quality=1.0))
@@ -307,6 +327,11 @@ class TestServiceStreaming:
             resp = handle.result(30.0)
             assert resp.shed
             assert resp.served_quality < 1.0
+            [record] = [r for r in caplog.records if r.name == "repro.serve.service"]
+            assert record.levelno == logging.INFO
+            assert (record.session_id, record.served_quality, record.requested_quality) == (
+                sid, resp.served_quality, 1.0
+            )
             ref = direct.query(QueryRequest(quality=resp.served_quality))
             assert canon(resp.batch) == canon(ref.batch)
             assert svc.session(sid).delivered_quality == resp.served_quality
@@ -387,7 +412,7 @@ def _waiting_on_a_leader(svc) -> bool:
 
 class TestServiceCollapse:
     def test_thundering_herd_collapses_byte_exact(self, written, direct):
-        cfg = serve_config(capacity=4, result_cache_entries=1)
+        cfg = serve_config(capacity=4, memory_bytes=full_view_charge(direct))
         with QueryService(written, cfg) as svc:
             sids = [svc.open_session() for _ in range(6)]
             barrier = threading.Barrier(6)
@@ -455,8 +480,8 @@ class TestServiceCollapse:
             assert canon(resp.batch) == canon(refs[i % 4].batch), f"request {i}"
         assert burst["misses"] == serial
 
-    def test_streams_never_lead(self, written):
-        cfg = serve_config(capacity=4, result_cache_entries=1)
+    def test_streams_never_lead(self, written, direct):
+        cfg = serve_config(capacity=4, memory_bytes=full_view_charge(direct))
         with QueryService(written, cfg) as svc:
             handles = [
                 svc.stream(svc.open_session(), QueryRequest(quality=1.0))
@@ -534,7 +559,7 @@ class TestServiceCollapse:
         the direct query at its served coordinates, and a session's
         accumulated increments reassemble to the full-quality bytes."""
         n_sessions = data.draw(st.integers(2, 4))
-        cfg = serve_config(capacity=2, result_cache_entries=8)
+        cfg = serve_config(capacity=2, memory_bytes=8 * full_view_charge(direct))
         boxes = [None, BOX, Box((0.0, 0.0, 0.0), (2.0, 2.0, 1.0))]
         with QueryService(written, cfg) as svc:
             plans = []
