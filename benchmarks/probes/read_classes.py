@@ -1,6 +1,7 @@
 """Per-class A/B of the warm read path: parent vs change, byte-checked.
 
-    python benchmarks/probes/read_classes.py PARENT_ROOT CHANGE_ROOT [pairs=10] [seeds=0,1]
+    python benchmarks/probes/read_classes.py PARENT_ROOT CHANGE_ROOT \
+        [pairs=10] [seeds=0,1] [mode=query]
 
 Run from any directory; no ``PYTHONPATH``. Each root is a checkout of
 this repository; the probe imports ``repro`` from ``ROOT/src``, and the
@@ -15,6 +16,10 @@ passes over the 24 views × 7 read classes and reports, per class, the
 fastest pass's mean ms per op and the passes' mean minor page faults per
 op (``ru_minflt`` deltas: a fault is a few µs of kernel time that the
 heap layout of the process decides, not the read code).
+
+``mode`` picks how each op reads: ``query`` (``ds.query``), ``rung`` (a
+one-rung ``ds.stream``, reassembled) or ``ladder`` (a default-ladder
+``ds.stream``, reassembled). Both sides read the same way.
 
 Before any number is printed, every op's batch (sha256 of its rows and
 dtypes) and all of its ``QueryStats`` fields must be equal on both sides,
@@ -54,11 +59,18 @@ def minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def side(root: str, seed: int) -> dict:
+def side(root: str, seed: int, mode: str) -> dict:
     """One side's run, in this (fresh) process: ``{"ms", "faults", "cycle_ms", "ops"}``."""
     sys.path[:0] = [str(Path(root, "src").resolve()), str(BASELINE)]
     import inputs
+    from repro import reassemble_stream
     from workloads import ReadWarm
+
+    def read(ds, req):
+        if mode == "query":
+            return ds.query(req)
+        ladder = (req.quality,) if mode == "rung" else None
+        return reassemble_stream(ds.stream(req, ladder=ladder))
 
     with tempfile.TemporaryDirectory(prefix="read_classes_") as tmp:
         w = ReadWarm(seed, inputs.FULL, tmp)
@@ -74,7 +86,7 @@ def side(root: str, seed: int) -> dict:
             t_pass = time.perf_counter()
             for cls, req in ops:
                 f, t = minflt(), time.perf_counter()
-                res = w.ds.query(req)
+                res = read(w.ds, req)
                 spent.setdefault(cls, []).append(time.perf_counter() - t)
                 faults.setdefault(cls, []).append(minflt() - f)
                 if p == 0:
@@ -92,9 +104,9 @@ def side(root: str, seed: int) -> dict:
     }
 
 
-def run_side(root: str, seed: int) -> dict:
+def run_side(root: str, seed: int, mode: str) -> dict:
     out = subprocess.run(
-        [sys.executable, __file__, "--side", root, str(seed)],
+        [sys.executable, __file__, "--side", root, str(seed), mode],
         check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out.splitlines()[-1])
@@ -120,18 +132,25 @@ def main(argv: list[str]) -> int:
     opts = dict(a.split("=", 1) for a in argv[2:])
     pairs = int(opts.get("pairs", 10))
     seeds = [int(s) for s in opts.get("seeds", "0,1").split(",")]
+    mode = opts.get("mode", "query")
+    if mode not in ("query", "rung", "ladder"):
+        print(f"mode must be query, rung or ladder, not {mode!r}")
+        return 2
     for seed in seeds:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for p in range(pairs):
             for label in ("parent", "change") if p % 2 == 0 else ("change", "parent"):
-                got = run_side(roots[label], seed)
+                got = run_side(roots[label], seed, mode)
                 bad = first_difference((runs["parent"] or [got])[0]["ops"], got["ops"])
                 if bad:
                     print(f"seed {seed} pair {p} {label}: {bad}")
                     return 1
                 runs[label].append(got)
         n_ops = len(runs["parent"][0]["ops"])
-        print(f"seed {seed}: {n_ops} ops, batches and QueryStats identical on both sides")
+        print(
+            f"seed {seed}, mode {mode}: {n_ops} ops, batches and QueryStats identical "
+            "on both sides"
+        )
         classes = list(runs["parent"][0]["ms"])
         for key in [*classes, "cycle"]:
             a, b = (
@@ -158,6 +177,6 @@ def main(argv: list[str]) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--side"]:
-        print(json.dumps(side(sys.argv[2], int(sys.argv[3]))))
+        print(json.dumps(side(sys.argv[2], int(sys.argv[3]), sys.argv[4])))
         sys.exit(0)
     sys.exit(main(sys.argv[1:]))

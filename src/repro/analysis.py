@@ -2,10 +2,10 @@
 
 The paper positions the layout for "spatial or attribute subset queries"
 driving analysis as well as visualization (§I, §V-A). These helpers run
-common analysis reductions *through the query callback path*, so
-they stream over matching particles chunk-by-chunk without materializing
-the full result — the access pattern an analysis tool sitting on top of
-the library would use.
+common analysis reductions *over a streamed read*, so they reduce the
+matching particles one quality rung at a time without materializing the
+full result — the access pattern an analysis tool sitting on top of the
+library would use.
 
 All functions accept either a :class:`~repro.core.dataset.BATDataset`
 (whole timestep) or a single :class:`~repro.bat.BATFile`.
@@ -19,7 +19,7 @@ import numpy as np
 
 from .api import NeighborRequest, NeighborResult, QueryRequest
 from .bat.file import BATFile
-from .bat.query import query_file
+from .bat.query import default_quality_ladder, stream_query_file
 from .types import Box
 
 __all__ = [
@@ -35,12 +35,20 @@ __all__ = [
 ]
 
 
-def _run_query(source, callback, box, filters, quality):
+def _chunks(source, names, box, filters, quality):
+    """The query's values of attributes ``names``, one streamed rung at a
+    time; positions are not returned (nor, on v4 files, decoded unless the
+    box test reads them)."""
     if isinstance(source, BATFile):
-        query_file(source, quality=quality, box=box, filters=filters, callback=callback)
+        for inc in stream_query_file(
+            source, default_quality_ladder(quality), box=box, filters=filters,
+            attributes=names, with_positions=False, keyed=False,
+        ):
+            yield inc.attributes
     else:
-        req = QueryRequest(quality=quality, box=box, filters=tuple(filters))
-        source.query(req, callback=callback)
+        req = QueryRequest(quality=quality, box=box, filters=filters, columns=tuple(names))
+        for inc in source.stream(req):
+            yield inc.batch.attributes
 
 
 def _attr_range(source, attr: str) -> tuple[float, float]:
@@ -62,7 +70,7 @@ def attribute_histogram(
     """Histogram of one attribute over the (filtered) query result.
 
     Returns ``(counts, edges)`` as :func:`numpy.histogram` would, but
-    computed streaming — each emitted chunk is binned and discarded.
+    computed streaming — each rung's rows are binned and discarded.
     ``quality < 1`` histograms the LOD subset, the cheap approximate-first
     pattern progressive analysis uses.
     """
@@ -73,12 +81,8 @@ def attribute_histogram(
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
-
-    def accumulate(positions, attrs):
-        h, _ = np.histogram(attrs[attr], bins=edges)
-        counts[:] += h
-
-    _run_query(source, accumulate, box, tuple(filters), quality)
+    for attrs in _chunks(source, [attr], box, tuple(filters), quality):
+        counts += np.histogram(attrs[attr], bins=edges)[0]
     return counts, edges
 
 
@@ -131,12 +135,9 @@ def region_stats(
     for a in attrs:
         _attr_range(source, a)  # validate names up front
     stats = {a: RegionStats() for a in attrs}
-
-    def accumulate(positions, chunk_attrs):
+    for chunk in _chunks(source, attrs, box, tuple(filters), quality):
         for a in attrs:
-            stats[a].update(chunk_attrs[a])
-
-    _run_query(source, accumulate, box, tuple(filters), quality)
+            stats[a].update(chunk[a])
     return stats
 
 

@@ -234,11 +234,10 @@ class QueryResult:
     """What one request returned: the batch plus traversal statistics.
 
     Iterates as ``(batch, stats)`` so existing two-value unpacking keeps
-    working; ``batch`` is ``None`` for callback (streaming) queries,
-    where the data was delivered chunk-by-chunk instead.
+    working.
     """
 
-    batch: ParticleBatch | None
+    batch: ParticleBatch
     stats: object = field(repr=False, default=None)
 
     def __iter__(self):
@@ -246,7 +245,7 @@ class QueryResult:
         yield self.stats
 
     def __len__(self) -> int:
-        return len(self.batch) if self.batch is not None else 0
+        return len(self.batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,10 +398,9 @@ class StreamIncrement:
     synchronous result (a result-cache hit, or an identical in-flight
     window's) pushed to a stream as a single increment by the serve layer.
 
-    ``stats`` is the stream's *cumulative* work-counter object: every
-    increment of one stream carries the same live
-    :class:`~repro.bat.query.QueryStats`, which equals a direct query's
-    counters once the final rung has been consumed. ``partial`` turns
+    ``stats`` are the stream's *cumulative* work counters as of this
+    rung (a :class:`~repro.bat.query.QueryStats`), which equal a direct
+    query's once the final rung has been consumed. ``partial`` turns
     (and stays) True once a leaf file was quarantined mid-stream under
     ``on_error="degrade"``; partial streams are never cached or shared.
     """

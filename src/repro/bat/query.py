@@ -70,16 +70,15 @@ a time, in order.
 
 The rows leave as *chunks* — the views of whole treelets and the
 gathered rows of the walked ones between them, across file boundaries —
-and are copied once, where they are concatenated (:func:`concat_chunks`);
-rows the walk gathered, alone, were copied by that gather.
-The two entry points differ only in what they do with the chunks:
+and are copied once, where a rung's chunks are concatenated; rows the
+walk gathered, alone, were copied by that gather.
 
-- :func:`query_file` asks for one window and concatenates them (or hands
-  each one to a callback).
-- :func:`stream_query_file` keeps the walk of one step across the rungs
-  of a quality ladder and attaches per-row order keys ``(part,
-  treelet_rank, slot)`` so the increments can be merged back into the
-  one-shot order.
+There is one read, :func:`stream_query_file`: it keeps the walk of one
+step across the rungs of a quality ladder. Only a caller that merges
+rungs asks for per-row order keys ``(part, treelet_rank, slot)``, so the
+increments can be merged back into the one-shot order; every increment
+carries each part's row count. :func:`query_file` is its one-rung,
+unkeyed call.
 
 **One engine.** There is no second traversal in the package. The
 original per-node stack walk is kept as the tests' reference
@@ -114,7 +113,6 @@ __all__ = [
     "query_file",
     "FileIncrement",
     "stream_query_file",
-    "concat_chunks",
 ]
 
 #: what a corrupt or missing leaf file raises, at open or mid-traversal
@@ -230,8 +228,6 @@ def check_ladder(ladder, prev_quality: float) -> tuple[float, ...]:
     return ladder
 
 
-
-
 @dataclass
 class StepPart:
     """One file of a multi-file :func:`query_file` or
@@ -249,26 +245,6 @@ class StepPart:
     box: Box | None = None
     stats: QueryStats = field(default_factory=QueryStats)
     error: Exception | None = None
-
-
-def _open_step(bat, box, stats, quality, prev_quality, filters, attributes, with_positions):
-    """``(one, parts, ctxs, step)`` of a read's ``bat`` argument — one file
-    read with ``box`` (counting into ``stats``, if given) is the one-part
-    step: its parts, every part's prepared read, and the :class:`_Step`
-    over the live ones (``None`` when none is)."""
-    if isinstance(bat, BATFile):
-        one, parts = True, [StepPart(bat, box, stats if stats is not None else QueryStats())]
-    elif box is not None:
-        raise InvalidRequestError("a step's boxes are per file: set StepPart.box")
-    else:
-        one, parts = False, list(bat)
-    ctxs = [
-        _prepare(p.bat, quality, prev_quality, p.box, filters, attributes, with_positions,
-                 stats=p.stats)
-        for p in parts
-    ]
-    live = [c for c in ctxs if c.live]
-    return one, parts, ctxs, _Step(live) if live else None
 
 
 @dataclass
@@ -358,97 +334,38 @@ def _prepare(
     return ctx
 
 
-def _specs(parts, attributes) -> list:
-    """The attribute specs a step's result carries."""
-    specs = parts[0].bat.attribute_specs() if parts else []
-    return specs if attributes is None else [sp for sp in specs if sp.name in attributes]
-
-
-def _settle(one: bool, parts, ctxs) -> None:
-    """Hand each part the error that dropped it, if any; a one-file read
-    raises it instead."""
-    for p, c in zip(parts, ctxs):
-        p.error = c.error
-    if one and parts[0].error is not None:
-        raise parts[0].error
-
-
-def concat_chunks(chunks, with_positions: bool, count: int) -> ParticleBatch:
-    """One batch from a read's non-empty list of ``(positions, attrs)`` chunks.
-
-    The one copy every returned byte takes: a chunk may be a view of a
-    mapped file or of a cached column, and the batch never is. ``count``
-    is the total row count (what sizes a batch with neither positions nor
-    attributes).
-    """
-    attrs = {name: np.concatenate([a[name] for _, a in chunks]) for name in chunks[0][1]}
-    positions = np.concatenate([p for p, _ in chunks]) if with_positions else None
-    return ParticleBatch(positions, attrs, count=count)
-
-
 def query_file(
     bat,
     quality: float = 1.0,
     prev_quality: float = 0.0,
     box: Box | None = None,
     filters: tuple[AttributeFilter, ...] | list[AttributeFilter] = (),
-    callback=None,
     attributes: list[str] | None = None,
     with_positions: bool = True,
-) -> tuple[ParticleBatch | None, QueryStats]:
-    """Run one (progressive) visualization read against BAT files.
+) -> tuple[ParticleBatch, QueryStats]:
+    """Run one (progressive) visualization read against BAT files: the
+    one-rung, unkeyed :func:`stream_query_file`.
 
-    ``bat`` is one :class:`~repro.bat.file.BATFile` (read with ``box``),
-    or the files of one *step* as a sequence of :class:`StepPart`, each
-    with its own plan box (``box`` must then be ``None``) and sharing one
-    attribute schema. A step reads its files as one forest, in order; it
-    returns the bytes the files' one-file reads return, concatenated, and
-    sets each part's ``stats`` to that file's own counters. A part that
-    turns out corrupt or missing is dropped — its rows are in no result —
-    and gets its ``error``; a one-file read raises that error instead.
-
-    Returns ``(batch, stats)``: ``stats`` sums the counters of the files
-    read (the dropped ones left out). ``batch`` is ``None`` when a
-    ``callback`` is given (the paper's API invokes a user callback for
-    each point; here the callback receives chunks of arrays in emission
-    order, for vectorization: a treelet emitted whole as views of its
-    columns, or the rows of the walked treelets between two such, gathered
-    once — a step's chunks run across file boundaries, in file order, and
-    arrive once the whole step is read). The batch is the chunks
+    ``bat`` is one :class:`~repro.bat.file.BATFile` (read with ``box``)
+    or the :class:`StepPart` sequence of one step, as there. Returns
+    ``(batch, stats)``: ``stats`` sums the counters of the files read
+    (the dropped ones left out). The batch is the window's chunks
     concatenated — the one copy of the returned rows — or, when every row
     was gathered by the walk (no treelet went whole), the gathered arrays
     themselves: the gather was their one copy.
-
-    ``attributes`` restricts which attribute arrays are materialized in the
-    result — the array-per-attribute storage model means unrequested
-    attributes are never touched (filter attributes are still read for the
-    false-positive check but only returned if requested).
-
-    ``with_positions=False`` projects positions away too: the result batch
-    carries ``positions=None`` plus a row count, and on column-encoded
-    (v4) files the position block is only decoded where a box test still
-    needs it. Callbacks then receive ``None`` as their positions argument.
     """
-    one, parts, ctxs, step = _open_step(
-        bat, box, None, quality, prev_quality, filters, attributes, with_positions
-    )
-    chunks, _ = step.window(prev_quality, quality) if step is not None else ([], None)
-    _settle(one, parts, ctxs)
+    if not isinstance(bat, BATFile):
+        bat = list(bat)
     stats = QueryStats()
-    for p in parts:
-        if p.error is None:
-            stats.merge(p.stats)
-    rows = [(pos, attrs) for pos, attrs, count in chunks if count]
-    if callback is not None:
-        for pos, attrs in rows:
-            callback(pos, attrs)
-        return None, stats
-    if not rows:
-        return ParticleBatch.empty(_specs(parts, attributes), with_positions=with_positions), stats
-    if len(rows) == 1 and not step.views:
-        # rows the walk gathered are a copy already: this is their one copy
-        return ParticleBatch(*rows[0], count=stats.points_returned), stats
-    return concat_chunks(rows, with_positions, stats.points_returned), stats
+    (inc,) = stream_query_file(
+        bat, (quality,), prev_quality, box, filters, attributes, with_positions, stats,
+        keyed=False,
+    )
+    if not isinstance(bat, BATFile):
+        for p in bat:
+            if p.error is None:
+                stats.merge(p.stats)
+    return ParticleBatch(inc.positions, inc.attributes, count=inc.count), stats
 
 
 # -- flat core (vectorized) ----------------------------------------------------
@@ -892,10 +809,12 @@ class _Step:
     # -- windows -----------------------------------------------------------------
 
     def window(self, q_lo: float, q_hi: float, keyed: bool = False):
-        """``(chunks, keys)``: the row chunks ``(positions, attrs, count)``
-        the step adds between qualities ``q_lo → q_hi``, in emission order,
-        and — only when ``keyed`` — the rows' order keys ``(part, treelet
-        rank within the part, slot)``, one ``(n, 3)`` int64 array.
+        """``(chunks, keys, rows)``: the row chunks ``(positions, attrs,
+        count)`` the step adds between qualities ``q_lo → q_hi``, in
+        emission order; the rows' order keys ``(part, treelet rank within
+        the part, slot)`` as one ``(n, 3)`` int64 array, built only when
+        ``keyed`` (else ``None``); and the rows each part added, an int64
+        array with one count per part.
 
         Each treelet emitted whole is one chunk of views; the walked rows
         between two such are one chunk, sliced from the window's gathered
@@ -904,7 +823,7 @@ class _Step:
         while True:
             spent, reached, tally = self.spent.copy(), self.reached.copy(), self._tally()
             try:
-                chunks = self._window(q_lo, q_hi, keyed, tally)
+                chunks, keys = self._window(q_lo, q_hi, keyed, tally)
             except _PartFailed as fail:
                 # drop the part and redo the window without it
                 self.spent, self.reached = spent, reached
@@ -913,7 +832,10 @@ class _Step:
                 self.spent[self.tpart == fail.part] = True
                 continue
             self._flush(tally)
-            return chunks
+            rows = tally[_RETURNED]
+            if not isinstance(rows, np.ndarray):  # one part, or no row counted
+                rows = np.full(len(self.ctxs), rows, dtype=np.int64)
+            return chunks, keys, rows
 
     def _window(self, q_lo, q_hi, keyed, tally):
         # each file's effective depths, from its own tree depth
@@ -933,9 +855,7 @@ class _Step:
         pos, attrs, count, ranks, bounds, slots = rows or _NO_ROWS
         # the row offset each whole treelet sits at among the walked rows
         cuts = bounds[np.searchsorted(ranks, whole_ranks)].tolist()
-        sizes = self.n_points[whole_ranks]
-        from0 = np.arange(sizes.max(initial=0))  # a whole treelet's slots
-        chunks, slot_runs = [], []  # the rows' slots, chunk by chunk
+        chunks = []
         done = 0
         for whole_chunk, cut in zip([*wholes, None], [*cuts, count]):
             if cut > done:
@@ -944,13 +864,26 @@ class _Step:
                     {name: col[done:cut] for name, col in attrs.items()},
                     cut - done,
                 ))
-                slot_runs.append(slots[done:cut])
                 done = cut
             if whole_chunk is not None:
                 chunks.append(whole_chunk)
-                slot_runs.append(from0[: whole_chunk[2]])
         if not keyed:
             return chunks, None
+        return chunks, self._keys(ranks, bounds, slots, whole_ranks, cuts)
+
+    def _keys(self, ranks, bounds, slots, whole_ranks, cuts) -> np.ndarray:
+        """The order keys of a window's rows: walked treelets ``ranks``
+        (rows at ``bounds``, node-order ``slots``) with the whole treelets
+        ``whole_ranks`` emitted at walked-row offsets ``cuts``."""
+        sizes = self.n_points[whole_ranks]
+        # the rows' slots in emission order: each whole treelet's 0..n-1
+        # at its cut among the walked rows' slots
+        from0 = np.arange(sizes.max(initial=0))
+        slot_runs, done = [], 0
+        for n, cut in zip(sizes.tolist(), cuts):
+            slot_runs += [slots[done:cut], from0[:n]]
+            done = cut
+        slot_runs.append(slots[done:])
         # the rows' treelets, in emission (= rank) order
         ranks = np.concatenate([ranks, whole_ranks])
         at = np.argsort(ranks)
@@ -959,9 +892,8 @@ class _Step:
         keys = np.empty((3, int(sizes.sum())), dtype=np.int64)  # column-major: key by key
         keys[0] = np.repeat(part, sizes)
         keys[1] = np.repeat(ranks - self.first[part], sizes)
-        if slot_runs:
-            np.concatenate(slot_runs, out=keys[2])
-        return chunks, keys.T
+        np.concatenate(slot_runs, out=keys[2])
+        return keys.T
 
     def _wholes(self, ranks: np.ndarray, tally) -> list[tuple]:
         """Treelets emitted whole: views of their columns, no table, no check.
@@ -1070,14 +1002,6 @@ class _Step:
 _NO_ROWS = (None, {}, 0, np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int64))
 
 
-def _concat(parts: list[np.ndarray], dtype, shape=(0,), copy: bool = True) -> np.ndarray:
-    """``np.concatenate`` that turns no parts into a typed empty array, and
-    hands a lone part back as it is unless ``copy``."""
-    if not parts:
-        return np.empty(shape, dtype=dtype)
-    return parts[0] if len(parts) == 1 and not copy else np.concatenate(parts)
-
-
 # -- streamed reads -------------------------------------------------------------
 
 
@@ -1085,13 +1009,15 @@ def _concat(parts: list[np.ndarray], dtype, shape=(0,), copy: bool = True) -> np
 class FileIncrement:
     """Rows one quality rung of a streamed step read adds.
 
-    ``keys`` are per-row order keys ``(part, treelet_rank, slot)``,
-    ``(count, 3)`` int64: stably sorting the concatenation of a stream's
-    increments by them reproduces the direct synchronous emission order
-    byte for byte — parts emit in step order, a part's treelets in its own
-    visit-rank order, and within a treelet node ids are assigned
-    pre-order, which is ascending slot order by construction of the
-    node-order particle layout.
+    ``rows`` counts them per part of the step (int64, part order: a part
+    that was not read adds 0). ``keys``, asked for only by a caller that
+    merges rungs (else ``None``), are per-row order keys ``(part,
+    treelet_rank, slot)``, ``(count, 3)`` int64: stably sorting the
+    concatenation of a stream's increments by them reproduces the direct
+    synchronous emission order byte for byte — parts emit in step order,
+    a part's treelets in its own visit-rank order, and within a treelet
+    node ids are assigned pre-order, which is ascending slot order by
+    construction of the node-order particle layout.
     """
 
     quality: float
@@ -1099,7 +1025,8 @@ class FileIncrement:
     positions: np.ndarray | None
     attributes: dict[str, np.ndarray]
     count: int
-    keys: np.ndarray
+    rows: np.ndarray
+    keys: np.ndarray | None = None
 
 
 def stream_query_file(
@@ -1111,18 +1038,23 @@ def stream_query_file(
     attributes: list[str] | None = None,
     with_positions: bool = True,
     stats: QueryStats | None = None,
+    keyed: bool = True,
 ):
-    """Stream one (progressive) read as per-rung increments.
+    """Stream one (progressive) read as per-rung increments: the one read.
 
-    ``bat`` is one file (read with ``box``; ``stats`` may pass a
-    caller-owned :class:`QueryStats` to count into) or a step's
-    :class:`StepPart` sequence, as for :func:`query_file`. ``ladder`` is a
-    non-descending sequence of qualities starting above ``prev_quality``
-    and ending at the target quality (see :func:`default_quality_ladder`).
-    Exactly one :class:`FileIncrement` is yielded per rung — possibly
-    empty. Each rung is one window of the traversal :func:`query_file`
-    runs once, over one step kept from rung to rung, so two invariants
-    hold:
+    ``bat`` is one :class:`~repro.bat.file.BATFile` (read with ``box``;
+    ``stats`` may pass a caller-owned :class:`QueryStats` to count into),
+    or the files of one *step* as a sequence of :class:`StepPart`, each
+    with its own plan box (``box`` must then be ``None``) and sharing one
+    attribute schema. A step reads its files as one forest, in order; it
+    returns the bytes the files' one-file reads return, concatenated, and
+    sets each part's ``stats`` to that file's own counters.
+
+    ``ladder`` is a non-descending sequence of qualities starting above
+    ``prev_quality`` and ending at the target quality (see
+    :func:`default_quality_ladder`). Exactly one :class:`FileIncrement`
+    is yielded per rung — possibly empty. Each rung is one window of one
+    step kept from rung to rung, so two invariants hold:
 
     - *Reassembly*: the concatenation of all increments, stably sorted by
       ``(part, treelet_rank, slot)``, is byte-identical to
@@ -1132,6 +1064,16 @@ def stream_query_file(
       overlap and no gap, so a shed or abandoned stream is a valid
       lower-quality result, refinable later from ``prev_quality =
       ladder[k]``.
+
+    Order keys are built only when ``keyed``: a one-rung read whose
+    caller merges nothing (:func:`query_file`) skips them.
+
+    ``attributes`` restricts which attribute arrays are materialized —
+    unrequested attributes are never touched (filter attributes are read
+    for the false-positive check but only returned if requested).
+    ``with_positions=False`` projects positions away too: increments
+    carry ``positions=None``, and on column-encoded (v4) files the
+    position block is only decoded where a box test still needs it.
 
     A part that turns out corrupt or missing is dropped from the rung it
     fails at on — its earlier rows stay delivered — and has its ``error``
@@ -1145,34 +1087,54 @@ def stream_query_file(
     read cannot.
     """
     ladder = check_ladder(ladder, prev_quality)
-    one, parts, ctxs, step = _open_step(
-        bat, box, stats, ladder[-1], prev_quality, filters, attributes, with_positions
-    )
-    specs = _specs(parts, attributes)
-    # the step numbers only the live parts
-    owner = np.array([i for i, c in enumerate(ctxs) if c.live], dtype=np.int64)
+    one = isinstance(bat, BATFile)
+    if one:
+        parts = [StepPart(bat, box, stats if stats is not None else QueryStats())]
+    elif box is not None:
+        raise InvalidRequestError("a step's boxes are per file: set StepPart.box")
+    else:
+        parts = list(bat)
+    ctxs = [
+        _prepare(p.bat, ladder[-1], prev_quality, p.box, filters, attributes, with_positions,
+                 stats=p.stats)
+        for p in parts
+    ]
+    # the step reads only the live parts: ``owner`` maps them back
+    live = [i for i, c in enumerate(ctxs) if c.live]
+    step = _Step([ctxs[i] for i in live]) if live else None
+    owner = np.array(live, dtype=np.int64) if len(live) < len(parts) else None
     prev = prev_quality
     for q in ladder:
-        chunks, keys = step.window(prev, q, keyed=True) if step is not None else ([], None)
-        _settle(one, parts, ctxs)
-        # rows the walk gathered alone are a copy already (as in query_file)
-        copy = step is None or step.views
-        if keys is None:
+        if step is None:
+            chunks, keys, rows = [], None, np.zeros(0, dtype=np.int64)
+        else:
+            chunks, keys, rows = step.window(prev, q, keyed)
+        for p, c in zip(parts, ctxs):
+            p.error = c.error
+        if one and parts[0].error is not None:
+            raise parts[0].error
+        if owner is not None:
+            rows, live_rows = np.zeros(len(parts), dtype=np.int64), rows
+            rows[owner] = live_rows
+            if keys is not None:
+                keys[:, 0] = owner[keys[:, 0]]
+        if keyed and keys is None:
             keys = np.empty((0, 3), dtype=np.int64)
-        elif len(owner) < len(parts):
-            keys[:, 0] = owner[keys[:, 0]]
+        if not chunks:  # the schema-stable empty rung
+            specs = parts[0].bat.attribute_specs() if parts else []
+            empty = ParticleBatch.empty(
+                [sp for sp in specs if attributes is None or sp.name in attributes],
+                with_positions,
+            )
+            pos, attrs = empty.positions, empty.attributes
+        elif len(chunks) == 1 and not step.views:
+            # rows the walk gathered alone are a copy already
+            pos, attrs = chunks[0][:2]
+        else:
+            pos = np.concatenate([c[0] for c in chunks]) if with_positions else None
+            attrs = {name: np.concatenate([c[1][name] for c in chunks]) for name in chunks[0][1]}
         yield FileIncrement(
-            quality=q,
-            prev_quality=prev,
-            positions=(
-                _concat([c[0] for c in chunks], np.float32, (0, 3), copy)
-                if with_positions else None
-            ),
-            attributes={
-                sp.name: _concat([c[1][sp.name] for c in chunks], sp.dtype, copy=copy)
-                for sp in specs
-            },
-            count=sum(c[2] for c in chunks),
-            keys=keys,
+            quality=q, prev_quality=prev, positions=pos, attributes=attrs,
+            count=sum(c[2] for c in chunks), rows=rows, keys=keys,
         )
         prev = q

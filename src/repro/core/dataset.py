@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from ..bat.query import (
     _PartFailed,
     check_ladder,
     default_quality_ladder,
-    query_file,
+    query_file,  # noqa: F401 - the benchmark's span table patches this name
     stream_query_file,
 )
 from ..errors import IntegrityError, InvalidRequestError, LeafUnavailableError
@@ -258,11 +259,7 @@ class BATDataset:
         return ["positions", *self.metadata.attr_dtypes]
 
     def query(
-        self,
-        request: QueryRequest | None = None,
-        *,
-        plan: QueryPlan | None = None,
-        callback=None,
+        self, request: QueryRequest | None = None, *, plan: QueryPlan | None = None
     ) -> QueryResult:
         """Run one (progressive) query across the whole data set.
 
@@ -274,22 +271,13 @@ class BATDataset:
             batch, stats = result  # iterates as (batch, stats)
 
         ``plan`` may pass a precomputed :class:`QueryPlan` (e.g. a
-        streaming session's; it must match the request's box/filters);
-        ``callback`` streams chunks instead of materializing a batch
-        (``result.batch`` is then ``None``).
+        streaming session's; it must match the request's box/filters).
 
-        Same semantics as :func:`repro.bat.query.query_file`, with the
-        planner pruning which leaf files get touched at all. The kept
-        files are looked up in plan (= leaf index) order through the
-        shared handle cache — leased for the read — and read as one
-        step: one ``query_file`` call over all of them, so results and
-        stats equal those of reading them one at a time, in that order.
-        The batch is concatenated once, across files, inside the lease.
-        Callback chunks come per step, once it is read: file order, but
-        a chunk of walked rows can span files, and a chunk may be a view
-        of a mapped file whose handle the cache closes once the lease
-        ends, which :meth:`~repro.bat.file.BATFile.close` tolerates — the
-        mapping lives as long as the view.
+        The one-rung :meth:`stream` of the request's window, without order
+        keys: the planner prunes which leaf files get touched at all, and
+        the kept files, leased from the shared handle cache in plan (=
+        leaf index) order, are read as one step, so results and stats
+        equal those of reading them one at a time, in that order.
 
         ``request.on_error`` decides what a corrupt or missing leaf file
         does: ``"raise"`` surfaces a clear
@@ -297,62 +285,19 @@ class BATDataset:
         :class:`~repro.errors.IntegrityError` naming the leaf and
         dataset; ``"degrade"`` quarantines the leaf and returns the
         partial result from the surviving files, with
-        ``stats.quarantined_files`` counting what the query did not see.
-        Only corruption and absence degrade — user errors (bad quality,
-        unknown filter attribute) always raise.
+        ``stats.quarantined_files`` counting what the query did not see
+        (see :meth:`stream` for the order). Only corruption and absence
+        degrade — user errors (bad quality, unknown filter attribute)
+        always raise.
         """
         req = request if request is not None else QueryRequest()
         if not isinstance(req, QueryRequest):
             raise InvalidRequestError("query() takes a repro.QueryRequest")
-        attributes, with_positions = _split_columns(req.columns)
         plan = self._plan(
             plan, self._plan_cache.get_or_build, box=req.box, filters=req.filters
         )
-        stats = QueryStats(
-            pruned_files=plan.pruned_files, quarantined_files=plan.excluded_files
-        )
-        failed: dict[int, Exception] = {}
-        opened: list[tuple[int, int]] = []  # (leaf index, decoded bytes before)
-        parts: list[StepPart] = []
-        # the step holds every part's handle until it returns
-        with self._cache.lease([self._leaf_paths[fp.leaf_index] for fp in plan.files]):
-            for fp in plan.files:
-                try:
-                    f = self.file(fp.leaf_index)
-                except LEAF_ERRORS as exc:
-                    failed[fp.leaf_index] = exc
-                    continue
-                opened.append((fp.leaf_index, f.decoded_bytes))
-                parts.append(StepPart(f, fp.box))
-            batch, _ = query_file(
-                parts,
-                quality=req.quality,
-                prev_quality=req.prev_quality,
-                filters=req.filters,
-                callback=callback,
-                attributes=attributes,
-                with_positions=with_positions,
-            )
-        leaf_stats: list[tuple[int, QueryStats]] = []
-        for (i, decoded_before), part in zip(opened, parts):
-            if part.error is not None:
-                failed[i] = part.error  # its rows are in no result
-                continue
-            part.stats.decoded_bytes = part.bat.decoded_bytes - decoded_before
-            stats.merge(part.stats)
-            leaf_stats.append((i, part.stats))
-        for fp in plan.files:  # in plan order: "raise" names the first
-            if fp.leaf_index in failed:
-                self._leaf_failed(fp.leaf_index, failed[fp.leaf_index], req.on_error, stats)
-        if self.telemetry is not None:
-            self.telemetry.view(req.box, req.filters, self._materialized_columns(req))
-            for i, s in leaf_stats:
-                self.telemetry.leaf(
-                    i, points=s.points_returned, decoded_bytes=s.decoded_bytes
-                )
-        if callback is None and stats.points_returned == 0:
-            batch = empty_batch(self, req.columns)
-        return QueryResult(batch=batch, stats=stats)
+        ((inc, _),) = self._stream_rungs(req, (req.quality,), plan, keyed=False)
+        return QueryResult(batch=inc.batch, stats=inc.stats)
 
     def stream(self, request=None, ladder=None, plan=None):
         """Stream one query as per-rung :class:`~repro.api.StreamIncrement`s.
@@ -382,11 +327,16 @@ class BATDataset:
         a partial one-shot result — is not byte-comparable and must not
         be cached). A plan that already excludes quarantined leaves
         flags every increment ``partial`` from the first rung, as
-        :meth:`query` reports it. A failing leaf is handled (quarantined,
-        or raised naming it) after the rung it fails at, in plan order.
-        A one-rung stream's ``inc.stats`` equal the direct query's; a
-        longer ladder's can end higher in ``points_tested``,
-        ``nodes_visited`` and ``decoded_bytes`` (see
+        :meth:`query` reports it. A leaf that fails to open is handled
+        (quarantined, or raised naming it) before any rung runs, in plan
+        order; a leaf that fails mid-step after the rung it fails at, in
+        plan order.
+
+        ``inc.stats`` are the stream's cumulative counters as of that
+        rung, summed over the leaves still in it: a dropped leaf counts
+        only in ``quarantined_files``. A one-rung stream's equal the
+        direct query's; a longer ladder's can end higher in
+        ``points_tested``, ``nodes_visited`` and ``decoded_bytes`` (see
         :func:`~repro.bat.query.stream_query_file`).
         """
         req = request if request is not None else QueryRequest()
@@ -400,7 +350,7 @@ class BATDataset:
         plan = self._plan(
             plan, self._plan_cache.get_or_build, box=req.box, filters=req.filters
         )
-        return self._stream_rungs(req, ladder, plan)
+        return (inc for inc, _ in self._stream_rungs(req, ladder, plan))
 
     def neighbors(
         self, request: NeighborRequest, plan: NeighborQueryPlan | None = None
@@ -420,11 +370,11 @@ class BATDataset:
         layouts, and byte-identical to the exhaustive reference the tests
         hold it to.
 
-        The files of the center-box plan and of the neighbor plan are
-        leased from the handle cache for the whole request. The center
-        box's files are one gather, the radius engine's files another,
-        and the selected rows are materialized as one more, each column
-        gathered once across the files.
+        Each file is leased from the handle cache when the request first
+        opens it, until the request ends, so only the files it reads are
+        pinned. The center box's files are one gather, the radius engine's
+        files another, and the selected rows are materialized as one
+        more, each column gathered once across the files.
 
         ``request.on_error`` matches :meth:`query`: ``"raise"`` surfaces
         a corrupt or missing leaf as the error naming leaf and dataset;
@@ -462,13 +412,15 @@ class BATDataset:
         )
         stats.pruned_files += plan.pruned_files
         stats.quarantined_files += plan.excluded_files
-        leased = [*(cplan.files if cplan is not None else ()), *plan.files]
         opened: dict[int, tuple[BATFile, int]] = {}
+        leases = ExitStack()
 
         def open_leaf(leaf_index: int, action: str | None = None) -> BATFile:
             ent = opened.get(leaf_index)
             if ent is not None:
                 return ent[0]
+            # leased first: the handle cannot be evicted before it is pinned
+            leases.enter_context(self._cache.lease([self._leaf_paths[leaf_index]]))
             try:
                 f = self.file(leaf_index)
             except LEAF_ERRORS as exc:
@@ -479,7 +431,7 @@ class BATDataset:
                 stats.ghost_files_opened += 1
             return f
 
-        with self._cache.lease([self._leaf_paths[fp.leaf_index] for fp in leased]):
+        with leases:
             # -- resolve centers --------------------------------------------
             center_keys = None
             if cplan is None:
@@ -536,82 +488,87 @@ class BATDataset:
             stats=stats,
         )
 
-    def _stream_rungs(self, req, ladder, plan):
+    def _stream_rungs(self, req, ladder, plan, keyed: bool = True):
+        """The one read behind :meth:`query` and :meth:`stream`: yields
+        ``(increment, rows)`` per rung of the checked ``ladder``, ``rows``
+        the increment's row count per file of ``plan`` (int64, plan
+        order). Order keys are built only when ``keyed``; an unkeyed
+        increment's ``order`` is ``None``."""
         attributes, with_positions = _split_columns(req.columns)
-        stats = QueryStats(pruned_files=plan.pruned_files, quarantined_files=plan.excluded_files)
-        partial = plan.excluded_files > 0
-        opened: list[tuple[int, int, int]] = []  # (file rank, leaf index, decoded bytes before)
+        quarantined = plan.excluded_files
+        opened: list[tuple[int, int]] = []  # (plan rank, decoded bytes before)
         parts: list[StepPart] = []
         with self._cache.lease(
             [self._leaf_paths[fp.leaf_index] for fp in plan.files]
         ):
-            for file_rank, fp in enumerate(plan.files):
+            for rank, fp in enumerate(plan.files):
                 try:
                     f = self.file(fp.leaf_index)
                 except LEAF_ERRORS as exc:
-                    self._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
-                    partial = True
+                    self._leaf_failed(fp.leaf_index, exc, req.on_error)
+                    quarantined += 1
                     continue
-                opened.append((file_rank, fp.leaf_index, f.decoded_bytes))
-                # the parts share one counter object: the stream's running total
-                parts.append(StepPart(f, fp.box, stats))
-            plan_rank = np.array([r for r, _, _ in opened], dtype=np.int64)
+                opened.append((rank, f.decoded_bytes))
+                parts.append(StepPart(f, fp.box))
+            ranks = None
+            if len(parts) < len(plan.files):  # part → plan file rank
+                ranks = np.array([r for r, _ in opened], dtype=np.int64)
             points = np.zeros(len(parts), dtype=np.int64)  # delivered, per part
             failed: set[int] = set()
             try:
                 for inc in stream_query_file(
                     parts, ladder, prev_quality=req.prev_quality, filters=req.filters,
-                    attributes=attributes, with_positions=with_positions,
+                    attributes=attributes, with_positions=with_positions, keyed=keyed,
                 ):
-                    order = inc.keys
-                    if self.telemetry is not None:
-                        points += np.bincount(order[:, 0], minlength=len(parts))
-                    if len(parts) < len(plan.files):  # column 0: part → plan file rank
-                        order[:, 0] = plan_rank[order[:, 0]]
-                    stats.decoded_bytes = sum(
-                        p.bat.decoded_bytes - before
-                        for p, (_, _, before) in zip(parts, opened)
-                    )
-                    for i, p in enumerate(parts):  # in plan order: "raise" names the first
-                        if p.error is not None and i not in failed:
+                    points += inc.rows
+                    # a dropped leaf counts only as quarantined; "raise"
+                    # names the first in plan order
+                    stats = QueryStats(pruned_files=plan.pruned_files)
+                    for i, (p, (rank, before)) in enumerate(zip(parts, opened)):
+                        if p.error is None:
+                            p.stats.decoded_bytes = p.bat.decoded_bytes - before
+                            stats.merge(p.stats)
+                        elif i not in failed:
                             failed.add(i)
-                            partial = True
-                            self._leaf_failed(opened[i][1], p.error, req.on_error, stats)
+                            quarantined += 1
+                            self._leaf_failed(plan.files[rank].leaf_index, p.error, req.on_error)
+                    stats.quarantined_files = quarantined
+                    rows, order = inc.rows, inc.keys
+                    if ranks is not None:
+                        rows = np.zeros(len(plan.files), dtype=np.int64)
+                        rows[ranks] = inc.rows
+                        if order is not None:
+                            order[:, 0] = ranks[order[:, 0]]
                     batch = (
                         ParticleBatch(inc.positions, inc.attributes, count=inc.count)
                         if inc.count else empty_batch(self, req.columns)
                     )
                     yield StreamIncrement(
                         quality=inc.quality, prev_quality=inc.prev_quality, batch=batch,
-                        order=order, stats=stats, partial=partial,
-                    )
+                        order=order, stats=stats, partial=quarantined > 0,
+                    ), rows
             finally:
-                # record what the stream actually touched, even when the
+                # record what the read actually touched, even when the
                 # consumer closed it early at a rung boundary (shedding)
                 if self.telemetry is not None:
                     self.telemetry.view(
                         req.box, req.filters, self._materialized_columns(req)
                     )
-                    for (_, leaf_index, before), p, n in zip(opened, parts, points.tolist()):
+                    for (rank, before), p, n in zip(opened, parts, points.tolist()):
                         self.telemetry.leaf(
-                            leaf_index,
+                            plan.files[rank].leaf_index,
                             points=n,
                             decoded_bytes=max(p.bat.decoded_bytes - before, 0),
                         )
 
-    def _leaf_failed(
-        self, leaf_index: int, exc: Exception, on_error: str, stats=None
-    ) -> None:
+    def _leaf_failed(self, leaf_index: int, exc: Exception, on_error: str) -> None:
         """One leaf file turned out corrupt or missing mid-query.
 
-        ``"degrade"`` quarantines it (future plans exclude it up front)
-        and counts it in ``stats.quarantined_files``, if given; ``"raise"``
-        surfaces a clear error naming the leaf and dataset.
+        ``"degrade"`` quarantines it (future plans exclude it up front);
+        ``"raise"`` surfaces a clear error naming the leaf and dataset.
         """
         if on_error == "degrade":
             self.quarantine_leaf(leaf_index, str(exc))
-            if stats is not None:
-                stats.quarantined_files += 1
             return
         leaf = self.metadata.leaves[leaf_index]
         path = self._leaf_paths[leaf_index]

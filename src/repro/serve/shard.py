@@ -66,6 +66,7 @@ manifest — and retries once. The batch-job tier
 from __future__ import annotations
 
 import itertools
+import logging
 import multiprocessing
 import threading
 import time
@@ -110,6 +111,8 @@ __all__ = [
 #: how long the router waits on one worker reply before giving the shard up
 RPC_TIMEOUT = 120.0
 
+lgr = logging.getLogger("repro.serve.shard")
+
 
 class ShardCrashed(ReproError, RuntimeError):
     """The worker process died while a reply was pending."""
@@ -121,7 +124,12 @@ class ShardUnavailable(ReproError, RuntimeError):
 
 class StaleGeneration(ReproError, RuntimeError):
     """A worker serves a different layout generation than the request was
-    planned against, even after reloading the step's manifest."""
+    planned against, even after reloading the step's manifest.
+    ``shard_id`` names the shard whose reply showed it, when known."""
+
+    def __init__(self, message: str, shard_id: int | None = None):
+        super().__init__(message)
+        self.shard_id = shard_id
 
 
 # -- worker process ------------------------------------------------------------
@@ -200,9 +208,9 @@ class _ShardWorker:
         leaves are not miscounted as quarantined. ``runs`` is an
         ``(files, 2)`` int64 array of ``(global leaf index, row count)``
         in emission order, leaves ascending; the router merges by it.
-        Only a stream rung (``doc["keyed"]``) ships the rows' order keys,
-        column 0 rewritten from the plan-local file rank to the global
-        leaf index; a one-shot window's ``order`` is ``None``.
+        Only a stream rung (``doc["keyed"]``) builds and ships the rows'
+        order keys, column 0 rewritten from the plan-local file rank to
+        the global leaf index; a one-shot window's ``order`` is ``None``.
         """
         t0 = time.perf_counter()
         step = int(doc["step"])
@@ -214,7 +222,7 @@ class _ShardWorker:
             raise StaleGeneration(
                 f"step {step}: request planned on generation "
                 f"{doc['generation']}, shard {self.shard_id} serves "
-                f"{ds.metadata.generation}"
+                f"{ds.metadata.generation}", self.shard_id,
             )
         full_plan = ds.plan(req.box, req.filters)
         files = tuple(fp for fp in full_plan.files if fp.leaf_index in owned)
@@ -232,21 +240,14 @@ class _ShardWorker:
                 "quarantined_files": full_plan.excluded_files,
             }
         plan = replace(full_plan, files=files, n_files=len(files))
-        inc = None
-        gen = ds.stream(req, ladder=(req.quality,), plan=plan)
-        try:
-            for inc in gen:
-                pass  # single-rung ladder: exactly one increment
-        finally:
-            gen.close()
+        # the one-rung window; only a stream rung's rows get order keys
+        ((inc, rows),) = ds._stream_rungs(req, (req.quality,), plan, keyed=doc["keyed"])
         lut = np.array([fp.leaf_index for fp in plan.files], dtype=np.int64)
-        rank = inc.order[:, 0]  # non-decreasing: rows arrive file by file
-        starts = np.flatnonzero(np.diff(rank, prepend=-1))
-        runs = np.column_stack((lut[rank[starts]], np.diff(starts, append=len(rank))))
-        order = None
-        if doc["keyed"]:
-            order = inc.order.copy()
-            order[:, 0] = lut[rank]
+        sent = rows > 0  # rows arrive file by file, in plan order
+        runs = np.column_stack((lut[sent], rows[sent]))
+        order = inc.order
+        if order is not None:
+            order[:, 0] = lut[order[:, 0]]
         stats = inc.stats
         batch = inc.batch
         span.served_quality = req.quality
@@ -391,6 +392,7 @@ class _ShardClient:
         self._ids = itertools.count()
         self._pending: dict[int, _Reply] = {}
         self._alive = False
+        self._closing = False
         self.process = None
         self._conn = None
         self.restarts = -1  # first spawn is not a restart
@@ -414,13 +416,18 @@ class _ShardClient:
         self._conn = parent
         self._alive = True
         self.restarts += 1
+        if self.restarts:
+            lgr.warning(
+                "respawned shard %d worker (restart %d)", self.shard_id, self.restarts,
+                extra={"shard_id": self.shard_id, "restarts": self.restarts},
+            )
         self._rx = threading.Thread(
-            target=self._receive, args=(parent,),
+            target=self._receive, args=(parent, proc.pid),
             name=f"repro-shard-rx-{self.shard_id}", daemon=True,
         )
         self._rx.start()
 
-    def _receive(self, conn) -> None:
+    def _receive(self, conn, pid: int) -> None:
         while True:
             try:
                 kind, req_id, payload = conn.recv()
@@ -441,6 +448,13 @@ class _ShardClient:
                 self._alive = False
             stranded = [r for r in self._pending.values() if not r.event.is_set()]
             self._pending.clear()
+            closing = self._closing
+        if not closing:
+            lgr.warning(
+                "shard %d worker (pid %d) died with %d replies pending",
+                self.shard_id, pid, len(stranded),
+                extra={"shard_id": self.shard_id, "pid": pid, "stranded": len(stranded)},
+            )
         for reply in stranded:
             reply.crashed = True
             reply.event.set()
@@ -449,6 +463,7 @@ class _ShardClient:
         with self._lock:
             conn, proc, rx = self._conn, self.process, self._rx
             self._alive = False
+            self._closing = True
         if conn is not None:
             try:
                 with self._send_lock:
@@ -516,8 +531,10 @@ class _ShardClient:
             reply = fresh
         if reply.error is not None:
             name, message = reply.error
-            failure = StaleGeneration if name == "StaleGeneration" else ShardUnavailable
-            raise failure(f"shard {self.shard_id} failed: {name}: {message}")
+            message = f"shard {self.shard_id} failed: {name}: {message}"
+            if name == "StaleGeneration":
+                raise StaleGeneration(message, self.shard_id)
+            raise ShardUnavailable(message)
         return reply.value
 
 
@@ -581,11 +598,20 @@ class _ShardedStep:
         }
         clients = [self._router._shards[s] for s in needed]
         started = [(c, c._start("query", doc)) for c in clients]
-        payloads = [
-            c.finish(reply, RPC_TIMEOUT, retry=("query", doc))
-            for c, reply in started
-        ]
-        batch, order = _merge_replies(self.owners, req, zip(needed, payloads), keyed)
+        try:
+            payloads = [
+                c.finish(reply, RPC_TIMEOUT, retry=("query", doc))
+                for c, reply in started
+            ]
+            batch, order = _merge_replies(self.owners, req, zip(needed, payloads), keyed)
+        except StaleGeneration as exc:
+            lgr.warning(
+                "shard %s disagrees with generation %d of step %d: %s",
+                exc.shard_id, self.metadata.generation, self._step, exc,
+                extra={"shard_id": exc.shard_id, "step": self._step,
+                       "generation": self.metadata.generation},
+            )
+            raise
         if batch is None:  # no rows anywhere: the step's schema-stable empty
             batch = empty_batch(self, req.columns)
         quarantined = sum(p["quarantined_files"] for p in payloads)
@@ -638,7 +664,7 @@ def _leaf_runs(owners, replies) -> list:
             if leaf <= prev or leaf >= len(owners) or owners[leaf] != shard:
                 why = "out of leaf order" if leaf <= prev else "not its leaf"
                 raise StaleGeneration(
-                    f"shard {shard} replied with rows of leaf {leaf} ({why})"
+                    f"shard {shard} replied with rows of leaf {leaf} ({why})", shard
                 )
             runs.append((leaf, payload, start, start + count))
             start, prev = start + count, leaf

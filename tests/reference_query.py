@@ -4,9 +4,8 @@
 This is the original per-node stack walk, kept as the reference the read
 tests compare against — the role ``reference_treelet.py`` plays for the
 treelet builder. Nothing in ``src/`` calls it. It shares the request
-prologue and the final concatenation with the core (``_prepare`` /
-``concat_chunks``), so both validate and count the same way; the walk
-itself — which nodes are visited, pruned, windowed and emitted — is its
+prologue with the core (``_prepare``), so both validate and count the
+same way; the walk itself — which nodes are visited, pruned, windowed and emitted — is its
 own, one file at a time.
 
 Both return identical batches and identical ``points_tested`` /
@@ -28,7 +27,6 @@ from repro.bat.query import (
     AttributeFilter,
     QueryStats,
     _prepare,
-    concat_chunks,
     stream_query_file,
 )
 from repro.core.dataset import _split_columns, empty_batch
@@ -43,20 +41,17 @@ def query_file_recursive(
     prev_quality: float = 0.0,
     box: Box | None = None,
     filters: tuple[AttributeFilter, ...] | list[AttributeFilter] = (),
-    callback=None,
     attributes: list[str] | None = None,
     with_positions: bool = True,
-) -> tuple[ParticleBatch | None, QueryStats]:
+) -> tuple[ParticleBatch, QueryStats]:
     """:func:`~repro.bat.query.query_file` by the per-node stack walk.
 
     Same arguments, same bytes, one emitted chunk per node.
     """
     ctx = _prepare(bat, quality, prev_quality, box, filters, attributes, with_positions)
-    ctx.out = _Out(ctx.stats, callback)
+    ctx.out = _Out(ctx.stats)
     if ctx.live:
         _traverse_shallow(bat, ctx)
-    if callback is not None:
-        return None, ctx.stats
     if ctx.stats.points_returned == 0:
         specs = bat.attribute_specs()
         if ctx.attributes is not None:
@@ -65,12 +60,20 @@ def query_file_recursive(
     return concat_chunks(ctx.out.chunks, ctx.with_positions, ctx.stats.points_returned), ctx.stats
 
 
-class _Out:
-    """Where the walk's rows go: ``(positions, attrs)`` chunks, or a callback."""
+def concat_chunks(chunks, with_positions: bool, count: int) -> ParticleBatch:
+    """One batch from a non-empty list of ``(positions, attrs)`` chunks
+    (``count`` rows: what sizes a batch with neither positions nor
+    attributes)."""
+    attrs = {name: np.concatenate([a[name] for _, a in chunks]) for name in chunks[0][1]}
+    positions = np.concatenate([p for p, _ in chunks]) if with_positions else None
+    return ParticleBatch(positions, attrs, count=count)
 
-    def __init__(self, stats: QueryStats, callback):
+
+class _Out:
+    """Where the walk's rows go: ``(positions, attrs)`` chunks."""
+
+    def __init__(self, stats: QueryStats):
         self.stats = stats
-        self.callback = callback
         self.chunks = []
 
     def emit(self, positions, attrs, count=None) -> None:
@@ -78,10 +81,7 @@ class _Out:
         if n == 0:
             return
         self.stats.points_returned += n
-        if self.callback is not None:
-            self.callback(positions, attrs)
-        else:
-            self.chunks.append((positions, attrs))
+        self.chunks.append((positions, attrs))
 
 
 def _depth_fraction(depth: int, e: float) -> float:
@@ -230,15 +230,14 @@ def stream_per_file(ds, req, ladder, plan):
 
     The dataset's stream loop before a stream became one step, kept as
     the reference the stepped stream is held to (its ``decoded_bytes``
-    stay 0: this loop never set them) — changed only to read a file
-    increment's keys from its one ``keys`` array. ``ladder`` must already
-    be checked.
+    stay 0: this loop never set them) — changed to read a file
+    increment's keys from its one ``keys`` array, and to count each file
+    on its own, so a rung's counters sum the files still in the stream (a
+    dropped file counts only as quarantined). ``ladder`` must already be
+    checked.
     """
     attributes, with_positions = _split_columns(req.columns)
-    stats = QueryStats()
-    stats.pruned_files += plan.pruned_files
-    stats.quarantined_files += plan.excluded_files
-    partial = plan.excluded_files > 0
+    quarantined = plan.excluded_files
     # per-leaf telemetry gathered over the stream's whole life: the
     # handle and its decode counter at stream start, points delivered
     leaf_handles: dict[int, tuple] = {}
@@ -246,15 +245,17 @@ def stream_per_file(ds, req, ladder, plan):
     with ds._cache.lease(
         [ds._leaf_paths[fp.leaf_index] for fp in plan.files]
     ):
-        gens = []  # [(file_rank, leaf_index, per-file increment generator)]
+        # [(file_rank, leaf_index, per-file increment generator, its counters)]
+        gens = []
         for file_rank, fp in enumerate(plan.files):
             try:
                 f = ds.file(fp.leaf_index)
                 leaf_handles[fp.leaf_index] = (f, f.decoded_bytes)
             except LEAF_ERRORS as exc:
-                ds._leaf_failed(fp.leaf_index, exc, req.on_error, stats)
-                partial = True
+                ds._leaf_failed(fp.leaf_index, exc, req.on_error)
+                quarantined += 1
                 continue
+            stats = QueryStats()
             gens.append(
                 (
                     file_rank,
@@ -269,11 +270,12 @@ def stream_per_file(ds, req, ladder, plan):
                         with_positions=with_positions,
                         stats=stats,
                     ),
+                    stats,
                 )
             )
         try:
             yield from _stream_ladder(
-                ds, req, ladder, gens, stats, partial, leaf_points
+                ds, req, ladder, gens, plan, quarantined, leaf_points
             )
         finally:
             # record what the stream actually touched, even when the
@@ -290,18 +292,18 @@ def stream_per_file(ds, req, ladder, plan):
                     )
 
 
-def _stream_ladder(ds, req, ladder, gens, stats, partial, leaf_points):
+def _stream_ladder(ds, req, ladder, gens, plan, quarantined, leaf_points):
     prev = req.prev_quality
     for q in ladder:
         parts: list[ParticleBatch] = []
         orders: list[np.ndarray] = []
         dead: list[int] = []
-        for slot, (file_rank, leaf_index, gen) in enumerate(gens):
+        for slot, (file_rank, leaf_index, gen, _) in enumerate(gens):
             try:
                 inc = next(gen)
             except LEAF_ERRORS as exc:
-                ds._leaf_failed(leaf_index, exc, req.on_error, stats)
-                partial = True
+                ds._leaf_failed(leaf_index, exc, req.on_error)
+                quarantined += 1
                 dead.append(slot)
                 continue
             if inc.count:
@@ -330,12 +332,15 @@ def _stream_ladder(ds, req, ladder, gens, stats, partial, leaf_points):
         else:
             batch = empty_batch(ds, req.columns)
             order = np.empty((0, 3), dtype=np.int64)
+        stats = QueryStats(pruned_files=plan.pruned_files, quarantined_files=quarantined)
+        for *_, file_stats in gens:
+            stats.merge(file_stats)
         yield StreamIncrement(
             quality=q,
             prev_quality=prev,
             batch=batch,
             order=order,
             stats=stats,
-            partial=partial,
+            partial=quarantined > 0,
         )
         prev = q

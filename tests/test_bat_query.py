@@ -204,23 +204,6 @@ class TestProgressiveQuery:
         assert (ext > 0.5).all()  # coarse LOD covers the domain
 
 
-class TestCallbackAPI:
-    def test_callback_receives_all_points(self, bat):
-        seen = []
-        out, stats = query_file(bat, callback=lambda pos, attrs: seen.append(len(pos)))
-        assert out is None
-        assert sum(seen) == N
-        assert stats.points_returned == N
-
-    def test_callback_with_box(self, bat, data):
-        pos, _ = data
-        box = Box((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
-        got = []
-        query_file(bat, box=box, callback=lambda p, a: got.append(p))
-        total = sum(len(p) for p in got)
-        assert total == box.contains_points(pos).sum()
-
-
 class TestAttributeSubsetReads:
     def test_subset_returned(self, bat):
         res, _ = query_file(bat, attributes=["density"])

@@ -102,13 +102,6 @@ class TestQueries:
         full = allpos.max(axis=0) - allpos.min(axis=0)
         assert (ext > 0.6 * full).all()
 
-    def test_callback_mode(self, dataset):
-        ds, allpos, _, _ = dataset
-        got = []
-        out, stats = ds.query(callback=lambda p, a: got.append(len(p)))
-        assert out is None
-        assert sum(got) == len(allpos)
-
     def test_combined_query(self, dataset):
         ds, allpos, allmass, _ = dataset
         box = Box((1.0, 1.0, 0.0), (3.0, 3.0, 1.0))

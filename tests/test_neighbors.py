@@ -574,6 +574,40 @@ class TestLease:
                 assert_identical(small.neighbors(req), want)
         cache.close()
 
+    def test_leases_exactly_the_files_it_opens(self, dataset):
+        """A file is leased when the request opens it, never up front: the
+        leased paths are the opened ones, each once."""
+        from repro.bat.filecache import BATFileCache
+
+        leased, opened = [], []
+
+        class Recording(BATFileCache):
+            def lease(self, paths):
+                leased.extend(paths)
+                return super().lease(paths)
+
+            def get(self, path):
+                opened.append(path)
+                return super().get(path)
+
+        reqs = {
+            "knn": NeighborRequest(points=((2.0, 2.0, 0.5), (0.5, 3.5, 0.2)), k=40),
+            "radius": NeighborRequest(points=((2.0, 2.0, 0.5),), radius=0.3),
+            "center_box": NeighborRequest(
+                center_box=Box((1.0, 1.0, 0.0), (3.0, 3.0, 1.0)), k=8
+            ),
+        }
+        cache = Recording()
+        with BATDataset(dataset.metadata_path, file_cache=cache) as ds:
+            for name, req in reqs.items():
+                leased.clear()
+                opened.clear()
+                res = ds.neighbors(req)
+                assert_identical(res, dataset.neighbors(req))
+                assert len(leased) == len(set(leased)) == res.stats.files_opened, name
+                assert set(leased) == set(opened), name
+        cache.close()
+
 
 class TestDegradedNeighbors:
     """A damaged treelet degrades a neighbor query as it does a read: the

@@ -12,9 +12,10 @@ that makes one-column reads actually cheap.
 import numpy as np
 import pytest
 
+from repro.analysis import region_stats
 from repro.api import QueryRequest
 from repro.bat import BATBuildConfig, BATFile, build_bat
-from repro.bat.query import query_file
+from repro.bat.query import QueryStats, default_quality_ladder, query_file, stream_query_file
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.machines import testing_machine
@@ -130,20 +131,22 @@ class TestQueryFileProjection:
         assert len(bare) == len(full)
         np.testing.assert_array_equal(bare.attributes["temp"], full.attributes["temp"])
 
-    def test_callbacks_receive_none_positions(self, v4_file):
-        seen = []
-
-        def cb(positions, attrs):
-            seen.append((positions, {k: v.copy() for k, v in attrs.items()}))
-
-        _, stats = query_file(
-            v4_file, quality=1.0, attributes=["temp"], with_positions=False,
-            callback=cb,
-        )
-        assert seen
-        assert all(p is None for p, _ in seen)
-        total = sum(len(a["temp"]) for _, a in seen)
-        assert total == stats.points_returned
+    def test_projected_increments_carry_no_positions(self, v4_file):
+        """A positions-free stream's increments carry ``None`` rung after
+        rung, and the analysis reductions, which reduce over such a
+        stream, see exactly its rows."""
+        stats = QueryStats()
+        incs = list(stream_query_file(
+            v4_file, default_quality_ladder(1.0), attributes=["temp"],
+            with_positions=False, stats=stats,
+        ))
+        assert len(incs) > 1
+        assert all(inc.positions is None for inc in incs)
+        temps = np.concatenate([inc.attributes["temp"] for inc in incs])
+        assert len(temps) == stats.points_returned == 4000
+        summary = region_stats(v4_file, ["temp"])["temp"]
+        assert summary.count == len(temps)
+        assert summary.mean == pytest.approx(temps.mean())
 
     def test_box_still_applies_without_positions(self, v4_file):
         box = Box((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))

@@ -1,7 +1,7 @@
 """A dataset read is one step: every planned file read as one forest.
 
 :meth:`BATDataset.query` hands all its planned files to one
-:func:`~repro.bat.query.query_file` call. The step must be
+:func:`~repro.bat.query.stream_query_file` call (one rung, no order keys). The step must be
 indistinguishable from reading the same plan one file at a time, in plan
 order — the same bytes, the same ten :class:`QueryStats` fields
 (``decoded_bytes`` included), and the same degraded-read contract — and
@@ -22,11 +22,12 @@ import repro.bat.query as query_module
 import repro.core.dataset as dataset_module
 from repro import BATBuildConfig, Box, QueryRequest
 from repro.bat import AttributeFilter, BATFile
-from repro.bat.query import LEAF_ERRORS, QueryStats, StepPart, concat_chunks, query_file
+from repro.bat.query import LEAF_ERRORS, QueryStats, StepPart, query_file
 from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset, empty_batch
 from repro.errors import IntegrityError, InvalidRequestError, LeafUnavailableError
 from repro.machines import testing_machine
+from repro.types import ParticleBatch
 from tests.test_pipeline import make_rank_data
 from tests.test_query_engines import recursive_query
 
@@ -74,7 +75,7 @@ def per_file_loop(ds: BATDataset, req: QueryRequest):
     attributes, with_positions = split_columns(req.columns)
     plan = ds.plan(req.box, req.filters)
     stats = QueryStats(pruned_files=plan.pruned_files, quarantined_files=plan.excluded_files)
-    chunks = []
+    batches = []
     for fp in plan.files:
         try:
             f = ds.file(fp.leaf_index)
@@ -89,10 +90,10 @@ def per_file_loop(ds: BATDataset, req: QueryRequest):
         s.decoded_bytes = f.decoded_bytes - before
         stats.merge(s)
         if len(batch):
-            chunks.append((batch.positions, batch.attributes))
-    if not chunks:
+            batches.append(batch)
+    if not batches:
         return empty_batch(ds, req.columns), stats
-    return concat_chunks(chunks, with_positions, stats.points_returned), stats
+    return ParticleBatch.concatenate(batches), stats
 
 
 def assert_step_is_the_loop(meta, req):
@@ -218,25 +219,15 @@ class TestStepEqualsPerFileLoop:
         _, stats = assert_step_is_the_loop(meta, req)
         assert stats.pruned_bitmap > 0
 
-    def test_callback_chunks_concatenate_to_the_batch(self, meta):
-        req = QueryRequest(quality=0.7, box=Box((0.5, 0.5, 0.0), (3.0, 3.5, 1.0)))
-        got = []
-        with BATDataset(meta) as ds:
-            want, want_stats = ds.query(req)
-            res = ds.query(req, callback=lambda p, a: got.append((p, a)))
-        assert res.batch is None
-        assert dataclasses.astuple(res.stats)[:-1] == dataclasses.astuple(want_stats)[:-1]
-        assert concat_chunks(got, True, want_stats.points_returned).digest() == want.digest()
-
-    def test_one_query_file_call_per_request(self, meta, monkeypatch):
+    def test_one_stream_query_file_call_per_request(self, meta, monkeypatch):
         calls = []
-        real = dataset_module.query_file
+        real = dataset_module.stream_query_file
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(dataset_module, "query_file", counting)
+        monkeypatch.setattr(dataset_module, "stream_query_file", counting)
         with BATDataset(meta) as ds:
             off = Box((9.0,) * 3, (10.0,) * 3)
             for req in (QueryRequest(), QueryRequest(quality=0.2), QueryRequest(box=off)):
@@ -310,25 +301,18 @@ class TestDegradedSteps:
             ds.query(req)
             assert sorted(ds.quarantined()) == [1, 2]
 
-    def test_callback_never_sees_a_failed_file(self, damaged):
-        req = self.REQS[0]
-        with BATDataset(damaged) as ds:
-            want, _ = per_file_loop(ds, req)
-        got = []
-        with BATDataset(damaged) as ds:
-            res = ds.query(req, callback=lambda p, a: got.append((p, a)))
-        assert res.stats.quarantined_files == 2
-        assert concat_chunks(got, True, res.stats.points_returned).digest() == want.digest()
-
     def test_raise_names_the_first_failing_leaf(self, damaged):
+        """A leaf that fails to open raises before the step runs, even
+        where a leaf before it in plan order fails mid-step (the stream's
+        rule); with the missing leaf set aside, the damaged one raises."""
         with BATDataset(damaged) as ds:
-            with pytest.raises(IntegrityError, match=r"dmg\.00001"):
-                ds.query()
-            assert ds.quarantined() == {}
-            ds.quarantine_leaf(1, "known bad")
             with pytest.raises(LeafUnavailableError, match=r"dmg\.00002") as exc:
                 ds.query()
             assert exc.value.leaf_index == 2
+            assert ds.quarantined() == {}
+            ds.quarantine_leaf(2, "known missing")
+            with pytest.raises(IntegrityError, match=r"dmg\.00001"):
+                ds.query()
 
     def test_failure_in_a_walk_table_build(self, tmp_path):
         """A v2 leaf (no checksums) whose treelet links a child outside
@@ -373,7 +357,6 @@ def test_step_files_share_one_schema(tmp_path):
         f = ds.file(0)
         other = np.random.default_rng(0)
         from repro.bat import build_bat
-        from repro.types import ParticleBatch
 
         pos = other.random((500, 3)).astype(np.float32)
         g = BATFile.from_bytes(build_bat(ParticleBatch(pos, {"rho": other.random(500)})).data)

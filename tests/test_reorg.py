@@ -14,6 +14,7 @@ Covers the two halves of the bugfix PR:
 """
 
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -736,11 +737,13 @@ class TestShardedReload:
             assert exact(got.batch) == exact(want.batch)
             assert late.call("snapshot")["generations"]["0"] == 1
 
-    def test_worker_ahead_of_the_router_fails_the_request(self, tmp_path):
+    def test_worker_ahead_of_the_router_fails_the_request(self, tmp_path, caplog):
         """A worker already on a newer layout than the request was planned
-        against refuses it with a typed error; nothing is merged or cached."""
+        against refuses it with a typed error, logged once at the router;
+        nothing is merged or cached."""
         from repro.serve import StaleGeneration
 
+        caplog.set_level(logging.WARNING, logger="repro.serve.shard")
         meta = write_dataset(tmp_path, nranks=16, seed=3)
         md = DatasetMetadata.load(meta)
         req = QueryRequest(quality=1.0)
@@ -752,6 +755,9 @@ class TestShardedReload:
             with pytest.raises(StaleGeneration):
                 svc.execute(req)
             assert svc.snapshot(include_workers=False)["caches"]["results"]["entries"] == 0
+            (stale,) = [r for r in caplog.records if r.name == "repro.serve.shard"]
+            assert (stale.shard_id, stale.step, stale.generation) == (0, 0, 0)
+            assert stale.levelno == logging.WARNING
             svc.reload_step(0)
             with BATDataset(meta) as ds:
                 assert exact(svc.execute(req).batch) == exact(ds.query(req).batch)

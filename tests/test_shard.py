@@ -11,6 +11,7 @@ whose windows differ from request to request.
 
 import asyncio
 import json
+import logging
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -57,6 +58,21 @@ def serve_config(**kw):
     kw.setdefault("capacity", 2)
     kw.setdefault("degradation", DegradationConfig(enabled=False))
     return ServeConfig(**kw)
+
+
+def shard_events(caplog, field: str, n: int = 1, timeout: float = 5.0) -> list:
+    """The ``repro.serve.shard`` records carrying ``field`` in their extra,
+    once there are ``n`` of them (a worker death is logged by the router's
+    receiver thread) or ``timeout`` has passed."""
+    deadline = time.monotonic() + timeout
+    while True:
+        found = [
+            r for r in caplog.records
+            if r.name == "repro.serve.shard" and hasattr(r, field)
+        ]
+        if len(found) >= n or time.monotonic() > deadline:
+            return found
+        time.sleep(0.01)
 
 
 @pytest.fixture(scope="module")
@@ -451,8 +467,9 @@ class TestShardedIdentity:
         assert len(sharded.execute(QueryRequest(quality=0.1, box=BOX)).batch) > 0
 
     def test_worker_killed_between_rungs_respawns_byte_identical(
-        self, written, direct
+        self, written, direct, caplog
     ):
+        caplog.set_level(logging.WARNING, logger="repro.serve.shard")
         req = QueryRequest(quality=1.0, box=BOX)
         with ShardedQueryService(
             written, serve_config(stream_outbox=1), n_shards=2
@@ -462,6 +479,7 @@ class TestShardedIdentity:
             incs = [next(delivered)]
             # an outbox of one parks the producer at most a rung ahead of
             # the consumer: the later rungs have yet to be scattered
+            pid = svc._shards[0].process.pid
             svc._shards[0].process.kill()
             svc._shards[0].process.join(5.0)
             incs.extend(delivered)
@@ -471,6 +489,12 @@ class TestShardedIdentity:
                 direct.query(req).batch
             )
             assert sum(c.restarts for c in svc._shards) == 1
+        # one death, one respawn; the orderly close logs no death
+        (death,) = shard_events(caplog, "stranded")
+        assert (death.shard_id, death.pid) == (0, pid)
+        (respawn,) = shard_events(caplog, "restarts")
+        assert (respawn.shard_id, respawn.restarts) == (0, 1)
+        assert all(r.levelno == logging.WARNING for r in (death, respawn))
 
     def test_cross_shard_boxes_actually_fan_out(self, sharded):
         before = sharded.fanout_multi
@@ -580,13 +604,15 @@ class TestShardSnapshot:
 
 class TestCrashRecovery:
     def test_killed_worker_respawns_and_answers_identically(
-        self, written, direct
+        self, written, direct, caplog
     ):
+        caplog.set_level(logging.WARNING, logger="repro.serve.shard")
         with ShardedQueryService(written, serve_config(), n_shards=2) as svc:
             req = QueryRequest(quality=1.0, box=BOX, filters=FILT)
             sid = svc.open_session()
             try:
                 first = svc.request(sid, req)
+                pid = svc._shards[0].process.pid
                 svc._shards[0].process.kill()
                 svc._shards[0].process.join(5.0)
                 # view change so the second request decodes, not cache-hits
@@ -600,6 +626,10 @@ class TestCrashRecovery:
             assert len(first.batch) > 0
             assert sum(c.restarts for c in svc._shards) == 1
             assert svc.snapshot()["shards"]["restarts"] == 1
+        (death,) = shard_events(caplog, "stranded")
+        assert (death.shard_id, death.pid, death.stranded) == (0, pid, 0)
+        (respawn,) = shard_events(caplog, "restarts")
+        assert (respawn.shard_id, respawn.restarts) == (0, 1)
 
     def test_restart_counter_in_snapshot_before_any_crash(self, sharded):
         # the module-wide fixture is shared; restarts only ever grows
@@ -744,9 +774,11 @@ class TestLeafRunMerge:
         with pytest.raises(StaleGeneration, match=message):
             _merge_replies(owners, self.WINDOW, replies, False)
 
-    def test_router_fails_the_request_and_caches_nothing(self, sharded, monkeypatch):
+    def test_router_fails_the_request_and_caches_nothing(self, sharded, monkeypatch, caplog):
         """A reply whose runs claim a leaf the other shard owns fails the
-        request with StaleGeneration; no result entry is written."""
+        request with StaleGeneration, logged once; no result entry is
+        written."""
+        caplog.set_level(logging.WARNING, logger="repro.serve.shard")
         owners = sharded.owners(0)
         foreign = owners.index(1)
         client = sharded._shards[0]
@@ -770,6 +802,9 @@ class TestLeafRunMerge:
             sharded.close_session(sid)
         after = sharded.snapshot(include_workers=False)["caches"]["results"]["entries"]
         assert after == entries
+        (stale,) = shard_events(caplog, "generation")
+        assert (stale.shard_id, stale.step) == (0, 0)
+        assert stale.generation == sharded.generation(0)
 
 
 class TestWorkerReply:
@@ -801,6 +836,26 @@ class TestWorkerReply:
             assert (np.diff(leaves) > 0).all()
             assert set(leaves.tolist()) <= w.dataset(0)[1]
             assert (counts > 0).all() and counts.sum() == reply["count"] > 0
+
+    def test_one_shot_reads_build_no_order_keys(self, workers, written, direct, monkeypatch):
+        """Neither a dataset query nor a worker's one-shot window reaches
+        the order-key branch; a stream rung does."""
+        import repro.bat.query as query_module
+
+        def no_keys(*args):
+            raise AssertionError("order keys built")
+
+        monkeypatch.setattr(query_module._Step, "_keys", no_keys)
+        assert len(direct.query(self.REQ).batch) > 0
+        doc = {
+            "step": 0, "generation": DatasetMetadata.load(written).generation,
+            "request": request_to_doc(self.REQ),
+        }
+        assert sum(w.execute(dict(doc, keyed=False))["count"] for w in workers) > 0
+        with pytest.raises(AssertionError, match="order keys built"):
+            list(direct.stream(self.REQ))
+        with pytest.raises(AssertionError, match="order keys built"):
+            workers[0].execute(dict(doc, keyed=True))
 
     def test_rung_keys_are_the_direct_stream_keys_with_global_leaves(
         self, workers, written, direct

@@ -222,6 +222,37 @@ class TestDegradedStreams:
             (got,) = assert_stream_is_the_loop(meta, req, ladder)
             assert got[0] is IntegrityError and "two.00001" in got[1]
 
+    def test_query_and_stream_share_one_failure_rule(self, tmp_path):
+        """Leaf 1 fails mid-step, leaf 3 fails to open: under "raise" a
+        one-shot read and a stream name the same leaf — the one that fails
+        to open, before the step runs — and under "degrade" both
+        quarantine both leaves and count alike."""
+        meta = write(tmp_path, 4, name="rule")
+        with BATDataset(meta) as ds:
+            paths = [tmp_path / leaf.file_name for leaf in ds.metadata.leaves]
+        assert len(paths) >= 4
+        flip_treelet(paths[1])
+        paths[3].unlink()
+        errors = []
+        for read in (lambda ds: ds.query(), lambda ds: list(ds.stream(QueryRequest()))):
+            with BATDataset(meta) as ds:
+                with pytest.raises((IntegrityError, LeafUnavailableError)) as exc:
+                    read(ds)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is LeafUnavailableError and "rule.00003" in errors[0][1]
+        for q in (1.0, 0.4):
+            req = QueryRequest(quality=q, on_error="degrade")
+            with BATDataset(meta) as ds:
+                direct = ds.query(req)
+                assert sorted(ds.quarantined()) == [1, 3]
+            with BATDataset(meta) as ds:
+                (inc,) = ds.stream(req, ladder=(q,))
+                assert sorted(ds.quarantined()) == [1, 3]
+            assert dataclasses.astuple(inc.stats) == dataclasses.astuple(direct.stats)
+            assert direct.stats.quarantined_files == 2 and inc.partial
+            assert inc.batch.digest() == direct.batch.digest()
+
     def test_failure_in_a_walk_table_build(self, tmp_path):
         """A v2 leaf whose treelet links a child outside itself fails in
         the walk-table build, after every file's shallow pass."""
