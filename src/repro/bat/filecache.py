@@ -218,7 +218,7 @@ class BATFileCache:
             f.close()
 
     @contextmanager
-    def lease(self, paths):
+    def lease(self, paths=()):
         """Keep handles for ``paths`` open for the duration of the block.
 
         A dataset read (:meth:`BATDataset.query`) holds every planned
@@ -229,13 +229,25 @@ class BATFileCache:
         mid-read. Leases nest and are counted per path; they pin only
         handles, not cache *entries* — lookups and LRU order behave as
         usual, and the last release trims the cache back to capacity.
+
+        Yields ``pin(path)``, which adds one more path to the lease for
+        the rest of the block: a read that decides as it goes which files
+        to open (:meth:`BATDataset.neighbors`) pins each before looking it
+        up, and all are released together.
         """
         keys = [_key(p) for p in paths]
         with self._lock:
             for k in keys:
                 self._pins[k] = self._pins.get(k, 0) + 1
+
+        def pin(path) -> None:
+            k = _key(path)
+            with self._lock:
+                self._pins[k] = self._pins.get(k, 0) + 1
+            keys.append(k)
+
         try:
-            yield
+            yield pin
         finally:
             victims: list[BATFile] = []
             with self._lock:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import threading
-from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -413,14 +412,13 @@ class BATDataset:
         stats.pruned_files += plan.pruned_files
         stats.quarantined_files += plan.excluded_files
         opened: dict[int, tuple[BATFile, int]] = {}
-        leases = ExitStack()
 
         def open_leaf(leaf_index: int, action: str | None = None) -> BATFile:
             ent = opened.get(leaf_index)
             if ent is not None:
                 return ent[0]
-            # leased first: the handle cannot be evicted before it is pinned
-            leases.enter_context(self._cache.lease([self._leaf_paths[leaf_index]]))
+            # pinned before the lookup: the handle cannot be evicted between
+            pin(self._leaf_paths[leaf_index])
             try:
                 f = self.file(leaf_index)
             except LEAF_ERRORS as exc:
@@ -431,7 +429,7 @@ class BATDataset:
                 stats.ghost_files_opened += 1
             return f
 
-        with leases:
+        with self._cache.lease() as pin:  # grown by open_leaf
             # -- resolve centers --------------------------------------------
             center_keys = None
             if cplan is None:

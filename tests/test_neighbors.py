@@ -577,14 +577,18 @@ class TestLease:
     def test_leases_exactly_the_files_it_opens(self, dataset):
         """A file is leased when the request opens it, never up front: the
         leased paths are the opened ones, each once."""
+        from contextlib import contextmanager
+
         from repro.bat.filecache import BATFileCache
 
         leased, opened = [], []
 
         class Recording(BATFileCache):
-            def lease(self, paths):
+            @contextmanager
+            def lease(self, paths=()):
                 leased.extend(paths)
-                return super().lease(paths)
+                with super().lease(paths) as pin:
+                    yield lambda path: (leased.append(path), pin(path))
 
             def get(self, path):
                 opened.append(path)
