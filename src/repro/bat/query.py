@@ -1131,8 +1131,8 @@ def stream_query_file(
             # rows the walk gathered alone are a copy already
             pos, attrs = chunks[0][:2]
         else:
-            pos = np.concatenate([c[0] for c in chunks]) if with_positions else None
             attrs = {name: np.concatenate([c[1][name] for c in chunks]) for name in chunks[0][1]}
+            pos = np.concatenate([c[0] for c in chunks]) if with_positions else None
         yield FileIncrement(
             quality=q, prev_quality=prev, positions=pos, attributes=attrs,
             count=sum(c[2] for c in chunks), rows=rows, keys=keys,

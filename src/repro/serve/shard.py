@@ -243,7 +243,7 @@ class _ShardWorker:
         # the one-rung window; only a stream rung's rows get order keys
         ((inc, rows),) = ds._stream_rungs(req, (req.quality,), plan, keyed=doc["keyed"])
         lut = np.array([fp.leaf_index for fp in plan.files], dtype=np.int64)
-        sent = rows > 0  # rows arrive file by file, in plan order
+        sent = rows > 0  # the files with rows, in plan (= leaf) order
         runs = np.column_stack((lut[sent], rows[sent]))
         order = inc.order
         if order is not None:
