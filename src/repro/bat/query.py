@@ -1135,6 +1135,6 @@ def stream_query_file(
             pos = np.concatenate([c[0] for c in chunks]) if with_positions else None
         yield FileIncrement(
             quality=q, prev_quality=prev, positions=pos, attributes=attrs,
-            count=sum(c[2] for c in chunks), rows=rows, keys=keys,
+            count=int(rows.sum()), rows=rows, keys=keys,
         )
         prev = q
