@@ -20,16 +20,17 @@ it was served.
 
 There is one serve core: :class:`~repro.serve.shard.ShardedQueryService`
 is the same class with its per-step backend swapped — each window is
-scattered to worker processes owning the leaves
-(:mod:`~repro.serve.hashing`) and their keyed increments merged — so all
-of the above runs unchanged over shards. :mod:`~repro.serve.jobs` is a
+scattered to the worker processes owning its leaves (each owns one
+contiguous run of the Aggregation Tree's leaf order,
+:mod:`~repro.serve.hashing`) and their replies merged by leaf runs — so
+all of the above runs unchanged over shards. :mod:`~repro.serve.jobs` is a
 durable batch queue over either one's stateless ``execute``.
 """
 
 from .aio import AsyncQueryService, AsyncStream
 from .cache import ResultCache
 from .degrade import DegradationConfig, DegradationPolicy
-from .hashing import HashRing, assign_leaves, region_key
+from .hashing import assign_leaves
 from .jobs import JobConfig, JobRunner, JobStore, make_sweep
 from .loadgen import (
     LoadReport,
@@ -71,7 +72,6 @@ __all__ = [
     "AsyncStream",
     "DegradationConfig",
     "DegradationPolicy",
-    "HashRing",
     "JobConfig",
     "JobRunner",
     "JobStore",
@@ -101,7 +101,6 @@ __all__ = [
     "make_sweep",
     "make_traces",
     "percentile",
-    "region_key",
     "request_from_doc",
     "request_to_doc",
     "resolve_step_manifests",

@@ -1,4 +1,4 @@
-"""Consistent hashing of leaf-file regions onto shard workers.
+"""Placement of leaf files on shard workers: contiguous leaf runs.
 
 The sharded serve tier partitions a dataset's leaf files across N worker
 processes so every shard owns a disjoint slice of the spatial domain —
@@ -8,82 +8,64 @@ and every worker compute it independently (they only share the manifest
 path and the shard count), so there is no ownership table to ship,
 version, or repair after a worker restart.
 
-A classic consistent-hash ring does that: each shard contributes
-:data:`VNODES` virtual points at ``sha1("shard-<s>:<vnode>")``, a leaf hashes
-its region key — ``dataset / step / leaf bounding box`` — onto the ring,
-and the first shard point clockwise owns it. Keying on the *region*
-rather than the leaf index keeps ownership stable across rewrites that
-renumber leaves but preserve geometry, and gives spatially meaningful
-placement diagnostics (a shard owns boxes, not arbitrary ints). With
-virtual nodes in the dozens the assignment is balanced to a few percent, and
-changing the shard count moves only ~1/N of the leaves — the property
-that makes elastic resizing cheap later.
+The writer's leaves are the Aggregation Tree's leaves, listed depth
+first, so manifest leaf order is a walk of the tree's k-d partition:
+neighbouring leaves in the list are neighbouring regions in space. Cutting
+that list into ``n_shards`` contiguous runs — the paper's read path hands
+whole files to aggregators from the metadata alone in the same way, and a
+space-filling-curve partition of a forest is cut the same way — gives each
+shard a compact region, so a box query meets as few shards as it can.
+The runs are cut by the leaves' ``nbytes``: leaf ``i`` goes to the shard
+whose equal byte share holds the midpoint of its byte range, so every
+shard's byte total is within one leaf of the mean.
+
+A manifest without a tree (an online reorganization splices rewritten
+leaves in at their first source's position and drops the tree) has no
+spatially coherent leaf order; its runs are cut along the Morton order
+of the leaf centres instead.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
+import numpy as np
 
-__all__ = ["HashRing", "region_key", "assign_leaves"]
+from ..morton import encode_positions
 
-#: virtual ring points per shard. A constant, not a parameter: router and
-#: workers must agree on it, and it fixes every leaf's owner
-VNODES = 64
+__all__ = ["assign_leaves", "placement_order"]
 
 
-def _hash64(key: str) -> int:
-    """Stable 64-bit hash of a text key (sha1 prefix; not security)."""
-    return int.from_bytes(hashlib.sha1(key.encode("utf-8")).digest()[:8], "big")
+def placement_order(metadata) -> np.ndarray:
+    """The leaf indices in the order runs are cut along: manifest order
+    when the manifest holds its Aggregation Tree, else the Morton order of
+    the leaf centres (stable, so ties keep manifest order)."""
+    n = len(metadata.leaves)
+    if metadata.tree_nodes or n < 2:
+        return np.arange(n)
+    centers = np.array([leaf.bounds.center for leaf in metadata.leaves], dtype=np.float64)
+    return np.argsort(encode_positions(centers, metadata.bounds), kind="stable")
 
 
-def region_key(dataset: str, step: int, bounds) -> str:
-    """The canonical ring key of one leaf region.
-
-    ``bounds`` is the leaf's :class:`~repro.types.Box`; ``repr`` of the
-    float coordinates is exact and stable across processes, so router
-    and workers derive identical keys from identical manifests.
-    """
-    lo = ",".join(repr(float(v)) for v in bounds.lower)
-    hi = ",".join(repr(float(v)) for v in bounds.upper)
-    return f"{dataset}/{step}/{lo}/{hi}"
-
-
-class HashRing:
-    """``n_shards`` shards, each as :data:`VNODES` virtual ring points."""
-
-    def __init__(self, n_shards: int):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self.n_shards = int(n_shards)
-        points = []
-        for shard in range(self.n_shards):
-            for vnode in range(VNODES):
-                points.append((_hash64(f"shard-{shard}:{vnode}"), shard))
-        points.sort()
-        self._hashes = [h for h, _ in points]
-        self._owners = [s for _, s in points]
-
-    def owner(self, key: str) -> int:
-        """The shard owning ``key`` (first ring point clockwise)."""
-        h = _hash64(key)
-        i = bisect.bisect_right(self._hashes, h)
-        if i == len(self._hashes):
-            i = 0
-        return self._owners[i]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"HashRing(n_shards={self.n_shards})"
-
-
-def assign_leaves(metadata, dataset: str, step: int, ring: HashRing) -> tuple:
+def assign_leaves(metadata, n_shards: int) -> tuple:
     """Per-leaf shard owners, positionally aligned with ``metadata.leaves``.
 
-    Deterministic given (manifest, shard count): the router and
-    every worker call this independently and must agree, which the shard
-    test suite asserts directly.
+    Shard ``s`` owns one contiguous run of :func:`placement_order`, and
+    shard ``s``'s run comes before shard ``s + 1``'s. Deterministic given
+    (manifest, shard count) — integer arithmetic only — so the router and
+    every worker call this independently and agree, which the shard test
+    suite asserts directly. More shards than leaves leave some shards
+    owning nothing.
     """
-    return tuple(
-        ring.owner(region_key(dataset, step, leaf.bounds))
-        for leaf in metadata.leaves
-    )
+    if n_shards < 1:
+        raise ValueError("n_shards must be >= 1")
+    order = placement_order(metadata)
+    weights = np.array([metadata.leaves[i].nbytes for i in order], dtype=np.int64)
+    if weights.sum() <= 0:  # no sizes recorded: cut by leaf count
+        weights = np.ones(len(order), dtype=np.int64)
+    # twice each leaf's byte midpoint, scaled by n_shards / total: the run
+    # is the equal share the midpoint falls in (a trailing empty leaf's
+    # midpoint is the total itself: it joins the last run)
+    mid2 = 2 * np.cumsum(weights) - weights
+    runs = np.minimum(mid2 * n_shards // (2 * int(weights.sum())), n_shards - 1)
+    owners = np.empty(len(order), dtype=np.int64)
+    owners[order] = runs
+    return tuple(owners.tolist())

@@ -2,9 +2,9 @@
 
 One :class:`QueryService` process tops out at one GIL, one page cache
 working set, and one failure domain. :class:`ShardedQueryService` splits
-the dataset across worker **processes**: leaf files are partitioned by
-the consistent-hash ring of :mod:`repro.serve.hashing` (keyed on
-``(dataset, step, leaf region)``), and every shard owns its own
+the dataset across worker **processes**: leaf files are dealt out as
+contiguous runs of the Aggregation Tree's leaf order, cut by bytes
+(:mod:`repro.serve.hashing`), and every shard owns its own
 BATFileCache, DecodedColumnCache, PlanCache, quarantine set, and decode
 threads for exactly the leaves it was dealt.
 
@@ -21,9 +21,9 @@ leaves the plan touches::
         │                          ResultCache, outbox)
         │                        │ step.plan / step.query / step.stream
         │                        ▼
-        │        _ShardedStep: plan (manifest only) ─▶ owners (ring)
+        │        _ShardedStep: plan (manifest only) ─▶ owners (leaf runs)
         │                        │ scatter per window / per ladder rung
-        │              ┌─────────┼─────────┐           (pipe RPC, pickle)
+        │              ┌─────────┼─────────┐    (pipe RPC, one frame each way)
         │         shard 0    shard 1  ...  shard k     (processes)
         │          restricted plan → ds.stream → rows + leaf runs
         │              └─────────┼─────────┘   (+ order keys per rung)
@@ -47,6 +47,13 @@ reassemble rungs by them. Responses are property-tested byte-identical
 to :class:`QueryService`'s in every mode the core has, including boxes
 spanning shard boundaries; only neighbor requests are refused.
 
+**Frames.** Every message on a shard pipe, either way, is one frame
+(:func:`write_frame` / :func:`read_frame`): a protocol-5 pickle head
+with each contiguous array out of band. The sender hands the arrays'
+own memory to ``writev`` and the receiver ``readv`` reads them into
+arrays it allocates, so between the worker's gather and the router's
+merge a reply's rows are copied by nothing but the pipe itself.
+
 **One generation per request.** A step object is immutable: a reload
 replaces it, so a request plans, scatters and keys its caches against
 the generation it fetched. Every scatter doc carries that generation; a
@@ -57,7 +64,8 @@ wrong one.
 
 **Crash containment.** Each shard client owns the worker process, a
 receiver thread, and a pending-reply table. A worker death (EOF on the
-pipe) fails the in-flight replies with :class:`ShardCrashed`; the caller
+pipe, between frames or inside one) fails the in-flight replies with
+:class:`ShardCrashed`; the caller
 respawns the worker — fresh caches, ownership recomputed from the
 manifest — and retries once. The batch-job tier
 (:mod:`repro.serve.jobs`) layers at-least-once redelivery on top.
@@ -68,6 +76,9 @@ from __future__ import annotations
 import itertools
 import logging
 import multiprocessing
+import os
+import pickle
+import struct
 import threading
 import time
 from dataclasses import replace
@@ -88,7 +99,7 @@ from ..core.metadata import DatasetMetadata
 from ..core.planner import PlanCache
 from ..errors import InvalidRequestError, ReproError
 from ..types import ParticleBatch
-from .hashing import HashRing, assign_leaves
+from .hashing import assign_leaves
 from .metrics import (
     AccessTelemetry,
     RequestSpan,
@@ -111,6 +122,11 @@ __all__ = [
 #: how long the router waits on one worker reply before giving the shard up
 RPC_TIMEOUT = 120.0
 
+#: a frame's fixed header: pickle head length, out-of-band buffer count
+_HEADER = struct.Struct("<QQ")
+#: the most iovecs one ``readv`` / ``writev`` call takes
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
 lgr = logging.getLogger("repro.serve.shard")
 
 
@@ -132,6 +148,63 @@ class StaleGeneration(ReproError, RuntimeError):
         self.shard_id = shard_id
 
 
+# -- frames --------------------------------------------------------------------
+
+
+def write_frame(fd: int, obj) -> None:
+    """Send ``obj`` down a shard pipe as one frame.
+
+    The frame is the fixed header, every out-of-band buffer's size, the
+    protocol-5 pickle head, then each contiguous array's raw bytes, written
+    by ``writev`` straight from the arrays' memory: nothing the pickle
+    takes out of band is copied on this side. Non-contiguous arrays go in
+    band, inside the head.
+    """
+    buffers: list = []
+    head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    raws = [b.raw() for b in buffers]
+    sizes = struct.pack(f"<{len(raws)}Q", *(r.nbytes for r in raws))
+    _transfer(os.writev, fd, [_HEADER.pack(len(head), len(raws)), sizes, head, *raws])
+
+
+def read_frame(fd: int):
+    """Receive one :func:`write_frame` frame from a shard pipe.
+
+    Each out-of-band buffer is read by ``readv`` straight into its own
+    ``np.empty`` array (aligned and writeable), and the arrays the head
+    rebuilds are views of those. EOF — at a frame boundary or inside a
+    frame — raises :class:`EOFError`.
+    """
+    header = bytearray(_HEADER.size)
+    _transfer(os.readv, fd, [header])
+    head_len, n_buffers = _HEADER.unpack(header)
+    meta = bytearray(8 * n_buffers + head_len)
+    _transfer(os.readv, fd, [meta])
+    sizes = struct.unpack_from(f"<{n_buffers}Q", meta)
+    buffers = [np.empty(size, dtype=np.uint8) for size in sizes]
+    _transfer(os.readv, fd, buffers)
+    return pickle.loads(memoryview(meta)[8 * n_buffers:], buffers=buffers)
+
+
+def _transfer(call, fd: int, buffers) -> None:
+    """Move all of ``buffers`` through ``call`` (``os.readv`` or
+    ``os.writev``), at most :data:`_IOV_MAX` at a time, resuming after
+    a partial transfer; a call that moves nothing is EOF."""
+    views = [m for m in map(memoryview, buffers) if m.nbytes]
+    i = 0
+    while i < len(views):
+        n = call(fd, views[i : i + _IOV_MAX])
+        if n == 0:
+            raise EOFError("shard pipe closed")
+        while n:
+            size = views[i].nbytes
+            if n < size:
+                views[i] = views[i][n:]
+                break
+            n -= size
+            i += 1
+
+
 # -- worker process ------------------------------------------------------------
 
 
@@ -145,7 +218,6 @@ class _ShardWorker:
         self.shard_id = shard_id
         self.n_shards = n_shards
         self.options = options
-        self.ring = HashRing(n_shards)
         self._manifests = resolve_step_manifests(source)
         self._file_cache = BATFileCache(
             options.get("max_open_files", 64),
@@ -174,7 +246,7 @@ class _ShardWorker:
                     raise KeyError(f"no step {step}; have {sorted(self._manifests)}")
                 ds = self._BATDataset(manifest, file_cache=self._file_cache)
                 ds.telemetry = self.telemetry.bind(step)
-                owners = assign_leaves(ds.metadata, manifest.name, step, self.ring)
+                owners = assign_leaves(ds.metadata, self.n_shards)
                 entry = self._datasets[step] = (ds, frozenset(
                     i for i, owner in enumerate(owners) if owner == self.shard_id
                 ))
@@ -312,18 +384,20 @@ def shard_worker_main(conn, source: str, shard_id: int, n_shards: int,
 
     Requests are handled on a small thread pool (``capacity`` threads)
     so one shard serves the router's concurrent scatter calls; replies
-    are tagged with the request id, so completion order is free.
+    are tagged with the request id, so completion order is free. Every
+    message each way is one :func:`write_frame` frame.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     worker = _ShardWorker(source, shard_id, n_shards, options)
     send_lock = threading.Lock()
+    fd = conn.fileno()
 
     def reply(req_id, payload, *, ok=True):
         try:
             with send_lock:
-                conn.send(("ok" if ok else "err", req_id, payload))
-        except (OSError, ValueError, BrokenPipeError):  # router went away
+                write_frame(fd, ("ok" if ok else "err", req_id, payload))
+        except (OSError, ValueError):  # router went away
             pass
 
     def handle(kind, req_id, doc):
@@ -347,7 +421,7 @@ def shard_worker_main(conn, source: str, shard_id: int, n_shards: int,
     try:
         while True:
             try:
-                msg = conn.recv()
+                msg = read_frame(fd)
             except (EOFError, OSError):
                 break
             if msg[0] == "shutdown":
@@ -390,7 +464,6 @@ class _ShardClient:
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._ids = itertools.count()
-        self._pending: dict[int, _Reply] = {}
         self._alive = False
         self._closing = False
         self.process = None
@@ -414,6 +487,10 @@ class _ShardClient:
         child.close()
         self.process = proc
         self._conn = parent
+        # the live pipe's pending replies: each pipe has its own table, so
+        # the receiver of a dead pipe fails only what was sent on it
+        self._pending: dict[int, _Reply] = {}
+        pending = self._pending
         self._alive = True
         self.restarts += 1
         if self.restarts:
@@ -421,20 +498,27 @@ class _ShardClient:
                 "respawned shard %d worker (restart %d)", self.shard_id, self.restarts,
                 extra={"shard_id": self.shard_id, "restarts": self.restarts},
             )
+        else:
+            lgr.info(
+                "spawned shard %d worker (pid %d)", self.shard_id, proc.pid,
+                extra={"shard_id": self.shard_id, "pid": proc.pid},
+            )
         self._rx = threading.Thread(
-            target=self._receive, args=(parent, proc.pid),
+            target=self._receive, args=(parent, proc.pid, pending),
             name=f"repro-shard-rx-{self.shard_id}", daemon=True,
         )
         self._rx.start()
 
-    def _receive(self, conn, pid: int) -> None:
+    def _receive(self, conn, pid: int, pending: dict) -> None:
+        # ``conn`` is held here so the pipe stays open while this reads it
+        fd = conn.fileno()
         while True:
             try:
-                kind, req_id, payload = conn.recv()
-            except (EOFError, OSError):
+                kind, req_id, payload = read_frame(fd)
+            except (EOFError, OSError):  # EOF inside a frame is a death too
                 break
             with self._lock:
-                reply = self._pending.pop(req_id, None)
+                reply = pending.pop(req_id, None)
             if reply is None:
                 continue
             if kind == "ok":
@@ -446,8 +530,8 @@ class _ShardClient:
         with self._lock:
             if conn is self._conn:
                 self._alive = False
-            stranded = [r for r in self._pending.values() if not r.event.is_set()]
-            self._pending.clear()
+            stranded = [r for r in pending.values() if not r.event.is_set()]
+            pending.clear()
             closing = self._closing
         if not closing:
             lgr.warning(
@@ -467,8 +551,8 @@ class _ShardClient:
         if conn is not None:
             try:
                 with self._send_lock:
-                    conn.send(("shutdown",))
-            except (OSError, ValueError, BrokenPipeError):
+                    write_frame(conn.fileno(), ("shutdown",))
+            except (OSError, ValueError):
                 pass
         if proc is not None:
             proc.join(timeout)
@@ -491,14 +575,15 @@ class _ShardClient:
                 self._spawn()
             reply = _Reply()
             req_id = next(self._ids)
-            self._pending[req_id] = reply
+            pending = self._pending
+            pending[req_id] = reply
             conn = self._conn
         try:
             with self._send_lock:
-                conn.send((kind, req_id, doc))
-        except (OSError, ValueError, BrokenPipeError):
+                write_frame(conn.fileno(), (kind, req_id, doc))
+        except (OSError, ValueError):
             with self._lock:
-                self._pending.pop(req_id, None)
+                pending.pop(req_id, None)
                 if conn is self._conn:
                     self._alive = False
             reply.crashed = True
@@ -553,7 +638,7 @@ class _ShardedStep:
         self.metadata = DatasetMetadata.load(manifest)
         self.plan_cache = PlanCache()
         #: per-leaf shard assignment (deterministic; workers agree)
-        self.owners = assign_leaves(self.metadata, manifest.name, step, router.ring)
+        self.owners = assign_leaves(self.metadata, router.n_shards)
         self._router = router
         self._step = step
         self._manifest = manifest
@@ -720,7 +805,6 @@ class ShardedQueryService(QueryService):
             raise ValueError("n_shards must be >= 1")
         super().__init__(source, config, clock=clock)
         self.n_shards = int(n_shards)
-        self.ring = HashRing(self.n_shards)
         self._fanout_lock = threading.Lock()
         self.fanout_single = 0
         self.fanout_multi = 0
@@ -785,6 +869,15 @@ class ShardedQueryService(QueryService):
         generation = super().reload_step(step)
         for client in self._shards:
             client.call("reload", {"step": step})
+        # owned leaves per shard as the router places them; each worker's
+        # reload reply counts the same (one pure function of the manifest)
+        owners = self.dataset(step).owners
+        owned = [owners.count(shard) for shard in range(self.n_shards)]
+        lgr.info(
+            "reloaded step %d at generation %d; owned leaves per shard %s",
+            step, generation, owned,
+            extra={"step": step, "generation": generation, "owned_leaves": owned},
+        )
         return generation
 
     # -- requests ----------------------------------------------------------
