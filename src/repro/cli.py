@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable adaptive quality degradation under load")
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="serve through N shard worker processes "
-                            "(consistent-hash partitioned; 0 = in-process)")
+                            "(each owns a run of leaves; 0 = in-process)")
     serve.add_argument("--json", action="store_true",
                        help="also print the full metrics surface as JSON")
     serve.set_defaults(func=_cmd_serve)
