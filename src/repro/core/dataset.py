@@ -311,6 +311,10 @@ class BATDataset:
         rung only touches the depth window it adds — and the file handles
         are leased from the file cache for the stream's lifetime.
 
+        Increments carry order keys only when the ladder has more than
+        one rung: a one-rung stream's increment is pre-ordered
+        (``order=None``), the direct read of its window.
+
         Invariants (property-tested):
 
         - reassembling all increments
@@ -349,7 +353,9 @@ class BATDataset:
         plan = self._plan(
             plan, self._plan_cache.get_or_build, box=req.box, filters=req.filters
         )
-        return (inc for inc, _ in self._stream_rungs(req, ladder, plan))
+        # only a consumer merging rungs needs their order keys
+        keyed = len(ladder) > 1
+        return (inc for inc, _ in self._stream_rungs(req, ladder, plan, keyed))
 
     def neighbors(
         self, request: NeighborRequest, plan: NeighborQueryPlan | None = None
@@ -486,7 +492,7 @@ class BATDataset:
             stats=stats,
         )
 
-    def _stream_rungs(self, req, ladder, plan, keyed: bool = True):
+    def _stream_rungs(self, req, ladder, plan, keyed: bool):
         """The one read behind :meth:`query` and :meth:`stream`: yields
         ``(increment, rows)`` per rung of the checked ``ladder``, ``rows``
         the increment's row count per file of ``plan`` (int64, plan

@@ -39,6 +39,7 @@ admission budget — a sweep cannot starve interactive sessions.
 from __future__ import annotations
 
 import json
+import logging
 import sqlite3
 import threading
 import time
@@ -53,6 +54,8 @@ __all__ = ["JobConfig", "JobStore", "JobRunner", "make_sweep"]
 
 #: idle poll interval while other runners hold the remaining leases
 POLL_SECONDS = 0.05
+
+lgr = logging.getLogger("repro.serve.jobs")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -195,19 +198,27 @@ class JobStore:
         now = time.time() if now is None else now
         with self._lock, self._conn:
             rows = self._conn.execute(
-                "SELECT idx, request, attempts FROM tasks WHERE job_id = ? "
+                "SELECT idx, request, attempts, state, lease_owner FROM tasks "
+                "WHERE job_id = ? "
                 "AND ((state = 'pending' AND not_before <= ?) "
                 "  OR (state = 'leased' AND lease_expiry <= ?)) "
                 "ORDER BY idx LIMIT ?",
                 (job_id, now, now, limit),
             ).fetchall()
             out = []
-            for idx, request, attempts in rows:
+            for idx, request, attempts, state, owner in rows:
                 self._conn.execute(
                     "UPDATE tasks SET state = 'leased', lease_owner = ?, "
                     "lease_expiry = ? WHERE job_id = ? AND idx = ?",
                     (worker, now + lease_seconds, job_id, idx),
                 )
+                if state == "leased":
+                    lgr.warning(
+                        "job %s task %d: the lease of %s expired; re-leased to %s",
+                        job_id, idx, owner, worker,
+                        extra={"job_id": job_id, "idx": idx,
+                               "lease_owner": owner, "worker": worker},
+                    )
                 out.append((idx, json.loads(request), attempts))
         return out
 

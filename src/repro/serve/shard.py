@@ -14,19 +14,19 @@ asyncio front end, one copy — with the per-step backend
 replaced. Where the core holds a :class:`~repro.core.dataset.BATDataset`
 the router holds a :class:`_ShardedStep`, which plans against the
 manifest alone (the router never opens a leaf file) and answers
-``query`` / ``stream`` by scattering the window to the shards whose
-leaves the plan touches::
+``stream`` by scattering each rung's window to the shards whose leaves
+the plan touches::
 
     request ── QueryService core (admission, session, degradation,
         │                          ResultCache, outbox)
-        │                        │ step.plan / step.query / step.stream
+        │                        │ step.plan / step.stream
         │                        ▼
         │        _ShardedStep: plan (manifest only) ─▶ owners (leaf runs)
-        │                        │ scatter per window / per ladder rung
+        │                        │ scatter per ladder rung
         │              ┌─────────┼─────────┐    (pipe RPC, one frame each way)
         │         shard 0    shard 1  ...  shard k     (processes)
         │          restricted plan → ds.stream → rows + leaf runs
-        │              └─────────┼─────────┘   (+ order keys per rung)
+        │              └─────────┼─────────┘   (+ order keys, multi-rung)
         │                        ▼ gather
         └──────◀── leaf-run merge: runs of all replies sorted by leaf,
                    sliced end to end (reassemble_stream, pre-ordered)
@@ -38,12 +38,13 @@ mark every response partial. A shard's rows arrive file by file, leaves
 ascending, and each leaf file has one owner; so each reply lists its
 **leaf runs** (``(global leaf index, row count)`` per file) and the
 router lays the runs of all replies end to end in leaf order — exactly
-the single-process delivery order, with no per-row sort. A streamed
-request is the same scatter once per ladder rung (a rung of a
-multi-rung stream equals the one-rung stream of its ``(prev, q]``
-window — the one call workers serve); only rung replies ship per-row
-order keys, column 0 rewritten to the global leaf index, since clients
-reassemble rungs by them. Responses are property-tested byte-identical
+the single-process delivery order, with no per-row sort. Every window
+is a ladder of rungs, scattered once per rung (a rung of a multi-rung
+stream equals the one-rung stream of its ``(prev, q]`` window — the one
+call workers serve; a one-shot window is the ladder ``(quality,)``);
+only the rungs of a multi-rung ladder ship per-row order keys, column 0
+rewritten to the global leaf index, since clients reassemble rungs by
+them. Responses are property-tested byte-identical
 to :class:`QueryService`'s in every mode the core has, including boxes
 spanning shard boundaries; only neighbor requests are refused.
 
@@ -86,7 +87,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..api import (
-    QueryResult,
+    NeighborRequest,
     StreamIncrement,
     reassemble_stream,
     request_from_doc,
@@ -280,9 +281,9 @@ class _ShardWorker:
         leaves are not miscounted as quarantined. ``runs`` is an
         ``(files, 2)`` int64 array of ``(global leaf index, row count)``
         in emission order, leaves ascending; the router merges by it.
-        Only a stream rung (``doc["keyed"]``) builds and ships the rows'
-        order keys, column 0 rewritten from the plan-local file rank to
-        the global leaf index; a one-shot window's ``order`` is ``None``.
+        Only a rung of a multi-rung stream (``doc["keyed"]``) builds and
+        ships the rows' order keys, column 0 rewritten from the plan-local
+        file rank to the global leaf index; else ``order`` is ``None``.
         """
         t0 = time.perf_counter()
         step = int(doc["step"])
@@ -312,7 +313,7 @@ class _ShardWorker:
                 "quarantined_files": full_plan.excluded_files,
             }
         plan = replace(full_plan, files=files, n_files=len(files))
-        # the one-rung window; only a stream rung's rows get order keys
+        # the one-rung window; only a multi-rung stream's rows get keys
         ((inc, rows),) = ds._stream_rungs(req, (req.quality,), plan, keyed=doc["keyed"])
         lut = np.array([fp.leaf_index for fp in plan.files], dtype=np.int64)
         sent = rows > 0  # the files with rows, in plan (= leaf) order
@@ -672,9 +673,10 @@ class _ShardedStep:
         """Send one ``(prev_quality, quality]`` window to every shard that
         owns a planned leaf and merge the replies by leaf runs: ``(batch,
         order, quarantined, partial)``, ``order`` the rows' global keys
-        for a stream rung (``keyed``), else ``None``."""
+        when ``keyed``, else ``None``."""
         needed = sorted({self.owners[fp.leaf_index] for fp in plan.files})
-        self._router._count_fanout(len(needed))
+        if needed:  # a window pruned of every leaf reaches no worker
+            self._router._count_fanout(len(needed))
         doc = {
             "step": self._step,
             "generation": self.metadata.generation,
@@ -702,33 +704,30 @@ class _ShardedStep:
         quarantined = sum(p["quarantined_files"] for p in payloads)
         return batch, order, quarantined, any(p["partial"] for p in payloads)
 
-    def query(self, request, plan) -> QueryResult:
-        """One window, one scatter; byte-identical to the single-process
-        decode of the same window (leaf-run merge)."""
-        batch, _, quarantined, _ = self._scatter(request, plan)
-        return QueryResult(batch=batch, stats=QueryStats(quarantined_files=quarantined))
-
     def stream(self, request, ladder, plan):
-        """One scatter per ladder rung, one globally keyed increment each.
+        """One scatter per ladder rung, one increment each.
 
         A rung of a multi-rung :meth:`BATDataset.stream` equals the
         one-rung stream of that rung's ``(prev, q]`` window, rows and
         order keys alike — which is the call workers serve — so the
-        rungs reassemble exactly as a single-process stream does.
+        rungs, globally keyed, reassemble exactly as a single-process
+        stream does. A one-rung ladder's increment is pre-ordered (the
+        leaf-run merge), byte-identical to the single-process read of the
+        window, and no worker builds keys for it.
         """
-        stats = QueryStats()
+        keyed = len(ladder) > 1
         partial = False
         prev = request.prev_quality
         for q in ladder:
-            # per view a shard's count only grows, so the latest rung's
-            # total is the stream's cumulative one
-            batch, order, stats.quarantined_files, rung_partial = self._scatter(
-                replace(request, quality=q, prev_quality=prev), plan, keyed=True
+            batch, order, quarantined, rung_partial = self._scatter(
+                replace(request, quality=q, prev_quality=prev), plan, keyed
             )
             partial = partial or rung_partial
+            # per view a shard's count only grows, so the latest rung's
+            # total is the stream's cumulative one
             yield StreamIncrement(
                 quality=q, prev_quality=prev, batch=batch, order=order,
-                stats=stats, partial=partial,
+                stats=QueryStats(quarantined_files=quarantined), partial=partial,
             )
             prev = q
 
@@ -882,10 +881,12 @@ class ShardedQueryService(QueryService):
 
     # -- requests ----------------------------------------------------------
 
-    def _submit_neighbors(self, session_id: int, request, step):
-        """Refuse at admission — the step backend's pointed error — rather
-        than on a scheduler worker behind a ticket."""
-        self.dataset(self.steps[0] if step is None else step).neighbors(request)
+    def _submit(self, sess, request, step, outbox=None, ladder=None):
+        """Refuse a neighbor request at admission — the step backend's
+        pointed error — rather than on a scheduler worker behind a ticket."""
+        if isinstance(request, NeighborRequest):
+            self.dataset(step).neighbors(request)
+        return super()._submit(sess, request, step, outbox, ladder)
 
     # -- metrics -----------------------------------------------------------
 

@@ -5,6 +5,7 @@ dies mid-sweep and the job still finishes with every query answered
 exactly once and byte-identical digests.
 """
 
+import logging
 import threading
 import time
 
@@ -108,6 +109,25 @@ class TestJobStore:
             again = store.lease("j", "w1", limit=3, now=10.0)      # expired
             assert [idx for idx, _, _ in again] == [0, 1, 2]
             assert store.counts("j")["leased"] == 3
+
+    def test_lease_expiry_logged_once(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="repro.serve.jobs")
+
+        def events():
+            return [r for r in caplog.records if r.name == "repro.serve.jobs"]
+
+        with JobStore(tmp_path / "q.db") as store:
+            store.submit("j", REQS, now=0.0)
+            store.lease("j", "dead-runner", limit=1, lease_seconds=10.0, now=0.0)
+            assert events() == []  # leasing a pending task logs nothing
+            store.lease("j", "w1", limit=1, lease_seconds=10.0, now=5.0)
+            assert events() == []  # task 1 was pending; task 0 still held
+            store.lease("j", "w2", limit=3, now=10.0)  # task 0's lease expired
+            (event,) = events()
+            assert event.levelno == logging.WARNING
+            assert (event.job_id, event.idx, event.lease_owner, event.worker) == (
+                "j", 0, "dead-runner", "w2"
+            )
 
     def test_complete_idempotent_exactly_once_log(self, tmp_path):
         with JobStore(tmp_path / "q.db") as store:

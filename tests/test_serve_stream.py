@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import QueryRequest, reassemble_stream
+from repro import NeighborRequest, QueryRequest, reassemble_stream
 from repro.bat import AttributeFilter, BATBuildConfig
 from repro.bat.colcache import DecodedColumnCache
 from repro.core import TwoPhaseWriter
@@ -310,9 +310,13 @@ class TestServiceStreaming:
             resp2 = h2.result(30.0)
             ref2 = direct.query(QueryRequest(quality=1.0, prev_quality=0.8))
             assert canon(resp2.batch) == canon(ref2.batch)
-            assert canon(reassemble_stream(incs + incs2).batch) == canon(
-                direct.query(QueryRequest(quality=1.0)).batch
-            )
+            # a one-rung refinement is pre-ordered, so it reassembles on
+            # its own; the two windows are the rungs of the full read
+            assert incs2[-1].order is None
+            assert canon(reassemble_stream(incs2).batch) == canon(ref2.batch)
+            low, high = direct.stream(QueryRequest(quality=1.0), ladder=(0.8, 1.0))
+            assert canon(low.batch) == canon(resp.batch)
+            assert canon(high.batch) == canon(resp2.batch)
 
     def test_slow_consumer_sheds_prefix_exact(self, written, direct, caplog):
         cfg = serve_config(stream_outbox=1, stream_grace=0.05)
@@ -396,6 +400,45 @@ class TestServiceStreaming:
             assert snap["streaming"]["increments"] >= 1
             assert snap["streaming"]["ttfi_ms"]["p50"] > 0
             assert snap["latency_ms"]["window"] == DEFAULT_METRICS_WINDOW
+
+
+class TestOneExecutor:
+    def test_no_window_reaches_dataset_query(self, written, direct, monkeypatch):
+        """Every window is a ladder of rungs on ``BATDataset.stream``:
+        with ``BATDataset.query`` raising, one-shot, streamed, batch and
+        neighbor requests — misses and a hit — answer byte-identically."""
+        req = QueryRequest(quality=0.7, box=BOX, filters=FILT)
+        windows = {
+            "one-shot": req,
+            "streamed": replace(req, quality=0.9),
+            "execute": replace(req, quality=0.5, prev_quality=0.2),
+        }
+        want = {name: canon(direct.query(w).batch) for name, w in windows.items()}
+        nreq = NeighborRequest(points=((1.0, 1.0, 0.5), (2.0, 2.0, 0.4)), k=4)
+        want_nb = direct.neighbors(nreq)
+
+        def no_query(*args, **kwargs):
+            raise AssertionError("BATDataset.query called")
+
+        monkeypatch.setattr(BATDataset, "query", no_query)
+        cfg = serve_config(degradation=DegradationConfig(enabled=False))
+        with QueryService(written, cfg) as svc:
+            got = {"one-shot": svc.request(svc.open_session(), windows["one-shot"])}
+            handle = svc.stream(svc.open_session(), windows["streamed"])
+            incs = list(handle)
+            got["streamed"] = handle.result(30.0)
+            got["execute"] = svc.execute(windows["execute"])
+            hit = svc.request(svc.open_session(), windows["one-shot"])
+            neighbors = [svc.request(svc.open_session(), nreq), svc.execute(nreq)]
+        for name, resp in got.items():
+            assert not resp.cache_hit and canon(resp.batch) == want[name], name
+        assert len(incs) > 1 and canon(reassemble_stream(incs).batch) == want["streamed"]
+        assert hit.cache_hit and canon(hit.batch) == want["one-shot"]
+        assert [resp.cache_hit for resp in neighbors] == [False, True]
+        for resp in neighbors:
+            assert resp.neighbors.keys.tobytes() == want_nb.keys.tobytes()
+            assert resp.neighbors.offsets.tobytes() == want_nb.offsets.tobytes()
+            assert canon(resp.batch) == canon(want_nb.batch)
 
 
 def _v4_dataset(tmp_path, name="sf"):
@@ -501,19 +544,19 @@ class TestServiceCollapse:
         cfg = serve_config(degradation=DegradationConfig(enabled=False))
         with QueryService(meta, cfg) as svc:
             ds = svc.dataset(0)
-            query = ds.query
+            stream = ds.stream
             calls = []
 
-            def leader_query(window, plan=None):
+            def leader_stream(window, ladder=None, plan=None):
                 calls.append(window)
                 if len(calls) == 1:
                     # hold the leader until the other request waits on it
                     _until(lambda: _waiting_on_a_leader(svc), "a waiter")
                     if outcome == "raises":
                         raise RuntimeError("leader failed")
-                return query(window, plan=plan)
+                return stream(window, ladder=ladder, plan=plan)
 
-            ds.query = leader_query
+            ds.stream = leader_stream
             tickets = [svc.submit(svc.open_session(), req) for _ in range(2)]
             responses, errors = [], []
             for t in tickets:

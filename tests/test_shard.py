@@ -44,7 +44,9 @@ from repro.serve import (
     request_to_doc,
 )
 from repro.serve.hashing import placement_order
-from repro.serve.shard import _IOV_MAX, _merge_replies, _ShardWorker, read_frame, write_frame
+from repro.serve.shard import (
+    _IOV_MAX, _merge_replies, _ShardedStep, _ShardWorker, read_frame, write_frame,
+)
 from repro.types import Box
 from tests.test_pipeline import make_rank_data
 
@@ -691,6 +693,24 @@ class TestShardedIdentity:
         assert (respawn.shard_id, respawn.restarts) == (0, 1)
         assert all(r.levelno == logging.WARNING for r in (death, respawn))
 
+    def test_a_box_outside_the_data_counts_no_fanout(self, sharded):
+        """A window whose plan keeps no leaf reaches no worker, so neither
+        fan-out counter moves (``fanout_mean`` averages scatters only)."""
+        def counters():
+            shards = sharded.snapshot(include_workers=False)["shards"]
+            return shards["fanout_single"], shards["fanout_multi"], sharded.fanout_shards
+
+        before = counters()
+        sid = sharded.open_session()
+        try:
+            resp = sharded.request(
+                sid, QueryRequest(quality=1.0, box=Box((50, 50, 50), (60, 60, 60)))
+            )
+        finally:
+            sharded.close_session(sid)
+        assert len(resp.batch) == 0 and not resp.partial
+        assert counters() == before
+
     def test_cross_shard_boxes_actually_fan_out(self, sharded):
         before = sharded.fanout_multi
         sid = sharded.open_session()
@@ -1030,9 +1050,45 @@ class TestLeafRunMerge:
         assert stale.generation == sharded.generation(0)
 
 
+class _InProcessClient:
+    """A shard client whose worker is an in-process :class:`_ShardWorker`;
+    ``quarantined`` counts up by one per reply when set, as a shard
+    losing one more leaf per rung would."""
+
+    def __init__(self, worker, quarantined=False):
+        self.worker = worker
+        self.replies = 0
+        self.quarantined = quarantined
+
+    def _start(self, kind, doc):
+        assert kind == "query"
+        self.replies += 1
+        reply = self.worker.execute(doc)
+        if self.quarantined:
+            reply["quarantined_files"] = self.replies
+        return reply
+
+    def finish(self, reply, timeout, retry=None):
+        return reply
+
+
+class _InProcessRouter:
+    """What :class:`_ShardedStep` needs of its router, over in-process
+    workers: scatters run in this process, fan-out is tallied."""
+
+    def __init__(self, workers, quarantined=False):
+        self.n_shards = len(workers)
+        self._shards = [_InProcessClient(w, quarantined) for w in workers]
+        self.fanouts = []
+
+    def _count_fanout(self, n_shards):
+        self.fanouts.append(n_shards)
+
+
 class TestWorkerReply:
     """An in-process worker's replies: one-shot windows ship rows and leaf
-    runs only, stream rungs add the direct stream's keys, globalized."""
+    runs only, rungs of a multi-rung stream add the direct stream's keys,
+    globalized."""
 
     REQ = QueryRequest(quality=0.6, box=Box((0.5, 0.5, 0.0), (6.0, 6.0, 0.9)))
 
@@ -1042,6 +1098,9 @@ class TestWorkerReply:
         yield ws
         for w in ws:
             w.close()
+
+    def sharded_stream(self, step, ladder):
+        return list(step.stream(self.REQ, ladder, step.plan(self.REQ.box, self.REQ.filters)))
 
     def replies(self, worker, written):
         doc = {
@@ -1061,15 +1120,22 @@ class TestWorkerReply:
             assert (counts > 0).all() and counts.sum() == reply["count"] > 0
 
     def test_one_shot_reads_build_no_order_keys(self, workers, written, direct, monkeypatch):
-        """Neither a dataset query nor a worker's one-shot window reaches
-        the order-key branch; a stream rung does."""
+        """Neither a dataset query, a one-rung stream, a sharded one-shot
+        window nor a worker's unkeyed window reaches the order-key
+        branch; a multi-rung stream and a keyed rung do."""
         import repro.bat.query as query_module
 
         def no_keys(*args):
             raise AssertionError("order keys built")
 
         monkeypatch.setattr(query_module._Step, "_keys", no_keys)
-        assert len(direct.query(self.REQ).batch) > 0
+        want = direct.query(self.REQ).batch
+        assert len(want) > 0
+        (inc,) = direct.stream(self.REQ, ladder=(self.REQ.quality,))
+        assert inc.order is None and canon(inc.batch) == canon(want)
+        step = _ShardedStep(_InProcessRouter(workers), 0, written)
+        (inc,) = self.sharded_stream(step, (self.REQ.quality,))
+        assert inc.order is None and canon(inc.batch) == canon(want)
         doc = {
             "step": 0, "generation": DatasetMetadata.load(written).generation,
             "request": request_to_doc(self.REQ),
@@ -1078,16 +1144,45 @@ class TestWorkerReply:
         with pytest.raises(AssertionError, match="order keys built"):
             list(direct.stream(self.REQ))
         with pytest.raises(AssertionError, match="order keys built"):
+            self.sharded_stream(step, (0.3, self.REQ.quality))
+        with pytest.raises(AssertionError, match="order keys built"):
             workers[0].execute(dict(doc, keyed=True))
+
+    def test_each_rung_has_its_own_cumulative_stats(self, workers, written):
+        """A delivered increment's stats never change: every rung carries
+        its own ``QueryStats``, holding the count as of that rung."""
+        step = _ShardedStep(_InProcessRouter(workers, quarantined=True), 0, written)
+        plan = step.plan(self.REQ.box, self.REQ.filters)
+        incs, at_delivery = [], []
+        for inc in step.stream(self.REQ, (0.2, 0.4, self.REQ.quality), plan):
+            incs.append(inc)
+            at_delivery.append(inc.stats.quarantined_files)
+        assert len({id(inc.stats) for inc in incs}) == len(incs) == 3
+        assert [inc.stats.quarantined_files for inc in incs] == at_delivery
+        assert at_delivery == sorted(set(at_delivery))  # grows rung by rung
+
+    def test_a_window_pruned_of_every_leaf_is_no_scatter(self, workers, written):
+        router = _InProcessRouter(workers)
+        step = _ShardedStep(router, 0, written)
+        outside = replace(self.REQ, box=Box((50.0, 50.0, 50.0), (60.0, 60.0, 60.0)))
+        plan = step.plan(outside.box, outside.filters)
+        assert plan.files == ()
+        (inc,) = step.stream(outside, (outside.quality,), plan)
+        assert len(inc.batch) == 0 and not inc.partial
+        assert router.fanouts == [] and [c.replies for c in router._shards] == [0, 0]
 
     def test_rung_keys_are_the_direct_stream_keys_with_global_leaves(
         self, workers, written, direct
     ):
         plan = direct.plan(self.REQ.box, self.REQ.filters)
         lut = np.array([fp.leaf_index for fp in plan.files], dtype=np.int64)
-        (want,) = direct.stream(self.REQ, ladder=(self.REQ.quality,))
-        keys = want.order.copy()
+        # a keyed read of the window: its two rungs, merged by their keys
+        rungs = list(direct.stream(self.REQ, ladder=(self.REQ.quality / 2, self.REQ.quality)))
+        keys = np.concatenate([inc.order for inc in rungs])
+        merge = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+        keys = keys[merge]
         keys[:, 0] = lut[keys[:, 0]]
+        want = reassemble_stream(rungs)
         rows = 0
         for w in workers:
             one_shot, rung = self.replies(w, written)

@@ -55,19 +55,22 @@ def ladders(prev: float, q: float):
     return st.lists(st.floats(prev, q), max_size=4).map(lambda r: (*sorted(r), q))
 
 
-def rung(inc) -> tuple:
+def rung(inc, keyed: bool = True) -> tuple:
     """Everything one increment carries, as comparable bytes; counters
-    without ``decoded_bytes`` (the per-file loop never set them)."""
+    without ``decoded_bytes`` (the per-file loop never set them). With
+    ``keyed=False`` the order keys are left out, as a one-rung stream
+    builds none (the per-file loop always does)."""
     b = inc.batch
+    order = inc.order if keyed else None
     return (
         inc.quality,
         inc.prev_quality,
         None if b.positions is None else (b.positions.dtype.str, b.positions.tobytes()),
         [(k, v.dtype.str, v.tobytes()) for k, v in b.attributes.items()],
         len(b),
-        inc.order.dtype.str,
-        inc.order.shape,
-        inc.order.tobytes(),
+        None if order is None else order.dtype.str,
+        None if order is None else order.shape,
+        None if order is None else order.tobytes(),
         inc.partial,
         dataclasses.astuple(inc.stats)[:-1],
     )
@@ -87,9 +90,9 @@ def lockstep(want_ds, got_ds, req, ladder, between=None):
     out = []
     for k in range(len(ladder)):
         pair = []
-        for gen in streams:
+        for gen, keyed in zip(streams, (len(ladder) > 1, True)):
             try:
-                pair.append(rung(next(gen)))
+                pair.append(rung(next(gen), keyed))
             except (IntegrityError, LeafUnavailableError) as exc:
                 pair.append((type(exc), str(exc)))
         out.append(tuple(pair))
