@@ -390,7 +390,9 @@ class StreamIncrement:
 
     ``batch`` holds the rows this rung adds on top of ``prev_quality``.
     ``order`` is an ``(N, 3)`` int64 array of per-row order keys
-    ``(file_rank, treelet_rank, slot)``; rows within one increment are
+    ``(leaf, treelet_rank, slot)`` — the row's leaf-file index, its
+    treelet's visit rank within that file, its slot — the same from
+    every backend; rows within one increment are
     already ascending in their keys, and sorting the concatenation of a
     stream's increments by them reproduces the direct synchronous
     emission order byte for byte (see :func:`reassemble_stream`).

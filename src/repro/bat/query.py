@@ -21,8 +21,9 @@ different depths at the same quality.
 time — all the files of one request, read as one forest of trees
 (:class:`_Step`) — with no Python loop over nodes, levels or files'
 passes. A single file is the one-part step. Each file keeps its own
-query bitmaps, effective depths, plan box and ``live`` flag (a root that
-already proves its read empty); the step carries them per row:
+query bitmaps, effective depths, whether it has the step's one query
+box, and whether it is read at all (a root that already proves its read
+empty is not); the step carries them per row:
 
 - *Shallow pass.* Every file's shallow tree is one table
   (:meth:`~repro.bat.file.BATFile.shallow_table`: a row per node in the
@@ -75,10 +76,11 @@ walk gathered, alone, were copied by that gather.
 
 There is one read, :func:`stream_query_file`: it keeps the walk of one
 step across the rungs of a quality ladder. Only a caller that merges
-rungs asks for per-row order keys ``(part, treelet_rank, slot)``, so the
-increments can be merged back into the one-shot order; every increment
-carries each part's row count. :func:`query_file` is its one-rung,
-unkeyed call.
+rungs asks for per-row order keys ``(leaf, treelet_rank, slot)`` — the
+part's leaf index, the treelet's rank within the part, the row's slot —
+so the increments can be merged back into the one-shot order; every
+increment carries each part's row count. :func:`query_file` is its
+one-rung, unkeyed call.
 
 **One engine.** There is no second traversal in the package. The
 original per-node stack walk is kept as the tests' reference
@@ -233,105 +235,33 @@ class StepPart:
     """One file of a multi-file :func:`query_file` or
     :func:`stream_query_file` step.
 
-    ``bat`` and ``box`` (the file's plan box; ``None`` = no box test) go
-    in. ``stats`` come out as the file's own counters, exactly those of
-    reading it alone (parts may share one object, to sum into); ``error``
-    is the ``IntegrityError`` or ``FileNotFoundError`` that dropped the
-    file from the step — its rows are then in no later result and its
-    counters are partial — else ``None``.
+    ``bat``, ``box`` and ``leaf`` go in: the file, its plan box (``None``
+    = no box test; the parts of one step that have a box share it) and
+    its leaf index, which column 0 of the rows' order keys carries
+    (default: the part's position; ascending in part order). ``stats``
+    come out as the file's own counters, exactly those of reading it
+    alone (parts may share one object, to sum into); ``error`` is the
+    ``IntegrityError`` or ``FileNotFoundError`` that dropped the file
+    from the step — its rows are then in no later result and its
+    counters are partial — else ``None``. A part that comes in with an
+    ``error`` (a file that failed to open; ``bat`` may then be ``None``)
+    is not read.
     """
 
-    bat: BATFile
+    bat: BATFile | None
     box: Box | None = None
+    leaf: int | None = None
     stats: QueryStats = field(default_factory=QueryStats)
     error: Exception | None = None
 
 
-@dataclass
-class _QueryContext:
-    """One file's side of a read: its request, derived for its own binnings
-    and tree depth, its counters, and the error that dropped it, if any."""
-
-    bat: BATFile
-    box: Box | None
-    filters: tuple[AttributeFilter, ...]
-    e_prev: float
-    e_new: float
-    stats: QueryStats = field(default_factory=QueryStats)
-    #: names to materialize in the result; None = all
-    attributes: tuple[str, ...] | None = None
-    #: False = column-projected read: positions are neither returned nor
-    #: decoded (unless a box test still needs them)
-    with_positions: bool = True
-    #: False when the root already proves the read empty (a filter no
-    #: stored value can match, a box off the file's bounds, quality 0)
-    live: bool = True
-    #: the box as ``(lower, upper)`` float64 arrays, for array-wise tests
-    qbounds: tuple[np.ndarray, np.ndarray] | None = None
-    #: per filter ``(attribute index, query bitmap)``, for array-wise tests
-    bitmap_tests: tuple[tuple[int, np.uint32], ...] = ()
-    #: the corrupt-or-missing error that dropped this file from its step
-    error: Exception | None = None
-
-
-def _prepare(
-    bat: BATFile,
-    quality: float,
-    prev_quality: float,
-    box: Box | None,
-    filters,
-    attributes,
-    with_positions: bool,
-    stats: QueryStats | None = None,
-) -> _QueryContext:
-    """Validate one file read and derive what every traversal needs.
-
-    The request prologue of every read entry point: unknown attribute
-    names raise ``KeyError`` here, each filter becomes a query bitmap
-    against the attribute's binning, and the quality window becomes
-    effective depths. ``stats`` may be a caller-owned counter object to
-    accumulate into.
-    """
-    if prev_quality > quality:
-        raise InvalidRequestError("prev_quality must be <= quality")
-    if attributes is not None:
-        for name in attributes:
-            bat.attr_index(name)  # raises KeyError for unknown names
-    filters = tuple(filters)
-    qbitmaps: dict[str, int] = {}
-    for f in filters:
-        bat.attr_index(f.name)  # raises KeyError for unknown attributes
-        binning = bat.binnings.get(f.name)
-        if binning is not None:
-            qbitmaps[f.name] = int(binning.query(f.lo, f.hi))
-        else:
-            lo, hi = bat.attr_ranges[f.name]
-            qbitmaps[f.name] = int(query_bitmap(f.lo, f.hi, lo, hi))
-    e_new = quality_to_depth(quality, bat.max_treelet_depth)
-    ctx = _QueryContext(
-        bat=bat,
-        box=box,
-        filters=filters,
-        e_prev=quality_to_depth(prev_quality, bat.max_treelet_depth),
-        e_new=e_new,
-        attributes=tuple(attributes) if attributes is not None else None,
-        with_positions=bool(with_positions),
-        live=not (
-            e_new == 0.0
-            or any(q == 0 for q in qbitmaps.values())
-            or (box is not None and not bat.bounds.intersects(box))
-        ),
-        qbounds=(
-            (np.asarray(box.lower), np.asarray(box.upper)) if box is not None else None
-        ),
-        bitmap_tests=tuple(
-            (bat.attr_index(f.name), np.uint32(qbitmaps[f.name])) for f in filters
-        ),
-    )
-    if stats is not None:
-        ctx.stats = stats
-    ctx.stats.files_opened += 1
-    return ctx
+def _query_bitmap(bat: BATFile, f: AttributeFilter) -> int:
+    """Filter ``f``'s query bitmap under ``bat``'s own binning of its attribute."""
+    binning = bat.binnings.get(f.name)
+    if binning is not None:
+        return int(binning.query(f.lo, f.hi))
+    lo, hi = bat.attr_ranges[f.name]
+    return int(query_bitmap(f.lo, f.hi, lo, hi))
 
 
 def query_file(
@@ -391,12 +321,6 @@ def _survivors(keep, parent, depth, roots, loose=None):
     visited = keep[parent]
     visited[roots] = True
     return keep, visited
-
-
-def _shallow_survivors(table: np.ndarray, keep: np.ndarray):
-    """:func:`_survivors` of a :meth:`~repro.bat.file.BATFile.shallow_table`."""
-    loose = None if table["nests"][0] else np.ones(len(table), dtype=bool)
-    return _survivors(keep, table["parent"], table["depth"], 0, loose)
 
 
 class _Forest:
@@ -579,18 +503,27 @@ _TREELETS, _NODES, _SPATIAL, _BITMAP, _TESTED, _RETURNED = range(len(_TALLY))
 class _Step:
     """A step's pruned read, advanced one quality window at a time.
 
-    ``ctxs`` are the live files of the step, in order (*parts* below
-    number them). The shallow pass runs on construction and picks the
-    treelets to read, in emission order: grouped by part, each part's in
-    its own visit order (*ranks* below index them). Pruning does not
-    depend on quality, so the first window that walks any treelet tests
-    the walk tables of all it walks as one :class:`_Forest` and later
-    windows reuse the masks. What a window still decides is depth: it
-    counts the visited nodes of the depths no earlier window reached for
-    that part (the recursive walk's counters under the depth cutoff — no
-    node below ``floor(e_hi)`` is ever counted) and selects the kept nodes
-    of the depths it covers, with the same monotone slot-range rounding as
-    the recursive walk, so consecutive windows chain with no gap and no
+    ``parts`` are the step's :class:`StepPart` files, in order (*parts*
+    below number them), read for one request: the ladder's target
+    ``quality``, ``filters``, ``attributes`` and ``with_positions``. Only
+    what differs by file is kept per part: its query bitmaps under its
+    own binnings, its tree depth, whether it has the step's one box, and
+    whether it is read at all. A part that came in with an ``error``, or
+    whose root already proves its read empty (a filter no stored value
+    can match, a box off the file's bounds, quality 0), is not: it stays
+    in the step, adds no row, and its shallow table is never fetched.
+
+    The shallow pass runs on construction and picks the treelets to
+    read, in emission order: grouped by part, each part's in its own
+    visit order (*ranks* below index them). Pruning does not depend on
+    quality, so the first window that walks any treelet tests the walk
+    tables of all it walks as one :class:`_Forest` and later windows
+    reuse the masks. What a window still decides is depth: it counts the
+    visited nodes of the depths no earlier window reached for that part
+    (the recursive walk's counters under the depth cutoff — no node below
+    ``floor(e_hi)`` is ever counted) and selects the kept nodes of the
+    depths it covers, with the same monotone slot-range rounding as the
+    recursive walk, so consecutive windows chain with no gap and no
     overlap.
 
     Every counter is counted per part (one ``bincount`` per counter) into
@@ -602,51 +535,76 @@ class _Step:
     """
 
     __slots__ = (
-        "ctxs", "filters", "with_positions", "names", "bitmap_tests",
-        "qlo", "qhi", "free", "one_box",
+        "parts", "filters", "with_positions", "names", "bitmap_tests", "tree_depth", "leaf",
+        "qlo", "qhi", "free",
         "tpart", "first", "leaves", "n_points", "max_depth", "containable", "spent",
         "forest", "fpart", "inside", "alive", "visited", "reached", "views",
     )
 
-    def __init__(self, ctxs: list[_QueryContext]) -> None:
-        self.ctxs = ctxs
-        first = ctxs[0]
-        schema = (first.bat.attr_names, first.bat.attr_dtypes)
-        if any((c.bat.attr_names, c.bat.attr_dtypes) != schema for c in ctxs[1:]):
-            raise InvalidRequestError("the files of one step must share their attributes")
-        self.filters = first.filters
-        self.with_positions = first.with_positions
+    def __init__(self, parts: list[StepPart], quality: float, filters, attributes,
+                 with_positions: bool) -> None:
+        self.parts = parts
+        self.filters = filters = tuple(filters)
+        self.with_positions = bool(with_positions)
+        opened = [i for i, p in enumerate(parts) if p.error is None]
+        schema = parts[opened[0]].bat if opened else None
+        if schema is not None:
+            key = (schema.attr_names, schema.attr_dtypes)
+            if any((parts[i].bat.attr_names, parts[i].bat.attr_dtypes) != key for i in opened):
+                raise InvalidRequestError("the files of one step must share their attributes")
+            for name in [*(attributes or ()), *(f.name for f in filters)]:
+                schema.attr_index(name)  # raises KeyError for unknown names
         self.names = [
-            n for n in first.bat.attr_names if first.attributes is None or n in first.attributes
+            n for n in (schema.attr_names if schema is not None else ())
+            if attributes is None or n in attributes
         ]
-        # each file's query bitmap per filter (its own binning), per part
-        self.bitmap_tests = [
-            (a, np.array([c.bitmap_tests[i][1] for c in ctxs], dtype=np.uint32))
-            for i, (a, _) in enumerate(first.bitmap_tests)
-        ]
-        # each file's plan box, per part: ``qlo`` / ``qhi`` (None when no
-        # file has one; a file without one borrows another's corners) and
-        # ``free``, the parts without one (None when every part has one)
-        boxes = [c.qbounds for c in ctxs if c.qbounds is not None]
-        self.qlo = self.qhi = self.free = None
-        if boxes:
-            corners = [c.qbounds or boxes[0] for c in ctxs]
-            self.qlo = np.array([lo for lo, _ in corners])
-            self.qhi = np.array([hi for _, hi in corners])
-            if len(boxes) < len(ctxs):
-                self.free = np.array([c.qbounds is None for c in ctxs])
-        #: every file with a box has the same one
-        self.one_box = all(
-            (lo == boxes[0][0]).all() and (hi == boxes[0][1]).all() for lo, hi in boxes[1:]
+        if len({p.box for p in parts if p.box is not None}) > 1:
+            raise InvalidRequestError("the parts of one step share one box")
+        self.leaf = np.array(
+            [i if p.leaf is None else p.leaf for i, p in enumerate(parts)], dtype=np.int64
         )
+        if (self.leaf[1:] <= self.leaf[:-1]).any():
+            raise InvalidRequestError("the parts' leaf indices must ascend")
+        # per opened part: query bitmaps under its own binnings (per filter,
+        # its attribute's last filter's), tree depth
+        own = {}
+        for i in opened:
+            bat = parts[i].bat
+            parts[i].stats.files_opened += 1
+            qb = {f.name: _query_bitmap(bat, f) for f in filters}
+            own[i] = ([qb[f.name] for f in filters], bat.max_treelet_depth)
+        read = [
+            i for i in opened
+            if quality_to_depth(quality, own[i][1]) > 0.0 and all(own[i][0])
+            and (parts[i].box is None or parts[i].bat.bounds.intersects(parts[i].box))
+        ]
+        # a part that is not read takes the first read part's values: it
+        # has no rows, and equal values keep the one-value fast paths
+        values = [own[read[0]] if read else ([0] * len(filters), 0)] * len(parts)
+        for i in read:
+            values[i] = own[i]
+        self.tree_depth = [d for _, d in values]
+        self.bitmap_tests = [
+            (schema.attr_index(f.name), np.array([qb[k] for qb, _ in values], dtype=np.uint32))
+            for k, f in enumerate(filters) if schema is not None
+        ]
+        # the one box: ``qlo`` / ``qhi`` (None when no read part has it)
+        # and ``free``, the parts without it (None when every read part has it)
+        boxed = [i for i in read if parts[i].box is not None]
+        self.qlo = self.qhi = self.free = None
+        if boxed:
+            box = parts[boxed[0]].box
+            self.qlo, self.qhi = np.asarray(box.lower), np.asarray(box.upper)
+            if len(boxed) < len(read):
+                self.free = np.array([p.box is None for p in parts])
 
         tally = self._tally()
         tables, owners = [], []
-        for p, c in enumerate(ctxs):
+        for p in read:
             try:
-                tables.append(c.bat.shallow_table())
+                tables.append(parts[p].bat.shallow_table())
             except LEAF_ERRORS as exc:
-                c.error = exc
+                parts[p].error = exc
                 continue
             owners.append(p)
         if tables:
@@ -660,20 +618,20 @@ class _Step:
             tpart = leaves = rows = np.zeros(0, dtype=np.int64)
         self.tpart = tpart
         #: per part, the rank of its first treelet
-        self.first = np.searchsorted(tpart, np.arange(len(ctxs)))
+        self.first = np.searchsorted(tpart, np.arange(len(parts)))
         tally[_TREELETS] += self._count(tpart)
         self._flush(tally)
         self.leaves = leaves.tolist()
         # materialize (and verify) each surviving treelet, file by file
         n_points, max_depth = [], []
         for p, leaf in zip(tpart.tolist(), self.leaves):
-            c, n, d = ctxs[p], 0, 0
-            if c.error is None:
+            part, n, d = parts[p], 0, 0
+            if part.error is None:
                 try:
-                    tv = c.bat.treelet(leaf)
+                    tv = part.bat.treelet(leaf)
                     n, d = tv.n_points, tv.max_depth
                 except LEAF_ERRORS as exc:
-                    c.error = exc
+                    part.error = exc
             n_points.append(n)
             max_depth.append(d)
         self.n_points = np.array(n_points, dtype=np.int64)
@@ -685,20 +643,19 @@ class _Step:
         elif self.qlo is None:
             self.containable = np.ones(len(tpart), dtype=bool)
         else:
-            qlo, qhi, free = self._box(tpart)
             lo, hi = s.lo[rows], s.hi[rows]
-            self.containable = boxes_within(lo, hi, qlo, qhi)  # alive: met its box, not empty
-            if free is not None:
-                self.containable |= free
+            self.containable = boxes_within(lo, hi, self.qlo, self.qhi)  # alive: met its box
+            if self.free is not None:
+                self.containable |= self.free[tpart]
         #: treelets emitted whole, or of a dropped file: no later window adds anything
         self.spent = np.zeros(len(tpart), dtype=bool)
-        for p, c in enumerate(ctxs):
-            if c.error is not None:
+        for p, part in enumerate(parts):
+            if part.error is not None:
                 self.spent[tpart == p] = True
         #: the walked treelets' tables and masks (first walking window)
         self.forest = self.fpart = self.inside = self.alive = self.visited = None
         #: per part, the deepest depth whose visited nodes are counted already
-        self.reached = np.array([-1] * len(ctxs))
+        self.reached = np.array([-1] * len(parts))
         #: whether the last window's chunks include views of columns (the
         #: whole treelets') rather than only rows the walk gathered
         self.views = False
@@ -713,8 +670,8 @@ class _Step:
 
     def _flush(self, tally: list, parts=None) -> None:
         """Add the ``tally`` counts of ``parts`` (default all) to their stats."""
-        for p in range(len(self.ctxs)) if parts is None else parts:
-            stats = self.ctxs[p].stats
+        for p in range(len(self.parts)) if parts is None else parts:
+            stats = self.parts[p].stats
             for name, n in zip(_TALLY, tally):
                 n = int(n[p] if isinstance(n, np.ndarray) else n)
                 if n:
@@ -722,16 +679,16 @@ class _Step:
 
     def _count(self, rp, mask=None):
         """The rows of parts ``rp`` (those of ``mask``) counted per part."""
-        if len(self.ctxs) == 1:
+        if len(self.parts) == 1:
             return len(rp) if mask is None else np.count_nonzero(mask)
-        return np.bincount(rp if mask is None else rp[mask], minlength=len(self.ctxs))
+        return np.bincount(rp if mask is None else rp[mask], minlength=len(self.parts))
 
     def _per_part(self, ranks: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """``sizes`` (one per treelet of ``ranks``) summed per part."""
-        if len(self.ctxs) == 1:
+        if len(self.parts) == 1:
             return sizes.sum()
         return np.bincount(
-            self.tpart[ranks], weights=sizes, minlength=len(self.ctxs)
+            self.tpart[ranks], weights=sizes, minlength=len(self.parts)
         ).astype(np.int64)
 
     def _count_visits(self, tally, rp, seen, inside, kept) -> None:
@@ -751,31 +708,24 @@ class _Step:
     def _rows(values: np.ndarray, rp):
         """``values`` (one per part) for rows of parts ``rp`` — just one
         value where every part has the same."""
-        return values[0] if len(values) == 1 or (values == values[0]).all() else values[rp]
-
-    def _box(self, rp):
-        """``(qlo, qhi, free)`` for rows of parts ``rp``: the box corners
-        and the rows with no box test (``None`` when every row has one)."""
-        if self.one_box:
-            qlo, qhi = self.qlo[0], self.qhi[0]
-        else:
-            qlo, qhi = self.qlo[rp], self.qhi[rp]
-        return qlo, qhi, None if self.free is None else self.free[rp]
+        if len(values) == 1 or (len(values) > 1 and (values == values[0]).all()):
+            return values[0]
+        return values[rp]
 
     def _node_tests(self, rp, lo, hi, bitmaps):
         """Test nodes of parts ``rp`` against their files' queries: ``(inside, keep)``.
 
         ``lo``/``hi`` are the nodes' ``(n, 3)`` box corners, ``bitmaps``
         their ``(n, n_attrs)`` resolved bitmaps (unused without filters).
-        ``inside`` marks the boxes that meet their query box, axis by
-        axis (:func:`~repro.types.boxes_meet`; ``None`` when no file has
-        a box), ``keep`` those that also pass every filter's bitmap.
+        ``inside`` marks the boxes that meet the step's box, axis by axis
+        (:func:`~repro.types.boxes_meet`; rows of parts without it pass;
+        ``None`` when no read part has it), ``keep`` those that also pass
+        every filter's bitmap.
         """
         if self.qlo is not None:
-            qlo, qhi, free = self._box(rp)
-            inside = boxes_meet(lo, hi, qlo, qhi)
-            if free is not None:
-                inside |= free
+            inside = boxes_meet(lo, hi, self.qlo, self.qhi)
+            if self.free is not None:
+                inside |= self.free[rp]
             keep = inside
         else:
             inside, keep = None, np.ones(len(lo), dtype=bool)
@@ -788,8 +738,9 @@ class _Step:
         (``sizes`` each; box-free parts' rows, zeros, pass); ``None`` without a box."""
         if self.qlo is None:
             return None
-        per_row = self.free is not None or not self.one_box
-        qlo, qhi, free = self._box(np.repeat(self.tpart[ranks], sizes) if per_row else None)
+        qlo, qhi, free = self.qlo, self.qhi, self.free
+        if free is not None:
+            free = np.repeat(free[self.tpart[ranks]], sizes)
 
         def inbox(pos):
             if pos is None:  # no row has a box test
@@ -802,7 +753,7 @@ class _Step:
     def _fetcher(self, ranks: np.ndarray, method: str = "columns"):
         """:func:`_fetcher` of segments over treelets ``ranks``."""
         return _fetcher(
-            [c.bat for c in self.ctxs], self.tpart[ranks].tolist(),
+            [p.bat for p in self.parts], self.tpart[ranks].tolist(),
             [self.leaves[r] for r in ranks.tolist()], method,
         )
 
@@ -811,7 +762,7 @@ class _Step:
     def window(self, q_lo: float, q_hi: float, keyed: bool = False):
         """``(chunks, keys, rows)``: the row chunks ``(positions, attrs,
         count)`` the step adds between qualities ``q_lo → q_hi``, in
-        emission order; the rows' order keys ``(part, treelet rank within
+        emission order; the rows' order keys ``(leaf, treelet rank within
         the part, slot)`` as one ``(n, 3)`` int64 array, built only when
         ``keyed`` (else ``None``); and the rows each part added, an int64
         array with one count per part.
@@ -828,19 +779,19 @@ class _Step:
                 # drop the part and redo the window without it
                 self.spent, self.reached = spent, reached
                 self._flush(tally, [fail.part])
-                self.ctxs[fail.part].error = fail.error
+                self.parts[fail.part].error = fail.error
                 self.spent[self.tpart == fail.part] = True
                 continue
             self._flush(tally)
             rows = tally[_RETURNED]
             if not isinstance(rows, np.ndarray):  # one part, or no row counted
-                rows = np.full(len(self.ctxs), rows, dtype=np.int64)
+                rows = np.full(len(self.parts), rows, dtype=np.int64)
             return chunks, keys, rows
 
     def _window(self, q_lo, q_hi, keyed, tally):
         # each file's effective depths, from its own tree depth
-        e_lo = np.array([quality_to_depth(q_lo, c.bat.max_treelet_depth) for c in self.ctxs])
-        e_hi = np.array([quality_to_depth(q_hi, c.bat.max_treelet_depth) for c in self.ctxs])
+        e_lo = np.array([quality_to_depth(q_lo, d) for d in self.tree_depth])
+        e_hi = np.array([quality_to_depth(q_hi, d) for d in self.tree_depth])
         tp = self.tpart
         live = ~self.spent
         whole = live & self.containable & (self._rows(e_lo, tp) == 0.0)
@@ -890,7 +841,7 @@ class _Step:
         ranks, sizes = ranks[at], np.concatenate([np.diff(bounds), sizes])[at]
         part = self.tpart[ranks]
         keys = np.empty((3, int(sizes.sum())), dtype=np.int64)  # column-major: key by key
-        keys[0] = np.repeat(part, sizes)
+        keys[0] = np.repeat(self.leaf[part], sizes)
         keys[1] = np.repeat(ranks - self.first[part], sizes)
         np.concatenate(slot_runs, out=keys[2])
         return keys.T
@@ -1011,11 +962,12 @@ class FileIncrement:
 
     ``rows`` counts them per part of the step (int64, part order: a part
     that was not read adds 0). ``keys``, asked for only by a caller that
-    merges rungs (else ``None``), are per-row order keys ``(part,
-    treelet_rank, slot)``, ``(count, 3)`` int64: stably sorting the
-    concatenation of a stream's increments by them reproduces the direct
-    synchronous emission order byte for byte — parts emit in step order,
-    a part's treelets in its own visit-rank order, and within a treelet
+    merges rungs (else ``None``), are per-row order keys ``(leaf,
+    treelet_rank, slot)``, ``(count, 3)`` int64, ``leaf`` the part's
+    :attr:`StepPart.leaf`: stably sorting the concatenation of a stream's
+    increments by them reproduces the direct synchronous emission order
+    byte for byte — parts emit in step (= ascending leaf) order, a part's
+    treelets in its own visit-rank order, and within a treelet
     node ids are assigned pre-order, which is ascending slot order by
     construction of the node-order particle layout.
     """
@@ -1045,10 +997,11 @@ def stream_query_file(
     ``bat`` is one :class:`~repro.bat.file.BATFile` (read with ``box``;
     ``stats`` may pass a caller-owned :class:`QueryStats` to count into),
     or the files of one *step* as a sequence of :class:`StepPart`, each
-    with its own plan box (``box`` must then be ``None``) and sharing one
-    attribute schema. A step reads its files as one forest, in order; it
-    returns the bytes the files' one-file reads return, concatenated, and
-    sets each part's ``stats`` to that file's own counters.
+    with its own plan box (``box`` must then be ``None``; the parts that
+    have one share it) and sharing one attribute schema. A step reads its
+    files as one forest, in order; it returns the bytes the files'
+    one-file reads return, concatenated, and sets each part's ``stats`` to
+    that file's own counters.
 
     ``ladder`` is a non-descending sequence of qualities starting above
     ``prev_quality`` and ending at the target quality (see
@@ -1057,7 +1010,7 @@ def stream_query_file(
     step kept from rung to rung, so two invariants hold:
 
     - *Reassembly*: the concatenation of all increments, stably sorted by
-      ``(part, treelet_rank, slot)``, is byte-identical to
+      ``(leaf, treelet_rank, slot)``, is byte-identical to
       ``query_file(bat, ladder[-1], prev_quality, ...)``.
     - *Truncation*: stopping after rung *k* leaves exactly the rows of a
       direct query at quality ``ladder[k]`` — rung ranges chain with no
@@ -1089,39 +1042,20 @@ def stream_query_file(
     ladder = check_ladder(ladder, prev_quality)
     one = isinstance(bat, BATFile)
     if one:
-        parts = [StepPart(bat, box, stats if stats is not None else QueryStats())]
+        parts = [StepPart(bat, box, stats=stats if stats is not None else QueryStats())]
     elif box is not None:
         raise InvalidRequestError("a step's boxes are per file: set StepPart.box")
     else:
         parts = list(bat)
-    ctxs = [
-        _prepare(p.bat, ladder[-1], prev_quality, p.box, filters, attributes, with_positions,
-                 stats=p.stats)
-        for p in parts
-    ]
-    # the step reads only the live parts: ``owner`` maps them back
-    live = [i for i, c in enumerate(ctxs) if c.live]
-    step = _Step([ctxs[i] for i in live]) if live else None
-    owner = np.array(live, dtype=np.int64) if len(live) < len(parts) else None
+    step = _Step(parts, ladder[-1], filters, attributes, with_positions)
     prev = prev_quality
     for q in ladder:
-        if step is None:
-            chunks, keys, rows = [], None, np.zeros(0, dtype=np.int64)
-        else:
-            chunks, keys, rows = step.window(prev, q, keyed)
-        for p, c in zip(parts, ctxs):
-            p.error = c.error
+        chunks, keys, rows = step.window(prev, q, keyed)
         if one and parts[0].error is not None:
             raise parts[0].error
-        if owner is not None:
-            rows, live_rows = np.zeros(len(parts), dtype=np.int64), rows
-            rows[owner] = live_rows
-            if keys is not None:
-                keys[:, 0] = owner[keys[:, 0]]
-        if keyed and keys is None:
-            keys = np.empty((0, 3), dtype=np.int64)
         if not chunks:  # the schema-stable empty rung
-            specs = parts[0].bat.attribute_specs() if parts else []
+            schema = next((p.bat for p in parts if p.bat is not None), None)
+            specs = schema.attribute_specs() if schema is not None else []
             empty = ParticleBatch.empty(
                 [sp for sp in specs if attributes is None or sp.name in attributes],
                 with_positions,

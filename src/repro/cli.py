@@ -16,6 +16,7 @@ Every subcommand prints plain text; nothing is modified on disk.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -172,7 +173,23 @@ def _cmd_neighbor_query(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Replay load-generator traces through the concurrent query service."""
+    """Replay load-generator traces through the concurrent query service;
+    ``-v`` logs the ``repro`` loggers' INFO and up to stderr meanwhile."""
+    if not args.verbose:
+        return _serve(args)
+    root = logging.getLogger("repro")
+    handler, level = logging.StreamHandler(), root.level
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    try:
+        return _serve(args)
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+
+
+def _serve(args) -> int:
     import json
 
     from .core.dataset import BATDataset
@@ -473,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="serve through N shard worker processes "
                             "(each owns a run of leaves; 0 = in-process)")
+    serve.add_argument("-v", "--verbose", action="store_true",
+                       help="log the service's lifecycle events (INFO and up) to stderr")
     serve.add_argument("--json", action="store_true",
                        help="also print the full metrics surface as JSON")
     serve.set_defaults(func=_cmd_serve)

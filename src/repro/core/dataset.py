@@ -496,29 +496,25 @@ class BATDataset:
         """The one read behind :meth:`query` and :meth:`stream`: yields
         ``(increment, rows)`` per rung of the checked ``ladder``, ``rows``
         the increment's row count per file of ``plan`` (int64, plan
-        order). Order keys are built only when ``keyed``; an unkeyed
-        increment's ``order`` is ``None``."""
+        order): every plan file is one part of the step, one that fails
+        to open a dropped one. Order keys ``(leaf, treelet_rank, slot)``
+        are built only when ``keyed``; an unkeyed increment's ``order``
+        is ``None``."""
         attributes, with_positions = _split_columns(req.columns)
         quarantined = plan.excluded_files
-        opened: list[tuple[int, int]] = []  # (plan rank, decoded bytes before)
-        parts: list[StepPart] = []
-        with self._cache.lease(
-            [self._leaf_paths[fp.leaf_index] for fp in plan.files]
-        ):
-            for rank, fp in enumerate(plan.files):
+        parts = [StepPart(None, fp.box, fp.leaf_index) for fp in plan.files]
+        with self._cache.lease([self._leaf_paths[p.leaf] for p in parts]):
+            for p in parts:
                 try:
-                    f = self.file(fp.leaf_index)
+                    p.bat = self.file(p.leaf)
                 except LEAF_ERRORS as exc:
-                    self._leaf_failed(fp.leaf_index, exc, req.on_error)
+                    self._leaf_failed(p.leaf, exc, req.on_error)
                     quarantined += 1
-                    continue
-                opened.append((rank, f.decoded_bytes))
-                parts.append(StepPart(f, fp.box))
-            ranks = None
-            if len(parts) < len(plan.files):  # part → plan file rank
-                ranks = np.array([r for r, _ in opened], dtype=np.int64)
+                    p.error = exc
+            # each handle's decode counter before the read; the parts dropped so far
+            before = [0 if p.bat is None else p.bat.decoded_bytes for p in parts]
+            dropped = [p.error is not None for p in parts]
             points = np.zeros(len(parts), dtype=np.int64)  # delivered, per part
-            failed: set[int] = set()
             try:
                 for inc in stream_query_file(
                     parts, ladder, prev_quality=req.prev_quality, filters=req.filters,
@@ -528,29 +524,23 @@ class BATDataset:
                     # a dropped leaf counts only as quarantined; "raise"
                     # names the first in plan order
                     stats = QueryStats(pruned_files=plan.pruned_files)
-                    for i, (p, (rank, before)) in enumerate(zip(parts, opened)):
+                    for i, p in enumerate(parts):
                         if p.error is None:
-                            p.stats.decoded_bytes = p.bat.decoded_bytes - before
+                            p.stats.decoded_bytes = p.bat.decoded_bytes - before[i]
                             stats.merge(p.stats)
-                        elif i not in failed:
-                            failed.add(i)
+                        elif not dropped[i]:
+                            dropped[i] = True
                             quarantined += 1
-                            self._leaf_failed(plan.files[rank].leaf_index, p.error, req.on_error)
+                            self._leaf_failed(p.leaf, p.error, req.on_error)
                     stats.quarantined_files = quarantined
-                    rows, order = inc.rows, inc.keys
-                    if ranks is not None:
-                        rows = np.zeros(len(plan.files), dtype=np.int64)
-                        rows[ranks] = inc.rows
-                        if order is not None:
-                            order[:, 0] = ranks[order[:, 0]]
                     batch = (
                         ParticleBatch(inc.positions, inc.attributes, count=inc.count)
                         if inc.count else empty_batch(self, req.columns)
                     )
                     yield StreamIncrement(
                         quality=inc.quality, prev_quality=inc.prev_quality, batch=batch,
-                        order=order, stats=stats, partial=quarantined > 0,
-                    ), rows
+                        order=inc.keys, stats=stats, partial=quarantined > 0,
+                    ), inc.rows
             finally:
                 # record what the read actually touched, even when the
                 # consumer closed it early at a rung boundary (shedding)
@@ -558,12 +548,12 @@ class BATDataset:
                     self.telemetry.view(
                         req.box, req.filters, self._materialized_columns(req)
                     )
-                    for (rank, before), p, n in zip(opened, parts, points.tolist()):
-                        self.telemetry.leaf(
-                            plan.files[rank].leaf_index,
-                            points=n,
-                            decoded_bytes=max(p.bat.decoded_bytes - before, 0),
-                        )
+                    for p, b, n in zip(parts, before, points.tolist()):
+                        if p.bat is not None:
+                            self.telemetry.leaf(
+                                p.leaf, points=n,
+                                decoded_bytes=max(p.bat.decoded_bytes - b, 0),
+                            )
 
     def _leaf_failed(self, leaf_index: int, exc: Exception, on_error: str) -> None:
         """One leaf file turned out corrupt or missing mid-query.

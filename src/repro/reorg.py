@@ -40,6 +40,7 @@ unlinks every file the pass wrote and raises :class:`ReorgError`.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -64,6 +65,9 @@ __all__ = [
     "plan_reorg",
     "reorganize",
 ]
+
+
+lgr = logging.getLogger("repro.reorg")
 
 
 class ReorgError(RuntimeError):
@@ -539,6 +543,12 @@ def apply_reorg(
         if got != want:
             for path in written:
                 path.unlink(missing_ok=True)
+            lgr.warning(
+                "reorg %s of leaves %s failed round-trip verification; "
+                "generation %d not published", action.kind, list(action.leaf_indices), new_gen,
+                extra={"kind": action.kind, "leaf_indices": list(action.leaf_indices),
+                       "generation_from": metadata.generation, "generation_to": new_gen},
+            )
             raise ReorgError(
                 f"{action.kind} of leaves {action.leaf_indices} does not "
                 "round-trip the particle multiset; manifest not published"
@@ -584,6 +594,12 @@ def apply_reorg(
     report.generation_to = new_gen
     report.leaves_after = len(new_leaves)
     report.files_written = [p.name for p in written]
+    lgr.info(
+        "reorg published %s generation %d -> %d: %d actions, %d files written",
+        manifest_path.name, metadata.generation, new_gen, len(actions), len(written),
+        extra={"generation_from": metadata.generation, "generation_to": new_gen,
+               "actions": len(actions), "files_written": list(report.files_written)},
+    )
     if config.remove_old:
         for name in report.files_obsolete:
             path = directory / name

@@ -134,34 +134,6 @@ class RequestSpan:
     points: int = 0
     nbytes: int = 0
 
-    def to_doc(self) -> dict:
-        return {
-            "session": self.session_id,
-            "seq": self.seq,
-            "requested_quality": self.requested_quality,
-            "served_quality": self.served_quality,
-            "prev_quality": self.prev_quality,
-            "priority": self.priority,
-            "queue_depth": self.queue_depth,
-            "degraded": self.degraded,
-            "cache_hit": self.cache_hit,
-            "rejected": self.rejected,
-            "partial": self.partial,
-            "quarantined_files": self.quarantined_files,
-            "collapsed": self.collapsed,
-            "streamed": self.streamed,
-            "shed": self.shed,
-            "increments": self.increments,
-            "first_increment_seconds": self.first_increment_seconds,
-            "wait_seconds": self.wait_seconds,
-            "plan_seconds": self.plan_seconds,
-            "traverse_seconds": self.traverse_seconds,
-            "gather_seconds": self.gather_seconds,
-            "total_seconds": self.total_seconds,
-            "points": self.points,
-            "nbytes": self.nbytes,
-        }
-
 
 @dataclass
 class _PhaseTotals:

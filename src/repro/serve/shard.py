@@ -42,11 +42,12 @@ the single-process delivery order, with no per-row sort. Every window
 is a ladder of rungs, scattered once per rung (a rung of a multi-rung
 stream equals the one-rung stream of its ``(prev, q]`` window — the one
 call workers serve; a one-shot window is the ladder ``(quality,)``);
-only the rungs of a multi-rung ladder ship per-row order keys, column 0
-rewritten to the global leaf index, since clients reassemble rungs by
-them. Responses are property-tested byte-identical
-to :class:`QueryService`'s in every mode the core has, including boxes
-spanning shard boundaries; only neighbor requests are refused.
+only the rungs of a multi-rung ladder ship per-row order keys — the
+global ``(leaf, treelet_rank, slot)`` a single-process stream gives the
+same rows — since clients reassemble rungs by them. Responses are
+property-tested byte-identical to :class:`QueryService`'s in every mode
+the core has, including boxes spanning shard boundaries; only neighbor
+requests are refused.
 
 **Frames.** Every message on a shard pipe, either way, is one frame
 (:func:`write_frame` / :func:`read_frame`): a protocol-5 pickle head
@@ -282,8 +283,9 @@ class _ShardWorker:
         ``(files, 2)`` int64 array of ``(global leaf index, row count)``
         in emission order, leaves ascending; the router merges by it.
         Only a rung of a multi-rung stream (``doc["keyed"]``) builds and
-        ships the rows' order keys, column 0 rewritten from the plan-local
-        file rank to the global leaf index; else ``order`` is ``None``.
+        ships the rows' order keys ``(leaf, treelet_rank, slot)``, the
+        keys ``BATDataset.stream`` gives the same rows; else ``order`` is
+        ``None``.
         """
         t0 = time.perf_counter()
         step = int(doc["step"])
@@ -318,9 +320,6 @@ class _ShardWorker:
         lut = np.array([fp.leaf_index for fp in plan.files], dtype=np.int64)
         sent = rows > 0  # the files with rows, in plan (= leaf) order
         runs = np.column_stack((lut[sent], rows[sent]))
-        order = inc.order
-        if order is not None:
-            order[:, 0] = lut[order[:, 0]]
         stats = inc.stats
         batch = inc.batch
         span.served_quality = req.quality
@@ -336,7 +335,7 @@ class _ShardWorker:
             "count": len(batch),
             "positions": batch.positions,
             "attributes": dict(batch.attributes),
-            "order": order,
+            "order": inc.order,
             "runs": runs,
             "partial": span.partial,
             "quarantined_files": stats.quarantined_files,

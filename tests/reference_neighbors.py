@@ -30,7 +30,7 @@ from repro.bat.neighbors import (
     _empty_selection,
     dist2,
 )
-from repro.bat.query import _check, _Forest, _gather, _segments, _shallow_survivors
+from repro.bat.query import _check, _Forest, _gather, _segments, _survivors
 from repro.types import ParticleBatch
 
 __all__ = [
@@ -52,6 +52,12 @@ def _candidates(parts) -> tuple[np.ndarray, np.ndarray]:
     if not parts:
         return _no_candidates()
     return tuple(np.concatenate(c, axis=0) for c in zip(*parts))
+
+
+def _shallow_survivors(table: np.ndarray, keep: np.ndarray):
+    """``_survivors`` of one file's shallow table."""
+    loose = None if table["nests"][0] else np.ones(len(table), dtype=bool)
+    return _survivors(keep, table["parent"], table["depth"], 0, loose)
 
 
 def _file_fetch(bat, leaves):

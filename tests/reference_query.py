@@ -3,10 +3,11 @@
 
 This is the original per-node stack walk, kept as the reference the read
 tests compare against — the role ``reference_treelet.py`` plays for the
-treelet builder. Nothing in ``src/`` calls it. It shares the request
-prologue with the core (``_prepare``), so both validate and count the
-same way; the walk itself — which nodes are visited, pruned, windowed and emitted — is its
-own, one file at a time.
+treelet builder. Nothing in ``src/`` calls it. Its request prologue
+(``_prepare``) is its own copy of what the core derives per file — query
+bitmaps under the file's binnings, effective depths, the ``live`` flag —
+and so is the walk itself: which nodes are visited, pruned, windowed and
+emitted, one file at a time.
 
 Both return identical batches and identical ``points_tested`` /
 ``points_returned`` / ``treelets_visited`` counters; ``nodes_visited`` and
@@ -17,6 +18,7 @@ depth cutoff.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,13 +28,70 @@ from repro.bat.query import (
     LEAF_ERRORS,
     AttributeFilter,
     QueryStats,
-    _prepare,
+    quality_to_depth,
     stream_query_file,
 )
+from repro.bitmaps import query_bitmap
 from repro.core.dataset import _split_columns, empty_batch
+from repro.errors import InvalidRequestError
 from repro.types import Box, ParticleBatch
 
 __all__ = ["query_file_recursive", "stream_per_file"]
+
+
+@dataclass
+class _QueryContext:
+    """One file's side of a read: its request, derived for its own binnings
+    and tree depth, and its counters."""
+
+    bat: BATFile
+    box: Box | None
+    filters: tuple[AttributeFilter, ...]
+    e_prev: float
+    e_new: float
+    attributes: tuple[str, ...] | None
+    with_positions: bool
+    #: False when the root already proves the read empty
+    live: bool
+    #: per filter ``(attribute index, query bitmap)``
+    bitmap_tests: tuple[tuple[int, int], ...]
+    stats: QueryStats = field(default_factory=QueryStats)
+    out: object = None
+
+
+def _prepare(bat, quality, prev_quality, box, filters, attributes, with_positions):
+    """Validate one file read and derive what the walk needs."""
+    if prev_quality > quality:
+        raise InvalidRequestError("prev_quality must be <= quality")
+    for name in attributes or ():
+        bat.attr_index(name)  # raises KeyError for unknown names
+    filters = tuple(filters)
+    # each filter's query bitmap under the file's binning of its attribute;
+    # an attribute filtered twice tests its last filter's (as the core does)
+    qbitmaps = {}
+    for f in filters:
+        binning = bat.binnings.get(f.name)
+        if binning is not None:
+            qbitmaps[f.name] = int(binning.query(f.lo, f.hi))
+        else:
+            lo, hi = bat.attr_ranges[f.name]
+            qbitmaps[f.name] = int(query_bitmap(f.lo, f.hi, lo, hi))
+    tests = tuple((bat.attr_index(f.name), qbitmaps[f.name]) for f in filters)
+    e_new = quality_to_depth(quality, bat.max_treelet_depth)
+    ctx = _QueryContext(
+        bat=bat, box=box, filters=filters,
+        e_prev=quality_to_depth(prev_quality, bat.max_treelet_depth), e_new=e_new,
+        attributes=tuple(attributes) if attributes is not None else None,
+        with_positions=bool(with_positions),
+        live=not (
+            e_new == 0.0
+            or any(q == 0 for _, q in tests)
+            or (box is not None and not bat.bounds.intersects(box))
+        ),
+        bitmap_tests=tests,
+    )
+    ctx.stats.files_opened += 1
+    return ctx
 
 
 def query_file_recursive(
@@ -231,10 +290,10 @@ def stream_per_file(ds, req, ladder, plan):
     The dataset's stream loop before a stream became one step, kept as
     the reference the stepped stream is held to (its ``decoded_bytes``
     stay 0: this loop never set them) — changed to read a file
-    increment's keys from its one ``keys`` array, and to count each file
-    on its own, so a rung's counters sum the files still in the stream (a
-    dropped file counts only as quarantined). ``ladder`` must already be
-    checked.
+    increment's keys from its one ``keys`` array, to key a file's rows by
+    its leaf index, and to count each file on its own, so a rung's
+    counters sum the files still in the stream (a dropped file counts
+    only as quarantined). ``ladder`` must already be checked.
     """
     attributes, with_positions = _split_columns(req.columns)
     quarantined = plan.excluded_files
@@ -245,9 +304,9 @@ def stream_per_file(ds, req, ladder, plan):
     with ds._cache.lease(
         [ds._leaf_paths[fp.leaf_index] for fp in plan.files]
     ):
-        # [(file_rank, leaf_index, per-file increment generator, its counters)]
+        # [(leaf_index, per-file increment generator, its counters)]
         gens = []
-        for file_rank, fp in enumerate(plan.files):
+        for fp in plan.files:
             try:
                 f = ds.file(fp.leaf_index)
                 leaf_handles[fp.leaf_index] = (f, f.decoded_bytes)
@@ -258,7 +317,6 @@ def stream_per_file(ds, req, ladder, plan):
             stats = QueryStats()
             gens.append(
                 (
-                    file_rank,
                     fp.leaf_index,
                     stream_query_file(
                         f,
@@ -298,7 +356,7 @@ def _stream_ladder(ds, req, ladder, gens, plan, quarantined, leaf_points):
         parts: list[ParticleBatch] = []
         orders: list[np.ndarray] = []
         dead: list[int] = []
-        for slot, (file_rank, leaf_index, gen, _) in enumerate(gens):
+        for slot, (leaf_index, gen, _) in enumerate(gens):
             try:
                 inc = next(gen)
             except LEAF_ERRORS as exc:
@@ -316,12 +374,12 @@ def _stream_ladder(ds, req, ladder, gens, plan, quarantined, leaf_points):
                     )
                 )
                 okeys = np.empty((inc.count, 3), dtype=np.int64)
-                okeys[:, 0] = file_rank
+                okeys[:, 0] = leaf_index
                 okeys[:, 1] = inc.keys[:, 1]
                 okeys[:, 2] = inc.keys[:, 2]
                 orders.append(okeys)
         for slot in reversed(dead):
-            gens.pop(slot)[2].close()
+            gens.pop(slot)[1].close()
         if parts:
             batch = (
                 ParticleBatch.concatenate(parts) if len(parts) > 1 else parts[0]

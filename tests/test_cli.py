@@ -169,6 +169,22 @@ class TestServeDamaged:
         assert ("open loop" in out) == ("open" in mode)
 
 
+class TestServeVerbose:
+    def test_v_logs_lifecycle_events_to_stderr(self, written, capsys):
+        import logging
+
+        _, rep = written
+        root = logging.getLogger("repro")
+        handlers, level = list(root.handlers), root.level
+        args = ["serve", rep.metadata_path, "--shards", "1", "--sessions", "1", "--ops", "1"]
+        assert main([*args, "-v"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("INFO repro.serve.shard: spawned shard 0 worker") == 1
+        assert (root.handlers, root.level) == (handlers, level)  # detached again
+        assert main(args) == 0
+        assert "repro.serve.shard" not in capsys.readouterr().err
+
+
 class TestBench:
     def test_weak_scaling_smoke(self, capsys):
         assert main(["bench", "weak-scaling", "--machine", "testing_machine", "--ranks", "8,16"]) == 0

@@ -252,6 +252,31 @@ class TestStepEqualsPerFileLoop:
             with pytest.raises(InvalidRequestError):
                 query_file([StepPart(ds.file(0))], box=DOMAIN)
 
+    def test_parts_share_one_box(self, meta):
+        with BATDataset(meta) as ds:
+            f, g = ds.file(0), ds.file(1)
+            box = Box((0.5, 0.5, 0.0), (3.0, 3.5, 1.0))
+            other = Box((0.0, 0.0, 0.0), (3.0, 3.5, 1.0))
+            query_file([StepPart(f, box), StepPart(g)])  # a box and none: fine
+            with pytest.raises(InvalidRequestError, match="one box"):
+                query_file([StepPart(f, box), StepPart(g, other)])
+
+    def test_keys_carry_each_parts_leaf(self, meta):
+        from repro.bat.query import stream_query_file
+
+        with BATDataset(meta) as ds:
+            parts = [StepPart(ds.file(i), leaf=leaf) for i, leaf in ((0, 3), (2, 7))]
+            incs = list(stream_query_file(parts, (0.3, 0.8)))
+            keys = np.concatenate([inc.keys for inc in incs])
+            assert set(keys[:, 0].tolist()) == {3, 7}
+            for inc in incs:
+                assert inc.rows.tolist() == [
+                    np.count_nonzero(inc.keys[:, 0] == leaf) for leaf in (3, 7)
+                ]
+            backwards = [StepPart(ds.file(0), leaf=5), StepPart(ds.file(1))]
+            with pytest.raises(InvalidRequestError, match="ascend"):
+                list(stream_query_file(backwards, (1.0,)))
+
     def test_empty_step(self):
         batch, stats = query_file([], quality=0.5)
         assert len(batch) == 0 and stats == QueryStats()
@@ -313,6 +338,37 @@ class TestDegradedSteps:
             ds.quarantine_leaf(2, "known missing")
             with pytest.raises(IntegrityError, match=r"dmg\.00001"):
                 ds.query()
+
+    @pytest.mark.parametrize("on_error", ["degrade", "raise"])
+    def test_a_part_not_read_is_neither_read_nor_quarantined(self, meta, monkeypatch, on_error):
+        """A part whose root already proves its read empty (quality 0, or
+        a box off its bounds) never has its shallow table fetched: damage
+        there can neither fail the read nor count as quarantined."""
+        with BATDataset(meta) as ds:
+            bad = ds.metadata.leaves[1].file_name
+        shallow_table = BATFile.shallow_table
+        fetched = []
+
+        def corrupt(self):
+            if self.path.endswith(bad):
+                fetched.append(self.path)
+                raise IntegrityError(f"injected damage in {self.path}")
+            return shallow_table(self)
+
+        monkeypatch.setattr(BATFile, "shallow_table", corrupt)
+        with BATDataset(meta) as ds:
+            batch, stats = ds.query(QueryRequest(quality=0.0, on_error=on_error))
+            assert len(batch) == 0 and ds.quarantined() == {}
+            assert stats.files_opened == ds.n_files and stats.quarantined_files == 0
+            f0, f1 = ds.file(0), ds.file(1)
+            half = f0.bounds.extents * 0.05
+            box = Box(tuple(f0.bounds.center - half), tuple(f0.bounds.center + half))
+            assert not f1.bounds.intersects(box)
+            parts = [StepPart(f0, box), StepPart(f1, box)]
+            query_file(parts, quality=0.7)
+        assert fetched == []
+        assert [p.error for p in parts] == [None, None]
+        assert parts[1].stats == QueryStats(files_opened=1)
 
     def test_failure_in_a_walk_table_build(self, tmp_path):
         """A v2 leaf (no checksums) whose treelet links a child outside

@@ -480,6 +480,35 @@ class TestApplyReorg:
         assert report.generation_from == report.generation_to == 0
         assert meta.read_text() == before
 
+    def test_publish_logged_once(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="repro.reorg")
+        meta = write_dataset(tmp_path, nranks=16, seed=3)
+        md = DatasetMetadata.load(meta)
+        report = reorganize(meta, synth_telemetry(md, hot_box(md)),
+                            config=ReorgConfig(min_queries=8))
+        (record,) = [r for r in caplog.records if r.name == "repro.reorg"]
+        assert record.levelno == logging.INFO
+        assert (record.generation_from, record.generation_to) == (0, 1)
+        assert record.actions == len(report.actions) > 0
+        assert record.files_written == report.files_written
+
+    def test_failed_verification_logged_once(self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="repro.reorg")
+        meta = write_dataset(tmp_path, nranks=16, seed=3)
+        md = DatasetMetadata.load(meta)
+        lossy_build_bat(monkeypatch)
+        with pytest.raises(ReorgError):
+            reorganize(meta, synth_telemetry(md, hot_box(md)), config=ReorgConfig(min_queries=8))
+        (record,) = [r for r in caplog.records if r.name == "repro.reorg"]
+        assert record.levelno == logging.WARNING
+        assert (record.generation_from, record.generation_to) == (0, 1)
+        assert record.leaf_indices
+
+    def test_no_actions_logs_nothing(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="repro.reorg")
+        apply_reorg(write_dataset(tmp_path), [], config=ReorgConfig())
+        assert [r for r in caplog.records if r.name == "repro.reorg"] == []
+
     def test_double_claimed_leaf_rejected(self, tmp_path):
         meta = write_dataset(tmp_path)
         actions = [

@@ -570,6 +570,29 @@ class TestShardedIdentity:
         else:  # nothing above what the session held
             assert quality <= held and len(want.batch) == 0
 
+    def test_stream_keys_are_the_dataset_streams(self, sharded, direct):
+        """A multi-rung box window whose plan skips leaves: the sharded
+        tier's increments carry exactly the order keys ``BATDataset.stream``
+        gives the same rows, ``(leaf, treelet_rank, slot)``, unmapped."""
+        lo, hi = direct.bounds.lower, direct.bounds.upper
+        req = QueryRequest(quality=0.7, box=Box(tuple((a + b) / 2 for a, b in zip(lo, hi)), hi))
+        ladder = (0.2, 0.45, 0.7)
+        leaves = [fp.leaf_index for fp in direct.plan(req.box, req.filters).files]
+        assert leaves and leaves != list(range(len(leaves)))  # the plan skips leaves
+        want = [inc.order for inc in direct.stream(req, ladder)]
+        sid = sharded.open_session()
+        try:
+            handle = sharded.stream(sid, req, ladder=ladder)
+            got = [inc.order for inc in handle]
+            handle.result(60.0)
+        finally:
+            sharded.close_session(sid)
+        assert len(got) == len(want) == len(ladder)
+        assert set(np.concatenate(want)[:, 0].tolist()) == set(leaves)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
     def test_shed_stream_caches_its_window_and_converges(self, written, direct):
         cfg = serve_config(stream_outbox=1, stream_grace=0.05)
         req = QueryRequest(quality=1.0, box=BOX)
@@ -1174,14 +1197,10 @@ class TestWorkerReply:
     def test_rung_keys_are_the_direct_stream_keys_with_global_leaves(
         self, workers, written, direct
     ):
-        plan = direct.plan(self.REQ.box, self.REQ.filters)
-        lut = np.array([fp.leaf_index for fp in plan.files], dtype=np.int64)
         # a keyed read of the window: its two rungs, merged by their keys
         rungs = list(direct.stream(self.REQ, ladder=(self.REQ.quality / 2, self.REQ.quality)))
         keys = np.concatenate([inc.order for inc in rungs])
-        merge = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-        keys = keys[merge]
-        keys[:, 0] = lut[keys[:, 0]]
+        keys = keys[np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))]
         want = reassemble_stream(rungs)
         rows = 0
         for w in workers:
