@@ -27,6 +27,7 @@ __all__ = [
     "query_bitmaps",
     "bin_intervals",
     "remap_bitmaps",
+    "REMAP_WIDENING",
     "bitmap_bins",
     "BitmapDictionary",
 ]
@@ -160,6 +161,11 @@ def bin_intervals(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return blo, blo + width
 
 
+#: outward widening of a rebuilt bin interval, per unit of its range's
+#: magnitude: the rounding bound derived in :func:`remap_bitmaps`
+REMAP_WIDENING = 8 * float(np.finfo(np.float64).eps)
+
+
 def remap_bitmaps(bitmaps, blo, bhi, glo, ghi) -> np.ndarray:
     """Re-express local bitmaps against global equi-width ranges, in one pass.
 
@@ -170,11 +176,32 @@ def remap_bitmaps(bitmaps, blo, bhi, glo, ghi) -> np.ndarray:
     so a value the local bitmap admits is never pruned globally. Rank 0
     merges every aggregator's root bitmaps this way (§III-D), and equals
     the scalar loop kept in ``tests/reference_metadata.py`` bit for bit.
+
+    **Why each interval is widened.** :func:`value_bins` puts ``v`` in
+    bin ``b`` of ``[lo, hi]`` when ``b ≤ fl(fl(v - lo)·fl(32 / s)) < b + 1``
+    with ``s = fl(hi - lo)``: three roundings, so (``u = eps / 2``,
+    ``w = s / 32``) ``v`` lies within ``3u·(b + 1)·w ≤ 3u·s`` of the exact
+    interval ``[lo + b·w, lo + (b + 1)·w]``; the clamped top bin also
+    holds ``hi``, which ``lo + s`` misses by up to ``u·|hi - lo|``. The
+    rebuilt ends ``fl(lo + fl(b·w))`` and ``fl(blo + w)`` are within
+    ``u·s + 2u·M`` of the exact ones, ``M`` being the largest edge
+    magnitude of the range. With ``s ≤ 2M``, a value of bin ``b`` lies at
+    most ``10u·M`` outside ``[blo, bhi]``. Both ends move out by
+    ``8·eps·M = 16u·M`` (:data:`REMAP_WIDENING`), ``15u·M`` after the
+    widening's own rounding, so the widened interval holds every value
+    the bit admits; its ends are binned by :func:`value_bins` itself,
+    which is monotone, so each such value's global bin is covered. The
+    cover can only grow: a leaf may gain the global bin next to an edge
+    its range ends on. (Equi-depth bins are exact comparisons against
+    their edges and would need no widening; one rule serves both.)
     """
     bitmaps = np.asarray(bitmaps, dtype=np.uint32)[..., None]
     set_bits = ((bitmaps >> _BINS) & 1) == 1
+    blo = np.asarray(blo, dtype=np.float64)
+    bhi = np.asarray(bhi, dtype=np.float64)
+    pad = REMAP_WIDENING * np.maximum(np.abs(blo), np.abs(bhi)).max(axis=-1, keepdims=True)
     cover = query_bitmaps(
-        blo, bhi, np.asarray(glo, dtype=np.float64)[..., None],
+        blo - pad, bhi + pad, np.asarray(glo, dtype=np.float64)[..., None],
         np.asarray(ghi, dtype=np.float64)[..., None],
     )
     return np.bitwise_or.reduce(np.where(set_bits, cover, np.uint32(0)), axis=-1)

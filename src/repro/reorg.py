@@ -43,6 +43,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -322,6 +323,13 @@ def plan_reorg(
                         )
                     )
                     claimed.add(i)
+    if actions:
+        counts = dict(Counter(a.kind for a in actions))
+        lgr.info(
+            "planned %d reorg actions for step %d: %s", len(actions), step,
+            ", ".join(f"{n} {kind}" for kind, n in counts.items()),
+            extra={"step": step, "action_counts": counts},
+        )
     return actions
 
 

@@ -15,19 +15,40 @@ sheds at a rung boundary, and the session refines later.
 
 ``await service.request(...)`` resolves on a ticket done-callback, so a
 pending request costs one waiting Future, not a parked thread — the
-asyncio front end's whole reason to exist. :func:`repro.serve.run_load`
-drives every load model through this class.
+asyncio front end's whole reason to exist. A result-cache hit is served
+during admission, on the loop's own thread, and its ticket is resolved
+on return: awaiting it then returns at once, with no round trip through
+the loop. :func:`repro.serve.run_load` drives every load model through
+this class.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 from ..api import QueryRequest
 from .service import QueryService, ServeConfig, ServeResponse
 from .streaming import DONE, EMPTY
 
 __all__ = ["AsyncQueryService", "AsyncStream"]
+
+
+async def _resolved(ticket) -> ServeResponse:
+    """``ticket``'s response, awaited on its done-callback unless it is
+    resolved already (a hit served during admission)."""
+    if not ticket.done():
+        loop = asyncio.get_running_loop()
+        fut = loop.create_future()
+
+        def on_done(_t, loop=loop, fut=fut):
+            loop.call_soon_threadsafe(
+                lambda: fut.done() or fut.set_result(None)
+            )
+
+        ticket.add_done_callback(on_done)
+        await fut
+    return ticket.result(0)
 
 
 class AsyncStream:
@@ -56,18 +77,7 @@ class AsyncStream:
             await self._event.wait()
 
     async def result(self) -> ServeResponse:
-        ticket = self._handle.ticket
-        loop = asyncio.get_running_loop()
-        fut = loop.create_future()
-
-        def on_done(_t, loop=loop, fut=fut):
-            loop.call_soon_threadsafe(
-                lambda: fut.done() or fut.set_result(None)
-            )
-
-        ticket.add_done_callback(on_done)
-        await fut
-        return ticket.result(0)
+        return await _resolved(self._handle.ticket)
 
     def close(self) -> None:
         """Stop consuming; the worker sheds the remaining rungs."""
@@ -127,12 +137,17 @@ class AsyncQueryService:
         when the service is past its admission bounds."""
         loop = asyncio.get_running_loop()
         event = asyncio.Event()
+        loop_thread = threading.get_ident()
+
+        def on_event():
+            # a hit served during admission pushes on the loop's own thread
+            if threading.get_ident() == loop_thread:
+                event.set()
+            else:
+                loop.call_soon_threadsafe(event.set)
+
         handle = self.service.stream(
-            session_id,
-            request,
-            step=step,
-            ladder=ladder,
-            on_event=lambda: loop.call_soon_threadsafe(event.set),
+            session_id, request, step=step, ladder=ladder, on_event=on_event
         )
         return AsyncStream(handle, event)
 
@@ -140,18 +155,7 @@ class AsyncQueryService:
         self, session_id: int, request: QueryRequest, *, step: int | None = None
     ) -> ServeResponse:
         """One-shot request awaited without parking a thread."""
-        ticket = self.service.submit(session_id, request, step=step)
-        loop = asyncio.get_running_loop()
-        fut = loop.create_future()
-
-        def on_done(_t, loop=loop, fut=fut):
-            loop.call_soon_threadsafe(
-                lambda: fut.done() or fut.set_result(None)
-            )
-
-        ticket.add_done_callback(on_done)
-        await fut
-        return ticket.result(0)
+        return await _resolved(self.service.submit(session_id, request, step=step))
 
     async def snapshot(self) -> dict:
         return self.service.snapshot()

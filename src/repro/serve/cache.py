@@ -110,8 +110,31 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: tuple) -> ParticleBatch | None:
+    def peek(self, key: tuple) -> ParticleBatch | None:
+        """The unexpired batch stored under ``key``, or None — counting
+        nothing, dropping nothing and leaving the LRU order alone: a look
+        that decides where a window runs, not a lookup."""
         with self._lock:
+            entry = self._entries.get(key)
+        if entry is None or (self.ttl is not None and self._clock() - entry[1] > self.ttl):
+            return None
+        return entry[0]
+
+    def get(self, key: tuple, found: ParticleBatch | None = None) -> ParticleBatch | None:
+        """The batch stored under ``key``, counted as a hit or a miss.
+
+        ``found`` is what :meth:`peek` just returned for ``key``: it is the
+        answer, counted as a hit, even if the entry expired or was evicted
+        since the look (the LRU order is refreshed if it is still held).
+        """
+        with self._lock:
+            if found is not None:
+                self.hits += 1
+                try:
+                    self._entries.move_to_end(key)
+                except KeyError:
+                    pass
+                return found
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1

@@ -21,6 +21,11 @@ the overflow in a priority queue:
 Within a priority class, requests run in strict FIFO (a monotone sequence
 number breaks ties), so two equal-priority requests from one session
 execute in submission order.
+
+Work cheaper than the hand-off to a worker — the service's result-cache
+hits — runs on the submitting thread instead (:meth:`RequestScheduler.run_inline`):
+its ticket takes the next sequence number and is resolved when returned,
+never queued, and counted ``inline`` rather than ``admitted``.
 """
 
 from __future__ import annotations
@@ -149,6 +154,8 @@ class RequestScheduler:
         self.rejected_queue_full = 0
         self.rejected_session_full = 0
         self.executed = 0
+        #: tickets run on the submitting thread by :meth:`run_inline`
+        self.inline = 0
         self.max_queue_depth = 0
         self._workers = [
             threading.Thread(target=self._worker, name=f"serve-worker-{i}", daemon=True)
@@ -186,7 +193,32 @@ class RequestScheduler:
             self._cond.notify()
             return ticket
 
+    def run_inline(self, fn, session_id: int = 0, priority: int = PRIORITY_BULK) -> Ticket:
+        """Run ``fn`` on the calling thread, as a ticket that never queued.
+
+        The ticket takes the next sequence number and is resolved when
+        this returns (``wait_seconds`` 0, an exception of ``fn`` held in
+        it as a worker would hold it). It is counted ``inline``, not
+        ``admitted``, and bypasses the queue bounds: the caller uses this
+        only for work cheaper than the hand-off. Raises
+        :class:`SchedulerClosed` once closed.
+        """
+        with self._cond:
+            if self._closed:
+                raise SchedulerClosed("scheduler is closed")
+            self._seq += 1
+            self.inline += 1
+            ticket = Ticket(priority, self._seq, session_id, fn)
+        ticket.enqueued_at = ticket.started_at = self._clock()
+        self._run(ticket)
+        return ticket
+
     # -- introspection -------------------------------------------------------
+
+    def idle(self, session_id: int) -> bool:
+        """Whether ``session_id`` has nothing queued or running."""
+        with self._cond:
+            return not self._per_session[session_id]
 
     @property
     def queue_depth(self) -> int:
@@ -213,6 +245,7 @@ class RequestScheduler:
                 "in_flight": self._in_flight,
                 "admitted": self.admitted,
                 "executed": self.executed,
+                "inline": self.inline,
                 "rejected_queue_full": self.rejected_queue_full,
                 "rejected_session_full": self.rejected_session_full,
                 "max_queue_depth": self.max_queue_depth,
@@ -231,14 +264,7 @@ class RequestScheduler:
                 self._in_flight += 1
             ticket.started_at = self._clock()
             ticket.wait_seconds = ticket.started_at - ticket.enqueued_at
-            try:
-                result = ticket.fn(ticket)
-            except BaseException as exc:  # surface through the ticket
-                ticket.finished_at = self._clock()
-                ticket._finish(error=exc)
-            else:
-                ticket.finished_at = self._clock()
-                ticket._finish(result=result)
+            self._run(ticket)
             with self._cond:
                 self._in_flight -= 1
                 self._per_session[ticket.session_id] -= 1
@@ -246,6 +272,16 @@ class RequestScheduler:
                     del self._per_session[ticket.session_id]
                 self.executed += 1
                 self._cond.notify_all()
+
+    def _run(self, ticket: Ticket) -> None:
+        try:
+            result = ticket.fn(ticket)
+        except BaseException as exc:  # surface through the ticket
+            ticket.finished_at = self._clock()
+            ticket._finish(error=exc)
+        else:
+            ticket.finished_at = self._clock()
+            ticket._finish(result=result)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until the queue is empty and nothing is executing."""

@@ -5,7 +5,11 @@ shared resources — one file-handle cache (and the decoded-column cache
 on it), one plan cache per timestep, one result cache. A request
 travels::
 
-    request() ── admission ──▶ RequestScheduler (priority queue,
+    request() ── session idle, window cached (ResultCache.peek) ──▶ the
+        │        executor below, on the submitting thread: one
+        │        pre-ordered increment, the ticket resolved on return
+        ▼ else
+    admission ──▶ RequestScheduler (priority queue,
         │ rejected past bounds      capacity worker threads)
         │                               │
         │                               ▼ per-session lock
@@ -42,6 +46,16 @@ a rung boundary (the session simply refines from there later, like load
 degradation). A neighbor request shares the same result-cache sequence,
 accounting and response; only its backend call, ``neighbors``, differs.
 
+**A hit does not queue.** A session's query window that is already in
+the result cache is served on the thread that submits it
+(:meth:`QueryService._serve_hit`): a lookup, not a hand-off to a worker
+and back. Only while the session has nothing queued or running, so a
+hit never overtakes its own session's requests, and only from a step
+already open. The look counts nothing, so a miss then queues exactly as
+if it had never been looked for, and a miss never runs on the submitting
+thread (an event loop's, say). Misses, neighbor requests and the
+stateless :meth:`~QueryService.execute` always take the scheduler.
+
 Concurrent work is deduplicated by single-flight in the two keyed
 caches (:mod:`repro.serve.cache`): per identical one-shot or neighbor
 window, which streams may wait on but never lead, and per treelet column.
@@ -56,13 +70,15 @@ in :class:`~repro.serve.shard.ShardedQueryService` a scatter/gather
 object over worker processes. Where the leaf files live changes who
 opens them, not what a request means.
 
-**One identity.** The worker builds the effective window once —
-``window = replace(request, quality=effective, prev_quality=prev,
-on_error="degrade")``, for a neighbor request ``replace(request,
-on_error="degrade")`` — and ``(step, generation, window)`` is the
-result-cache and single-flight key, and ``window`` the request handed to
-the step backend. Requests are frozen dataclasses, so a field added to
-one enters every tier's identity by construction.
+**One identity.** The effective window is built once, by whichever
+thread resolves it — ``window = replace(request, quality=effective,
+prev_quality=prev, on_error="degrade")``, for a neighbor request
+``replace(request, on_error="degrade")`` — and ``(step, generation,
+window)`` is the result-cache and single-flight key, and ``window`` the
+request handed to the step backend. A session's view is the request's
+other fields (:func:`_view_of`). Requests are frozen dataclasses, so a
+field added to one enters every tier's identity, and the view, by
+construction.
 
 Every response is byte-identical to a direct
 :meth:`~repro.core.dataset.BATDataset.query` at the same effective
@@ -79,8 +95,10 @@ import logging
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from ..api import (
     NeighborRequest,
@@ -201,9 +219,9 @@ class ServeSession:
 
     session_id: int
     step: int = 0
-    #: the view being refined: the last request at the unit window (see
-    #: :func:`_unit_view`); a request for any other restarts from zero
-    view: QueryRequest | None = None
+    #: the view being refined: :func:`_view_of` the last request; a
+    #: request for any other restarts from zero
+    view: tuple | None = None
     delivered_quality: float = 0.0
     bytes_sent: int = 0
     requests: int = 0
@@ -212,10 +230,24 @@ class ServeSession:
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
-def _unit_view(request: QueryRequest) -> QueryRequest:
-    """``request`` at the unit window — what it reads, whatever slice of
-    the progression and error policy it was asked with."""
-    return replace(request, quality=1.0, prev_quality=0.0, on_error="degrade")
+#: a query request's view: every field but its quality window and error
+#: policy — what it reads, whatever slice of the progression it asks for
+_view_of = attrgetter(*(
+    f.name for f in fields(QueryRequest)
+    if f.name not in ("quality", "prev_quality", "on_error")
+))
+
+
+class _Hit(NamedTuple):
+    """A cached window found on the submitting thread (:meth:`QueryService._serve_hit`)."""
+
+    #: the load sample and the quality ceiling it was resolved at
+    load: float
+    cap: float
+    #: the step backend and the result key ``(step, generation, window)``
+    ds: object
+    key: tuple
+    batch: ParticleBatch
 
 
 @dataclass
@@ -393,8 +425,14 @@ class QueryService:
             old = self._datasets.pop(step, None)
         if old is not None:
             old.close()
-        self.results.invalidate_step(step)
-        return self.dataset(step).metadata.generation
+        evicted = self.results.invalidate_step(step)
+        generation = self.dataset(step).metadata.generation
+        lgr.info(
+            "reloaded step %d at generation %d; %d cached results evicted",
+            step, generation, evicted,
+            extra={"step": step, "generation": generation, "evicted": evicted},
+        )
+        return generation
 
     def maybe_reload(self, step: int = 0) -> bool:
         """Reload one step iff its on-disk manifest generation moved."""
@@ -449,8 +487,11 @@ class QueryService:
         if isinstance(request, QueryRequest):
             span.requested_quality = request.quality
             if sess is not None:
-                view = _unit_view(request)
-                priority = self._priority(sess, request, view, step)
+                view = _view_of(request)
+                span.priority = priority = self._priority(sess, request, view, step)
+                ticket = self._serve_hit(sess, span, request, step, view, outbox)
+                if ticket is not None:
+                    return ticket
         elif not isinstance(request, NeighborRequest):
             raise TypeError(
                 "submit() and execute() take a repro.QueryRequest or repro.NeighborRequest"
@@ -475,6 +516,48 @@ class QueryService:
         span.seq = ticket.seq
         return ticket
 
+    def _serve_hit(self, sess: ServeSession, span, req: QueryRequest, step, view,
+                   outbox: StreamOutbox | None) -> Ticket | None:
+        """Serve a session's query window on the submitting thread if it is
+        already cached: the resolved ticket, or None to queue the request.
+
+        Only while the session has nothing queued or running (a hit never
+        overtakes its own session's requests) and its lock is free, which
+        is then held until the ticket resolves. The window is resolved as
+        :meth:`_execute` resolves it — view, delivered quality, degradation
+        ceiling — but with no side effect, and looked up with
+        :meth:`ResultCache.peek`, so a miss counts nothing and queues as
+        if never looked for. A hit runs the executor here on the batch
+        found: an entry evicted meanwhile is still served, never read.
+        """
+        if not sess.lock.acquire(blocking=False):
+            return None
+        try:
+            sched = self.scheduler
+            # a step not opened yet is never a hit: opening it reads its
+            # manifest (and a dict lookup needs no lock)
+            ds = self._datasets.get(step)
+            if ds is None or not sched.idle(sess.session_id):
+                return None
+            load = sched.load_factor()
+            cap = self.degradation.ceiling(load)
+            prev = sess.delivered_quality if (sess.step, sess.view) == (step, view) else 0.0
+            effective = min(req.quality, cap)
+            if effective <= prev:
+                return None  # nothing new to send is not a lookup
+            window = replace(req, quality=effective, prev_quality=prev, on_error="degrade")
+            key = (step, ds.metadata.generation, window)
+            batch = self.results.peek(key)
+            if batch is None:
+                return None
+            hit = _Hit(load, cap, ds, key, batch)
+            return sched.run_inline(
+                lambda t: self._execute(t, sess, span, req, step, view, outbox, None, hit),
+                session_id=sess.session_id, priority=span.priority,
+            )
+        finally:
+            sess.lock.release()
+
     def submit(
         self,
         session_id: int,
@@ -483,9 +566,10 @@ class QueryService:
         step: int | None = None,
     ) -> Ticket:
         """Admit one progressive request; the ticket resolves to a
-        :class:`ServeResponse`. Raises
-        :class:`~repro.serve.scheduler.AdmissionRejected` past the bounds
-        (the rejection is recorded on the metrics surface).
+        :class:`ServeResponse`, and is already resolved when the window was
+        a result-cache hit served here (its ``wait_seconds`` is then 0).
+        Raises :class:`~repro.serve.scheduler.AdmissionRejected` past the
+        bounds (the rejection is recorded on the metrics surface).
 
         Takes a :class:`~repro.api.QueryRequest` or a
         :class:`~repro.api.NeighborRequest` (served one-shot at bulk
@@ -592,21 +676,26 @@ class QueryService:
 
     def _execute(
         self, ticket, sess: ServeSession | None, span, req, step,
-        view: QueryRequest | None, outbox: StreamOutbox | None, ladder: tuple | None,
+        view: tuple | None, outbox: StreamOutbox | None, ladder: tuple | None,
+        hit: _Hit | None = None,
     ) -> ServeResponse:
         """Serve one request — the only executor.
 
         A query window is, with a session, ``(delivered, degraded
-        ceiling]`` of its held view (``view``: the request's
-        :func:`_unit_view`); ``sess=None`` is the stateless batch case:
-        exactly the request's own window, never degraded. A neighbor
-        request is its own one-shot window, never degraded.
+        ceiling]`` of its held view (``view``: :func:`_view_of` the
+        request); ``sess=None`` is the stateless batch case: exactly the
+        request's own window, never degraded. A neighbor request is its
+        own one-shot window, never degraded.
+
+        ``hit`` is what :meth:`_serve_hit` found, on the submitting thread
+        that holds the session lock: its window is served from its batch,
+        at the load sample and ceiling it was resolved with.
         """
         t_start = self._clock()
         span.wait_seconds = ticket.wait_seconds
         sched = self.scheduler
         neighbor = isinstance(req, NeighborRequest)
-        with sess.lock if sess is not None else _UNLOCKED:
+        with sess.lock if sess is not None and hit is None else _UNLOCKED:
             span.queue_depth = sched.queue_depth + sched.in_flight
             if neighbor:
                 prev, effective = 0.0, 1.0
@@ -621,31 +710,43 @@ class QueryService:
                     sess.delivered_quality = 0.0
                 prev = sess.delivered_quality
 
-                self.degradation.observe(sched.load_factor())
-                effective, span.degraded = self.degradation.apply(req.quality)
+                if hit is None:
+                    cap = self.degradation.observe(sched.load_factor())
+                else:
+                    # the sample is observed as a worker would observe it,
+                    # but the window is the one the hit was found under
+                    self.degradation.observe(hit.load)
+                    cap = hit.cap
+                effective, span.degraded = self.degradation.apply(req.quality, cap)
                 if span.degraded:
                     sess.downgrades += 1
             span.prev_quality = prev
 
-            ds = self.dataset(step)
+            ds = self.dataset(step) if hit is None else hit.ds
             if effective <= prev:
                 # nothing new to send at this ceiling (already-delivered
                 # data is never re-sent, degraded or not)
                 result, served = empty_batch(ds, req.columns), prev
             else:
-                if neighbor:
-                    window = replace(req, on_error="degrade")
+                if hit is not None:
+                    key = hit.key
+                elif neighbor:
+                    key = (step, ds.metadata.generation, replace(req, on_error="degrade"))
                 else:
-                    window = replace(req, quality=effective, prev_quality=prev, on_error="degrade")
-                result, served = self._window(span, ds, step, window, outbox, ladder, t_start)
+                    key = (step, ds.metadata.generation, replace(
+                        req, quality=effective, prev_quality=prev, on_error="degrade"
+                    ))
+                result, served = self._window(
+                    span, ds, key, outbox, ladder, t_start, None if hit is None else hit.batch
+                )
+            span.nbytes = result.nbytes
             if sess is not None:
                 if served > prev and not neighbor:
                     sess.delivered_quality = served
                 sess.requests += 1
-                sess.bytes_sent += result.nbytes
+                sess.bytes_sent += span.nbytes
         span.served_quality = served
         span.points = len(result)
-        span.nbytes = result.nbytes
         span.total_seconds = span.wait_seconds + (self._clock() - t_start)
         self.metrics.record(span)
         return ServeResponse(
@@ -664,10 +765,11 @@ class QueryService:
             neighbors=result if neighbor else None,
         )
 
-    def _window(self, span, ds, step, window, outbox, ladder, t_start):
+    def _window(self, span, ds, key, outbox, ladder, t_start, found=None):
         """One window through the result tier: ``(result, served quality)``.
 
-        get → join → execute → put unless partial → settle. A query
+        ``key`` is ``(step, generation, window)``. get → join → execute →
+        put unless partial → settle. A query
         window is a loop over increments: a hit (or an identical
         in-flight window's result) is one pre-ordered increment, a miss
         is ``ds.stream`` over the window's ladder — ``(effective,)`` for
@@ -675,14 +777,17 @@ class QueryService:
         there is one, then the delivered ones are reassembled. A
         neighbor window's miss is ``ds.neighbors``.
 
+        ``found`` is the batch the submitting thread found under ``key``
+        (:meth:`_serve_hit`): the hit, whatever the cache holds by now.
+
         Partial results — a quarantined leaf — are never cached and never
         handed over; shed results are cached at the ``(prev, served]``
         window they actually cover.
         """
+        window = key[2]
         neighbor = isinstance(window, NeighborRequest)
         prev, effective = (0.0, 1.0) if neighbor else (window.prev_quality, window.quality)
-        key = (step, ds.metadata.generation, window)
-        result = self.results.get(key)
+        result = self.results.get(key, found)
         span.cache_hit = result is not None
         flight = None
         if result is None:

@@ -872,8 +872,8 @@ class ShardedQueryService(QueryService):
         owners = self.dataset(step).owners
         owned = [owners.count(shard) for shard in range(self.n_shards)]
         lgr.info(
-            "reloaded step %d at generation %d; owned leaves per shard %s",
-            step, generation, owned,
+            "reload of step %d at generation %d sent to %d shards; owned leaves per shard %s",
+            step, generation, self.n_shards, owned,
             extra={"step": step, "generation": generation, "owned_leaves": owned},
         )
         return generation

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bitmaps import (
@@ -15,6 +15,7 @@ from repro.bitmaps import (
     or_bins_by_group,
     bin_intervals,
     query_bitmap,
+    query_bitmaps,
     remap_bitmaps,
     value_bins,
 )
@@ -175,6 +176,21 @@ class TestQueryBitmap:
         assert int(query_bitmap(v, hi + 1.0, lo, hi)) & vb
 
 
+@st.composite
+def edge_ranges(draw):
+    """``(glo, ghi, lo, hi)``: a global range and a leaf range inside it,
+    cut on global bin edges or anywhere."""
+    glo, ghi = sorted((draw(finite), draw(finite)))
+    assume(ghi - glo > 1e-9 * max(abs(glo), abs(ghi), 1.0))
+    if draw(st.booleans()):
+        width = (ghi - glo) / BITMAP_BITS
+        i, j = sorted(draw(st.integers(0, BITMAP_BITS)) for _ in range(2))
+        lo, hi = glo + i * width, min(glo + j * width, ghi)
+    else:
+        lo, hi = sorted(draw(st.floats(glo, ghi)) for _ in range(2))
+    return glo, ghi, lo, hi
+
+
 def remap_bitmap(bitmap, lo, hi, glo, ghi):
     """One bitmap built over equi-width ``[lo, hi]``, on ``[glo, ghi]``."""
     return remap_bitmaps(bitmap, *bin_intervals(lo, hi), glo, ghi)
@@ -205,6 +221,30 @@ class TestRemapBitmap:
         remapped = remap_bitmap(bm, 5.0, 5.0, 0.0, 10.0)
         direct = bitmap_of_values(np.array([5.0]), 0.0, 10.0)
         assert int(remapped) & int(direct)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_ranges())
+    # a leaf cut on global bin edges whose maximum lost its global bin:
+    # the temperature ranges of a four-leaf write that pruned a leaf
+    # holding two rows of the point query [hi, hi]
+    @example((-88.14967153089927, -10.562074488864596, -44.50664819475477, -32.38358615693685))
+    def test_values_on_and_beside_every_edge_stay_admitted(self, ranges):
+        """Every value a local bitmap admits meets the point query on its
+        global bitmap: values at and one ulp either side of every local
+        and global bin edge, within the leaf's range."""
+        glo, ghi, lo, hi = ranges
+        edges = np.concatenate([
+            np.concatenate(bin_intervals(lo, hi)),
+            np.concatenate(bin_intervals(glo, ghi)),
+            [lo, hi],
+        ])
+        values = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        values = values[(values >= lo) & (values <= hi)]
+        local = np.uint32(1) << value_bins(values, lo, hi).astype(np.uint32)
+        remapped = remap_bitmaps(local, *bin_intervals(lo, hi), glo, ghi)
+        wanted = query_bitmaps(values, values, glo, ghi)
+        missed = values[(remapped & wanted) == 0]
+        assert missed.size == 0, f"pruned values {missed.tolist()}"
 
 
 class TestBitmapDictionary:

@@ -218,3 +218,40 @@ class TestFilterBoundOnABinEdge:
                 if len(batch) != want:
                     lost[lo, hi] = want - len(batch)
         assert not lost
+
+
+class TestLeafMaximumOnAGlobalBinEdge:
+    """Regression: a leaf whose ``temp`` range is cut on global bin edges
+    lost the global bin of its own maximum when rank 0 remapped its root
+    bitmap, so the planner pruned the file and a point query at that
+    maximum returned 0 of the 2 rows holding it — not marked partial."""
+
+    LEAF = (-44.50664819475477, -32.38358615693685)
+    REST = (-88.14967153089927, -10.562074488864596)
+
+    @pytest.fixture(scope="class")
+    def aligned(self, tmp_path_factory):
+        data = make_rank_data(nranks=8, seed=3, min_n=1500, max_n=2500)
+        rng = np.random.default_rng(0)
+        for rank, b in enumerate(data.batches):
+            # ranks 0 and 2 share leaf 0; both ends of each range are present
+            lo, hi = self.LEAF if rank in (0, 2) else self.REST
+            temp = rng.uniform(lo, hi, len(b))
+            temp[:2] = lo, hi
+            b.attributes["temp"] = temp
+        out = tmp_path_factory.mktemp("aligned")
+        report = TwoPhaseWriter(make_test_machine(), target_size=128 * 1024).write(
+            data, out_dir=out, name="aligned"
+        )
+        alltemp = np.concatenate([b.attributes["temp"] for b in data.batches])
+        with BATDataset(report.metadata_path) as ds:
+            yield ds, alltemp
+
+    def test_point_query_at_the_leaf_maximum(self, aligned):
+        ds, alltemp = aligned
+        assert ds.n_files == 4
+        top = self.LEAF[1]
+        res = ds.query(QueryRequest(filters=[AttributeFilter("temp", top, top)], columns=("temp",)))
+        assert int((alltemp == top).sum()) == 2
+        assert len(res.batch) == 2
+        assert (res.stats.pruned_files, res.stats.quarantined_files) == (0, 0)

@@ -127,6 +127,12 @@ def lossy_build_bat(monkeypatch, at=1):
     return calls
 
 
+def reorg_events(caplog, field: str) -> list:
+    """The ``repro.reorg`` records carrying ``field`` in their extra: a
+    plan's record (``action_counts``) or an apply's (``generation_to``)."""
+    return [r for r in caplog.records if r.name == "repro.reorg" and hasattr(r, field)]
+
+
 def hot_box(metadata, frac_lo=0.30, frac_hi=0.60):
     lo = np.array(metadata.bounds.lower)
     ext = np.array(metadata.bounds.upper) - lo
@@ -399,6 +405,31 @@ class TestPlanReorg:
         seen = [i for a in actions for i in a.leaf_indices]
         assert len(seen) == len(set(seen))
 
+    def test_plan_logged_once_with_counts_per_kind(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="repro.reorg")
+        meta = write_dataset(tmp_path, nranks=16, seed=3)
+        md = DatasetMetadata.load(meta)
+        actions = plan_reorg(
+            md, synth_telemetry(md, hot_box(md)), step=0,
+            config=ReorgConfig(min_queries=8, carve_min_points=1),
+        )
+        (record,) = [r for r in caplog.records if r.name == "repro.reorg"]
+        assert record.levelno == logging.INFO
+        assert record.step == 0
+        kinds = {a.kind for a in actions}
+        assert record.action_counts == {
+            kind: sum(a.kind == kind for a in actions) for kind in kinds
+        }
+        assert sum(record.action_counts.values()) == len(actions) > 0
+
+    def test_empty_plan_logs_nothing(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="repro.reorg")
+        md = DatasetMetadata.load(write_dataset(tmp_path))
+        assert plan_reorg(md, synth_telemetry(md, hot_box(md), queries=3),
+                          config=ReorgConfig(min_queries=8)) == []
+        assert plan_reorg(md, {}, config=ReorgConfig()) == []
+        assert [r for r in caplog.records if r.name == "repro.reorg"] == []
+
     def test_merge_groups_cold_leaves(self, tmp_path):
         meta = write_dataset(tmp_path, nranks=16, seed=3)
         md = DatasetMetadata.load(meta)
@@ -486,7 +517,7 @@ class TestApplyReorg:
         md = DatasetMetadata.load(meta)
         report = reorganize(meta, synth_telemetry(md, hot_box(md)),
                             config=ReorgConfig(min_queries=8))
-        (record,) = [r for r in caplog.records if r.name == "repro.reorg"]
+        (record,) = reorg_events(caplog, "generation_to")
         assert record.levelno == logging.INFO
         assert (record.generation_from, record.generation_to) == (0, 1)
         assert record.actions == len(report.actions) > 0
@@ -499,7 +530,7 @@ class TestApplyReorg:
         lossy_build_bat(monkeypatch)
         with pytest.raises(ReorgError):
             reorganize(meta, synth_telemetry(md, hot_box(md)), config=ReorgConfig(min_queries=8))
-        (record,) = [r for r in caplog.records if r.name == "repro.reorg"]
+        (record,) = reorg_events(caplog, "generation_to")
         assert record.levelno == logging.WARNING
         assert (record.generation_from, record.generation_to) == (0, 1)
         assert record.leaf_indices
@@ -620,6 +651,20 @@ class TestServiceReload:
             assert exact(r1.batch) == exact(direct.batch)
             assert canon(r1.batch) == canon(r0.batch)
             assert svc.snapshot()["generations"]["0"] == 1
+
+    def test_reload_logged_once_with_results_evicted(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="repro.serve.service")
+        meta = write_dataset(tmp_path)
+        with QueryService(meta, serve_config()) as svc:
+            for q in (0.4, 0.8):
+                svc.execute(QueryRequest(quality=q))
+            generation = svc.reload_step(0)
+            (record,) = [r for r in caplog.records if r.name == "repro.serve.service"]
+            assert record.levelno == logging.INFO
+            assert (record.step, record.generation, record.evicted) == (0, generation, 2)
+            svc.reload_step(0)  # nothing cached any more
+            assert [r.evicted for r in caplog.records
+                    if r.name == "repro.serve.service"] == [2, 0]
 
     def test_snapshot_exports_telemetry(self, tmp_path):
         meta = write_dataset(tmp_path)

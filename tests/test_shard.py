@@ -661,6 +661,30 @@ class TestShardedIdentity:
         assert sorted([a.collapsed, b.collapsed]) == [False, True]
         assert canon(a.batch) == canon(b.batch) == canon(direct.query(req).batch)
 
+    def test_router_serves_a_cached_window_inline(self, sharded, direct):
+        # a box no other test uses: the first request scatters, the second
+        # is answered by the router's result cache on the submitting thread
+        req = QueryRequest(quality=0.8, box=Box((0.3, 0.1, 0.0), (3.1, 3.6, 0.7)))
+
+        def scatters():
+            snap = sharded.snapshot(include_workers=False)
+            return snap["shards"]["fanout_single"] + snap["shards"]["fanout_multi"]
+
+        sids = [sharded.open_session(), sharded.open_session()]
+        try:
+            first = sharded.request(sids[0], req)
+            before = scatters()
+            ticket = sharded.submit(sids[1], req)
+            assert ticket.done()
+            again = ticket.result(0)
+        finally:
+            for sid in sids:
+                sharded.close_session(sid)
+        assert scatters() == before
+        assert not first.cache_hit and again.cache_hit
+        assert again.span.wait_seconds == 0.0
+        assert canon(again.batch) == canon(first.batch) == canon(direct.query(req).batch)
+
     def test_async_front_end_streams_over_shards(self, sharded, direct):
         req = QueryRequest(quality=0.9, box=BOX, filters=FILT)
 
