@@ -418,3 +418,23 @@ def test_step_files_share_one_schema(tmp_path):
         g = BATFile.from_bytes(build_bat(ParticleBatch(pos, {"rho": other.random(500)})).data)
         with pytest.raises(InvalidRequestError, match="attributes"):
             query_file([StepPart(f), StepPart(g)])
+
+
+class TestAttributeFilteredTwice:
+    """Regression: the step keyed its query bitmaps by attribute name, so
+    every filter on an attribute filtered twice tested the last filter's
+    bitmap. A file the first filter proves empty was walked instead of
+    pruned at its root; the exact row check kept the rows right."""
+
+    def test_each_filter_prunes_with_its_own_bitmap(self, meta):
+        miss = AttributeFilter("temp", 0.0, 0.0)  # below every stored temp
+        everything = AttributeFilter("temp", 0.0, 1000.0)
+        with BATDataset(meta) as ds:
+            for i in range(ds.n_files):
+                bat = ds.file(i)
+                assert bat.attr_ranges["temp"][0] > 0.0
+                alone, _ = query_file(bat, filters=(miss,))
+                for filters in ((miss, everything), (everything, miss)):
+                    batch, stats = query_file(bat, filters=filters)
+                    assert stats.nodes_visited == 0, filters
+                    assert len(batch) == len(alone) == 0
