@@ -565,14 +565,13 @@ class _Step:
         )
         if (self.leaf[1:] <= self.leaf[:-1]).any():
             raise InvalidRequestError("the parts' leaf indices must ascend")
-        # per opened part: query bitmaps under its own binnings (per filter,
-        # its attribute's last filter's), tree depth
+        # per opened part: each filter's query bitmap under the part's own
+        # binnings, tree depth
         own = {}
         for i in opened:
             bat = parts[i].bat
             parts[i].stats.files_opened += 1
-            qb = {f.name: _query_bitmap(bat, f) for f in filters}
-            own[i] = ([qb[f.name] for f in filters], bat.max_treelet_depth)
+            own[i] = ([_query_bitmap(bat, f) for f in filters], bat.max_treelet_depth)
         read = [
             i for i in opened
             if quality_to_depth(quality, own[i][1]) > 0.0 and all(own[i][0])

@@ -66,17 +66,16 @@ def _prepare(bat, quality, prev_quality, box, filters, attributes, with_position
     for name in attributes or ():
         bat.attr_index(name)  # raises KeyError for unknown names
     filters = tuple(filters)
-    # each filter's query bitmap under the file's binning of its attribute;
-    # an attribute filtered twice tests its last filter's (as the core does)
-    qbitmaps = {}
+    # each filter's query bitmap under the file's binning of its attribute
+    qbitmaps = []
     for f in filters:
         binning = bat.binnings.get(f.name)
         if binning is not None:
-            qbitmaps[f.name] = int(binning.query(f.lo, f.hi))
+            qbitmaps.append(int(binning.query(f.lo, f.hi)))
         else:
             lo, hi = bat.attr_ranges[f.name]
-            qbitmaps[f.name] = int(query_bitmap(f.lo, f.hi, lo, hi))
-    tests = tuple((bat.attr_index(f.name), qbitmaps[f.name]) for f in filters)
+            qbitmaps.append(int(query_bitmap(f.lo, f.hi, lo, hi)))
+    tests = tuple((bat.attr_index(f.name), q) for f, q in zip(filters, qbitmaps))
     e_new = quality_to_depth(quality, bat.max_treelet_depth)
     ctx = _QueryContext(
         bat=bat, box=box, filters=filters,
