@@ -64,7 +64,7 @@ from .shard import (
     request_from_doc,
     request_to_doc,
 )
-from .streaming import StreamHandle, StreamOutbox
+from .streaming import StreamOutbox
 
 __all__ = [
     "AdmissionRejected",
@@ -92,7 +92,6 @@ __all__ = [
     "ShardUnavailable",
     "ShardedQueryService",
     "StaleGeneration",
-    "StreamHandle",
     "StreamOutbox",
     "Ticket",
     "assign_leaves",

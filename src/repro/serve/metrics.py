@@ -118,9 +118,10 @@ class RequestSpan:
     quarantined_files: int = 0
     #: served from an identical in-flight window's result
     collapsed: bool = False
-    #: delivered through a StreamHandle (increments, not one batch)
+    #: admitted by ``stream()``: its ticket received the increments,
+    #: not one batch
     streamed: bool = False
-    #: stopped early at a rung boundary (slow consumer / closed handle)
+    #: stopped early at a rung boundary (slow consumer / closed stream)
     shed: bool = False
     #: increments actually delivered (1 for a one-shot response)
     increments: int = 0
@@ -182,7 +183,7 @@ class ServeMetrics:
         self.max_queue_depth = 0
         #: requests served from an identical in-flight window's result
         self.collapsed = 0
-        #: requests delivered through a StreamHandle
+        #: requests admitted by ``stream()`` (increments pushed to the ticket)
         self.streamed = 0
         #: streams stopped early at a rung boundary by backpressure
         self.shed = 0

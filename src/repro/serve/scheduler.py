@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import AdmissionRejected
+from .streaming import StreamOutbox
 
 __all__ = [
     "AdmissionRejected",
@@ -78,16 +79,18 @@ class SchedulerConfig:
             raise ValueError("max_session_queue must be >= 1")
 
 
-class Ticket:
-    """Completion handle for one admitted request."""
+class Ticket(StreamOutbox):
+    """One admitted request: its completion channel (the
+    :class:`~repro.serve.streaming.StreamOutbox` it is) plus what the
+    queue orders and times it by."""
 
     __slots__ = (
         "priority", "seq", "session_id", "fn",
         "enqueued_at", "started_at", "finished_at", "wait_seconds",
-        "_done", "_result", "_error", "_cb_lock", "_callbacks",
     )
 
     def __init__(self, priority: int, seq: int, session_id: int, fn):
+        super().__init__()
         self.priority = priority
         self.seq = seq
         self.session_id = session_id
@@ -98,41 +101,6 @@ class Ticket:
         #: it gives open-loop drivers the latency from *scheduled* arrival
         self.finished_at = 0.0
         self.wait_seconds = 0.0
-        self._done = threading.Event()
-        self._result = None
-        self._error: BaseException | None = None
-        self._cb_lock = threading.Lock()
-        self._callbacks: list | None = []
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def add_done_callback(self, cb) -> None:
-        """Call ``cb(ticket)`` when the ticket resolves (immediately if it
-        already has). Runs on the worker thread — event-loop front ends
-        must trampoline via ``loop.call_soon_threadsafe``."""
-        with self._cb_lock:
-            if self._callbacks is not None:
-                self._callbacks.append(cb)
-                return
-        cb(self)
-
-    def result(self, timeout: float | None = None):
-        """Block until the request ran; re-raise its exception if it failed."""
-        if not self._done.wait(timeout):
-            raise TimeoutError("request still pending")
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    def _finish(self, result=None, error: BaseException | None = None) -> None:
-        self._result = result
-        self._error = error
-        self._done.set()
-        with self._cb_lock:
-            callbacks, self._callbacks = self._callbacks, None
-        for cb in callbacks:
-            cb(self)
 
     def __lt__(self, other: "Ticket") -> bool:
         return (self.priority, self.seq) < (other.priority, other.seq)
@@ -148,7 +116,8 @@ class RequestScheduler:
         self._heap: list[Ticket] = []
         self._per_session: Counter = Counter()
         self._seq = 0
-        self._in_flight = 0
+        #: tickets a worker is running
+        self._running: set[Ticket] = set()
         self._closed = False
         self.admitted = 0
         self.rejected_queue_full = 0
@@ -228,12 +197,12 @@ class RequestScheduler:
     @property
     def in_flight(self) -> int:
         with self._cond:
-            return self._in_flight
+            return len(self._running)
 
     def load_factor(self) -> float:
         """Backlog relative to capacity; > 1.0 means requests are waiting."""
         with self._cond:
-            return (len(self._heap) + self._in_flight) / self.config.capacity
+            return (len(self._heap) + len(self._running)) / self.config.capacity
 
     def stats(self) -> dict:
         with self._cond:
@@ -242,7 +211,7 @@ class RequestScheduler:
                 "max_queued": self.config.max_queued,
                 "max_session_queue": self.config.max_session_queue,
                 "queued": len(self._heap),
-                "in_flight": self._in_flight,
+                "in_flight": len(self._running),
                 "admitted": self.admitted,
                 "executed": self.executed,
                 "inline": self.inline,
@@ -261,12 +230,12 @@ class RequestScheduler:
                 if self._closed and not self._heap:
                     return
                 ticket = heapq.heappop(self._heap)
-                self._in_flight += 1
+                self._running.add(ticket)
             ticket.started_at = self._clock()
             ticket.wait_seconds = ticket.started_at - ticket.enqueued_at
             self._run(ticket)
             with self._cond:
-                self._in_flight -= 1
+                self._running.discard(ticket)
                 self._per_session[ticket.session_id] -= 1
                 if self._per_session[ticket.session_id] <= 0:
                     del self._per_session[ticket.session_id]
@@ -278,16 +247,16 @@ class RequestScheduler:
             result = ticket.fn(ticket)
         except BaseException as exc:  # surface through the ticket
             ticket.finished_at = self._clock()
-            ticket._finish(error=exc)
+            ticket.finish(error=exc)
         else:
             ticket.finished_at = self._clock()
-            ticket._finish(result=result)
+            ticket.finish(result)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until the queue is empty and nothing is executing."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while self._heap or self._in_flight:
+            while self._heap or self._running:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return False
@@ -295,17 +264,28 @@ class RequestScheduler:
             return True
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting work; pending tickets fail with SchedulerClosed."""
+        """Stop accepting work and join the workers once the queue is empty.
+
+        ``wait=False`` empties it first: queued tickets finish with
+        :class:`SchedulerClosed`, and running ones are abandoned, so a
+        streamed worker sheds at its next rung boundary instead of
+        blocking on a consumer that is not draining.
+        """
         with self._cond:
             if self._closed:
                 return
             self._closed = True
+            pending, running = [], []
             if not wait:
                 pending, self._heap = self._heap, []
+                running = list(self._running)
                 for t in pending:
                     self._per_session[t.session_id] -= 1
-                    t._finish(error=SchedulerClosed("scheduler closed"))
             self._cond.notify_all()
+        for t in running:
+            t.abandon()
+        for t in pending:
+            t.finish(error=SchedulerClosed("scheduler closed"))
         for w in self._workers:
             w.join()
 

@@ -9,7 +9,7 @@ BATFileCache, DecodedColumnCache, PlanCache, quarantine set, and decode
 threads for exactly the leaves it was dealt.
 
 It is not a second service: it *is* :class:`QueryService` — sessions,
-admission, degradation, result cache, streaming outboxes, batch gate,
+admission, degradation, result cache, streamed tickets, batch gate,
 asyncio front end, one copy — with the per-step backend
 replaced. Where the core holds a :class:`~repro.core.dataset.BATDataset`
 the router holds a :class:`_ShardedStep`, which plans against the
@@ -18,7 +18,7 @@ manifest alone (the router never opens a leaf file) and answers
 the plan touches::
 
     request ── QueryService core (admission, session, degradation,
-        │                          ResultCache, outbox)
+        │                          ResultCache, ticket)
         │                        │ step.plan / step.stream
         │                        ▼
         │        _ShardedStep: plan (manifest only) ─▶ owners (leaf runs)
@@ -880,12 +880,12 @@ class ShardedQueryService(QueryService):
 
     # -- requests ----------------------------------------------------------
 
-    def _submit(self, sess, request, step, outbox=None, ladder=None):
+    def _submit(self, sess, request, step, streamed=False, ladder=None):
         """Refuse a neighbor request at admission — the step backend's
         pointed error — rather than on a scheduler worker behind a ticket."""
         if isinstance(request, NeighborRequest):
             self.dataset(step).neighbors(request)
-        return super()._submit(sess, request, step, outbox, ladder)
+        return super()._submit(sess, request, step, streamed, ladder)
 
     # -- metrics -----------------------------------------------------------
 

@@ -844,7 +844,7 @@ class TestInlineHits:
         with QueryService(meta, serve_config()) as svc:
             want = self.cached(svc)
             handle = svc.stream(svc.open_session(), HOT)
-            assert handle.ticket.done()
+            assert handle.done()
             (inc,) = list(handle)
             resp = handle.result(0)
             assert resp.cache_hit and resp.increments == 1

@@ -43,6 +43,7 @@ from repro.serve import (
     request_from_doc,
     request_to_doc,
 )
+from repro.serve import streaming
 from repro.serve.hashing import placement_order
 from repro.serve.shard import (
     _IOV_MAX, _merge_replies, _ShardedStep, _ShardWorker, read_frame, write_frame,
@@ -593,8 +594,10 @@ class TestShardedIdentity:
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
 
-    def test_shed_stream_caches_its_window_and_converges(self, written, direct):
-        cfg = serve_config(stream_outbox=1, stream_grace=0.05)
+    def test_shed_stream_caches_its_window_and_converges(self, written, direct, monkeypatch):
+        monkeypatch.setattr(streaming, "STREAM_OUTBOX", 1)
+        monkeypatch.setattr(streaming, "STREAM_GRACE", 0.05)
+        cfg = serve_config()
         req = QueryRequest(quality=1.0, box=BOX)
         with ShardedQueryService(written, cfg, n_shards=2) as svc:
             sid = svc.open_session()
@@ -711,13 +714,12 @@ class TestShardedIdentity:
         assert len(sharded.execute(QueryRequest(quality=0.1, box=BOX)).batch) > 0
 
     def test_worker_killed_between_rungs_respawns_byte_identical(
-        self, written, direct, caplog
+        self, written, direct, caplog, monkeypatch
     ):
         caplog.set_level(logging.WARNING, logger="repro.serve.shard")
+        monkeypatch.setattr(streaming, "STREAM_OUTBOX", 1)
         req = QueryRequest(quality=1.0, box=BOX)
-        with ShardedQueryService(
-            written, serve_config(stream_outbox=1), n_shards=2
-        ) as svc:
+        with ShardedQueryService(written, serve_config(), n_shards=2) as svc:
             sid = svc.open_session()
             delivered = iter(svc.stream(sid, req, ladder=(0.2, 0.4, 0.6, 0.8)))
             incs = [next(delivered)]
