@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import AttributeFilter, Box, QueryRequest, TwoPhaseWriter, machines
-from repro.serve import DegradationConfig, QueryService, ServeConfig
+from repro.serve import QueryService, ServeConfig
 from repro.viz import lod_radius
 from repro.workloads import CoalBoiler
 
@@ -34,9 +34,7 @@ def main() -> None:
 
     # an in-process viewer wants deterministic full-quality increments:
     # no load degradation, and cached results never expire
-    config = ServeConfig(
-        capacity=2, degradation=DegradationConfig(enabled=False), result_ttl=None
-    )
+    config = ServeConfig(capacity=2, degradation=False, result_ttl=None)
     with QueryService(report.metadata_path, config) as server:
         # -- client A: progressive full-view loading ----------------------------
         a = server.open_session()

@@ -18,7 +18,6 @@ from repro.core import TwoPhaseWriter
 from repro.core.dataset import BATDataset
 from repro.machines import testing_machine
 from repro.serve import (
-    DegradationConfig,
     JobConfig,
     JobRunner,
     JobStore,
@@ -33,7 +32,7 @@ from tests.test_pipeline import make_rank_data
 
 def serve_config(**kw):
     kw.setdefault("capacity", 2)
-    kw.setdefault("degradation", DegradationConfig(enabled=False))
+    kw.setdefault("degradation", False)
     return ServeConfig(**kw)
 
 

@@ -500,7 +500,7 @@ class TestServeIntegration:
 
     @pytest.fixture(scope="class")
     def served(self, tmp_path_factory):
-        from repro.serve import DegradationConfig, QueryService, ServeConfig
+        from repro.serve import QueryService, ServeConfig
 
         data = make_rank_data(nranks=9, seed=21)
         out = tmp_path_factory.mktemp("nserve")
@@ -512,7 +512,7 @@ class TestServeIntegration:
             ServeConfig(
                 capacity=2,
                 result_ttl=None,
-                degradation=DegradationConfig(enabled=False),
+                degradation=False,
             ),
         )
         ds = BATDataset(rep.metadata_path)

@@ -6,7 +6,7 @@ from repro import QueryRequest
 from repro.bat import AttributeFilter
 from repro.core import TwoPhaseWriter
 from repro.machines import testing_machine as make_test_machine
-from repro.serve import DegradationConfig, QueryService, ServeConfig
+from repro.serve import QueryService, ServeConfig
 from repro.types import Box
 from repro.viz import lod_radius, quality_progression
 from tests.test_pipeline import make_rank_data
@@ -62,7 +62,7 @@ def viewer_service(meta) -> QueryService:
     return QueryService(
         meta,
         ServeConfig(
-            capacity=2, degradation=DegradationConfig(enabled=False), result_ttl=None
+            capacity=2, degradation=False, result_ttl=None
         ),
     )
 
