@@ -192,17 +192,17 @@ class TestTreeletsThatDoNotNest:
 
 
 def _query_bitmaps(bat, filters):
-    """Per filtered attribute, its query bitmap (a later filter on the same
-    attribute replaces an earlier one's, as in the read prologue)."""
-    return {
-        bat.attr_index(f.name): int(bat.binnings[f.name].query(f.lo, f.hi)) for f in filters
-    }
+    """Per filter, ``(attribute index, query bitmap)``: each filter prunes
+    with its own bitmap, two on one attribute as well, as in the read."""
+    return tuple(
+        (bat.attr_index(f.name), int(bat.binnings[f.name].query(f.lo, f.hi))) for f in filters
+    )
 
 
 def _outcome(bat, box, qbitmaps, node_box, bitmap_ids):
     if box is not None and not node_box.intersects(box):
         return "spatial"
-    if any(bat.bitmap(int(bitmap_ids[a])) & q == 0 for a, q in qbitmaps.items()):
+    if any(bat.bitmap(int(bitmap_ids[a])) & q == 0 for a, q in qbitmaps):
         return "bitmap"
     return "kept"
 
@@ -256,7 +256,7 @@ class _LevelWalkCounter:
         # the read prologue proves some requests empty without any walk
         self.live = not (
             quality_to_depth(quality, bat.max_treelet_depth) == 0.0
-            or 0 in qbitmaps.values()
+            or any(q == 0 for _, q in qbitmaps)
             or (box is not None and not bat.bounds.intersects(box))
         )
         self.shallow, leaves = _shallow_walk(bat, box, qbitmaps) if self.live else ([], [])
