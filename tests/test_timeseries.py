@@ -117,6 +117,13 @@ class TestDataset:
         assert counts[0] == 0  # initial column is behind the dam
         assert counts[-1] > counts[1] >= counts[0]
 
+    def test_a_manifest_is_not_a_series(self, series_dir):
+        out, _ = series_dir
+        with TimeSeriesDataset(out) as ts:
+            manifest = out / ts.record(0).metadata_file
+        with pytest.raises(NotADirectoryError):
+            TimeSeriesDataset(manifest)
+
     def test_bad_catalog(self, tmp_path):
         (tmp_path / "series.json").write_text('{"format": "nope"}')
         with pytest.raises(ValueError, match="not a BAT series"):
