@@ -266,6 +266,56 @@ class TestTicketCallbacks:
         (record,) = [r for r in caplog.records if r.name == "repro.serve.scheduler"]
         assert record.levelno == logging.WARNING and record.seq == finishing.seq
 
+    def test_close_finishes_every_queued_ticket_past_a_raising_hook(self, caplog):
+        """``close(wait=False)`` finishes each queued ticket with
+        :class:`SchedulerClosed`. A hook that raises on one of them is
+        logged once; the tickets after it still finish, the workers are
+        joined and no per-session count is left behind."""
+        started, release = threading.Event(), threading.Event()
+
+        def blocker(t):
+            started.set()
+            release.wait(5.0)
+            return "done"
+
+        sched = RequestScheduler(capacity=1, max_queued=4)
+        running = sched.submit(blocker, session_id=1)
+        t2 = sched.submit(lambda t: "never", session_id=2)
+        t3 = sched.submit(lambda t: "never", session_id=3)
+
+        def on_finish():
+            if t2.done():
+                raise RuntimeError("hook failed on finish")
+
+        t2.subscribe(on_finish)
+        assert started.wait(5.0)
+        raised = []
+
+        def closing():
+            try:
+                sched.close(wait=False)
+            except BaseException as exc:  # what the test asserts is absent
+                raised.append(exc)
+
+        closer = threading.Thread(target=closing)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.serve.scheduler"):
+                closer.start()
+                with pytest.raises(SchedulerClosed):
+                    t3.result(5.0)
+                release.set()
+                closer.join(5.0)
+        finally:
+            release.set()
+        assert not closer.is_alive() and raised == []
+        with pytest.raises(SchedulerClosed):
+            t2.result(0)
+        assert running.result(0) == "done"
+        assert sched.stats()["queued"] == sched.stats()["in_flight"] == 0
+        assert not sched._per_session
+        (record,) = [r for r in caplog.records if r.name == "repro.serve.scheduler"]
+        assert record.levelno == logging.WARNING and record.seq == t2.seq
+
     def test_finished_at_stamped(self):
         with RequestScheduler(capacity=1) as sched:
             t = sched.submit(lambda t: time.sleep(0.01))
