@@ -28,7 +28,8 @@ its ticket takes the next sequence number and is resolved when returned,
 never queued, and counted ``inline`` rather than ``admitted``.
 
 A subscriber hook that raises when its ticket resolves is logged; the
-outcome is recorded first, and the worker serves on.
+outcome is recorded first, and the worker serves on, as
+``close(wait=False)`` goes on to the next queued ticket.
 """
 
 from __future__ import annotations
@@ -231,11 +232,16 @@ class RequestScheduler:
             finally:
                 with self._cond:
                     self._running.discard(ticket)
-                    self._per_session[ticket.session_id] -= 1
-                    if self._per_session[ticket.session_id] <= 0:
-                        del self._per_session[ticket.session_id]
+                    self._leave(ticket.session_id)
                     self.executed += 1
                     self._cond.notify_all()
+
+    def _leave(self, session_id: int) -> None:
+        """Count one request of ``session_id`` as no longer outstanding;
+        a count that reaches 0 is dropped (lock held)."""
+        self._per_session[session_id] -= 1
+        if self._per_session[session_id] <= 0:
+            del self._per_session[session_id]
 
     def _run(self, ticket: Ticket) -> None:
         result = error = None
@@ -244,9 +250,15 @@ class RequestScheduler:
         except BaseException as exc:  # surface through the ticket
             error = exc
         ticket.finished_at = self._clock()
+        self._finish(ticket, result, error)
+
+    @staticmethod
+    def _finish(ticket: Ticket, result=None, error: BaseException | None = None) -> None:
+        """Resolve ``ticket``; a subscriber hook that raises is logged once,
+        so the caller (a worker, or :meth:`close`) goes on."""
         try:
             ticket.finish(result, error)
-        except Exception:  # the outcome is in before the hook; keep this thread
+        except Exception:  # the outcome is in before the hook
             lgr.warning(
                 "a subscriber of ticket %d raised on finish", ticket.seq,
                 exc_info=True, extra={"seq": ticket.seq, "session_id": ticket.session_id},
@@ -280,12 +292,12 @@ class RequestScheduler:
                 pending, self._heap = self._heap, []
                 running = list(self._running)
                 for t in pending:
-                    self._per_session[t.session_id] -= 1
+                    self._leave(t.session_id)
             self._cond.notify_all()
         for t in running:
             t.abandon()
         for t in pending:
-            t.finish(error=SchedulerClosed("scheduler closed"))
+            self._finish(t, error=SchedulerClosed("scheduler closed"))
         for w in self._workers:
             w.join()
 
