@@ -391,14 +391,14 @@ class TestDegradedSteps:
         its rows never reach the result, the others count as without it."""
         with BATDataset(meta) as ds:
             bad = ds.metadata.leaves[1].file_name
-        columns = BATFile.columns
+        columns = BATFile.column_request
 
         def failing(self, leaves, name):
             if self.path.endswith(bad) and name == column:
                 raise IntegrityError(f"injected damage in {self.path}")
             return columns(self, leaves, name)
 
-        monkeypatch.setattr(BATFile, "columns", failing)
+        monkeypatch.setattr(BATFile, "column_request", failing)
         req = QueryRequest(
             quality=0.9, box=Box((0.0, 0.0, 0.0), (3.0, 4.0, 1.0)),
             filters=(AttributeFilter("temp", 250.0, 350.0),), on_error="degrade",

@@ -282,7 +282,7 @@ class TestDegradedStreams:
         a row of it (degrade) — or rung 2 raises naming it."""
         with BATDataset(meta) as ds:
             bad = ds.metadata.leaves[1].file_name
-        columns = BATFile.columns
+        columns = BATFile.column_request
         armed = []
 
         def failing(self, leaves, name):
@@ -290,7 +290,7 @@ class TestDegradedStreams:
                 raise IntegrityError(f"injected damage in {self.path}")
             return columns(self, leaves, name)
 
-        monkeypatch.setattr(BATFile, "columns", failing)
+        monkeypatch.setattr(BATFile, "column_request", failing)
         ladder = (0.2, 0.5, 0.9)
         req = QueryRequest(
             quality=0.9, box=Box((0.0, 0.0, 0.0), (3.0, 4.0, 1.0)),
