@@ -15,6 +15,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bat import BATBuildConfig, build_bat
 from repro.bat.colcache import DecodedColumnCache
@@ -360,6 +362,135 @@ class TestBatchedMissPath:
         c.put("b", 9, 9, _arr(8))
         assert c._files == {"b": {("b", 9, 9)}} and len(c) == 1
         assert c.invalidate("b") == 1 and not c._files
+
+
+def _keyed(key) -> np.ndarray:
+    """The array a test loader produces for ``(path, treelet, column)``."""
+    path, treelet, column = key
+    return np.full(4, ord(path) * 10_000 + treelet * 100 + column, dtype=np.int64)
+
+
+class _Recorder:
+    """A loader of file ``path`` that records each call's keys."""
+
+    def __init__(self, path: str, calls: list):
+        self.path, self.calls = path, calls
+
+    def __call__(self, keys):
+        self.calls.append((self.path, list(keys)))
+        return [_keyed((self.path, *k)) for k in keys]
+
+
+@st.composite
+def _step_fetches(draw):
+    """Files with some keys cached, then one column's keys per file."""
+    paths = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True))
+    keys = st.lists(st.integers(0, 7), max_size=6, unique=True)
+    warm = {p: [(t, 2) for t in draw(keys)] for p in paths}
+    want = {p: [(t, 2) for t in draw(keys)] for p in paths}
+    return warm, want
+
+
+class TestStepWideFetch:
+    """:meth:`DecodedColumnCache.fetch_groups`: one round trip for the keys
+    of several files, as a read step asks for one column."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_step_fetches())
+    def test_equals_per_file_fetches(self, case):
+        """The same arrays, loader calls, counters and LRU order as one
+        :meth:`fetch` per file, in order."""
+        warm, want = case
+        caches, calls = [], []
+        for _ in range(2):
+            c = DecodedColumnCache(budget_bytes=1 << 20)
+            for path, keys in warm.items():
+                c.fetch(path, keys, _Recorder(path, []))
+            caches.append(c)
+            calls.append([])
+        step, per_file = caches
+        got = step.fetch_groups([(p, k, _Recorder(p, calls[0])) for p, k in want.items()])
+        ref = [per_file.fetch(p, k, _Recorder(p, calls[1])) for p, k in want.items()]
+        assert [[a.tolist() for a in g] for g in got] == [[a.tolist() for a in g] for g in ref]
+        assert calls[0] == calls[1]
+        assert step.stats() == per_file.stats()
+        assert list(step._entries) == list(per_file._entries)
+        assert not step._inflight
+
+    def test_overlapping_claims_over_two_files_do_not_deadlock(self):
+        """Two threads ask for overlapping keys of files a and b in
+        opposite file order, and each holds a load the other joins: the
+        first waits on the second's b, the second then finds the first's
+        a cached. Each key loads once and both threads finish."""
+        c = DecodedColumnCache(budget_bytes=1 << 20)
+        gate_a, gate_b, calls = _BatchGate(), _BatchGate(), []
+        first = [("a", [(0, 2), (1, 2)], gate_a), ("b", [(0, 2)], _Recorder("b", calls))]
+        second = [("b", [(0, 2), (1, 2)], gate_b), ("a", [(1, 2), (2, 2)], _Recorder("a", calls))]
+        out = {}
+        threads = [
+            threading.Thread(target=lambda n=name, g=groups: out.update({n: c.fetch_groups(g)}))
+            for name, groups in (("first", first), ("second", second))
+        ]
+        threads[0].start()
+        assert gate_a.entered.wait(10.0)
+        threads[1].start()
+        assert gate_b.entered.wait(10.0)
+        gate_a.release.set()
+        _until(lambda: c.stats()["joins"] == 1, "the first thread to join b0")
+        gate_b.release.set()
+        _finish(threads)
+        assert gate_a.loaded == [(0, 2), (1, 2)] and gate_b.loaded == [(0, 2), (1, 2)]
+        assert calls == [("a", [(2, 2)])]
+        for name, groups in (("first", first), ("second", second)):
+            for (path, keys, _), arrays in zip(groups, out[name]):
+                for k, a in zip(keys, arrays):
+                    assert c.peek(path, *k) is a
+        s = c.stats()
+        assert (s["misses"], s["joins"], s["hits"]) == (5, 1, 1)
+        assert not c._inflight
+
+    @pytest.mark.parametrize("dropped", ["a", "b"])
+    def test_invalidating_one_file_mid_load_keeps_the_other(self, dropped):
+        """File a's load is held while one of the two files is
+        invalidated. The dropped file's arrays in flight answer the call
+        but are not cached; the other file's entries stay cached, and b,
+        looked up after the invalidation, is cached either way."""
+        c = DecodedColumnCache(budget_bytes=1 << 20)
+        c.fetch("b", [(1, 2)], _Recorder("b", []))
+        gate, calls = _BatchGate(), []
+        keys = [(0, 2), (1, 2)]
+        out = []
+        t = threading.Thread(target=lambda: out.append(c.fetch_groups(
+            [("a", keys, gate), ("b", keys, _Recorder("b", calls))]
+        )))
+        t.start()
+        assert gate.entered.wait(10.0)
+        c.invalidate(dropped)
+        gate.release.set()
+        _finish([t])
+        (got_a, got_b) = out[0]
+        for k, a in zip(keys, got_a):
+            assert c.peek("a", *k) is (None if dropped == "a" else a)
+        for k, b in zip(keys, got_b):
+            assert c.peek("b", *k) is b
+        assert calls == [("b", [(0, 2)] if dropped == "a" else keys)]
+        assert not c._inflight
+
+    def test_a_failing_file_leaves_the_files_after_it_unclaimed(self):
+        """File a's loader raises: the call raises it, b is neither looked
+        up nor loaded, and no claim of a is left in flight."""
+        c = DecodedColumnCache(budget_bytes=1 << 20)
+        calls = []
+
+        def corrupt(keys):
+            raise RuntimeError("corrupt column")
+
+        with pytest.raises(RuntimeError, match="corrupt"):
+            c.fetch_groups([("a", [(0, 2)], corrupt), ("b", [(0, 2)], _Recorder("b", calls))])
+        assert calls == [] and not c._inflight and len(c) == 0
+        assert c.stats()["misses"] == 1
+        got = c.fetch_groups([("b", [(0, 2)], _Recorder("b", calls))])
+        assert calls == [("b", [(0, 2)])] and c.peek("b", 0, 2) is got[0][0]
 
 
 @pytest.fixture(scope="module")
