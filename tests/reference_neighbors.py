@@ -78,7 +78,7 @@ def gather_pruned_file(bat, leaf_index: int, keep_fn, filters, stats, box=None):
     tvs = [bat.treelet(leaf) for leaf in ids]
     if not tvs:
         return _no_candidates()
-    forest = _Forest(bat.walk_tables(ids), np.arange(len(tvs)), False)
+    forest = _Forest(bat.walk_tables(ids), np.arange(len(tvs)), ("lo", "hi", "begin", "count"))
     alive, visited = forest.survivors(keep_fn(forest.lo, forest.hi))
     stats.nodes_visited += int(np.count_nonzero(visited))
     beg = forest.begin[alive]
