@@ -18,18 +18,20 @@ the exact arrays the decode path produced (for the
 position slot, the final reshaped/dequantized ``(n, 3)`` float32 block),
 so a hit is byte-identical to a cold decode by construction. While a
 handle has this tier attached, it keeps its v4 columns and walk tables
-nowhere else (:meth:`BATFile._request <repro.bat.file.BATFile._request>`):
+nowhere else (:meth:`BATFile.request <repro.bat.file.BATFile.request>`):
 retention lives here, which is what makes the byte budget an actual
-bound on decoded memory.
+bound on decoded memory — and a zero budget a promise that nothing
+decoded outlives its read.
 
-**One round-trip per step and column.** A read asks for one column (or
-the walk tables) of all the surviving treelets of all its files at once:
-:meth:`fetch_groups` answers every hit of all the files under one lock
-acquisition; a file with misses claims them, and one loader call
-produces them, before the files after it are looked up, so alone on the
-cache the call does what one fetch per file would. One file is
-:meth:`fetch`, the one-group call, and a single column is :meth:`fetch`
-of one key; there is no second miss path.
+**One lookup, one round-trip per step and column.** A read asks for one
+column (or the walk tables) of all the surviving treelets of all its
+files at once: :meth:`fetch_groups` answers every hit of all the files
+under one lock acquisition; a file with misses claims them, and one
+loader call produces them, before the files after it are looked up, so
+alone on the cache the call does what one call per file would. One file
+is a one-group call, a single column a one-key group: there is no second
+lookup and no second miss path. :meth:`peek` is the probe that moves no
+counter.
 
 **Single-flight.** What concurrent reads of any windows duplicate is a
 treelet column, and this key names it: a miss that :meth:`fetch_groups`
@@ -155,7 +157,7 @@ class MemoryBudget:
 class DecodedColumnCache:
     """LRU over decoded column arrays with a hard byte budget.
 
-    ``get``/``fetch_groups`` maintain hit/miss/join/eviction counters surfaced
+    :meth:`fetch_groups` maintains hit/miss/join/eviction counters surfaced
     through :meth:`stats`; :meth:`peek` is counter-pure (metrics endpoints
     can probe without perturbing hit rates). :meth:`invalidate` drops
     every entry of one file — the file-handle cache calls it whenever a
@@ -185,23 +187,6 @@ class DecodedColumnCache:
 
     # -- core --------------------------------------------------------------
 
-    def get(self, path: str, treelet: int, column: int):
-        """The cached array for one column, or ``None`` (counts hit/miss)."""
-        key = (str(path), int(treelet), int(column))
-        with self._lock:
-            arr = self._entries.get(key)
-            if arr is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return arr
-
-    def fetch(self, path: str, keys, loader) -> list:
-        """The arrays of ``keys`` — ``(treelet, column)`` pairs of Python
-        ints, of one file — in order: :meth:`fetch_groups` of one group."""
-        return self.fetch_groups([(path, keys, loader)])[0]
-
     def fetch_groups(self, groups) -> list[list]:
         """The arrays of several files' keys, in one cache round trip when
         all of them are hits.
@@ -209,9 +194,9 @@ class DecodedColumnCache:
         ``groups`` are ``(path, keys, loader)``: ``keys`` are ``(treelet,
         column)`` pairs of Python ints of file ``path``. Returns each
         group's arrays, in order; with no other thread on the cache, the
-        same arrays, loader calls, counters and LRU order as one
-        :meth:`fetch` per group. The groups are claimed in order under one lock acquisition, up to
-        and including the first that has misses no other thread is
+        same arrays, loader calls, counters and LRU order as one call per
+        group. The groups are claimed in order under one lock acquisition,
+        up to and including the first that has misses no other thread is
         loading; its ``loader(claimed)`` then produces them (their arrays
         in the order of ``claimed``, a subsequence of its ``keys``), they
         are cached, and the next groups are claimed the same way. A
@@ -222,6 +207,9 @@ class DecodedColumnCache:
         loader raises, the groups after it are not claimed, and every
         waiter on its keys loads those keys itself. A load that
         :meth:`invalidate` overtook answers its waiters but is not cached.
+        An array larger than the whole budget is returned but never
+        cached: admitting it would evict everything else for one entry
+        that can never be amortized.
         """
         outs: list[list] = []
         waited: list[tuple[int, int, Flight, threading.Event]] = []
@@ -315,17 +303,6 @@ class DecodedColumnCache:
             if flight.done is not None:  # no waiter can join once it left _inflight
                 flight.done.set()
 
-    def put(self, path: str, treelet: int, column: int, arr: np.ndarray) -> None:
-        """Insert one decoded column, evicting LRU entries over budget.
-
-        Arrays larger than the whole budget are not cached at all —
-        admitting one would immediately evict everything else for a single
-        entry that can never be amortized.
-        """
-        reserved = self._reserve([arr])
-        with self._lock:
-            self._insert([((str(path), int(treelet), int(column)), arr)], reserved)
-
     def _reserve(self, arrays) -> int:
         """Reserve room for the storable ``arrays`` (no lock held): results
         give way first. Returns the bytes :meth:`_insert` must release."""
@@ -338,7 +315,8 @@ class DecodedColumnCache:
     def _insert(self, items, reserved: int) -> None:
         """Store ``(key, array)`` items, release ``reserved``, then evict
         LRU columns while the columns and the room reserved by other
-        inserts overrun the budget (column lock held)."""
+        inserts overrun the budget (column lock held). A key is claimed
+        only while absent, so none is present already."""
         memory = self.memory
         with memory.lock:
             memory.reserved -= reserved
@@ -346,11 +324,7 @@ class DecodedColumnCache:
                 nbytes = int(arr.nbytes)
                 if nbytes > memory.limit:
                     continue
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    memory.columns -= int(old.nbytes)
-                else:
-                    self._files.setdefault(key[0], set()).add(key)
+                self._files.setdefault(key[0], set()).add(key)
                 self._entries[key] = arr
                 memory.columns += nbytes
             while memory.columns + memory.reserved > memory.limit and self._entries:
@@ -363,7 +337,8 @@ class DecodedColumnCache:
                 self.evictions += 1
 
     def peek(self, path: str, treelet: int, column: int):
-        """Like :meth:`get` but touches neither counters nor LRU order."""
+        """The cached array of one column, or ``None``: a probe that moves
+        neither a counter nor the LRU order."""
         with self._lock:
             return self._entries.get((str(path), int(treelet), int(column)))
 

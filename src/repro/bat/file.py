@@ -13,14 +13,15 @@ v2/v3 treelet's is synthesized from its header counts, every slot codec
 once into the buffer its directory indexes. Each column of a treelet is
 one :meth:`BATFile._decode_slot` call.
 
-A read asks for treelets in batches: the surviving treelets' walk
-tables (:meth:`BATFile.walk_tables`, each file's missing ones built in
-one level-synchronous pass by :func:`build_walk_tables`) and one column
-of all of them (:meth:`BATFile.columns`). A step of several files asks
-every file at once (:meth:`BATFile.column_request`,
-:meth:`BATFile.walk_table_request`, answered together by
-:func:`fetch_retained`): one round trip to an attached
-:class:`~repro.bat.colcache.DecodedColumnCache` per step and column.
+A read asks for treelets in batches, one slot of all of them at once:
+a directory column, or the walk tables (:data:`WALK_TABLE_SLOT`, each
+file's missing ones built in one level-synchronous pass by
+:func:`build_walk_tables`). Each file's batch is one
+:meth:`BATFile.request`, and :func:`fetch_retained` answers the requests
+of every file of a step together: one round trip to an attached
+:class:`~repro.bat.colcache.DecodedColumnCache` per step and slot.
+:meth:`BATFile.columns`, :meth:`BATFile.walk_tables` and the
+:class:`TreeletView` accessors are that call for one file.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ class _ColumnDir:
 class _LazyColumns(Mapping):
     """Attribute columns of one treelet, each read on first subscript.
 
-    A read-only mapping over :meth:`BATFile._columns`: queries that filter
+    A read-only mapping over :meth:`BATFile.request`: queries that filter
     or select a subset of attributes never touch (or pay for) the rest.
     """
 
@@ -267,10 +268,10 @@ class _LazyColumns(Mapping):
         self._leaf = leaf
 
     def __getitem__(self, name: str) -> np.ndarray:
-        slot = self._file._attr_slots.get(name)
+        slot = self._file.attr_slots.get(name)
         if slot is None:
             raise KeyError(name)
-        return self._file._columns([self._leaf], slot)[0]
+        return fetch_retained([self._file.request([self._leaf], slot)])[0][0]
 
     def __iter__(self):
         return iter(self._file.attr_names)
@@ -279,7 +280,7 @@ class _LazyColumns(Mapping):
         return len(self._file.attr_names)
 
     def __contains__(self, name) -> bool:
-        return name in self._file._attr_slots
+        return name in self._file.attr_slots
 
 
 class TreeletView:
@@ -290,7 +291,7 @@ class TreeletView:
     without reading its node records — or, under column projection, its
     position block. ``nodes``, ``positions`` and ``attributes`` (a lazy
     read-only mapping) read a column on access and keep it as
-    :meth:`BATFile._request` says: a v2/v3 column is a zero-copy view, a
+    :meth:`BATFile.request` says: a v2/v3 column is a zero-copy view, a
     v4 column one codec call.
 
     Pruned reads test the flattened form of ``nodes``:
@@ -310,11 +311,11 @@ class TreeletView:
 
     @property
     def nodes(self) -> np.ndarray:  # structured treelet_node_dtype
-        return self._file._columns([self._leaf], 0)[0]
+        return fetch_retained([self._file.request([self._leaf], 0)])[0][0]
 
     @property
     def positions(self) -> np.ndarray:  # (n, 3) float32, node order
-        return self._file._columns([self._leaf], 1)[0]
+        return fetch_retained([self._file.request([self._leaf], 1)])[0][0]
 
 
 def _dequantize(q: np.ndarray, bbox: np.ndarray) -> np.ndarray:
@@ -466,7 +467,7 @@ class BATFile:
                 lo, hi = self.attr_ranges[name]
                 self.binnings[name] = make_binning(kinds[a], lo, hi, edge_tables[a])
         #: directory slot of each attribute (0 nodes, 1 positions)
-        self._attr_slots = {name: 2 + a for a, name in enumerate(self.attr_names)}
+        self.attr_slots = {name: 2 + a for a, name in enumerate(self.attr_names)}
         #: what each directory slot decodes to
         self._slot_dtypes = [
             self._node_dt,
@@ -474,7 +475,7 @@ class BATFile:
             *self.attr_dtypes.values(),
         ]
         self._treelet_cache: dict[int, TreeletView] = {}
-        #: ``(leaf, slot)`` -> what no attached cache keeps (see :meth:`_request`)
+        #: ``(leaf, slot)`` -> what no attached cache keeps (see :meth:`request`)
         self._memo = _Memo()
         self._shallow_table: np.ndarray | None = None
         self._visit_rank: np.ndarray | None = None
@@ -700,30 +701,19 @@ class BATFile:
 
     def columns(self, leaves, name: str | None) -> list[np.ndarray]:
         """One column of several treelets, in order: attribute ``name``, or
-        the ``(n, 3)`` positions for ``None``.
+        the ``(n, 3)`` positions for ``None``. :func:`fetch_retained` of
+        one :meth:`request`."""
+        slot = 1 if name is None else 2 + self.attr_index(name)
+        return fetch_retained([self.request(leaves, slot)])[0]
 
-        A treelet not materialized yet is materialized first
-        (:meth:`treelet`). Each column missing from retention
-        (:meth:`_request`) is one :meth:`_decode_slot` call; on a v4
-        handle with a :class:`DecodedColumnCache` attached, all of them
-        are one cache round-trip. :func:`fetch_retained` of one
-        :meth:`column_request`.
-        """
-        return _fetch_one(self.column_request(leaves, name))
-
-    def column_request(self, leaves, name: str | None) -> tuple:
-        """:meth:`columns`' request, for :func:`fetch_retained` to answer
-        together with other files' requests."""
-        return self._request(leaves, 1 if name is None else 2 + self.attr_index(name))
-
-    def _columns(self, leaves, slot: int) -> list[np.ndarray]:
-        return _fetch_one(self._request(leaves, slot))
-
-    def _request(self, leaves, slot: int) -> tuple:
+    def request(self, leaves, slot: int) -> tuple:
         """Slot ``slot`` of treelets ``leaves`` as a :func:`fetch_retained`
-        request ``(store, path, keys, load)``: each array is produced by
+        request ``(store, path, keys, load)``: directory slot ``slot`` (0
+        nodes, 1 positions, 2+ attributes) or the walk tables
+        (:data:`WALK_TABLE_SLOT`). Each array is produced by
         ``load(missing_keys)`` (:meth:`_load`) once and then kept in
-        ``store``, under ``path``.
+        ``store``, under ``path``. A treelet not materialized yet is
+        materialized first (:meth:`treelet`).
 
         The attached :class:`DecodedColumnCache` keeps walk tables and v4
         columns, under this handle's :attr:`cache_key`: single-flight, and
@@ -777,27 +767,20 @@ class BATFile:
     def walk_tables(self, leaves) -> list[np.ndarray]:
         """The walk tables of several treelets, in order, built on first use.
 
-        A treelet not materialized yet is materialized first
-        (:meth:`treelet`). The missing tables are built together, in one
-        :func:`build_walk_tables` pass over their node records. With a
-        :class:`DecodedColumnCache` attached the tables are its residents
-        (slot :data:`WALK_TABLE_SLOT`, one round-trip for all of them, the
-        same single-flight), so the byte budget bounds them and whatever
-        retires the handle's columns retires them; a cache-less handle
-        keeps them itself. Not codec work: never counts toward
-        ``decoded_bytes``. :func:`fetch_retained` of one
-        :meth:`walk_table_request`.
+        The missing tables are built together, in one
+        :func:`build_walk_tables` pass over their node records, and kept
+        like columns (:meth:`request`): with a :class:`DecodedColumnCache`
+        attached the byte budget bounds them, and whatever retires the
+        handle's columns retires them. Not codec work: never counts toward
+        ``decoded_bytes``. :func:`fetch_retained` of one :meth:`request`.
         """
-        return _fetch_one(self.walk_table_request(leaves))
-
-    def walk_table_request(self, leaves) -> tuple:
-        """:meth:`walk_tables`' request, for :func:`fetch_retained`."""
-        return self._request(leaves, WALK_TABLE_SLOT)
+        return fetch_retained([self.request(leaves, WALK_TABLE_SLOT)])[0]
 
     def _build_walk_tables(self, leaves: list) -> list[np.ndarray]:
         try:
             return build_walk_tables(
-                leaves, self._columns(leaves, 0), self.shallow_leaves["bbox"][leaves],
+                leaves, fetch_retained([self.request(leaves, 0)])[0],
+                self.shallow_leaves["bbox"][leaves],
                 self.dictionary, self.max_treelet_depth + 2,
             )
         except IntegrityError as exc:
@@ -902,13 +885,9 @@ class BATFile:
 
 
 def fetch_retained(requests) -> list[list[np.ndarray]]:
-    """The arrays of several :meth:`BATFile.column_request` /
-    :meth:`BATFile.walk_table_request` requests, one list per request, in
-    order: one ``fetch_groups`` call per store — so one round trip to a
-    :class:`DecodedColumnCache` for all of its requests."""
-    store = requests[0][0]
-    if all(r[0] is store for r in requests):  # one store: every cached step
-        return store.fetch_groups([r[1:] for r in requests])
+    """The arrays of several :meth:`BATFile.request` requests, one list
+    per request, in order: one ``fetch_groups`` call per store — so one
+    round trip to a :class:`DecodedColumnCache` for all of its requests."""
     out: list = [None] * len(requests)
     stores: dict = {}
     for i, r in enumerate(requests):
@@ -917,11 +896,6 @@ def fetch_retained(requests) -> list[list[np.ndarray]]:
         for i, arrays in zip(at, store.fetch_groups([requests[i][1:] for i in at])):
             out[i] = arrays
     return out
-
-
-def _fetch_one(request) -> list[np.ndarray]:
-    """:func:`fetch_retained` of one request."""
-    return request[0].fetch_groups([request[1:]])[0]
 
 
 class _Memo(dict):

@@ -70,11 +70,9 @@ class BATFileCache:
         #: the decoded columns' byte budget (the serve layer shares it
         #: with its result cache)
         self.memory = column_cache_bytes
-        #: decoded-column tier shared by every handle this cache opens;
-        #: a zero budget disables it (handles decode cold every time)
-        self.column_cache = (
-            DecodedColumnCache(self.memory) if self.memory.limit > 0 else None
-        )
+        #: decoded-column tier shared by every handle this cache opens; a
+        #: zero budget stores nothing, so handles decode cold every time
+        self.column_cache = DecodedColumnCache(self.memory)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -102,8 +100,7 @@ class BATFileCache:
         columns must never outlive the handle that produced them.
         """
         self._retired_decoded_bytes += f.decoded_bytes
-        if self.column_cache is not None:
-            self.column_cache.invalidate(f.cache_key)
+        self.column_cache.invalidate(f.cache_key)
 
     @staticmethod
     def _is_stale(f: BATFile, key: str) -> bool:
@@ -276,7 +273,7 @@ class BATFileCache:
             decoded = self._retired_decoded_bytes + sum(
                 f.decoded_bytes for f in self._open.values()
             )
-            out = {
+            return {
                 "open": len(self._open),
                 "capacity": self.capacity,
                 "leased": len(self._pins),
@@ -289,10 +286,8 @@ class BATFileCache:
                 #: column bytes materialized through this cache's handles —
                 #: the v4 decode-skipping story in one number
                 "decoded_bytes": decoded,
+                "decoded_columns": self.column_cache.stats(),
             }
-            if self.column_cache is not None:
-                out["decoded_columns"] = self.column_cache.stats()
-            return out
 
     def close(self) -> None:
         """Close every cached handle (leases do not survive a close)."""

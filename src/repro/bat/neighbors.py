@@ -54,7 +54,10 @@ import numpy as np
 
 from ..errors import IntegrityError
 from ..types import ParticleBatch, boxes_meet
-from .query import LEAF_ERRORS, _check, _fetcher, _Forest, _gather, _PartFailed, _segments
+from .file import WALK_TABLE_SLOT
+from .query import (
+    LEAF_ERRORS, POSITIONS, _check, _fetcher, _Forest, _gather, _PartFailed, _segments,
+)
 
 __all__ = [
     "NeighborStats",
@@ -205,7 +208,7 @@ def _gather_pruned(parts, keep_fn, filters, stats, box=None):
         n = _leaf_call(i, bat.treelet, leaf).n_points
         info.append((i, bat.shallow_leaf_visit_rank()[leaf], n))
     info = np.array(info, dtype=np.int64)
-    tables = _fetcher(bats, ids, leaves, "walk_tables")(range(len(ids)))
+    tables = _fetcher(bats, ids, leaves)(range(len(ids)), WALK_TABLE_SLOT)
     forest = _Forest(tables, range(len(ids)), ("lo", "hi", "begin", "count"))
     alive, visited = forest.survivors(keep_fn(forest.lo, forest.hi))
     stats.nodes_visited += int(np.count_nonzero(visited))
@@ -223,9 +226,10 @@ def _gather_pruned(parts, keep_fn, filters, stats, box=None):
     stats.points_tested += len(index)
     rl = ranks.tolist()
     fetch = _fetcher(bats, [ids[r] for r in rl], [leaves[r] for r in rl])
-    pos = None if box is None else _gather(fetch, None, index, bounds, runs)
+    slots = bats[ids[0]].attr_slots
+    pos = None if box is None else _gather(fetch, POSITIONS, index, bounds, runs)
     _, kept = _check(
-        lambda name: _gather(fetch, name, index, bounds, runs),
+        lambda name: _gather(fetch, slots[name], index, bounds, runs),
         pos, None if box is None else box.contains_points, filters,
     )
     if kept is not None:
@@ -234,7 +238,7 @@ def _gather_pruned(parts, keep_fn, filters, stats, box=None):
         index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
         pos = None if pos is None else pos.take(kept, axis=0)
     if pos is None:
-        pos = _gather(fetch, None, index, bounds, runs)
+        pos = _gather(fetch, POSITIONS, index, bounds, runs)
     keys = np.empty((len(index), 3), dtype=np.int64)
     keys[:, :2] = np.repeat(info[ranks, :2], np.diff(bounds), axis=0)
     keys[:, 2] = index
@@ -523,13 +527,14 @@ def materialize_rows(open_file, keys, specs, attributes, with_positions):
         # shallow leaf ids in visit order: the inverse of the visit rank
         leaves[a:b] = table_leaf[table_leaf >= 0][seg_rank[a:b]]
     fetch = _fetcher(bats, seg_leaf.tolist(), leaves.tolist())
+    slots = bat.attr_slots
     index = sk[:, 2]
     pos = None
     if with_positions:
         pos = np.empty((n, 3), dtype=np.float32)
-        pos[order] = _gather(fetch, None, index, bounds)
+        pos[order] = _gather(fetch, POSITIONS, index, bounds)
     attrs = {}
     for sp in sel_specs:
         attrs[sp.name] = np.empty(n, dtype=sp.dtype)
-        attrs[sp.name][order] = _gather(fetch, sp.name, index, bounds)
+        attrs[sp.name][order] = _gather(fetch, slots[sp.name], index, bounds)
     return ParticleBatch(pos, attrs, count=n)

@@ -827,11 +827,7 @@ class QueryService:
             "files": file_stats,
             # the decoded-column tier rides on the file cache; hoist it so
             # dashboards see all four tiers side by side
-            "decoded_columns": file_stats.pop(
-                "decoded_columns",
-                {"hits": 0, "misses": 0, "joins": 0, "evictions": 0,
-                 "entries": 0, "bytes": 0, "budget_bytes": 0},
-            ),
+            "decoded_columns": file_stats.pop("decoded_columns"),
         }
         doc["memory"] = self.memory.stats()
         doc["integrity"] = {

@@ -353,7 +353,7 @@ class _ShardWorker:
                 "misses": sum(ds.plan_cache.misses for ds in datasets),
             },
             "files": file_stats,
-            "decoded_columns": file_stats.pop("decoded_columns", {}),
+            "decoded_columns": file_stats.pop("decoded_columns"),
         }
         doc["memory"] = self._file_cache.memory.stats()
         doc["quarantined_leaves"] = sum(len(ds.quarantined()) for ds in datasets)

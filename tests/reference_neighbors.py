@@ -30,7 +30,8 @@ from repro.bat.neighbors import (
     _empty_selection,
     dist2,
 )
-from repro.bat.query import _check, _Forest, _gather, _segments, _survivors
+from repro.bat.file import fetch_retained
+from repro.bat.query import POSITIONS, _check, _Forest, _gather, _segments, _survivors
 from repro.types import ParticleBatch
 
 __all__ = [
@@ -62,7 +63,7 @@ def _shallow_survivors(table: np.ndarray, keep: np.ndarray):
 
 def _file_fetch(bat, leaves):
     """The ``_gather`` fetch of segments over treelets ``leaves`` of one file."""
-    return lambda segs, name: bat.columns([leaves[i] for i in segs], name)
+    return lambda segs, slot: fetch_retained([bat.request([leaves[i] for i in segs], slot)])[0]
 
 
 def gather_pruned_file(bat, leaf_index: int, keep_fn, filters, stats, box=None):
@@ -89,9 +90,9 @@ def gather_pruned_file(bat, leaf_index: int, keep_fn, filters, stats, box=None):
     index, ranks, bounds, runs = seg
     stats.points_tested += len(index)
     fetch = _file_fetch(bat, [ids[r] for r in ranks.tolist()])
-    pos = None if box is None else _gather(fetch, None, index, bounds, runs)
+    pos = None if box is None else _gather(fetch, POSITIONS, index, bounds, runs)
     _, kept = _check(
-        lambda name: _gather(fetch, name, index, bounds, runs),
+        lambda name: _gather(fetch, bat.attr_slots[name], index, bounds, runs),
         pos, None if box is None else box.contains_points, filters,
     )
     if kept is not None:
@@ -100,7 +101,7 @@ def gather_pruned_file(bat, leaf_index: int, keep_fn, filters, stats, box=None):
         index, bounds, runs = index[kept], np.searchsorted(kept, bounds), None
         pos = None if pos is None else pos.take(kept, axis=0)
     if pos is None:
-        pos = _gather(fetch, None, index, bounds, runs)
+        pos = _gather(fetch, POSITIONS, index, bounds, runs)
     keys = np.empty((len(index), 3), dtype=np.int64)
     keys[:, 0] = leaf_index
     keys[:, 1] = np.repeat(bat.shallow_leaf_visit_rank()[leaves[ranks]], np.diff(bounds))
@@ -137,9 +138,9 @@ def materialize_rows(open_file, keys, specs, attributes, with_positions):
         index, rows = sk[a:b, 2], order[a:b]
         fetch = _file_fetch(bat, leaves)
         if pos is not None:
-            pos[rows] = _gather(fetch, None, index, bounds)
+            pos[rows] = _gather(fetch, POSITIONS, index, bounds)
         for name, out in attrs.items():
-            out[rows] = _gather(fetch, name, index, bounds)
+            out[rows] = _gather(fetch, bat.attr_slots[name], index, bounds)
     return ParticleBatch(pos, attrs, count=n)
 
 

@@ -28,6 +28,7 @@ from repro.machines import testing_machine
 from repro.serve import QueryService, ServeConfig
 from repro.serve.cache import ENTRY_OVERHEAD_BYTES, ResultCache
 from repro.types import ParticleBatch
+from tests.test_colcache import fetch, put
 from tests.test_pipeline import make_rank_data
 
 LIMIT = 4096
@@ -115,7 +116,7 @@ class SharedBudgetMachine(RuleBasedStateMachine):
             loaded.extend(claimed)
             return [np.zeros(self.sizes[(path, *k)], dtype=np.uint8) for k in claimed]
 
-        got = self.cols.fetch(path, keys, loader)
+        got = fetch(self.cols, path, keys, loader)
         # the model: hits refresh, misses load as one batch, results give
         # way to the batch first, then LRU columns go while columns overrun
         claimed = []
@@ -255,7 +256,7 @@ class TestYieldRule:
     def test_a_result_never_evicts_a_column(self):
         memory = MemoryBudget(100 + O)
         cols, results = DecodedColumnCache(memory), ResultCache(memory, ttl=None)
-        cols.put("f", 0, 0, np.zeros(70, dtype=np.uint8))
+        put(cols, "f", 0, 0, np.zeros(70, dtype=np.uint8))
         results.put("fits", _result(30))
         results.put("too big beside the column", _result(31))
         assert cols.peek("f", 0, 0) is not None and cols.evictions == 0
@@ -266,14 +267,14 @@ class TestYieldRule:
     def test_a_column_sheds_results_before_columns(self):
         memory = MemoryBudget(1000 + 2 * O)
         cols, results = DecodedColumnCache(memory), ResultCache(memory, ttl=None)
-        cols.put("f", 0, 0, np.zeros(400, dtype=np.uint8))
+        put(cols, "f", 0, 0, np.zeros(400, dtype=np.uint8))
         results.put("old", _result(0))
         results.put("new", _result(100))  # 500 + 2 * O bytes held
-        cols.put("f", 1, 0, np.zeros(550, dtype=np.uint8))  # over by 50: "old" goes
+        put(cols, "f", 1, 0, np.zeros(550, dtype=np.uint8))  # over by 50: "old" goes
         assert results.get("old") is None and results.get("new") is not None
         assert (results.shed, cols.evictions) == (1, 0)
         # the columns alone overrun: every result goes, then the LRU column
-        cols.put("f", 2, 0, np.zeros(2 * O + 100, dtype=np.uint8))
+        put(cols, "f", 2, 0, np.zeros(2 * O + 100, dtype=np.uint8))
         assert results.nbytes == 0 and results.shed == 2
         assert cols.peek("f", 0, 0) is None and cols.evictions == 1
         assert memory.columns == 2 * O + 650 == memory.stats()["bytes"]

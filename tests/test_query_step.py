@@ -391,14 +391,14 @@ class TestDegradedSteps:
         its rows never reach the result, the others count as without it."""
         with BATDataset(meta) as ds:
             bad = ds.metadata.leaves[1].file_name
-        columns = BATFile.column_request
+        request = BATFile.request
 
-        def failing(self, leaves, name):
-            if self.path.endswith(bad) and name == column:
+        def failing(self, leaves, slot):
+            if self.path.endswith(bad) and slot == self.attr_slots.get(column, 1):
                 raise IntegrityError(f"injected damage in {self.path}")
-            return columns(self, leaves, name)
+            return request(self, leaves, slot)
 
-        monkeypatch.setattr(BATFile, "column_request", failing)
+        monkeypatch.setattr(BATFile, "request", failing)
         req = QueryRequest(
             quality=0.9, box=Box((0.0, 0.0, 0.0), (3.0, 4.0, 1.0)),
             filters=(AttributeFilter("temp", 250.0, 350.0),), on_error="degrade",
