@@ -30,6 +30,10 @@ never queued, and counted ``inline`` rather than ``admitted``.
 A subscriber hook that raises when its ticket resolves is logged; the
 outcome is recorded first, and the worker serves on, as
 ``close(wait=False)`` goes on to the next queued ticket.
+
+Each worker thread loops on :meth:`RequestScheduler.run_one`, which runs
+one ticket. A test that overrides the thread start calls it itself and
+replays one order of ``submit``, ``run_one`` and ``close`` exactly.
 """
 
 from __future__ import annotations
@@ -120,12 +124,21 @@ class RequestScheduler:
         #: tickets run on the submitting thread by :meth:`run_inline`
         self.inline = 0
         self.max_queue_depth = 0
-        self._workers = [
-            threading.Thread(target=self._worker, name=f"serve-worker-{i}", daemon=True)
-            for i in range(capacity)
+        self._workers = self._start_workers()
+
+    def _start_workers(self) -> list[threading.Thread]:
+        """Start ``capacity`` worker threads, each looping on :meth:`run_one`."""
+        workers = [
+            threading.Thread(target=self._work, name=f"serve-worker-{i}", daemon=True)
+            for i in range(self.capacity)
         ]
-        for w in self._workers:
+        for w in workers:
             w.start()
+        return workers
+
+    def _work(self) -> None:
+        while self.run_one():
+            pass
 
     # -- admission -----------------------------------------------------------
 
@@ -216,25 +229,29 @@ class RequestScheduler:
 
     # -- execution -----------------------------------------------------------
 
-    def _worker(self) -> None:
-        while True:
+    def run_one(self) -> bool:
+        """Run the next queued ticket, waiting for one to be queued, and
+        resolve it; the bookkeeping is done even if that raises. Returns
+        ``False``, running nothing, once the scheduler is closed and its
+        queue empty. Each worker thread calls this in a loop."""
+        with self._cond:
+            while not self._heap and not self._closed:
+                self._cond.wait()
+            if not self._heap:
+                return False
+            ticket = heapq.heappop(self._heap)
+            self._running.add(ticket)
+        ticket.started_at = self._clock()
+        ticket.wait_seconds = ticket.started_at - ticket.enqueued_at
+        try:
+            self._run(ticket)
+        finally:
             with self._cond:
-                while not self._heap and not self._closed:
-                    self._cond.wait()
-                if self._closed and not self._heap:
-                    return
-                ticket = heapq.heappop(self._heap)
-                self._running.add(ticket)
-            ticket.started_at = self._clock()
-            ticket.wait_seconds = ticket.started_at - ticket.enqueued_at
-            try:
-                self._run(ticket)
-            finally:
-                with self._cond:
-                    self._running.discard(ticket)
-                    self._leave(ticket.session_id)
-                    self.executed += 1
-                    self._cond.notify_all()
+                self._running.discard(ticket)
+                self._leave(ticket.session_id)
+                self.executed += 1
+                self._cond.notify_all()
+        return True
 
     def _leave(self, session_id: int) -> None:
         """Count one request of ``session_id`` as no longer outstanding;

@@ -62,11 +62,6 @@ class VirtualCluster:
         t = collectives.scatter_time(self.nranks, bytes_per_rank, self.machine.network)
         self.timeline.add_uniform(name, t)
 
-    def bcast(self, name: str, nbytes: float) -> None:
-        self.timeline.synchronize()
-        t = collectives.bcast_time(self.nranks, nbytes, self.machine.network)
-        self.timeline.add_uniform(name, t)
-
     def barrier(self, name: str = "barrier") -> None:
         t = collectives.barrier_time(self.nranks, self.machine.network)
         self.timeline.synchronize()

@@ -26,11 +26,6 @@ def _log2p(nranks: int) -> float:
     return math.log2(nranks) if nranks > 1 else 0.0
 
 
-def _rank_bw(spec: NetworkSpec) -> float:
-    """Bandwidth one rank sees when its node's NIC is fully shared."""
-    return spec.node_bw / spec.ranks_per_node
-
-
 def gather_time(nranks: int, bytes_per_rank: float, spec: NetworkSpec) -> float:
     """Gather of ``bytes_per_rank`` from every rank to the root.
 

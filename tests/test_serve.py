@@ -207,6 +207,76 @@ class TestScheduler:
         assert all(t.done() for t in tickets)
 
 
+class _SteppedScheduler(RequestScheduler):
+    """A scheduler with no worker thread: the test thread runs each
+    ticket itself, through :meth:`RequestScheduler.run_one`."""
+
+    def _start_workers(self):
+        return []
+
+
+class TestSteppedScheduler:
+    """``submit``, ``run_one`` and ``close`` driven one step at a time on
+    the test thread, so each order below replays exactly."""
+
+    def test_run_one_runs_the_next_ticket_and_keeps_the_books(self):
+        sched = _SteppedScheduler(capacity=1)
+        order = []
+        bulk = sched.submit(lambda t: order.append("bulk"), session_id=1)
+        inter = sched.submit(
+            lambda t: order.append("inter"), session_id=2, priority=scheduler.PRIORITY_INTERACTIVE
+        )
+        failing = sched.submit(lambda t: 1 / 0, session_id=1)
+        assert sched.stats()["queued"] == 3 and not sched.idle(1)
+        assert sched.run_one() and order == ["inter"] and inter.done()
+        assert sched.idle(2) and not bulk.done()
+        assert sched.run_one() and order == ["inter", "bulk"]
+        assert sched.run_one()  # the raising ticket holds its error
+        with pytest.raises(ZeroDivisionError):
+            failing.result(0)
+        s = sched.stats()
+        assert (s["queued"], s["in_flight"], s["admitted"], s["executed"]) == (0, 0, 3, 3)
+        assert sched.idle(1)
+        sched.close(wait=False)
+        assert not sched.run_one()
+
+    def test_close_without_wait_inside_a_running_ticket(self):
+        """The running ticket is abandoned (its next push is refused) and
+        still counts as executed; the queued ones finish with
+        :class:`SchedulerClosed`; every count returns to 0."""
+        sched = _SteppedScheduler(capacity=1)
+        queued = []
+
+        def closing(ticket):
+            queued.extend(sched.submit(lambda t: None, session_id=5) for _ in range(2))
+            sched.close(wait=False)
+            return ticket.push("rows", grace=0)
+
+        running = sched.submit(closing, session_id=5)
+        assert sched.run_one()
+        assert running.result(0) is False
+        for t in queued:
+            with pytest.raises(SchedulerClosed):
+                t.result(0)
+        s = sched.stats()
+        assert (s["queued"], s["in_flight"], s["admitted"], s["executed"]) == (0, 0, 3, 1)
+        assert sched.idle(5)
+        assert not sched.run_one()
+        with pytest.raises(SchedulerClosed):
+            sched.submit(lambda t: None)
+
+    def test_graceful_close_leaves_admitted_work_to_run_one(self):
+        sched = _SteppedScheduler(capacity=1)
+        done = []
+        tickets = [sched.submit(lambda t, i=i: done.append(i)) for i in range(2)]
+        sched.close(wait=True)  # no thread to join: the queue stays as it was
+        with pytest.raises(SchedulerClosed):
+            sched.submit(lambda t: None)
+        assert sched.run_one() and sched.run_one() and not sched.run_one()
+        assert done == [0, 1] and all(t.done() for t in tickets)
+        assert sched.stats()["executed"] == 2
+
+
 # ---------------------------------------------------------------------------
 # degradation policy
 
