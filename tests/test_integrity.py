@@ -560,3 +560,29 @@ class TestScrubCLI:
         report = scrub_dataset(rep.metadata_path)
         assert [f.path for f in report.files if f.status == "missing"] == [str(victim)]
         assert main(["scrub", rep.metadata_path]) == 1
+
+
+class TestDeepScrubMemory:
+    def test_deep_scrub_keeps_no_decoded_column(self, tmp_path, monkeypatch):
+        """A deep scrub decodes each v4 treelet's columns, checks them and
+        drops them: when the file closes its handle holds no decoded array,
+        and the report is the one a raw-column twin of the file gets."""
+        path = tmp_path / "auto.bat"
+        build_bat(make_batch(), BATBuildConfig(codecs="auto")).write(path)
+        held = []
+        close = BATFile.close
+
+        def counting_close(self):
+            if getattr(self, "_memo", None) is not None:
+                cache = self.column_cache
+                held.append((len(self._memo), 0 if cache is None else cache.nbytes))
+            close(self)
+
+        monkeypatch.setattr(BATFile, "close", counting_close)
+        report = scrub_file(path, deep=True)
+        assert held == [(0, 0)]
+        twin = tmp_path / "raw.bat"
+        build_bat(make_batch()).write(twin)
+        raw = scrub_file(twin, deep=True)
+        assert report.status == raw.status == "ok"
+        assert report.checked == raw.checked
