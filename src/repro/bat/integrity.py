@@ -18,7 +18,10 @@ restart read or a reorganization consumes it.
    point counts summing to the header's, bitmap IDs inside the dictionary.
    ``deep=True`` adds every treelet: the per-node invariants of
    :func:`~repro.bat.format.node_fault`, child depths, bitmap containment
-   and particles inside their leaf's (slightly padded) bbox.
+   and particles inside their leaf's (slightly padded) bbox. Each v4
+   treelet's columns are decoded, checked and dropped (a zero-byte
+   :class:`~repro.bat.colcache.DecodedColumnCache` keeps none of them), so
+   a deep scrub holds one treelet's columns at a time.
 
 :func:`scrub_dataset` scrubs every leaf file a manifest names and
 cross-checks each against it (counts, bounds, attribute ranges).
@@ -34,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import IntegrityError
+from .colcache import DecodedColumnCache
 from .file import BATFile
 from .format import (
     CHECKSUM_VERSION,
@@ -269,6 +273,7 @@ def _check_structure(data: bytes, r: FileScrubReport, deep: bool) -> None:
     except Exception as exc:  # noqa: BLE001 - any parse failure is the finding
         r.check(False, f"cannot open: {exc}")
         return
+    bat.column_cache = DecodedColumnCache(0)
     with bat:
         h = bat.header
         r.check(h.n_points > 0, "file holds zero particles")
@@ -364,7 +369,8 @@ def _check_treelet(bat: BATFile, leaf: int, r: FileScrubReport) -> None:
     ext = np.maximum(box.extents, 1e-6)
     lo = (np.asarray(box.lower) - 1e-4 * ext).astype(np.float32)
     hi = (np.asarray(box.upper) + 1e-4 * ext).astype(np.float32)
-    inside = ((tv.positions >= lo) & (tv.positions <= hi)).all()
+    pos = tv.positions  # one decode: the scrub's column cache keeps nothing
+    inside = ((pos >= lo) & (pos <= hi)).all()
     r.check(bool(inside), f"treelet {leaf}: particles outside leaf bounds")
 
 
