@@ -1,10 +1,12 @@
 """Shared fixtures and helpers for the paper-reproduction benchmarks.
 
 Every ``test_*`` here regenerates one table or figure of the paper
-(DESIGN.md §4 maps experiment → target). Benchmarks print the reproduced
-rows/series so ``pytest benchmarks/ --benchmark-only -s`` output reads like
-the paper's evaluation section; shape assertions guard the qualitative
-claims (who wins, where curves flatten, rough factors).
+(DESIGN.md §4 maps experiment → target) from the sweeps in
+``benchmarks/paper.py``. Targets print the reproduced rows/series so
+``pytest benchmarks --ignore=benchmarks/baseline -s`` output reads like the
+paper's evaluation section; shape assertions guard the qualitative claims
+(who wins, where curves flatten, rough factors). The repo root goes on
+``sys.path`` so targets import the harness as ``benchmarks.paper``.
 """
 
 import sys

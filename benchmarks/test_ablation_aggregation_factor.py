@@ -6,10 +6,8 @@ small and a large rank count and checks the recommendation falls out of
 the model: the best factor grows with scale.
 """
 
-import numpy as np
-
+from benchmarks.paper import format_table, two_phase_write_point
 from conftest import emit
-from repro.bench import format_table, two_phase_write_point
 from repro.machines import stampede2
 from repro.workloads import uniform_rank_data
 
@@ -17,20 +15,16 @@ PER_RANK = 4.06e6
 FACTORS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def test_best_aggregation_factor_grows_with_scale(benchmark):
-    def run():
-        out = {}
-        for nranks in (384, 24576):
-            data = uniform_rank_data(nranks)
-            bws = {}
-            for f in FACTORS:
-                target = int(PER_RANK * f)
-                rep = two_phase_write_point(stampede2(), data, target)
-                bws[f] = rep.bandwidth
-            out[nranks] = bws
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_best_aggregation_factor_grows_with_scale():
+    out = {}
+    for nranks in (384, 24576):
+        data = uniform_rank_data(nranks)
+        bws = {}
+        for f in FACTORS:
+            target = int(PER_RANK * f)
+            rep = two_phase_write_point(stampede2(), data, target)
+            bws[f] = rep.bandwidth
+        out[nranks] = bws
     table = [
         [nranks] + [f"{bws[f] / 1e9:.1f}" for f in FACTORS] for nranks, bws in out.items()
     ]

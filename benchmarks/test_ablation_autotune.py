@@ -9,8 +9,8 @@ i.e. nobody has to hand-tune the portability parameter per machine/step.
 
 import numpy as np
 
+from benchmarks.paper import format_table, two_phase_write_point
 from conftest import MB, emit
-from repro.bench import format_table, two_phase_write_point
 from repro.core import TwoPhaseWriter
 from repro.machines import stampede2
 from repro.workloads import CoalBoiler
@@ -19,21 +19,17 @@ FIXED_TARGETS = (8 * MB, 16 * MB, 32 * MB, 64 * MB)
 TIMESTEPS = (501, 1501, 2501, 3501, 4501)
 
 
-def test_auto_target_tracks_best_fixed(benchmark):
-    def run():
-        boiler = CoalBoiler()
-        machine = stampede2()
-        rows = []
-        for ts in TIMESTEPS:
-            data = boiler.rank_data(ts, 1536, sample_size=250_000)
-            fixed = {
-                t: two_phase_write_point(machine, data, t).bandwidth for t in FIXED_TARGETS
-            }
-            auto_rep = TwoPhaseWriter(machine, target_size="auto").write(data)
-            rows.append((ts, fixed, auto_rep.bandwidth, auto_rep.n_files))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_auto_target_tracks_best_fixed():
+    boiler = CoalBoiler()
+    machine = stampede2()
+    rows = []
+    for ts in TIMESTEPS:
+        data = boiler.rank_data(ts, 1536, sample_size=250_000)
+        fixed = {
+            t: two_phase_write_point(machine, data, t).bandwidth for t in FIXED_TARGETS
+        }
+        auto_rep = TwoPhaseWriter(machine, target_size="auto").write(data)
+        rows.append((ts, fixed, auto_rep.bandwidth, auto_rep.n_files))
     table = []
     ratios = []
     for ts, fixed, auto_bw, n_files in rows:

@@ -16,10 +16,11 @@ import time
 
 import numpy as np
 
+from benchmarks.paper import format_table
 from conftest import emit
 from repro.bat import AttributeFilter, BATBuildConfig, BATFile, build_bat
 from repro.bat.query import query_file
-from repro.bench import format_table
+from repro.types import ParticleBatch
 from repro.workloads import CoalBoiler
 
 N = 400_000
@@ -34,23 +35,19 @@ def _boiler_batch():
     return CoalBoiler().sample(3501, N)
 
 
-def test_size_ablation(benchmark):
-    def run():
-        batch = _boiler_batch()
-        rows = []
-        for label, cfg in (
-            ("plain", BATBuildConfig()),
-            ("quantized", QUANTIZED),
-            ("compressed", COMPRESSED),
-            ("quant+comp", QUANT_COMP),
-        ):
-            built = build_bat(batch, cfg)
-            with BATFile.from_bytes(built.data) as f:
-                pos = f.column_summary()["positions"]["enc_nbytes"]
-            rows.append((label, built.nbytes, built.raw_bytes, pos))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_size_ablation():
+    batch = _boiler_batch()
+    rows = []
+    for label, cfg in (
+        ("plain", BATBuildConfig()),
+        ("quantized", QUANTIZED),
+        ("compressed", COMPRESSED),
+        ("quant+comp", QUANT_COMP),
+    ):
+        built = build_bat(batch, cfg)
+        with BATFile.from_bytes(built.data) as f:
+            pos = f.column_summary()["positions"]["enc_nbytes"]
+        rows.append((label, built.nbytes, built.raw_bytes, pos))
     raw = rows[0][2]
     emit(
         format_table(
@@ -69,7 +66,7 @@ def test_size_ablation(benchmark):
     assert pos["plain"] - pos["quantized"] == 6 * N
 
 
-def test_binning_ablation(benchmark):
+def test_binning_ablation():
     """Equi-depth bins prune a bottom-tail query on skewed data far better.
 
     The indexed attribute must be both *skewed* (to defeat equi-width bins)
@@ -78,28 +75,23 @@ def test_binning_ablation(benchmark):
     shape of e.g. reaction-progress variables.
     """
 
-    def run():
-        from repro.types import ParticleBatch
-
-        base = _boiler_batch()
-        z = base.positions[:, 2].astype(np.float64)
-        znorm = (z - z.min()) / max(z.max() - z.min(), 1e-9)
-        rng = np.random.default_rng(7)
-        progress = np.exp(6.0 * znorm) * (1.0 + 0.02 * rng.normal(size=len(z)))
-        batch = ParticleBatch(base.positions, {"progress": progress})
-        cut = float(np.quantile(progress, 0.1))
-        out = {}
-        for label, cfg in (
-            ("equiwidth", BATBuildConfig()),
-            ("equidepth", BATBuildConfig(attribute_binning="equidepth")),
-        ):
-            built = build_bat(batch, cfg)
-            with built.open() as f:
-                res, st = query_file(f, filters=[AttributeFilter("progress", 0.0, cut)])
-                out[label] = (len(res), st.points_tested, st.pruned_bitmap)
-        return out, int((progress <= cut).sum())
-
-    out, expected = benchmark.pedantic(run, rounds=1, iterations=1)
+    base = _boiler_batch()
+    z = base.positions[:, 2].astype(np.float64)
+    znorm = (z - z.min()) / max(z.max() - z.min(), 1e-9)
+    rng = np.random.default_rng(7)
+    progress = np.exp(6.0 * znorm) * (1.0 + 0.02 * rng.normal(size=len(z)))
+    batch = ParticleBatch(base.positions, {"progress": progress})
+    cut = float(np.quantile(progress, 0.1))
+    out = {}
+    for label, cfg in (
+        ("equiwidth", BATBuildConfig()),
+        ("equidepth", BATBuildConfig(attribute_binning="equidepth")),
+    ):
+        built = build_bat(batch, cfg)
+        with built.open() as f:
+            res, st = query_file(f, filters=[AttributeFilter("progress", 0.0, cut)])
+            out[label] = (len(res), st.points_tested, st.pruned_bitmap)
+    expected = int((progress <= cut).sum())
     emit(
         format_table(
             ["binning", "matched", "tested", "pruned subtrees"],
@@ -112,25 +104,21 @@ def test_binning_ablation(benchmark):
     assert out["equidepth"][1] < 0.8 * out["equiwidth"][1]
 
 
-def test_compression_read_cost(benchmark):
+def test_compression_read_cost():
     """Compressed columns cost decompression on first touch, then cache."""
 
-    def run():
-        batch = _boiler_batch()
-        out = {}
-        for label, cfg in (("plain", BATBuildConfig()), ("compressed", COMPRESSED)):
-            built = build_bat(batch, cfg)
-            with built.open() as f:
-                t0 = time.perf_counter()
-                query_file(f, quality=1.0)
-                cold = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                query_file(f, quality=1.0)
-                warm = time.perf_counter() - t0
-            out[label] = (cold, warm)
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    batch = _boiler_batch()
+    out = {}
+    for label, cfg in (("plain", BATBuildConfig()), ("compressed", COMPRESSED)):
+        built = build_bat(batch, cfg)
+        with built.open() as f:
+            t0 = time.perf_counter()
+            query_file(f, quality=1.0)
+            cold = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            query_file(f, quality=1.0)
+            warm = time.perf_counter() - t0
+        out[label] = (cold, warm)
     emit(
         format_table(
             ["variant", "cold read ms", "warm read ms"],

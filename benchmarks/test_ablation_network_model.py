@@ -12,9 +12,9 @@ the phase model charges them.
 import numpy as np
 import pytest
 
+from benchmarks.paper import format_table
 from conftest import MB, emit
-from repro.bench import format_table
-from repro.core import AggTreeConfig, RankData, TwoPhaseWriter
+from repro.core import AggTreeConfig, TwoPhaseWriter
 from repro.machines import stampede2
 from repro.workloads import CoalBoiler, uniform_rank_data
 
@@ -27,7 +27,7 @@ def _write_elapsed(data, target, model):
     # re-plumb the cluster with the requested network model by monkeying
     # the pipeline would be invasive; instead run the transfer phase both
     # ways on the plan's message pattern.
-    from repro.simmpi import Message, VirtualCluster
+    from repro.simmpi import Message
     from repro.simmpi.eventsim import simulate_transfers
     from repro.simmpi.network import transfer_phase
 
@@ -50,16 +50,12 @@ def _write_elapsed(data, target, model):
 
 
 @pytest.mark.parametrize("target_mb", [8, 64])
-def test_models_agree_on_uniform_aggregation(benchmark, target_mb):
+def test_models_agree_on_uniform_aggregation(target_mb):
     """Synchronized, balanced transfers: the models should agree closely."""
 
-    def run():
-        data = uniform_rank_data(384)
-        a, n = _write_elapsed(data, target_mb * MB, "phase")
-        b, _ = _write_elapsed(data, target_mb * MB, "event")
-        return a, b, n
-
-    phase_t, event_t, n = benchmark.pedantic(run, rounds=1, iterations=1)
+    data = uniform_rank_data(384)
+    phase_t, n = _write_elapsed(data, target_mb * MB, "phase")
+    event_t, _ = _write_elapsed(data, target_mb * MB, "event")
     emit(
         f"uniform 384 ranks, {target_mb}MB target ({n} messages): "
         f"phase {phase_t * 1e3:.2f} ms vs event {event_t * 1e3:.2f} ms "
@@ -68,18 +64,14 @@ def test_models_agree_on_uniform_aggregation(benchmark, target_mb):
     assert event_t == pytest.approx(phase_t, rel=0.35)
 
 
-def test_event_model_credits_imbalanced_patterns(benchmark):
+def test_event_model_credits_imbalanced_patterns():
     """On the clustered boiler the per-aggregator loads differ wildly; the
     event model lets lightly loaded NICs finish early and is never slower
     than the phase model's conservative estimate."""
 
-    def run():
-        data = CoalBoiler().rank_data(1501, 384, sample_size=150_000)
-        a, n = _write_elapsed(data, 8 * MB, "phase")
-        b, _ = _write_elapsed(data, 8 * MB, "event")
-        return a, b, n
-
-    phase_t, event_t, n = benchmark.pedantic(run, rounds=1, iterations=1)
+    data = CoalBoiler().rank_data(1501, 384, sample_size=150_000)
+    phase_t, n = _write_elapsed(data, 8 * MB, "phase")
+    event_t, _ = _write_elapsed(data, 8 * MB, "event")
     emit(
         format_table(
             ["model", "transfer ms", "messages"],

@@ -6,10 +6,8 @@ Two knobs the paper calls out:
 - split-axis policy: longest-axis only (default) vs best across all axes.
 """
 
-import numpy as np
-
+from benchmarks.paper import format_table
 from conftest import MB, emit
-from repro.bench import format_table
 from repro.core import AggTreeConfig, build_aggregation_tree
 from repro.workloads import CoalBoiler
 
@@ -25,19 +23,15 @@ def _plan_stats(tree):
     }
 
 
-def test_overfull_leaves_reduce_bad_splits(benchmark):
-    def run():
-        rd = CoalBoiler().rank_data(4501, 1536, sample_size=300_000)
-        base = build_aggregation_tree(
-            rd.bounds, rd.counts, rd.bytes_per_particle, AggTreeConfig(target_size=8 * MB)
-        )
-        overfull = build_aggregation_tree(
-            rd.bounds, rd.counts, rd.bytes_per_particle,
-            AggTreeConfig(target_size=8 * MB, overfull_cost_ratio=4.0, overfull_factor=1.5),
-        )
-        return _plan_stats(base), _plan_stats(overfull)
-
-    base, overfull = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_overfull_leaves_reduce_bad_splits():
+    rd = CoalBoiler().rank_data(4501, 1536, sample_size=300_000)
+    base = _plan_stats(build_aggregation_tree(
+        rd.bounds, rd.counts, rd.bytes_per_particle, AggTreeConfig(target_size=8 * MB)
+    ))
+    overfull = _plan_stats(build_aggregation_tree(
+        rd.bounds, rd.counts, rd.bytes_per_particle,
+        AggTreeConfig(target_size=8 * MB, overfull_cost_ratio=4.0, overfull_factor=1.5),
+    ))
     emit(
         format_table(
             ["config", "files", "size std MB", "max MB", "overfull leaves"],
@@ -55,19 +49,15 @@ def test_overfull_leaves_reduce_bad_splits(benchmark):
     assert overfull["max"] <= max(base["max"], 1.5 * 8 * 1.05)
 
 
-def test_split_all_axes_vs_longest(benchmark):
-    def run():
-        rd = CoalBoiler().rank_data(2501, 1536, sample_size=300_000)
-        longest = build_aggregation_tree(
-            rd.bounds, rd.counts, rd.bytes_per_particle, AggTreeConfig(target_size=8 * MB)
-        )
-        allax = build_aggregation_tree(
-            rd.bounds, rd.counts, rd.bytes_per_particle,
-            AggTreeConfig(target_size=8 * MB, split_all_axes=True),
-        )
-        return _plan_stats(longest), _plan_stats(allax)
-
-    longest, allax = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_split_all_axes_vs_longest():
+    rd = CoalBoiler().rank_data(2501, 1536, sample_size=300_000)
+    longest = _plan_stats(build_aggregation_tree(
+        rd.bounds, rd.counts, rd.bytes_per_particle, AggTreeConfig(target_size=8 * MB)
+    ))
+    allax = _plan_stats(build_aggregation_tree(
+        rd.bounds, rd.counts, rd.bytes_per_particle,
+        AggTreeConfig(target_size=8 * MB, split_all_axes=True),
+    ))
     emit(
         format_table(
             ["policy", "files", "size std MB", "max MB", "leaf imbalance"],

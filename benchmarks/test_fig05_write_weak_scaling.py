@@ -8,8 +8,8 @@ once the target size is large enough.
 
 import pytest
 
+from benchmarks.paper import format_series, weak_scaling
 from conftest import MB, STAMPEDE2_RANKS, SUMMIT_RANKS, emit
-from repro.bench import format_series, weak_scaling
 from repro.machines import stampede2, summit
 
 TARGETS = [8 * MB, 64 * MB, 256 * MB]
@@ -20,11 +20,8 @@ TARGETS = [8 * MB, 64 * MB, 256 * MB]
     [(stampede2(), STAMPEDE2_RANKS), (summit(), SUMMIT_RANKS)],
     ids=["stampede2", "summit"],
 )
-def test_fig05_write_weak_scaling(benchmark, machine, ranks):
-    points = benchmark.pedantic(
-        weak_scaling, args=(machine, ranks), kwargs={"target_sizes": TARGETS},
-        rounds=1, iterations=1,
-    )
+def test_fig05_write_weak_scaling(machine, ranks):
+    points = weak_scaling(machine, ranks, target_sizes=TARGETS)
     emit(
         format_series(
             points, "nranks", "write_bandwidth",

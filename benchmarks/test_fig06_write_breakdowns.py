@@ -9,19 +9,16 @@ larger fraction in BAT construction than Summit (slower per-particle build).
 
 import pytest
 
+from benchmarks.paper import format_table, timing_breakdown
 from conftest import MB, emit
-from repro.bench import format_table, timing_breakdown
 from repro.machines import stampede2, summit
 
 RANKS = [384, 1536, 6144]
 
 
 @pytest.mark.parametrize("machine", [stampede2(), summit()], ids=["stampede2", "summit"])
-def test_fig06_breakdowns(benchmark, machine):
-    def run():
-        return {t: timing_breakdown(machine, RANKS, t * MB) for t in (8, 64)}
-
-    rows_by_target = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig06_breakdowns(machine):
+    rows_by_target = {t: timing_breakdown(machine, RANKS, t * MB) for t in (8, 64)}
 
     for target, rows in rows_by_target.items():
         phases = list(rows[0]["phases"])
@@ -53,13 +50,9 @@ def test_fig06_breakdowns(benchmark, machine):
             assert big3 > 0.5
 
 
-def test_fig06_stampede2_more_bat_time(benchmark):
+def test_fig06_stampede2_more_bat_time():
     """Paper: a larger share of time goes to BAT construction on Stampede2."""
 
-    def run():
-        s = timing_breakdown(stampede2(), [1536], 64 * MB)[0]
-        u = timing_breakdown(summit(), [1344], 64 * MB)[0]
-        return s, u
-
-    s, u = benchmark.pedantic(run, rounds=1, iterations=1)
+    s = timing_breakdown(stampede2(), [1536], 64 * MB)[0]
+    u = timing_breakdown(summit(), [1344], 64 * MB)[0]
     assert s["fractions"]["construct BAT"] > u["fractions"]["construct BAT"]

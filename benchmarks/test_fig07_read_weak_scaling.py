@@ -9,8 +9,8 @@ counts. On Summit, small/medium aggregation flattens by 43k cores while
 
 import pytest
 
+from benchmarks.paper import format_series, weak_scaling
 from conftest import MB, STAMPEDE2_RANKS, SUMMIT_RANKS, emit
-from repro.bench import format_series, weak_scaling
 from repro.machines import stampede2, summit
 
 TARGETS = [8 * MB, 64 * MB, 256 * MB]
@@ -21,11 +21,8 @@ TARGETS = [8 * MB, 64 * MB, 256 * MB]
     [(stampede2(), STAMPEDE2_RANKS), (summit(), SUMMIT_RANKS)],
     ids=["stampede2", "summit"],
 )
-def test_fig07_read_weak_scaling(benchmark, machine, ranks):
-    points = benchmark.pedantic(
-        weak_scaling, args=(machine, ranks), kwargs={"target_sizes": TARGETS},
-        rounds=1, iterations=1,
-    )
+def test_fig07_read_weak_scaling(machine, ranks):
+    points = weak_scaling(machine, ranks, target_sizes=TARGETS)
     emit(
         format_series(
             points, "nranks", "read_bandwidth",

@@ -6,33 +6,27 @@ distribution statistics: total particles, occupied-rank fraction, and
 per-rank imbalance — the properties that drive the I/O results.
 """
 
-import numpy as np
-
+from benchmarks.paper import format_table
 from conftest import emit
-from repro.bench import format_table
 from repro.workloads import CoalBoiler, DamBreak
 
 
-def test_fig08a_coal_boiler_stats(benchmark):
+def test_fig08a_coal_boiler_stats():
     boiler = CoalBoiler()
 
-    def run():
-        rows = []
-        for ts in (501, 2501, 4501):
-            rd = boiler.rank_data(ts, 1536, sample_size=200_000)
-            nz = rd.counts[rd.counts > 0]
-            rows.append(
-                [
-                    ts,
-                    f"{rd.total_particles / 1e6:.1f}M",
-                    f"{len(nz) / 1536:.0%}",
-                    f"{rd.counts.max() / max(rd.counts.mean(), 1):.1f}x",
-                    f"{rd.total_bytes / 1e9:.2f}GB",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for ts in (501, 2501, 4501):
+        rd = boiler.rank_data(ts, 1536, sample_size=200_000)
+        nz = rd.counts[rd.counts > 0]
+        rows.append(
+            [
+                ts,
+                f"{rd.total_particles / 1e6:.1f}M",
+                f"{len(nz) / 1536:.0%}",
+                f"{rd.counts.max() / max(rd.counts.mean(), 1):.1f}x",
+                f"{rd.total_bytes / 1e9:.2f}GB",
+            ]
+        )
     emit(
         format_table(
             ["timestep", "particles", "occupied ranks", "imbalance", "data"],
@@ -48,25 +42,21 @@ def test_fig08a_coal_boiler_stats(benchmark):
     assert occupied[0] < occupied[-1]
 
 
-def test_fig08b_dam_break_stats(benchmark):
+def test_fig08b_dam_break_stats():
     dam = DamBreak(total=2_000_000)
 
-    def run():
-        rows = []
-        for ts in (0, 1001, 4001):
-            rd = dam.rank_data(ts, 1536, sample_size=200_000)
-            nz = rd.counts[rd.counts > 0]
-            rows.append(
-                [
-                    ts,
-                    f"{rd.total_particles / 1e6:.2f}M",
-                    f"{len(nz) / 1536:.0%}",
-                    f"{rd.counts.max() / max(rd.counts.mean(), 1):.1f}x",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for ts in (0, 1001, 4001):
+        rd = dam.rank_data(ts, 1536, sample_size=200_000)
+        nz = rd.counts[rd.counts > 0]
+        rows.append(
+            [
+                ts,
+                f"{rd.total_particles / 1e6:.2f}M",
+                f"{len(nz) / 1536:.0%}",
+                f"{rd.counts.max() / max(rd.counts.mean(), 1):.1f}x",
+            ]
+        )
     emit(
         format_table(
             ["timestep", "particles", "occupied ranks", "imbalance"],

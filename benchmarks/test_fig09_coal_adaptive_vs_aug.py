@@ -8,8 +8,8 @@ grows while larger targets surpass them.
 import numpy as np
 import pytest
 
+from benchmarks.paper import coal_boiler_series, format_table
 from conftest import MB, emit
-from repro.bench import coal_boiler_series, format_table
 from repro.machines import stampede2
 
 TIMESTEPS = (501, 1501, 2501, 3501, 4501)
@@ -24,9 +24,8 @@ def series():
     )
 
 
-def test_fig09a_writes(benchmark, series):
-    rows = benchmark.pedantic(lambda: series, rounds=1, iterations=1)
-    by = {(r["timestep"], r["target_mb"], r["strategy"]): r for r in rows}
+def test_fig09a_writes(series):
+    by = {(r["timestep"], r["target_mb"], r["strategy"]): r for r in series}
     table = []
     speedups = []
     for ts in TIMESTEPS:
@@ -49,9 +48,8 @@ def test_fig09a_writes(benchmark, series):
     assert max(speedups) > 1.8
 
 
-def test_fig09b_reads(benchmark, series):
-    rows = benchmark.pedantic(lambda: series, rounds=1, iterations=1)
-    by = {(r["timestep"], r["target_mb"], r["strategy"]): r for r in rows}
+def test_fig09b_reads(series):
+    by = {(r["timestep"], r["target_mb"], r["strategy"]): r for r in series}
     table = []
     speedups = []
     for ts in TIMESTEPS:
@@ -78,9 +76,8 @@ def test_fig09b_reads(benchmark, series):
     assert min(speedups) > 0.4
 
 
-def test_fig09_small_targets_lose_ground_as_population_grows(benchmark, series):
-    rows = benchmark.pedantic(lambda: series, rounds=1, iterations=1)
-    by = {(r["timestep"], r["target_mb"], r["strategy"]): r for r in rows}
+def test_fig09_small_targets_lose_ground_as_population_grows(series):
+    by = {(r["timestep"], r["target_mb"], r["strategy"]): r for r in series}
     # paper: "As the number of particles increases, we observe decreasing
     # performance at lower target sizes, whereas larger target sizes
     # surpass them." Our filesystem model penalizes file-count growth more

@@ -4,24 +4,17 @@ Paper shape: the improved load balance of adaptive aggregation reduces time
 spent in every major pipeline component, cutting total write time.
 """
 
-import pytest
-
+from benchmarks.paper import coal_boiler_series, format_table
 from conftest import MB, emit
-from repro.bench import coal_boiler_series, format_table
 from repro.machines import stampede2
 
 TIMESTEPS = (501, 2501, 4501)
 MAJOR = ("transfer to aggregators", "construct BAT", "write files")
 
 
-def test_fig10_breakdowns(benchmark):
-    rows = benchmark.pedantic(
-        coal_boiler_series,
-        args=(stampede2(),),
-        kwargs=dict(
-            nranks=1536, timesteps=TIMESTEPS, target_sizes=(8 * MB,), sample_size=300_000
-        ),
-        rounds=1, iterations=1,
+def test_fig10_breakdowns():
+    rows = coal_boiler_series(
+        stampede2(), nranks=1536, timesteps=TIMESTEPS, target_sizes=(8 * MB,), sample_size=300_000
     )
     by = {(r["timestep"], r["strategy"]): r for r in rows}
 

@@ -10,8 +10,8 @@ grows with scale.
 import numpy as np
 import pytest
 
+from benchmarks.paper import dam_break_series, format_table
 from conftest import MB, emit
-from repro.bench import dam_break_series, format_table
 from repro.machines import stampede2
 
 TIMESTEPS = (0, 1001, 2001, 3001, 4001)
@@ -53,9 +53,8 @@ def dam_8m():
     )
 
 
-def test_fig11a_2m_write(benchmark, dam_2m):
-    rows = benchmark.pedantic(lambda: dam_2m, rounds=1, iterations=1)
-    by = _table(rows, (1 * MB, 3 * MB), "Fig 11a/c: 2M Dam Break @1536 ranks (GB/s)")
+def test_fig11a_2m_write(dam_2m):
+    by = _table(dam_2m, (1 * MB, 3 * MB), "Fig 11a/c: 2M Dam Break @1536 ranks (GB/s)")
     # 2M on 1536 ranks: ~1.3k particles/rank -> both strategies near
     # file-per-process; write performance similar (paper: "best (and
     # similar)")
@@ -73,9 +72,8 @@ def test_fig11a_2m_write(benchmark, dam_2m):
     assert float(np.exp(np.mean(np.log(ratios)))) > 0.95
 
 
-def test_fig11b_8m_write(benchmark, dam_8m):
-    rows = benchmark.pedantic(lambda: dam_8m, rounds=1, iterations=1)
-    by = _table(rows, (1 * MB, 3 * MB), "Fig 11b/d: 8M Dam Break @6144 ranks (GB/s)")
+def test_fig11b_8m_write(dam_8m):
+    by = _table(dam_8m, (1 * MB, 3 * MB), "Fig 11b/d: 8M Dam Break @6144 ranks (GB/s)")
     # paper: 3MB adaptive achieves the best write performance overall, at a
     # 1.5-2x speed-up over AUG at the same target size
     w_ratios = [
@@ -91,7 +89,7 @@ def test_fig11b_8m_write(benchmark, dam_8m):
     assert max(r_ratios) > 1.4
 
 
-def test_fig11_gap_grows_with_scale(benchmark, dam_2m, dam_8m):
+def test_fig11_gap_grows_with_scale(dam_2m, dam_8m):
     """Paper: "The performance gap between adaptive and AUG aggregation
     grows with the particle and core count."
 
@@ -110,15 +108,8 @@ def test_fig11_gap_grows_with_scale(benchmark, dam_2m, dam_8m):
         ]
         return float(np.exp(np.mean(np.log(ratios))))
 
-    def run():
-        return (
-            gap(dam_2m, "write_bandwidth"),
-            gap(dam_8m, "write_bandwidth"),
-            gap(dam_2m, "read_bandwidth"),
-            gap(dam_8m, "read_bandwidth"),
-        )
-
-    w2, w8, r2, r8 = benchmark.pedantic(run, rounds=1, iterations=1)
+    w2, w8 = gap(dam_2m, "write_bandwidth"), gap(dam_8m, "write_bandwidth")
+    r2, r8 = gap(dam_2m, "read_bandwidth"), gap(dam_8m, "read_bandwidth")
     emit(
         f"mean adaptive/AUG speed-up at 3MB: writes 2M={w2:.2f}x 8M={w8:.2f}x; "
         f"reads 2M={r2:.2f}x 8M={r8:.2f}x"

@@ -7,25 +7,19 @@ particle distribution.
 """
 
 import numpy as np
-import pytest
 
+from benchmarks.paper import dam_break_series, format_table
 from conftest import MB, emit
-from repro.bench import dam_break_series, format_table
 from repro.machines import stampede2
 
 TIMESTEPS = (0, 501, 1001, 2001, 3001, 4001)
 MAJOR = ("transfer to aggregators", "construct BAT", "write files")
 
 
-def test_fig12_adaptive_constant_aug_drifts(benchmark):
-    rows = benchmark.pedantic(
-        dam_break_series,
-        args=(stampede2(),),
-        kwargs=dict(
-            total_particles=8_000_000, nranks=6144, timesteps=TIMESTEPS,
-            target_sizes=(3 * MB,), sample_size=250_000,
-        ),
-        rounds=1, iterations=1,
+def test_fig12_adaptive_constant_aug_drifts():
+    rows = dam_break_series(
+        stampede2(), total_particles=8_000_000, nranks=6144, timesteps=TIMESTEPS,
+        target_sizes=(3 * MB,), sample_size=250_000,
     )
     by = {(r["timestep"], r["strategy"]): r for r in rows}
 

@@ -9,22 +9,19 @@ coarse subsets span the full data bounds (no region drops out).
 
 import numpy as np
 
+from benchmarks.paper import format_table
 from conftest import emit
 from repro import QueryRequest
-from repro.bench import format_table
 from repro.core.dataset import BATDataset
 from repro.viz import quality_progression
 
 
-def test_fig13_quality_progression(benchmark, coal_dataset):
+def test_fig13_quality_progression(coal_dataset):
     data, paths = coal_dataset
     meta_path = paths[2]
 
-    def run():
-        with BATDataset(meta_path) as ds:
-            return quality_progression(ds, qualities=(0.2, 0.4, 0.8, 1.0))
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    with BATDataset(meta_path) as ds:
+        rows = quality_progression(ds, qualities=(0.2, 0.4, 0.8, 1.0))
     emit(
         format_table(
             ["quality", "points", "fraction", "LOD radius"],
@@ -43,18 +40,15 @@ def test_fig13_quality_progression(benchmark, coal_dataset):
     assert radii == sorted(radii, reverse=True)
 
 
-def test_fig13_coarse_levels_preserve_shape(benchmark, coal_dataset):
+def test_fig13_coarse_levels_preserve_shape(coal_dataset):
     """The stratified LOD sample must cover the object's extent, which is
     what lets inflated radii 'fill holes and preserve the overall shape'."""
     data, paths = coal_dataset
 
-    def run():
-        with BATDataset(paths[2]) as ds:
-            full, _ = ds.query(QueryRequest(quality=1.0))
-            coarse, _ = ds.query(QueryRequest(quality=0.2))
-        return full.positions, coarse.positions
-
-    full_pos, coarse_pos = benchmark.pedantic(run, rounds=1, iterations=1)
+    with BATDataset(paths[2]) as ds:
+        full, _ = ds.query(QueryRequest(quality=1.0))
+        coarse, _ = ds.query(QueryRequest(quality=0.2))
+    full_pos, coarse_pos = full.positions, coarse.positions
     full_ext = full_pos.max(axis=0) - full_pos.min(axis=0)
     coarse_ext = coarse_pos.max(axis=0) - coarse_pos.min(axis=0)
     assert (coarse_ext > 0.8 * full_ext).all()

@@ -7,27 +7,20 @@ reproduce: adaptive writes somewhat more, slightly smaller files with a
 markedly lower standard deviation and roughly half the maximum size.
 """
 
-import numpy as np
-
+from benchmarks.paper import format_table
 from conftest import MB, emit
 from repro.baselines import build_aug_plan
-from repro.bench import format_table
 from repro.core import AggTreeConfig, build_aggregation_tree
 from repro.workloads import CoalBoiler
 
 
-def test_file_size_stats(benchmark):
-    def run():
-        boiler = CoalBoiler()
-        rd = boiler.rank_data(4501, 1536, sample_size=400_000)
-        adaptive = build_aggregation_tree(
-            rd.bounds, rd.counts, rd.bytes_per_particle,
-            AggTreeConfig(target_size=8 * MB, overfull_cost_ratio=4.0, overfull_factor=1.5),
-        )
-        aug = build_aug_plan(rd.bounds, rd.counts, rd.bytes_per_particle, 8 * MB)
-        return adaptive.file_sizes() / MB, aug.file_sizes() / MB
-
-    adp, aug = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_file_size_stats():
+    rd = CoalBoiler().rank_data(4501, 1536, sample_size=400_000)
+    adp = build_aggregation_tree(
+        rd.bounds, rd.counts, rd.bytes_per_particle,
+        AggTreeConfig(target_size=8 * MB, overfull_cost_ratio=4.0, overfull_factor=1.5),
+    ).file_sizes() / MB
+    aug = build_aug_plan(rd.bounds, rd.counts, rd.bytes_per_particle, 8 * MB).file_sizes() / MB
 
     def stats(s):
         return [len(s), f"{s.mean():.1f}", f"{s.std():.1f}", f"{s.max():.1f}"]

@@ -9,25 +9,21 @@ bytes each, so bigger inputs sit closer to the asymptotic ~1%.
 
 import numpy as np
 
+from benchmarks.paper import format_table
 from conftest import emit
 from repro.bat import build_bat
-from repro.bench import format_table
 from repro.types import ParticleBatch
 from repro.workloads import CoalBoiler
 
 
-def test_memory_overhead(benchmark):
-    def run():
-        rows = []
-        rng = np.random.default_rng(0)
-        for n in (50_000, 200_000, 800_000):
-            pos = rng.random((n, 3)).astype(np.float32)
-            attrs = {f"a{i}": rng.random(n) for i in range(7)}
-            built = build_bat(ParticleBatch(pos, attrs))
-            rows.append((n, built.raw_bytes, built.overhead_bytes, built.overhead_fraction))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_memory_overhead():
+    rows = []
+    rng = np.random.default_rng(0)
+    for n in (50_000, 200_000, 800_000):
+        pos = rng.random((n, 3)).astype(np.float32)
+        attrs = {f"a{i}": rng.random(n) for i in range(7)}
+        built = build_bat(ParticleBatch(pos, attrs))
+        rows.append((n, built.raw_bytes, built.overhead_bytes, built.overhead_fraction))
     emit(
         format_table(
             ["particles", "raw MB", "overhead KB", "overhead"],
@@ -44,16 +40,11 @@ def test_memory_overhead(benchmark):
     assert fracs[-1] < 0.05
 
 
-def test_memory_overhead_real_workload(benchmark):
+def test_memory_overhead_real_workload():
     """Same check on the (scaled) Coal Boiler distribution with its 7
     attributes — clustered data, not uniform noise."""
 
-    def run():
-        boiler = CoalBoiler()
-        batch = boiler.sample(4501, 600_000)
-        return build_bat(batch)
-
-    built = benchmark.pedantic(run, rounds=1, iterations=1)
+    built = build_bat(CoalBoiler().sample(4501, 600_000))
     emit(
         f"Coal Boiler 600k particles: raw {built.raw_bytes / 1e6:.1f} MB, "
         f"overhead {built.overhead_fraction:.2%}, dictionary {built.dict_entries} entries"

@@ -9,17 +9,14 @@ dominant cost factor is the number of points returned.
 
 import numpy as np
 
+from benchmarks.paper import format_table, progressive_read_benchmark
 from conftest import emit
-from repro.bench import format_table, progressive_read_benchmark
 
 
-def test_table1_progressive_reads(benchmark, coal_dataset):
+def test_table1_progressive_reads(coal_dataset):
     data, paths = coal_dataset
 
-    def run():
-        return {t: progressive_read_benchmark(paths[t], steps=10) for t in sorted(paths)}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {t: progressive_read_benchmark(paths[t], steps=10) for t in sorted(paths)}
     emit(
         format_table(
             ["target size", "avg read (ms)", "throughput (pts/ms)"],
@@ -42,15 +39,12 @@ def test_table1_progressive_reads(benchmark, coal_dataset):
     assert min(throughputs) > 0
 
 
-def test_table1_cost_tracks_points_returned(benchmark, coal_dataset):
+def test_table1_cost_tracks_points_returned(coal_dataset):
     """Paper: 'The largest factor determining performance is the number of
     points queried.'"""
     _, paths = coal_dataset
 
-    def run():
-        return progressive_read_benchmark(paths[2], steps=10)
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
+    r = progressive_read_benchmark(paths[2], steps=10)
     ms = np.array(r["per_step_ms"])
     pts = np.array(r["per_step_points"], dtype=np.float64)
     mask = pts > 0

@@ -5,20 +5,16 @@ similar throughput across target sizes; the (relatively) smaller
 configuration achieves higher throughput thanks to OS caching.
 """
 
+from benchmarks.paper import format_table, progressive_read_benchmark
 from conftest import emit
-from repro.bench import format_table, progressive_read_benchmark
 
 
-def test_table2_progressive_reads(benchmark, dam_datasets):
-    def run():
-        out = {}
-        for label, (data, paths) in dam_datasets.items():
-            out[label] = {
-                t: progressive_read_benchmark(paths[t], steps=10) for t in sorted(paths)
-            }
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table2_progressive_reads(dam_datasets):
+    results = {}
+    for label, (data, paths) in dam_datasets.items():
+        results[label] = {
+            t: progressive_read_benchmark(paths[t], steps=10) for t in sorted(paths)
+        }
 
     rows = []
     for label, per_target in results.items():

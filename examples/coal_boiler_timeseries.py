@@ -15,7 +15,6 @@ from pathlib import Path
 
 from repro import AttributeFilter, BATDataset, QueryRequest, TwoPhaseWriter, machines
 from repro.baselines import build_aug_plan
-from repro.bench.report import format_table
 from repro.workloads import CoalBoiler
 
 OUT = Path(__file__).parent / "coal_out"
@@ -46,13 +45,12 @@ def main() -> None:
                 aug.n_files,
             ]
         )
-    print(
-        format_table(
-            ["timestep", "particles", "adaptive GB/s", "AUG GB/s", "speed-up", "adp files", "aug files"],
-            rows,
-            title=f"Coal Boiler writes @ {NRANKS} virtual ranks, 8MB target (virtual {machine.name})",
-        )
-    )
+    print(f"Coal Boiler writes @ {NRANKS} virtual ranks, 8MB target (virtual {machine.name})")
+    headers = [
+        "timestep", "particles", "adaptive GB/s", "AUG GB/s", "speed-up", "adp files", "aug files"
+    ]
+    for row in [headers, *rows]:
+        print("  ".join(f"{c:>{len(h)}}" for c, h in zip(row, headers)))
 
     # -- materialize one step for real, then explore it -------------------------
     print("\nwriting a real (1/200-scale) timestep 4501 ...")

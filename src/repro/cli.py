@@ -1,4 +1,4 @@
-"""Command-line tools: inspect, query, and benchmark BAT data.
+"""Command-line tools for BAT data: info, query, serve, jobs, scrub and reorg.
 
 Usage::
 
@@ -7,10 +7,10 @@ Usage::
     python -m repro query out/ts0000.meta.json --quality 0.2 \
         --box 0,0,0,1,1,1 --filter temperature:300:400 --stats
     python -m repro serve out/ts0000.meta.json --capacity 4 --concurrency 8
-    python -m repro bench weak-scaling --machine stampede2 --ranks 96,384,1536
     python -m repro scrub out/ts0000.meta.json --deep  # checksums, then structure
 
-Every subcommand prints plain text; nothing is modified on disk.
+Every subcommand prints plain text. Only ``jobs`` (its SQLite store) and
+``reorg`` (new leaf files and the manifest) write to disk.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import machines
 from .api import NeighborRequest, QueryRequest, open_dataset
 from .bat.file import BATFile
 from .bat.query import AttributeFilter
@@ -51,13 +50,6 @@ def _parse_point(spec: str) -> tuple:
     if len(vals) != 3:
         raise argparse.ArgumentTypeError("point must be 'x,y,z'")
     return tuple(vals)
-
-
-def _machine(name: str):
-    try:
-        return getattr(machines, name)()
-    except AttributeError:
-        raise argparse.ArgumentTypeError(f"unknown machine {name!r}") from None
 
 
 def _cmd_info(args) -> int:
@@ -343,20 +335,6 @@ def _cmd_jobs(args) -> int:
         return 0 if counts["pending"] == counts["leased"] == 0 else 1
 
 
-def _cmd_bench(args) -> int:
-    from .bench import format_series, weak_scaling
-
-    machine = args.machine
-    ranks = [int(r) for r in args.ranks.split(",")]
-    pts = weak_scaling(machine, ranks)
-    print(format_series(pts, "nranks", "write_bandwidth",
-                        title=f"write bandwidth (GB/s) on virtual {machine.name}"))
-    print()
-    print(format_series(pts, "nranks", "read_bandwidth",
-                        title=f"read bandwidth (GB/s) on virtual {machine.name}"))
-    return 0
-
-
 def _cmd_scrub(args) -> int:
     """Check a dataset (or one file) for damage, per-file status."""
     import json
@@ -531,12 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         j_run.add_argument("--max-tasks", type=int, default=None,
                            help="stop after this many executions (testing)")
     jobs.set_defaults(func=_cmd_jobs)
-
-    bench = sub.add_parser("bench", help="run a benchmark experiment")
-    bench.add_argument("experiment", choices=["weak-scaling"])
-    bench.add_argument("--machine", type=_machine, default=machines.stampede2())
-    bench.add_argument("--ranks", default="96,384,1536,6144")
-    bench.set_defaults(func=_cmd_bench)
 
     scrub = sub.add_parser(
         "scrub",

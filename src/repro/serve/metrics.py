@@ -3,10 +3,11 @@
 Every request the service admits carries a :class:`RequestSpan` through
 its lifetime — enqueue, scheduling wait, planning, traversal, gather —
 and drops it into a :class:`ServeMetrics` collector on completion. The
-collector is the single JSON-able source of truth the CLI, the load
-generator, and the bench suite print: latency percentiles, per-phase time
-totals, queue-depth high-water marks, admission rejections, degradation
-engage/release transitions, and the hit rates of every cache layer
+collector is the single JSON-able source of truth that the CLI, the load
+generator and the baseline benchmark (``benchmarks/baseline/``) read:
+latency percentiles, per-phase time totals, queue-depth high-water
+marks, admission rejections, degradation engage/release transitions,
+and the hit rates of every cache layer
 (result → plan → decoded column → file handle).
 
 Memory is bounded: per-request samples (latency, time to first

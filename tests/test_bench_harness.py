@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import (
+from benchmarks.paper import (
     coal_boiler_series,
     dam_break_series,
     format_series,
@@ -139,3 +139,10 @@ class TestReport:
         assert "s1" in txt and "s2" in txt
         assert "3.00" in txt
         assert txt.splitlines()[-1].count("-") >= 1 or "-" in txt  # missing cell
+
+    def test_weak_scaling_series_smoke(self):
+        # Figs 5 and 7 as printed tables, on the small testing machine
+        pts = weak_scaling(make_test_machine(), [8, 16])
+        txt = format_series(pts, "nranks", "write_bandwidth", title="write bandwidth (GB/s)")
+        assert "write bandwidth" in txt
+        assert "ior-fpp" in txt

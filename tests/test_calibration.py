@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.calibration import (
+from benchmarks.paper import (
     fpp_bandwidth,
     fpp_knee,
     fpp_saturation_bandwidth,
