@@ -370,27 +370,6 @@ def select_radius(centers, cand_pos, cand_keys, radius, stats: NeighborStats):
     return _select(n_centers, parts)
 
 
-def select_knn(centers, cand_pos, cand_keys, k, stats: NeighborStats):
-    """CSR selection of every center's ``k`` nearest candidates.
-
-    Center blocks of at most ``_PAIR_BUDGET`` pairs: one distance block,
-    one partition for each center's k-th distance, every pair within it
-    (ties included) to the shared lexsort.
-    """
-    n_centers, n = len(centers), len(cand_pos)
-    if not n_centers or not n:
-        return _empty_selection(n_centers)
-    stats.pairs_tested += n_centers * n
-    parts = []
-    step, kth = max(1, _PAIR_BUDGET // n), min(k, n) - 1
-    for a in range(0, n_centers, step):
-        d2 = _sq(cand_pos - centers[a:a + step, None])
-        # each center's k-th distance (its farthest, with fewer than k)
-        ci, j = np.nonzero(d2 <= np.partition(d2, kth, axis=1)[:, kth:kth + 1])
-        parts.append((ci + a, d2[ci, j], cand_keys[j]))
-    return _select(n_centers, parts, k)
-
-
 # -- engines ------------------------------------------------------------------
 
 

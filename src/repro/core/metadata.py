@@ -22,7 +22,7 @@ import numpy as np
 from ..atomic import publish_bytes
 from ..bitmaps import bin_intervals, remap_bitmaps
 from ..types import AttributeSpec, Box
-from .aggtree import AggInner, AggLeaf, AggregationTree
+from .aggtree import AggLeaf, AggregationTree
 
 __all__ = ["LeafMetadata", "DatasetMetadata", "build_metadata", "remap_to_global"]
 
@@ -144,23 +144,6 @@ class DatasetMetadata:
                 stack.append(nd["right"])
                 stack.append(nd["left"])
         return sorted(out)
-
-    def query_filters(self, filters: dict[str, tuple[float, float]]) -> list[int]:
-        """Leaf indices whose global bitmaps may satisfy all filters."""
-        from ..bitmaps import query_bitmap
-
-        qb = {}
-        for name, (lo, hi) in filters.items():
-            glo, ghi = self.attr_ranges[name]
-            qb[name] = int(query_bitmap(lo, hi, glo, ghi))
-        out = []
-        for leaf in self.leaves:
-            ok = all(
-                leaf.global_bitmaps.get(name, 0xFFFFFFFF) & q for name, q in qb.items()
-            )
-            if ok:
-                out.append(leaf.leaf_index)
-        return out
 
     # -- serialization -------------------------------------------------------
 

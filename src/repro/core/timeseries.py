@@ -259,26 +259,7 @@ class TimeSeriesDataset:
         """Open (and cache) one timestep."""
         return self._steps.get(step)
 
-    def nearest_step(self, step: int) -> int:
-        """The written step closest to ``step`` (scrubbing support)."""
-        if not self.records:
-            raise ValueError("empty time series")
-        return min(self.records, key=lambda s: (abs(s - step), s))
-
     # -- series-level queries ------------------------------------------------------
-
-    def particle_counts(self) -> dict[int, int]:
-        return {s: self.records[s].n_particles for s in self.steps}
-
-    def attr_range_over_time(self, name: str) -> dict[int, tuple[float, float]]:
-        """Global range of one attribute at every step (opens metadata only)."""
-        out = {}
-        for s in self.steps:
-            ds = self.step(s)
-            if name not in ds.attr_ranges:
-                raise KeyError(f"no attribute {name!r} at step {s}")
-            out[s] = ds.attr_ranges[name]
-        return out
 
     def query_over_time(self, request: QueryRequest | None = None, steps=None):
         """Run the same query against several steps; yields (step, batch, stats).

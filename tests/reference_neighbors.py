@@ -3,8 +3,10 @@
 :func:`brute_neighbors` is the exhaustive engine: every non-quarantined
 leaf opened, every particle tested, through none of the pruned gather's
 machinery. The tests pin :meth:`repro.core.dataset.BATDataset.neighbors`
-to it byte for byte. It selects with the package's batched kernels, so
-it cannot catch a selection bug; for that, the rest of this module keeps
+to it byte for byte. It selects with array-wide kernels — the package's
+``select_radius`` and :func:`select_knn_batched`, which the package's
+k-NN walk does not need (it selects through ``_select`` itself) — so it
+cannot catch a selection bug; for that, the rest of this module keeps
 the selections :mod:`repro.bat.neighbors` ran before it went array-wide:
 :func:`select_radius` and :func:`select_knn` loop over the centers one at
 a time (``select_radius`` with its dict-keyed grid past
@@ -25,9 +27,12 @@ import numpy as np
 
 from repro.bat import neighbors as batched
 from repro.bat.neighbors import (
+    _PAIR_BUDGET,
     PRUNE_SLACK,
     NeighborStats,
     _empty_selection,
+    _select,
+    _sq,
     dist2,
 )
 from repro.bat.file import fetch_retained
@@ -38,6 +43,7 @@ __all__ = [
     "brute_neighbors",
     "select_radius",
     "select_knn",
+    "select_knn_batched",
     "knn_neighbors",
     "gather_pruned",
     "materialize_rows",
@@ -176,9 +182,9 @@ def brute_neighbors(ds, request, centers):
     """``request``'s ``(offsets, keys, d2)`` around ``centers``, exhaustively.
 
     The candidates are every particle of every leaf of ``ds`` not
-    quarantined, in key order; the selection is the package's
-    (``select_radius`` / ``select_knn``), with the request's ``radius``
-    or ``k``.
+    quarantined, in key order; the selection is array-wide (the
+    package's ``select_radius`` / :func:`select_knn_batched`), with the
+    request's ``radius`` or ``k``.
     """
     excluded = ds._exclude()
     parts = []
@@ -189,7 +195,28 @@ def brute_neighbors(ds, request, centers):
     stats = NeighborStats()
     if request.radius is not None:
         return batched.select_radius(centers, cand_pos, cand_keys, request.radius, stats)
-    return batched.select_knn(centers, cand_pos, cand_keys, request.k, stats)
+    return select_knn_batched(centers, cand_pos, cand_keys, request.k, stats)
+
+
+def select_knn_batched(centers, cand_pos, cand_keys, k, stats: NeighborStats):
+    """CSR selection of every center's ``k`` nearest candidates.
+
+    Center blocks of at most ``_PAIR_BUDGET`` pairs: one distance block,
+    one partition for each center's k-th distance, every pair within it
+    (ties included) to the shared lexsort.
+    """
+    n_centers, n = len(centers), len(cand_pos)
+    if not n_centers or not n:
+        return _empty_selection(n_centers)
+    stats.pairs_tested += n_centers * n
+    parts = []
+    step, kth = max(1, _PAIR_BUDGET // n), min(k, n) - 1
+    for a in range(0, n_centers, step):
+        d2 = _sq(cand_pos - centers[a:a + step, None])
+        # each center's k-th distance (its farthest, with fewer than k)
+        ci, j = np.nonzero(d2 <= np.partition(d2, kth, axis=1)[:, kth:kth + 1])
+        parts.append((ci + a, d2[ci, j], cand_keys[j]))
+    return _select(n_centers, parts, k)
 
 
 def _boxes_point_d2(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:

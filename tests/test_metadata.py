@@ -10,7 +10,6 @@ from repro.bitmaps import (
     BITMAP_BITS,
     bin_intervals,
     bitmap_of_values,
-    query_bitmap,
     remap_bitmaps,
 )
 from repro.core import AggTreeConfig, build_aggregation_tree, build_metadata
@@ -111,39 +110,6 @@ class TestQueries:
         )
         qb = Box((0, 0, 0), (2, 2, 1))
         assert flat.query_box(qb) == meta.query_box(qb)
-
-    def test_query_filters_prunes(self):
-        tree, _, _ = make_tree()
-        meta, ranges, _ = make_metadata(tree)
-        glo, ghi = meta.attr_ranges["temp"]
-        # a filter far below every leaf's range matches no leaf whose
-        # remapped bitmap excludes those bins
-        hits = meta.query_filters({"temp": (glo, glo + 1e-9)})
-        linear = [
-            l.leaf_index
-            for l in meta.leaves
-            if l.global_bitmaps["temp"] & int(query_bitmap(glo, glo + 1e-9, glo, ghi))
-        ]
-        assert hits == linear
-        assert len(hits) < meta.n_files  # something pruned
-
-    def test_query_filters_never_drops_matching_leaf(self):
-        tree, _, _ = make_tree()
-        meta, ranges, _ = make_metadata(tree)
-        for leaf, r in zip(meta.leaves, ranges):
-            lo, hi = r["temp"]
-            hits = meta.query_filters({"temp": ((lo + hi) / 2, (lo + hi) / 2)})
-            # conservative pruning: the leaf owning this value may not be
-            # dropped (false negatives forbidden)
-            vals_exist = True  # mid of range was in the sampled values' range
-            if vals_exist:
-                assert leaf.leaf_index in hits or True  # bitmap may be sparse
-        # stronger check: leaf with full bitmap always hits
-        full = [l for l in meta.leaves if l.global_bitmaps["temp"] == 0xFFFFFFFF]
-        if full:
-            hits = meta.query_filters({"temp": (meta.attr_ranges["temp"][0], meta.attr_ranges["temp"][1])})
-            for l in full:
-                assert l.leaf_index in hits
 
 
 class TestSerialization:

@@ -381,7 +381,7 @@ class TestSelection:
         centers, pos, keys, radius, k = case
         for new, old, arg in (
             (nb.select_radius, ref.select_radius, radius),
-            (nb.select_knn, ref.select_knn, k),
+            (ref.select_knn_batched, ref.select_knn, k),
         ):
             assert_same_selection(
                 new(centers, pos, keys, arg, NeighborStats()),

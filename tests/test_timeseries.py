@@ -81,32 +81,9 @@ class TestDataset:
     def test_fixed_particle_counts(self, series_dir):
         out, _ = series_dir
         with TimeSeriesDataset(out) as ts:
-            counts = list(ts.particle_counts().values())
+            counts = [rec.n_particles for rec in ts.records.values()]
             # the dam break has a fixed population; sampled counts stay close
             assert max(counts) - min(counts) < 0.02 * max(counts)
-
-    def test_nearest_step(self, series_dir):
-        out, _ = series_dir
-        with TimeSeriesDataset(out) as ts:
-            assert ts.nearest_step(0) == 0
-            assert ts.nearest_step(900) == 1001
-            assert ts.nearest_step(10_000) == 2001
-
-    def test_nearest_step_empty(self, tmp_path):
-        (tmp_path / "series.json").write_text(
-            '{"format": "bat-series", "version": 1, "steps": []}'
-        )
-        ts = TimeSeriesDataset(tmp_path)
-        with pytest.raises(ValueError):
-            ts.nearest_step(3)
-
-    def test_attr_range_over_time(self, series_dir):
-        out, _ = series_dir
-        with TimeSeriesDataset(out) as ts:
-            ranges = ts.attr_range_over_time("pressure")
-            assert set(ranges) == {0, 1001, 2001}
-            with pytest.raises(KeyError):
-                ts.attr_range_over_time("nope")
 
     def test_query_over_time_tracks_surge(self, series_dir):
         out, dam = series_dir
