@@ -12,9 +12,9 @@ flipped every pair. A side sets up the ``neighbors`` workload exactly as
 ``benchmarks/baseline/run.py`` does (writes ``D_dam`` v4, opens it, runs
 every op once to warm the caches), then runs ten passes over the 32 ops
 of ``inputs.neighbor_ops(seed)`` and reports, per class (``knn``,
-``radius``), the fastest pass's mean ms per op and the passes' mean minor
-page faults per op (``ru_minflt`` deltas: a fault is a few µs of kernel
-time that the heap layout of the process decides, not the read code).
+``radius``), the fastest pass's mean ms per op and the passes' mean user
+and system CPU ms and minor page faults per op (``getrusage`` deltas,
+read as in ``read_classes.py``).
 
 Before any number is printed, every op's neighbor lists (offsets, keys,
 distances), centers and center keys, rows (sha256 of positions and
@@ -29,13 +29,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from read_classes import per_op, rusage_line, usage
 
 BASELINE = Path(__file__).resolve().parents[1] / "baseline"
 PASSES = 10
@@ -56,12 +57,9 @@ def digest(res) -> str:
     return h.hexdigest()
 
 
-def minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
 def side(root: str, seed: int) -> dict:
-    """One side's run, in this (fresh) process: ``{"ms", "faults", "ops"}``."""
+    """One side's run, in this (fresh) process: ``{"ms", "faults", "user_ms",
+    "sys_ms", "ops"}``."""
     sys.path[:0] = [str(Path(root, "src").resolve()), str(BASELINE)]
     import inputs
     from workloads import Neighbors
@@ -70,25 +68,21 @@ def side(root: str, seed: int) -> dict:
         w = Neighbors(seed, inputs.FULL, tmp)
         w.setup()
         ops = [(op["cls"], req) for op, req in zip(w.op_docs, w.reqs)]
-        seen, best, faults = [], {}, {}
+        seen, best, rusage = [], {}, {}
         for p in range(PASSES):
             spent: dict[str, list[float]] = {}
             for cls, req in ops:
-                f, t = minflt(), time.perf_counter()
+                before, t = usage(), time.perf_counter()
                 res = w.ds.neighbors(req)
                 spent.setdefault(cls, []).append(time.perf_counter() - t)
-                faults.setdefault(cls, []).append(minflt() - f)
+                rusage.setdefault(cls, []).append([b - a for a, b in zip(before, usage())])
                 if p == 0:
                     seen.append([cls, digest(res), dataclasses.asdict(res.stats)])
             for cls, secs in spent.items():
                 ms = 1e3 * sum(secs) / len(secs)
                 best[cls] = min(best.get(cls, ms), ms)
         w.close()
-    return {
-        "ms": best,
-        "faults": {cls: sum(v) / len(v) for cls, v in faults.items()},
-        "ops": seen,
-    }
+    return {"ms": best, **per_op(rusage), "ops": seen}
 
 
 def run_side(root: str, seed: int) -> dict:
@@ -139,16 +133,12 @@ def main(argv: list[str]) -> int:
             }
             print(f"  {cls:6s} " + " ".join(f"{k}={v}" for k, v in sums.items()))
             a, b = ([r["ms"][cls] for r in runs[label]] for label in ("parent", "change"))
-            fa, fb = (
-                statistics.median(r["faults"][cls] for r in runs[label])
-                for label in ("parent", "change")
-            )
             print(
                 f"  {cls:6s} ms/op parent {statistics.median(a):6.2f} "
                 f"change {statistics.median(b):6.2f}  ratio "
                 f"{statistics.median(b) / statistics.median(a):.3f}  "
                 f"(change faster in {sum(y < x for x, y in zip(a, b))} of {len(a)} pairs)  "
-                f"minor faults/op parent {fa:.0f} change {fb:.0f}"
+                + rusage_line(runs, cls)
             )
     return 0
 

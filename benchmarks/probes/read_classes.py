@@ -13,9 +13,11 @@ flipped every pair. A side sets up ``read_warm`` exactly as
 ``benchmarks/baseline/run.py`` does (writes ``D_main`` v4, opens it,
 warms every cache with one full read and one cycle), then runs three
 passes over the 24 views × 7 read classes and reports, per class, the
-fastest pass's mean ms per op and the passes' mean minor page faults per
-op (``ru_minflt`` deltas: a fault is a few µs of kernel time that the
-heap layout of the process decides, not the read code).
+fastest pass's mean ms per op and the passes' mean user and system CPU
+ms and minor page faults per op (``getrusage`` deltas). ``import repro``
+keeps freed heap memory for reuse (``repro._heap``), so a warm op that
+faults or spends system time is allocating more, or larger blocks, than
+the ops before it freed: a read-path cost, not noise.
 
 ``mode`` picks how each op reads: ``query`` (``ds.query``), ``rung`` (a
 one-rung ``ds.stream``, reassembled) or ``ladder`` (a default-ladder
@@ -55,12 +57,23 @@ def digest(batch) -> str:
     return h.hexdigest()
 
 
-def minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def usage() -> tuple[int, float, float]:
+    """This process's minor page faults, user and system CPU seconds so far."""
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_minflt, ru.ru_utime, ru.ru_stime
+
+
+def per_op(rusage: dict[str, list[list[float]]]) -> dict[str, dict[str, float]]:
+    """Mean faults, user ms and system ms per op of each class."""
+    return {
+        key: {cls: scale * statistics.fmean(r[i] for r in v) for cls, v in rusage.items()}
+        for i, (key, scale) in enumerate((("faults", 1), ("user_ms", 1e3), ("sys_ms", 1e3)))
+    }
 
 
 def side(root: str, seed: int, mode: str) -> dict:
-    """One side's run, in this (fresh) process: ``{"ms", "faults", "cycle_ms", "ops"}``."""
+    """One side's run, in this (fresh) process: ``{"ms", "faults", "user_ms",
+    "sys_ms", "cycle_ms", "ops"}``."""
     sys.path[:0] = [str(Path(root, "src").resolve()), str(BASELINE)]
     import inputs
     from repro import reassemble_stream
@@ -80,15 +93,15 @@ def side(root: str, seed: int, mode: str) -> dict:
             for docs, reqs in zip(w.cycle_docs, w.cycle_reqs)
             for op, req in zip(docs, reqs)
         ]
-        seen, best, cycles, faults = [], {}, [], {}
+        seen, best, cycles, rusage = [], {}, [], {}
         for p in range(PASSES):
             spent: dict[str, list[float]] = {}
             t_pass = time.perf_counter()
             for cls, req in ops:
-                f, t = minflt(), time.perf_counter()
+                before, t = usage(), time.perf_counter()
                 res = read(w.ds, req)
                 spent.setdefault(cls, []).append(time.perf_counter() - t)
-                faults.setdefault(cls, []).append(minflt() - f)
+                rusage.setdefault(cls, []).append([b - a for a, b in zip(before, usage())])
                 if p == 0:
                     seen.append([cls, digest(res.batch), dataclasses.asdict(res.stats)])
             cycles.append((time.perf_counter() - t_pass) / len(w.cycle_reqs))
@@ -96,12 +109,7 @@ def side(root: str, seed: int, mode: str) -> dict:
                 ms = 1e3 * sum(secs) / len(secs)
                 best[cls] = min(best.get(cls, ms), ms)
         w.close()
-    return {
-        "ms": best,
-        "faults": {cls: sum(v) / len(v) for cls, v in faults.items()},
-        "cycle_ms": 1e3 * min(cycles),
-        "ops": seen,
-    }
+    return {"ms": best, **per_op(rusage), "cycle_ms": 1e3 * min(cycles), "ops": seen}
 
 
 def run_side(root: str, seed: int, mode: str) -> dict:
@@ -122,6 +130,19 @@ def first_difference(want: list, got: list) -> str | None:
             fields = [k for k in a[2] if a[2][k] != b[2].get(k)]
             return f"op {i} ({a[0]}): QueryStats differ in {fields}"
     return None
+
+
+def rusage_line(runs: dict[str, list[dict]], cls: str) -> str:
+    """Per op, parent/change medians: user and system CPU ms, minor faults."""
+    med = {
+        key: [statistics.median(r[key][cls] for r in runs[label]) for label in ("parent", "change")]
+        for key in ("user_ms", "sys_ms", "faults")
+    }
+    (ua, ub), (sa, sb), (fa, fb) = med.values()
+    return (
+        f"cpu ms/op user {ua:.2f}/{ub:.2f} sys {sa:.2f}/{sb:.2f}, "
+        f"minor faults/op {fa:.0f}/{fb:.0f} (parent/change)"
+    )
 
 
 def main(argv: list[str]) -> int:
@@ -158,19 +179,13 @@ def main(argv: list[str]) -> int:
                 for label in ("parent", "change")
             )
             unit = "ms/view" if key == "cycle" else "ms/op"
-            faults = ""
-            if key != "cycle":
-                fa, fb = (
-                    statistics.median(r["faults"][key] for r in runs[label])
-                    for label in ("parent", "change")
-                )
-                faults = f"  minor faults/op parent {fa:.0f} change {fb:.0f}"
+            kernel = "" if key == "cycle" else "  " + rusage_line(runs, key)
             print(
                 f"  {key:10s} {unit} parent {statistics.median(a):7.2f} "
                 f"change {statistics.median(b):7.2f}  ratio "
                 f"{statistics.median(b) / statistics.median(a):.3f}  "
                 f"(change faster in {sum(y < x for x, y in zip(a, b))} of {len(a)} pairs)"
-                f"{faults}"
+                f"{kernel}"
             )
     return 0
 
