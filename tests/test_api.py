@@ -91,6 +91,29 @@ def test_request_is_hashable_and_normalizes_sequences():
     )
 
 
+def test_box_of_arrays_is_a_box_of_float_tuples(dataset):
+    """Numpy corners are coerced, so the request hashes and the read runs."""
+    import numpy as np
+
+    req = QueryRequest(box=Box(np.zeros(3), np.full(3, 2.0)))
+    assert req.box == Box((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
+    assert all(type(c) is float for c in req.box.lower + req.box.upper)
+    assert hash(req) == hash(QueryRequest(box=Box((0, 0, 0), (2, 2, 2))))
+    got, _ = dataset.query(req)
+    want, _ = dataset.query(QueryRequest(box=Box((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))))
+    assert got.digest() == want.digest()
+
+
+@pytest.mark.parametrize(
+    "box",
+    [((0, 0, 0), (1, 1, 1)), Box((0, 0), (1, 1)), Box((0, 0, 0), ("a", 1, 1)), Box(None, None)],
+    ids=["tuple-pair", "two-axes", "not-a-number", "no-corners"],
+)
+def test_bad_box_is_an_invalid_request(box):
+    with pytest.raises(InvalidRequestError, match="box"):
+        QueryRequest(box=box)
+
+
 def test_result_unpacks_like_a_tuple(dataset):
     res = dataset.query(QueryRequest(quality=0.5))
     assert isinstance(res, QueryResult)

@@ -18,7 +18,7 @@ import pytest
 
 from repro import QueryRequest
 from repro.atomic import publish_bytes
-from repro.bat import BATBuildConfig, build_bat, scrub_dataset, scrub_file
+from repro.bat import BATBuildConfig, build_bat, codecs, scrub_dataset, scrub_file
 from repro.bat.file import BATFile
 from repro.bat.format import HEADER_SIZE, LEGACY_VERSION, VERSION, Header
 from repro.bat.query import AttributeFilter, query_file
@@ -352,6 +352,55 @@ class TestPrunedDamageIsNeverTouched:
                 ds.query(QueryRequest(box=boxes[bad]))
             part, stats = ds.query(QueryRequest(box=boxes[bad], on_error="degrade"))
             assert stats.quarantined_files == 1 and list(ds.quarantined()) == [0]
+
+
+class TestUndecodableColumn:
+    """A v4 column whose checksums hold but whose codec payload will not
+    decode (here: written by a broken encoder, so every CRC seals the bad
+    bytes) is an :class:`IntegrityError` naming treelet, column and file:
+    ``raise`` names the leaf and dataset, ``degrade`` quarantines it."""
+
+    @staticmethod
+    def rank_data():
+        """Rank data whose ``auto`` codecs include zlib and delta columns."""
+        data = make_rank_data(nranks=4, seed=5)
+        for b in data.batches:
+            b.attributes["id"] = np.arange(len(b), dtype=np.int64)
+        return data
+
+    @staticmethod
+    def truncate_zlib(monkeypatch):
+        encode = codecs._ZlibCodec.encode
+        monkeypatch.setattr(
+            codecs._ZlibCodec, "encode",
+            lambda self, arr: (encode(self, arr)[0][:-4], 0.0, 0.0),  # no adler32
+        )
+
+    @staticmethod
+    def truncate_delta(monkeypatch):
+        pack = codecs._DeltaBitpackCodec._pack_one
+        monkeypatch.setattr(
+            codecs._DeltaBitpackCodec, "_pack_one",
+            staticmethod(lambda vals, zig: pack(vals, zig)[: codecs._DELTA_HEADER.size]),
+        )
+
+    @pytest.mark.parametrize("codec", ["zlib", "delta"])
+    def test_bad_payload_raises_or_degrades(self, codec, tmp_path, monkeypatch):
+        with monkeypatch.context() as m:
+            getattr(self, f"truncate_{codec}")(m)
+            rep = TwoPhaseWriter(
+                make_test_machine(), target_size=32 * 1024,
+                bat_config=BATBuildConfig(codecs="auto"),
+            ).write(self.rank_data(), out_dir=tmp_path, name="bc")
+        assert scrub_dataset(rep.metadata_path).ok  # the checksums hold
+        with BATDataset(rep.metadata_path) as ds:
+            with pytest.raises(IntegrityError, match=r"bc\.0000\d\.bat.*bc\.meta\.json") as exc:
+                ds.query(QueryRequest())
+            assert re.search(r"treelet \d+ column \d+", str(exc.value))
+            assert ds.quarantined() == {}
+            _, stats = ds.query(QueryRequest(on_error="degrade"))
+            assert stats.quarantined_files >= 1
+            assert len(ds.quarantined()) == stats.quarantined_files
 
 
 class TestLegacyTreeletDamage:
