@@ -38,7 +38,8 @@ from collections.abc import Mapping
 import numpy as np
 
 from ..binning import make_binning
-from ..errors import IntegrityError
+from .._inflate import inflate
+from ..errors import CodecError, IntegrityError
 from ..types import AttributeSpec, Box
 from .codecs import decode_column, get_codec
 from .format import (
@@ -745,10 +746,16 @@ class BATFile:
         get here, so the counter measures real decode work.
         """
         d = self._view(leaf).column_dir
-        arr = decode_column(
-            d.codecs[slot], d.buf[d.starts[slot] : d.starts[slot + 1]],
-            self._slot_dtypes[slot], d.counts[slot], d.p0[slot], d.p1[slot],
-        )
+        try:
+            arr = decode_column(
+                d.codecs[slot], d.buf[d.starts[slot] : d.starts[slot + 1]],
+                self._slot_dtypes[slot], d.counts[slot], d.p0[slot], d.p1[slot],
+            )
+        except CodecError as exc:
+            raise IntegrityError(
+                f"treelet {leaf} column {slot}: {exc} in {self.path}",
+                section=f"treelet {leaf}", path=self.path,
+            ) from None
         if arr.nbytes != d.raw_nbytes[slot]:
             raise IntegrityError(
                 f"treelet {leaf} column {slot}: decoded {arr.nbytes} bytes, "
@@ -854,18 +861,13 @@ class BATFile:
         buf, end = self._buf, off + nbytes
         if self.compressed and not self.column_encoded:
             try:
-                payload = zlib.decompress(self._buf[off + _TREELET_HEADER.size : end])
-            except zlib.error as exc:
+                payload = inflate(self._buf[off + _TREELET_HEADER.size : end], raw_nbytes)
+            except CodecError as exc:
                 raise IntegrityError(
-                    f"treelet {leaf}: payload does not inflate ({exc}) in {self.path}",
+                    f"treelet {leaf}: {exc} in {self.path}",
                     section=f"treelet {leaf}", path=self.path,
                 ) from None
-            if len(payload) != raw_nbytes:
-                raise IntegrityError(
-                    f"treelet {leaf}: decompressed size mismatch in {self.path}",
-                    section=f"treelet {leaf}", path=self.path,
-                )
-            buf, end = memoryview(payload), len(payload)
+            buf, end = memoryview(payload), raw_nbytes
         d = self._column_dir(rec, n_nodes, n_pts, buf)
         if d.starts[-1] > end:
             raise IntegrityError(
